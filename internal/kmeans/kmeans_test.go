@@ -223,3 +223,29 @@ func BenchmarkClusterTransitionVectors(b *testing.B) {
 		}
 	}
 }
+
+// TestSqDistBelowDecidesLikeSqDist: the bounded distance may stop early,
+// but "is it below the bound?" must answer exactly as the full sum does, and
+// a sum that does come in below the bound must be the full sum bit for bit —
+// Lloyd's assignment keeps it as the next bound.
+func TestSqDistBelowDecidesLikeSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, dim := range []int{1, 2, 7, 8, 9, 16, 17, 40, 132} {
+		for i := 0; i < 2000; i++ {
+			a, b := make([]float64, dim), make([]float64, dim)
+			for d := range a {
+				a[d], b[d] = rng.Float64(), rng.Float64()
+			}
+			full := sqDist(a, b)
+			for _, bound := range []float64{0, full * rng.Float64(), full, math.Nextafter(full, 2*full+1), 2 * full, math.Inf(1)} {
+				got := sqDistBelow(a, b, bound)
+				if (got < bound) != (full < bound) {
+					t.Fatalf("dim %d bound %v: bounded %v, full %v disagree on < bound", dim, bound, got, full)
+				}
+				if got < bound && got != full {
+					t.Fatalf("dim %d bound %v: bounded %v != full %v", dim, bound, got, full)
+				}
+			}
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package roadnet
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // BidirectionalShortestPath runs Dijkstra simultaneously from src (over
 // outgoing arcs) and dst (over incoming arcs), meeting in the middle. On
@@ -17,19 +14,23 @@ func (g *Graph) BidirectionalShortestPath(src, dst VertexID) (float64, []VertexI
 	type side struct {
 		dist   map[VertexID]float64
 		parent map[VertexID]VertexID
-		queue  pq
+		queue  *minHeap
 	}
-	fwd := &side{dist: map[VertexID]float64{src: 0}, parent: map[VertexID]VertexID{}, queue: pq{{v: src}}}
-	bwd := &side{dist: map[VertexID]float64{dst: 0}, parent: map[VertexID]VertexID{}, queue: pq{{v: dst}}}
+	fwd := &side{dist: map[VertexID]float64{src: 0}, parent: map[VertexID]VertexID{}, queue: getHeap()}
+	bwd := &side{dist: map[VertexID]float64{dst: 0}, parent: map[VertexID]VertexID{}, queue: getHeap()}
+	defer heapPool.Put(fwd.queue)
+	defer heapPool.Put(bwd.queue)
+	fwd.queue.push(src, 0)
+	bwd.queue.push(dst, 0)
 
 	best := math.Inf(1)
 	var meet VertexID = Invalid
 
 	expand := func(s, other *side, arcs func(VertexID) []Arc) {
-		if len(s.queue) == 0 {
+		if len(*s.queue) == 0 {
 			return
 		}
-		it := heap.Pop(&s.queue).(pqItem)
+		it := s.queue.pop()
 		if d, ok := s.dist[it.v]; ok && it.prio > d {
 			return
 		}
@@ -38,7 +39,7 @@ func (g *Graph) BidirectionalShortestPath(src, dst VertexID) (float64, []VertexI
 			if d, seen := s.dist[a.To]; !seen || nd < d {
 				s.dist[a.To] = nd
 				s.parent[a.To] = it.v
-				heap.Push(&s.queue, pqItem{v: a.To, prio: nd})
+				s.queue.push(a.To, nd)
 			}
 			if od, seen := other.dist[a.To]; seen {
 				if total := nd + od; total < best {
@@ -49,15 +50,15 @@ func (g *Graph) BidirectionalShortestPath(src, dst VertexID) (float64, []VertexI
 		}
 	}
 
-	for len(fwd.queue) > 0 || len(bwd.queue) > 0 {
+	for len(*fwd.queue) > 0 || len(*bwd.queue) > 0 {
 		// Termination: when the smallest keys on both frontiers can no
 		// longer improve the best meeting, stop.
 		fMin, bMin := math.Inf(1), math.Inf(1)
-		if len(fwd.queue) > 0 {
-			fMin = fwd.queue[0].prio
+		if len(*fwd.queue) > 0 {
+			fMin = (*fwd.queue)[0].prio
 		}
-		if len(bwd.queue) > 0 {
-			bMin = bwd.queue[0].prio
+		if len(*bwd.queue) > 0 {
+			bMin = (*bwd.queue)[0].prio
 		}
 		if fMin+bMin >= best {
 			break
@@ -162,9 +163,11 @@ func (alt *ALT) ShortestPath(src, dst VertexID) (float64, []VertexID, bool) {
 	dist := make(map[VertexID]float64, 256)
 	parent := make(map[VertexID]VertexID, 256)
 	dist[src] = 0
-	q := pq{{v: src, prio: alt.heuristic(src, dst)}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := getHeap()
+	defer heapPool.Put(q)
+	q.push(src, alt.heuristic(src, dst))
+	for len(*q) > 0 {
+		it := q.pop()
 		d := dist[it.v]
 		if it.prio > d+alt.heuristic(it.v, dst)+1e-9 {
 			continue
@@ -177,7 +180,7 @@ func (alt *ALT) ShortestPath(src, dst VertexID) (float64, []VertexID, bool) {
 			if old, seen := dist[a.To]; !seen || nd < old {
 				dist[a.To] = nd
 				parent[a.To] = it.v
-				heap.Push(&q, pqItem{v: a.To, prio: nd + alt.heuristic(a.To, dst)})
+				q.push(a.To, nd+alt.heuristic(a.To, dst))
 			}
 		}
 	}

@@ -682,6 +682,64 @@ type chParent struct {
 	mid VertexID
 }
 
+// chSide is one direction's labels in a query workspace: dense arrays
+// indexed by vertex. dist[v] and par[v] are live only while stamp[v] equals
+// the workspace's generation, so starting a query is one increment, not an
+// O(V) clear.
+type chSide struct {
+	dist  []float64
+	par   []chParent
+	stamp []uint32
+	heap  chHeap
+}
+
+// chQueryWS is the scratch state of one point query. Workspaces are pooled:
+// a warm query allocates nothing but the path it returns.
+type chQueryWS struct {
+	gen  uint32
+	f, b chSide
+	hops []VertexID // heads of the forward hops, meet first
+	path []VertexID // the unpacked vertex path
+}
+
+// chQueryPool is shared by every hierarchy in the process, so begin sizes
+// each workspace to the vertex count of the hierarchy about to use it.
+var chQueryPool = sync.Pool{New: func() any { return new(chQueryWS) }}
+
+// getCHQueryWS returns a pooled workspace ready for one query over a
+// hierarchy of n vertices; hand it back with chQueryPool.Put.
+func getCHQueryWS(n int) *chQueryWS {
+	ws := chQueryPool.Get().(*chQueryWS)
+	ws.begin(n)
+	return ws
+}
+
+// begin kills every label left by earlier queries.
+func (ws *chQueryWS) begin(n int) {
+	if len(ws.f.stamp) < n { // new, or last used by a smaller hierarchy
+		ws.f.resize(n)
+		ws.b.resize(n)
+		ws.gen = 0
+	}
+	ws.gen++
+	if ws.gen == 0 { // wrapped: stamps from 2^32 queries ago would read as live
+		clear(ws.f.stamp)
+		clear(ws.b.stamp)
+		ws.gen = 1
+	}
+	ws.f.heap, ws.b.heap = ws.f.heap[:0], ws.b.heap[:0]
+}
+
+func (s *chSide) resize(n int) {
+	s.dist, s.par, s.stamp = make([]float64, n), make([]chParent, n), make([]uint32, n)
+}
+
+// label sets v's distance and parent for generation gen and queues it.
+func (s *chSide) label(gen uint32, v VertexID, d float64, p chParent) {
+	s.dist[v], s.par[v], s.stamp[v] = d, p, gen
+	s.heap.push(chHeapItem{prio: d, v: v})
+}
+
 // ShortestPath answers an exact point-to-point query: a bidirectional
 // Dijkstra over the upward arcs from src and the (reversed) downward arcs
 // from dst, followed by shortcut unpacking. It returns the exact cost
@@ -689,100 +747,96 @@ type chParent struct {
 // vertex path, the number of settled search vertices (the instrument the
 // Router observes), and ok=false when dst is unreachable.
 func (ch *CH) ShortestPath(src, dst VertexID) (cost float64, path []VertexID, settled int, ok bool) {
-	if src == dst {
-		return 0, []VertexID{src}, 0, true
+	ws := getCHQueryWS(len(ch.rank))
+	defer chQueryPool.Put(ws)
+	if cost, settled, ok = ch.query(ws, src, dst); ok {
+		path = append([]VertexID(nil), ws.path...)
 	}
-	fDist := map[VertexID]float64{src: 0}
-	bDist := map[VertexID]float64{dst: 0}
-	fPar := map[VertexID]chParent{}
-	bPar := map[VertexID]chParent{}
-	var fHeap, bHeap chHeap
-	fHeap.push(chHeapItem{prio: 0, v: src})
-	bHeap.push(chHeapItem{prio: 0, v: dst})
+	return cost, path, settled, ok
+}
+
+// costSettled is ShortestPath without the path: the search and the exact
+// fold both run in the pooled workspace, so it allocates nothing.
+func (ch *CH) costSettled(src, dst VertexID) (cost float64, settled int) {
+	ws := getCHQueryWS(len(ch.rank))
+	defer chQueryPool.Put(ws)
+	cost, settled, _ = ch.query(ws, src, dst)
+	return cost, settled
+}
+
+// Cost returns the exact shortest-path cost, or +Inf when unreachable.
+func (ch *CH) Cost(src, dst VertexID) float64 {
+	cost, _ := ch.costSettled(src, dst)
+	return cost
+}
+
+// query runs the search in ws and leaves the unpacked path in ws.path. The
+// cost is +Inf when ok is false.
+func (ch *CH) query(ws *chQueryWS, src, dst VertexID) (cost float64, settled int, ok bool) {
+	ws.path = append(ws.path[:0], src)
+	if src == dst {
+		return 0, 0, true
+	}
+	gen, f, b := ws.gen, &ws.f, &ws.b
+	f.label(gen, src, 0, chParent{})
+	b.label(gen, dst, 0, chParent{})
 
 	best := math.Inf(1)
 	meet := Invalid
 
-	consider := func(v VertexID, total float64) {
-		if total < best || (total == best && v < meet) {
-			best = total
-			meet = v
-		}
-	}
-
 	// Each side runs until its own frontier can no longer improve best.
-	for len(fHeap) > 0 || len(bHeap) > 0 {
-		fOpen := len(fHeap) > 0 && fHeap[0].prio < best
-		bOpen := len(bHeap) > 0 && bHeap[0].prio < best
+	for len(f.heap) > 0 || len(b.heap) > 0 {
+		fOpen := len(f.heap) > 0 && f.heap[0].prio < best
+		bOpen := len(b.heap) > 0 && b.heap[0].prio < best
 		if !fOpen && !bOpen {
 			break
 		}
 		// Alternate by smaller frontier key; forward wins exact ties so the
 		// settle order is deterministic.
-		forward := fOpen && (!bOpen || fHeap[0].prio <= bHeap[0].prio)
-		if forward {
-			it := fHeap.pop()
-			if it.prio > fDist[it.v] {
-				continue
+		s, other, arcs := b, f, ch.down
+		if fOpen && (!bOpen || f.heap[0].prio <= b.heap[0].prio) {
+			s, other, arcs = f, b, ch.up
+		}
+		it := s.heap.pop()
+		if it.prio > s.dist[it.v] {
+			continue
+		}
+		settled++
+		if other.stamp[it.v] == gen {
+			if total := it.prio + other.dist[it.v]; total < best || (total == best && it.v < meet) {
+				best = total
+				meet = it.v
 			}
-			settled++
-			if bd, okB := bDist[it.v]; okB {
-				consider(it.v, it.prio+bd)
-			}
-			for _, a := range ch.up[it.v] {
-				nd := it.prio + a.cost
-				if d, seen := fDist[a.to]; !seen || nd < d {
-					fDist[a.to] = nd
-					fPar[a.to] = chParent{v: it.v, mid: a.mid}
-					fHeap.push(chHeapItem{prio: nd, v: a.to})
-				}
-			}
-		} else {
-			it := bHeap.pop()
-			if it.prio > bDist[it.v] {
-				continue
-			}
-			settled++
-			if fd, okF := fDist[it.v]; okF {
-				consider(it.v, fd+it.prio)
-			}
-			for _, a := range ch.down[it.v] {
-				nd := it.prio + a.cost
-				if d, seen := bDist[a.to]; !seen || nd < d {
-					bDist[a.to] = nd
-					bPar[a.to] = chParent{v: it.v, mid: a.mid}
-					bHeap.push(chHeapItem{prio: nd, v: a.to})
-				}
+		}
+		for _, a := range arcs[it.v] {
+			if nd := it.prio + a.cost; s.stamp[a.to] != gen || nd < s.dist[a.to] {
+				s.label(gen, a.to, nd, chParent{v: it.v, mid: a.mid})
 			}
 		}
 	}
 	if meet == Invalid {
-		return math.Inf(1), nil, settled, false
+		return math.Inf(1), settled, false
 	}
 
-	// Forward hierarchy hops src -> meet, in reverse.
-	type hop struct {
-		from, to, mid VertexID
+	// Forward hierarchy hops src -> meet, found in reverse: f.par[x] =
+	// (y, mid) means real arc y -> x.
+	ws.hops = ws.hops[:0]
+	for v := meet; v != src; v = f.par[v].v {
+		ws.hops = append(ws.hops, v)
 	}
-	var rev []hop
-	for v := meet; v != src; {
-		p := fPar[v]
-		rev = append(rev, hop{from: p.v, to: v, mid: p.mid})
-		v = p.v
+	for i := len(ws.hops) - 1; i >= 0; i-- {
+		v := ws.hops[i]
+		ws.path = ch.appendUnpack(f.par[v].v, v, f.par[v].mid, ws.path)
 	}
-	path = append(path, src)
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = ch.appendUnpack(rev[i].from, rev[i].to, rev[i].mid, path)
-	}
-	// Backward hops meet -> dst: bPar[x] = (y, mid) means real arc x -> y.
+	// Backward hops meet -> dst: b.par[x] = (y, mid) means real arc x -> y.
 	for v := meet; v != dst; {
-		p := bPar[v]
-		path = ch.appendUnpack(v, p.v, p.mid, path)
+		p := b.par[v]
+		ws.path = ch.appendUnpack(v, p.v, p.mid, ws.path)
 		v = p.v
 	}
 	// Exact cost: left fold of original edge costs in path order — the
 	// association Dijkstra's dist[v] = dist[u] + cost accumulates.
-	return pathFoldCost(ch.g, path), path, settled, true
+	return pathFoldCost(ch.g, ws.path), settled, true
 }
 
 // pathFoldCost recomputes a path's cost as the left-to-right fold of
@@ -800,15 +854,6 @@ func pathFoldCost(g *Graph, path []VertexID) float64 {
 		cost += c
 	}
 	return cost
-}
-
-// Cost returns the exact shortest-path cost, or +Inf when unreachable.
-func (ch *CH) Cost(src, dst VertexID) float64 {
-	c, _, _, ok := ch.ShortestPath(src, dst)
-	if !ok {
-		return math.Inf(1)
-	}
-	return c
 }
 
 // appendUnpack appends the real vertices of the hierarchy arc from->to

@@ -22,6 +22,35 @@ func BenchmarkCHBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkCHCost measures a warm point query on the repo benchmark's city
+// (see benchCity) over ride-like pairs — the dropoff within 0.35 of the
+// bounding box per axis of the pickup and at least 0.08 away, as
+// bench/workload.go draws them — which is what the ledger's
+// roadnet.ch_cost_us times and the Router's cold path runs.
+func BenchmarkCHCost(b *testing.B) {
+	g := benchCity(b)
+	ch := BuildCH(g, 0)
+	lo, hi := g.Bounds()
+	dLat, dLng := hi.Lat-lo.Lat, hi.Lng-lo.Lng
+	rng := rand.New(rand.NewSource(17))
+	var pairs [512][2]VertexID
+	for i := 0; i < len(pairs); {
+		u, v := VertexID(rng.Intn(g.NumVertices())), VertexID(rng.Intn(g.NumVertices()))
+		x := math.Abs(g.Point(u).Lat-g.Point(v).Lat) / dLat
+		y := math.Abs(g.Point(u).Lng-g.Point(v).Lng) / dLng
+		if x <= 0.35 && y <= 0.35 && x+y >= 0.08 {
+			pairs[i] = [2]VertexID{u, v}
+			i++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		_ = ch.Cost(p[0], p[1])
+	}
+}
+
 // chengduWorld is the Chengdu-scale routing substrate: a generated city
 // matching the paper's road-network size (~214k vertices, ~720k edges).
 // The graph and its hierarchy build once per process and are shared by

@@ -4,7 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+
+	"repro/internal/geo"
 )
 
 // TestCHExactOnCity is the core correctness guarantee: CH queries return
@@ -204,5 +208,98 @@ func TestCHSettledFarBelowDijkstra(t *testing.T) {
 	}
 	if mean := float64(total) / queries; mean > float64(n)/4 {
 		t.Fatalf("mean settled %v on %d vertices — hierarchy is not pruning the search", mean, n)
+	}
+}
+
+// chReusePair builds two hierarchies of different vertex counts that share
+// chQueryPool: a generated city and a one-way-augmented unit grid (exact
+// ties, plus a tail vertex nothing can reach back from).
+func chReusePair(t *testing.T) [2]*CH {
+	t.Helper()
+	p := DefaultCityParams(24, 24)
+	p.Seed = 3
+	city, err := GenerateCity(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := gridGraph(9)
+	grid.AddEdge(0, grid.AddVertex(geo.Point{Lat: 31, Lng: 105}), 100)
+	return [2]*CH{BuildCH(city, 0), BuildCH(grid, 0)}
+}
+
+// checkPooledQuery answers one random pair on one of the hierarchies through
+// the pooled entry points and again in a workspace nothing has touched, and
+// demands the same cost bits, path, settled count and ok.
+func checkPooledQuery(t *testing.T, chs [2]*CH, rng *rand.Rand) {
+	ch := chs[rng.Intn(2)]
+	n := len(ch.rank)
+	u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+	fresh := new(chQueryWS)
+	fresh.begin(n)
+	wantCost, wantSettled, wantOK := ch.query(fresh, u, v)
+	cost, path, settled, ok := ch.ShortestPath(u, v)
+	if math.Float64bits(cost) != math.Float64bits(wantCost) || settled != wantSettled || ok != wantOK ||
+		(ok && !slices.Equal(path, fresh.path)) {
+		t.Errorf("n=%d (%d,%d): pooled cost=%v settled=%d ok=%v path=%v, fresh cost=%v settled=%d ok=%v path=%v",
+			n, u, v, cost, settled, ok, path, wantCost, wantSettled, wantOK, fresh.path)
+	}
+	if c := ch.Cost(u, v); math.Float64bits(c) != math.Float64bits(wantCost) {
+		t.Errorf("n=%d (%d,%d): pooled Cost=%v, fresh %v", n, u, v, c, wantCost)
+	}
+}
+
+// TestCHWorkspaceReuse runs 20k queries interleaved across two hierarchies
+// of different size, so every pooled workspace carries labels from earlier
+// queries — often from the other hierarchy — into the next one.
+func TestCHWorkspaceReuse(t *testing.T) {
+	chs := chReusePair(t)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 20000 && !t.Failed(); i++ {
+		checkPooledQuery(t, chs, rng)
+	}
+}
+
+// TestCHWorkspaceConcurrent is the same check from 8 goroutines at once: a
+// workspace belongs to one query at a time (run with -race).
+func TestCHWorkspaceConcurrent(t *testing.T) {
+	chs := chReusePair(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 2500 && !t.Failed(); i++ {
+				checkPooledQuery(t, chs, rng)
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// TestCHWorkspaceGenerationWrap: when the generation counter wraps, labels
+// stamped 2^32 queries ago carry the new generation's number and must be
+// wiped, not read as live.
+func TestCHWorkspaceGenerationWrap(t *testing.T) {
+	ch := chReusePair(t)[0]
+	n := len(ch.rank)
+	ws := new(chQueryWS)
+	ws.begin(n)
+	for v := range ws.f.stamp { // every vertex labelled at distance 0 in generation 1
+		ws.f.stamp[v], ws.b.stamp[v] = 1, 1
+	}
+	ws.gen = math.MaxUint32
+	ws.begin(n) // wraps back to generation 1
+	if ws.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", ws.gen)
+	}
+	fresh := new(chQueryWS)
+	fresh.begin(n)
+	u, v := VertexID(n/2), VertexID(n/3)
+	cost, settled, ok := ch.query(ws, u, v)
+	wantCost, wantSettled, wantOK := ch.query(fresh, u, v)
+	if cost != wantCost || settled != wantSettled || ok != wantOK || !slices.Equal(ws.path, fresh.path) {
+		t.Fatalf("after wrap: cost=%v settled=%d ok=%v, fresh cost=%v settled=%d ok=%v",
+			cost, settled, ok, wantCost, wantSettled, wantOK)
 	}
 }

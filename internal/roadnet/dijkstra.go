@@ -1,33 +1,78 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 
 	"repro/internal/geo"
 )
 
-// pqItem is a priority-queue entry for Dijkstra/A*.
-type pqItem struct {
+// heapItem is a priority-queue entry for Dijkstra/A*.
+type heapItem struct {
 	v    VertexID
 	prio float64
 }
 
-// pq is a min-heap of pqItems. We use lazy deletion (stale entries are
-// skipped on pop), which avoids decrease-key bookkeeping and is faster in
-// practice on sparse road graphs.
-type pq []pqItem
+// minHeap is a value-typed binary min-heap of heapItems ordered by prio
+// alone. We use lazy deletion (stale entries are skipped on pop), which
+// avoids decrease-key bookkeeping and is faster in practice on sparse road
+// graphs.
+//
+// push and pop sift exactly as container/heap's up and down do — same
+// parent and child choice, same strict prio comparison, a moved hole where
+// the library swaps — so entries of equal prio pop in the library's order.
+// Every Parent tie-break, and with it every golden log, depends on that
+// order; do not add a vertex tie-break or change the sift.
+type minHeap []heapItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].prio < q[j].prio }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (h *minHeap) push(v VertexID, prio float64) {
+	q := append(*h, heapItem{})
+	*h = q
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(prio < q[i].prio) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = heapItem{v: v, prio: prio}
+}
+
+func (h *minHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	*h = q[:n]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].prio < q[j].prio {
+			j = r
+		}
+		if !(q[j].prio < x.prio) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	return top
+}
+
+// heapPool recycles heap backing arrays across searches, so a search
+// allocates only what it returns.
+var heapPool = sync.Pool{New: func() any { return new(minHeap) }}
+
+// getHeap returns an empty pooled heap; hand it back with heapPool.Put.
+func getHeap() *minHeap {
+	h := heapPool.Get().(*minHeap)
+	*h = (*h)[:0]
+	return h
 }
 
 // SSSPResult holds a full single-source shortest-path tree: distances in
@@ -66,31 +111,7 @@ func (r *SSSPResult) MemoryBytes() int {
 
 // SSSP runs Dijkstra's algorithm from src over the whole graph and returns
 // the full shortest-path tree.
-func (g *Graph) SSSP(src VertexID) *SSSPResult {
-	n := len(g.pts)
-	dist := make([]float64, n)
-	parent := make([]VertexID, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = Invalid
-	}
-	dist[src] = 0
-	q := pq{{v: src, prio: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
-		if it.prio > dist[it.v] {
-			continue // stale entry
-		}
-		for _, a := range g.out[it.v] {
-			if nd := it.prio + a.Cost; nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = it.v
-				heap.Push(&q, pqItem{v: a.To, prio: nd})
-			}
-		}
-	}
-	return &SSSPResult{Source: src, Dist: dist, Parent: parent}
-}
+func (g *Graph) SSSP(src VertexID) *SSSPResult { return sssp(g.out, src) }
 
 // ReverseSSSP runs Dijkstra's algorithm from src over the reversed graph:
 // Dist[v] is the cost of the shortest path from v *to* src (whereas
@@ -98,28 +119,34 @@ func (g *Graph) SSSP(src VertexID) *SSSPResult {
 // precompute vertex-to-landmark offsets on directed road networks, where
 // d(v, L) and d(L, v) differ. Parent links are on the reversed graph:
 // Parent[v] is the successor of v on its shortest path toward src.
-func (g *Graph) ReverseSSSP(src VertexID) *SSSPResult {
-	n := len(g.pts)
-	dist := make([]float64, n)
-	parent := make([]VertexID, n)
+//
+// g.in[v] holds the incoming arcs of v with Arc.To being the arc's source
+// vertex, so relaxing them walks shortest paths backwards.
+func (g *Graph) ReverseSSSP(src VertexID) *SSSPResult { return sssp(g.in, src) }
+
+// sssp is Dijkstra over the adjacency lists adj. It allocates the result
+// and nothing else: the heap's backing array comes from heapPool.
+func sssp(adj [][]Arc, src VertexID) *SSSPResult {
+	dist := make([]float64, len(adj))
+	parent := make([]VertexID, len(adj))
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = Invalid
 	}
 	dist[src] = 0
-	q := pq{{v: src, prio: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := getHeap()
+	defer heapPool.Put(q)
+	q.push(src, 0)
+	for len(*q) > 0 {
+		it := q.pop()
 		if it.prio > dist[it.v] {
 			continue // stale entry
 		}
-		// g.in[v] holds the incoming arcs of v with Arc.To being the arc's
-		// source vertex, so relaxing them walks shortest paths backwards.
-		for _, a := range g.in[it.v] {
+		for _, a := range adj[it.v] {
 			if nd := it.prio + a.Cost; nd < dist[a.To] {
 				dist[a.To] = nd
 				parent[a.To] = it.v
-				heap.Push(&q, pqItem{v: a.To, prio: nd})
+				q.push(a.To, nd)
 			}
 		}
 	}
@@ -157,14 +184,14 @@ func (g *Graph) shortestPath(src, dst VertexID, allowed func(VertexID) bool, ver
 	if src == dst {
 		return 0, []VertexID{src}, true
 	}
-	n := len(g.pts)
 	dist := make(map[VertexID]float64, 256)
 	parent := make(map[VertexID]VertexID, 256)
-	_ = n
 	dist[src] = 0
-	q := pq{{v: src, prio: 0}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := getHeap()
+	defer heapPool.Put(q)
+	q.push(src, 0)
+	for len(*q) > 0 {
+		it := q.pop()
 		if d, seen := dist[it.v]; seen && it.prio > d {
 			continue
 		}
@@ -182,7 +209,7 @@ func (g *Graph) shortestPath(src, dst VertexID, allowed func(VertexID) bool, ver
 			if d, seen := dist[a.To]; !seen || nd < d {
 				dist[a.To] = nd
 				parent[a.To] = it.v
-				heap.Push(&q, pqItem{v: a.To, prio: nd})
+				q.push(a.To, nd)
 			}
 		}
 	}
@@ -217,9 +244,11 @@ func (g *Graph) AStar(src, dst VertexID) (cost float64, path []VertexID, ok bool
 	dist := make(map[VertexID]float64, 256)
 	parent := make(map[VertexID]VertexID, 256)
 	dist[src] = 0
-	q := pq{{v: src, prio: h(src)}}
-	for len(q) > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := getHeap()
+	defer heapPool.Put(q)
+	q.push(src, h(src))
+	for len(*q) > 0 {
+		it := q.pop()
 		d := dist[it.v]
 		if it.prio > d+h(it.v)+1e-9 {
 			continue
@@ -232,7 +261,7 @@ func (g *Graph) AStar(src, dst VertexID) (cost float64, path []VertexID, ok bool
 			if old, seen := dist[a.To]; !seen || nd < old {
 				dist[a.To] = nd
 				parent[a.To] = it.v
-				heap.Push(&q, pqItem{v: a.To, prio: nd + h(a.To)})
+				q.push(a.To, nd+h(a.To))
 			}
 		}
 	}

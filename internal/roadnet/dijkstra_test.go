@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -326,6 +327,75 @@ func TestSSSPTriangleInequalityProperty(t *testing.T) {
 	}
 }
 
+// refPQ and refSSSP are the SSSP this package shipped before minHeap: boxed
+// items sifted by container/heap. They stay as the oracle minHeap's pop
+// order is held to.
+type refPQ []heapItem
+
+func (q refPQ) Len() int            { return len(q) }
+func (q refPQ) Less(i, j int) bool  { return q[i].prio < q[j].prio }
+func (q refPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x interface{}) { *q = append(*q, x.(heapItem)) }
+func (q *refPQ) Pop() interface{} {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
+func refSSSP(adj [][]Arc, src VertexID) *SSSPResult {
+	dist := make([]float64, len(adj))
+	parent := make([]VertexID, len(adj))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		parent[i] = Invalid
+	}
+	dist[src] = 0
+	q := refPQ{{v: src, prio: 0}}
+	for len(q) > 0 {
+		it := heap.Pop(&q).(heapItem)
+		if it.prio > dist[it.v] {
+			continue
+		}
+		for _, a := range adj[it.v] {
+			if nd := it.prio + a.Cost; nd < dist[a.To] {
+				dist[a.To] = nd
+				parent[a.To] = it.v
+				heap.Push(&q, heapItem{v: a.To, prio: nd})
+			}
+		}
+	}
+	return &SSSPResult{Source: src, Dist: dist, Parent: parent}
+}
+
+// TestSSSPMatchesContainerHeapOracle holds the typed heap to container/heap's
+// pop order: forward and reverse trees must agree with the oracle in every
+// Dist bit and every Parent — on the benchmark city (unique shortest paths),
+// on a unit-cost grid where every equal-length path ties exactly and Parent
+// is decided by pop order alone, and on a graph with a component no search
+// reaches.
+func TestSSSPMatchesContainerHeapOracle(t *testing.T) {
+	split := gridGraph(12)
+	island := split.AddVertex(geo.Point{Lat: 31, Lng: 105})
+	split.AddEdge(island, split.AddVertex(geo.Point{Lat: 31, Lng: 105.001}), 50)
+	split.AddEdge(island, 0, 70) // the island reaches the grid, never the reverse
+	for name, g := range map[string]*Graph{"city56": benchCity(t), "unitgrid": gridGraph(24), "unreachable": split} {
+		n := g.NumVertices()
+		for src := 0; src < n; src += 1 + n/150 {
+			for dir, adj := range map[string][][]Arc{"forward": g.out, "reverse": g.in} {
+				got, want := sssp(adj, VertexID(src)), refSSSP(adj, VertexID(src))
+				for v := range want.Dist {
+					if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) || got.Parent[v] != want.Parent[v] {
+						t.Fatalf("%s %s src=%d v=%d: dist %v parent %d, oracle dist %v parent %d",
+							name, dir, src, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkSSSPCity(b *testing.B) {
 	g, err := GenerateCity(DefaultCityParams(40, 40))
 	if err != nil {
@@ -334,6 +404,29 @@ func BenchmarkSSSPCity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.SSSP(VertexID(i % g.NumVertices()))
+	}
+}
+
+// benchCity is the repo benchmark's steady/hotspot city (bench/workload.go:
+// 56x56, world seed 1), so BenchmarkSSSP and BenchmarkCHCost reproduce the
+// ledger's roadnet.sssp_mean_us and roadnet.ch_cost_us with go test -bench.
+func benchCity(b testing.TB) *Graph {
+	b.Helper()
+	p := DefaultCityParams(56, 56)
+	p.Seed = 1
+	g, err := GenerateCity(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+func BenchmarkSSSP(b *testing.B) {
+	g := benchCity(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = g.SSSP(VertexID((i * 7919) % g.NumVertices()))
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // caching full single-source Dijkstra trees in an LRU keyed by source
 // vertex. The paper assumes O(1) shortest-path queries backed by a
 // precomputed all-pairs table cached in memory (§V-A4); for our graphs an
-// all-pairs table would be quadratic, so the Router amortises to the same
-// effect: request origins, taxi positions, and landmarks repeat heavily, so
-// the hit rate in the evaluation workloads exceeds 95%.
+// all-pairs table would be quadratic, so the Router amortises toward the
+// same effect: request origins, taxi positions, and landmarks repeat, and
+// the repo benchmark measures roadnet.cache_hit_frac at 0.81 on its uniform
+// workload (steady) and 0.90 on its concentrated one (hotspot).
 //
 // The cache is hash-sharded so concurrent dispatch workers do not
 // serialise on one mutex, and each shard runs per-source singleflight:
@@ -30,7 +31,10 @@ import (
 // O(V log V) tree build. The second query for a source builds and caches
 // the tree as before, so hot sources still amortise to O(1) lookups. All
 // three backends return bit-identical costs (see CH's exactness contract),
-// so the admission policy is invisible to dispatch outcomes.
+// so the admission policy is invisible to dispatch outcomes. Tree on the
+// second sighting stays because on steady the median source is queried 4-15
+// times a round and a tree costs about 8 point queries: no "tree on the k-th
+// sighting" beats k = 2, so the threshold is not a knob.
 //
 // Router is safe for concurrent use.
 type Router struct {
@@ -270,17 +274,20 @@ func (r *Router) admit(src VertexID) (res *SSSPResult, cold bool) {
 // attached CH when present, bidirectional Dijkstra otherwise. Both fold
 // the found path's original edge costs left to right, so the cost is
 // bit-identical to what the SSSP tree would report. Returns +Inf cost and
-// a nil path when dst is unreachable.
-func (r *Router) pointQuery(src, dst VertexID) (float64, []VertexID) {
+// a nil path when dst is unreachable. wantPath=false lets the CH backend
+// fold over its pooled path buffer and return nil instead of allocating.
+func (r *Router) pointQuery(src, dst VertexID, wantPath bool) (cost float64, path []VertexID) {
 	if ch := r.ch; ch != nil {
 		r.chQueries.Add(1)
-		cost, path, settled, ok := ch.ShortestPath(src, dst)
+		var settled int
+		if wantPath {
+			cost, path, settled, _ = ch.ShortestPath(src, dst)
+		} else {
+			cost, settled = ch.costSettled(src, dst)
+		}
 		if r.met != nil {
 			r.met.chQueries.Inc()
 			r.met.chSettled.Observe(float64(settled))
-		}
-		if !ok {
-			return math.Inf(1), nil
 		}
 		return cost, path
 	}
@@ -365,7 +372,7 @@ func (r *Router) Cost(u, v VertexID) float64 {
 	}
 	res, coldQ := r.admit(u)
 	if coldQ {
-		cost, _ := r.pointQuery(u, v)
+		cost, _ := r.pointQuery(u, v, false)
 		return cost
 	}
 	return res.Dist[v]
@@ -379,7 +386,7 @@ func (r *Router) Path(u, v VertexID) []VertexID {
 	}
 	res, coldQ := r.admit(u)
 	if coldQ {
-		_, path := r.pointQuery(u, v)
+		_, path := r.pointQuery(u, v, true)
 		return path
 	}
 	return res.PathTo(v)

@@ -10,11 +10,13 @@
 #   - Dispatch benchmarks (./internal/match, -bench=Dispatch) against
 #     testdata/bench/dispatch_baseline.txt — the end-to-end dispatch hot
 #     path, including BenchmarkDispatchCH's ch=on/ch=off split.
-#   - Contraction-hierarchy benchmarks (./internal/roadnet, -bench=CH)
+#   - Routing-kernel benchmarks (./internal/roadnet, -bench='CH|SSSP$')
 #     against testdata/bench/roadnet_ch_baseline.txt — CH preprocessing
-#     (BenchmarkCHBuild) and Chengdu-scale (~214k vertex) routing queries
-#     per backend (BenchmarkChengduCHRouting). The first roadnet run
-#     pays the one-time ~2.5-minute hierarchy build; -count reuses it.
+#     (BenchmarkCHBuild), Chengdu-scale (~214k vertex) routing queries
+#     per backend (BenchmarkChengduCHRouting), and the two kernels the
+#     repo benchmark's ledger names, at its 56x56 size (BenchmarkSSSP,
+#     BenchmarkCHCost). The first roadnet run pays the one-time
+#     ~2.5-minute hierarchy build; -count reuses it.
 #   - WAL benchmarks (./internal/wal, -bench=WAL) against
 #     testdata/bench/wal_baseline.txt — append throughput across the
 #     group-commit spectrum (fsync every record / every 64 / never) and
@@ -108,8 +110,8 @@ fi
 rc=0
 gate "${1:-testdata/bench/dispatch_baseline.txt}" ./internal/match/ Dispatch \
     "go test -run '^\$' -bench=Dispatch -count=5 -benchtime=50x ./internal/match/ > testdata/bench/dispatch_baseline.txt" || rc=1
-gate testdata/bench/roadnet_ch_baseline.txt ./internal/roadnet/ CH \
-    "go test -run '^\$' -bench=CH -count=5 -benchtime=50x -timeout 30m ./internal/roadnet/ > testdata/bench/roadnet_ch_baseline.txt" || rc=1
+gate testdata/bench/roadnet_ch_baseline.txt ./internal/roadnet/ 'CH|SSSP$' \
+    "go test -run '^\$' -bench='CH|SSSP\$' -count=5 -benchtime=50x -timeout 30m ./internal/roadnet/ > testdata/bench/roadnet_ch_baseline.txt" || rc=1
 gate testdata/bench/wal_baseline.txt ./internal/wal/ WAL \
     "go test -run '^\$' -bench=WAL -count=5 -benchtime=50x ./internal/wal/ > testdata/bench/wal_baseline.txt" || rc=1
 exit $rc
