@@ -240,7 +240,7 @@ func replayLog(path string) error {
 	return nil
 }
 
-// printPipelineDelta reports what the dispatch pipeline and router cache
+// printPipelineDelta reports what the dispatch pipeline and router memo
 // did during one experiment (fresh simulations only: memoised scenario
 // recalls contribute nothing).
 func printPipelineDelta(out io.Writer, lab *experiments.Lab, pipe0 match.EngineStats, rt0 roadnet.RouterStats) {
@@ -254,9 +254,9 @@ func printPipelineDelta(out io.Writer, lab *experiments.Lab, pipe0 match.EngineS
 		secs(pipe1.CandidateSearchNanos, pipe0.CandidateSearchNanos),
 		secs(pipe1.SchedulingNanos, pipe0.SchedulingNanos),
 		secs(pipe1.LegBuildNanos, pipe0.LegBuildNanos), dispatches)
-	hits, misses := rt1.Hits-rt0.Hits, rt1.Misses-rt0.Misses
+	hits, misses := rt1.Hits-rt0.Hits, rt1.PointQueries()-rt0.PointQueries()
 	if q := hits + misses; q > 0 {
-		fmt.Fprintf(out, "  router cache: %.1f%% hit rate (%d queries), %d SSSP runs, %d singleflight-deduped\n",
-			100*float64(hits)/float64(q), q, misses, rt1.SingleflightDeduped-rt0.SingleflightDeduped)
+		fmt.Fprintf(out, "  router cache: %.1f%% hit rate (%d queries), %d point queries\n",
+			100*float64(hits)/float64(q), q, misses)
 	}
 }

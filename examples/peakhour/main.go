@@ -14,6 +14,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/match"
+	"repro/internal/roadnet"
 	"repro/internal/sim"
 )
 
@@ -37,10 +38,16 @@ func main() {
 	bcfg := baseline.DefaultConfig()
 	bcfg.SearchRangeMeters = scale.GammaMeters
 
+	// One hierarchy for every scheme; each scheme gets its own router.
+	mcfg.CH = world.CH(0)
+	router := func() *roadnet.Router {
+		return roadnet.NewRouter(world.G, mcfg.RouterCacheTrees).AttachCH(mcfg.CH)
+	}
+
 	build := map[string]func() dispatch.Scheme{
-		"No-Sharing": func() dispatch.Scheme { return baseline.NewNoSharing(world.G, bcfg) },
-		"T-Share":    func() dispatch.Scheme { return baseline.NewTShare(world.G, bcfg) },
-		"pGreedyDP":  func() dispatch.Scheme { return baseline.NewPGreedyDP(world.G, bcfg) },
+		"No-Sharing": func() dispatch.Scheme { return baseline.NewNoSharing(router(), bcfg) },
+		"T-Share":    func() dispatch.Scheme { return baseline.NewTShare(router(), bcfg) },
+		"pGreedyDP":  func() dispatch.Scheme { return baseline.NewPGreedyDP(router(), bcfg) },
 		"mT-Share": func() dispatch.Scheme {
 			eng, err := match.NewEngine(pt, world.Spx, mcfg)
 			if err != nil {

@@ -32,8 +32,6 @@ type Config struct {
 	SearchRangeMeters float64
 	// GridCellMeters sizes the location-grid index cells.
 	GridCellMeters float64
-	// RouterCacheTrees bounds the shortest-path cache.
-	RouterCacheTrees int
 }
 
 // DefaultConfig mirrors the paper's defaults (15 km/h, γ = 2.5 km).
@@ -42,7 +40,6 @@ func DefaultConfig() Config {
 		SpeedMps:          15.0 * 1000 / 3600,
 		SearchRangeMeters: 2500,
 		GridCellMeters:    500,
-		RouterCacheTrees:  512,
 	}
 }
 
@@ -57,12 +54,17 @@ type base struct {
 	taxis map[int64]*fleet.Taxi
 }
 
-func newBase(g *roadnet.Graph, cfg Config) *base {
+// newBase builds the common state over the router's graph. Every baseline
+// constructor takes the router it routes with, so the caller decides its
+// memo budget and attaches the world's CH (without one every memo miss is a
+// bidirectional Dijkstra).
+func newBase(router *roadnet.Router, cfg Config) *base {
+	g := router.Graph()
 	min, max := g.Bounds()
 	return &base{
 		cfg:    cfg,
 		g:      g,
-		router: roadnet.NewRouter(g, cfg.RouterCacheTrees),
+		router: router,
 		grid:   index.NewLocationGrid(min, max, cfg.GridCellMeters),
 		taxis:  make(map[int64]*fleet.Taxi),
 	}

@@ -23,6 +23,9 @@ func newBenv(t testing.TB) *benv {
 	return &benv{g: g, spx: roadnet.NewSpatialIndex(g, 250)}
 }
 
+// router is a fresh CH-less router over the test city.
+func (env *benv) router() *roadnet.Router { return roadnet.NewRouter(env.g, 64) }
+
 func (env *benv) vertexNear(t testing.TB, fLat, fLng float64) roadnet.VertexID {
 	t.Helper()
 	min, max := env.g.Bounds()
@@ -59,7 +62,7 @@ func (env *benv) request(t testing.TB, id int64, o, d roadnet.VertexID, releaseS
 func TestNoSharingServesNearestVacant(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
-	s := NewNoSharing(env.g, cfg)
+	s := NewNoSharing(env.router(), cfg)
 	near := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.52, 0.52))
 	far := fleet.NewTaxi(env.g, 2, 3, env.vertexNear(t, 0.62, 0.62))
 	s.AddTaxi(near, 0)
@@ -83,7 +86,7 @@ func TestNoSharingServesNearestVacant(t *testing.T) {
 func TestNoSharingNoVacantTaxi(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
-	s := NewNoSharing(env.g, cfg)
+	s := NewNoSharing(env.router(), cfg)
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.5, 0.5))
 	s.AddTaxi(taxi, 0)
 	req := env.request(t, 1, env.vertexNear(t, 0.5, 0.52), env.vertexNear(t, 0.8, 0.8), 0, 1.5, cfg.SpeedMps)
@@ -100,7 +103,7 @@ func TestNoSharingOutOfRange(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 50
-	s := NewNoSharing(env.g, cfg)
+	s := NewNoSharing(env.router(), cfg)
 	s.AddTaxi(fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.05, 0.05)), 0)
 	req := env.request(t, 1, env.vertexNear(t, 0.9, 0.9), env.vertexNear(t, 0.5, 0.5), 0, 1.5, cfg.SpeedMps)
 	if res := s.OnRequest(req, 0); res.Served {
@@ -112,7 +115,7 @@ func TestTShareSharesARide(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 3000
-	s := NewTShare(env.g, cfg)
+	s := NewTShare(env.router(), cfg)
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.2, 0.2))
 	s.AddTaxi(taxi, 0)
 	r1 := env.request(t, 1, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 1.6, cfg.SpeedMps)
@@ -136,7 +139,7 @@ func TestTShareDualSideFiltersOppositeTaxis(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 600
-	s := NewTShare(env.g, cfg)
+	s := NewTShare(env.router(), cfg)
 	// Occupied taxi heading away from the request's destination.
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.5, 0.5))
 	s.AddTaxi(taxi, 0)
@@ -160,7 +163,7 @@ func TestPGreedyDPPicksMinimumDetour(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 3000
-	s := NewPGreedyDP(env.g, cfg)
+	s := NewPGreedyDP(env.router(), cfg)
 	// Taxi A sits at the origin; taxi B is farther away.
 	o := env.vertexNear(t, 0.5, 0.5)
 	d := env.vertexNear(t, 0.8, 0.8)
@@ -184,8 +187,8 @@ func TestPGreedyDPHasMoreCandidatesThanTShare(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 3000
-	sp := NewPGreedyDP(env.g, cfg)
-	st := NewTShare(env.g, cfg)
+	sp := NewPGreedyDP(env.router(), cfg)
+	st := NewTShare(env.router(), cfg)
 	// A mix of occupied taxis in both directions.
 	for i := int64(0); i < 6; i++ {
 		f := 0.3 + 0.05*float64(i)
@@ -216,7 +219,7 @@ func TestPGreedyDPHasMoreCandidatesThanTShare(t *testing.T) {
 func TestBaselineTryServeOffline(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
-	s := NewTShare(env.g, cfg)
+	s := NewTShare(env.router(), cfg)
 	o := env.vertexNear(t, 0.3, 0.3)
 	taxi := fleet.NewTaxi(env.g, 1, 3, o)
 	s.AddTaxi(taxi, 0)
@@ -230,7 +233,7 @@ func TestBaselineTryServeOffline(t *testing.T) {
 		t.Fatal("compatible offline request rejected")
 	}
 	// NoSharing: occupied taxi never takes an offline request.
-	ns := NewNoSharing(env.g, cfg)
+	ns := NewNoSharing(env.router(), cfg)
 	taxi2 := fleet.NewTaxi(env.g, 5, 3, o)
 	ns.AddTaxi(taxi2, 0)
 	r3 := env.request(t, 3, o, env.vertexNear(t, 0.8, 0.8), 0, 1.8, cfg.SpeedMps)
@@ -248,7 +251,7 @@ func TestOnTaxiAdvancedUpdatesGrid(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 600
-	s := NewNoSharing(env.g, cfg)
+	s := NewNoSharing(env.router(), cfg)
 	start := env.vertexNear(t, 0.1, 0.1)
 	taxi := fleet.NewTaxi(env.g, 1, 3, start)
 	s.AddTaxi(taxi, 0)
@@ -283,7 +286,7 @@ func mustPath(t testing.TB, g *roadnet.Graph, u, v roadnet.VertexID) []roadnet.V
 
 func TestPlanIdleAndMemory(t *testing.T) {
 	env := newBenv(t)
-	s := NewTShare(env.g, DefaultConfig())
+	s := NewTShare(env.router(), DefaultConfig())
 	taxi := fleet.NewTaxi(env.g, 1, 3, 0)
 	s.AddTaxi(taxi, 0)
 	if s.PlanIdle(taxi, 0) {
@@ -301,7 +304,7 @@ func TestPlanIdleAndMemory(t *testing.T) {
 func BenchmarkTShareOnRequest(b *testing.B) {
 	env := newBenv(b)
 	cfg := DefaultConfig()
-	s := NewTShare(env.g, cfg)
+	s := NewTShare(env.router(), cfg)
 	for i := int64(0); i < 50; i++ {
 		f := 0.1 + 0.8*float64(i)/50
 		s.AddTaxi(fleet.NewTaxi(env.g, i, 3, env.vertexNear(b, f, 1-f)), 0)
@@ -318,7 +321,7 @@ func BenchmarkTShareOnRequest(b *testing.B) {
 func BenchmarkPGreedyDPOnRequest(b *testing.B) {
 	env := newBenv(b)
 	cfg := DefaultConfig()
-	s := NewPGreedyDP(env.g, cfg)
+	s := NewPGreedyDP(env.router(), cfg)
 	for i := int64(0); i < 50; i++ {
 		f := 0.1 + 0.8*float64(i)/50
 		s.AddTaxi(fleet.NewTaxi(env.g, i, 3, env.vertexNear(b, f, 1-f)), 0)
@@ -336,7 +339,7 @@ func TestTShareTemporalVariant(t *testing.T) {
 	env := newBenv(t)
 	cfg := DefaultConfig()
 	cfg.SearchRangeMeters = 2500
-	s := NewTShareTemporal(env.g, cfg)
+	s := NewTShareTemporal(env.router(), cfg)
 	if s.Name() != "T-Share-temporal" {
 		t.Fatalf("name %q", s.Name())
 	}

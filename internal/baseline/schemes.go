@@ -15,8 +15,8 @@ type Result = dispatch.Outcome
 type NoSharing struct{ *base }
 
 // NewNoSharing creates the no-ridesharing scheme.
-func NewNoSharing(g *roadnet.Graph, cfg Config) *NoSharing {
-	return &NoSharing{base: newBase(g, cfg)}
+func NewNoSharing(router *roadnet.Router, cfg Config) *NoSharing {
+	return &NoSharing{base: newBase(router, cfg)}
 }
 
 // Name identifies the scheme in reports.
@@ -69,8 +69,8 @@ func (s *NoSharing) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSecond
 type TShare struct{ *base }
 
 // NewTShare creates the T-Share baseline.
-func NewTShare(g *roadnet.Graph, cfg Config) *TShare {
-	return &TShare{base: newBase(g, cfg)}
+func NewTShare(router *roadnet.Router, cfg Config) *TShare {
+	return &TShare{base: newBase(router, cfg)}
 }
 
 // Name identifies the scheme in reports.
@@ -128,8 +128,8 @@ func headsTowards(t *fleet.Taxi, target geo.Point) bool {
 type PGreedyDP struct{ *base }
 
 // NewPGreedyDP creates the pGreedyDP baseline.
-func NewPGreedyDP(g *roadnet.Graph, cfg Config) *PGreedyDP {
-	return &PGreedyDP{base: newBase(g, cfg)}
+func NewPGreedyDP(router *roadnet.Router, cfg Config) *PGreedyDP {
+	return &PGreedyDP{base: newBase(router, cfg)}
 }
 
 // Name identifies the scheme in reports.

@@ -32,7 +32,8 @@ type TShareTemporal struct {
 // roughly cfg.GridCellMeters; its horizon covers the pickup windows that
 // matter (entries beyond a requester's pickup deadline are filtered at
 // query time, so a longer horizon only lengthens the lists).
-func NewTShareTemporal(g *roadnet.Graph, cfg Config) *TShareTemporal {
+func NewTShareTemporal(router *roadnet.Router, cfg Config) *TShareTemporal {
+	g := router.Graph()
 	min, max := g.Bounds()
 	// Cell count from the bounding box area and the configured cell size.
 	widthM := distMeters(g, min.Lat, min.Lng, min.Lat, max.Lng)
@@ -48,7 +49,7 @@ func NewTShareTemporal(g *roadnet.Graph, cfg Config) *TShareTemporal {
 		panic(err)
 	}
 	return &TShareTemporal{
-		base:     newBase(g, cfg),
+		base:     newBase(router, cfg),
 		grid:     grid,
 		tindex:   index.NewPartitionIndex(grid, 900),
 		lastPart: make(map[int64]partition.ID),

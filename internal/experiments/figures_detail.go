@@ -281,8 +281,8 @@ func (l *Lab) Fig21() (*Result, error) {
 		}
 		r.Series = append(r.Series, exec, resp)
 	}
-	// Where the dispatch time of this sweep went, and how the shared-tree
-	// cache behaved (deltas over the sweep's own runs).
+	// Where the dispatch time of this sweep went, and how the router's pair
+	// memo behaved (deltas over the sweep's own runs).
 	pipe1, rt1 := l.PipelineStats()
 	secs := func(ns int64) float64 { return float64(ns) / 1e9 }
 	r.Notes = append(r.Notes, fmt.Sprintf(
@@ -291,12 +291,11 @@ func (l *Lab) Fig21() (*Result, error) {
 		secs(pipe1.SchedulingNanos-pipe0.SchedulingNanos),
 		secs(pipe1.LegBuildNanos-pipe0.LegBuildNanos),
 		pipe1.Dispatches-pipe0.Dispatches))
-	hits, misses := rt1.Hits-rt0.Hits, rt1.Misses-rt0.Misses
+	hits, misses := rt1.Hits-rt0.Hits, rt1.PointQueries()-rt0.PointQueries()
 	if q := hits + misses; q > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
-			"router cache: %.1f%% hit rate (%d queries), %d SSSP computations, %d singleflight-deduped",
-			100*float64(hits)/float64(q), q, misses,
-			rt1.SingleflightDeduped-rt0.SingleflightDeduped))
+			"router cache: %.1f%% hit rate (%d queries), %d point queries",
+			100*float64(hits)/float64(q), q, misses))
 	}
 	return r, nil
 }

@@ -160,14 +160,16 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 	case NoSharing, TShare, PGreedyDP:
 		cfg := baseline.DefaultConfig()
 		cfg.SearchRangeMeters = sc.Gamma
+		router := roadnet.NewRouter(l.World.G, match.DefaultConfig().RouterCacheTrees).
+			AttachCH(l.World.CH(l.Parallelism))
 		var inner dispatch.Scheme
 		switch sc.Scheme {
 		case NoSharing:
-			inner = baseline.NewNoSharing(l.World.G, cfg)
+			inner = baseline.NewNoSharing(router, cfg)
 		case TShare:
-			inner = baseline.NewTShare(l.World.G, cfg)
+			inner = baseline.NewTShare(router, cfg)
 		default:
-			inner = baseline.NewPGreedyDP(l.World.G, cfg)
+			inner = baseline.NewPGreedyDP(router, cfg)
 		}
 		if !sc.BaselineCruise {
 			return inner, nil
@@ -263,7 +265,7 @@ func (l *Lab) simParams() sim.Params {
 }
 
 // collectPipelineStats folds a finished scheme's dispatch-pipeline and
-// router-cache counters into the lab-wide accumulators.
+// router counters into the lab-wide accumulators.
 func (l *Lab) collectPipelineStats(scheme dispatch.Scheme) {
 	s, ok := scheme.(interface {
 		Stats() match.EngineStats
@@ -276,17 +278,17 @@ func (l *Lab) collectPipelineStats(scheme dispatch.Scheme) {
 	l.pipeMu.Lock()
 	l.pipeline.Add(s.Stats())
 	l.router.Hits += rs.Hits
-	l.router.Misses += rs.Misses
-	l.router.SingleflightDeduped += rs.SingleflightDeduped
-	l.router.CachedTrees += rs.CachedTrees
-	l.router.MemoryBytes += rs.MemoryBytes
+	l.router.CHQueries += rs.CHQueries
+	l.router.BidirQueries += rs.BidirQueries
+	l.router.MemoEntries += rs.MemoEntries
+	l.router.MemoBytes += rs.MemoBytes
 	l.pipeMu.Unlock()
 }
 
-// PipelineStats returns the dispatch-pipeline counters and router-cache
-// totals accumulated over every mT-Share engine the lab has run. The
-// router snapshot aggregates per-engine caches (CachedTrees/MemoryBytes
-// sum over engines; Shards is not populated).
+// PipelineStats returns the dispatch-pipeline counters and router totals
+// accumulated over every mT-Share engine the lab has run (MemoEntries and
+// MemoBytes sum over engines; CHMemoryBytes is not populated, the lab
+// shares one hierarchy).
 func (l *Lab) PipelineStats() (match.EngineStats, roadnet.RouterStats) {
 	l.pipeMu.Lock()
 	defer l.pipeMu.Unlock()

@@ -198,3 +198,41 @@ func BenchmarkDispatchCH(b *testing.B) {
 		})
 	}
 }
+
+// TestDispatchRepeatRoutesFromMemo pins the router's unit of reuse: asking
+// the engine the same question twice costs no second search. The only point
+// queries a repeated dispatch runs are the winner's leg paths (Path always
+// searches); every cost it needs is a memo hit.
+func TestDispatchRepeatRoutesFromMemo(t *testing.T) {
+	env := newTestEnv(t, nil)
+	placeFleet(env, 10, 42)
+	served := 0
+	for _, r := range lbWorkload(env, 20, 11) {
+		now := r.ReleaseAt.Seconds()
+		if _, ok := env.e.Dispatch(r, now, false); !ok {
+			continue
+		}
+		served++
+		s1 := env.e.Router().Stats()
+		a, ok := env.e.Dispatch(r, now, false)
+		if !ok {
+			t.Fatalf("request %d: served once, refused when asked again", r.ID)
+		}
+		s2 := env.e.Router().Stats()
+		paths := int64(0)
+		for _, leg := range a.Legs {
+			if len(leg) > 1 {
+				paths++
+			}
+		}
+		if got := s2.PointQueries() - s1.PointQueries(); got != paths {
+			t.Fatalf("request %d: repeat dispatch ran %d point queries for %d leg paths — a cost was searched twice", r.ID, got, paths)
+		}
+		if s2.Hits == s1.Hits {
+			t.Fatalf("request %d: repeat dispatch never hit the memo", r.ID)
+		}
+	}
+	if served == 0 {
+		t.Fatal("no request was served; test is vacuous")
+	}
+}

@@ -45,7 +45,9 @@ type Config struct {
 	// idle seats are at least this fraction of capacity (the evaluation
 	// uses 1/2).
 	ProbSeatThreshold float64
-	// RouterCacheTrees bounds the shortest-path cache (trees kept).
+	// RouterCacheTrees budgets the router's pair memo: the footprint of
+	// this many single-source trees, 12 bytes per graph vertex each (the
+	// unit the knob has always been in; no tree is built).
 	RouterCacheTrees int
 
 	// Parallelism bounds the worker pool that fans the per-candidate
@@ -298,7 +300,6 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		ins:         newInstruments(reg),
 	}
 	e.oracle = cfg.Oracle
-	e.rawRouter.Warm(pt.Landmarks())
 	return e, nil
 }
 

@@ -39,7 +39,6 @@ func (e *Engine) Repartition(pt *partition.Partitioning, nowSeconds float64) err
 	e.legMu.Unlock()
 
 	e.pindex = index.NewPartitionIndex(pt, e.cfg.HorizonSeconds)
-	e.rawRouter.Warm(pt.Landmarks())
 
 	// Reindex the fleet onto the new partitions.
 	for _, id := range taxis {

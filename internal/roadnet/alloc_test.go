@@ -30,23 +30,28 @@ func TestCHCostAllocs(t *testing.T) {
 	}
 }
 
-// TestRouterCostAllocs pins both Router.Cost paths at zero: the cached-tree
-// lookup and the cold point query through the attached hierarchy.
+// TestRouterCostAllocs pins both Router.Cost paths at zero: a memo hit, and
+// a miss through the attached hierarchy including its memo insert. Capacity 1
+// makes a generation 391 entries, so the warm-up has filled and rotated both
+// maps before anything is counted.
 func TestRouterCostAllocs(t *testing.T) {
 	g := benchCity(t)
 	n := VertexID(g.NumVertices())
-	r := NewRouter(g, 8).AttachCH(BuildCH(g, 0))
-	r.Warm([]VertexID{5})
-	i := VertexID(0)
-	if got := testing.AllocsPerRun(200, func() { i++; r.Cost(5, i*7919%n) }); got != 0 {
-		t.Fatalf("cached Router.Cost allocates %v times per query, want 0", got)
+	r := NewRouter(g, 1).AttachCH(BuildCH(g, 0))
+	src := VertexID(0)
+	miss := func() { src++; r.Cost(src%n, (src*104729+n/2)%n) }
+	for i := 0; i < 2000; i++ {
+		miss()
 	}
-	r.Cost(6, n-1) // warm the workspace pool
-	src := VertexID(100)
-	if got := testing.AllocsPerRun(200, func() { src++; r.Cost(src, (src*104729+n/2)%n) }); got != 0 {
-		t.Fatalf("cold Router.Cost allocates %v times per query, want 0", got)
+	r.Cost(5, 6)
+	if got := testing.AllocsPerRun(200, func() { r.Cost(5, 6) }); got != 0 {
+		t.Fatalf("memoised Router.Cost allocates %v times per query, want 0", got)
 	}
-	if st := r.Stats(); st.CHQueries < 200 {
-		t.Fatalf("only %d CH queries ran; the cold loop did not stay cold", st.CHQueries)
+	before := r.Stats().CHQueries
+	if got := testing.AllocsPerRun(200, miss); got != 0 {
+		t.Fatalf("missing Router.Cost allocates %v times per query, want 0", got)
+	}
+	if ran := r.Stats().CHQueries - before; ran < 200 {
+		t.Fatalf("only %d CH queries ran; the miss loop did not keep missing", ran)
 	}
 }

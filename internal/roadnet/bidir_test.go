@@ -122,28 +122,3 @@ func BenchmarkALT(b *testing.B) {
 		_, _, _ = alt.ShortestPath(VertexID(i%n), VertexID((i*7919)%n))
 	}
 }
-
-// BenchmarkAblationSPCache contrasts cold point-to-point Dijkstra against
-// the Router's cached trees — the repository's stand-in for the paper's
-// precomputed all-pairs shortest-path cache (§V-A4).
-func BenchmarkAblationSPCache(b *testing.B) {
-	g, err := GenerateCity(DefaultCityParams(40, 40))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumVertices()
-	hot := []VertexID{0, VertexID(n / 3), VertexID(n / 2), VertexID(2 * n / 3)}
-	b.Run("cold-dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _, _ = g.ShortestPath(hot[i%len(hot)], VertexID((i*7919)%n))
-		}
-	})
-	b.Run("router-cache", func(b *testing.B) {
-		r := NewRouter(g, 64)
-		r.Warm(hot)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = r.Cost(hot[i%len(hot)], VertexID((i*7919)%n))
-		}
-	})
-}

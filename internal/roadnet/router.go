@@ -1,102 +1,101 @@
 package roadnet
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Router answers shortest-path cost and path queries over a fixed graph,
-// caching full single-source Dijkstra trees in an LRU keyed by source
-// vertex. The paper assumes O(1) shortest-path queries backed by a
-// precomputed all-pairs table cached in memory (§V-A4); for our graphs an
-// all-pairs table would be quadratic, so the Router amortises toward the
-// same effect: request origins, taxi positions, and landmarks repeat, and
-// the repo benchmark measures roadnet.cache_hit_frac at 0.81 on its uniform
-// workload (steady) and 0.90 on its concentrated one (hotspot).
+// Router answers exact shortest-path cost and path queries over a fixed
+// graph. The paper assumes O(1) lookups in a precomputed all-pairs table
+// (§V-A4); that table is quadratic, so the Router stands in for it with one
+// thing: a bounded memo (u,v) -> cost in front of an exact point query (the
+// attached CH when present, bidirectional Dijkstra otherwise). Path always
+// runs the point query and returns its unpacked path.
 //
-// The cache is hash-sharded so concurrent dispatch workers do not
-// serialise on one mutex, and each shard runs per-source singleflight:
-// concurrent misses for the same source wait for one Dijkstra computation
-// instead of duplicating it.
+// It routes by pair, not by source tree, because a dispatch asks for few
+// distinct targets per source and asks for them repeatedly: a counting probe
+// on the repo benchmark's steady workload reads 15.2 router calls per
+// dispatch that are 8.4 distinct pairs from 6.2 distinct sources (1.3-1.5
+// targets per source). A full SSSP tree over its 3 131 vertices costs 12.7
+// CH point queries (319 us against 25 us) and, once built, served a median
+// of 3 later lookups; the repeats it did serve are the same pair again
+// (direct cost, then the scheduler; every insertion candidate re-walking the
+// taxi's first leg), which the memo answers in ~0.1 us. A "tree on the k-th
+// distinct target" sweep was monotone in k (2nd 1.88-2.01 ms dispatch p50,
+// 4th 1.62-1.70, 8th 1.47, never 1.27-1.31), so no tree is ever built on
+// the serving path; EXPERIMENTS.md "Route by pair" has the tables.
 //
-// A source's first-ever query is served by a single exact point-to-point
-// search (the attached CH when present, bidirectional Dijkstra otherwise)
-// instead of a full SSSP tree: one-shot sources — cold taxi positions,
-// never-repeated pickup points — cost one small search instead of an
-// O(V log V) tree build. The second query for a source builds and caches
-// the tree as before, so hot sources still amortise to O(1) lookups. All
-// three backends return bit-identical costs (see CH's exactness contract),
-// so the admission policy is invisible to dispatch outcomes. Tree on the
-// second sighting stays because on steady the median source is queried 4-15
-// times a round and a tree costs about 8 point queries: no "tree on the k-th
-// sighting" beats k = 2, so the threshold is not a knob.
+// Every backend returns the left fold of the found path's original edge
+// costs (see CH's exactness contract), so which backend answered, whether
+// the memo held the pair, and when an entry was evicted are all invisible
+// to dispatch outcomes.
 //
-// Router is safe for concurrent use.
+// Router is safe for concurrent use. Concurrent misses on one pair each run
+// the point query and store the same value.
 type Router struct {
-	g      *Graph
-	ch     *CH // nil until AttachCH; set before concurrent use
-	shards []routerShard
-	met    *routerMetrics // nil until InstrumentWith
+	g   *Graph
+	ch  *CH            // nil until AttachCH; set before concurrent use
+	met *routerMetrics // nil until InstrumentWith
+
+	mu sync.Mutex
+	// The memo is two generations of at most genCap entries each: a lookup
+	// tries cur then old (promoting an old hit into cur), and a full cur
+	// becomes old while the previous old is cleared for reuse. Pairs in use
+	// survive a rotation; the footprint never exceeds 2*genCap entries; and
+	// after both maps have filled once, rotation allocates nothing.
+	cur, old map[uint64]float64
+	genCap   int
+	hits     int64
 
 	chQueries    atomic.Int64
 	bidirQueries atomic.Int64
 }
 
-// routerSeenCap bounds each shard's seen-source set for the cold-query
-// admission policy; on overflow the set resets, which only means a
-// returning source may get one extra cold point query.
-const routerSeenCap = 4096
+// memoEntryBytes is what one memo entry is charged against the budget: an
+// upper bound on a map[uint64]float64 slot (8-slot groups of 16-byte
+// key/value pairs plus control bytes, at the load factor just after a
+// doubling), so the budget bounds real memory, not just payload.
+const memoEntryBytes = 48
 
-// routerMetrics mirrors the cache counters into an obs.Registry under the
-// mtshare_roadnet_* namespace, so the cache shows up on the one metrics
-// surface next to the dispatch-stage histograms. The per-shard atomics
+// routerMetrics mirrors the router's counters into an obs.Registry under
+// the mtshare_roadnet_* namespace, so routing shows up on the one metrics
+// surface next to the dispatch-stage histograms. The Router's own counters
 // stay the source of truth for Stats().
 type routerMetrics struct {
 	hits        *obs.Counter
-	misses      *obs.Counter
-	deduped     *obs.Counter
 	cold        *obs.Counter
 	chQueries   *obs.Counter
 	bidirQuery  *obs.Counter
-	ssspSeconds *obs.Histogram
 	chSettled   *obs.Histogram
-	cachedTrees *obs.Gauge
 	memoryBytes *obs.Gauge
 	chBuildSecs *obs.Gauge
 	chShortcuts *obs.Gauge
 	chMemory    *obs.Gauge
 }
 
-// InstrumentWith registers the router's cache instruments in reg
-// (mtshare_roadnet_cache_hits_total, ..._cache_misses_total,
-// ..._singleflight_deduped_total, ..._cold_queries_total,
-// ..._ch_queries_total, ..._bidir_queries_total, ..._sssp_seconds,
-// ..._ch_settled_vertices, ..._cached_trees, ..._cache_memory_bytes, and
-// the mtshare_roadnet_ch_{build_seconds,shortcuts,memory_bytes} gauges)
-// and returns the router. Call it once, before the router is used
-// concurrently.
+// InstrumentWith registers the router's instruments in reg —
+// mtshare_roadnet_cache_hits_total (memo hits), ..._cold_queries_total
+// (point queries run), split by backend into ..._ch_queries_total and
+// ..._bidir_queries_total, ..._ch_settled_vertices,
+// ..._cache_memory_bytes (memo footprint), and the
+// mtshare_roadnet_ch_{build_seconds,shortcuts,memory_bytes} gauges — and
+// returns the router. Call it once, before the router is used concurrently.
 func (r *Router) InstrumentWith(reg *obs.Registry) *Router {
 	if reg == nil {
 		return r
 	}
 	r.met = &routerMetrics{
-		hits:        reg.Counter("mtshare_roadnet_cache_hits_total"),
-		misses:      reg.Counter("mtshare_roadnet_cache_misses_total"),
-		deduped:     reg.Counter("mtshare_roadnet_singleflight_deduped_total"),
-		cold:        reg.Counter("mtshare_roadnet_cold_queries_total"),
-		chQueries:   reg.Counter("mtshare_roadnet_ch_queries_total"),
-		bidirQuery:  reg.Counter("mtshare_roadnet_bidir_queries_total"),
-		ssspSeconds: reg.Histogram("mtshare_roadnet_sssp_seconds"),
+		hits:       reg.Counter("mtshare_roadnet_cache_hits_total"),
+		cold:       reg.Counter("mtshare_roadnet_cold_queries_total"),
+		chQueries:  reg.Counter("mtshare_roadnet_ch_queries_total"),
+		bidirQuery: reg.Counter("mtshare_roadnet_bidir_queries_total"),
 		// Vertex counts, not latencies: the default bucket ladder tops
 		// out at 10 and would funnel every observation into +Inf.
 		chSettled: reg.HistogramWith("mtshare_roadnet_ch_settled_vertices",
 			[]float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}),
-		cachedTrees: reg.Gauge("mtshare_roadnet_cached_trees"),
 		memoryBytes: reg.Gauge("mtshare_roadnet_cache_memory_bytes"),
 		chBuildSecs: reg.Gauge("mtshare_roadnet_ch_build_seconds"),
 		chShortcuts: reg.Gauge("mtshare_roadnet_ch_shortcuts"),
@@ -106,7 +105,7 @@ func (r *Router) InstrumentWith(reg *obs.Registry) *Router {
 	return r
 }
 
-// AttachCH points the router's cold-query path at a prebuilt contraction
+// AttachCH points the router's point queries at a prebuilt contraction
 // hierarchy (which must be over the router's graph) and publishes the
 // mtshare_roadnet_ch_* gauges. Call it once, before the router is used
 // concurrently; a nil ch detaches.
@@ -138,46 +137,10 @@ func (r *Router) publishCHGauges() {
 	r.met.chMemory.Set(float64(st.MemoryBytes))
 }
 
-// routerShard is one hash shard of the tree cache: an LRU of SSSP trees
-// plus the singleflight table for in-progress computations.
-type routerShard struct {
-	cap int
-
-	mu          sync.Mutex
-	lru         *list.List // of *SSSPResult, front = most recent
-	bySrc       map[VertexID]*list.Element
-	inflight    map[VertexID]*ssspCall
-	seen        map[VertexID]struct{} // sources queried at least once
-	memoryBytes int64                 // running total of cached tree footprints
-
-	hits    atomic.Int64
-	misses  atomic.Int64
-	deduped atomic.Int64
-	cold    atomic.Int64
-}
-
-// ssspCall is one in-progress SSSP computation other goroutines can wait
-// on.
-type ssspCall struct {
-	done chan struct{}
-	res  *SSSPResult
-}
-
-// routerShardCount picks the shard count for a capacity: small caches stay
-// single-shard (exact legacy LRU semantics); large caches spread over up
-// to 16 shards so each holds a useful number of trees.
-func routerShardCount(capacity int) int {
-	n := 1
-	for n < 16 && capacity/(n*2) >= 8 {
-		n *= 2
-	}
-	return n
-}
-
 // PathRouter is the query surface consumers of shortest paths depend
 // on. *Router is the canonical implementation; wrappers (the replay
 // harness's fault-injection layer) interpose on it to perturb answers
-// deterministically without touching the cache underneath.
+// deterministically without touching the memo underneath.
 type PathRouter interface {
 	// Cost returns the shortest-path cost in meters from u to v, or
 	// +Inf when v is unreachable from u.
@@ -191,92 +154,76 @@ type PathRouter interface {
 
 var _ PathRouter = (*Router)(nil)
 
-// NewRouter creates a Router over g caching up to capacity source trees.
-// Each tree costs ~12 bytes per graph vertex. capacity < 1 is treated as 1.
+// NewRouter creates a Router over g whose memo may grow to the footprint of
+// capacity single-source trees, capacity * 12 bytes * |V| (what the
+// parameter has always budgeted). capacity < 1 is treated as 1.
 func NewRouter(g *Graph, capacity int) *Router {
 	if capacity < 1 {
 		capacity = 1
 	}
-	n := routerShardCount(capacity)
-	shards := make([]routerShard, n)
-	for i := range shards {
-		c := capacity / n
-		if i < capacity%n {
-			c++
-		}
-		if c < 1 {
-			c = 1
-		}
-		shards[i] = routerShard{
-			cap:      c,
-			lru:      list.New(),
-			bySrc:    make(map[VertexID]*list.Element, c),
-			inflight: make(map[VertexID]*ssspCall),
-			seen:     make(map[VertexID]struct{}),
-		}
+	genCap := capacity * 12 * g.NumVertices() / memoEntryBytes / 2
+	if genCap < 1 {
+		genCap = 1
 	}
-	return &Router{g: g, shards: shards}
+	return &Router{
+		g:      g,
+		cur:    make(map[uint64]float64),
+		old:    make(map[uint64]float64),
+		genCap: genCap,
+	}
 }
 
 // Graph returns the underlying graph.
 func (r *Router) Graph() *Graph { return r.g }
 
-// shardOf maps a source vertex to its shard (Fibonacci hashing; vertex IDs
-// are dense small integers, so plain modulo would alias grid columns).
-func (r *Router) shardOf(src VertexID) *routerShard {
-	h := uint64(uint32(src)) * 0x9E3779B97F4A7C15
-	return &r.shards[h>>32%uint64(len(r.shards))]
-}
+func pairKey(u, v VertexID) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
-// markSeen records src in the shard's seen set (caller holds s.mu).
-func (s *routerShard) markSeen(src VertexID) {
-	if len(s.seen) >= routerSeenCap {
-		clear(s.seen)
-	}
-	s.seen[src] = struct{}{}
-}
-
-// admit decides how a query for source src is served: a cached tree when
-// one exists, nil with cold=true on the source's first sighting (the
-// caller runs one exact point query), or a fresh tree build for a
-// returning source.
-func (r *Router) admit(src VertexID) (res *SSSPResult, cold bool) {
-	s := r.shardOf(src)
-	s.mu.Lock()
-	if el, ok := s.bySrc[src]; ok {
-		s.lru.MoveToFront(el)
-		res := el.Value.(*SSSPResult)
-		s.hits.Add(1)
-		s.mu.Unlock()
-		if r.met != nil {
-			r.met.hits.Inc()
+// lookup returns the memoised cost of key and counts the hit.
+func (r *Router) lookup(key uint64) (float64, bool) {
+	r.mu.Lock()
+	c, ok := r.cur[key]
+	if !ok {
+		if c, ok = r.old[key]; ok {
+			r.storeLocked(key, c)
 		}
-		return res, false
 	}
-	if _, ok := s.inflight[src]; ok {
-		s.mu.Unlock()
-		return r.tree(src), false // tree() joins the in-flight computation
+	if ok {
+		r.hits++
 	}
-	if _, ok := s.seen[src]; !ok {
-		s.markSeen(src)
-		s.cold.Add(1)
-		s.mu.Unlock()
-		if r.met != nil {
-			r.met.cold.Inc()
-		}
-		return nil, true
+	r.mu.Unlock()
+	if ok && r.met != nil {
+		r.met.hits.Inc()
 	}
-	s.mu.Unlock()
-	return r.tree(src), false
+	return c, ok
 }
 
-// pointQuery runs one exact point-to-point search for a cold source: the
-// attached CH when present, bidirectional Dijkstra otherwise. Both fold
-// the found path's original edge costs left to right, so the cost is
-// bit-identical to what the SSSP tree would report. Returns +Inf cost and
-// a nil path when dst is unreachable. wantPath=false lets the CH backend
-// fold over its pooled path buffer and return nil instead of allocating.
+// storeLocked records key in the current generation, rotating first when it
+// is full (caller holds r.mu).
+func (r *Router) storeLocked(key uint64, cost float64) {
+	if len(r.cur) >= r.genCap {
+		r.cur, r.old = r.old, r.cur
+		clear(r.cur)
+	}
+	r.cur[key] = cost
+	if r.met != nil {
+		r.met.memoryBytes.Set(float64(r.memoBytesLocked()))
+	}
+}
+
+func (r *Router) memoBytesLocked() int64 {
+	return int64(len(r.cur)+len(r.old)) * memoEntryBytes
+}
+
+// pointQuery runs one exact point-to-point search: the attached CH when
+// present, bidirectional Dijkstra otherwise. Both fold the found path's
+// original edge costs left to right, so the cost is bit-identical to
+// Graph.SSSP's Dist. Returns +Inf cost and a nil path when dst is
+// unreachable. wantPath=false lets the CH backend fold over its pooled path
+// buffer and return nil instead of allocating.
 func (r *Router) pointQuery(src, dst VertexID, wantPath bool) (cost float64, path []VertexID) {
+	if r.met != nil {
+		r.met.cold.Inc()
+	}
 	if ch := r.ch; ch != nil {
 		r.chQueries.Add(1)
 		var settled int
@@ -302,80 +249,21 @@ func (r *Router) pointQuery(src, dst VertexID, wantPath bool) (cost float64, pat
 	return pathFoldCost(r.g, path), path
 }
 
-// tree returns the (possibly cached) SSSP tree rooted at src.
-func (r *Router) tree(src VertexID) *SSSPResult {
-	s := r.shardOf(src)
-	s.mu.Lock()
-	if el, ok := s.bySrc[src]; ok {
-		s.lru.MoveToFront(el)
-		res := el.Value.(*SSSPResult)
-		s.hits.Add(1)
-		s.mu.Unlock()
-		if r.met != nil {
-			r.met.hits.Inc()
-		}
-		return res
-	}
-	if c, ok := s.inflight[src]; ok {
-		// Another goroutine is already computing this tree; wait for it
-		// instead of duplicating the Dijkstra run.
-		s.deduped.Add(1)
-		s.mu.Unlock()
-		if r.met != nil {
-			r.met.deduped.Inc()
-		}
-		<-c.done
-		return c.res
-	}
-	c := &ssspCall{done: make(chan struct{})}
-	s.inflight[src] = c
-	s.markSeen(src) // Warm()-built sources count as known repeats
-	s.misses.Add(1)
-	s.mu.Unlock()
-
-	t0 := time.Now()
-	c.res = r.g.SSSP(src)
-	if r.met != nil {
-		r.met.misses.Inc()
-		r.met.ssspSeconds.ObserveSince(t0)
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, src)
-	el := s.lru.PushFront(c.res)
-	s.bySrc[src] = el
-	s.memoryBytes += int64(c.res.MemoryBytes())
-	trees, evicted := 1, int64(0)
-	for s.lru.Len() > s.cap {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		old := back.Value.(*SSSPResult)
-		delete(s.bySrc, old.Source)
-		s.memoryBytes -= int64(old.MemoryBytes())
-		trees--
-		evicted += int64(old.MemoryBytes())
-	}
-	s.mu.Unlock()
-	if r.met != nil {
-		r.met.cachedTrees.Add(float64(trees))
-		r.met.memoryBytes.Add(float64(int64(c.res.MemoryBytes()) - evicted))
-	}
-	close(c.done)
-	return c.res
-}
-
 // Cost returns the shortest-path cost in meters from u to v, or +Inf when v
 // is unreachable from u.
 func (r *Router) Cost(u, v VertexID) float64 {
 	if u == v {
 		return 0
 	}
-	res, coldQ := r.admit(u)
-	if coldQ {
-		cost, _ := r.pointQuery(u, v, false)
-		return cost
+	key := pairKey(u, v)
+	if c, ok := r.lookup(key); ok {
+		return c
 	}
-	return res.Dist[v]
+	cost, _ := r.pointQuery(u, v, false)
+	r.mu.Lock()
+	r.storeLocked(key, cost)
+	r.mu.Unlock()
+	return cost
 }
 
 // Path returns the shortest path from u to v inclusive of both endpoints,
@@ -384,12 +272,8 @@ func (r *Router) Path(u, v VertexID) []VertexID {
 	if u == v {
 		return []VertexID{u}
 	}
-	res, coldQ := r.admit(u)
-	if coldQ {
-		_, path := r.pointQuery(u, v, true)
-		return path
-	}
-	return res.PathTo(v)
+	_, path := r.pointQuery(u, v, true)
+	return path
 }
 
 // Reachable reports whether v is reachable from u.
@@ -397,79 +281,41 @@ func (r *Router) Reachable(u, v VertexID) bool {
 	return !math.IsInf(r.Cost(u, v), 1)
 }
 
-// RouterShardStats is the per-shard breakdown of cache behaviour.
-type RouterShardStats struct {
-	Hits        int64
-	Misses      int64
-	Deduped     int64
-	Cold        int64
-	CachedTrees int
-	MemoryBytes int64
-}
-
-// RouterStats is a snapshot of cache behaviour.
+// RouterStats is a snapshot of the router's counters.
 type RouterStats struct {
-	Hits   int64
-	Misses int64
-	// SingleflightDeduped counts cache misses that waited on an in-flight
-	// computation for the same source instead of running their own.
-	SingleflightDeduped int64
-	// Cold counts first-sighting sources served by one exact point query
-	// instead of a tree build.
-	Cold int64
-	// CHQueries/BidirQueries split the cold point queries by backend.
+	// Hits counts Cost calls answered from the memo.
+	Hits int64
+	// CHQueries/BidirQueries count the point queries run (Cost misses and
+	// every Path), by backend.
 	CHQueries    int64
 	BidirQueries int64
-	CachedTrees  int
-	MemoryBytes  int64
+	// MemoEntries is the number of memoised pairs held (both generations);
+	// MemoBytes charges each at memoEntryBytes and never exceeds the
+	// budget NewRouter was given.
+	MemoEntries int
+	MemoBytes   int64
 	// CHMemoryBytes is the attached hierarchy's arc-array footprint (0
-	// without a CH); it is reported separately from the tree-cache
-	// MemoryBytes because the hierarchy is immutable and never evicted.
+	// without a CH); it is reported apart from MemoBytes because the
+	// hierarchy is immutable and never evicted.
 	CHMemoryBytes int64
-	// Shards breaks the totals down per cache shard.
-	Shards []RouterShardStats
 }
 
-// Stats returns a snapshot of the router's cache statistics, aggregated
-// from the per-shard counters. Memory is a running counter maintained on
-// insert/evict, so a snapshot is O(shards), not O(cached trees).
+// PointQueries is the number of point queries run on either backend.
+func (st RouterStats) PointQueries() int64 { return st.CHQueries + st.BidirQueries }
+
+// Stats returns a snapshot of the router's statistics.
 func (r *Router) Stats() RouterStats {
-	st := RouterStats{Shards: make([]RouterShardStats, len(r.shards))}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		ss := RouterShardStats{
-			Hits:        s.hits.Load(),
-			Misses:      s.misses.Load(),
-			Deduped:     s.deduped.Load(),
-			Cold:        s.cold.Load(),
-			CachedTrees: s.lru.Len(),
-			MemoryBytes: s.memoryBytes,
-		}
-		s.mu.Unlock()
-		st.Shards[i] = ss
-		st.Hits += ss.Hits
-		st.Misses += ss.Misses
-		st.SingleflightDeduped += ss.Deduped
-		st.Cold += ss.Cold
-		st.CachedTrees += ss.CachedTrees
-		st.MemoryBytes += ss.MemoryBytes
+	r.mu.Lock()
+	st := RouterStats{
+		Hits:        r.hits,
+		MemoEntries: len(r.cur) + len(r.old),
+		MemoBytes:   r.memoBytesLocked(),
 	}
+	r.mu.Unlock()
 	st.CHQueries = r.chQueries.Load()
 	st.BidirQueries = r.bidirQueries.Load()
 	if r.ch != nil {
 		st.CHMemoryBytes = r.ch.MemoryBytes()
 	}
 	return st
-}
-
-// NumShards returns the number of cache shards.
-func (r *Router) NumShards() int { return len(r.shards) }
-
-// Warm precomputes and caches trees for the given sources (e.g. all
-// landmarks), bounded by the router capacity.
-func (r *Router) Warm(sources []VertexID) {
-	for _, s := range sources {
-		r.tree(s)
-	}
 }

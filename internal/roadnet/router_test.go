@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestRouterCostMatchesDijkstra(t *testing.T) {
@@ -67,74 +69,90 @@ func TestRouterSelfQueries(t *testing.T) {
 	if p := r.Path(5, 5); len(p) != 1 || p[0] != 5 {
 		t.Fatalf("self path = %v", p)
 	}
-	st := r.Stats()
-	if st.Misses != 0 {
-		t.Fatalf("self queries should not compute trees; misses=%d", st.Misses)
+	if st := r.Stats(); st.PointQueries() != 0 || st.MemoEntries != 0 {
+		t.Fatalf("self queries should neither search nor memoise: %+v", st)
 	}
 }
 
-func TestRouterLRUEviction(t *testing.T) {
-	g := gridGraph(4)
-	r := NewRouter(g, 2)
-	// Each source's first query is a cold point query; the second builds
-	// and caches the tree.
-	for _, src := range []VertexID{0, 1, 2} {
-		r.Cost(src, 3)
-		r.Cost(src, 5)
+// TestRouterMemoBound drives far more distinct pairs through a capacity-1
+// router than its budget holds: the memo must stay inside capacity*12*|V|
+// bytes at every step, keep answering exactly, and keep a pair that is
+// re-asked between rotations.
+func TestRouterMemoBound(t *testing.T) {
+	g, err := GenerateCity(DefaultCityParams(12, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	r := NewRouter(g, 1)
+	budget := int64(12 * n)
+	hot := r.Cost(0, VertexID(n-1))
+	pairs := 0
+	for u := 0; u < n && pairs < 4*int(budget)/memoEntryBytes; u++ {
+		tree := g.SSSP(VertexID(u))
+		for v := 0; v < n; v += 13 { // fewer pairs per source than one generation holds
+			if u == v {
+				continue
+			}
+			pairs++
+			if got := r.Cost(VertexID(u), VertexID(v)); got != tree.Dist[v] {
+				t.Fatalf("Cost(%d,%d) = %v after %d pairs, SSSP says %v", u, v, got, pairs, tree.Dist[v])
+			}
+			if st := r.Stats(); st.MemoBytes > budget || st.MemoBytes != int64(st.MemoEntries)*memoEntryBytes {
+				t.Fatalf("after %d pairs the memo holds %d entries / %d bytes, budget %d", pairs, st.MemoEntries, st.MemoBytes, budget)
+			}
+		}
+		if got := r.Cost(0, VertexID(n-1)); got != hot {
+			t.Fatalf("hot pair changed from %v to %v", hot, got)
+		}
 	}
 	st := r.Stats()
-	if st.CachedTrees != 2 { // tree for source 0 evicted
-		t.Fatalf("cached trees = %d, want 2", st.CachedTrees)
+	if st.PointQueries() != int64(pairs)+1 {
+		t.Fatalf("%d point queries for %d distinct pairs plus the hot one: the hot pair was evicted while in use", st.PointQueries(), pairs)
 	}
-	if st.Cold != 3 {
-		t.Fatalf("cold = %d, want 3", st.Cold)
+	if int64(pairs)*memoEntryBytes < 2*budget {
+		t.Fatalf("only %d pairs: the budget of %d bytes was never overrun", pairs, budget)
 	}
-	if st.Misses != 3 {
-		t.Fatalf("misses = %d, want 3", st.Misses)
-	}
-	r.Cost(0, 2) // seen before: rebuilds the evicted tree, no cold query
-	if st := r.Stats(); st.Misses != 4 || st.Cold != 3 {
-		t.Fatalf("after re-query: misses=%d cold=%d, want 4/3", st.Misses, st.Cold)
+	// The first pairs are long gone: asking again is a point query, not a hit.
+	r.Cost(0, 7)
+	if got := r.Stats().PointQueries(); got != st.PointQueries()+1 {
+		t.Fatalf("evicted pair answered without a point query (%d -> %d)", st.PointQueries(), got)
 	}
 }
 
+// TestRouterHitAccounting pins what each call is counted as: a pair's first
+// Cost is one point query, every repeat is a memo hit, Path is always a
+// point query and never touches the memo, and the obs mirror agrees.
 func TestRouterHitAccounting(t *testing.T) {
 	g := gridGraph(4)
-	r := NewRouter(g, 8)
-	for i := 0; i < 10; i++ {
-		r.Cost(0, VertexID(i%g.NumVertices()))
+	reg := obs.NewRegistry()
+	r := NewRouter(g, 8).InstrumentWith(reg)
+	for round := 0; round < 3; round++ {
+		for v := 1; v <= 5; v++ {
+			r.Cost(0, VertexID(v))
+		}
 	}
+	r.Path(0, 1)
+	r.Cost(3, 3) // self query: counted nowhere
 	st := r.Stats()
-	// Source 0: one cold point query, then one tree build; the remaining
-	// queries (minus the cache-bypassing self query) hit the cached tree.
-	if st.Cold != 1 {
-		t.Fatalf("cold = %d, want 1", st.Cold)
+	if st.Hits != 10 || st.BidirQueries != 6 || st.CHQueries != 0 {
+		t.Fatalf("hits=%d bidir=%d ch=%d, want 10/6/0 without a CH", st.Hits, st.BidirQueries, st.CHQueries)
 	}
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1", st.Misses)
+	if st.MemoEntries != 5 || st.MemoBytes != 5*memoEntryBytes {
+		t.Fatalf("memo holds %d entries / %d bytes, want 5 / %d", st.MemoEntries, st.MemoBytes, 5*memoEntryBytes)
 	}
-	if st.Hits < 7 {
-		t.Fatalf("hits = %d, want >= 7", st.Hits)
+	for name, want := range map[string]int64{
+		"mtshare_roadnet_cache_hits_total":    10,
+		"mtshare_roadnet_cold_queries_total":  6,
+		"mtshare_roadnet_bidir_queries_total": 6,
+		"mtshare_roadnet_ch_queries_total":    0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
-	if st.MemoryBytes <= 0 {
-		t.Fatal("MemoryBytes not reported")
-	}
-	if st.BidirQueries != 1 || st.CHQueries != 0 {
-		t.Fatalf("cold query backend: bidir=%d ch=%d, want 1/0 without a CH", st.BidirQueries, st.CHQueries)
-	}
-}
-
-func TestRouterWarm(t *testing.T) {
-	g := gridGraph(4)
-	r := NewRouter(g, 8)
-	r.Warm([]VertexID{0, 1, 2})
-	st := r.Stats()
-	if st.CachedTrees != 3 || st.Misses != 3 {
-		t.Fatalf("after Warm: trees=%d misses=%d", st.CachedTrees, st.Misses)
-	}
-	r.Cost(0, 5)
-	if st := r.Stats(); st.Hits != 1 {
-		t.Fatalf("warm tree not hit: hits=%d", st.Hits)
+	if got := reg.Gauge("mtshare_roadnet_cache_memory_bytes").Value(); got != float64(st.MemoBytes) {
+		t.Errorf("memory gauge = %v, want %d", got, st.MemoBytes)
 	}
 }
 
@@ -259,17 +277,30 @@ func TestRouterColdPathCHExact(t *testing.T) {
 	}
 }
 
-func BenchmarkRouterCostHot(b *testing.B) {
-	g, err := GenerateCity(DefaultCityParams(40, 40))
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewRouter(g, 128)
+// BenchmarkRouterCost measures the Router's two states on the repo
+// benchmark's 56x56 city with the hierarchy attached: a memoised pair, and a
+// pair never asked before.
+func BenchmarkRouterCost(b *testing.B) {
+	g := benchCity(b)
+	ch := BuildCH(g, 0)
 	n := g.NumVertices()
-	// Realistic skew: a handful of hot sources (landmarks, hotspots).
-	sources := []VertexID{0, VertexID(n / 3), VertexID(n / 2), VertexID(2 * n / 3)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Cost(sources[i%len(sources)], VertexID((i*7919)%n))
-	}
+	b.Run("memo-hit", func(b *testing.B) {
+		r := NewRouter(g, 128).AttachCH(ch)
+		for i := 0; i < 1024; i++ {
+			r.Cost(VertexID(i%n), VertexID((i*7919+1)%n))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = r.Cost(VertexID(i%1024%n), VertexID((i%1024*7919+1)%n))
+		}
+	})
+	b.Run("point-query", func(b *testing.B) {
+		r := NewRouter(g, 128).AttachCH(ch)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = r.Cost(VertexID(i%n), VertexID((i/n*104729+i*7919+1)%n))
+		}
+	})
 }

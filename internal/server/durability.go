@@ -439,7 +439,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, "d_seconds must be positive")
 		return
 	}
-	s.mu.Lock()
+	s.lockTimed(s.lockWait.advance)
 	if s.rejectIfStoppedLocked(w) {
 		s.mu.Unlock()
 		return

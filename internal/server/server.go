@@ -150,6 +150,11 @@ type Server struct {
 	// Handler and read lock-free by handleSLO.
 	adm       *admission
 	httpHists map[string]*obs.Histogram
+	// lockWait times how long the three hot handlers wait to take mu:
+	// mtshare_server_lock_wait_seconds{route="requests"|"advance"|"status"}
+	// (status is GET /v1/requests?id=). It is the inside measurement of
+	// what a client sees as queueing behind other handlers and ticks.
+	lockWait struct{ requests, advance, status *obs.Histogram }
 
 	mu         sync.Mutex
 	nowSeconds float64
@@ -279,6 +284,11 @@ func New(cfg Config) (*Server, error) {
 		stop:     make(chan struct{}),
 	}
 	s.httpHists = make(map[string]*obs.Histogram)
+	lockWait := func(route string) *obs.Histogram {
+		return s.reg.Labeled("route="+strconv.Quote(route)).HistogramWith(
+			"mtshare_server_lock_wait_seconds", obs.DefLatencyBuckets())
+	}
+	s.lockWait.requests, s.lockWait.advance, s.lockWait.status = lockWait("requests"), lockWait("advance"), lockWait("status")
 	if cfg.MaxInFlight > 0 {
 		maxWait := cfg.AdmissionQueue
 		if maxWait <= 0 {
@@ -356,6 +366,13 @@ func (s *Server) Stop() {
 	s.mu.Lock()
 	s.sealWALLocked()
 	s.mu.Unlock()
+}
+
+// lockTimed takes s.mu and records how long the caller waited for it.
+func (s *Server) lockTimed(wait *obs.Histogram) {
+	t0 := time.Now()
+	s.mu.Lock()
+	wait.ObserveSince(t0)
 }
 
 // advance moves the world forward by dt simulated seconds. A stopped
@@ -685,7 +702,7 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, codeInvalidRequest, "missing or bad id")
 			return
 		}
-		s.mu.Lock()
+		s.lockTimed(s.lockWait.status)
 		st, ok := s.requests[fleet.RequestID(id)]
 		s.mu.Unlock()
 		if !ok {
@@ -732,7 +749,7 @@ func normalizeRho(rho float64) (float64, bool) {
 }
 
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, pickup, dropoff pointJSON, rho float64) {
-	s.mu.Lock()
+	s.lockTimed(s.lockWait.requests)
 	if s.rejectIfStoppedLocked(w) {
 		s.mu.Unlock()
 		return

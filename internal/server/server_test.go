@@ -345,7 +345,7 @@ func TestServerMetricsScrape(t *testing.T) {
 		"mtshare_match_candidate_search_seconds_bucket",
 		"mtshare_match_scheduling_seconds_bucket",
 		"mtshare_roadnet_cache_hits_total",
-		"mtshare_roadnet_cache_misses_total",
+		"mtshare_roadnet_cold_queries_total",
 		"mtshare_index_updates_total",
 	} {
 		if !strings.Contains(body, want) {
@@ -356,6 +356,45 @@ func TestServerMetricsScrape(t *testing.T) {
 	rec, _ = do(t, h, http.MethodPost, "/v1/metrics", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/metrics = %d", rec.Code)
+	}
+}
+
+// TestServerLockWaitPerRoute pins where mtshare_server_lock_wait_seconds is
+// taken: once per dispatch, per manual tick and per status read, each under
+// its own route label, and nowhere else.
+func TestServerLockWaitPerRoute(t *testing.T) {
+	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 10, Capacity: 3, Seed: 1, ManualClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	ride := map[string]interface{}{"pickup": cityPoint(s, 0.45, 0.45), "dropoff": cityPoint(s, 0.9, 0.9), "rho": 1.5}
+	for _, c := range []struct {
+		method, path string
+		body         interface{}
+	}{
+		{http.MethodPost, "/v1/requests", ride},
+		{http.MethodPost, "/v1/requests", ride},
+		{http.MethodPost, "/v1/advance", map[string]float64{"d_seconds": 1}},
+		{http.MethodGet, "/v1/requests?id=1", nil},
+		{http.MethodGet, "/v1/requests?id=2", nil},
+		{http.MethodGet, "/v1/requests?id=2", nil},
+		{http.MethodGet, "/v1/stats", nil},
+		{http.MethodGet, "/v1/queue", nil},
+	} {
+		if rec, _ := do(t, h, c.method, c.path, c.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s %s = %d: %s", c.method, c.path, rec.Code, rec.Body)
+		}
+	}
+	rec, _ := do(t, h, http.MethodGet, "/v1/metrics", nil)
+	for _, want := range []string{
+		`mtshare_server_lock_wait_seconds_count{route="requests"} 2`,
+		`mtshare_server_lock_wait_seconds_count{route="advance"} 1`,
+		`mtshare_server_lock_wait_seconds_count{route="status"} 3`,
+	} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("metrics exposition missing %q", want)
+		}
 	}
 }
 

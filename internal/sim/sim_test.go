@@ -184,7 +184,7 @@ func TestSimRidesharingBeatsNoSharing(t *testing.T) {
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.5, Seed: 7,
 	})
 	taxis := 25
-	mNo := runScheme(t, w, baseline.NewNoSharing(w.g, baseline.DefaultConfig()), cloneReqs(reqs), taxis)
+	mNo := runScheme(t, w, baseline.NewNoSharing(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
 	mMt := runScheme(t, w, w.mtShare(t, false), cloneReqs(reqs), taxis)
 	if mMt.Served <= mNo.Served {
 		t.Fatalf("mT-Share served %d <= No-Sharing %d", mMt.Served, mNo.Served)
@@ -209,8 +209,8 @@ func TestSimBaselinesServe(t *testing.T) {
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)
 	for _, s := range []dispatch.Scheme{
-		baseline.NewTShare(w.g, baseline.DefaultConfig()),
-		baseline.NewPGreedyDP(w.g, baseline.DefaultConfig()),
+		baseline.NewTShare(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()),
+		baseline.NewPGreedyDP(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()),
 	} {
 		m := runScheme(t, w, s, cloneReqs(reqs), 40)
 		if m.Served == 0 {
@@ -317,8 +317,8 @@ func TestSimCandidateAccountingTable3Order(t *testing.T) {
 	// same workload (Table III's ordering).
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)
-	mT := runScheme(t, w, baseline.NewTShare(w.g, baseline.DefaultConfig()), cloneReqs(reqs), 40)
-	mP := runScheme(t, w, baseline.NewPGreedyDP(w.g, baseline.DefaultConfig()), cloneReqs(reqs), 40)
+	mT := runScheme(t, w, baseline.NewTShare(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), 40)
+	mP := runScheme(t, w, baseline.NewPGreedyDP(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), 40)
 	if mP.MeanCandidates < mT.MeanCandidates {
 		t.Fatalf("candidates: pGreedyDP %v < T-Share %v", mP.MeanCandidates, mT.MeanCandidates)
 	}
@@ -371,7 +371,7 @@ func TestSimSharingRaisesOccupancy(t *testing.T) {
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.5, Seed: 7,
 	})
 	taxis := 20
-	mNo := runScheme(t, w, baseline.NewNoSharing(w.g, baseline.DefaultConfig()), cloneReqs(reqs), taxis)
+	mNo := runScheme(t, w, baseline.NewNoSharing(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
 	mMt := runScheme(t, w, w.mtShare(t, false), cloneReqs(reqs), taxis)
 	if mMt.MeanOccupancy <= mNo.MeanOccupancy {
 		t.Fatalf("sharing occupancy %v not above solo %v", mMt.MeanOccupancy, mNo.MeanOccupancy)
