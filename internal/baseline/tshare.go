@@ -48,12 +48,14 @@ func NewTShareTemporal(router *roadnet.Router, cfg Config) *TShareTemporal {
 		// never pass; keep the constructor signature simple.
 		panic(err)
 	}
+	spx := roadnet.NewSpatialIndex(g, cfg.GridCellMeters)
+	grid.IndexCells(spx)
 	return &TShareTemporal{
 		base:     newBase(router, cfg),
 		grid:     grid,
 		tindex:   index.NewPartitionIndex(grid, 900),
 		lastPart: make(map[int64]partition.ID),
-		spx:      roadnet.NewSpatialIndex(g, cfg.GridCellMeters),
+		spx:      spx,
 	}
 }
 

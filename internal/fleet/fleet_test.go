@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -683,6 +684,53 @@ func BenchmarkTaxiAdvance(b *testing.B) {
 		b.StartTimer()
 		for !taxi2.Empty() {
 			taxi2.Advance(50)
+		}
+	}
+}
+
+// TestMobilityVectorIndependentOfInsertionOrder pins the centroid's float
+// sum to ascending request-ID order: the same five riders, split between
+// waiting and onboard and inserted in shuffled orders into fresh maps, must
+// give bit-identical vectors. Summed in map order they do not — the last
+// bit moves — which is the one-ulp recovery mismatch this guards against.
+func TestMobilityVectorIndependentOfInsertionOrder(t *testing.T) {
+	g := testGraph()
+	dests := []geo.Point{{Lat: 30.1, Lng: 104.7}, {Lat: 30.7, Lng: 104.1}, {Lat: 30.3, Lng: 104.9123456789}, {Lat: 30.9123456789, Lng: 104.3}, {Lat: 30.55, Lng: 104.05}}
+	// The points must be order-sensitive for the test to mean anything.
+	sums := map[uint64]bool{}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		s := 0.0
+		for _, i := range rng.Perm(len(dests)) {
+			s += dests[i].Lat
+		}
+		sums[math.Float64bits(s)] = true
+	}
+	if len(sums) < 2 {
+		t.Fatal("the destinations sum to the same bits in every order; pick others")
+	}
+
+	var want geo.MobilityVector
+	for trial := 0; trial < 200; trial++ {
+		taxi := NewTaxi(g, 1, 6, 0)
+		for _, i := range rng.Perm(len(dests)) {
+			r := &Request{ID: RequestID(10 + i), DestPt: dests[i]}
+			if (i+trial)%2 == 0 {
+				taxi.waiting[r.ID] = r
+			} else {
+				taxi.onboard[r.ID] = r
+			}
+		}
+		got, ok := taxi.MobilityVector()
+		if !ok {
+			t.Fatal("occupied taxi has no mobility vector")
+		}
+		if trial == 0 {
+			want = got
+		}
+		if math.Float64bits(got.DestLat) != math.Float64bits(want.DestLat) || math.Float64bits(got.DestLng) != math.Float64bits(want.DestLng) {
+			t.Fatalf("trial %d: destination centroid %x/%x, first trial %x/%x", trial,
+				math.Float64bits(got.DestLat), math.Float64bits(got.DestLng), math.Float64bits(want.DestLat), math.Float64bits(want.DestLng))
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -162,11 +164,21 @@ func (t *Taxi) MobilityVector() (geo.MobilityVector, bool) {
 	if t.Empty() {
 		return geo.MobilityVector{}, false
 	}
-	var dests []geo.Point
+	// The centroid is a float sum, so its last bit depends on the order of
+	// the terms: sum in ascending request-ID order, never in map order, or a
+	// recovered taxi with three riders can come back one ulp off.
+	var rbuf [8]*Request
+	reqs := rbuf[:0]
 	for _, r := range t.waiting {
-		dests = append(dests, r.DestPt)
+		reqs = append(reqs, r)
 	}
 	for _, r := range t.onboard {
+		reqs = append(reqs, r)
+	}
+	slices.SortFunc(reqs, func(a, b *Request) int { return cmp.Compare(a.ID, b.ID) })
+	var pbuf [8]geo.Point
+	dests := pbuf[:0]
+	for _, r := range reqs {
 		dests = append(dests, r.DestPt)
 	}
 	return geo.NewMobilityVector(t.Point(), geo.Centroid(dests)), true

@@ -1,7 +1,8 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/partition"
 )
@@ -15,18 +16,12 @@ type Row struct {
 	ArrivalSeconds float64      `json:"t"`
 }
 
-// RowsOf returns the taxi's index rows sorted by partition, for snapshot
-// capture. The result is empty for an unindexed taxi.
+// RowsOf returns a copy of the taxi's index rows, ascending by partition,
+// for snapshot capture. The result is empty for an unindexed taxi.
 func (ix *PartitionIndex) RowsOf(taxiID int64) []Row {
 	ix.mu.RLock()
-	parts := ix.byTaxi[taxiID]
-	rows := make([]Row, 0, len(parts))
-	for _, p := range parts {
-		rows = append(rows, Row{Partition: p, ArrivalSeconds: ix.byPart[p][taxiID]})
-	}
-	ix.mu.RUnlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Partition < rows[j].Partition })
-	return rows
+	defer ix.mu.RUnlock()
+	return append(make([]Row, 0, len(ix.byTaxi[taxiID])), ix.byTaxi[taxiID]...)
 }
 
 // RestoreRows reinstalls a taxi's rows verbatim from a snapshot. Unlike
@@ -34,15 +29,10 @@ func (ix *PartitionIndex) RowsOf(taxiID int64) []Row {
 // restored separately with the rest of the deterministic counter set —
 // but it does refresh the size gauges.
 func (ix *PartitionIndex) RestoreRows(taxiID int64, rows []Row) {
+	rows = append([]Row(nil), rows...)
+	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Partition, b.Partition) })
 	ix.mu.Lock()
-	ix.removeLocked(taxiID)
-	parts := make([]partition.ID, 0, len(rows))
-	for _, r := range rows {
-		ix.byPart[r.Partition][taxiID] = r.ArrivalSeconds
-		parts = append(parts, r.Partition)
-	}
-	ix.byTaxi[taxiID] = parts
-	ix.entries += len(parts)
+	ix.installLocked(taxiID, rows)
 	entries, taxis := ix.entries, len(ix.byTaxi)
 	ix.mu.Unlock()
 	if ix.entriesGauge != nil {

@@ -1,12 +1,14 @@
 // Package index provides the taxi index structures of §IV-B3: the
 // map-partition index, which records for each partition the taxis that are
-// in it or will arrive within a time horizon T_mp sorted by arrival time,
-// and a plain location grid over taxi positions, which is the indexing
-// used by the T-Share and pGreedyDP baselines.
+// in it or will arrive within a time horizon T_mp as a list kept sorted by
+// arrival time, and a plain location grid over taxi positions, which is the
+// indexing used by the T-Share and pGreedyDP baselines.
 package index
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,6 +26,15 @@ type Entry struct {
 	ArrivalSeconds float64
 }
 
+// compare is the list order: ascending arrival (the paper's ordering), ties
+// by taxi ID for determinism.
+func (e Entry) compare(o Entry) int {
+	if c := cmp.Compare(e.ArrivalSeconds, o.ArrivalSeconds); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.TaxiID, o.TaxiID)
+}
+
 // PartitionIndex maintains, per partition, the taxis now in or arriving
 // within the horizon, with arrival times derived from each taxi's planned
 // route. It is safe for concurrent use.
@@ -32,8 +43,8 @@ type PartitionIndex struct {
 	horizon float64 // seconds
 
 	mu      sync.RWMutex
-	byPart  []map[int64]float64 // partition -> taxi -> arrival seconds
-	byTaxi  map[int64][]partition.ID
+	byPart  [][]Entry       // partition -> its list P_z.L_t, strictly ascending by compare
+	byTaxi  map[int64][]Row // taxi -> its rows, ascending by partition
 	entries int
 
 	// Optional registry instruments (see InstrumentWith).
@@ -59,20 +70,18 @@ func (ix *PartitionIndex) InstrumentWith(reg *obs.Registry) *PartitionIndex {
 // NewPartitionIndex creates an index over the given partitioning with the
 // horizon T_mp (the paper uses 1 h).
 func NewPartitionIndex(pt *partition.Partitioning, horizonSeconds float64) *PartitionIndex {
-	byPart := make([]map[int64]float64, pt.NumPartitions())
-	for i := range byPart {
-		byPart[i] = make(map[int64]float64)
-	}
 	return &PartitionIndex{
 		pt:      pt,
 		horizon: horizonSeconds,
-		byPart:  byPart,
-		byTaxi:  make(map[int64][]partition.ID),
+		byPart:  make([][]Entry, pt.NumPartitions()),
+		byTaxi:  make(map[int64][]Row),
 	}
 }
 
-// Horizon returns the index horizon in seconds.
-func (ix *PartitionIndex) Horizon() float64 { return ix.horizon }
+// findRow returns where partition p is, or would be inserted, in rows.
+func findRow(rows []Row, p partition.ID) (int, bool) {
+	return slices.BinarySearchFunc(rows, p, func(r Row, p partition.ID) int { return cmp.Compare(r.Partition, p) })
+}
 
 // Update re-indexes one taxi from its remaining planned route. route is
 // the polyline starting at the taxi's current position (may be nil for an
@@ -80,7 +89,9 @@ func (ix *PartitionIndex) Horizon() float64 { return ix.horizon }
 // is the current time and speedMps converts route meters to arrival times.
 // Arrivals beyond the horizon are not indexed.
 func (ix *PartitionIndex) Update(taxiID int64, at roadnet.VertexID, route []roadnet.VertexID, nowSeconds, speedMps float64) {
-	arrivals := map[partition.ID]float64{ix.pt.PartitionOf(at): nowSeconds}
+	var buf [16]Row // a route rarely crosses more partitions within the horizon
+	last := ix.pt.PartitionOf(at)
+	rows := append(buf[:0], Row{Partition: last, ArrivalSeconds: nowSeconds})
 	if speedMps > 0 {
 		g := ix.pt.Graph()
 		meters := 0.0
@@ -95,20 +106,17 @@ func (ix *PartitionIndex) Update(taxiID int64, at roadnet.VertexID, route []road
 				break
 			}
 			p := ix.pt.PartitionOf(route[i+1])
-			if _, seen := arrivals[p]; !seen {
-				arrivals[p] = t
+			if p == last {
+				continue
+			}
+			last = p
+			if i, seen := findRow(rows, p); !seen { // the first arrival stands
+				rows = slices.Insert(rows, i, Row{Partition: p, ArrivalSeconds: t})
 			}
 		}
 	}
 	ix.mu.Lock()
-	ix.removeLocked(taxiID)
-	parts := make([]partition.ID, 0, len(arrivals))
-	for p, t := range arrivals {
-		ix.byPart[p][taxiID] = t
-		parts = append(parts, p)
-	}
-	ix.byTaxi[taxiID] = parts
-	ix.entries += len(parts)
+	ix.installLocked(taxiID, rows)
 	entries, taxis := ix.entries, len(ix.byTaxi)
 	ix.mu.Unlock()
 	if ix.updates != nil {
@@ -118,53 +126,80 @@ func (ix *PartitionIndex) Update(taxiID int64, at roadnet.VertexID, route []road
 	}
 }
 
+// installLocked replaces the taxi's rows (ascending by partition) and its
+// entry in each partition list, reusing the taxi's row storage.
+func (ix *PartitionIndex) installLocked(taxiID int64, rows []Row) {
+	old := ix.unlistLocked(taxiID)
+	for _, r := range rows {
+		l, e := ix.byPart[r.Partition], Entry{TaxiID: taxiID, ArrivalSeconds: r.ArrivalSeconds}
+		at, _ := slices.BinarySearchFunc(l, e, Entry.compare)
+		ix.byPart[r.Partition] = slices.Insert(l, at, e)
+	}
+	ix.byTaxi[taxiID] = append(old[:0], rows...)
+	ix.entries += len(rows)
+}
+
+// unlistLocked takes the taxi out of every partition list and returns its
+// former rows; the byTaxi entry is left for the caller to replace or delete.
+func (ix *PartitionIndex) unlistLocked(taxiID int64) []Row {
+	rows := ix.byTaxi[taxiID]
+	for _, r := range rows {
+		l, e := ix.byPart[r.Partition], Entry{TaxiID: taxiID, ArrivalSeconds: r.ArrivalSeconds}
+		at, _ := slices.BinarySearchFunc(l, e, Entry.compare)
+		ix.byPart[r.Partition] = slices.Delete(l, at, at+1)
+	}
+	ix.entries -= len(rows)
+	return rows
+}
+
 // Remove drops a taxi from all partition lists.
 func (ix *PartitionIndex) Remove(taxiID int64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(taxiID)
-}
-
-func (ix *PartitionIndex) removeLocked(taxiID int64) {
-	parts, ok := ix.byTaxi[taxiID]
-	if !ok {
-		return
-	}
-	for _, p := range parts {
-		delete(ix.byPart[p], taxiID)
-	}
+	ix.unlistLocked(taxiID)
 	delete(ix.byTaxi, taxiID)
-	ix.entries -= len(parts)
 }
 
-// Taxis returns the partition's list P_z.L_t sorted ascending by arrival
-// time (the paper's ordering), breaking ties by taxi ID for determinism.
+// Taxis returns a copy of the partition's list P_z.L_t: ascending by
+// arrival time (the paper's ordering), ties by taxi ID.
 func (ix *PartitionIndex) Taxis(p partition.ID) []Entry {
 	ix.mu.RLock()
-	m := ix.byPart[p]
-	out := make([]Entry, 0, len(m))
-	for id, t := range m {
-		out = append(out, Entry{TaxiID: id, ArrivalSeconds: t})
-	}
-	ix.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ArrivalSeconds != out[j].ArrivalSeconds {
-			return out[i].ArrivalSeconds < out[j].ArrivalSeconds
+	defer ix.mu.RUnlock()
+	return append([]Entry(nil), ix.byPart[p]...)
+}
+
+// Search is the index read of one candidate search (§IV-C1), under one read
+// lock. It appends to taxis the taxi of every entry in the lists of parts —
+// a taxi whose route crosses several of them once per list, so the caller
+// dedupes — and to reach the taxis recorded to arrive at partition z no
+// later than deadline, which is a prefix of z's arrival-ordered list.
+func (ix *PartitionIndex) Search(parts []partition.ID, z partition.ID, deadline float64, taxis, reach []int64) (_, _ []int64) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for _, p := range parts {
+		for _, e := range ix.byPart[p] {
+			taxis = append(taxis, e.TaxiID)
 		}
-		return out[i].TaxiID < out[j].TaxiID
-	})
-	return out
+	}
+	for _, e := range ix.byPart[z] {
+		if e.ArrivalSeconds > deadline {
+			break
+		}
+		reach = append(reach, e.TaxiID)
+	}
+	return taxis, reach
 }
 
 // ArrivalAt returns the indexed arrival time of a taxi at a partition; ok
-// is false when the taxi is not expected there within the horizon. The
-// candidate-search refinement uses it to discard taxis that cannot reach
-// the request's partition before the pickup deadline.
+// is false when the taxi is not expected there within the horizon.
 func (ix *PartitionIndex) ArrivalAt(taxiID int64, p partition.ID) (float64, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	t, ok := ix.byPart[p][taxiID]
-	return t, ok
+	rows := ix.byTaxi[taxiID]
+	if i, ok := findRow(rows, p); ok {
+		return rows[i].ArrivalSeconds, true
+	}
+	return 0, false
 }
 
 // Stats summarises index size for the Table IV memory comparison.
@@ -181,8 +216,9 @@ func (ix *PartitionIndex) Stats() Stats {
 	return Stats{
 		Taxis:   len(ix.byTaxi),
 		Entries: ix.entries,
-		// Map entry ≈ key+value+bucket overhead; byTaxi slices add 8/entry.
-		MemoryBytes: int64(ix.entries)*48 + int64(len(ix.byTaxi))*40 + int64(len(ix.byPart))*48,
+		// An entry is a 16-byte list element plus a 16-byte taxi row; then
+		// one slice header per list and per taxi, the latter in a map entry.
+		MemoryBytes: int64(ix.entries)*32 + int64(len(ix.byTaxi))*64 + int64(len(ix.byPart))*24,
 	}
 }
 

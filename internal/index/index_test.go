@@ -360,3 +360,210 @@ func BenchmarkLocationGridNear(b *testing.B) {
 		_ = lg.Near(center, 2500)
 	}
 }
+
+// modelArrivals is Update's contract written the obvious way: the taxi's
+// first arrival per partition along its route, within the horizon.
+func modelArrivals(pt *partition.Partitioning, horizon float64, at roadnet.VertexID, route []roadnet.VertexID, now, speed float64) map[partition.ID]float64 {
+	arrivals := map[partition.ID]float64{pt.PartitionOf(at): now}
+	if speed <= 0 {
+		return arrivals
+	}
+	meters := 0.0
+	for i := 0; i+1 < len(route); i++ {
+		c, ok := pt.Graph().EdgeCost(route[i], route[i+1])
+		if !ok {
+			break
+		}
+		meters += c
+		t := now + meters/speed
+		if t > now+horizon {
+			break
+		}
+		if _, seen := arrivals[pt.PartitionOf(route[i+1])]; !seen {
+			arrivals[pt.PartitionOf(route[i+1])] = t
+		}
+	}
+	return arrivals
+}
+
+// checkIndexInvariants holds the index to what candidate search relies on:
+// every list strictly ordered by (arrival, taxi ID); Stats().Entries the sum
+// of the list lengths; the lists, ArrivalAt and RowsOf telling one story,
+// which is the model's; and Search returning the lists' taxis plus the
+// deadline prefix of z's list.
+func checkIndexInvariants(t *testing.T, ix *PartitionIndex, pt *partition.Partitioning, model map[int64]map[partition.ID]float64, rng *rand.Rand) {
+	t.Helper()
+	total := 0
+	var all []partition.ID
+	for p := partition.ID(0); int(p) < pt.NumPartitions(); p++ {
+		all = append(all, p)
+		list := ix.Taxis(p)
+		total += len(list)
+		for i, e := range list {
+			if i > 0 && list[i-1].compare(e) >= 0 {
+				t.Fatalf("partition %d: entry %d %+v does not follow %+v", p, i, e, list[i-1])
+			}
+			if want, ok := model[e.TaxiID][p]; !ok || want != e.ArrivalSeconds {
+				t.Fatalf("partition %d lists taxi %d at %v, model has %v (%v)", p, e.TaxiID, e.ArrivalSeconds, want, ok)
+			}
+			if got, ok := ix.ArrivalAt(e.TaxiID, p); !ok || got != e.ArrivalSeconds {
+				t.Fatalf("ArrivalAt(%d, %d) = %v, %v; the list has %v", e.TaxiID, p, got, ok, e.ArrivalSeconds)
+			}
+		}
+	}
+	want := 0
+	for id, rows := range model {
+		want += len(rows)
+		got := ix.RowsOf(id)
+		if len(got) != len(rows) {
+			t.Fatalf("taxi %d has %d rows, model %d", id, len(got), len(rows))
+		}
+		for i, r := range got {
+			if i > 0 && got[i-1].Partition >= r.Partition {
+				t.Fatalf("taxi %d rows not ascending by partition: %v", id, got)
+			}
+			if rows[r.Partition] != r.ArrivalSeconds {
+				t.Fatalf("taxi %d row %+v, model %v", id, r, rows[r.Partition])
+			}
+		}
+	}
+	if st := ix.Stats(); st.Entries != total || total != want || st.Taxis != len(model) {
+		t.Fatalf("Stats %+v, lists hold %d entries, model %d entries of %d taxis", st, total, want, len(model))
+	}
+	if _, ok := ix.ArrivalAt(-1, 0); ok {
+		t.Fatal("ArrivalAt knows a taxi that was never indexed")
+	}
+
+	// Search over a random partition subset.
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	parts, z := all[:rng.Intn(len(all)+1)], all[rng.Intn(len(all))]
+	deadline := rng.Float64() * 4000
+	if list := ix.Taxis(z); len(list) > 0 && rng.Intn(2) == 0 {
+		deadline = list[rng.Intn(len(list))].ArrivalSeconds // arrival at the deadline makes it
+	}
+	taxis, reach := ix.Search(parts, z, deadline, []int64{-7}, []int64{-9})
+	if taxis[0] != -7 || reach[0] != -9 {
+		t.Fatal("Search does not append")
+	}
+	taxis, reach = taxis[1:], reach[1:]
+	for _, p := range parts {
+		for _, e := range ix.Taxis(p) {
+			if len(taxis) == 0 || taxis[0] != e.TaxiID {
+				t.Fatalf("Search taxis diverge from partition %d's list at taxi %d", p, e.TaxiID)
+			}
+			taxis = taxis[1:]
+		}
+	}
+	if len(taxis) != 0 {
+		t.Fatalf("Search returned %d taxis beyond the lists", len(taxis))
+	}
+	for _, e := range ix.Taxis(z) {
+		if e.ArrivalSeconds <= deadline {
+			if len(reach) == 0 || reach[0] != e.TaxiID {
+				t.Fatalf("Search reach misses taxi %d arriving %v <= %v", e.TaxiID, e.ArrivalSeconds, deadline)
+			}
+			reach = reach[1:]
+		}
+	}
+	if len(reach) != 0 {
+		t.Fatalf("Search reach holds %d taxis past the deadline", len(reach))
+	}
+}
+
+// TestPartitionIndexListsStayOrdered drives seeded sequences of Update,
+// Remove and RestoreRows against the model, checking every invariant as it
+// goes, while concurrent readers hammer every read path (run under -race in
+// CI): a reader must never see a list out of order.
+func TestPartitionIndexListsStayOrdered(t *testing.T) {
+	g, w := testPartitioning(t)
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		horizon := []float64{3600, 400, 60}[seed%3]
+		ix := NewPartitionIndex(w.pt, horizon)
+		model := map[int64]map[partition.ID]float64{}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func(r int64) {
+				defer wg.Done()
+				rr := rand.New(rand.NewSource(r))
+				var taxis, reach []int64
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					p := partition.ID(rr.Intn(w.pt.NumPartitions()))
+					list := ix.Taxis(p)
+					for i := 1; i < len(list); i++ {
+						if list[i-1].compare(list[i]) >= 0 {
+							t.Errorf("reader saw partition %d out of order: %v", p, list)
+							return
+						}
+					}
+					taxis, reach = ix.Search([]partition.ID{p, 0}, p, float64(rr.Intn(4000)), taxis[:0], reach[:0])
+					ix.ArrivalAt(rr.Int63n(12), p)
+					ix.RowsOf(rr.Int63n(12))
+					ix.Stats()
+				}
+			}(int64(r))
+		}
+
+		for step := 0; step < 400; step++ {
+			id := rng.Int63n(12)
+			switch op := rng.Intn(10); {
+			case op == 0:
+				ix.Remove(id)
+				delete(model, id)
+			case op == 1:
+				// A snapshot round trip, rows handed back in reverse order.
+				rows := ix.RowsOf(id)
+				for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
+					rows[i], rows[j] = rows[j], rows[i]
+				}
+				ix.RestoreRows(id, rows)
+				if len(rows) == 0 {
+					model[id] = map[partition.ID]float64{}
+				}
+			default:
+				src := roadnet.VertexID(rng.Intn(g.NumVertices()))
+				var route []roadnet.VertexID
+				if rng.Intn(3) > 0 {
+					_, route, _ = g.ShortestPath(src, roadnet.VertexID(rng.Intn(g.NumVertices())))
+				}
+				// Few distinct clock values and speeds, so arrival ties
+				// between taxis (the taxi-ID tie-break) do occur.
+				now, speed := float64(rng.Intn(5)*100), []float64{0, 4.17, 4.17, 12}[rng.Intn(4)]
+				ix.Update(id, src, route, now, speed)
+				model[id] = modelArrivals(w.pt, horizon, src, route, now, speed)
+			}
+			if step%8 == 0 {
+				checkIndexInvariants(t, ix, w.pt, model, rng)
+			}
+		}
+		checkIndexInvariants(t, ix, w.pt, model, rng)
+		close(stop)
+		wg.Wait()
+	}
+}
+
+// BenchmarkPartitionIndexUpdateRoute re-indexes taxis driving cross-city
+// routes: the list maintenance Update pays so that reads need not sort.
+func BenchmarkPartitionIndexUpdateRoute(b *testing.B) {
+	g, w := testPartitioning(b)
+	ix := NewPartitionIndex(w.pt, 3600)
+	n := g.NumVertices()
+	routes := make([][]roadnet.VertexID, 64)
+	for i := range routes {
+		_, routes[i], _ = g.ShortestPath(roadnet.VertexID(i*37%n), roadnet.VertexID((i*101+n/2)%n))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := routes[i%len(routes)]
+		ix.Update(int64(i%200), r[0], r, float64(i), 4.17)
+	}
+}

@@ -53,9 +53,9 @@ func (o *assignOption) fill(a *Assignment) {
 }
 
 // feasibleOptions keeps the feasible candidate results in ascending
-// taxi-ID order — the canonical column order of the cost graph. The sort
-// is what makes the option list independent of candidate-set iteration
-// order (a map walk) and of worker completion order.
+// taxi-ID order — the canonical column order of the cost graph. That is the
+// order candidate search emits and evalCandidates preserves, whatever order
+// the workers finish in.
 func feasibleOptions(results []candResult) []assignOption {
 	opts := make([]assignOption, 0, len(results))
 	for i := range results {
@@ -65,7 +65,6 @@ func feasibleOptions(results []candResult) []assignOption {
 		}
 		opts = append(opts, assignOption{taxi: r.taxi, events: r.events, legs: r.legs, eval: r.eval, detour: r.detour})
 	}
-	sort.Slice(opts, func(i, j int) bool { return opts[i].taxi.ID < opts[j].taxi.ID })
 	return opts
 }
 
@@ -98,6 +97,7 @@ type batchAssigner interface {
 // every feasible candidate instead of reducing to the single winner.
 func (e *Engine) dispatchOptions(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) ([]assignOption, int) {
 	t0 := time.Now()
+	defer e.ins.dispatchSeconds.ObserveSince(t0)
 	cands := e.CandidateTaxis(req, nowSeconds)
 	e.ins.candidateSearchSeconds.ObserveSince(t0)
 	e.ins.dispatches.Inc()
@@ -131,6 +131,8 @@ func (se *ShardedEngine) dispatchOptions(ctx context.Context, req *fleet.Request
 	home := se.HomeShard(req)
 	h := se.shards[home]
 	se.ins[home].requests.Inc()
+	tDispatch := time.Now()
+	defer h.ins.dispatchSeconds.ObserveSince(tDispatch)
 	se.rlockAll()
 	defer se.runlockAll()
 	t0 := time.Now()

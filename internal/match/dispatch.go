@@ -43,8 +43,8 @@ type candResult struct {
 
 // better orders candidate results deterministically: by detour cost, then
 // by taxi ID. The taxi-ID tie-break makes the winner independent of both
-// candidate-list iteration order (a map walk) and goroutine completion
-// order, so sequential and parallel dispatch provably agree.
+// candidate-list order and goroutine completion order, so sequential and
+// parallel dispatch provably agree.
 func (a *candResult) better(b *candResult) bool {
 	if !a.ok || !b.ok {
 		return a.ok

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/fleet"
@@ -300,6 +301,7 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		ins:         newInstruments(reg),
 	}
 	e.oracle = cfg.Oracle
+	pt.IndexCells(spx)
 	return e, nil
 }
 
@@ -437,47 +439,88 @@ func (e *Engine) searchRadius(req *fleet.Request, nowSeconds float64) float64 {
 	return e.cfg.SearchRangeMeters
 }
 
-// CandidateTaxis implements candidate taxi searching (§IV-C1): the union
-// of the partition taxi lists intersecting the search disc, intersected
-// with the best-matching mobility cluster's taxi list, extended with empty
-// taxis in the disc's partitions, minus taxis without spare seats and
-// taxis that cannot reach the request's partition by the pickup deadline.
-func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
+// candWS is the scratch state of one candidate search. Workspaces are
+// pooled, so a search allocates only the slice it returns.
+type candWS struct {
+	parts    []partition.ID // partitions intersecting the search disc
+	z        partition.ID   // the request's own partition
+	deadline float64        // the request's pickup deadline, seconds
+	ids      []int64        // taxis listed in parts
+	reach    []int64        // taxis recorded to arrive in z by the deadline
+	compat   []mobcluster.ClusterID
+	taxis    []*fleet.Taxi // the registered taxis of ids, ascending by ID
+}
+
+var candPool = sync.Pool{New: func() any { return new(candWS) }}
+
+// beginSearch names the partitions of the request's search disc into a
+// pooled workspace (hand it back with release); nil when the slack ran out.
+func (e *Engine) beginSearch(req *fleet.Request, nowSeconds float64) *candWS {
 	radius := e.searchRadius(req, nowSeconds)
 	if radius <= 0 {
 		return nil
 	}
-	parts := e.pt.PartitionsNear(e.spx, req.OriginPt, radius)
-	inDisc := make(map[int64]float64) // taxi -> arrival at own partition
-	for _, p := range parts {
-		for _, entry := range e.pindex.Taxis(p) {
-			if _, ok := inDisc[entry.TaxiID]; !ok {
-				inDisc[entry.TaxiID] = entry.ArrivalSeconds
-			}
-		}
-	}
-	// Mobility-cluster intersection for occupied taxis: the union of all
-	// direction-compatible clusters' taxi lists.
-	clusterTaxis := make(map[int64]bool)
-	for _, id := range e.clusters.CompatibleTaxis(req.MobilityVector()) {
-		clusterTaxis[id] = true
-	}
-	reqPart := e.pt.PartitionOf(req.Origin)
-	pickupDeadline := req.PickupDeadline(e.cfg.SpeedMps).Seconds()
+	ws := candPool.Get().(*candWS)
+	ws.parts = e.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
+	ws.z, ws.deadline = e.pt.PartitionOf(req.Origin), req.PickupDeadline(e.cfg.SpeedMps).Seconds()
+	ws.ids, ws.reach, ws.taxis = ws.ids[:0], ws.reach[:0], ws.taxis[:0]
+	return ws
+}
 
+// distinct orders the listed taxi IDs ascending and drops the repeats of
+// taxis whose routes cross several of the disc's partitions.
+func (ws *candWS) distinct() []int64 {
+	slices.Sort(ws.ids)
+	ws.ids = slices.Compact(ws.ids)
+	return ws.ids
+}
+
+func (ws *candWS) release() {
+	clear(ws.taxis) // a pooled workspace must not keep a fleet alive
+	candPool.Put(ws)
+}
+
+// CandidateTaxis implements candidate taxi searching (§IV-C1): the union
+// of the partition taxi lists intersecting the search disc, intersected
+// with the direction-compatible mobility clusters' taxi lists, extended
+// with empty taxis in the disc's partitions, minus taxis without spare seats
+// and taxis that cannot reach the request's partition by the pickup
+// deadline. The result is in ascending taxi-ID order.
+func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
+	ws := e.beginSearch(req, nowSeconds)
+	if ws == nil {
+		return nil
+	}
+	defer ws.release()
+	ws.ids, ws.reach = e.pindex.Search(ws.parts, ws.z, ws.deadline, ws.ids, ws.reach)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var out []*fleet.Taxi
-	for id := range inDisc {
-		t, ok := e.taxis[id]
-		if !ok {
-			continue
+	for _, id := range ws.distinct() {
+		if t, ok := e.taxis[id]; ok {
+			ws.taxis = append(ws.taxis, t)
 		}
+	}
+	return e.refine(ws, req, nowSeconds)
+}
+
+// refine applies the three refinement rules of §IV-C1 to ws.taxis and
+// returns the survivors. It is the one body of the rules: the sharded search
+// refines through its home shard, so the pruning counters land there. The
+// caller holds the fleet read lock(s) covering ws.taxis.
+func (e *Engine) refine(ws *candWS, req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
+	slices.Sort(ws.reach)
+	ws.compat = e.clusters.CompatibleClusters(ws.compat[:0], req.MobilityVector())
+	keep := ws.taxis[:0]
+	for _, t := range ws.taxis {
 		// Rule 1: empty taxis in the disc partitions are always included.
-		// Occupied taxis must share the request's travel direction.
-		if !t.Empty() && !clusterTaxis[id] {
-			e.ins.prunedByDirection.Inc()
-			continue
+		// Occupied taxis must share the request's travel direction: Eq. 3's
+		// intersection with the compatible clusters' taxi lists, taken as a
+		// compare of the taxi's own cluster.
+		if !t.Empty() {
+			if c, ok := e.clusters.TaxiCluster(t.ID); !ok || !slices.Contains(ws.compat, c) {
+				e.ins.prunedByDirection.Inc()
+				continue
+			}
 		}
 		// Rule 2: spare seats.
 		if t.IdleSeats() < req.Passengers {
@@ -486,19 +529,20 @@ func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet
 		}
 		// Rule 3: reachability of the request's partition by the pickup
 		// deadline. A taxi whose recorded (planned-route) arrival makes
-		// the deadline certainly qualifies; one whose planned arrival is
-		// late may still divert, so it is kept unless even the
-		// straight-line lower bound rules it out.
-		if arr, ok := e.pindex.ArrivalAt(id, reqPart); !ok || arr > pickupDeadline {
+		// the deadline — one in the prefix of z's list — certainly
+		// qualifies; one whose planned arrival is late may still divert,
+		// so it is kept unless even the straight-line lower bound rules
+		// it out.
+		if _, listed := slices.BinarySearch(ws.reach, t.ID); !listed {
 			lb := nowSeconds + geo.Equirect(t.Point(), req.OriginPt)/e.cfg.SpeedMps
-			if lb > pickupDeadline {
+			if lb > ws.deadline {
 				e.ins.prunedByReachability.Inc()
 				continue
 			}
 		}
-		out = append(out, t)
+		keep = append(keep, t)
 	}
-	return out
+	return append([]*fleet.Taxi(nil), keep...) // nil when nothing survived
 }
 
 // IndexMemoryBytes reports the memory footprint of the engine's index

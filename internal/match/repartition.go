@@ -30,6 +30,7 @@ func (e *Engine) Repartition(pt *partition.Partitioning, nowSeconds float64) err
 	e.mu.Unlock()
 
 	// Swap geometry-dependent state under the cache locks.
+	pt.IndexCells(e.spx)
 	e.filterMu.Lock()
 	e.pt = pt
 	e.filterCache = make(map[uint64][]partition.ID)

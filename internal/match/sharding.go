@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/geo"
 	"repro/internal/mobcluster"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -480,77 +479,42 @@ func (se *ShardedEngine) runlockAll() {
 	}
 }
 
-// candidateTaxis is the sharded candidate taxi search: the union of every
-// shard's partition-index rows over the search disc (deduplicated by taxi
-// ID — dedupe is exact because rule 3 reads the owner shard's recorded
-// arrival, never the per-row discovery value), refined by the same three
-// rules as Engine.CandidateTaxis against the shared clusters. Under
-// BorderLocal only the home shard's rows and taxis are considered. The
-// caller holds every shard's fleet read lock.
+// candidateTaxis is the sharded candidate taxi search: every shard's
+// partition lists over the search disc (a taxi's rows live in its owner
+// shard's index only, so the union of the shards' reads is the single
+// engine's read), resolved through the owner map and refined by the home
+// shard's Engine.refine against the shared clusters. Under BorderLocal only
+// the home shard's rows and taxis are considered. The caller holds every
+// shard's fleet read lock.
 func (se *ShardedEngine) candidateTaxis(home int, req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
 	h := se.shards[home]
-	radius := h.searchRadius(req, nowSeconds)
-	if radius <= 0 {
+	ws := h.beginSearch(req, nowSeconds)
+	if ws == nil {
 		return nil
 	}
+	defer ws.release()
 	localOnly := se.cfg.Sharding.Policy() == BorderLocal
-	parts := se.pt.PartitionsNear(se.spx, req.OriginPt, radius)
-	inDisc := make(map[int64]bool)
-	for _, p := range parts {
-		for s, sh := range se.shards {
-			if localOnly && s != home {
-				continue
-			}
-			for _, entry := range sh.pindex.Taxis(p) {
-				inDisc[entry.TaxiID] = true
-			}
+	for s, sh := range se.shards {
+		if !localOnly || s == home {
+			ws.ids, ws.reach = sh.pindex.Search(ws.parts, ws.z, ws.deadline, ws.ids, ws.reach)
 		}
 	}
-	clusterTaxis := make(map[int64]bool)
-	for _, id := range h.clusters.CompatibleTaxis(req.MobilityVector()) {
-		clusterTaxis[id] = true
-	}
-	reqPart := se.pt.PartitionOf(req.Origin)
-	pickupDeadline := req.PickupDeadline(se.cfg.SpeedMps).Seconds()
-
 	se.mu.RLock()
 	defer se.mu.RUnlock()
-	var out []*fleet.Taxi
-	var cross int64
-	for id := range inDisc {
+	for _, id := range ws.distinct() {
 		s, ok := se.owner[id]
 		if !ok || (localOnly && s != home) {
 			continue
 		}
-		sh := se.shards[s]
-		t, ok := sh.taxis[id]
-		if !ok {
-			continue
+		if t, ok := se.shards[s].taxis[id]; ok {
+			ws.taxis = append(ws.taxis, t)
 		}
-		// Rules 1-3, identical to Engine.CandidateTaxis; pruning counters
-		// land on the home shard so the aggregate equals the single engine.
-		if !t.Empty() && !clusterTaxis[id] {
-			h.ins.prunedByDirection.Inc()
-			continue
-		}
-		if t.IdleSeats() < req.Passengers {
-			h.ins.prunedByCapacity.Inc()
-			continue
-		}
-		if arr, ok := sh.pindex.ArrivalAt(id, reqPart); !ok || arr > pickupDeadline {
-			lb := nowSeconds + geo.Equirect(t.Point(), req.OriginPt)/se.cfg.SpeedMps
-			if lb > pickupDeadline {
-				h.ins.prunedByReachability.Inc()
-				continue
-			}
-		}
-		if s != home {
-			cross++
-		}
-		out = append(out, t)
 	}
-	if cross > 0 {
-		se.ins[home].crossCandidates.Add(cross)
+	out := h.refine(ws, req, nowSeconds)
+	for _, t := range out {
+		if se.owner[t.ID] != home {
+			se.ins[home].crossCandidates.Inc()
+		}
 	}
 	return out
 }

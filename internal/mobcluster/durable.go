@@ -66,7 +66,7 @@ func (cs *Clusters) CaptureState() State {
 			SumDLat:  c.sumDLat,
 			SumDLng:  c.sumDLng,
 			Requests: sortedMembers(c.requests),
-			Taxis:    sortedMembers(c.taxis),
+			Taxis:    append([]MemberState(nil), c.taxis...),
 		})
 	}
 	return st
@@ -95,7 +95,6 @@ func (cs *Clusters) RestoreState(st State) error {
 			sumDLat:  c.SumDLat,
 			sumDLng:  c.SumDLng,
 			requests: make(map[int64]geo.MobilityVector, len(c.Requests)),
-			taxis:    make(map[int64]geo.MobilityVector, len(c.Taxis)),
 		}
 		for _, m := range c.Requests {
 			if _, dup := request[m.ID]; dup {
@@ -108,9 +107,10 @@ func (cs *Clusters) RestoreState(st State) error {
 			if _, dup := taxi[m.ID]; dup {
 				return fmt.Errorf("mobcluster: taxi %d in two clusters", m.ID)
 			}
-			cl.taxis[m.ID] = m.Vec
+			cl.taxis = append(cl.taxis, m)
 			taxi[m.ID] = id
 		}
+		sort.Slice(cl.taxis, func(i, j int) bool { return cl.taxis[i].ID < cl.taxis[j].ID })
 		if cl.empty() {
 			return fmt.Errorf("mobcluster: cluster %d has no members", c.ID)
 		}

@@ -9,7 +9,9 @@
 package mobcluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -34,9 +36,15 @@ type cluster struct {
 	sumDLat  float64
 	sumDLng  float64
 
-	// Taxis currently travelling in this cluster's direction, with the
-	// vectors they were registered under.
-	taxis map[int64]geo.MobilityVector
+	// Taxis currently travelling in this cluster's direction — the list
+	// Ca.Lt — with the vectors they were registered under, ascending by
+	// taxi ID so that general() sums them in one order on every run.
+	taxis []MemberState
+}
+
+// findTaxi returns where taxi id is, or would be inserted, in c.taxis.
+func (c *cluster) findTaxi(id int64) (int, bool) {
+	return slices.BinarySearchFunc(c.taxis, id, func(t MemberState, id int64) int { return cmp.Compare(t.ID, id) })
 }
 
 // general returns the cluster's general mobility vector: endpoint averages
@@ -55,11 +63,11 @@ func (c *cluster) general() geo.MobilityVector {
 	if n == 0 {
 		return v
 	}
-	for _, tv := range c.taxis {
-		v.OriginLat += tv.OriginLat
-		v.OriginLng += tv.OriginLng
-		v.DestLat += tv.DestLat
-		v.DestLng += tv.DestLng
+	for _, t := range c.taxis {
+		v.OriginLat += t.Vec.OriginLat
+		v.OriginLng += t.Vec.OriginLng
+		v.DestLat += t.Vec.DestLat
+		v.DestLng += t.Vec.DestLng
 	}
 	v.OriginLat /= n
 	v.OriginLng /= n
@@ -156,25 +164,38 @@ func (cs *Clusters) Best(v geo.MobilityVector) (ClusterID, bool) {
 func (cs *Clusters) CompatibleTaxis(v geo.MobilityVector) []int64 {
 	cs.mu.RLock()
 	defer cs.mu.RUnlock()
-	// A degenerate vector has no direction to be compatible with; without
-	// this guard, CosineSimilarity's 0-for-zero-norm convention would make
-	// it "compatible" with every cluster whenever λ ≤ 0.
-	if v.IsZero() {
-		return nil
-	}
 	var out []int64
 	for _, c := range cs.byID {
-		if len(c.taxis) == 0 {
-			continue
-		}
-		if geo.CosineSimilarity(v, c.general()) < cs.lambda {
-			continue
-		}
-		for id := range c.taxis {
-			out = append(out, id)
+		if cs.compatibleLocked(c, v) {
+			for _, t := range c.taxis {
+				out = append(out, t.ID)
+			}
 		}
 	}
 	return out
+}
+
+// compatibleLocked reports whether c holds taxis and its general vector is
+// direction-compatible with v. A degenerate v has no direction to be
+// compatible with; without the guard, CosineSimilarity's 0-for-zero-norm
+// convention would make it "compatible" with every cluster whenever λ ≤ 0.
+// Callers hold the read lock.
+func (cs *Clusters) compatibleLocked(c *cluster, v geo.MobilityVector) bool {
+	return !v.IsZero() && len(c.taxis) > 0 && geo.CosineSimilarity(v, c.general()) >= cs.lambda
+}
+
+// CompatibleClusters appends to dst the clusters whose taxi lists
+// CompatibleTaxis(v) unions: a taxi is in that union exactly when its
+// TaxiCluster is among them, so candidate search need not materialise it.
+func (cs *Clusters) CompatibleClusters(dst []ClusterID, v geo.MobilityVector) []ClusterID {
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	for _, c := range cs.byID {
+		if cs.compatibleLocked(c, v) {
+			dst = append(dst, c.id)
+		}
+	}
+	return dst
 }
 
 // AddRequest inserts a ride request's mobility vector, joining the most
@@ -239,7 +260,8 @@ func (cs *Clusters) UpdateTaxi(id int64, v geo.MobilityVector) ClusterID {
 	if c == nil {
 		c = cs.newClusterLocked()
 	}
-	c.taxis[id] = v
+	i, _ := c.findTaxi(id)
+	c.taxis = slices.Insert(c.taxis, i, MemberState{ID: id, Vec: v})
 	cs.taxi[id] = c.id
 	return c.id
 }
@@ -257,7 +279,9 @@ func (cs *Clusters) RemoveTaxi(id int64) {
 
 func (cs *Clusters) removeTaxiLocked(id int64, cid ClusterID) {
 	c := cs.byID[cid]
-	delete(c.taxis, id)
+	if i, ok := c.findTaxi(id); ok {
+		c.taxis = slices.Delete(c.taxis, i, i+1)
+	}
 	delete(cs.taxi, id)
 	if c.empty() {
 		delete(cs.byID, cid)
@@ -268,14 +292,13 @@ func (cs *Clusters) newClusterLocked() *cluster {
 	c := &cluster{
 		id:       cs.nextID,
 		requests: make(map[int64]geo.MobilityVector),
-		taxis:    make(map[int64]geo.MobilityVector),
 	}
 	cs.nextID++
 	cs.byID[c.id] = c
 	return c
 }
 
-// Taxis returns the taxi list Ca.Lt of the given cluster in unspecified
+// Taxis returns the taxi list Ca.Lt of the given cluster in ascending ID
 // order; nil for a dead cluster.
 func (cs *Clusters) Taxis(cid ClusterID) []int64 {
 	cs.mu.RLock()
@@ -285,8 +308,8 @@ func (cs *Clusters) Taxis(cid ClusterID) []int64 {
 		return nil
 	}
 	out := make([]int64, 0, len(c.taxis))
-	for id := range c.taxis {
-		out = append(out, id)
+	for _, t := range c.taxis {
+		out = append(out, t.ID)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package mobcluster
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -434,6 +435,111 @@ func TestZeroVectorNeverClusters(t *testing.T) {
 		cz1, _ := cs.RequestCluster(2)
 		if cz2 := cs.AddRequest(3, zero); cz2 == cz1 {
 			t.Fatalf("lambda=%v: two zero vectors clustered together", lambda)
+		}
+	}
+}
+
+// TestTaxiOnlyGeneralIndependentOfInsertionOrder pins a taxi-only cluster's
+// general vector to a sum in ascending taxi-ID order: the same five taxis
+// registered in shuffled orders (and once restored from a snapshot) must
+// give bit-identical vectors. Summed in map-iteration order they do not.
+func TestTaxiOnlyGeneralIndependentOfInsertionOrder(t *testing.T) {
+	taxis := []geo.MobilityVector{
+		vec(30.1, 104.7, 0.05, 0.001), vec(30.7, 104.1, 0.0512345678, 0.002), vec(30.3, 104.9123456789, 0.047, -0.001),
+		vec(30.9123456789, 104.3, 0.0533, 0.0007), vec(30.55, 104.05, 0.049, -0.0003),
+	}
+	rng := rand.New(rand.NewSource(4))
+	sums := map[uint64]bool{}
+	for trial := 0; trial < 200; trial++ {
+		s := 0.0
+		for _, i := range rng.Perm(len(taxis)) {
+			s += taxis[i].DestLat
+		}
+		sums[math.Float64bits(s)] = true
+	}
+	if len(sums) < 2 {
+		t.Fatal("the vectors sum to the same bits in every order; pick others")
+	}
+
+	bits := func(v geo.MobilityVector) [4]uint64 {
+		return [4]uint64{math.Float64bits(v.OriginLat), math.Float64bits(v.OriginLng), math.Float64bits(v.DestLat), math.Float64bits(v.DestLng)}
+	}
+	var want [4]uint64
+	for trial := 0; trial < 200; trial++ {
+		cs := New(0.707)
+		var cid ClusterID
+		for n, i := range rng.Perm(len(taxis)) {
+			c := cs.UpdateTaxi(int64(100+i), taxis[i])
+			if n > 0 && c != cid {
+				t.Fatalf("trial %d: taxi %d opened cluster %d, the others share %d", trial, i, c, cid)
+			}
+			cid = c
+		}
+		if ids := cs.Taxis(cid); !sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] }) || len(ids) != len(taxis) {
+			t.Fatalf("trial %d: cluster taxi list %v is not the five taxis in ascending order", trial, ids)
+		}
+		v, _ := cs.General(cid)
+		restored := New(0.707)
+		if err := restored.RestoreState(cs.CaptureState()); err != nil {
+			t.Fatal(err)
+		}
+		rv, _ := restored.General(cid)
+		if trial == 0 {
+			want = bits(v)
+		}
+		if bits(v) != want || bits(rv) != want {
+			t.Fatalf("trial %d: general vector %x (restored %x), first trial %x", trial, bits(v), bits(rv), want)
+		}
+	}
+}
+
+// TestCompatibleClustersNamesTheUnion ties CompatibleClusters to the union
+// it replaces on the serving path: over seeded cluster sets, a taxi is in
+// CompatibleTaxis(v) exactly when its TaxiCluster is among
+// CompatibleClusters(v).
+func TestCompatibleClustersNamesTheUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	randVec := func() geo.MobilityVector {
+		if rng.Intn(12) == 0 {
+			return vec(30.6, 104, 0, 0) // zero magnitude: compatible with nothing
+		}
+		return vec(30.5+rng.Float64()*0.2, 104+rng.Float64()*0.2, rng.Float64()*0.1-0.05, rng.Float64()*0.1-0.05)
+	}
+	for _, lambda := range []float64{0.707, 0, -1, 1} {
+		cs := New(lambda)
+		for step := 0; step < 600; step++ {
+			switch id := rng.Int63n(40); rng.Intn(5) {
+			case 0:
+				cs.RemoveTaxi(id)
+			case 1:
+				cs.AddRequest(id, randVec())
+			case 2:
+				cs.RemoveRequest(id)
+			default:
+				cs.UpdateTaxi(id, randVec())
+			}
+			if step%5 != 0 {
+				continue
+			}
+			v := randVec()
+			union := map[int64]bool{}
+			for _, id := range cs.CompatibleTaxis(v) {
+				union[id] = true
+			}
+			clusters := cs.CompatibleClusters([]ClusterID{NoCluster}, v)
+			if clusters[0] != NoCluster {
+				t.Fatal("CompatibleClusters does not append")
+			}
+			for id := int64(0); id < 40; id++ {
+				c, ok := cs.TaxiCluster(id)
+				in := false
+				for _, cc := range clusters[1:] {
+					in = in || (ok && cc == c)
+				}
+				if in != union[id] {
+					t.Fatalf("lambda %v step %d: taxi %d in cluster %d: by cluster compare %v, in the union %v", lambda, step, id, c, in, union[id])
+				}
+			}
 		}
 	}
 }

@@ -11,6 +11,9 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -63,6 +66,10 @@ type Partitioning struct {
 	// originW[p] is the fraction of historical trips originating in p —
 	// the demand prior probabilistic cruising steers idle taxis by.
 	originW []float64
+
+	// cells caches the per-cell summary of the spatial index PartitionsNear
+	// was last prepared for (see IndexCells).
+	cells atomic.Pointer[cellIndex]
 }
 
 // NumPartitions returns the number of partitions.
@@ -135,32 +142,112 @@ func (pt *Partitioning) MemoryBytes() int64 {
 	for _, tr := range pt.partTrans {
 		b += int64(len(tr))*4 + 24
 	}
+	if ci := pt.cells.Load(); ci != nil {
+		b += int64(len(ci.off)+len(ci.parts)) * 4
+	}
 	return b
+}
+
+// cellIndex summarises one spatial index's grid for PartitionsNear: the
+// distinct partitions owning a vertex of each cell. Immutable once published.
+type cellIndex struct {
+	idx   *roadnet.SpatialIndex
+	off   []int32 // row-major cell -> start of its partitions in parts; len cells+1
+	parts []ID
+}
+
+// IndexCells builds the per-cell summary PartitionsNear walks idx with, one
+// pass over the vertices. match.NewEngine and the T-Share baseline call it at
+// construction; a query through an unprepared index builds it on first use.
+func (pt *Partitioning) IndexCells(idx *roadnet.SpatialIndex) { pt.cellsFor(idx) }
+
+func (pt *Partitioning) cellsFor(idx *roadnet.SpatialIndex) *cellIndex {
+	if ci := pt.cells.Load(); ci != nil && ci.idx == idx {
+		return ci
+	}
+	ci := &cellIndex{idx: idx}
+	for cell, cols := 0, idx.Cols(); cell < idx.Rows()*cols; cell++ {
+		ci.off = append(ci.off, int32(len(ci.parts)))
+		for _, v := range idx.CellVertices(cell/cols, cell%cols) {
+			if id := pt.assign[v]; !slices.Contains(ci.parts[ci.off[cell]:], id) {
+				ci.parts = append(ci.parts, id)
+			}
+		}
+	}
+	ci.off = append(ci.off, int32(len(ci.parts)))
+	pt.cells.Store(ci)
+	return ci
+}
+
+// nearWS is the pooled scratch of one PartitionsNear walk: a generation-
+// stamped dense seen array over partition IDs and the result so far.
+type nearWS struct {
+	gen   uint32
+	stamp []uint32
+	out   []ID
+}
+
+// nearPool is shared by every partitioning in the process, so begin sizes
+// each workspace to the partition count of the one about to use it.
+var nearPool = sync.Pool{New: func() any { return new(nearWS) }}
+
+func (ws *nearWS) begin(n int) {
+	if len(ws.stamp) < n || ws.gen == math.MaxUint32 { // about to wrap: stamps from 2^32 walks ago would read as live
+		ws.stamp, ws.gen = make([]uint32, n), 0
+	}
+	ws.gen++
+	ws.out = ws.out[:0]
 }
 
 // PartitionsNear returns the distinct partitions owning at least one vertex
 // within radiusMeters of p, i.e. the partitions intersecting the search
-// disc of the candidate-taxi search (§IV-C1). The spatial index must be
-// built over the same graph.
+// disc of the candidate-taxi search (§IV-C1), in the order a grid scan of
+// the disc's vertices first meets them. The spatial index must be built
+// over the same graph.
 func (pt *Partitioning) PartitionsNear(idx *roadnet.SpatialIndex, p geo.Point, radiusMeters float64) []ID {
-	seen := make(map[ID]struct{}, 8)
-	var out []ID
-	for _, v := range idx.VerticesWithin(p, radiusMeters) {
-		id := pt.assign[v]
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			out = append(out, id)
+	return pt.AppendPartitionsNear(nil, idx, p, radiusMeters)
+}
+
+// AppendPartitionsNear is PartitionsNear appending to dst. The walk is exact
+// and does work proportional to the partitions it names, not to the disc's
+// vertices: a cell whose partitions have all been named is skipped on its
+// summary alone, and a vertex of a named partition before its distance is
+// computed. A skipped vertex could only have re-named a partition, so the
+// result and its order are those of testing every vertex.
+func (pt *Partitioning) AppendPartitionsNear(dst []ID, idx *roadnet.SpatialIndex, p geo.Point, radiusMeters float64) []ID {
+	ci := pt.cellsFor(idx)
+	ws := nearPool.Get().(*nearWS)
+	ws.begin(len(pt.parts))
+	cols := idx.Cols()
+	unnamed := func(id ID) bool { return ws.stamp[id] != ws.gen }
+	r0, r1 := idx.CellRows(p, radiusMeters)
+	for r := r0; r <= r1; r++ {
+		c0, c1 := idx.CellCols(p, radiusMeters, r)
+		for c := c0; c <= c1; c++ {
+			cell := r*cols + c
+			if !slices.ContainsFunc(ci.parts[ci.off[cell]:ci.off[cell+1]], unnamed) {
+				continue
+			}
+			for _, v := range idx.CellVertices(r, c) {
+				id := pt.assign[v]
+				if ws.stamp[id] != ws.gen && geo.Equirect(p, pt.g.Point(v)) <= radiusMeters {
+					ws.stamp[id] = ws.gen
+					ws.out = append(ws.out, id)
+				}
+			}
 		}
 	}
-	if len(out) == 0 {
+	if len(ws.out) == 0 {
 		// An empty disc (radius smaller than vertex spacing) degenerates to
 		// the partition of the nearest vertex, so a search always has at
 		// least the request's own partition.
 		if v, ok := idx.NearestVertex(p); ok {
-			out = append(out, pt.assign[v])
+			ws.out = append(ws.out, pt.assign[v])
 		}
 	}
-	return out
+	dst = append(dst, ws.out...)
+	nearPool.Put(ws)
+	return dst
 }
 
 // LandmarkVector returns the mobility vector pointing from partition a's

@@ -16,9 +16,9 @@ import "fmt"
 // partition. It is immutable and safe for concurrent use.
 type ShardMap struct {
 	shards int
-	of     []int    // partition ID -> owning shard
-	lo, hi []ID     // shard -> inclusive partition-ID range
-	verts  []int    // shard -> owned vertex count
+	of     []int // partition ID -> owning shard
+	lo, hi []ID  // shard -> inclusive partition-ID range
+	verts  []int // shard -> owned vertex count
 }
 
 // NewShardMap splits the partitioning's partitions into n contiguous

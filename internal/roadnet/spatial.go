@@ -149,25 +149,66 @@ func (idx *SpatialIndex) NearestVertex(p geo.Point) (VertexID, bool) {
 	return best, best != Invalid
 }
 
+// CellRows returns the inclusive range of grid rows a radius query around p
+// scans, clipped to the grid; it is empty (r0 > r1) when radiusMeters is not
+// positive. Walking rows r0..r1 and, in each, the columns of CellCols in
+// ascending order is the grid scan order of VerticesWithin.
+func (idx *SpatialIndex) CellRows(p geo.Point, radiusMeters float64) (r0, r1 int) {
+	if radiusMeters <= 0 {
+		return 0, -1
+	}
+	dr := int(radiusMeters/(idx.cellLat*idx.metersLat)) + 1
+	pr := int((p.Lat - idx.minLat) / idx.cellLat)
+	return max(pr-dr, 0), min(pr+dr, idx.rows-1)
+}
+
+// CellCols returns the inclusive range of columns of one row that a radius
+// query around p scans, clipped to the grid: every cell of the row holding a
+// vertex v with geo.Equirect(p, v) <= radiusMeters lies in it, so the scan
+// covers the disc rather than its bounding square. It may be empty.
+//
+// The bound is conservative. A vertex of the row differs from p in latitude
+// by at least the gap between p and the row's band; Equirect scales the
+// longitude difference by the cosine of the mean latitude, which over the
+// band is at least its value at the end farther from the equator; and every
+// comparison is padded (slack, in degrees, is ~0.1 mm) by far more than the
+// rounding of cellOf's divisions and of Equirect itself.
+func (idx *SpatialIndex) CellCols(p geo.Point, radiusMeters float64, row int) (c0, c1 int) {
+	const slack = 1e-9
+	lo := idx.minLat + float64(row)*idx.cellLat
+	hi := lo + idx.cellLat
+	gap := math.Max(math.Max(lo-p.Lat, p.Lat-hi)-slack, 0)
+	rho := radiusMeters / idx.metersLat * (1 + slack) // the radius in degrees of latitude
+	if gap > rho {
+		return 0, -1
+	}
+	c0, c1 = 0, idx.cols-1
+	farLat := math.Max(math.Abs(p.Lat+lo), math.Abs(p.Lat+hi))/2 + slack
+	if farLat >= 90 {
+		return c0, c1
+	}
+	w := math.Sqrt(rho*rho-gap*gap)/(math.Cos(farLat*math.Pi/180)*(1-slack)) + slack
+	if lng := (p.Lng - w - idx.minLng) / idx.cellLng; lng > 0 {
+		c0 = int(lng)
+	}
+	if lng := (p.Lng + w - idx.minLng) / idx.cellLng; lng < float64(c1) {
+		c1 = int(lng)
+	}
+	return c0, c1
+}
+
+// CellVertices returns the vertices of the grid cell at (row, col) in
+// ascending ID order. The slice must not be modified.
+func (idx *SpatialIndex) CellVertices(row, col int) []VertexID { return idx.cells[row*idx.cols+col] }
+
 // VerticesWithin returns all vertices within radiusMeters of p. The result
 // order is deterministic (grid scan order).
 func (idx *SpatialIndex) VerticesWithin(p geo.Point, radiusMeters float64) []VertexID {
-	if radiusMeters <= 0 {
-		return nil
-	}
-	dr := int(radiusMeters/(idx.cellLat*idx.metersLat)) + 1
-	dc := int(radiusMeters/(idx.cellLng*idx.metersLng)) + 1
-	pr := int((p.Lat - idx.minLat) / idx.cellLat)
-	pc := int((p.Lng - idx.minLng) / idx.cellLng)
+	r0, r1 := idx.CellRows(p, radiusMeters)
 	var out []VertexID
-	for r := pr - dr; r <= pr+dr; r++ {
-		if r < 0 || r >= idx.rows {
-			continue
-		}
-		for c := pc - dc; c <= pc+dc; c++ {
-			if c < 0 || c >= idx.cols {
-				continue
-			}
+	for r := r0; r <= r1; r++ {
+		c0, c1 := idx.CellCols(p, radiusMeters, r)
+		for c := c0; c <= c1; c++ {
 			for _, v := range idx.cells[r*idx.cols+c] {
 				if geo.Equirect(p, idx.g.Point(v)) <= radiusMeters {
 					out = append(out, v)

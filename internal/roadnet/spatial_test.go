@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -98,6 +99,50 @@ func TestVerticesWithinMatchesBruteForce(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("VerticesWithin mismatch at %d: %d vs %d", j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestCellColsCoversTheDisc holds the disc-shaped scan (CellRows x CellCols)
+// to the brute-force radius query where its conservative bound is tightest:
+// radii exactly equal to some vertex's distance (that vertex sits on the
+// disc's rim and must be found), radii below the vertex spacing, centres
+// outside the grid, and a graph near the pole where longitude cells shrink.
+func TestCellColsCoversTheDisc(t *testing.T) {
+	city, err := GenerateCity(DefaultCityParams(12, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	polar := NewGraph(0)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		polar.AddVertex(geo.Point{Lat: 88.9 + rng.Float64()*0.2, Lng: 10 + rng.Float64()*3})
+	}
+	for name, g := range map[string]*Graph{"city": city, "polar": polar} {
+		for _, cell := range []float64{60, 180, 700} {
+			idx := NewSpatialIndex(g, cell)
+			min, max := g.Bounds()
+			for i := 0; i < 300; i++ {
+				p := geo.Point{
+					Lat: min.Lat + (rng.Float64()*1.6-0.3)*(max.Lat-min.Lat),
+					Lng: min.Lng + (rng.Float64()*1.6-0.3)*(max.Lng-min.Lng),
+				}
+				radius := []float64{1, 50, 400, 2500}[i%4] * (0.5 + rng.Float64())
+				if i%3 == 0 {
+					radius = geo.Equirect(p, g.Point(VertexID(rng.Intn(g.NumVertices()))))
+				}
+				got := idx.VerticesWithin(p, radius)
+				sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+				var want []VertexID
+				for v := 0; v < g.NumVertices(); v++ {
+					if geo.Equirect(p, g.Point(VertexID(v))) <= radius {
+						want = append(want, VertexID(v))
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %v m cells: VerticesWithin(%v, %v) found %d vertices, brute force %d", name, cell, p, radius, len(got), len(want))
+				}
 			}
 		}
 	}

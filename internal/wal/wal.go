@@ -139,15 +139,15 @@ type Log struct {
 	opts Options
 	dir  string
 
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	segments []segment
-	segBytes int64 // bytes in the active segment
-	records  int64 // valid records across all segments
-	appended int64 // framed bytes appended (all segments)
-	dirty    int   // appends since the last fsync
-	syncs    int64
+	mu             sync.Mutex
+	f              *os.File
+	w              *bufio.Writer
+	segments       []segment
+	segBytes       int64 // bytes in the active segment
+	records        int64 // valid records across all segments
+	appended       int64 // framed bytes appended (all segments)
+	dirty          int   // appends since the last fsync
+	syncs          int64
 	rotations      int64
 	truncatedBytes int64
 	lastSyncNanos  int64

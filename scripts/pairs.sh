@@ -19,6 +19,10 @@
 # differ by more than the parent's Q3-Q1 (choosing-metrics, section 8). The
 # last stdout line is the same table as one JSON object (BENCH_<pr>.json is
 # made of these). Raw per-run results stay in $PAIRS_DIR/<workload>.*.jsonl.
+#
+# Pairs only run --trace 0. Before submitting, also run scripts/benchsmoke.sh:
+# it runs bench/'s own tests, every workload and every traced run on the
+# committed tree, which is where a `run_failed` shows first.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
