@@ -8,19 +8,17 @@
 //
 //	mtshare-server [-addr :8080] [-rows 28] [-cols 28] [-taxis 50] [-speedup 20]
 //	               [-queue N] [-queue-retry N] [-batch-assign]
-//	               [-shards N] [-border twophase|local]
 //	               [-parallelism N] [-trace-sample N] [-pprof]
 //	               [-wal-dir DIR] [-wal-sync-every N] [-wal-sync-interval D]
 //	               [-snapshot-every N] [-manual-clock]
 //
-// Endpoints (versioned under /v1/; the /api/ aliases are deprecated):
+// Endpoints (all under /v1/; any other path answers 404 not_found):
 //
 //	POST /v1/taxis     {"lat":..,"lng":..,"capacity":3}        -> {"id":..}
 //	GET  /v1/taxis                                             -> fleet status
 //	POST /v1/requests  {"pickup":{...},"dropoff":{...},"rho":1.3} -> assignment
 //	GET  /v1/requests?id=N                                     -> request status
 //	GET  /v1/queue                                             -> pending-queue stats
-//	GET  /v1/shards                                            -> per-shard territory stats
 //	GET  /v1/stats                                             -> engine statistics
 //	GET  /v1/slo                                               -> per-route latency quantiles + admission state
 //	GET  /v1/metrics                                           -> Prometheus text metrics
@@ -48,7 +46,6 @@ import (
 	"os"
 	"strconv"
 
-	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -65,9 +62,7 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "pending-queue capacity: park unserved requests and retry until their deadline (0 = reject immediately)")
 	queueRetry := flag.Int("queue-retry", 1, "retry the pending queue every N simulation ticks")
 	batchAssign := flag.Bool("batch-assign", false, "run queue retry rounds as a global min-cost assignment instead of greedy deadline-order commits")
-	shards := flag.Int("shards", 0, "shard the dispatcher into N territory-owning engines (0 or 1 = single engine)")
-	border := flag.String("border", "", "border candidate policy for sharded dispatch: twophase (default) or local")
-	parallelism := flag.Int("parallelism", 0, "dispatcher worker count per dispatch (0 = default)")
+	parallelism := flag.Int("parallelism", 0, "engine worker count per dispatch (0 = default)")
 	traceSample := flag.Int("trace-sample", 0, "log the span tree of one in N dispatches (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory: record every event durably and recover state on restart (empty disables)")
@@ -85,7 +80,6 @@ func main() {
 		Speedup: *speedup, Seed: *seed,
 		QueueDepth: *queueDepth, RetryEveryTicks: *queueRetry,
 		BatchAssign: *batchAssign,
-		Sharding:    match.ShardingConfig{Shards: *shards, BorderPolicy: *border},
 		Parallelism: *parallelism,
 		ManualClock: *manualClock,
 		MaxInFlight: *maxInFlight, AdmissionQueue: *admissionQueue,
@@ -128,11 +122,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	engine := "single engine"
-	if cfg.Sharding.Enabled() {
-		engine = fmt.Sprintf("%d shards, %s borders", *shards, cfg.Sharding.Policy())
-	}
-	log.Printf("mT-Share dispatch service on %s (city %dx%d, %d taxis, %gx clock, %s)",
-		*addr, *rows, *cols, *taxis, *speedup, engine)
+	log.Printf("mT-Share dispatch service on %s (city %dx%d, %d taxis, %gx clock)",
+		*addr, *rows, *cols, *taxis, *speedup)
 	log.Fatal(http.ListenAndServe(*addr, mux))
 }

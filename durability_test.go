@@ -13,7 +13,7 @@ import (
 )
 
 // durableBaseOptions is the small world every durability test runs in.
-func durableBaseOptions(shards, parallelism int) Options {
+func durableBaseOptions(parallelism int) Options {
 	return Options{
 		SyntheticCityRows: 8,
 		SyntheticCityCols: 8,
@@ -21,7 +21,6 @@ func durableBaseOptions(shards, parallelism int) Options {
 		QueueDepth:        8,
 		RetryEveryTicks:   1,
 		Parallelism:       parallelism,
-		Sharding:          ShardingOptions{Shards: shards},
 	}
 }
 
@@ -84,8 +83,7 @@ func asJSON(t *testing.T, v any) string {
 }
 
 // TestDurableCrashRecoveryMatrix is the in-process crash matrix: for
-// shard counts 1 and 2, dispatch parallelism 1 and 2, and three
-// seeded crash points each, a WAL-enabled system is abandoned mid-run
+// dispatch parallelism 1 and 2, and three seeded crash points each, a WAL-enabled system is abandoned mid-run
 // (never Closed — the in-process equivalent of kill -9, with SyncEvery=1
 // so every committed record reached disk), reopened, and the recovered
 // state compared byte for byte against the state the abandoned system
@@ -94,75 +92,70 @@ func asJSON(t *testing.T, v any) string {
 // and final states must also match exactly.
 func TestDurableCrashRecoveryMatrix(t *testing.T) {
 	const totalOps = 36
-	for _, shards := range []int{0, 2} {
-		for _, parallelism := range []int{1, 2} {
-			crashPoints := replay.CrashPoints(int64(shards*10+parallelism), 3, totalOps-4)
-			if len(crashPoints) != 3 {
-				t.Fatalf("want 3 crash points, got %v", crashPoints)
-			}
-			for _, cp := range crashPoints {
-				name := map[bool]string{true: "sharded"}[shards > 1]
-				t.Run(asJSON(t, map[string]any{"shards": shards, "par": parallelism, "crash": cp}), func(t *testing.T) {
-					_ = name
-					opts := durableBaseOptions(shards, parallelism)
-					opts.Durability = DurabilityOptions{
-						Dir:                t.TempDir(),
-						SyncEvery:          1,
-						SnapshotEveryTicks: 3,
-					}
-					crashed, err := New(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prefix := drive(crashed, 0, int(cp))
+	for _, parallelism := range []int{1, 2} {
+		// Seed parallelism keeps the crash points of the cells CI has
+		// always run.
+		crashPoints := replay.CrashPoints(int64(parallelism), 3, totalOps-4)
+		if len(crashPoints) != 3 {
+			t.Fatalf("want 3 crash points, got %v", crashPoints)
+		}
+		for _, cp := range crashPoints {
+			t.Run(asJSON(t, map[string]any{"par": parallelism, "crash": cp}), func(t *testing.T) {
+				opts := durableBaseOptions(parallelism)
+				opts.Durability = DurabilityOptions{
+					Dir:                t.TempDir(),
+					SyncEvery:          1,
+					SnapshotEveryTicks: 3,
+				}
+				crashed, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix := drive(crashed, 0, int(cp))
 
-					// The control never crashes and never records.
-					ctl, err := New(durableBaseOptions(shards, parallelism))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got, want := asJSON(t, drive(ctl, 0, int(cp))), asJSON(t, prefix); got != want {
-						t.Fatalf("control prefix diverged before any crash:\n got %s\nwant %s", got, want)
-					}
+				// The control never crashes and never records.
+				ctl, err := New(durableBaseOptions(parallelism))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := asJSON(t, drive(ctl, 0, int(cp))), asJSON(t, prefix); got != want {
+					t.Fatalf("control prefix diverged before any crash:\n got %s\nwant %s", got, want)
+				}
 
-					// State of the "dead" process, captured for the diff
-					// before the recovering process touches the files.
-					want := crashed.captureSnapshot()
+				// State of the "dead" process, captured for the diff
+				// before the recovering process touches the files.
+				want := crashed.captureSnapshot()
 
-					recovered, err := New(opts)
-					if err != nil {
-						t.Fatalf("recovery: %v", err)
-					}
-					defer recovered.Close()
-					got := recovered.captureSnapshot()
-					if g, w := asJSON(t, got), asJSON(t, want); g != w {
-						t.Fatalf("recovered state differs from crashed state:\n got %s\nwant %s", g, w)
-					}
-					if g, w := asJSON(t, recovered.Stats()), asJSON(t, crashed.Stats()); g != w {
-						t.Fatalf("Stats differ: got %s want %s", g, w)
-					}
-					if g, w := asJSON(t, recovered.ShardStats()), asJSON(t, crashed.ShardStats()); g != w {
-						t.Fatalf("ShardStats differ: got %s want %s", g, w)
-					}
-					if g, w := asJSON(t, recovered.QueueStats()), asJSON(t, crashed.QueueStats()); g != w {
-						t.Fatalf("QueueStats differ: got %s want %s", g, w)
-					}
+				recovered, err := New(opts)
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				defer recovered.Close()
+				got := recovered.captureSnapshot()
+				if g, w := asJSON(t, got), asJSON(t, want); g != w {
+					t.Fatalf("recovered state differs from crashed state:\n got %s\nwant %s", g, w)
+				}
+				if g, w := asJSON(t, recovered.Stats()), asJSON(t, crashed.Stats()); g != w {
+					t.Fatalf("Stats differ: got %s want %s", g, w)
+				}
+				if g, w := asJSON(t, recovered.QueueStats()), asJSON(t, crashed.QueueStats()); g != w {
+					t.Fatalf("QueueStats differ: got %s want %s", g, w)
+				}
 
-					// The recovered system and the control must now produce
-					// identical event streams for the same suffix.
-					outRec := drive(recovered, int(cp), totalOps)
-					outCtl := drive(ctl, int(cp), totalOps)
-					if g, w := asJSON(t, outRec), asJSON(t, outCtl); g != w {
-						t.Fatalf("post-recovery event stream diverged:\n got %s\nwant %s", g, w)
-					}
-					finalRec := recovered.captureSnapshot()
-					finalCtl := ctl.captureSnapshot()
-					finalRec.Header = nil // the control has no WAL header
-					if g, w := asJSON(t, finalRec), asJSON(t, finalCtl); g != w {
-						t.Fatalf("final state diverged:\n got %s\nwant %s", g, w)
-					}
-				})
-			}
+				// The recovered system and the control must now produce
+				// identical event streams for the same suffix.
+				outRec := drive(recovered, int(cp), totalOps)
+				outCtl := drive(ctl, int(cp), totalOps)
+				if g, w := asJSON(t, outRec), asJSON(t, outCtl); g != w {
+					t.Fatalf("post-recovery event stream diverged:\n got %s\nwant %s", g, w)
+				}
+				finalRec := recovered.captureSnapshot()
+				finalCtl := ctl.captureSnapshot()
+				finalRec.Header = nil // the control has no WAL header
+				if g, w := asJSON(t, finalRec), asJSON(t, finalCtl); g != w {
+					t.Fatalf("final state diverged:\n got %s\nwant %s", g, w)
+				}
+			})
 		}
 	}
 }
@@ -171,7 +164,7 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 // closed WAL reopens with the counters seal verified, and an empty
 // directory starts a fresh log.
 func TestDurableFreshAndSealedReopen(t *testing.T) {
-	opts := durableBaseOptions(0, 1)
+	opts := durableBaseOptions(1)
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -206,7 +199,7 @@ func TestDurableFreshAndSealedReopen(t *testing.T) {
 // different options.
 func TestDurableHeaderMismatch(t *testing.T) {
 	dir := t.TempDir()
-	opts := durableBaseOptions(0, 1)
+	opts := durableBaseOptions(1)
 	opts.Durability = DurabilityOptions{Dir: dir, SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -229,7 +222,7 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-event recovery timing")
 	}
-	opts := durableBaseOptions(0, 0)
+	opts := durableBaseOptions(0)
 	opts.QueueDepth = 0
 	opts.RetryEveryTicks = 0
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 64}
@@ -274,7 +267,7 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 // TestDurableSnapshotPrunesReplay proves snapshots actually shorten
 // recovery: with a snapshot cadence, reopening replays only the tail.
 func TestDurableSnapshotPrunesReplay(t *testing.T) {
-	opts := durableBaseOptions(0, 1)
+	opts := durableBaseOptions(1)
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1, SnapshotEveryTicks: 2}
 	s, err := New(opts)
 	if err != nil {
@@ -313,7 +306,7 @@ func TestWALDispatchOverhead(t *testing.T) {
 	run := func(withWAL bool) time.Duration {
 		best := time.Duration(1<<62 - 1)
 		for rep := 0; rep < 3; rep++ {
-			opts := durableBaseOptions(0, 0)
+			opts := durableBaseOptions(0)
 			if withWAL {
 				opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 64, SnapshotEveryTicks: 64}
 			}
@@ -350,7 +343,7 @@ var _ = wal.Options{} // keep the import for the DurabilityOptions alias
 // resurrecting phantom state.
 func TestDurableRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 	dir := t.TempDir()
-	opts := durableBaseOptions(0, 1)
+	opts := durableBaseOptions(1)
 	opts.Durability = DurabilityOptions{Dir: dir, SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -385,7 +378,7 @@ func TestDurableRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 // the durability error instead of a clean ack, and the system refuses
 // everything after with ErrShutdown.
 func TestDurableWALFailureStopsAcks(t *testing.T) {
-	opts := durableBaseOptions(0, 1)
+	opts := durableBaseOptions(1)
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {

@@ -41,7 +41,7 @@ func main() {
 			Lng float64 `json:"lng"`
 		} `json:"position"`
 	}
-	getJSON(ts.URL+"/api/taxis", &taxis)
+	getJSON(ts.URL+"/v1/taxis", &taxis)
 	fmt.Printf("fleet: %d taxis on duty\n", len(taxis))
 	anchor := taxis[0]
 
@@ -51,7 +51,7 @@ func main() {
 		Served bool  `json:"served"`
 		TaxiID int64 `json:"taxi_id"`
 	}
-	postJSON(ts.URL+"/api/requests", map[string]interface{}{
+	postJSON(ts.URL+"/v1/requests", map[string]interface{}{
 		"pickup":  map[string]float64{"lat": anchor.Position.Lat, "lng": anchor.Position.Lng},
 		"dropoff": map[string]float64{"lat": anchor.Position.Lat + 0.01, "lng": anchor.Position.Lng + 0.01},
 		"rho":     1.6,
@@ -67,7 +67,7 @@ func main() {
 		Served bool  `json:"served"`
 		TaxiID int64 `json:"taxi_id"`
 	}
-	postJSON(ts.URL+"/api/hails", map[string]interface{}{
+	postJSON(ts.URL+"/v1/hails", map[string]interface{}{
 		"taxi_id": resp.TaxiID,
 		"pickup":  map[string]float64{"lat": anchor.Position.Lat + 0.002, "lng": anchor.Position.Lng + 0.002},
 		"dropoff": map[string]float64{"lat": anchor.Position.Lat + 0.009, "lng": anchor.Position.Lng + 0.009},
@@ -83,7 +83,7 @@ func main() {
 			PickedUp  bool    `json:"picked_up"`
 			Fare      float64 `json:"fare_estimate"`
 		}
-		getJSON(fmt.Sprintf("%s/api/requests?id=%d", ts.URL, resp.ID), &st)
+		getJSON(fmt.Sprintf("%s/v1/requests?id=%d", ts.URL, resp.ID), &st)
 		if st.Delivered {
 			fmt.Printf("request %d delivered, fare %.2f\n", resp.ID, st.Fare)
 			break
@@ -92,7 +92,7 @@ func main() {
 	}
 
 	var stats map[string]interface{}
-	getJSON(ts.URL+"/api/stats", &stats)
+	getJSON(ts.URL+"/v1/stats", &stats)
 	fmt.Printf("stats: sim_seconds=%.0f served=%v dispatches=%v cruise_plans=%v\n",
 		stats["sim_seconds"], stats["served"], stats["dispatches"], stats["cruise_plans"])
 }

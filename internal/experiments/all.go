@@ -39,7 +39,6 @@ func All() []Experiment {
 		{"ablate-queue", (*Lab).AblationQueue},
 		{"ablate-landmark", (*Lab).AblationLandmark},
 		{"ablate-ch", (*Lab).AblationCH},
-		{"ablate-shard", (*Lab).AblationShard},
 		{"ablate-batch-assign", (*Lab).AblationBatchAssign},
 		{"ablate-surge", (*Lab).AblationSurge},
 		{"ablate-hotspot", (*Lab).AblationHotspot},

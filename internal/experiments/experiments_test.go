@@ -437,8 +437,8 @@ func TestAblationCH(t *testing.T) {
 // TestAblationBatchAssign pins the tentpole claim the same way: the
 // experiment hard-errors unless the global solver serves at least as
 // many requests as greedy on both fleets (strictly more on the saturated
-// one) with bit-identical records across every shards x parallelism
-// cell, so a passing run IS the claim. Here we additionally require both
+// one) with bit-identical records across every parallelism cell, so a
+// passing run IS the claim. Here we additionally require both
 // schemes present, solver activity confined to the global rows, and at
 // least one contested (non-fallback) round.
 func TestAblationBatchAssign(t *testing.T) {
@@ -447,28 +447,28 @@ func TestAblationBatchAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 greedy rows + (1 + 9 + 1) global cells across the cadence sweep.
-	if len(r.Rows) != 14 {
-		t.Fatalf("rows = %d, want 14", len(r.Rows))
+	// 3 greedy rows + (1 + 3 + 1) global cells across the cadence sweep.
+	if len(r.Rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(r.Rows))
 	}
 	greedy, global := 0, 0
 	for _, row := range r.Rows {
 		switch row[1] {
 		case "greedy":
 			greedy++
-			if row[8] != "0" {
+			if row[7] != "0" {
 				t.Fatalf("greedy row ran solver rounds: %v", row)
 			}
 		case "global":
 			global++
-			if row[8] == "0" {
+			if row[7] == "0" {
 				t.Fatalf("global row never ran a solver round: %v", row)
 			}
 		default:
 			t.Fatalf("unknown scheme %q in row %v", row[1], row)
 		}
 	}
-	if greedy != 3 || global != 11 {
-		t.Fatalf("rows split %d greedy / %d global, want 3/11", greedy, global)
+	if greedy != 3 || global != 5 {
+		t.Fatalf("rows split %d greedy / %d global, want 3/5", greedy, global)
 	}
 }

@@ -657,116 +657,6 @@ func (l *Lab) AblationCH() (*Result, error) {
 	return r, nil
 }
 
-// AblationShard A/B-tests the sharded dispatcher: splitting the map
-// across N independent per-territory engines with deterministic
-// two-phase border resolution must not change a single outcome relative
-// to the single-engine build. The experiment *enforces* that across
-// shards 1, 2 and 4 at parallelism 1, 2 and 4 — served and rejected
-// counts must match in every cell, and every per-request record
-// (served/queued/expired flags plus the Float64bits of the
-// assign/pickup/dropoff times) must be bit-identical to the shards=1
-// baseline. Any divergence is a hard error: a border race or an
-// order-dependent reduction cannot hide in a table. The pending queue is
-// enabled so the sharded per-shard queue group is gated too, and a
-// vacuousness guard requires the sharded cells to have actually
-// evaluated cross-shard border candidates.
-func (l *Lab) AblationShard() (*Result, error) {
-	r := &Result{
-		ID: "ablate-shard", Title: "Sharded dispatcher vs single engine (peak, mT-Share)",
-		Header: []string{"shards", "parallelism", "served", "rejected", "x-candidates", "x-assignments", "border conflicts", "handoffs"},
-		Notes: []string{
-			"sharding is outcome-neutral by construction: every cell must agree on served/rejected counts and on every per-request outcome record, bit for bit",
-		},
-	}
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, err
-	}
-	win := PeakWindow()
-	start := win.From.Seconds()
-	var (
-		baseSigs            []chRecordSig
-		baseServed, baseRej int
-		haveBase            bool
-		crossTotal          int64
-	)
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 2, 4} {
-			cfg := match.DefaultConfig()
-			cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-			cfg.Parallelism = par
-			cfg.Sharding = match.ShardingConfig{Shards: shards}
-			cfg.CH = l.World.CH(par)
-			eng, err := match.NewDispatcher(pt, l.World.Spx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			scheme := match.NewScheme(eng, false)
-			params := sim.DefaultParams()
-			params.Parallelism = par
-			params.QueueDepth = 64
-			params.Sharding = cfg.Sharding
-			se, err := sim.NewEngine(l.World.G, scheme, params)
-			if err != nil {
-				return nil, err
-			}
-			se.PlaceTaxis(l.World.Scale.DefaultTaxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
-			reqs := l.World.Requests(win, l.World.Scale.Rho, 0)
-			m := se.Run(reqs, start)
-			sigs := make([]chRecordSig, len(m.Records))
-			for i, rec := range m.Records {
-				sigs[i] = chRecordSig{
-					ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
-					Assign:  math.Float64bits(rec.AssignSeconds),
-					Pickup:  math.Float64bits(rec.PickupSeconds),
-					Dropoff: math.Float64bits(rec.DropoffSeconds),
-				}
-			}
-			served, rejected := m.Served, m.Requests-m.Served
-			if !haveBase {
-				baseSigs, baseServed, baseRej, haveBase = sigs, served, rejected, true
-			} else {
-				if served != baseServed || rejected != baseRej {
-					return nil, fmt.Errorf("experiments: ablate-shard parity broken: shards=%d parallelism=%d served/rejected %d/%d, expected %d/%d — sharding changed a dispatch outcome",
-						shards, par, served, rejected, baseServed, baseRej)
-				}
-				if len(sigs) != len(baseSigs) {
-					return nil, fmt.Errorf("experiments: ablate-shard parity broken: shards=%d parallelism=%d produced %d records, expected %d",
-						shards, par, len(sigs), len(baseSigs))
-				}
-				for i := range sigs {
-					if sigs[i] != baseSigs[i] {
-						return nil, fmt.Errorf("experiments: ablate-shard schedule divergence: shards=%d parallelism=%d record %d (request %d) differs from the single-engine baseline — the border protocol altered an outcome",
-							shards, par, i, sigs[i].ID)
-					}
-				}
-			}
-			var xc, xa, bc, ho int64
-			for _, sh := range eng.ShardStats() {
-				xc += sh.CrossShardCandidates
-				xa += sh.CrossShardAssignments
-				bc += sh.BorderConflicts
-				ho += sh.Handoffs
-			}
-			if shards == 1 && xc+xa+bc+ho != 0 {
-				return nil, fmt.Errorf("experiments: ablate-shard: single engine reported cross-shard traffic (%d/%d/%d/%d)", xc, xa, bc, ho)
-			}
-			if shards > 1 {
-				crossTotal += xc
-			}
-			r.Rows = append(r.Rows, []string{
-				fi(shards), fi(par), fi(served), fi(rejected),
-				fi(int(xc)), fi(int(xa)), fi(int(bc)), fi(int(ho)),
-			})
-		}
-	}
-	if crossTotal == 0 {
-		return nil, fmt.Errorf("experiments: ablate-shard never evaluated a cross-shard candidate — the border protocol is untested on this workload")
-	}
-	r.Notes = append(r.Notes, fmt.Sprintf("parity held: every cell served %d and rejected %d with byte-identical schedules", baseServed, baseRej))
-	return r, nil
-}
-
 // AblationBatchAssign A/B-tests the global min-cost batch assignment
 // against the greedy (deadline, ID) re-dispatch order on the pending
 // queue's retry rounds — the paper's peak-hour saturation setting, where
@@ -783,7 +673,7 @@ func (l *Lab) AblationShard() (*Result, error) {
 // on the same stream (hard error in every cell), must serve strictly
 // more at the most contested cadence, and its outcomes must be
 // bit-identical (per-request records, Float64bits of
-// assign/pickup/dropoff) across shards 1/2/4 × parallelism 1/2/4.
+// assign/pickup/dropoff) across parallelism 1/2/4.
 // Vacuousness guards require the solver to have actually run contested
 // (non-fallback) assignment rounds and the greedy cells to report zero
 // solver activity.
@@ -792,7 +682,7 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	const rho = 1.8
 	r := &Result{
 		ID: "ablate-batch-assign", Title: fmt.Sprintf("Global min-cost batch assignment vs greedy re-dispatch order (peak, mT-Share, %d taxis, rho %.1f)", taxis, rho),
-		Header: []string{"retry ticks", "scheme", "shards", "parallelism", "served", "from queue", "expired in queue", "mean detour (min)", "assign rounds", "contested", "remainder"},
+		Header: []string{"retry ticks", "scheme", "parallelism", "served", "from queue", "expired in queue", "mean detour (min)", "assign rounds", "contested", "remainder"},
 		Notes: []string{
 			"greedy retries the pending queue in (deadline, ID) order; global solves each retry round as one min-cost request-taxi assignment with deterministic (cost, request, taxi) tie-breaks",
 			"rho 1.8 widens the pickup window past the retry cadence so parked requests survive into contested rounds — the saturation regime the solver exists for",
@@ -804,14 +694,13 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	}
 	win := PeakWindow()
 	start := win.From.Seconds()
-	run := func(global bool, retry, shards, par int) (*sim.Metrics, match.EngineStats, error) {
+	run := func(global bool, retry, par int) (*sim.Metrics, match.EngineStats, error) {
 		cfg := match.DefaultConfig()
 		cfg.SearchRangeMeters = l.World.Scale.GammaMeters
 		cfg.Parallelism = par
 		cfg.BatchAssign = global
-		cfg.Sharding = match.ShardingConfig{Shards: shards}
 		cfg.CH = l.World.CH(par)
-		eng, err := match.NewDispatcher(pt, l.World.Spx, cfg)
+		eng, err := match.NewEngine(pt, l.World.Spx, cfg)
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}
@@ -821,22 +710,17 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 		params.QueueDepth = 64
 		params.RetryEveryTicks = retry
 		params.BatchAssign = global
-		params.Sharding = cfg.Sharding
 		se, err := sim.NewEngine(l.World.G, scheme, params)
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}
 		se.PlaceTaxis(taxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
 		m := se.Run(l.World.Requests(win, rho, 0), start)
-		var agg match.EngineStats
-		for _, sh := range eng.ShardStats() {
-			agg.Add(sh.Engine)
-		}
-		return m, agg, nil
+		return m, eng.Stats(), nil
 	}
-	row := func(retry int, scheme string, shards, par int, m *sim.Metrics, st match.EngineStats) {
+	row := func(retry int, scheme string, par int, m *sim.Metrics, st match.EngineStats) {
 		r.Rows = append(r.Rows, []string{
-			fi(retry), scheme, fi(shards), fi(par),
+			fi(retry), scheme, fi(par),
 			fi(m.Served), fi(m.ServedFromQueue), fi(m.ExpiredInQueue), f2(m.MeanDetourMin),
 			fi(int(st.BatchAssignRounds)), fi(int(st.BatchAssignRounds - st.BatchAssignFallbacks)), fi(int(st.BatchAssignRemainder)),
 		})
@@ -845,24 +729,24 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	for _, cell := range []struct {
 		retry  int
 		strict bool // require global strictly ahead of greedy
-		sweep  bool // gate bit-identity across shard x parallelism cells
+		sweep  bool // gate bit-identity across parallelism cells
 	}{
 		{retry: 2},
 		{retry: 4, strict: true, sweep: true},
 		{retry: 8},
 	} {
-		gm, gs, err := run(false, cell.retry, 1, 1)
+		gm, gs, err := run(false, cell.retry, 1)
 		if err != nil {
 			return nil, err
 		}
 		if gs.BatchAssignRounds != 0 || gs.BatchAssignOptions != 0 {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: greedy cell ran %d solver rounds — the BatchAssign knob leaks", gs.BatchAssignRounds)
 		}
-		row(cell.retry, "greedy", 1, 1, gm, gs)
+		row(cell.retry, "greedy", 1, gm, gs)
 
-		shardCells, parCells := []int{1}, []int{1}
+		parCells := []int{1}
 		if cell.sweep {
-			shardCells, parCells = []int{1, 2, 4}, []int{1, 2, 4}
+			parCells = []int{1, 2, 4}
 		}
 		var (
 			baseSigs   []chRecordSig
@@ -870,41 +754,31 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 			baseStats  match.EngineStats
 			haveGlobal bool
 		)
-		for _, shards := range shardCells {
-			for _, par := range parCells {
-				m, st, err := run(true, cell.retry, shards, par)
-				if err != nil {
-					return nil, err
-				}
-				sigs := make([]chRecordSig, len(m.Records))
-				for i, rec := range m.Records {
-					sigs[i] = chRecordSig{
-						ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
-						Assign:  math.Float64bits(rec.AssignSeconds),
-						Pickup:  math.Float64bits(rec.PickupSeconds),
-						Dropoff: math.Float64bits(rec.DropoffSeconds),
-					}
-				}
-				if !haveGlobal {
-					baseSigs, baseM, baseStats, haveGlobal = sigs, m, st, true
-				} else {
-					if len(sigs) != len(baseSigs) {
-						return nil, fmt.Errorf("experiments: ablate-batch-assign parity broken: retry=%d shards=%d parallelism=%d produced %d records, expected %d",
-							cell.retry, shards, par, len(sigs), len(baseSigs))
-					}
-					for i := range sigs {
-						if sigs[i] != baseSigs[i] {
-							return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d shards=%d parallelism=%d record %d (request %d) differs — the solver is not deterministic across topologies",
-								cell.retry, shards, par, i, sigs[i].ID)
-						}
-					}
-					if st.BatchAssignRounds != baseStats.BatchAssignRounds || st.BatchAssignFallbacks != baseStats.BatchAssignFallbacks {
-						return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d shards=%d parallelism=%d ran %d rounds (%d fallbacks), expected %d (%d)",
-							cell.retry, shards, par, st.BatchAssignRounds, st.BatchAssignFallbacks, baseStats.BatchAssignRounds, baseStats.BatchAssignFallbacks)
-					}
-				}
-				row(cell.retry, "global", shards, par, m, st)
+		for _, par := range parCells {
+			m, st, err := run(true, cell.retry, par)
+			if err != nil {
+				return nil, err
 			}
+			sigs := workloadSigs(m)
+			if !haveGlobal {
+				baseSigs, baseM, baseStats, haveGlobal = sigs, m, st, true
+			} else {
+				if len(sigs) != len(baseSigs) {
+					return nil, fmt.Errorf("experiments: ablate-batch-assign parity broken: retry=%d parallelism=%d produced %d records, expected %d",
+						cell.retry, par, len(sigs), len(baseSigs))
+				}
+				for i := range sigs {
+					if sigs[i] != baseSigs[i] {
+						return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d parallelism=%d record %d (request %d) differs — the solver is not deterministic across parallelism",
+							cell.retry, par, i, sigs[i].ID)
+					}
+				}
+				if st.BatchAssignRounds != baseStats.BatchAssignRounds || st.BatchAssignFallbacks != baseStats.BatchAssignFallbacks {
+					return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d parallelism=%d ran %d rounds (%d fallbacks), expected %d (%d)",
+						cell.retry, par, st.BatchAssignRounds, st.BatchAssignFallbacks, baseStats.BatchAssignRounds, baseStats.BatchAssignFallbacks)
+				}
+			}
+			row(cell.retry, "global", par, m, st)
 		}
 		if baseStats.BatchAssignRounds == 0 {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: retry=%d never ran an assignment round — the queue never batched", cell.retry)

@@ -70,13 +70,6 @@ type Scenario struct {
 	// mT-Share engines (the ablate-ch experiment); cold routing queries
 	// fall back to bidirectional Dijkstra. Exact either way.
 	DisableCH bool
-	// Shards splits the mT-Share dispatcher into that many independent
-	// per-territory engines with deterministic cross-shard handoff (the
-	// ablate-shard experiment); 0 or 1 keeps the single engine.
-	// BorderPolicy selects how border candidates resolve ("" = twophase).
-	// Outcome-identical to the single engine by construction.
-	Shards       int
-	BorderPolicy string
 }
 
 func (sc Scenario) window() Window {
@@ -200,7 +193,6 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 		cfg.DisableLandmarkLB = sc.DisableLandmarkLB
 		cfg.DisableCH = sc.DisableCH
 		cfg.BatchAssign = sc.BatchAssign
-		cfg.Sharding = match.ShardingConfig{Shards: sc.Shards, BorderPolicy: sc.BorderPolicy}
 		if !sc.DisableCH {
 			// Share the lab-wide CH: preprocessing is the expensive part
 			// and the hierarchy is immutable, so scenarios reuse one copy.
@@ -210,7 +202,7 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 		if l.TraceEvery > 0 {
 			cfg.Tracer = obs.NewTracer(l.TraceEvery, l.TraceHandler)
 		}
-		eng, err := match.NewDispatcher(pt, l.World.Spx, cfg)
+		eng, err := match.NewEngine(pt, l.World.Spx, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +233,6 @@ func (l *Lab) Run(sc Scenario) (*sim.Metrics, error) {
 		params.RetryEveryTicks = sc.RetryEveryTicks
 	}
 	params.BatchAssign = sc.BatchAssign
-	params.Sharding = match.ShardingConfig{Shards: sc.Shards, BorderPolicy: sc.BorderPolicy}
 	eng, err := sim.NewEngine(l.World.G, scheme, params)
 	if err != nil {
 		return nil, err

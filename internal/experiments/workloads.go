@@ -15,6 +15,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/match"
+	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -46,39 +47,34 @@ func (l *Lab) prepareWorkload(trips []trace.Trip, meetingRadius float64) []*flee
 	})
 }
 
-// runWorkloadCell builds a fresh dispatcher + sim engine and runs the
-// requests through the peak window. shards <= 1 keeps the single
-// engine; shift enables the changeover.
-func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par, shards int, shift sim.ShiftChangeConfig) (*sim.Engine, *sim.Metrics, match.Dispatcher, error) {
+// runWorkloadCell builds a fresh match engine + sim engine and runs the
+// requests through the peak window; shift enables the changeover.
+func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftChangeConfig) (*sim.Engine, *sim.Metrics, error) {
 	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cfg := match.DefaultConfig()
 	cfg.SearchRangeMeters = l.World.Scale.GammaMeters
 	cfg.Parallelism = par
 	cfg.CH = l.World.CH(par)
-	if shards > 1 {
-		cfg.Sharding.Shards = shards
-	}
-	eng, err := match.NewDispatcher(pt, l.World.Spx, cfg)
+	eng, err := match.NewEngine(pt, l.World.Spx, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	scheme := match.NewScheme(eng, false)
 	params := sim.DefaultParams()
 	params.Parallelism = par
 	params.QueueDepth = 64
-	params.Sharding = cfg.Sharding
 	params.ShiftChange = shift
 	se, err := sim.NewEngine(l.World.G, scheme, params)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	start := PeakWindow().From.Seconds()
 	se.PlaceTaxis(l.World.Scale.DefaultTaxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
 	m := se.Run(reqs, start)
-	return se, m, eng, nil
+	return se, m, nil
 }
 
 // workloadSigs compresses a run into the per-request outcome signatures
@@ -146,7 +142,7 @@ func (l *Lab) AblationSurge() (*Result, error) {
 	baseReqs := l.prepareWorkload(l.World.Workday.Between(win.From, win.To), 0)
 	surgeReqs := l.prepareWorkload(dsSurge.Between(win.From, win.To), 0)
 
-	_, mBase, _, err := l.runWorkloadCell(baseReqs, 1, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(baseReqs, 1, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +151,7 @@ func (l *Lab) AblationSurge() (*Result, error) {
 
 	var baseSigs []chRecordSig
 	for _, par := range []int{1, 2, 4} {
-		_, m, _, err := l.runWorkloadCell(surgeReqs, par, 1, sim.ShiftChangeConfig{})
+		_, m, err := l.runWorkloadCell(surgeReqs, par, sim.ShiftChangeConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -177,16 +173,17 @@ func (l *Lab) AblationSurge() (*Result, error) {
 }
 
 // AblationHotspot A/B-tests partition-localized demand: 60%% of the
-// day's origins are re-drawn inside one small disc, so with a 2-shard
-// dispatcher the territory owning the disc absorbs a disproportionate
-// share of the offered load. Hard invariants: the hotspot day's maximum
-// per-shard request share must strictly exceed the base day's (the
-// imbalance must materialize in the dispatcher, not just the trace),
-// and the hotspot run must be bit-identical across parallelism.
+// day's origins are re-drawn inside one small disc, so the map partitions
+// covering the disc absorb a disproportionate share of the offered load.
+// Hard invariants: the hotspot day's maximum per-partition share of the
+// run's request pickups must strictly exceed the base day's (the
+// imbalance must materialize in the partitioning the index is keyed by,
+// not just the trace), and the hotspot run must be bit-identical across
+// parallelism.
 func (l *Lab) AblationHotspot() (*Result, error) {
 	r := &Result{
-		ID: "ablate-hotspot", Title: "Partition-localized hotspot vs base workday (peak, 2 shards, mT-Share)",
-		Header: []string{"workload", "parallelism", "requests", "served", "max shard share"},
+		ID: "ablate-hotspot", Title: "Partition-localized hotspot vs base workday (peak, mT-Share)",
+		Header: []string{"workload", "parallelism", "requests", "served", "max partition share"},
 	}
 	gp := l.workloadGenParams()
 	win := PeakWindow()
@@ -203,48 +200,52 @@ func (l *Lab) AblationHotspot() (*Result, error) {
 	baseReqs := l.prepareWorkload(l.World.Workday.Between(win.From, win.To), 0)
 	hotReqs := l.prepareWorkload(dsHot.Between(win.From, win.To), 0)
 
-	maxShare := func(eng match.Dispatcher) float64 {
-		var total, max int64
-		for _, sh := range eng.ShardStats() {
-			total += sh.Requests
-			if sh.Requests > max {
-				max = sh.Requests
-			}
-		}
-		if total == 0 {
-			return 0
-		}
-		return float64(max) / float64(total)
-	}
-
-	_, mBase, engBase, err := l.runWorkloadCell(baseReqs, 2, 2, sim.ShiftChangeConfig{})
+	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
 	if err != nil {
 		return nil, err
 	}
-	baseShare := maxShare(engBase)
+	maxShare := func(m *sim.Metrics) float64 {
+		if len(m.Records) == 0 {
+			return 0
+		}
+		pickups := make(map[partition.ID]int)
+		most := 0
+		for _, rec := range m.Records {
+			p := pt.PartitionOf(rec.Req.Origin)
+			pickups[p]++
+			most = max(most, pickups[p])
+		}
+		return float64(most) / float64(len(m.Records))
+	}
+
+	_, mBase, err := l.runWorkloadCell(baseReqs, 2, sim.ShiftChangeConfig{})
+	if err != nil {
+		return nil, err
+	}
+	baseShare := maxShare(mBase)
 	r.Rows = append(r.Rows, []string{"base", fi(2), fi(mBase.Requests), fi(mBase.Served), f3(baseShare)})
 
 	var refSigs []chRecordSig
 	var hotShare float64
 	for _, par := range []int{1, 2} {
-		_, m, eng, err := l.runWorkloadCell(hotReqs, par, 2, sim.ShiftChangeConfig{})
+		_, m, err := l.runWorkloadCell(hotReqs, par, sim.ShiftChangeConfig{})
 		if err != nil {
 			return nil, err
 		}
 		sigs := workloadSigs(m)
 		if refSigs == nil {
 			refSigs = sigs
-			hotShare = maxShare(eng)
+			hotShare = maxShare(m)
 		} else if !sameSigs(sigs, refSigs) {
 			return nil, fmt.Errorf("experiments: ablate-hotspot: parallelism=%d diverged — the scenario is not deterministic", par)
 		}
-		r.Rows = append(r.Rows, []string{"hotspot", fi(par), fi(m.Requests), fi(m.Served), f3(maxShare(eng))})
+		r.Rows = append(r.Rows, []string{"hotspot", fi(par), fi(m.Requests), fi(m.Served), f3(maxShare(m))})
 	}
 	if hotShare <= baseShare {
-		return nil, fmt.Errorf("experiments: ablate-hotspot: max shard share %.3f vs base %.3f — the disc never skewed the dispatcher", hotShare, baseShare)
+		return nil, fmt.Errorf("experiments: ablate-hotspot: max partition share %.3f vs base %.3f — the disc never skewed the pickups", hotShare, baseShare)
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%.0f%% of origins in a %.0f m disc; max per-shard request share %.3f vs base %.3f", hs.Frac*100, hs.RadiusMeters, hotShare, baseShare),
+		fmt.Sprintf("%.0f%% of origins in a %.0f m disc; max per-partition pickup share %.3f vs base %.3f", hs.Frac*100, hs.RadiusMeters, hotShare, baseShare),
 		"hotspot outcomes bit-identical at parallelism 1/2")
 	return r, nil
 }
@@ -282,7 +283,7 @@ func (l *Lab) AblationShiftChange() (*Result, error) {
 	}
 	cohort := int(math.Round(sc.Fraction * float64(l.World.Scale.DefaultTaxis)))
 
-	_, mBase, _, err := l.runWorkloadCell(reqs, 1, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(reqs, 1, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +293,7 @@ func (l *Lab) AblationShiftChange() (*Result, error) {
 
 	var refSigs []chRecordSig
 	for _, par := range []int{1, 2, 4} {
-		se, m, _, err := l.runWorkloadCell(reqs, par, 1, sc)
+		se, m, err := l.runWorkloadCell(reqs, par, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +356,7 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 		baseByID[q.ID] = q
 		baseDirect += q.DirectMeters
 	}
-	_, mBase, _, err := l.runWorkloadCell(base, 1, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(base, 1, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +381,7 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 				moved++
 			}
 		}
-		_, m, _, err := l.runWorkloadCell(reqs, 1, 1, sim.ShiftChangeConfig{})
+		_, m, err := l.runWorkloadCell(reqs, 1, sim.ShiftChangeConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -392,7 +393,7 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 				return nil, fmt.Errorf("experiments: ablate-meeting-points: total direct %.1f km at r=300 vs %.1f km at r=0 — no measurable detour delta",
 					direct/1000, baseDirect/1000)
 			}
-			_, m2, _, err := l.runWorkloadCell(reqs, 2, 1, sim.ShiftChangeConfig{})
+			_, m2, err := l.runWorkloadCell(reqs, 2, sim.ShiftChangeConfig{})
 			if err != nil {
 				return nil, err
 			}

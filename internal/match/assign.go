@@ -21,7 +21,7 @@ import (
 // lower-bound screening, insertion scheduling), the solve is pure
 // arithmetic with (cost, request, taxi) tie-breaks, and the commits reuse
 // the two-phase batch protocol — the whole round stays bit-identical at
-// every Config.Parallelism level and shard count.
+// every Config.Parallelism level.
 
 // batchAssignMinSize is the smallest batch worth a global solve: a
 // singleton batch has nothing to contend with, so the greedy order is
@@ -81,15 +81,6 @@ func bestAssignOption(opts []assignOption) *assignOption {
 	return best
 }
 
-// batchAssigner extends the batch protocol surface with full-graph option
-// enumeration and deferred leg materialisation; Engine and ShardedEngine
-// both qualify.
-type batchAssigner interface {
-	batchDispatcher
-	dispatchOptions(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) ([]assignOption, int)
-	finishAssignment(a *Assignment) bool
-}
-
 // dispatchOptions enumerates every feasible (request, taxi) option through
 // the ordinary pipeline — candidate search, landmark screening, insertion
 // scheduling across the worker pool — and returns them in taxi-ID order,
@@ -124,43 +115,6 @@ func (e *Engine) finishAssignment(a *Assignment) bool {
 	return e.materializeLegsLocked(a)
 }
 
-// dispatchOptions is the sharded enumeration: the home shard drives the
-// pipeline over the frozen cross-shard candidate union, exactly as
-// DispatchContext does, keeping every feasible option.
-func (se *ShardedEngine) dispatchOptions(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) ([]assignOption, int) {
-	home := se.HomeShard(req)
-	h := se.shards[home]
-	se.ins[home].requests.Inc()
-	tDispatch := time.Now()
-	defer h.ins.dispatchSeconds.ObserveSince(tDispatch)
-	se.rlockAll()
-	defer se.runlockAll()
-	t0 := time.Now()
-	cands := se.candidateTaxis(home, req, nowSeconds)
-	h.ins.candidateSearchSeconds.ObserveSince(t0)
-	h.ins.dispatches.Inc()
-	h.ins.candidatesExamined.Add(int64(len(cands)))
-	if len(cands) == 0 || ctx.Err() != nil {
-		return nil, len(cands)
-	}
-	t1 := time.Now()
-	results := h.evalCandidates(cands, req, nowSeconds, probabilistic)
-	h.ins.schedulingSeconds.ObserveSince(t1)
-	return feasibleOptions(results), len(cands)
-}
-
-// finishAssignment builds the winner's legs through its home shard under
-// the group read locks (the taxi may live on another shard).
-func (se *ShardedEngine) finishAssignment(a *Assignment) bool {
-	if a.Legs != nil {
-		return true
-	}
-	home := se.HomeShard(a.Req)
-	se.rlockAll()
-	defer se.runlockAll()
-	return se.shards[home].materializeLegsLocked(a)
-}
-
 // runBatchAssign is the global-assignment batch round. Phase 1 enumerates
 // the full option graph against the frozen fleet state; the solve picks
 // the min-cost maximum-cardinality matching; winners commit through the
@@ -171,20 +125,20 @@ func (se *ShardedEngine) finishAssignment(a *Assignment) bool {
 // the global round's served count from ever trailing greedy's. Degenerate
 // graphs (tiny batch, no feasible pair, no contested taxi) fall back to
 // the greedy commit order, which is globally optimal for them anyway.
-func runBatchAssign(ctx context.Context, d batchAssigner, reqs []*fleet.Request, nowSeconds float64, probabilistic bool, h batchHooks) []BatchOutcome {
+func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowSeconds float64, probabilistic bool) []BatchOutcome {
 	if len(reqs) < batchAssignMinSize {
-		return runBatch(ctx, d, reqs, nowSeconds, probabilistic, h)
+		return runBatch(ctx, e, reqs, nowSeconds, probabilistic, &e.ins)
 	}
-	order := batchOrder(d, reqs)
+	order := batchOrder(e, reqs)
 	// Phase 1: enumerate every feasible (request, taxi) option against the
 	// same fleet state (no commits interleave).
 	options := make([][]assignOption, len(order))
 	candCounts := make([]int, len(order))
 	total := 0
 	for i, r := range order {
-		options[i], candCounts[i] = d.dispatchOptions(ctx, r, nowSeconds, probabilistic)
+		options[i], candCounts[i] = e.dispatchOptions(ctx, r, nowSeconds, probabilistic)
 		total += len(options[i])
-		h.evaluated(r)
+		e.ins.batchRequests.Inc()
 	}
 	// The solve only pays off when at least two requests contest a taxi;
 	// with disjoint option sets the per-request costs are independent, so
@@ -207,27 +161,23 @@ func runBatchAssign(ctx context.Context, d batchAssigner, reqs []*fleet.Request,
 	for i, r := range order {
 		out[i] = BatchOutcome{Req: r, Assignment: Assignment{Req: r, Candidates: candCounts[i]}}
 	}
+	e.ins.batchAssignRounds.Inc()
+	e.ins.batchAssignOptions.Add(int64(total))
 	if !contested || total == 0 {
-		if h.assignRound != nil {
-			h.assignRound(total, true)
-		}
+		e.ins.batchAssignFallbacks.Inc()
 		for i := range out {
 			if best := bestAssignOption(options[i]); best != nil {
 				best.fill(&out[i].Assignment)
 				out[i].Served = true
 			}
 		}
-		commitBatch(ctx, d, out, nowSeconds, probabilistic, h, d.finishAssignment)
+		commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins, e.finishAssignment)
 		return out
-	}
-	if h.assignRound != nil {
-		h.assignRound(total, false)
 	}
 	// Cost matrix: rows are requests in batch order, columns distinct
 	// candidate taxis in ascending ID order, +Inf where no feasible
 	// insertion exists. Both orders are canonical, so the solve — itself
-	// deterministic — sees the identical matrix at every parallelism level
-	// and shard count.
+	// deterministic — sees the identical matrix at every parallelism level.
 	colIDs := make([]int64, 0, len(firstSeen))
 	for id := range firstSeen {
 		colIDs = append(colIDs, id)
@@ -263,7 +213,7 @@ func runBatchAssign(ctx context.Context, d batchAssigner, reqs []*fleet.Request,
 			out[i].Served = true
 		}
 	}
-	commitBatch(ctx, d, out, nowSeconds, probabilistic, h, d.finishAssignment)
+	commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins, e.finishAssignment)
 	// Remainder pass: requests the matching left out (or whose commit went
 	// stale) get a greedy re-dispatch against the post-commit fleet state,
 	// in the same deterministic order.
@@ -272,14 +222,12 @@ func runBatchAssign(ctx context.Context, d batchAssigner, reqs []*fleet.Request,
 		if o.Served {
 			continue
 		}
-		a, ok := d.DispatchContext(ctx, o.Req, nowSeconds, probabilistic)
-		if !ok || d.Commit(a, nowSeconds) != nil {
+		a, ok := e.DispatchContext(ctx, o.Req, nowSeconds, probabilistic)
+		if !ok || e.Commit(a, nowSeconds) != nil {
 			continue
 		}
 		o.Assignment, o.Served = a, true
-		if h.assignRemainderServed != nil {
-			h.assignRemainderServed()
-		}
+		e.ins.batchAssignRemainder.Inc()
 	}
 	return out
 }

@@ -184,10 +184,9 @@ func TestDispatchBatchAssignFallbackMatchesGreedy(t *testing.T) {
 }
 
 // TestDispatchBatchAssignDeterministic runs the identical saturated batch
-// through the global round at parallelism 1/2/4 on the single engine and
-// on 2- and 3-shard dispatchers: every configuration must produce the
-// bit-identical outcome sequence, and the sealed batch-assign counters
-// must agree across topologies.
+// through the global round at parallelism 1/2/4: every level must produce
+// the bit-identical outcome sequence and the same sealed batch-assign
+// counters.
 func TestDispatchBatchAssignDeterministic(t *testing.T) {
 	env := newTestEnv(t, nil)
 	type sig struct {
@@ -197,30 +196,19 @@ func TestDispatchBatchAssignDeterministic(t *testing.T) {
 		taxi     int64
 		detour   uint64
 	}
-	run := func(par, shards int) ([]sig, EngineStats) {
+	run := func(par int) ([]sig, EngineStats) {
 		cfg := DefaultConfig()
 		cfg.SearchRangeMeters = 3000
 		cfg.BatchAssign = true
 		cfg.Parallelism = par
-		var d Dispatcher
-		if shards > 1 {
-			cfg.Sharding = ShardingConfig{Shards: shards}
-			se, err := NewShardedEngine(env.pt, env.spx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d = se
-		} else {
-			e, err := NewEngine(env.pt, env.spx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d = e
+		e, err := NewEngine(env.pt, env.spx, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		placeFleetOn(d, env, 8, 21)
+		placeFleetOn(e, env, 8, 21)
 		reqs := seededWorkload(env, 20, 13)
 		now := reqs[len(reqs)-1].ReleaseAt.Seconds()
-		out := d.DispatchBatch(context.Background(), reqs, now, false)
+		out := e.DispatchBatch(context.Background(), reqs, now, false)
 		sigs := make([]sig, len(out))
 		for i, o := range out {
 			sigs[i] = sig{id: o.Req.ID, served: o.Served, conflict: o.Conflict}
@@ -229,13 +217,9 @@ func TestDispatchBatchAssignDeterministic(t *testing.T) {
 				sigs[i].detour = math.Float64bits(o.Assignment.DetourMeters)
 			}
 		}
-		var agg EngineStats
-		for _, sh := range d.ShardStats() {
-			agg.Add(sh.Engine)
-		}
-		return sigs, agg
+		return sigs, e.Stats()
 	}
-	want, wantStats := run(1, 1)
+	want, wantStats := run(1)
 	if wantStats.BatchAssignRounds != 1 || wantStats.BatchAssignFallbacks != 0 {
 		t.Fatalf("reference round degenerate (stats %+v) — the differential would be vacuous", wantStats)
 	}
@@ -248,23 +232,21 @@ func TestDispatchBatchAssignDeterministic(t *testing.T) {
 	if served == 0 {
 		t.Fatal("reference round served nothing — the differential would be vacuous")
 	}
-	for _, c := range []struct{ par, shards int }{{2, 1}, {4, 1}, {1, 2}, {4, 2}, {1, 3}, {4, 3}} {
-		got, gotStats := run(c.par, c.shards)
+	for _, par := range []int{2, 4} {
+		got, gotStats := run(par)
 		if len(got) != len(want) {
-			t.Fatalf("par %d shards %d: %d outcomes, want %d", c.par, c.shards, len(got), len(want))
+			t.Fatalf("par %d: %d outcomes, want %d", par, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("par %d shards %d diverged at pos %d:\n got %+v\nwant %+v",
-					c.par, c.shards, i, got[i], want[i])
+				t.Fatalf("par %d diverged at pos %d:\n got %+v\nwant %+v", par, i, got[i], want[i])
 			}
 		}
 		if gotStats.BatchAssignRounds != wantStats.BatchAssignRounds ||
 			gotStats.BatchAssignOptions != wantStats.BatchAssignOptions ||
 			gotStats.BatchAssignFallbacks != wantStats.BatchAssignFallbacks ||
 			gotStats.BatchAssignRemainder != wantStats.BatchAssignRemainder {
-			t.Fatalf("par %d shards %d: assign counters diverged: %+v vs %+v",
-				c.par, c.shards, gotStats, wantStats)
+			t.Fatalf("par %d: assign counters diverged: %+v vs %+v", par, gotStats, wantStats)
 		}
 	}
 }

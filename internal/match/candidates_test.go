@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -81,111 +80,23 @@ func (e *Engine) candidateTaxisReference(req *fleet.Request, nowSeconds float64)
 	return out
 }
 
-// candidateTaxisReference is ShardedEngine.candidateTaxis as it stood
-// before the rewrite, verbatim (a copy of the rules; rule 3 read the owner
-// shard's index). The caller holds every shard's fleet read lock.
-func (se *ShardedEngine) candidateTaxisReference(home int, req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
-	h := se.shards[home]
-	radius := h.searchRadius(req, nowSeconds)
-	if radius <= 0 {
-		return nil
-	}
-	localOnly := se.cfg.Sharding.Policy() == BorderLocal
-	parts := se.pt.PartitionsNear(se.spx, req.OriginPt, radius)
-	inDisc := make(map[int64]bool)
-	for _, p := range parts {
-		for s, sh := range se.shards {
-			if localOnly && s != home {
-				continue
-			}
-			for _, entry := range sh.pindex.Taxis(p) {
-				inDisc[entry.TaxiID] = true
-			}
-		}
-	}
-	clusterTaxis := make(map[int64]bool)
-	for _, id := range h.clusters.CompatibleTaxis(req.MobilityVector()) {
-		clusterTaxis[id] = true
-	}
-	reqPart := se.pt.PartitionOf(req.Origin)
-	pickupDeadline := req.PickupDeadline(se.cfg.SpeedMps).Seconds()
-
-	se.mu.RLock()
-	defer se.mu.RUnlock()
-	var out []*fleet.Taxi
-	var cross int64
-	for id := range inDisc {
-		s, ok := se.owner[id]
-		if !ok || (localOnly && s != home) {
-			continue
-		}
-		sh := se.shards[s]
-		t, ok := sh.taxis[id]
-		if !ok {
-			continue
-		}
-		if !t.Empty() && !clusterTaxis[id] {
-			h.ins.prunedByDirection.Inc()
-			continue
-		}
-		if t.IdleSeats() < req.Passengers {
-			h.ins.prunedByCapacity.Inc()
-			continue
-		}
-		if arr, ok := sh.pindex.ArrivalAt(id, reqPart); !ok || arr > pickupDeadline {
-			lb := nowSeconds + geo.Equirect(t.Point(), req.OriginPt)/se.cfg.SpeedMps
-			if lb > pickupDeadline {
-				h.ins.prunedByReachability.Inc()
-				continue
-			}
-		}
-		if s != home {
-			cross++
-		}
-		out = append(out, t)
-	}
-	if cross > 0 {
-		se.ins[home].crossCandidates.Add(cross)
-	}
-	return out
-}
-
-// searchSubject is one dispatcher under differential test, with the fleet
-// it owns (schedules are per-dispatcher state, so subjects never share taxi
-// objects) and the scheme that moves it.
+// searchSubject is one engine under differential test, with the fleet it
+// owns and the scheme that moves it.
 type searchSubject struct {
-	name              string
-	d                 Dispatcher
-	scheme            *Scheme
-	taxis             []*fleet.Taxi
-	search, reference func(*fleet.Request, float64) []*fleet.Taxi
+	e      *Engine
+	scheme *Scheme
+	taxis  []*fleet.Taxi
 }
 
 func engineSubject(e *Engine) *searchSubject {
-	return &searchSubject{name: "engine", d: e, scheme: NewScheme(e, false), search: e.CandidateTaxis, reference: e.candidateTaxisReference}
+	return &searchSubject{e: e, scheme: NewScheme(e, false)}
 }
 
-func shardedSubject(se *ShardedEngine) *searchSubject {
-	frozen := func(f func(int, *fleet.Request, float64) []*fleet.Taxi) func(*fleet.Request, float64) []*fleet.Taxi {
-		return func(req *fleet.Request, now float64) []*fleet.Taxi {
-			se.rlockAll()
-			defer se.runlockAll()
-			return f(se.HomeShard(req), req, now)
-		}
-	}
-	name := "sharded-" + se.cfg.Sharding.Policy()
-	return &searchSubject{name: name, d: se, scheme: NewScheme(se, false), search: frozen(se.candidateTaxis), reference: frozen(se.candidateTaxisReference)}
-}
-
-// pruned reads the three refinement counters and the cross-shard candidate
-// count, the side effects a search must share with its reference.
-func (s *searchSubject) pruned() [4]int64 {
-	st := s.d.Stats()
-	out := [4]int64{st.PrunedByDirection, st.PrunedByCapacity, st.PrunedByReachability}
-	for _, sh := range s.d.ShardStats() {
-		out[3] += sh.CrossShardCandidates
-	}
-	return out
+// pruned reads the three refinement counters, the side effects a search
+// must share with its reference.
+func (s *searchSubject) pruned() [3]int64 {
+	st := s.e.Stats()
+	return [3]int64{st.PrunedByDirection, st.PrunedByCapacity, st.PrunedByReachability}
 }
 
 // check runs the search and its reference on one request and fails unless
@@ -194,9 +105,9 @@ func (s *searchSubject) pruned() [4]int64 {
 func (s *searchSubject) check(t *testing.T, req *fleet.Request, now float64, what string) int {
 	t.Helper()
 	c0 := s.pruned()
-	got := s.search(req, now)
+	got := s.e.CandidateTaxis(req, now)
 	c1 := s.pruned()
-	want := s.reference(req, now)
+	want := s.e.candidateTaxisReference(req, now)
 	c2 := s.pruned()
 	ids := func(ts []*fleet.Taxi) []int64 {
 		out := make([]int64, len(ts))
@@ -207,15 +118,15 @@ func (s *searchSubject) check(t *testing.T, req *fleet.Request, now float64, wha
 	}
 	gotIDs, wantIDs := ids(got), ids(want)
 	if !slices.IsSorted(gotIDs) {
-		t.Fatalf("%s, %s: candidates %v not in ascending taxi-ID order", s.name, what, gotIDs)
+		t.Fatalf("%s: candidates %v not in ascending taxi-ID order", what, gotIDs)
 	}
 	slices.Sort(wantIDs)
 	if !slices.Equal(gotIDs, wantIDs) {
-		t.Fatalf("%s, %s: candidates %v, reference %v", s.name, what, gotIDs, wantIDs)
+		t.Fatalf("%s: candidates %v, reference %v", what, gotIDs, wantIDs)
 	}
-	for i, name := range []string{"pruned_direction", "pruned_capacity", "pruned_reachability", "cross_candidates"} {
+	for i, name := range []string{"pruned_direction", "pruned_capacity", "pruned_reachability"} {
 		if c1[i]-c0[i] != c2[i]-c1[i] {
-			t.Fatalf("%s, %s: %s moved by %d, the reference moves it by %d", s.name, what, name, c1[i]-c0[i], c2[i]-c1[i])
+			t.Fatalf("%s: %s moved by %d, the reference moves it by %d", what, name, c1[i]-c0[i], c2[i]-c1[i])
 		}
 	}
 	return len(got)
@@ -229,8 +140,8 @@ func (s *searchSubject) addTaxi(g *roadnet.Graph, id int64, capacity int, at roa
 
 // serve dispatches and commits the request, as a driver would.
 func (s *searchSubject) serve(req *fleet.Request, now float64) {
-	if a, ok := s.d.DispatchContext(context.Background(), req, now, false); ok {
-		_ = s.d.Commit(a, now)
+	if a, ok := s.e.DispatchContext(context.Background(), req, now, false); ok {
+		_ = s.e.Commit(a, now)
 	}
 }
 
@@ -239,11 +150,11 @@ func (s *searchSubject) serve(req *fleet.Request, now float64) {
 // crossed a partition border, so rows computed at plan time go stale
 // mid-route exactly as they do in production.
 func (s *searchSubject) advance(now, dt float64) {
-	speed := s.d.Config().SpeedMps
+	speed := s.e.Config().SpeedMps
 	for _, tx := range s.taxis {
 		for _, v := range tx.Advance(speed * dt) {
 			if v.Event.Kind == fleet.Dropoff {
-				s.d.OnRequestDone(v.Event.Req)
+				s.e.OnRequestDone(v.Event.Req)
 			}
 		}
 		s.scheme.OnTaxiAdvanced(tx, now+dt)
@@ -265,25 +176,15 @@ func worldOf(env *testEnv) *searchWorld {
 	return &searchWorld{g: env.g, spx: env.spx, pt: env.pt, ch: cfg.CH, or: cfg.Oracle}
 }
 
-// subjects builds one single engine, one two-phase sharded engine and one
-// border-local sharded engine over the world, identically configured.
-func (w *searchWorld) subjects(t *testing.T, cfg Config) []*searchSubject {
+// subject builds a fresh engine over the world.
+func (w *searchWorld) subject(t *testing.T, cfg Config) *searchSubject {
 	t.Helper()
 	cfg.CH, cfg.Oracle, cfg.Parallelism = w.ch, w.or, 1
 	e, err := NewEngine(w.pt, w.spx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []*searchSubject{engineSubject(e)}
-	for _, sc := range []ShardingConfig{{Shards: 3, BorderPolicy: BorderTwoPhase}, {Shards: 2, BorderPolicy: BorderLocal}} {
-		cfg.Sharding = sc
-		se, err := NewShardedEngine(w.pt, w.spx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, shardedSubject(se))
-	}
-	return out
+	return engineSubject(e)
 }
 
 func (w *searchWorld) request(rt *roadnet.Router, id int64, o, d roadnet.VertexID, now, rho, speed float64) *fleet.Request {
@@ -307,10 +208,9 @@ func (w *searchWorld) request(rt *roadnet.Router, id int64, o, d roadnet.VertexI
 // from the default down to below the vertex spacing, index horizons from an
 // hour down to half a minute (so mid-route arrivals fall inside and beyond
 // it), direction thresholds from any to nearly parallel — driven through
-// dispatches, commits and ticks, with every request searched on every
-// subject as issued and again as a zero-magnitude vector, as a group too
-// large for most taxis, from a point outside the grid, and after its pickup
-// deadline has passed.
+// dispatches, commits and ticks, with every request searched as issued and
+// again as a zero-magnitude vector, as a group too large for most taxis,
+// from a point outside the grid, and after its pickup deadline has passed.
 func TestCandidateSearchMatchesReferenceOnRandomWorlds(t *testing.T) {
 	w := worldOf(newTestEnv(t, nil))
 	rt := roadnet.NewRouter(w.g, 64).AttachCH(w.ch)
@@ -322,12 +222,10 @@ func TestCandidateSearchMatchesReferenceOnRandomWorlds(t *testing.T) {
 		cfg.SearchRangeMeters = []float64{3000, 2500, 900, 150, 20, 1}[rng.Intn(6)]
 		cfg.HorizonSeconds = []float64{3600, 240, 30}[rng.Intn(3)]
 		cfg.Lambda = []float64{0.707, 0.707, 0, 0.96}[rng.Intn(4)]
-		subjects := w.subjects(t, cfg)
+		s := w.subject(t, cfg)
 		for id := int64(1); id <= 14; id++ {
 			at, capacity := roadnet.VertexID(rng.Intn(n)), 1+rng.Intn(3)
-			for _, s := range subjects {
-				s.addTaxi(w.g, id*3, capacity, at, 0) // sparse IDs: nothing may assume 1..n
-			}
+			s.addTaxi(w.g, id*3, capacity, at, 0) // sparse IDs: nothing may assume 1..n
 		}
 		now := 0.0
 		for step := int64(1); step <= 30; step++ {
@@ -345,24 +243,20 @@ func TestCandidateSearchMatchesReferenceOnRandomWorlds(t *testing.T) {
 			mutate("zero-magnitude vector", func(r *fleet.Request) { r.DestPt = r.OriginPt })
 			mutate("three passengers", func(r *fleet.Request) { r.Passengers = 3 })
 			mutate("origin outside the grid", func(r *fleet.Request) { r.OriginPt.Lat += 0.05; r.OriginPt.Lng -= 0.08 })
-			for _, s := range subjects {
-				for name, r := range variants {
-					searched++
-					if s.check(t, r, now, name) > 0 {
-						nonEmpty++
-					}
+			for name, r := range variants {
+				searched++
+				if s.check(t, r, now, name) > 0 {
+					nonEmpty++
 				}
-				late := req.PickupDeadline(cfg.SpeedMps).Seconds() + 1
-				if got := s.check(t, req, late, "pickup deadline passed"); got != 0 {
-					t.Fatalf("%s: %d candidates after the pickup deadline", s.name, got)
-				}
-				s.serve(req, now)
 			}
+			late := req.PickupDeadline(cfg.SpeedMps).Seconds() + 1
+			if got := s.check(t, req, late, "pickup deadline passed"); got != 0 {
+				t.Fatalf("%d candidates after the pickup deadline", got)
+			}
+			s.serve(req, now)
 			if step%3 == 0 {
 				dt := []float64{5, 30, 120}[rng.Intn(3)]
-				for _, s := range subjects {
-					s.advance(now, dt)
-				}
+				s.advance(now, dt)
 				now += dt
 			}
 		}
@@ -375,8 +269,7 @@ func TestCandidateSearchMatchesReferenceOnRandomWorlds(t *testing.T) {
 // TestCandidateSearchMatchesReferenceOnGoldenLogs replays the inputs of
 // both golden logs — every taxi placement, request, street hail and tick —
 // on the facade's world rebuilt from the log's header, and holds the search
-// to its reference on every request and hail of the logs, for the single
-// engine and for the sharded engine under both border policies.
+// to its reference on every request and hail of the logs.
 func TestCandidateSearchMatchesReferenceOnGoldenLogs(t *testing.T) {
 	for _, name := range []string{"uniform", "peakhour"} {
 		f, err := os.Open("../../testdata/golden/" + name + ".jsonl.gz")
@@ -443,7 +336,7 @@ func TestCandidateSearchMatchesReferenceOnGoldenLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := worldOf(&testEnv{g: g, spx: spx, pt: pt, e: e})
-		subjects := w.subjects(t, cfg)
+		s := w.subject(t, cfg)
 
 		now, nextID, searched := 0.0, int64(0), 0
 		vertex := func(p replay.Point) roadnet.VertexID {
@@ -461,30 +354,22 @@ func TestCandidateSearchMatchesReferenceOnGoldenLogs(t *testing.T) {
 		for _, ev := range events {
 			switch {
 			case ev.AddTaxi != nil:
-				for _, s := range subjects {
-					s.addTaxi(g, int64(len(s.taxis)+1), ev.AddTaxi.Capacity, vertex(ev.AddTaxi.At), now)
-				}
+				s.addTaxi(g, int64(len(s.taxis)+1), ev.AddTaxi.Capacity, vertex(ev.AddTaxi.At), now)
 			case ev.Request != nil:
 				if req := ride(ev.Request.Pickup, ev.Request.Dropoff, ev.Request.Flexibility); req != nil {
 					searched++
-					for _, s := range subjects {
-						s.check(t, req, now, "golden request")
-						s.serve(req, now)
-					}
+					s.check(t, req, now, "golden request")
+					s.serve(req, now)
 				}
 			case ev.Hail != nil:
 				if req := ride(ev.Hail.Pickup, ev.Hail.Dropoff, ev.Hail.Flexibility); req != nil {
 					searched++
-					for _, s := range subjects {
-						s.check(t, req, now, "golden hail")
-						s.scheme.TryServeOffline(s.taxis[ev.Hail.Taxi-1], req, now)
-					}
+					s.check(t, req, now, "golden hail")
+					s.scheme.TryServeOffline(s.taxis[ev.Hail.Taxi-1], req, now)
 				}
 			case ev.Tick != nil:
 				dt := time.Duration(ev.Tick.DNanos).Seconds()
-				for _, s := range subjects {
-					s.advance(now, dt)
-				}
+				s.advance(now, dt)
 				now += dt
 			}
 		}
@@ -499,7 +384,7 @@ func TestCandidateSearchMatchesReferenceOnGoldenLogs(t *testing.T) {
 // mtshare_match_dispatches_total — DispatchContext and the batch round's
 // option enumeration — observes it in mtshare_match_dispatch_seconds, so
 // the histogram's count equals the counter after a DispatchBatch round
-// with BatchAssign on and off, single engine and sharded.
+// with BatchAssign on and off.
 func TestDispatchSecondsCountsEveryDispatch(t *testing.T) {
 	env := newTestEnv(t, nil)
 	w := worldOf(env)
@@ -507,38 +392,27 @@ func TestDispatchSecondsCountsEveryDispatch(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SearchRangeMeters = 3000
 		cfg.BatchAssign = batchAssign
-		for _, s := range w.subjects(t, cfg) {
-			rng := rand.New(rand.NewSource(9))
-			n := w.g.NumVertices()
-			for id := int64(1); id <= 6; id++ {
-				s.addTaxi(w.g, id, 3, roadnet.VertexID(rng.Intn(n)), 0)
+		s := w.subject(t, cfg)
+		rng := rand.New(rand.NewSource(9))
+		n := w.g.NumVertices()
+		for id := int64(1); id <= 6; id++ {
+			s.addTaxi(w.g, id, 3, roadnet.VertexID(rng.Intn(n)), 0)
+		}
+		var reqs []*fleet.Request
+		for id := int64(1); len(reqs) < 12; id++ {
+			if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
+				reqs = append(reqs, w.request(env.e.Router(), id, o, d, 0, 1.6, cfg.SpeedMps))
 			}
-			var reqs []*fleet.Request
-			for id := int64(1); len(reqs) < 12; id++ {
-				if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
-					reqs = append(reqs, w.request(env.e.Router(), id, o, d, 0, 1.6, cfg.SpeedMps))
-				}
-			}
-			s.serve(reqs[0], 0)
-			s.d.DispatchBatch(context.Background(), reqs[1:], 0, false)
+		}
+		s.serve(reqs[0], 0)
+		s.e.DispatchBatch(context.Background(), reqs[1:], 0, false)
 
-			// Summed over the shard-labelled series of a sharded engine.
-			snap := s.d.Metrics().Snapshot()
-			var dispatches, observed int64
-			for name, v := range snap.Counters {
-				if strings.HasPrefix(name, "mtshare_match_dispatches_total") {
-					dispatches += v
-				}
-			}
-			for name, hg := range snap.Histograms {
-				if strings.HasPrefix(name, "mtshare_match_dispatch_seconds") {
-					observed += int64(hg.Count)
-				}
-			}
-			if dispatches < int64(len(reqs)) || observed != dispatches {
-				t.Fatalf("%s, BatchAssign=%v: dispatch_seconds_count %d, dispatches_total %d over %d requests",
-					s.name, batchAssign, observed, dispatches, len(reqs))
-			}
+		snap := s.e.Metrics().Snapshot()
+		dispatches := snap.Counters["mtshare_match_dispatches_total"]
+		observed := int64(snap.Histograms["mtshare_match_dispatch_seconds"].Count)
+		if dispatches < int64(len(reqs)) || observed != dispatches {
+			t.Fatalf("BatchAssign=%v: dispatch_seconds_count %d, dispatches_total %d over %d requests",
+				batchAssign, observed, dispatches, len(reqs))
 		}
 	}
 }

@@ -227,15 +227,6 @@ func (e *Engine) DispatchContext(ctx context.Context, req *fleet.Request, nowSec
 	// lock across the fan-out and the winner's leg materialisation.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return best, e.dispatchLocked(ctx, req, nowSeconds, probabilistic, cands, &best)
-}
-
-// dispatchLocked runs the scheduling and leg-materialisation stages of
-// Alg. 1 over a prepared candidate set, filling best in place. The caller
-// holds the fleet read lock(s) covering every candidate — e.mu for a
-// single engine, every shard's registry lock for a sharded dispatch (the
-// reserve phase) — so candidate state cannot mutate mid-evaluation.
-func (e *Engine) dispatchLocked(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool, cands []*fleet.Taxi, best *Assignment) bool {
 	_, sps := obs.StartSpan(ctx, "dispatch.scheduling")
 	t1 := time.Now()
 	results := e.evalCandidates(cands, req, nowSeconds, probabilistic)
@@ -256,20 +247,20 @@ func (e *Engine) dispatchLocked(ctx context.Context, req *fleet.Request, nowSeco
 		}
 	}
 	if win < 0 {
-		return false
+		return best, false
 	}
 	w := &results[win]
 	best.Taxi, best.Events, best.Legs, best.Eval, best.DetourMeters = w.taxi, w.events, w.legs, w.eval, w.detour
 
 	if best.Legs == nil {
 		_, spl := obs.StartSpan(ctx, "dispatch.legbuild")
-		ok := e.materializeLegsLocked(best)
+		ok := e.materializeLegsLocked(&best)
 		spl.End()
 		if !ok {
-			return false
+			return best, false
 		}
 	}
-	return true
+	return best, true
 }
 
 // materializeLegsLocked fills a winning assignment's basic route legs from

@@ -1,15 +1,14 @@
 // Durable state for the dispatch layer: deterministic capture and
-// restore of everything a Dispatcher owns that cannot be recomputed from
+// restore of everything an Engine owns that cannot be recomputed from
 // the replay header — the fleet (positions, schedules, seat accounting),
 // the partition-index rows (arrival times are ULP-sensitive and carried
-// verbatim), the shared mobility clusters (endpoint sums are
+// verbatim), the mobility clusters (endpoint sums are
 // accumulation-order-dependent and carried verbatim), the cruise
-// sampler's stream position, and the pending queue(s). Derived state
-// (route caches, leg costs, shard ownership, Scheme's last-indexed
-// partitions) is rebuilt: each is a pure function of the restored fields
-// at an event boundary.
+// sampler's stream position, and the pending queue. Derived state
+// (route caches, leg costs, Scheme's last-indexed partitions) is rebuilt:
+// each is a pure function of the restored fields at an event boundary.
 //
-// Restore always targets a freshly constructed, empty dispatcher — the
+// Restore always targets a freshly constructed, empty engine — the
 // WAL records every state-changing event, so recovery builds a virgin
 // world from the header and lays the snapshot on top. Deterministic
 // counters are not part of DurableState; the host restores them into the
@@ -31,14 +30,13 @@ import (
 // the same object.
 type RequestResolver func(fleet.RequestID) (*fleet.Request, bool)
 
-// TaxiIndexRows is one taxi's partition-index rows (in its owner shard's
-// index, for a sharded dispatcher).
+// TaxiIndexRows is one taxi's partition-index rows.
 type TaxiIndexRows struct {
 	Taxi int64       `json:"taxi"`
 	Rows []index.Row `json:"rows,omitempty"`
 }
 
-// DurableState is a dispatcher snapshot: taxis sorted by ID, their index
+// DurableState is an engine snapshot: taxis sorted by ID, their index
 // rows, the cluster set, and the cruise sampler position.
 type DurableState struct {
 	Taxis       []fleet.TaxiState `json:"taxis,omitempty"`
@@ -56,9 +54,9 @@ type QueueItemState struct {
 	Retries    int     `json:"retries,omitempty"`
 }
 
-// PoolState is a pending-pool snapshot: the parked items and one
-// QueueStats per underlying queue (a single entry for a PendingQueue,
-// one per shard for a QueueGroup).
+// PoolState is a pending-queue snapshot: the parked items and the
+// queue's lifecycle counters. Stats always holds exactly one entry; the
+// list form is the snapshot schema's, kept so existing snapshots load.
 type PoolState struct {
 	Items []QueueItemState `json:"items,omitempty"`
 	Stats []QueueStats     `json:"stats"`
@@ -94,7 +92,7 @@ func (e *Engine) RestoreDurable(st *DurableState, resolve RequestResolver) ([]*f
 		return nil, nil
 	}
 	if e.NumTaxis() != 0 {
-		return nil, fmt.Errorf("match: RestoreDurable on a non-empty dispatcher")
+		return nil, fmt.Errorf("match: RestoreDurable on a non-empty engine")
 	}
 	rows := indexRowsByTaxi(st.Index)
 	out := make([]*fleet.Taxi, 0, len(st.Taxis))
@@ -113,76 +111,6 @@ func (e *Engine) RestoreDurable(st *DurableState, resolve RequestResolver) ([]*f
 		return nil, err
 	}
 	if err := e.cruise.fastForward(st.CruiseDraws); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CaptureDurable snapshots the sharded dispatcher. Clusters and the
-// cruise sampler are shared across shards and captured once; each taxi's
-// index rows come from its owner shard's index.
-func (se *ShardedEngine) CaptureDurable() *DurableState {
-	st := &DurableState{
-		Clusters:    se.shards[0].clusters.CaptureState(),
-		CruiseDraws: se.shards[0].cruise.drawCount(),
-	}
-	type rec struct {
-		t  *fleet.Taxi
-		sh *Engine
-	}
-	var all []rec
-	for _, sh := range se.shards {
-		sh.mu.RLock()
-		for _, t := range sh.taxis {
-			all = append(all, rec{t, sh})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].t.ID < all[j].t.ID })
-	for _, r := range all {
-		st.Taxis = append(st.Taxis, r.t.DurableState())
-		st.Index = append(st.Index, TaxiIndexRows{Taxi: r.t.ID, Rows: r.sh.pindex.RowsOf(r.t.ID)})
-	}
-	return st
-}
-
-// RestoreDurable loads a snapshot into a freshly constructed sharded
-// dispatcher. Shard ownership is not serialized: at every event boundary
-// a taxi's owner is the territorial shard of its position (ReindexTaxi
-// migrates on the border crossing itself), so ownership is recomputed
-// from the restored positions.
-func (se *ShardedEngine) RestoreDurable(st *DurableState, resolve RequestResolver) ([]*fleet.Taxi, error) {
-	if st == nil {
-		return nil, nil
-	}
-	if se.NumTaxis() != 0 {
-		return nil, fmt.Errorf("match: RestoreDurable on a non-empty dispatcher")
-	}
-	rows := indexRowsByTaxi(st.Index)
-	out := make([]*fleet.Taxi, 0, len(st.Taxis))
-	for _, ts := range st.Taxis {
-		t, err := fleet.RestoreTaxi(se.pt.Graph(), ts, resolve)
-		if err != nil {
-			return nil, err
-		}
-		s := se.shardAt(t.At())
-		sh := se.shards[s]
-		sh.mu.Lock()
-		sh.taxis[t.ID] = t
-		sh.mu.Unlock()
-		sh.pindex.RestoreRows(t.ID, rows[t.ID])
-		se.mu.Lock()
-		se.owner[t.ID] = s
-		se.mu.Unlock()
-		out = append(out, t)
-	}
-	for i := range se.shards {
-		se.ins[i].taxis.Set(float64(se.shards[i].NumTaxis()))
-	}
-	if err := se.shards[0].clusters.RestoreState(st.Clusters); err != nil {
-		return nil, err
-	}
-	if err := se.shards[0].cruise.fastForward(st.CruiseDraws); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -257,46 +185,5 @@ func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) err
 	stats.Depth = 0 // Stats() derives depth live
 	q.stats = stats
 	q.setDepthLocked()
-	return nil
-}
-
-// CaptureDurable snapshots the sharded pool: each shard queue's items
-// (already deterministically ordered) concatenated in shard order, with
-// one stats entry per shard.
-func (g *QueueGroup) CaptureDurable() PoolState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var st PoolState
-	for _, q := range g.queues {
-		qs := q.CaptureDurable()
-		st.Items = append(st.Items, qs.Items...)
-		st.Stats = append(st.Stats, qs.Stats[0])
-	}
-	return st
-}
-
-// RestoreDurable loads a snapshot, routing each item back to its home
-// shard's queue (a pure function of the request's pickup location, so
-// the layout is reproduced exactly).
-func (g *QueueGroup) RestoreDurable(st PoolState, resolve RequestResolver) error {
-	if len(st.Stats) != len(g.queues) {
-		return fmt.Errorf("match: queue snapshot has %d stats entries, want %d shards", len(st.Stats), len(g.queues))
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	per := make([][]QueueItemState, len(g.queues))
-	for _, is := range st.Items {
-		req, ok := resolve(fleet.RequestID(is.Req))
-		if !ok {
-			return fmt.Errorf("match: queued request %d unknown", is.Req)
-		}
-		s := g.se.HomeShard(req)
-		per[s] = append(per[s], is)
-	}
-	for i, q := range g.queues {
-		if err := q.RestoreDurable(PoolState{Items: per[i], Stats: st.Stats[i : i+1]}, resolve); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -7,11 +7,11 @@ import (
 	"repro/internal/fleet"
 )
 
-// driveDurableWorld puts a dispatcher through a representative slice of
-// its lifecycle — taxis added, requests committed, motion advanced past
+// driveDurableWorld puts an engine through a representative slice of its
+// lifecycle — taxis added, requests committed, motion advanced past
 // pickups, a cruise plan drawn — and returns the committed requests so
 // the test can build a resolver.
-func driveDurableWorld(t *testing.T, env *testEnv, d Dispatcher) map[fleet.RequestID]*fleet.Request {
+func driveDurableWorld(t *testing.T, env *testEnv, d *Engine) map[fleet.RequestID]*fleet.Request {
 	t.Helper()
 	placeFleetOn(d, env, 12, 7)
 	reqs := make(map[fleet.RequestID]*fleet.Request)
@@ -61,6 +61,11 @@ func resolverFor(reqs map[fleet.RequestID]*fleet.Request) RequestResolver {
 	}
 }
 
+// newQueue builds a pending queue at env's engine speed.
+func newQueue(env *testEnv, capacity int) *PendingQueue {
+	return NewPendingQueue(capacity, env.e.Config().SpeedMps)
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -72,7 +77,7 @@ func mustJSON(t *testing.T, v any) string {
 
 // roundTrip captures src, restores into dst, and asserts dst's own
 // capture is byte-identical.
-func roundTrip(t *testing.T, src, dst Dispatcher, reqs map[fleet.RequestID]*fleet.Request) {
+func roundTrip(t *testing.T, src, dst *Engine, reqs map[fleet.RequestID]*fleet.Request) {
 	t.Helper()
 	st := src.CaptureDurable()
 	restored, err := dst.RestoreDurable(st, resolverFor(reqs))
@@ -126,39 +131,12 @@ func TestEngineDurableRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardedEngineDurableRoundTrip(t *testing.T) {
-	for _, shards := range []int{2, 3} {
-		env := newTestEnv(t, nil)
-		se := shardedOver(t, env, shards, nil)
-		reqs := driveDurableWorld(t, env, se)
-
-		fresh := shardedOver(t, env, shards, nil)
-		roundTrip(t, se, fresh, reqs)
-
-		// Ownership must be recomputed to the territorial shard.
-		for id := int64(1); id <= 12; id++ {
-			taxi, ok := fresh.Taxi(id)
-			if !ok {
-				t.Fatalf("shards=%d: taxi %d missing after restore", shards, id)
-			}
-			if got, want := fresh.ownerIdx(taxi), fresh.shardAt(taxi.At()); got != want {
-				t.Fatalf("shards=%d: taxi %d owned by shard %d, territory %d", shards, id, got, want)
-			}
-		}
-	}
-}
-
 func TestRestoreDurableRejectsNonEmpty(t *testing.T) {
 	env := newTestEnv(t, nil)
 	reqs := driveDurableWorld(t, env, env.e)
 	st := env.e.CaptureDurable()
 	if _, err := env.e.RestoreDurable(st, resolverFor(reqs)); err == nil {
 		t.Fatal("restore into a populated engine must fail")
-	}
-	se := shardedOver(t, env, 2, nil)
-	placeFleetOn(se, env, 2, 3)
-	if _, err := se.RestoreDurable(st, resolverFor(reqs)); err == nil {
-		t.Fatal("restore into a populated sharded engine must fail")
 	}
 }
 
@@ -178,7 +156,7 @@ func TestRestoreDurableUnknownRequest(t *testing.T) {
 
 func TestQueueDurableRoundTrip(t *testing.T) {
 	env := newTestEnv(t, nil)
-	q := env.e.NewPendingPool(8)
+	q := newQueue(env, 8)
 	reqs := make(map[fleet.RequestID]*fleet.Request)
 	for i := int64(1); i <= 5; i++ {
 		req := env.request(i, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 3+float64(i))
@@ -194,7 +172,7 @@ func TestQueueDurableRoundTrip(t *testing.T) {
 	delete(reqs, 3)
 
 	st := q.CaptureDurable()
-	fresh := env.e.NewPendingPool(8)
+	fresh := newQueue(env, 8)
 	if err := fresh.RestoreDurable(st, resolverFor(reqs)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -217,69 +195,35 @@ func TestQueueDurableRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueGroupDurableRoundTrip(t *testing.T) {
-	env := newTestEnv(t, nil)
-	se := shardedOver(t, env, 2, nil)
-	q := se.NewPendingPool(16)
-	reqs := make(map[fleet.RequestID]*fleet.Request)
-	for i := int64(1); i <= 8; i++ {
-		o := env.vertexNear(t, 0.05+0.1*float64(i%9), 0.1+0.1*float64(i%8))
-		req := env.request(i, o, env.vertexNear(t, 0.5, 0.5), 0, 4)
-		if !q.Push(req, 0).Accepted() {
-			t.Fatalf("push %d rejected", i)
-		}
-		reqs[req.ID] = req
-	}
-	st := q.CaptureDurable()
-	if len(st.Stats) != 2 {
-		t.Fatalf("group capture has %d stats entries, want 2", len(st.Stats))
-	}
-	fresh := se.NewPendingPool(16)
-	if err := fresh.RestoreDurable(st, resolverFor(reqs)); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got, want := mustJSON(t, fresh.CaptureDurable()), mustJSON(t, st); got != want {
-		t.Fatalf("group re-capture differs:\n got %s\nwant %s", got, want)
-	}
-	if got, want := mustJSON(t, fresh.(*QueueGroup).ShardDepths()), mustJSON(t, q.(*QueueGroup).ShardDepths()); got != want {
-		t.Fatalf("shard depths differ: got %s want %s", got, want)
-	}
-}
-
 func TestQueueRestoreValidation(t *testing.T) {
 	env := newTestEnv(t, nil)
 	req := env.request(1, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 4)
 	reqs := map[fleet.RequestID]*fleet.Request{req.ID: req}
 
-	q := env.e.NewPendingPool(8)
+	q := newQueue(env, 8)
 	q.Push(req, 0)
 	st := q.CaptureDurable()
 
 	// Non-empty target.
-	busy := env.e.NewPendingPool(8)
+	busy := newQueue(env, 8)
 	busy.Push(req, 0)
 	if err := busy.RestoreDurable(st, resolverFor(reqs)); err == nil {
 		t.Fatal("restore into non-empty queue must fail")
 	}
 	// Capacity mismatch.
-	if err := env.e.NewPendingPool(4).RestoreDurable(st, resolverFor(reqs)); err == nil {
+	if err := newQueue(env, 4).RestoreDurable(st, resolverFor(reqs)); err == nil {
 		t.Fatal("capacity mismatch must fail")
 	}
 	// Stats arity.
 	bad := st
 	bad.Stats = append(bad.Stats, bad.Stats[0])
-	if err := env.e.NewPendingPool(8).RestoreDurable(bad, resolverFor(reqs)); err == nil {
+	if err := newQueue(env, 8).RestoreDurable(bad, resolverFor(reqs)); err == nil {
 		t.Fatal("wrong stats arity must fail")
 	}
 	// Unknown request.
 	empty := func(fleet.RequestID) (*fleet.Request, bool) { return nil, false }
-	if err := env.e.NewPendingPool(8).RestoreDurable(st, empty); err == nil {
+	if err := newQueue(env, 8).RestoreDurable(st, empty); err == nil {
 		t.Fatal("unknown queued request must fail")
-	}
-	// Group arity: 2-shard group refuses a 1-queue snapshot.
-	se := shardedOver(t, env, 2, nil)
-	if err := se.NewPendingPool(8).RestoreDurable(st, resolverFor(reqs)); err == nil {
-		t.Fatal("group restore with 1 stats entry must fail")
 	}
 }
 

@@ -9,6 +9,7 @@ package match
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -108,18 +109,12 @@ type Config struct {
 	// the ablate-batch-assign experiment for the trade-off.
 	BatchAssign bool
 
-	// Sharding splits the dispatcher into independent per-territory
-	// engines (see ShardedEngine). It is consumed by NewDispatcher; the
-	// zero value (and Shards <= 1) selects the classic single Engine.
-	// NewEngine itself ignores it — an Engine is always one shard.
-	Sharding ShardingConfig
-
 	// Oracle, when set (and DisableLandmarkLB is not), reuses a prebuilt
 	// landmark distance oracle over the partitioning instead of running
-	// the offset precompute again — the sharded dispatcher builds one
-	// oracle and hands it to every shard. NewEngine stores the oracle it
-	// attached back into this field (mirroring CH), so Config()
-	// round-trips reuse it.
+	// the offset precompute again — shared-world experiments build one
+	// oracle per partitioning. NewEngine stores the oracle it attached
+	// back into this field (mirroring CH), so Config() round-trips reuse
+	// it.
 	Oracle *partition.Oracle
 
 	// Metrics is the registry the engine (and its router and partition
@@ -194,7 +189,7 @@ func (c Config) Validate() error {
 	case c.Parallelism < 0:
 		return fmt.Errorf("match: Parallelism %d negative", c.Parallelism)
 	}
-	return c.Sharding.Validate()
+	return nil
 }
 
 // Engine is mT-Share's dispatcher: it owns the index structures and
@@ -243,11 +238,7 @@ type Engine struct {
 	filterMu    sync.RWMutex
 	filterCache map[uint64][]partition.ID
 
-	// cruise drives demand-proportional cruise-target sampling. The
-	// sampler is a pointer so a sharded dispatcher can hand every shard
-	// the same stream: idle-cruise planning walks taxis in ID order in
-	// every driver, so sharing the sampler reproduces the single-engine
-	// draw sequence exactly.
+	// cruise drives demand-proportional cruise-target sampling.
 	cruise *cruiseSampler
 
 	reg    *obs.Registry
@@ -303,6 +294,48 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 	e.oracle = cfg.Oracle
 	pt.IndexCells(spx)
 	return e, nil
+}
+
+// cruiseSampler is the dispatch pipeline's only source of randomness: the
+// demand-proportional cruise-target draw of CruisePlan.
+type cruiseSampler struct {
+	mu    sync.Mutex
+	rng   *rand.Rand
+	draws int64 // total values drawn, for snapshot fast-forward
+}
+
+func newCruiseSampler(seed int64) *cruiseSampler {
+	return &cruiseSampler{rng: rand.New(rand.NewSource(seed))}
+}
+
+func (c *cruiseSampler) next() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.draws++
+	return c.rng.Float64()
+}
+
+func (c *cruiseSampler) drawCount() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.draws
+}
+
+// fastForward discards draws until the stream has produced n values,
+// restoring the sampler to a snapshot's position. math/rand's generator
+// has no O(1) seek, but cruise draws are rare (one per idle-cruise plan),
+// so replaying them is cheap. It fails if the sampler is already past n.
+func (c *cruiseSampler) fastForward(n int64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.draws > n {
+		return fmt.Errorf("match: cruise sampler at draw %d, cannot rewind to %d", c.draws, n)
+	}
+	for c.draws < n {
+		c.rng.Float64()
+		c.draws++
+	}
+	return nil
 }
 
 // ErrDispatcherClosed is returned by Commit and installPlan after Drain:
@@ -397,17 +430,6 @@ func (e *Engine) installPlan(t *fleet.Taxi, events []fleet.Event, legs [][]roadn
 // noteCruisePlanned counts a committed idle-cruise plan for the taxi.
 func (e *Engine) noteCruisePlanned(t *fleet.Taxi) { e.ins.cruisePlans.Inc() }
 
-// removeTaxi drops a taxi from the registry and the partition index; the
-// sharded dispatcher uses it to hand a taxi from one shard's territory to
-// another. Mobility clusters are untouched — they are shared across
-// shards and the receiving shard's ReindexTaxi refreshes them.
-func (e *Engine) removeTaxi(id int64) {
-	e.mu.Lock()
-	delete(e.taxis, id)
-	e.mu.Unlock()
-	e.pindex.Remove(id)
-}
-
 // OnRequestAssigned records a request's cluster membership.
 func (e *Engine) OnRequestAssigned(req *fleet.Request) {
 	e.clusters.AddRequest(int64(req.ID), req.MobilityVector())
@@ -442,43 +464,14 @@ func (e *Engine) searchRadius(req *fleet.Request, nowSeconds float64) float64 {
 // candWS is the scratch state of one candidate search. Workspaces are
 // pooled, so a search allocates only the slice it returns.
 type candWS struct {
-	parts    []partition.ID // partitions intersecting the search disc
-	z        partition.ID   // the request's own partition
-	deadline float64        // the request's pickup deadline, seconds
-	ids      []int64        // taxis listed in parts
-	reach    []int64        // taxis recorded to arrive in z by the deadline
-	compat   []mobcluster.ClusterID
-	taxis    []*fleet.Taxi // the registered taxis of ids, ascending by ID
+	parts  []partition.ID // partitions intersecting the search disc
+	ids    []int64        // taxis listed in parts
+	reach  []int64        // taxis recorded to arrive in the request's partition by the deadline
+	compat []mobcluster.ClusterID
+	keep   []*fleet.Taxi // the survivors, ascending by ID
 }
 
 var candPool = sync.Pool{New: func() any { return new(candWS) }}
-
-// beginSearch names the partitions of the request's search disc into a
-// pooled workspace (hand it back with release); nil when the slack ran out.
-func (e *Engine) beginSearch(req *fleet.Request, nowSeconds float64) *candWS {
-	radius := e.searchRadius(req, nowSeconds)
-	if radius <= 0 {
-		return nil
-	}
-	ws := candPool.Get().(*candWS)
-	ws.parts = e.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
-	ws.z, ws.deadline = e.pt.PartitionOf(req.Origin), req.PickupDeadline(e.cfg.SpeedMps).Seconds()
-	ws.ids, ws.reach, ws.taxis = ws.ids[:0], ws.reach[:0], ws.taxis[:0]
-	return ws
-}
-
-// distinct orders the listed taxi IDs ascending and drops the repeats of
-// taxis whose routes cross several of the disc's partitions.
-func (ws *candWS) distinct() []int64 {
-	slices.Sort(ws.ids)
-	ws.ids = slices.Compact(ws.ids)
-	return ws.ids
-}
-
-func (ws *candWS) release() {
-	clear(ws.taxis) // a pooled workspace must not keep a fleet alive
-	candPool.Put(ws)
-}
 
 // CandidateTaxis implements candidate taxi searching (§IV-C1): the union
 // of the partition taxi lists intersecting the search disc, intersected
@@ -487,31 +480,32 @@ func (ws *candWS) release() {
 // and taxis that cannot reach the request's partition by the pickup
 // deadline. The result is in ascending taxi-ID order.
 func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
-	ws := e.beginSearch(req, nowSeconds)
-	if ws == nil {
+	radius := e.searchRadius(req, nowSeconds)
+	if radius <= 0 {
 		return nil
 	}
-	defer ws.release()
-	ws.ids, ws.reach = e.pindex.Search(ws.parts, ws.z, ws.deadline, ws.ids, ws.reach)
+	ws := candPool.Get().(*candWS)
+	defer func() {
+		clear(ws.keep) // a pooled workspace must not keep a fleet alive
+		candPool.Put(ws)
+	}()
+	ws.parts = e.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
+	deadline := req.PickupDeadline(e.cfg.SpeedMps).Seconds()
+	ws.ids, ws.reach = e.pindex.Search(ws.parts, e.pt.PartitionOf(req.Origin), deadline, ws.ids[:0], ws.reach[:0])
+	// A taxi whose route crosses several of the disc's partitions is listed
+	// once per list.
+	slices.Sort(ws.ids)
+	ws.ids = slices.Compact(ws.ids)
+	slices.Sort(ws.reach)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for _, id := range ws.distinct() {
-		if t, ok := e.taxis[id]; ok {
-			ws.taxis = append(ws.taxis, t)
-		}
-	}
-	return e.refine(ws, req, nowSeconds)
-}
-
-// refine applies the three refinement rules of §IV-C1 to ws.taxis and
-// returns the survivors. It is the one body of the rules: the sharded search
-// refines through its home shard, so the pruning counters land there. The
-// caller holds the fleet read lock(s) covering ws.taxis.
-func (e *Engine) refine(ws *candWS, req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
-	slices.Sort(ws.reach)
 	ws.compat = e.clusters.CompatibleClusters(ws.compat[:0], req.MobilityVector())
-	keep := ws.taxis[:0]
-	for _, t := range ws.taxis {
+	ws.keep = ws.keep[:0]
+	for _, id := range ws.ids {
+		t, ok := e.taxis[id]
+		if !ok {
+			continue
+		}
 		// Rule 1: empty taxis in the disc partitions are always included.
 		// Occupied taxis must share the request's travel direction: Eq. 3's
 		// intersection with the compatible clusters' taxi lists, taken as a
@@ -529,20 +523,19 @@ func (e *Engine) refine(ws *candWS, req *fleet.Request, nowSeconds float64) []*f
 		}
 		// Rule 3: reachability of the request's partition by the pickup
 		// deadline. A taxi whose recorded (planned-route) arrival makes
-		// the deadline — one in the prefix of z's list — certainly
-		// qualifies; one whose planned arrival is late may still divert,
-		// so it is kept unless even the straight-line lower bound rules
-		// it out.
+		// the deadline — one in ws.reach — certainly qualifies; one whose
+		// planned arrival is late may still divert, so it is kept unless
+		// even the straight-line lower bound rules it out.
 		if _, listed := slices.BinarySearch(ws.reach, t.ID); !listed {
 			lb := nowSeconds + geo.Equirect(t.Point(), req.OriginPt)/e.cfg.SpeedMps
-			if lb > ws.deadline {
+			if lb > deadline {
 				e.ins.prunedByReachability.Inc()
 				continue
 			}
 		}
-		keep = append(keep, t)
+		ws.keep = append(ws.keep, t)
 	}
-	return append([]*fleet.Taxi(nil), keep...) // nil when nothing survived
+	return append([]*fleet.Taxi(nil), ws.keep...) // nil when nothing survived
 }
 
 // IndexMemoryBytes reports the memory footprint of the engine's index

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/geo"
@@ -121,93 +120,6 @@ func BenchmarkDispatchParallel(b *testing.B) {
 			b.ReportMetric((float64(s1.CandidateSearchNanos-s0.CandidateSearchNanos))/n, "candsearch-ns/op")
 			b.ReportMetric((float64(s1.SchedulingNanos-s0.SchedulingNanos))/n, "sched-ns/op")
 			b.ReportMetric(float64(s1.CandidatesExamined-s0.CandidatesExamined)/n, "cands/op")
-		})
-	}
-}
-
-// BenchmarkDispatchSharded measures one Dispatch call on the same
-// saturated city as BenchmarkDispatchParallel, but with the dispatcher
-// split into territory shards. The workload is identical across
-// sub-benchmarks (sharded dispatch is bit-identical to single-engine),
-// so ns/op ratios isolate the cost of the cross-shard candidate union
-// and the two-phase border protocol.
-func BenchmarkDispatchSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			g, spx, pt := bigWorld(b)
-			cfg := DefaultConfig()
-			cfg.SearchRangeMeters = 6000
-			cfg.Parallelism = 4
-			cfg.RouterCacheTrees = 4096
-			cfg.CH = bigWorldCH(b)
-			cfg.Sharding = ShardingConfig{Shards: shards}
-			d, err := NewDispatcher(pt, spx, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleetRNG := rand.New(rand.NewSource(42))
-			for i := 0; i < 400; i++ {
-				at := roadnet.VertexID(fleetRNG.Intn(g.NumVertices()))
-				d.AddTaxi(fleet.NewTaxi(g, int64(i+1), 3, at), 0)
-			}
-			speed := d.Config().SpeedMps
-			mkReq := func(id int64, o, dv roadnet.VertexID, release, rho float64) *fleet.Request {
-				direct := d.Router().Cost(o, dv)
-				directSec := direct / speed
-				return &fleet.Request{
-					ID:           fleet.RequestID(id),
-					ReleaseAt:    time.Duration(release * float64(time.Second)),
-					Origin:       o,
-					Dest:         dv,
-					Deadline:     time.Duration((release + directSec*rho) * float64(time.Second)),
-					DirectMeters: direct,
-					Passengers:   1,
-					OriginPt:     g.Point(o),
-					DestPt:       g.Point(dv),
-				}
-			}
-			draw := func(rng *rand.Rand, n int, baseID int64, rho float64, releaseOf func(i int) float64) []*fleet.Request {
-				nv := g.NumVertices()
-				reqs := make([]*fleet.Request, 0, n)
-				for len(reqs) < n {
-					o := roadnet.VertexID(rng.Intn(nv))
-					dv := roadnet.VertexID(rng.Intn(nv))
-					if o == dv || math.IsInf(d.Router().Cost(o, dv), 1) {
-						continue
-					}
-					reqs = append(reqs, mkReq(baseID+int64(len(reqs)), o, dv, releaseOf(len(reqs)), rho))
-				}
-				return reqs
-			}
-			// Preload matches the parallel benchmark: commit a stream so
-			// taxis carry live schedules before probing.
-			var now float64
-			for _, r := range draw(rand.New(rand.NewSource(7)), 400, 1, 1.4, func(i int) float64 { return float64(i) * 5 }) {
-				now = r.ReleaseAt.Seconds()
-				if a, ok := d.Dispatch(r, now, false); ok {
-					if err := d.Commit(a, now); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			rel := now
-			probes := draw(rand.New(rand.NewSource(99)), 128, 10000, 1.5, func(int) float64 { return rel })
-			s0 := d.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Dispatch(probes[i%len(probes)], now, false)
-			}
-			b.StopTimer()
-			s1 := d.Stats()
-			n := float64(b.N)
-			b.ReportMetric((float64(s1.CandidateSearchNanos-s0.CandidateSearchNanos))/n, "candsearch-ns/op")
-			b.ReportMetric((float64(s1.SchedulingNanos-s0.SchedulingNanos))/n, "sched-ns/op")
-			b.ReportMetric(float64(s1.CandidatesExamined-s0.CandidatesExamined)/n, "cands/op")
-			var cross int64
-			for _, sh := range d.ShardStats() {
-				cross += sh.CrossShardCandidates
-			}
-			b.ReportMetric(float64(cross)/n, "x-cands/op")
 		})
 	}
 }

@@ -29,12 +29,19 @@ func seededWorkload(env *testEnv, n int, seed int64) []*fleet.Request {
 
 // placeFleet registers a deterministic fleet.
 func placeFleet(env *testEnv, n int, seed int64) []*fleet.Taxi {
+	return placeFleetOn(env.e, env, n, seed)
+}
+
+// placeFleetOn registers the fleet placeFleet would on another engine over
+// env's world, with its own taxi objects — schedules are per-engine state,
+// so differential runs must not share them.
+func placeFleetOn(e *Engine, env *testEnv, n int, seed int64) []*fleet.Taxi {
 	rng := rand.New(rand.NewSource(seed))
 	taxis := make([]*fleet.Taxi, n)
 	for i := range taxis {
 		at := roadnet.VertexID(rng.Intn(env.g.NumVertices()))
 		taxis[i] = fleet.NewTaxi(env.g, int64(i+1), 3, at)
-		env.e.AddTaxi(taxis[i], 0)
+		e.AddTaxi(taxis[i], 0)
 	}
 	return taxis
 }

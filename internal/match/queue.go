@@ -10,17 +10,17 @@ import (
 	"repro/internal/obs"
 )
 
-// PushResult is the outcome of Pool.Push: accepted, or refused with the
-// reason — a full pool (backpressure the caller can surface as a retryable
-// reject) versus a pickup deadline that had already passed at push time (a
-// terminal miss no amount of queueing can save).
+// PushResult is the outcome of PendingQueue.Push: accepted, or refused
+// with the reason — a full queue (backpressure the caller can surface as a
+// retryable reject) versus a pickup deadline that had already passed at
+// push time (a terminal miss no amount of queueing can save).
 type PushResult int
 
 const (
 	// PushAccepted reports the request is parked (including the no-op
 	// re-push of an already-parked request).
 	PushAccepted PushResult = iota
-	// PushRejectedFull reports the pool was at capacity — backpressure.
+	// PushRejectedFull reports the queue was at capacity — backpressure.
 	PushRejectedFull
 	// PushRejectedExpired reports the request's pickup deadline had
 	// already strictly passed, so parking it would only ever expire it.
@@ -42,23 +42,6 @@ func (r PushResult) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// Pool is the pending-request pool surface the facade, simulator, and
-// server program against: a single PendingQueue, or a sharded QueueGroup
-// routing each request to its home shard's queue. Obtain one matched to a
-// dispatcher via Dispatcher.NewPendingPool.
-type Pool interface {
-	Capacity() int
-	Len() int
-	Push(req *fleet.Request, nowSeconds float64) PushResult
-	ExpireBefore(nowSeconds float64) []*PendingItem
-	NextBatch() []*PendingItem
-	Snapshot() []*PendingItem
-	MarkServed(id fleet.RequestID, nowSeconds float64) bool
-	Stats() QueueStats
-	CaptureDurable() PoolState
-	RestoreDurable(st PoolState, resolve RequestResolver) error
 }
 
 // PendingItem is one parked request in a PendingQueue: a request that got
@@ -85,9 +68,8 @@ type QueueStats struct {
 	Capacity int
 	// Enqueued counts accepted pushes; Rejected pushes refused — whether
 	// because the queue was full (backpressure) or because the request's
-	// pickup deadline had already passed (Pool.Push's PushResult carries
-	// the distinction; the aggregate keeps sharded and single-queue
-	// accounting identical).
+	// pickup deadline had already passed (Push's PushResult carries the
+	// distinction).
 	Enqueued int64
 	Rejected int64
 	// Retries counts request re-dispatch attempts across batch rounds.
@@ -152,36 +134,6 @@ func (q *PendingQueue) InstrumentWith(reg *obs.Registry) *PendingQueue {
 	q.expired = reg.Counter("mtshare_match_queue_expired_total")
 	q.waitSecs = reg.Histogram("mtshare_match_queue_wait_seconds")
 	return q
-}
-
-// NewPendingPool builds the pending-request pool matching a single
-// engine: one deadline-ordered queue at the engine's speed, instrumented
-// in the engine's registry.
-func (e *Engine) NewPendingPool(capacity int) Pool {
-	return NewPendingQueue(capacity, e.cfg.SpeedMps).InstrumentWith(e.reg)
-}
-
-// Capacity returns the queue bound.
-func (q *PendingQueue) Capacity() int { return q.capacity }
-
-// contains reports whether the request is currently parked.
-func (q *PendingQueue) contains(id fleet.RequestID) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	_, ok := q.byID[id]
-	return ok
-}
-
-// noteRejected counts a backpressure rejection decided outside the queue
-// (the QueueGroup's global bound), keeping aggregate stats equal to a
-// single queue's.
-func (q *PendingQueue) noteRejected() {
-	q.mu.Lock()
-	q.stats.Rejected++
-	if q.rejected != nil {
-		q.rejected.Inc()
-	}
-	q.mu.Unlock()
 }
 
 // Len returns the number of parked requests.
@@ -381,56 +333,27 @@ type BatchOutcome struct {
 // are simply not served this round; eviction of expired requests is the
 // queue's job (ExpireBefore), not DispatchBatch's.
 func (e *Engine) DispatchBatch(ctx context.Context, reqs []*fleet.Request, nowSeconds float64, probabilistic bool) []BatchOutcome {
-	h := batchHooks{
-		evaluated: func(*fleet.Request) { e.ins.batchRequests.Inc() },
-		conflict:  func(*BatchOutcome) { e.ins.batchConflicts.Inc() },
-		assignRound: func(options int, fallback bool) {
-			e.ins.batchAssignRounds.Inc()
-			e.ins.batchAssignOptions.Add(int64(options))
-			if fallback {
-				e.ins.batchAssignFallbacks.Inc()
-			}
-		},
-		assignRemainderServed: func() { e.ins.batchAssignRemainder.Inc() },
-	}
 	if e.cfg.BatchAssign {
-		return runBatchAssign(ctx, e, reqs, nowSeconds, probabilistic, h)
+		return e.runBatchAssign(ctx, reqs, nowSeconds, probabilistic)
 	}
-	return runBatch(ctx, e, reqs, nowSeconds, probabilistic, h)
+	return runBatch(ctx, e, reqs, nowSeconds, probabilistic, &e.ins)
 }
 
-// batchDispatcher is what runBatch needs from a dispatcher; Engine and
-// ShardedEngine both qualify.
+// batchDispatcher is what runBatch needs from a dispatcher: the Engine,
+// or a test's scripted stand-in pinning the protocol itself.
 type batchDispatcher interface {
 	DispatchContext(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) (Assignment, bool)
 	Commit(a Assignment, nowSeconds float64) error
 	Config() Config
 }
 
-// batchHooks attribute batch accounting to the right instruments —
-// engine-wide counters for a single engine, per-home-shard counters for a
-// sharded dispatcher. The assign hooks are optional (nil-safe); only the
-// global-assignment rounds of runBatchAssign fire them.
-type batchHooks struct {
-	evaluated func(r *fleet.Request)
-	conflict  func(o *BatchOutcome)
-	// assignRound reports a global-assignment round past the batch-size
-	// threshold: the number of feasible (request, taxi) options its cost
-	// graph held, and whether the round degenerated to the greedy commit
-	// order (no contested taxi, or no feasible pair at all).
-	assignRound func(options int, fallback bool)
-	// assignRemainderServed reports a request the post-solve remainder
-	// pass served against live fleet state.
-	assignRemainderServed func()
-}
-
-// runBatch is the two-phase batch protocol shared by Engine and
-// ShardedEngine: phase 1 evaluates every request against the same fleet
-// state, phase 2 reserves taxis in (pickup deadline, request ID) order —
-// the `taken` set — and commits, re-dispatching the later request of any
-// conflict. Both phases are deterministic at every parallelism level and
-// shard count.
-func runBatch(ctx context.Context, d batchDispatcher, reqs []*fleet.Request, nowSeconds float64, probabilistic bool, h batchHooks) []BatchOutcome {
+// runBatch is the two-phase batch protocol: phase 1 evaluates every
+// request against the same fleet state, phase 2 reserves taxis in (pickup
+// deadline, request ID) order — the `taken` set — and commits,
+// re-dispatching the later request of any conflict. Both phases are
+// deterministic at every parallelism level. ins receives the batch
+// request and conflict counts.
+func runBatch(ctx context.Context, d batchDispatcher, reqs []*fleet.Request, nowSeconds float64, probabilistic bool, ins *instruments) []BatchOutcome {
 	order := batchOrder(d, reqs)
 	out := make([]BatchOutcome, len(order))
 	// Phase 1: evaluate everything against the same fleet state (no
@@ -438,9 +361,9 @@ func runBatch(ctx context.Context, d batchDispatcher, reqs []*fleet.Request, now
 	for i, r := range order {
 		a, ok := d.DispatchContext(ctx, r, nowSeconds, probabilistic)
 		out[i] = BatchOutcome{Req: r, Assignment: a, Served: ok}
-		h.evaluated(r)
+		ins.batchRequests.Inc()
 	}
-	commitBatch(ctx, d, out, nowSeconds, probabilistic, h, nil)
+	commitBatch(ctx, d, out, nowSeconds, probabilistic, ins, nil)
 	return out
 }
 
@@ -465,7 +388,7 @@ func batchOrder(d batchDispatcher, reqs []*fleet.Request) []*fleet.Request {
 // an assignment's route legs right before its commit (the global-
 // assignment round defers leg building to winners); runBatch passes nil
 // because DispatchContext already returns materialised winners.
-func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, nowSeconds float64, probabilistic bool, h batchHooks, finish func(*Assignment) bool) {
+func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, nowSeconds float64, probabilistic bool, ins *instruments, finish func(*Assignment) bool) {
 	taken := make(map[int64]bool)
 	for i := range out {
 		o := &out[i]
@@ -474,7 +397,7 @@ func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, now
 		}
 		if taken[o.Assignment.Taxi.ID] {
 			o.Conflict = true
-			h.conflict(o)
+			ins.batchConflicts.Inc()
 			contested := o.Assignment.Taxi.ID
 			if !redispatch(ctx, d, o, nowSeconds, probabilistic) {
 				continue
@@ -489,7 +412,7 @@ func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, now
 			// re-dispatching yet again would loop without progress, since
 			// nothing has changed since the evaluation that picked it.
 			if o.Assignment.Taxi.ID != contested && taken[o.Assignment.Taxi.ID] {
-				h.conflict(o)
+				ins.batchConflicts.Inc()
 			}
 		}
 		if finish != nil && o.Assignment.Legs == nil && !finish(&o.Assignment) {
@@ -515,156 +438,4 @@ func redispatch(ctx context.Context, d batchDispatcher, o *BatchOutcome, nowSeco
 	a, ok := d.DispatchContext(ctx, o.Req, nowSeconds, probabilistic)
 	o.Assignment, o.Served = a, ok
 	return ok
-}
-
-// QueueGroup is the sharded pending-request pool: one PendingQueue per
-// shard, each request parked on its home shard's queue, with a global
-// capacity bound across the group so backpressure behaves exactly like a
-// single queue of the same capacity. Batch and expiry traversals merge
-// the per-shard queues back into one (pickup deadline, request ID) order,
-// so DispatchBatch sees the same deterministic sequence either way.
-type QueueGroup struct {
-	se       *ShardedEngine
-	capacity int
-
-	// mu serialises group operations so the global bound is exact; the
-	// per-queue locks below it only order group-vs-direct-queue access.
-	mu     sync.Mutex
-	queues []*PendingQueue
-}
-
-// Capacity returns the group-wide bound.
-func (g *QueueGroup) Capacity() int { return g.capacity }
-
-// Len returns the number of parked requests across all shards.
-func (g *QueueGroup) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.depthLocked()
-}
-
-func (g *QueueGroup) depthLocked() int {
-	total := 0
-	for _, q := range g.queues {
-		total += q.Len()
-	}
-	return total
-}
-
-// Push parks a request on its home shard's queue, subject to the global
-// bound. Re-pushing a parked request is a no-op reporting PushAccepted;
-// the rejection bookkeeping matches a single queue's exactly (one
-// Rejected count whether the refusal came from the bound or a passed
-// deadline), and so does the refusal reason — an already-expired request
-// reports PushRejectedExpired even when the group is simultaneously at
-// its bound, exactly as a single queue of the same capacity would.
-func (g *QueueGroup) Push(req *fleet.Request, nowSeconds float64) PushResult {
-	q := g.queues[g.se.HomeShard(req)]
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if q.contains(req.ID) {
-		return PushAccepted
-	}
-	if req.PickupDeadline(q.speedMps).Seconds() < nowSeconds {
-		// Delegate so the shard queue does the expiry rejection and its
-		// bookkeeping itself.
-		return q.Push(req, nowSeconds)
-	}
-	if g.depthLocked() >= g.capacity {
-		q.noteRejected()
-		return PushRejectedFull
-	}
-	return q.Push(req, nowSeconds)
-}
-
-// ExpireBefore evicts strictly-late requests from every shard queue and
-// returns them merged in (pickup deadline, request ID) order.
-func (g *QueueGroup) ExpireBefore(nowSeconds float64) []*PendingItem {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out []*PendingItem
-	for _, q := range g.queues {
-		out = append(out, q.ExpireBefore(nowSeconds)...)
-	}
-	sortPendingItems(out)
-	return out
-}
-
-// NextBatch returns every parked request merged in (pickup deadline,
-// request ID) order — identical to a single queue's batch order — and
-// counts one retry against each.
-func (g *QueueGroup) NextBatch() []*PendingItem {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out []*PendingItem
-	for _, q := range g.queues {
-		out = append(out, q.NextBatch()...)
-	}
-	sortPendingItems(out)
-	return out
-}
-
-// Snapshot returns the parked requests in (pickup deadline, request ID)
-// order without mutating lifecycle state.
-func (g *QueueGroup) Snapshot() []*PendingItem {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out []*PendingItem
-	for _, q := range g.queues {
-		out = append(out, q.Snapshot()...)
-	}
-	sortPendingItems(out)
-	return out
-}
-
-// MarkServed removes a matched request from whichever shard queue holds
-// it.
-func (g *QueueGroup) MarkServed(id fleet.RequestID, nowSeconds float64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, q := range g.queues {
-		if q.MarkServed(id, nowSeconds) {
-			return true
-		}
-	}
-	return false
-}
-
-// ShardDepths returns each shard queue's current depth, indexed by
-// shard (the stats API's per-shard queue view).
-func (g *QueueGroup) ShardDepths() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]int, len(g.queues))
-	for i, q := range g.queues {
-		out[i] = q.Len()
-	}
-	return out
-}
-
-// Stats sums the shard queues' lifecycle counters under the group's
-// capacity.
-func (g *QueueGroup) Stats() QueueStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s := QueueStats{Capacity: g.capacity}
-	for _, q := range g.queues {
-		qs := q.Stats()
-		s.Depth += qs.Depth
-		s.Enqueued += qs.Enqueued
-		s.Rejected += qs.Rejected
-		s.Retries += qs.Retries
-		s.Served += qs.Served
-		s.Expired += qs.Expired
-	}
-	return s
-}
-
-func sortPendingItems(items []*PendingItem) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].pickupDeadline != items[j].pickupDeadline {
-			return items[i].pickupDeadline < items[j].pickupDeadline
-		}
-		return items[i].Req.ID < items[j].Req.ID
-	})
 }

@@ -196,11 +196,8 @@ func TestDispatchBatchChainedConflictAccounting(t *testing.T) {
 		rB.ID: {t1, t2}, // conflicts on taxi 1, re-dispatches to taxi 2
 		rC.ID: {t2, t1}, // conflicts on taxi 2, chains onto taken taxi 1
 	}}
-	conflicts := 0
-	out := runBatch(context.Background(), d, []*fleet.Request{rC, rA, rB}, 0, false, batchHooks{
-		evaluated: func(*fleet.Request) {},
-		conflict:  func(*BatchOutcome) { conflicts++ },
-	})
+	ins := newInstruments(obs.NewRegistry())
+	out := runBatch(context.Background(), d, []*fleet.Request{rC, rA, rB}, 0, false, &ins)
 	if len(out) != 3 || out[0].Req.ID != 1 || out[1].Req.ID != 2 || out[2].Req.ID != 3 {
 		t.Fatalf("commit order = %v", out)
 	}
@@ -219,8 +216,56 @@ func TestDispatchBatchChainedConflictAccounting(t *testing.T) {
 	if len(d.commits) != 3 {
 		t.Fatalf("commits = %d, want 3 (the chained landing must still commit)", len(d.commits))
 	}
-	if conflicts != 3 {
+	if conflicts := ins.batchConflicts.Value(); conflicts != 3 {
 		t.Fatalf("conflict events = %d, want 3 (B's conflict + C's conflict + C's chained landing)", conflicts)
+	}
+}
+
+// TestPendingQueueStatsConservation drives the queue through a mixed
+// push/serve/expire sequence and checks the lifecycle conservation law
+// Enqueued == Depth + Served + Expired — every accepted push is still
+// parked, was served, or expired; refused pushes touch only Rejected.
+func TestPendingQueueStatsConservation(t *testing.T) {
+	env := newTestEnv(t, nil)
+	q := NewPendingQueue(16, env.e.Config().SpeedMps)
+	check := func(when string) {
+		st := q.Stats()
+		if st.Enqueued != int64(st.Depth)+st.Served+st.Expired {
+			t.Fatalf("%s: Enqueued %d != Depth %d + Served %d + Expired %d (stats %+v)",
+				when, st.Enqueued, st.Depth, st.Served, st.Expired, st)
+		}
+	}
+	reqs := seededWorkload(env, 10, 23)
+	for i, r := range reqs {
+		if !q.Push(r, 0).Accepted() {
+			t.Fatalf("push %d refused below capacity", i)
+		}
+		check("push")
+	}
+	// Serve three of them.
+	for _, r := range reqs[:3] {
+		if !q.MarkServed(r.ID, 1) {
+			t.Fatalf("MarkServed(%d) missed a parked request", r.ID)
+		}
+		check("serve")
+	}
+	// Expire a strict prefix of the remainder: sweep past the median
+	// parked pickup deadline.
+	snap := q.Snapshot()
+	cut := snap[len(snap)/2].Req.PickupDeadline(env.e.Config().SpeedMps).Seconds()
+	expired := q.ExpireBefore(cut + 0.001)
+	if len(expired) == 0 || len(expired) == len(snap) {
+		t.Fatalf("expiry swept %d of %d parked requests; need a strict subset", len(expired), len(snap))
+	}
+	check("expire")
+	// An already-expired push is refused and must not disturb the law.
+	if got := q.Push(expired[0].Req, cut+0.001); got != PushRejectedExpired {
+		t.Fatalf("re-push of expired request = %v, want PushRejectedExpired", got)
+	}
+	check("expired re-push")
+	st := q.Stats()
+	if st.Served != 3 || st.Expired != int64(len(expired)) || st.Enqueued != int64(len(reqs)) {
+		t.Fatalf("final stats %+v, want Enqueued=%d Served=3 Expired=%d", st, len(reqs), len(expired))
 	}
 }
 

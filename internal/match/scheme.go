@@ -10,13 +10,12 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Scheme adapts a dispatcher — a single Engine or a ShardedEngine — to
-// the simulation's dispatcher contract. Probabilistic selects the
-// mT-Share_pro variant: probabilistic routing in Alg. 1 for eligible
-// taxis plus probabilistic cruising of idle taxis toward likely offline
-// demand.
+// Scheme adapts an Engine to the simulation's dispatcher contract.
+// Probabilistic selects the mT-Share_pro variant: probabilistic routing in
+// Alg. 1 for eligible taxis plus probabilistic cruising of idle taxis
+// toward likely offline demand.
 type Scheme struct {
-	Dispatcher
+	*Engine
 	// Probabilistic enables probabilistic routing and cruising
 	// (mT-Share_pro).
 	Probabilistic bool
@@ -27,10 +26,10 @@ type Scheme struct {
 	lastIndexed map[int64]partition.ID
 }
 
-// NewScheme wraps a dispatcher as a simulation dispatcher.
-func NewScheme(d Dispatcher, probabilistic bool) *Scheme {
+// NewScheme wraps an engine as a simulation dispatcher.
+func NewScheme(e *Engine, probabilistic bool) *Scheme {
 	return &Scheme{
-		Dispatcher:    d,
+		Engine:        e,
 		Probabilistic: probabilistic,
 		CruiseMeters:  3000,
 		lastIndexed:   make(map[int64]partition.ID),
@@ -45,9 +44,9 @@ func (s *Scheme) Name() string {
 	return "mT-Share"
 }
 
-// AddTaxi registers a taxi with the dispatcher.
+// AddTaxi registers a taxi with the engine.
 func (s *Scheme) AddTaxi(t *fleet.Taxi, nowSeconds float64) {
-	s.Dispatcher.AddTaxi(t, nowSeconds)
+	s.Engine.AddTaxi(t, nowSeconds)
 	s.noteIndexed(t)
 }
 
@@ -115,9 +114,9 @@ func (s *Scheme) OnRequestCompleted(req *fleet.Request, nowSeconds float64) {
 	s.OnRequestDone(req)
 }
 
-// TryServeOffline delegates to the dispatcher's insertion check.
+// TryServeOffline delegates to the engine's insertion check.
 func (s *Scheme) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSeconds float64) bool {
-	ok := s.Dispatcher.TryServeOffline(t, req, nowSeconds)
+	ok := s.Engine.TryServeOffline(t, req, nowSeconds)
 	if ok {
 		s.noteIndexed(t)
 	}

@@ -1,9 +1,6 @@
 package match
 
-import (
-	"repro/internal/obs"
-	"repro/internal/partition"
-)
+import "repro/internal/obs"
 
 // EngineStats is a point-in-time summary of what the matching pipeline
 // did — how many dispatches ran, how the candidate-search refinement
@@ -88,48 +85,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.CandidateSearchNanos += o.CandidateSearchNanos
 	s.SchedulingNanos += o.SchedulingNanos
 	s.LegBuildNanos += o.LegBuildNanos
-}
-
-// ShardStats describes one shard of a dispatcher: its partition
-// territory, current fleet slice, the sharding-layer traffic counters,
-// and the shard's own engine pipeline counters. A single Engine reports
-// itself as shard 0 owning every partition with zero cross-shard traffic,
-// so callers (the stats API, the experiment harness) handle both
-// topologies uniformly.
-type ShardStats struct {
-	// Shard is the shard index; FirstPartition..LastPartition is its
-	// contiguous owned partition-ID range.
-	Shard          int
-	FirstPartition partition.ID
-	LastPartition  partition.ID
-	// Taxis is the number of taxis currently registered to the shard.
-	Taxis int
-	// Requests counts dispatches routed to the shard as home shard.
-	Requests int64
-	// CrossShardCandidates counts evaluated candidate taxis owned by a
-	// different shard than the request's home (border candidates);
-	// CrossShardAssignments the commits whose winning taxi another shard
-	// owned; BorderConflicts the batch conflicts whose contested taxi was
-	// cross-shard (two shards reserved the same taxi in one round).
-	CrossShardCandidates  int64
-	CrossShardAssignments int64
-	BorderConflicts       int64
-	// Handoffs counts taxis migrated into the shard's territory.
-	Handoffs int64
-	// Engine is the shard's own pipeline counters; summing them across
-	// shards reproduces the aggregate Stats.
-	Engine EngineStats
-}
-
-// ShardStats reports the single engine as one shard owning the whole map.
-func (e *Engine) ShardStats() []ShardStats {
-	return []ShardStats{{
-		Shard:          0,
-		FirstPartition: 0,
-		LastPartition:  partition.ID(e.pt.NumPartitions() - 1),
-		Taxis:          e.NumTaxis(),
-		Engine:         e.Stats(),
-	}}
 }
 
 // instruments are the engine's registry-backed instruments under the

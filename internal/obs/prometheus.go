@@ -13,7 +13,7 @@ import (
 // `<name> <value>` with TYPE counter, gauges with TYPE gauge, and
 // histograms as cumulative `<name>_bucket{le="..."}` series plus
 // `<name>_sum` and `<name>_count`. Instruments registered through a
-// Labeled view carry their label set (`name{shard="0"}`); the TYPE
+// Labeled view carry their label set (`name{route="stats"}`); the TYPE
 // comment is emitted once per metric family (base name), not per series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	s := r.Snapshot()
@@ -72,8 +72,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // splitName separates a registered instrument name into its base metric
 // name and its label set (including braces), e.g.
-// `mtshare_match_dispatches_total{shard="0"}` ->
-// (`mtshare_match_dispatches_total`, `{shard="0"}`).
+// `mtshare_server_http_seconds{route="stats"}` ->
+// (`mtshare_server_http_seconds`, `{route="stats"}`).
 func splitName(name string) (base, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
 		return name[:i], name[i:]

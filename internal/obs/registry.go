@@ -34,7 +34,7 @@ type Registry struct {
 	// handle as name{labels} — a label set in the Prometheus sense. root
 	// points at the registry owning the maps; nil means this handle is the
 	// root itself. Labeled views share the root's instruments, so one
-	// Snapshot or scrape sees every shard's series side by side.
+	// Snapshot or scrape sees every label set's series side by side.
 	labels string
 	root   *Registry
 }
@@ -65,9 +65,9 @@ func (r *Registry) decorate(name string) string {
 }
 
 // Labeled returns a view of the registry that registers every instrument
-// under name{labels} instead of name — e.g. Labeled(`shard="2"`) turns
-// mtshare_match_dispatches_total into
-// mtshare_match_dispatches_total{shard="2"}. The view shares the
+// under name{labels} instead of name — e.g. Labeled(`route="advance"`)
+// turns mtshare_server_http_seconds into
+// mtshare_server_http_seconds{route="advance"}. The view shares the
 // underlying registry: Snapshot and WritePrometheus on either handle see
 // all series. Labels compose; labelling a labelled view appends to its
 // label set. labels must be a well-formed Prometheus label list

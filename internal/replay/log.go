@@ -30,10 +30,10 @@ import (
 //     retry_every_ticks, RequestOutcome.Err gains the "queued" and
 //     "queue_full" codes, TickEvent gains queue_matched / queue_expired.
 //   - 3: sharded dispatcher — Header gains shards / border_policy and the
-//     sealed counters include the mtshare_shard_* family. Sharding is
-//     outcome-neutral (the sharded engine is bit-identical to the single
-//     engine), so version-2 logs replay unchanged; the decoder accepts
-//     both.
+//     sealed counters include a per-shard counter family. The sharded
+//     dispatcher has since been removed: a version-3 log of an unsharded
+//     run replays unchanged (as do version-2 logs), and Validate refuses
+//     a log recorded sharded.
 const Version = 3
 
 // minVersion is the oldest header version the decoder still replays.
@@ -80,10 +80,10 @@ type Header struct {
 	// knob changes which requests are served, so a replay must rebuild
 	// the same round scheme; omitempty keeps pre-knob logs byte-stable.
 	BatchAssign bool `json:"batch_assign,omitempty"`
-	// Sharded-dispatcher configuration (0 / "" = single engine). Sharding
-	// is outcome-neutral by construction, but the per-shard counters land
-	// in the sealed metrics snapshot, so a replay must rebuild the same
-	// topology; omitempty keeps pre-sharding logs byte-stable.
+	// Shards and BorderPolicy are read only so that Validate can refuse a
+	// log recorded by a sharded dispatcher: its sealed counters carry
+	// shard-labelled series one engine cannot reproduce. Nothing writes
+	// them any more.
 	Shards       int    `json:"shards,omitempty"`
 	BorderPolicy string `json:"border_policy,omitempty"`
 	// GraphFingerprint is the hex fingerprint of the road graph the run
@@ -104,6 +104,9 @@ func (h *Header) Validate() error {
 	case KindSystem, KindSim:
 	default:
 		return fmt.Errorf("replay: unknown log kind %q", h.Kind)
+	}
+	if h.Shards > 1 || h.BorderPolicy != "" {
+		return fmt.Errorf("replay: log recorded by a sharded dispatcher (shards %d, border policy %q); the sharded dispatcher was removed and one engine cannot replay it", h.Shards, h.BorderPolicy)
 	}
 	if h.Faults != nil {
 		if err := h.Faults.Validate(); err != nil {
@@ -243,7 +246,6 @@ var DeterministicCounterPrefixes = []string{
 	"mtshare_match_",
 	"mtshare_sim_",
 	"mtshare_index_",
-	"mtshare_shard_",
 }
 
 // DeterministicCounters filters a counters map down to the families in

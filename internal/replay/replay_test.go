@@ -105,6 +105,28 @@ func TestEncoderRejectsBadHeader(t *testing.T) {
 	}
 }
 
+// TestHeaderRefusesShardedLog pins the refusal of a log recorded by the
+// removed sharded dispatcher, one case per header field.
+func TestHeaderRefusesShardedLog(t *testing.T) {
+	for name, mut := range map[string]func(*Header){
+		"shards":        func(h *Header) { h.Shards = 2 },
+		"border_policy": func(h *Header) { h.BorderPolicy = "twophase" },
+	} {
+		h := validHeader()
+		mut(&h)
+		err := h.Validate()
+		if err == nil || !strings.Contains(err.Error(), "sharded dispatcher was removed") {
+			t.Errorf("%s: Validate = %v, want the sharded-dispatcher refusal", name, err)
+		}
+	}
+	// A one-shard header was always the single engine.
+	h := validHeader()
+	h.Shards = 1
+	if err := h.Validate(); err != nil {
+		t.Errorf("shards=1: %v", err)
+	}
+}
+
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {

@@ -8,7 +8,7 @@
 // *before* the engine melts: when MaxInFlight requests already hold the
 // dispatch lock's doorstep and AdmissionQueue more are waiting, the
 // request is refused up front with 429 + Retry-After and the engine
-// never sees it. Read-only routes (stats, metrics, queue, shards,
+// never sees it. Read-only routes (stats, metrics, queue,
 // durability, slo) are never gated, so the server stays observable
 // under overload.
 package server

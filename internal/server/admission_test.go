@@ -319,6 +319,30 @@ func TestServerRejectEnvelopes(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 			wantCode:   codeInvalidRequest,
 		},
+		{
+			name:   "removed shards route",
+			build:  newTestServer,
+			method: http.MethodGet, path: "/v1/shards",
+			wantStatus:  http.StatusNotFound,
+			wantCode:    codeNotFound,
+			wantHeaders: map[string]string{"Content-Type": "application/json"},
+		},
+		{
+			name:   "removed api alias",
+			build:  newTestServer,
+			method: http.MethodGet, path: "/api/taxis",
+			wantStatus:  http.StatusNotFound,
+			wantCode:    codeNotFound,
+			wantHeaders: map[string]string{"Content-Type": "application/json"},
+		},
+		{
+			name:   "unknown route",
+			build:  newTestServer,
+			method: http.MethodPost, path: "/v1/nope", reqBody: body,
+			wantStatus:  http.StatusNotFound,
+			wantCode:    codeNotFound,
+			wantHeaders: map[string]string{"Content-Type": "application/json"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -80,8 +80,6 @@ func (s *Server) buildWALHeader() replay.Header {
 		DisableCH:         s.cfg.DisableCH,
 		QueueDepth:        s.cfg.QueueDepth,
 		RetryEveryTicks:   s.cfg.RetryEveryTicks,
-		Shards:            s.cfg.Sharding.Shards,
-		BorderPolicy:      s.cfg.Sharding.BorderPolicy,
 		GraphFingerprint:  fmt.Sprintf("%016x", s.g.Fingerprint()),
 	}
 }

@@ -4,10 +4,9 @@
 // payment model settles fares on delivery. It is the "mobile-cloud"
 // deployment shape the paper's Fig. 2 sketches, on the synthetic city.
 //
-// The API is versioned under /v1/ (the unversioned /api/ routes remain
-// as deprecated aliases). Errors are a uniform JSON envelope
-// {"error": "...", "code": "..."}; /v1/metrics serves the engine's
-// instrument registry in Prometheus text format.
+// The API is versioned under /v1/. Errors — unknown routes included — are
+// a uniform JSON envelope {"error": "...", "code": "..."}; /v1/metrics
+// serves the engine's instrument registry in Prometheus text format.
 package server
 
 import (
@@ -87,12 +86,6 @@ type Config struct {
 	// rounds, option counts, and fallbacks.
 	BatchAssign bool
 
-	// Sharding splits the dispatcher into independent per-territory match
-	// engines with deterministic cross-shard handoff (outcome-identical
-	// to the single engine; see match.ShardingConfig). /v1/shards reports
-	// the per-shard breakdown. The zero value keeps the single engine.
-	Sharding match.ShardingConfig
-
 	// Metrics receives the engine's instruments; nil allocates a private
 	// registry served at /v1/metrics either way.
 	Metrics *obs.Registry
@@ -101,8 +94,8 @@ type Config struct {
 	TraceSampleEvery int
 	TraceHandler     func(*obs.Span)
 
-	// Parallelism bounds the dispatcher's intra-dispatch worker count
-	// (see match.Config.Parallelism). 0 uses the dispatcher default.
+	// Parallelism bounds the engine's intra-dispatch worker count (see
+	// match.Config.Parallelism). 0 uses the engine default.
 	Parallelism int
 
 	// Durability, when enabled, makes the server crash-safe: every
@@ -138,7 +131,7 @@ type Server struct {
 	cfg    Config
 	g      *roadnet.Graph
 	spx    *roadnet.SpatialIndex
-	engine match.Dispatcher
+	engine *match.Engine
 	scheme *match.Scheme
 	pay    payment.Model
 	reg    *obs.Registry
@@ -164,9 +157,7 @@ type Server struct {
 	requests   map[fleet.RequestID]*reqStatus
 	// Pending-request queue (nil when Config.QueueDepth is 0), serviced
 	// at the top of every movement tick; tickCount counts those ticks.
-	// The dispatcher supplies the pool: a single bounded queue, or a
-	// per-shard queue group under one global bound when sharded.
-	queue      match.Pool
+	queue      *match.PendingQueue
 	retryEvery int
 	tickCount  int64
 	// stopped is guarded by mu. Handlers decide the 503 and run their
@@ -260,12 +251,11 @@ func New(cfg Config) (*Server, error) {
 	mcfg.DisableCH = cfg.DisableCH
 	mcfg.BatchAssign = cfg.BatchAssign
 	mcfg.Metrics = cfg.Metrics
-	mcfg.Sharding = cfg.Sharding
 	mcfg.Parallelism = cfg.Parallelism
 	if cfg.TraceSampleEvery > 0 {
 		mcfg.Tracer = obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceHandler)
 	}
-	eng, err := match.NewDispatcher(pt, spx, mcfg)
+	eng, err := match.NewEngine(pt, spx, mcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -297,10 +287,10 @@ func New(cfg Config) (*Server, error) {
 		s.adm = newAdmission(s.reg, cfg.MaxInFlight, maxWait)
 	}
 	if cfg.QueueDepth > 0 {
-		// The dispatcher-built pool surfaces the queue's depth gauge and
-		// lifecycle counters (mtshare_match_queue_*) on the /v1/metrics
-		// registry — per shard when sharded.
-		s.queue = eng.NewPendingPool(cfg.QueueDepth)
+		// The queue's depth gauge and lifecycle counters
+		// (mtshare_match_queue_*) land in the engine's registry, served at
+		// /v1/metrics.
+		s.queue = match.NewPendingQueue(cfg.QueueDepth, mcfg.SpeedMps).InstrumentWith(s.reg)
 		s.retryEvery = cfg.RetryEveryTicks
 		if s.retryEvery <= 0 {
 			s.retryEvery = 1
@@ -352,10 +342,9 @@ func (s *Server) Start() {
 // subsequent mutating requests fail with a 503 "shutdown" envelope.
 // The flag is set under mu, so any handler already inside its critical
 // section finishes first and every later handler observes the shutdown
-// before touching the engine. Draining the dispatcher inside the same
-// critical section closes every shard's commit path, so no dispatch —
-// on any shard — can install a plan after Stop returns. Stop is
-// idempotent.
+// before touching the engine. Draining the engine inside the same
+// critical section closes its commit path, so no dispatch can install a
+// plan after Stop returns. Stop is idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -514,9 +503,8 @@ func (s *Server) addTaxiLocked(p geo.Point, capacity int) int64 {
 	return t.ID
 }
 
-// Handler returns the HTTP API. Routes live under /v1/; the original
-// unversioned /api/ paths are served as deprecated aliases announcing
-// their replacement via Deprecation and Link headers.
+// Handler returns the HTTP API. Routes live under /v1/; any other path
+// answers 404 in the JSON error envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// Admission-gated routes are the ones whose POST bodies reach the
@@ -526,7 +514,6 @@ func (s *Server) Handler() http.Handler {
 		"/requests":   s.admit(s.handleRequests),
 		"/hails":      s.admit(s.handleHails),
 		"/stats":      s.handleStats,
-		"/shards":     s.handleShards,
 		"/queue":      s.handleQueue,
 		"/metrics":    s.handleMetrics,
 		"/durability": s.handleDurability,
@@ -534,20 +521,14 @@ func (s *Server) Handler() http.Handler {
 		"/slo":        s.handleSLO,
 	}
 	for path, h := range routes {
-		h = s.instrument(strings.TrimPrefix(path, "/"), h)
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc("/api"+path, deprecatedAlias("/v1"+path, h))
+		mux.HandleFunc("/v1"+path, s.instrument(strings.TrimPrefix(path, "/"), h))
 	}
+	// The catch-all is neither gated nor instrumented, so a bogus path mints
+	// no per-route latency series.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("no route %s", r.URL.Path))
+	})
 	return mux
-}
-
-// deprecatedAlias serves h while flagging the route as superseded.
-func deprecatedAlias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 type pointJSON struct {
@@ -952,7 +933,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"requests":            len(s.requests),
 		"served":              served,
 		"delivered":           delivered,
-		"shards":              s.engine.ShardCount(),
 		"index_memory_bytes":  s.engine.IndexMemoryBytes(),
 		"graph_vertices":      s.g.NumVertices(),
 		"dispatches":          es.Dispatches,
@@ -963,69 +943,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// shardJSON is one dispatcher shard on the /v1/shards surface.
-type shardJSON struct {
-	Shard          int `json:"shard"`
-	FirstPartition int `json:"first_partition"`
-	LastPartition  int `json:"last_partition"`
-	Taxis          int `json:"taxis"`
-	// QueueDepth is the shard queue's parked-request count (always 0 when
-	// the pending queue is disabled; the whole depth lands on shard 0
-	// when the dispatcher is unsharded).
-	QueueDepth            int   `json:"queue_depth"`
-	Requests              int64 `json:"requests"`
-	Assignments           int64 `json:"assignments"`
-	CrossShardCandidates  int64 `json:"cross_shard_candidates"`
-	CrossShardAssignments int64 `json:"cross_shard_assignments"`
-	BorderConflicts       int64 `json:"border_conflicts"`
-	Handoffs              int64 `json:"handoffs"`
-}
-
-// handleShards reports the per-shard dispatcher breakdown: territory,
-// fleet slice, queue depth, and the cross-shard traffic counters. An
-// unsharded dispatcher reports one shard owning every partition. The
-// route is read-only, so it keeps answering after Stop.
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, r, http.MethodGet)
-		return
-	}
-	s.mu.Lock()
-	raw := s.engine.ShardStats()
-	var depths []int
-	switch q := s.queue.(type) {
-	case nil:
-	case interface{ ShardDepths() []int }:
-		depths = q.ShardDepths()
-	default:
-		depths = make([]int, len(raw))
-		depths[0] = q.Len()
-	}
-	s.mu.Unlock()
-	shards := make([]shardJSON, len(raw))
-	for i, sh := range raw {
-		shards[i] = shardJSON{
-			Shard:                 sh.Shard,
-			FirstPartition:        int(sh.FirstPartition),
-			LastPartition:         int(sh.LastPartition),
-			Taxis:                 sh.Taxis,
-			Requests:              sh.Requests,
-			Assignments:           sh.Engine.Assignments,
-			CrossShardCandidates:  sh.CrossShardCandidates,
-			CrossShardAssignments: sh.CrossShardAssignments,
-			BorderConflicts:       sh.BorderConflicts,
-			Handoffs:              sh.Handoffs,
-		}
-		if i < len(depths) {
-			shards[i].QueueDepth = depths[i]
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"count":  len(shards),
-		"shards": shards,
-	})
 }
 
 // Now returns the current simulated time in seconds (tests use it).

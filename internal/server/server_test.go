@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/match"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -51,9 +49,9 @@ func TestServerLifecycle(t *testing.T) {
 	h := s.Handler()
 
 	// Fleet listing.
-	rec, _ := do(t, h, http.MethodGet, "/api/taxis", nil)
+	rec, _ := do(t, h, http.MethodGet, "/v1/taxis", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/taxis = %d", rec.Code)
+		t.Fatalf("GET /v1/taxis = %d", rec.Code)
 	}
 	var taxis []map[string]interface{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &taxis); err != nil {
@@ -64,24 +62,24 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Register a taxi.
-	rec, out := do(t, h, http.MethodPost, "/api/taxis", map[string]interface{}{
+	rec, out := do(t, h, http.MethodPost, "/v1/taxis", map[string]interface{}{
 		"lat": cityPoint(s, 0.5, 0.5)["lat"], "lng": cityPoint(s, 0.5, 0.5)["lng"], "capacity": 4,
 	})
 	if rec.Code != http.StatusCreated {
-		t.Fatalf("POST /api/taxis = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("POST /v1/taxis = %d: %s", rec.Code, rec.Body)
 	}
 	if string(out["id"]) == "" {
 		t.Fatal("no taxi id returned")
 	}
 
 	// Submit a request.
-	rec, out = do(t, h, http.MethodPost, "/api/requests", map[string]interface{}{
+	rec, out = do(t, h, http.MethodPost, "/v1/requests", map[string]interface{}{
 		"pickup":  cityPoint(s, 0.45, 0.45),
 		"dropoff": cityPoint(s, 0.9, 0.9),
 		"rho":     1.5,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /api/requests = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("POST /v1/requests = %d: %s", rec.Code, rec.Body)
 	}
 	var served bool
 	if err := json.Unmarshal(out["served"], &served); err != nil {
@@ -100,18 +98,18 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Poll status.
-	rec, out = do(t, h, http.MethodGet, fmt.Sprintf("/api/requests?id=%d", id), nil)
+	rec, out = do(t, h, http.MethodGet, fmt.Sprintf("/v1/requests?id=%d", id), nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/requests = %d", rec.Code)
+		t.Fatalf("GET /v1/requests = %d", rec.Code)
 	}
 	if err := json.Unmarshal(out["served"], &served); err != nil || !served {
 		t.Fatal("status lost the assignment")
 	}
 
 	// Stats.
-	rec, out = do(t, h, http.MethodGet, "/api/stats", nil)
+	rec, out = do(t, h, http.MethodGet, "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/stats = %d", rec.Code)
+		t.Fatalf("GET /v1/stats = %d", rec.Code)
 	}
 	var nTaxis int
 	if err := json.Unmarshal(out["taxis"], &nTaxis); err != nil || nTaxis != 11 {
@@ -122,7 +120,7 @@ func TestServerLifecycle(t *testing.T) {
 func TestServerDeliversOverSimulatedTime(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	rec, out := do(t, h, http.MethodPost, "/api/requests", map[string]interface{}{
+	rec, out := do(t, h, http.MethodPost, "/v1/requests", map[string]interface{}{
 		"pickup":  cityPoint(s, 0.4, 0.4),
 		"dropoff": cityPoint(s, 0.7, 0.7),
 		"rho":     1.6,
@@ -140,7 +138,7 @@ func TestServerDeliversOverSimulatedTime(t *testing.T) {
 	// Drive the world forward directly (no background loop in tests).
 	for i := 0; i < 2000; i++ {
 		s.advance(5)
-		_, out = do(t, h, http.MethodGet, fmt.Sprintf("/api/requests?id=%d", id), nil)
+		_, out = do(t, h, http.MethodGet, fmt.Sprintf("/v1/requests?id=%d", id), nil)
 		var delivered bool
 		_ = json.Unmarshal(out["delivered"], &delivered)
 		if delivered {
@@ -158,21 +156,21 @@ func TestServerDeliversOverSimulatedTime(t *testing.T) {
 func TestServerBadInputs(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	rec, _ := do(t, h, http.MethodGet, "/api/requests?id=abc", nil)
+	rec, _ := do(t, h, http.MethodGet, "/v1/requests?id=abc", nil)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad id = %d", rec.Code)
 	}
-	rec, _ = do(t, h, http.MethodGet, "/api/requests?id=999", nil)
+	rec, _ = do(t, h, http.MethodGet, "/v1/requests?id=999", nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown id = %d", rec.Code)
 	}
-	rec, _ = do(t, h, http.MethodDelete, "/api/taxis", nil)
+	rec, _ = do(t, h, http.MethodDelete, "/v1/taxis", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE = %d", rec.Code)
 	}
 	// Same pickup and dropoff.
 	p := cityPoint(s, 0.5, 0.5)
-	rec, _ = do(t, h, http.MethodPost, "/api/requests", map[string]interface{}{
+	rec, _ = do(t, h, http.MethodPost, "/v1/requests", map[string]interface{}{
 		"pickup": p, "dropoff": p,
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -197,7 +195,7 @@ func TestServerStreetHail(t *testing.T) {
 	}
 	h := s.Handler()
 	// Find a taxi to hail.
-	rec, _ := do(t, h, http.MethodGet, "/api/taxis", nil)
+	rec, _ := do(t, h, http.MethodGet, "/v1/taxis", nil)
 	var taxis []map[string]interface{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &taxis); err != nil {
 		t.Fatal(err)
@@ -205,28 +203,28 @@ func TestServerStreetHail(t *testing.T) {
 	id := int64(taxis[0]["id"].(float64))
 	pos := taxis[0]["position"].(map[string]interface{})
 	pickup := map[string]float64{"lat": pos["lat"].(float64), "lng": pos["lng"].(float64)}
-	rec, out := do(t, h, http.MethodPost, "/api/hails", map[string]interface{}{
+	rec, out := do(t, h, http.MethodPost, "/v1/hails", map[string]interface{}{
 		"taxi_id": id,
 		"pickup":  pickup,
 		"dropoff": cityPoint(s, 0.85, 0.85),
 		"rho":     1.6,
 	})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /api/hails = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("POST /v1/hails = %d: %s", rec.Code, rec.Body)
 	}
 	var served bool
 	if err := json.Unmarshal(out["served"], &served); err != nil || !served {
 		t.Fatalf("hail unserved: %s", rec.Body)
 	}
 	// Unknown taxi.
-	rec, _ = do(t, h, http.MethodPost, "/api/hails", map[string]interface{}{
+	rec, _ = do(t, h, http.MethodPost, "/v1/hails", map[string]interface{}{
 		"taxi_id": 999, "pickup": pickup, "dropoff": cityPoint(s, 0.8, 0.8),
 	})
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown taxi hail = %d", rec.Code)
 	}
 	// Stats expose engine counters.
-	rec, out = do(t, h, http.MethodGet, "/api/stats", nil)
+	rec, out = do(t, h, http.MethodGet, "/v1/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatal("stats failed")
 	}
@@ -235,29 +233,27 @@ func TestServerStreetHail(t *testing.T) {
 	}
 }
 
-func TestServerVersionedRoutesAndAliases(t *testing.T) {
+// TestServerVersionedRoutes pins the route table: every route answers
+// under /v1/ and nowhere else, and the 404 catch-all that answers the rest
+// mints no per-route latency series.
+func TestServerVersionedRoutes(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-
-	// The /v1/ routes are the primary surface.
-	rec, _ := do(t, h, http.MethodGet, "/v1/taxis", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/taxis = %d", rec.Code)
+	for _, route := range []string{"taxis", "stats", "queue", "metrics", "durability", "slo"} {
+		if rec, _ := do(t, h, http.MethodGet, "/v1/"+route, nil); rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/%s = %d", route, rec.Code)
+		}
+		if rec, _ := do(t, h, http.MethodGet, "/api/"+route, nil); rec.Code != http.StatusNotFound {
+			t.Fatalf("GET /api/%s = %d, want 404", route, rec.Code)
+		}
 	}
-	if rec.Header().Get("Deprecation") != "" {
-		t.Fatal("/v1 route marked deprecated")
-	}
-
-	// The unversioned aliases still work but announce their successor.
-	rec, _ = do(t, h, http.MethodGet, "/api/taxis", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/taxis = %d", rec.Code)
-	}
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Fatal("alias missing Deprecation header")
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/v1/taxis") {
-		t.Fatalf("alias Link header = %q", link)
+	do(t, h, http.MethodPost, "/v1/nope", nil)
+	rec, _ := do(t, h, http.MethodGet, "/v1/metrics", nil)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "mtshare_server_http_seconds_count{") &&
+			(strings.Contains(line, "api") || strings.Contains(line, "nope")) {
+			t.Fatalf("an unknown path minted a latency series: %s", line)
+		}
 	}
 }
 
@@ -473,94 +469,8 @@ func TestServerConcurrentTraffic(t *testing.T) {
 // normally or be refused with the 503 shutdown envelope — never panic
 // or mutate the engine after Stop returned — and every mutating request
 // issued after Stop must see the 503.
-// TestServerShardsEndpoint checks the /v1/shards surface on a sharded
-// server: shard count, contiguous territory ranges, fleet slices that
-// sum to the whole fleet, and the uniform error envelope on bad methods.
-func TestServerShardsEndpoint(t *testing.T) {
-	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 9, Capacity: 3, Speedup: 50, Seed: 2,
-		QueueDepth: 8, Sharding: match.ShardingConfig{Shards: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-
-	rec, out := do(t, h, http.MethodGet, "/v1/shards", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/shards = %d: %s", rec.Code, rec.Body)
-	}
-	var count int
-	if err := json.Unmarshal(out["count"], &count); err != nil || count != 3 {
-		t.Fatalf("count = %s, want 3", out["count"])
-	}
-	var shards []struct {
-		Shard          int `json:"shard"`
-		FirstPartition int `json:"first_partition"`
-		LastPartition  int `json:"last_partition"`
-		Taxis          int `json:"taxis"`
-		QueueDepth     int `json:"queue_depth"`
-	}
-	if err := json.Unmarshal(out["shards"], &shards); err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("shards = %d entries", len(shards))
-	}
-	next, taxis := 0, 0
-	for i, sh := range shards {
-		if sh.Shard != i {
-			t.Fatalf("entry %d has shard id %d", i, sh.Shard)
-		}
-		if sh.FirstPartition != next || sh.LastPartition < sh.FirstPartition {
-			t.Fatalf("shard %d territory [%d,%d] not contiguous after %d",
-				i, sh.FirstPartition, sh.LastPartition, next)
-		}
-		next = sh.LastPartition + 1
-		taxis += sh.Taxis
-		if sh.QueueDepth != 0 {
-			t.Fatalf("shard %d queue depth %d on an idle server", i, sh.QueueDepth)
-		}
-	}
-	if taxis != 9 {
-		t.Fatalf("shard fleets sum to %d taxis, want 9", taxis)
-	}
-
-	// The deprecated alias answers too.
-	if rec, _ := do(t, h, http.MethodGet, "/api/shards", nil); rec.Code != http.StatusOK {
-		t.Fatalf("GET /api/shards = %d", rec.Code)
-	}
-	// /v1/stats reports the shard count for unsharded-client visibility.
-	if _, sout := do(t, h, http.MethodGet, "/v1/stats", nil); string(sout["shards"]) != "3" {
-		t.Fatalf("/v1/stats shards = %s, want 3", sout["shards"])
-	}
-	// Bad method gets the uniform {"error","code"} envelope.
-	rec, out = do(t, h, http.MethodPost, "/v1/shards", map[string]int{})
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/shards = %d", rec.Code)
-	}
-	if string(out["code"]) != `"method_not_allowed"` || len(out["error"]) == 0 {
-		t.Fatalf("POST /v1/shards envelope: %s", rec.Body)
-	}
-	s.Stop()
-	// Read-only: still answers after Stop.
-	if rec, _ := do(t, h, http.MethodGet, "/v1/shards", nil); rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/shards after Stop = %d", rec.Code)
-	}
-}
-
 func TestServerStopMidFlight(t *testing.T) {
 	s, err := New(Config{CityRows: 12, CityCols: 12, InitialTaxis: 10, Capacity: 3, Speedup: 50, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopMidFlightHammer(t, s)
-}
-
-// TestServerStopMidFlightSharded runs the same shutdown hammer against a
-// sharded dispatcher: Stop must drain every shard inside its critical
-// section, so no request commits on any shard after Stop returns.
-func TestServerStopMidFlightSharded(t *testing.T) {
-	s, err := New(Config{CityRows: 12, CityCols: 12, InitialTaxis: 10, Capacity: 3, Speedup: 50, Seed: 5,
-		QueueDepth: 8, Sharding: match.ShardingConfig{Shards: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -689,7 +599,7 @@ func stopMidFlightHammer(t *testing.T, s *Server) {
 		}
 	}
 	// Read-only endpoints stay available after shutdown.
-	for _, path := range []string{"/v1/stats", "/v1/metrics", "/v1/taxis", "/v1/shards"} {
+	for _, path := range []string{"/v1/stats", "/v1/metrics", "/v1/taxis"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusOK {

@@ -68,19 +68,11 @@ type Params struct {
 	RetryEveryTicks int
 	// BatchAssign records that the scheme's dispatcher runs the queue's
 	// retry rounds as a global min-cost assignment (match.Config.
-	// BatchAssign). Like Sharding, the simulation does not build the
-	// dispatcher — the knob lives in the scheme's engine config — but it
-	// changes which requests are served, so it lands in the recorded log
-	// header for provenance and replay.
+	// BatchAssign). The simulation does not build the dispatcher — the
+	// knob lives in the scheme's engine config — but it changes which
+	// requests are served, so it lands in the recorded log header for
+	// provenance and replay.
 	BatchAssign bool
-
-	// Sharding records the dispatch scheme's sharding topology for the
-	// run. The simulation does not build the dispatcher — the scheme
-	// carries it — but the topology lands in the recorded log header
-	// (sharding is outcome-neutral, yet the per-shard counters seal into
-	// the log), and a sharded scheme supplies the pending-request pool so
-	// queued requests route to their home shard's queue.
-	Sharding match.ShardingConfig
 
 	// ShiftChange models a driver-shift changeover mid-run: at AtSeconds
 	// a seeded Fraction of the then-current fleet goes off shift — each
@@ -187,10 +179,7 @@ func (p Params) Validate() error {
 	case p.Durability.Enabled() && p.Durability.SnapshotEveryTicks != 0:
 		return fmt.Errorf("sim: Durability.SnapshotEveryTicks is not supported (event durability only)")
 	}
-	if err := p.ShiftChange.Validate(); err != nil {
-		return err
-	}
-	return p.Sharding.Validate()
+	return p.ShiftChange.Validate()
 }
 
 // parallelism returns the effective per-tick worker count.
@@ -274,10 +263,8 @@ type Engine struct {
 
 	// Pending-request queue (nil when Params.QueueDepth is 0): online
 	// requests whose dispatch failed wait here for batched re-dispatch
-	// every retryEvery ticks. tickCount counts completed ticks. A
-	// sharded scheme supplies a per-shard queue group under one global
-	// bound; otherwise it is a plain bounded queue.
-	queue      match.Pool
+	// every retryEvery ticks. tickCount counts completed ticks.
+	queue      *match.PendingQueue
 	retryEvery int
 	tickCount  int64
 
@@ -389,11 +376,7 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 		e.shiftIns = newShiftInstruments(reg)
 	}
 	if params.QueueDepth > 0 {
-		if sp, ok := scheme.(shardedPooler); ok && sp.ShardCount() > 1 {
-			e.queue = sp.NewPendingPool(params.QueueDepth)
-		} else {
-			e.queue = match.NewPendingQueue(params.QueueDepth, params.SpeedMps)
-		}
+		e.queue = match.NewPendingQueue(params.QueueDepth, params.SpeedMps)
 		e.retryEvery = params.RetryEveryTicks
 		if e.retryEvery == 0 {
 			e.retryEvery = 1
@@ -425,8 +408,6 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 			QueueDepth:       params.QueueDepth,
 			RetryEveryTicks:  params.RetryEveryTicks,
 			BatchAssign:      params.BatchAssign,
-			Shards:           params.Sharding.Shards,
-			BorderPolicy:     params.Sharding.BorderPolicy,
 			GraphFingerprint: fmt.Sprintf("%016x", g.Fingerprint()),
 		})
 		if err != nil {
@@ -635,15 +616,6 @@ func (e *Engine) queueLen() int {
 // queued request expires without ever being committed (the match
 // engine's mobility clusters hold the request from dispatch time).
 type requestDropper interface{ OnRequestDone(req *fleet.Request) }
-
-// shardedPooler is the optional scheme surface a sharded dispatcher
-// exposes: when the topology has more than one shard, the scheme builds
-// the pending pool so each queued request parks on its home shard's
-// queue (one global capacity bound across shards).
-type shardedPooler interface {
-	NewPendingPool(capacity int) match.Pool
-	ShardCount() int
-}
 
 // serviceQueue runs one tick of pending-queue maintenance: evict every
 // parked request whose pickup deadline strictly passed, then — when the

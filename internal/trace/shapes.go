@@ -2,8 +2,8 @@
 // synthetic trace generator that stress dispatch in ways a plain
 // demand-profile day cannot — a concert-exit surge (a venue dumps a
 // crowd into a half-hour window) and a partition-localized hotspot (a
-// large share of all origins lands inside one small disc, so one
-// territory's engine absorbs most of the offered load).
+// large share of all origins lands inside one small disc, so a few map
+// partitions absorb most of the offered load).
 package trace
 
 import (
@@ -103,7 +103,7 @@ func GenerateSurge(day DayKind, base GenParams, surge SurgeParams) (*Dataset, er
 // HotspotShapeParams concentrates demand in one small disc: a seeded
 // fraction of the day's trips have their origin re-drawn uniformly
 // inside the disc while destinations stay city-wide, so taxis drain out
-// of the hotspot and the territory owning it absorbs a disproportionate
+// of the hotspot and the partitions covering it absorb a disproportionate
 // share of the offered load.
 type HotspotShapeParams struct {
 	Center       geo.Point

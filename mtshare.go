@@ -109,18 +109,8 @@ type Options struct {
 	// (request, taxi) cost graph, so a pending request can yield its
 	// first-choice taxi to a tighter competitor instead of starving it
 	// (see match.Config.BatchAssign). Deterministic at every Parallelism
-	// level and shard count; the default keeps the greedy rounds.
+	// level; the default keeps the greedy rounds.
 	BatchAssign bool
-
-	// Sharding splits the dispatcher into Shards independent match
-	// engines, each owning a contiguous range of map partitions with its
-	// own fleet slice, spatial index, and instruments. Requests route to
-	// the shard owning their pickup partition; candidates owned by other
-	// shards are resolved through a deterministic two-phase
-	// reserve/commit, so a sharded run is bit-identical to the
-	// single-engine build. The zero value (Shards 0 or 1) keeps the
-	// single engine — existing callers need not change anything.
-	Sharding ShardingOptions
 
 	// History supplies the trips mined for transition patterns. When nil
 	// a synthetic workday is generated.
@@ -175,11 +165,6 @@ type Options struct {
 	// byte; everyone else leaves it zero and records replay.Version.
 	headerVersion int
 }
-
-// ShardingOptions configures the sharded dispatcher; see Options.Sharding
-// and match.ShardingConfig for field semantics. The zero value selects
-// the single-engine dispatcher.
-type ShardingOptions = match.ShardingConfig
 
 // FaultPlan configures deterministic fault injection; see
 // Options.Faults. The zero Every/At fields disable each fault class.
@@ -254,9 +239,6 @@ func (o Options) Validate() error {
 			return fail("snapshot interval %d ticks must not be negative", o.Durability.SnapshotEveryTicks)
 		}
 	}
-	if err := o.Sharding.Validate(); err != nil {
-		return fail("sharding: %v", err)
-	}
 	if err := o.Faults.Validate(); err != nil {
 		return fail("fault plan: %v", err)
 	}
@@ -292,7 +274,7 @@ func (o Options) withDefaults() Options {
 type System struct {
 	g      *roadnet.Graph
 	spx    *roadnet.SpatialIndex
-	engine match.Dispatcher
+	engine *match.Engine
 	scheme *match.Scheme
 	pay    payment.Model
 
@@ -305,10 +287,8 @@ type System struct {
 
 	// Pending-request queue (nil when Options.QueueDepth is 0): requests
 	// that found no taxi wait here for batched re-dispatch every
-	// retryEvery Advance ticks. ticks counts Advance calls. The pool is
-	// dispatcher-provided: a single bounded queue for the single engine,
-	// a per-shard queue group under one global bound when sharded.
-	queue      match.Pool
+	// retryEvery Advance ticks. ticks counts Advance calls.
+	queue      *match.PendingQueue
 	retryEvery int
 	ticks      int64
 
@@ -419,10 +399,9 @@ func New(opts Options) (*System, error) {
 			cfg.SearchRangeMeters = diag / 2
 		}
 	}
-	cfg.Sharding = opts.Sharding
 	cfg.Parallelism = opts.Parallelism
 	cfg.BatchAssign = opts.BatchAssign
-	engine, err := match.NewDispatcher(pt, spx, cfg)
+	engine, err := match.NewEngine(pt, spx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +417,7 @@ func New(opts Options) (*System, error) {
 		faultRouter: faultRouter,
 	}
 	if opts.QueueDepth > 0 {
-		s.queue = engine.NewPendingPool(opts.QueueDepth)
+		s.queue = match.NewPendingQueue(opts.QueueDepth, cfg.SpeedMps).InstrumentWith(engine.Metrics())
 		s.retryEvery = opts.RetryEveryTicks
 	}
 	if opts.RecordTo != nil {
@@ -484,8 +463,6 @@ func buildHeader(opts Options, g *roadnet.Graph, version int) replay.Header {
 		QueueDepth:              opts.QueueDepth,
 		RetryEveryTicks:         opts.RetryEveryTicks,
 		BatchAssign:             opts.BatchAssign,
-		Shards:                  opts.Sharding.Shards,
-		BorderPolicy:            opts.Sharding.BorderPolicy,
 		GraphFingerprint:        fmt.Sprintf("%016x", g.Fingerprint()),
 		Faults:                  opts.Faults,
 	}
@@ -590,8 +567,8 @@ func (s *System) Now() time.Duration {
 }
 
 // Close shuts the system down: subsequent submissions fail with
-// ErrShutdown, and the dispatcher — every shard of it — is drained so
-// no in-flight dispatch can commit a plan after Close returns. When
+// ErrShutdown, and the engine is drained so no in-flight dispatch can
+// commit a plan after Close returns. When
 // recording, Close seals the log with a snapshot of the run's
 // deterministic counters and reports any deferred write error. Close is
 // idempotent.
@@ -1119,7 +1096,6 @@ type Stats struct {
 	RoadVertices     int
 	RoadEdges        int
 	Partitions       int
-	Shards           int
 	Taxis            int
 	Requests         int
 	IndexMemoryBytes int64
@@ -1131,59 +1107,8 @@ func (s *System) Stats() Stats {
 		RoadVertices:     s.g.NumVertices(),
 		RoadEdges:        s.g.NumEdges(),
 		Partitions:       s.engine.Partitioning().NumPartitions(),
-		Shards:           s.engine.ShardCount(),
 		Taxis:            len(s.taxis),
 		Requests:         len(s.requests),
 		IndexMemoryBytes: s.engine.IndexMemoryBytes(),
 	}
-}
-
-// ShardStats describes one dispatcher shard: its contiguous partition
-// territory, current fleet slice, and the sharding-layer traffic
-// counters. A single-engine System reports one shard owning every
-// partition with zero cross-shard traffic.
-type ShardStats struct {
-	Shard int
-	// FirstPartition..LastPartition is the shard's owned partition-ID
-	// range; Partitions is its size.
-	FirstPartition int
-	LastPartition  int
-	Partitions     int
-	// Taxis is the shard's current fleet slice.
-	Taxis int
-	// Requests counts dispatches the shard handled as home shard.
-	Requests int64
-	// Cross-shard traffic: border candidates evaluated, winning taxis
-	// another shard owned, batch conflicts over a cross-shard taxi, and
-	// taxis migrated into the shard's territory.
-	CrossShardCandidates  int64
-	CrossShardAssignments int64
-	BorderConflicts       int64
-	Handoffs              int64
-	// Assignments is the shard's committed match count.
-	Assignments int64
-}
-
-// ShardStats returns the per-shard dispatcher breakdown, one entry per
-// shard in shard order (a single entry covering the whole map when
-// sharding is off).
-func (s *System) ShardStats() []ShardStats {
-	raw := s.engine.ShardStats()
-	out := make([]ShardStats, len(raw))
-	for i, sh := range raw {
-		out[i] = ShardStats{
-			Shard:                 sh.Shard,
-			FirstPartition:        int(sh.FirstPartition),
-			LastPartition:         int(sh.LastPartition),
-			Partitions:            int(sh.LastPartition-sh.FirstPartition) + 1,
-			Taxis:                 sh.Taxis,
-			Requests:              sh.Requests,
-			CrossShardCandidates:  sh.CrossShardCandidates,
-			CrossShardAssignments: sh.CrossShardAssignments,
-			BorderConflicts:       sh.BorderConflicts,
-			Handoffs:              sh.Handoffs,
-			Assignments:           sh.Engine.Assignments,
-		}
-	}
-	return out
 }

@@ -83,7 +83,6 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		QueueDepth:              h.QueueDepth,
 		RetryEveryTicks:         h.RetryEveryTicks,
 		BatchAssign:             h.BatchAssign,
-		Sharding:                ShardingOptions{Shards: h.Shards, BorderPolicy: h.BorderPolicy},
 		Seed:                    h.Seed,
 		Faults:                  h.Faults,
 		RecordTo:                &buf,

@@ -300,95 +300,6 @@ func TestRecordRejectsCustomHistory(t *testing.T) {
 	}
 }
 
-// TestReplayShardedRoundTrip pins sharding through the record/replay
-// stack: the header persists the shard topology, a sharded recording
-// replays divergence-free against a sharded rebuild, and — because
-// sharding is outcome-neutral — the event stream is byte-identical to an
-// unsharded run of the same world apart from the header and the sealed
-// metrics (which gain the per-shard counter family).
-func TestReplayShardedRoundTrip(t *testing.T) {
-	record := func(shards int) []byte {
-		var buf bytes.Buffer
-		sys, err := New(Options{
-			SyntheticCityRows: 10,
-			SyntheticCityCols: 10,
-			Seed:              5,
-			QueueDepth:        8,
-			Sharding:          ShardingOptions{Shards: shards},
-			RecordTo:          &buf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		min, max := sys.Bounds()
-		mid := Point{Lat: (min.Lat + max.Lat) / 2, Lng: (min.Lng + max.Lng) / 2}
-		for _, p := range []Point{mid, min, max, {Lat: min.Lat, Lng: max.Lng}} {
-			sys.AddTaxi(p, 3)
-		}
-		ctx := t.Context()
-		sys.SubmitRequest(ctx, Point{Lat: min.Lat, Lng: mid.Lng}, Point{Lat: max.Lat, Lng: mid.Lng}, 1.5)
-		sys.SubmitRequest(ctx, mid, Point{Lat: max.Lat, Lng: max.Lng}, 1.5)
-		sys.SubmitRequest(ctx, Point{Lat: max.Lat, Lng: min.Lng}, mid, 1.5)
-		sys.Advance(3 * 60 * 1e9)
-		sys.SubmitRequest(ctx, Point{Lat: mid.Lat, Lng: min.Lng}, Point{Lat: mid.Lat, Lng: max.Lng}, 1.6)
-		sys.Advance(5 * 60 * 1e9)
-		if shards > 1 {
-			if got := sys.Stats().Shards; got != shards {
-				t.Fatalf("Stats().Shards = %d, want %d", got, shards)
-			}
-			per := sys.ShardStats()
-			if len(per) != shards {
-				t.Fatalf("ShardStats() returned %d entries, want %d", len(per), shards)
-			}
-			taxis := 0
-			for _, sh := range per {
-				taxis += sh.Taxis
-			}
-			if taxis != 4 {
-				t.Fatalf("shard fleets sum to %d taxis, want 4", taxis)
-			}
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	sharded := record(2)
-	header := strings.SplitN(string(sharded), "\n", 2)[0]
-	if !strings.Contains(header, `"shards":2`) {
-		t.Fatalf("header does not persist shard topology: %s", header)
-	}
-	if !strings.Contains(string(sharded), "mtshare_shard_requests_total") {
-		t.Fatal("sealed metrics missing the per-shard counter family")
-	}
-	rep, err := Replay(bytes.NewReader(sharded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diverged() {
-		t.Fatalf("sharded replay diverged: first %s", rep.First())
-	}
-	if rep.Events == 0 {
-		t.Fatal("sharded replay saw no events")
-	}
-
-	single := record(0)
-	outcomes := func(log []byte) string {
-		var keep []string
-		for i, ln := range strings.Split(string(log), "\n") {
-			if i == 0 || strings.Contains(ln, `"metrics":`) {
-				continue
-			}
-			keep = append(keep, ln)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if outcomes(sharded) != outcomes(single) {
-		t.Fatal("sharded and unsharded event streams differ — sharding is not outcome-neutral")
-	}
-}
-
 // TestReplayV2HeaderBackCompat rewrites a fresh recording's header to the
 // previous log version: Replay must accept it and re-emit the recorded
 // version, so version-2 goldens keep diffing byte for byte against a
