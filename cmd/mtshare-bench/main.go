@@ -180,11 +180,13 @@ func main() {
 		t0 := time.Now()
 		pipe0, rt0 := lab.PipelineStats()
 		res, err := e.Run(lab)
+		if res != nil {
+			fmt.Fprint(out, res.Render())
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Fprint(out, res.Render())
 		fmt.Fprintf(out, "(%s regenerated in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
 		printPipelineDelta(out, lab, pipe0, rt0)
 		fmt.Fprintln(out)
@@ -254,7 +256,7 @@ func printPipelineDelta(out io.Writer, lab *experiments.Lab, pipe0 match.EngineS
 		secs(pipe1.CandidateSearchNanos, pipe0.CandidateSearchNanos),
 		secs(pipe1.SchedulingNanos, pipe0.SchedulingNanos),
 		secs(pipe1.LegBuildNanos, pipe0.LegBuildNanos), dispatches)
-	hits, misses := rt1.Hits-rt0.Hits, rt1.PointQueries()-rt0.PointQueries()
+	hits, misses := rt1.Hits-rt0.Hits, rt1.CHQueries-rt0.CHQueries
 	if q := hits + misses; q > 0 {
 		fmt.Fprintf(out, "  router cache: %.1f%% hit rate (%d queries), %d point queries\n",
 			100*float64(hits)/float64(q), q, misses)

@@ -51,7 +51,7 @@ type sysSnapshot struct {
 // System: a fresh directory starts a new log with the header as record
 // 0; a non-empty one triggers recovery.
 func (s *System) openDurability(opts Options) error {
-	hdr := buildHeader(opts, s.g, replay.Version)
+	hdr := buildHeader(opts, s.g)
 	hdrLine, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("mtshare: durability: marshal header: %w", err)

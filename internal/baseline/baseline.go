@@ -56,8 +56,7 @@ type base struct {
 
 // newBase builds the common state over the router's graph. Every baseline
 // constructor takes the router it routes with, so the caller decides its
-// memo budget and attaches the world's CH (without one every memo miss is a
-// bidirectional Dijkstra).
+// memo budget and attaches the world's CH.
 func newBase(router *roadnet.Router, cfg Config) *base {
 	g := router.Graph()
 	min, max := g.Bounds()

@@ -12,6 +12,7 @@ import (
 type benv struct {
 	g   *roadnet.Graph
 	spx *roadnet.SpatialIndex
+	ch  *roadnet.CH
 }
 
 func newBenv(t testing.TB) *benv {
@@ -20,11 +21,11 @@ func newBenv(t testing.TB) *benv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &benv{g: g, spx: roadnet.NewSpatialIndex(g, 250)}
+	return &benv{g: g, spx: roadnet.NewSpatialIndex(g, 250), ch: roadnet.BuildCH(g, 1)}
 }
 
-// router is a fresh CH-less router over the test city.
-func (env *benv) router() *roadnet.Router { return roadnet.NewRouter(env.g, 64) }
+// router is a fresh router over the test city's hierarchy.
+func (env *benv) router() *roadnet.Router { return roadnet.NewRouter(env.g, 64).AttachCH(env.ch) }
 
 func (env *benv) vertexNear(t testing.TB, fLat, fLng float64) roadnet.VertexID {
 	t.Helper()

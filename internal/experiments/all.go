@@ -38,7 +38,6 @@ func All() []Experiment {
 		{"ablate-probtradeoff", (*Lab).AblationProbTradeoff},
 		{"ablate-queue", (*Lab).AblationQueue},
 		{"ablate-landmark", (*Lab).AblationLandmark},
-		{"ablate-ch", (*Lab).AblationCH},
 		{"ablate-batch-assign", (*Lab).AblationBatchAssign},
 		{"ablate-surge", (*Lab).AblationSurge},
 		{"ablate-hotspot", (*Lab).AblationHotspot},

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/match"
+	"repro/internal/partition"
+	"repro/internal/roadnet"
 	"repro/internal/sim"
 )
 
@@ -291,7 +291,7 @@ func (l *Lab) Fig21() (*Result, error) {
 		secs(pipe1.SchedulingNanos-pipe0.SchedulingNanos),
 		secs(pipe1.LegBuildNanos-pipe0.LegBuildNanos),
 		pipe1.Dispatches-pipe0.Dispatches))
-	hits, misses := rt1.Hits-rt0.Hits, rt1.PointQueries()-rt0.PointQueries()
+	hits, misses := rt1.Hits-rt0.Hits, rt1.CHQueries-rt0.CHQueries
 	if q := hits + misses; q > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"router cache: %.1f%% hit rate (%d queries), %d point queries",
@@ -402,8 +402,9 @@ func (l *Lab) AblationQueue() (*Result, error) {
 
 // AblationPartitionFilter compares basic-routing legs (cached shortest
 // paths, the paper's evaluation setup) against the partition-filtered
-// Dijkstra production path: routing cost inflation and query counts. It
-// is the DESIGN.md ablation for the Alg. 2/3 design choice.
+// Dijkstra production path: routing cost inflation and the partitions the
+// filter keeps. It is the DESIGN.md ablation for the Alg. 2/3 design
+// choice.
 func (l *Lab) AblationPartitionFilter() (*Result, error) {
 	r := &Result{
 		ID: "ablate-filter", Title: "Partition-filtered routing vs cached shortest paths",
@@ -434,7 +435,7 @@ func (l *Lab) AblationPartitionFilter() (*Result, error) {
 		if i >= 200 {
 			break
 		}
-		fc, ok := eng.FilteredLegCost(req.Origin, req.Dest)
+		fc, ok := filteredLegCost(eng, req.Origin, req.Dest)
 		if !ok {
 			continue
 		}
@@ -457,6 +458,26 @@ func (l *Lab) AblationPartitionFilter() (*Result, error) {
 		fi(n), f2(sumInfl / float64(n)), f2(maxInfl), f1(float64(sumParts) / float64(n)),
 	})
 	return r, nil
+}
+
+// filteredLegCost is the travel cost of Alg. 3's search confined to the
+// partitions Alg. 2 keeps for the pair, falling back to the full graph
+// when the filtered subgraph disconnects it (possible with one-way
+// streets): the paper would discard the instance, the ablation keeps the
+// pair so a feasible route is not lost to an indexing artefact.
+func filteredLegCost(eng *match.Engine, u, v roadnet.VertexID) (float64, bool) {
+	pt := eng.Partitioning()
+	allowed := make(map[partition.ID]bool)
+	for _, p := range eng.PartitionFilter(u, v) {
+		allowed[p] = true
+	}
+	cost, _, ok := pt.Graph().WeightedShortestPath(u, v, func(x roadnet.VertexID) bool {
+		return allowed[pt.PartitionOf(x)]
+	}, nil)
+	if ok {
+		return cost, true
+	}
+	return eng.BasicLegCost(u, v)
 }
 
 // AblationLandmark A/B-tests the landmark lower-bound candidate screen:
@@ -537,123 +558,6 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 		return nil, fmt.Errorf("experiments: ablate-landmark pruned nothing — the screen is dead weight on this workload")
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf("parity held: every cell served %d and rejected %d", baseline.served, baseline.rejected))
-	return r, nil
-}
-
-// chRecordSig is the per-request outcome signature AblationCH compares
-// across cells: who was served, from where, and the bit patterns of the
-// decision times. ResponseNanos is deliberately absent — it is wall
-// clock, not simulation outcome.
-type chRecordSig struct {
-	ID                      fleet.RequestID
-	Served, FromQueue, Exp  bool
-	Assign, Pickup, Dropoff uint64
-}
-
-// AblationCH A/B-tests the contraction-hierarchy routing backend: the
-// hierarchy answers cold routing queries exactly (bit-identical costs to
-// Dijkstra), so toggling it must not change a single outcome. The
-// experiment *enforces* that at parallelism 1, 2 and 4 — served and
-// rejected counts must match across every cell, and every per-request
-// record (served/queued/expired flags plus the Float64bits of the
-// assign/pickup/dropoff times) must be identical between the CH-on and
-// CH-off runs. Any mismatch is a hard error: an inexact shortcut cannot
-// hide in a table. A vacuousness guard additionally requires the CH-on
-// cells to have actually routed through the hierarchy.
-//
-// Like AblationLandmark, it drives sim engines directly: the sweep needs
-// one fresh engine per (parallelism, backend) cell.
-func (l *Lab) AblationCH() (*Result, error) {
-	r := &Result{
-		ID: "ablate-ch", Title: "Contraction-hierarchy routing backend vs bidirectional Dijkstra (peak, mT-Share)",
-		Header: []string{"parallelism", "ch", "served", "rejected", "ch queries", "bidir queries"},
-		Notes: []string{
-			"the CH serves exact shortest-path costs, so every cell must agree on served/rejected counts and on every per-request outcome record, bit for bit",
-		},
-	}
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, err
-	}
-	win := PeakWindow()
-	start := win.From.Seconds()
-	var (
-		baseSigs            []chRecordSig
-		baseServed, baseRej int
-		haveBase            bool
-		chQueriesTotal      int64
-	)
-	for _, par := range []int{1, 2, 4} {
-		for _, disable := range []bool{false, true} {
-			cfg := match.DefaultConfig()
-			cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-			cfg.Parallelism = par
-			cfg.DisableCH = disable
-			if !disable {
-				cfg.CH = l.World.CH(par)
-			}
-			eng, err := match.NewEngine(pt, l.World.Spx, cfg)
-			if err != nil {
-				return nil, err
-			}
-			scheme := match.NewScheme(eng, false)
-			params := sim.DefaultParams()
-			params.Parallelism = par
-			se, err := sim.NewEngine(l.World.G, scheme, params)
-			if err != nil {
-				return nil, err
-			}
-			se.PlaceTaxis(l.World.Scale.DefaultTaxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
-			reqs := l.World.Requests(win, l.World.Scale.Rho, 0)
-			m := se.Run(reqs, start)
-			sigs := make([]chRecordSig, len(m.Records))
-			for i, rec := range m.Records {
-				sigs[i] = chRecordSig{
-					ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
-					Assign:  math.Float64bits(rec.AssignSeconds),
-					Pickup:  math.Float64bits(rec.PickupSeconds),
-					Dropoff: math.Float64bits(rec.DropoffSeconds),
-				}
-			}
-			served, rejected := m.Served, m.Requests-m.Served
-			if !haveBase {
-				baseSigs, baseServed, baseRej, haveBase = sigs, served, rejected, true
-			} else {
-				if served != baseServed || rejected != baseRej {
-					return nil, fmt.Errorf("experiments: ablate-ch parity broken: parallelism=%d ch=%v served/rejected %d/%d, expected %d/%d — the hierarchy changed a dispatch outcome",
-						par, !disable, served, rejected, baseServed, baseRej)
-				}
-				if len(sigs) != len(baseSigs) {
-					return nil, fmt.Errorf("experiments: ablate-ch parity broken: parallelism=%d ch=%v produced %d records, expected %d",
-						par, !disable, len(sigs), len(baseSigs))
-				}
-				for i := range sigs {
-					if sigs[i] != baseSigs[i] {
-						return nil, fmt.Errorf("experiments: ablate-ch schedule divergence: parallelism=%d ch=%v record %d (request %d) differs from baseline — the hierarchy returned an inexact cost",
-							par, !disable, i, sigs[i].ID)
-					}
-				}
-			}
-			rs := eng.Router().Stats()
-			label := "on"
-			if disable {
-				label = "off"
-				if rs.CHQueries != 0 {
-					return nil, fmt.Errorf("experiments: ablate-ch: CH disabled yet %d queries hit the hierarchy", rs.CHQueries)
-				}
-			} else {
-				chQueriesTotal += rs.CHQueries
-			}
-			r.Rows = append(r.Rows, []string{
-				fi(par), label, fi(served), fi(rejected),
-				fi(int(rs.CHQueries)), fi(int(rs.BidirQueries)),
-			})
-		}
-	}
-	if chQueriesTotal == 0 {
-		return nil, fmt.Errorf("experiments: ablate-ch never routed through the hierarchy — the backend is dead weight on this workload")
-	}
-	r.Notes = append(r.Notes, fmt.Sprintf("parity held: every cell served %d and rejected %d with byte-identical schedules", baseServed, baseRej))
 	return r, nil
 }
 
@@ -749,7 +653,7 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 			parCells = []int{1, 2, 4}
 		}
 		var (
-			baseSigs   []chRecordSig
+			baseSigs   []recordSig
 			baseM      *sim.Metrics
 			baseStats  match.EngineStats
 			haveGlobal bool

@@ -63,13 +63,6 @@ type Scenario struct {
 	// deadline-order commits (the ablate-batch-assign experiment); see
 	// match.Config.BatchAssign.
 	BatchAssign bool
-	// DisableLandmarkLB turns off the landmark lower-bound candidate
-	// screen for mT-Share engines (the ablate-landmark experiment).
-	DisableLandmarkLB bool
-	// DisableCH turns off the contraction-hierarchy routing backend for
-	// mT-Share engines (the ablate-ch experiment); cold routing queries
-	// fall back to bidirectional Dijkstra. Exact either way.
-	DisableCH bool
 }
 
 func (sc Scenario) window() Window {
@@ -190,14 +183,10 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 		cfg.Lambda = sc.Lambda
 		cfg.ExhaustiveReorder = sc.Reorder
 		cfg.ProbMaxLegInflation = sc.ProbInflation
-		cfg.DisableLandmarkLB = sc.DisableLandmarkLB
-		cfg.DisableCH = sc.DisableCH
 		cfg.BatchAssign = sc.BatchAssign
-		if !sc.DisableCH {
-			// Share the lab-wide CH: preprocessing is the expensive part
-			// and the hierarchy is immutable, so scenarios reuse one copy.
-			cfg.CH = l.World.CH(l.Parallelism)
-		}
+		// Share the lab-wide CH: preprocessing is the expensive part and
+		// the hierarchy is immutable, so scenarios reuse one copy.
+		cfg.CH = l.World.CH(l.Parallelism)
 		cfg.Parallelism = l.Parallelism
 		if l.TraceEvery > 0 {
 			cfg.Tracer = obs.NewTracer(l.TraceEvery, l.TraceHandler)
@@ -270,7 +259,6 @@ func (l *Lab) collectPipelineStats(scheme dispatch.Scheme) {
 	l.pipeline.Add(s.Stats())
 	l.router.Hits += rs.Hits
 	l.router.CHQueries += rs.CHQueries
-	l.router.BidirQueries += rs.BidirQueries
 	l.router.MemoEntries += rs.MemoEntries
 	l.router.MemoBytes += rs.MemoBytes
 	l.pipeMu.Unlock()

@@ -5,7 +5,8 @@ import "fmt"
 // Verify runs the headline-claim self-check: each row asserts one of the
 // paper's qualitative results against freshly measured (memoised) runs at
 // this lab's scale and reports PASS/FAIL. It is the machine-checkable
-// summary of EXPERIMENTS.md.
+// summary of EXPERIMENTS.md: when any claim fails it returns the rendered
+// result together with an error.
 func (l *Lab) Verify() (*Result, error) {
 	r := &Result{
 		ID:     "verify",
@@ -102,5 +103,8 @@ func (l *Lab) Verify() (*Result, error) {
 		r.Rows = append(r.Rows, []string{c.claim, c.measured, status})
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf("%d/%d claims hold at this scale", passed, len(checks)))
+	if passed < len(checks) {
+		return r, fmt.Errorf("experiments: verify: %d of %d claims fail", len(checks)-passed, len(checks))
+	}
 	return r, nil
 }

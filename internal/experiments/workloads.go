@@ -39,7 +39,7 @@ func (l *Lab) workloadGenParams() trace.GenParams {
 // options World.Requests uses, so shaped and unshaped runs differ only
 // in the trips themselves.
 func (l *Lab) prepareWorkload(trips []trace.Trip, meetingRadius float64) []*fleet.Request {
-	return sim.PrepareRequests(l.World.G, l.World.Spx, trips, sim.PrepareOptions{
+	return sim.PrepareRequests(l.World.router(), l.World.Spx, trips, sim.PrepareOptions{
 		SpeedMps:                 15.0 * 1000 / 3600,
 		Rho:                      l.World.Scale.Rho,
 		Seed:                     l.World.Scale.Seed + 7,
@@ -77,12 +77,22 @@ func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftCha
 	return se, m, nil
 }
 
+// recordSig is the per-request outcome signature the determinism checks
+// compare: who was served, from where, and the bit patterns of the
+// decision times. ResponseNanos is deliberately absent — it is wall
+// clock, not simulation outcome.
+type recordSig struct {
+	ID                      fleet.RequestID
+	Served, FromQueue, Exp  bool
+	Assign, Pickup, Dropoff uint64
+}
+
 // workloadSigs compresses a run into the per-request outcome signatures
 // the determinism checks compare.
-func workloadSigs(m *sim.Metrics) []chRecordSig {
-	sigs := make([]chRecordSig, len(m.Records))
+func workloadSigs(m *sim.Metrics) []recordSig {
+	sigs := make([]recordSig, len(m.Records))
 	for i, rec := range m.Records {
-		sigs[i] = chRecordSig{
+		sigs[i] = recordSig{
 			ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
 			Assign:  math.Float64bits(rec.AssignSeconds),
 			Pickup:  math.Float64bits(rec.PickupSeconds),
@@ -92,7 +102,7 @@ func workloadSigs(m *sim.Metrics) []chRecordSig {
 	return sigs
 }
 
-func sameSigs(a, b []chRecordSig) bool {
+func sameSigs(a, b []recordSig) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -149,7 +159,7 @@ func (l *Lab) AblationSurge() (*Result, error) {
 	r.Rows = append(r.Rows, []string{"base", fi(1), fi(mBase.Requests), fi(mBase.Served),
 		f3(frac(mBase.Served, mBase.Requests)), fi(mBase.Requests - mBase.Served)})
 
-	var baseSigs []chRecordSig
+	var baseSigs []recordSig
 	for _, par := range []int{1, 2, 4} {
 		_, m, err := l.runWorkloadCell(surgeReqs, par, sim.ShiftChangeConfig{})
 		if err != nil {
@@ -225,7 +235,7 @@ func (l *Lab) AblationHotspot() (*Result, error) {
 	baseShare := maxShare(mBase)
 	r.Rows = append(r.Rows, []string{"base", fi(2), fi(mBase.Requests), fi(mBase.Served), f3(baseShare)})
 
-	var refSigs []chRecordSig
+	var refSigs []recordSig
 	var hotShare float64
 	for _, par := range []int{1, 2} {
 		_, m, err := l.runWorkloadCell(hotReqs, par, sim.ShiftChangeConfig{})
@@ -291,7 +301,7 @@ func (l *Lab) AblationShiftChange() (*Result, error) {
 	r.Rows = append(r.Rows, []string{"no shift", fi(1), fi(mBase.Served), fi(mBase.Requests - mBase.Served),
 		fi(l.World.Scale.DefaultTaxis), fi(0)})
 
-	var refSigs []chRecordSig
+	var refSigs []recordSig
 	for _, par := range []int{1, 2, 4} {
 		se, m, err := l.runWorkloadCell(reqs, par, sc)
 		if err != nil {

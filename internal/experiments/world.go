@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/geo"
+	"repro/internal/match"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -36,6 +37,9 @@ type World struct {
 
 	chOnce sync.Once
 	ch     *roadnet.CH
+
+	rtOnce sync.Once
+	rt     *roadnet.Router
 }
 
 // BuildWorld constructs the experiment substrate for a scale.
@@ -142,6 +146,16 @@ func (w *World) CH(parallelism int) *roadnet.CH {
 	return w.ch
 }
 
+// router returns (building on first use) the world's shared router over
+// its CH. It prices every prepared request, so direct costs, Eq. 9
+// deadlines and detour denominators are exact shortest paths.
+func (w *World) router() *roadnet.Router {
+	w.rtOnce.Do(func() {
+		w.rt = roadnet.NewRouter(w.G, match.DefaultConfig().RouterCacheTrees).AttachCH(w.CH(0))
+	})
+	return w.rt
+}
+
 // Window identifies an evaluation slice of a trace.
 type Window struct {
 	Day  trace.DayKind
@@ -166,7 +180,7 @@ func (w *World) Requests(win Window, rho, offlineFrac float64) []*fleet.Request 
 		ds = w.Weekend
 	}
 	trips := ds.Between(win.From, win.To)
-	return sim.PrepareRequests(w.G, w.Spx, trips, sim.PrepareOptions{
+	return sim.PrepareRequests(w.router(), w.Spx, trips, sim.PrepareOptions{
 		SpeedMps:    15.0 * 1000 / 3600,
 		Rho:         rho,
 		OfflineFrac: offlineFrac,

@@ -2,25 +2,51 @@ package match
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/roadnet"
 )
 
-// runCHWorkload dispatches and commits lbWorkload on a fresh engine with
-// the contraction-hierarchy backend on or off, returning the outcome
-// trace plus the router's backend counters.
-func runCHWorkload(t *testing.T, disable bool, parallelism int) ([]dispatchTrace, roadnet.RouterStats) {
+// dijkstraRouter answers every dispatch-pipeline query with plain
+// Dijkstra, the oracle the hierarchy is held to.
+type dijkstraRouter struct{ g *roadnet.Graph }
+
+func (d dijkstraRouter) Cost(u, v roadnet.VertexID) float64 {
+	c, _, ok := d.g.ShortestPath(u, v)
+	if !ok {
+		return math.Inf(1)
+	}
+	return c
+}
+
+func (d dijkstraRouter) Path(u, v roadnet.VertexID) []roadnet.VertexID {
+	_, p, _ := d.g.ShortestPath(u, v)
+	return p
+}
+
+func (d dijkstraRouter) Reachable(u, v roadnet.VertexID) bool {
+	_, _, ok := d.g.ShortestPath(u, v)
+	return ok
+}
+
+// runCHWorkload dispatches and commits lbWorkload on a fresh engine whose
+// pipeline routes through the hierarchy, or through the Dijkstra oracle
+// when oracle is set, returning the outcome trace plus the number of CH
+// point queries the dispatches ran.
+func runCHWorkload(t *testing.T, oracle bool, parallelism int) ([]dispatchTrace, int64) {
 	t.Helper()
 	env := newTestEnv(t, func(c *Config) {
-		c.DisableCH = disable
+		if oracle {
+			c.RouterWrap = func(raw roadnet.PathRouter) roadnet.PathRouter {
+				return dijkstraRouter{raw.(*roadnet.Router).Graph()}
+			}
+		}
 		c.Parallelism = parallelism
 	})
 	placeFleet(env, 10, 42)
 	reqs := lbWorkload(env, 80, 11)
+	chQueries := env.e.Router().Stats().CHQueries
 	out := make([]dispatchTrace, len(reqs))
 	for i, r := range reqs {
 		now := r.ReleaseAt.Seconds()
@@ -36,33 +62,27 @@ func runCHWorkload(t *testing.T, disable bool, parallelism int) ([]dispatchTrace
 			t.Fatalf("request %d: commit: %v", r.ID, err)
 		}
 	}
-	return out, env.e.Router().Stats()
+	return out, env.e.Router().Stats().CHQueries - chQueries
 }
 
 // TestDispatchCHLossless is the headline guarantee of the hierarchy:
-// dispatch with the CH backend is bit-identical to bidirectional-Dijkstra
-// evaluation — same served set, same winning taxis, same detours — at
-// every parallelism level, while actually routing through the hierarchy.
+// dispatch through the CH is bit-identical to dispatch routed by plain
+// Dijkstra — same served set, same winning taxis, same detours — at every
+// parallelism level, while actually routing through the hierarchy.
 func TestDispatchCHLossless(t *testing.T) {
-	base, baseStats := runCHWorkload(t, true, 1)
-	if baseStats.CHQueries != 0 {
-		t.Fatalf("disabled CH still answered %d queries", baseStats.CHQueries)
-	}
-	if baseStats.BidirQueries == 0 {
-		t.Fatal("CH-off run never used the bidirectional fallback; test is vacuous")
+	base, baseCH := runCHWorkload(t, true, 1)
+	if baseCH != 0 {
+		t.Fatalf("the oracle run answered %d dispatch queries from the hierarchy", baseCH)
 	}
 	for _, par := range []int{1, 4} {
-		got, st := runCHWorkload(t, false, par)
-		if st.CHQueries == 0 {
-			t.Fatalf("par=%d: CH enabled but never queried; test is vacuous", par)
-		}
-		if st.BidirQueries != 0 {
-			t.Fatalf("par=%d: CH enabled yet %d queries fell back to bidirectional Dijkstra", par, st.BidirQueries)
+		got, chQueries := runCHWorkload(t, false, par)
+		if chQueries == 0 {
+			t.Fatalf("par=%d: CH never queried; test is vacuous", par)
 		}
 		served := 0
 		for i := range base {
 			if base[i].served != got[i].served {
-				t.Fatalf("par=%d req %d: served %v with CH, %v without", par, i, got[i].served, base[i].served)
+				t.Fatalf("par=%d req %d: served %v with CH, %v with Dijkstra", par, i, got[i].served, base[i].served)
 			}
 			if !base[i].served {
 				continue
@@ -79,26 +99,6 @@ func TestDispatchCHLossless(t *testing.T) {
 		if served == 0 {
 			t.Fatal("workload served nothing; test is vacuous")
 		}
-	}
-}
-
-// TestDisableCHKnob pins the config knob: disabling skips hierarchy
-// construction entirely and every dispatch path still works off the
-// bidirectional fallback.
-func TestDisableCHKnob(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.DisableCH = true })
-	if env.e.Router().CH() != nil {
-		t.Fatal("hierarchy built despite DisableCH")
-	}
-	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.5, 0.5))
-	env.e.AddTaxi(taxi, 0)
-	req := env.request(1, env.vertexNear(t, 0.52, 0.52), env.vertexNear(t, 0.8, 0.8), 0, 1.6)
-	a, ok := env.e.Dispatch(req, 0, false)
-	if !ok {
-		t.Fatal("dispatch failed with CH disabled")
-	}
-	if err := env.e.Commit(a, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -133,72 +133,6 @@ func bigWorldCH(b *testing.B) *roadnet.CH {
 	return benchCH.ch
 }
 
-// BenchmarkDispatchCH measures one Dispatch call on the saturated
-// 10k-vertex city with the contraction-hierarchy backend on and off. Both
-// variants serve identical outcomes (the CH is exact); the ch=off rows
-// are the bidirectional-Dijkstra baseline the speedup is measured
-// against. The cold-path router queries dominate when the taxi fleet
-// keeps moving, which is what the probe workload recreates.
-func BenchmarkDispatchCH(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"ch=on", false}, {"ch=off", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			g, spx, pt := bigWorld(b)
-			cfg := DefaultConfig()
-			cfg.SearchRangeMeters = 6000
-			cfg.RouterCacheTrees = 4096
-			cfg.DisableCH = tc.disable
-			if !tc.disable {
-				cfg.CH = bigWorldCH(b)
-			}
-			e, err := NewEngine(pt, spx, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			env := &testEnv{g: g, spx: spx, pt: pt, e: e}
-			placeFleet(env, 400, 42)
-			preload := seededWorkload(env, 400, 7)
-			var now float64
-			for _, r := range preload {
-				now = r.ReleaseAt.Seconds()
-				if a, ok := e.Dispatch(r, now, false); ok {
-					if err := e.Commit(a, now); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			probeRNG := rand.New(rand.NewSource(99))
-			nv := g.NumVertices()
-			probes := make([]*fleet.Request, 0, 128)
-			for len(probes) < cap(probes) {
-				o := roadnet.VertexID(probeRNG.Intn(nv))
-				d := roadnet.VertexID(probeRNG.Intn(nv))
-				if o == d || math.IsInf(e.Router().Cost(o, d), 1) {
-					continue
-				}
-				probes = append(probes, env.request(int64(10000+len(probes)), o, d, now, 1.15))
-			}
-			s0 := e.Stats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Dispatch(probes[i%len(probes)], now, false)
-			}
-			b.StopTimer()
-			s1 := e.Stats()
-			b.ReportMetric((float64(s1.SchedulingNanos-s0.SchedulingNanos))/float64(b.N), "sched-ns/op")
-			rs := e.Router().Stats()
-			if tc.disable && rs.CHQueries != 0 {
-				b.Fatalf("ch=off run answered %d CH queries", rs.CHQueries)
-			}
-			if !tc.disable && rs.CHQueries == 0 {
-				b.Fatal("ch=on run never queried the hierarchy; benchmark is vacuous")
-			}
-		})
-	}
-}
-
 // TestDispatchRepeatRoutesFromMemo pins the router's unit of reuse: asking
 // the engine the same question twice costs no second search. The only point
 // queries a repeated dispatch runs are the winner's leg paths (Path always
@@ -225,7 +159,7 @@ func TestDispatchRepeatRoutesFromMemo(t *testing.T) {
 				paths++
 			}
 		}
-		if got := s2.PointQueries() - s1.PointQueries(); got != paths {
+		if got := s2.CHQueries - s1.CHQueries; got != paths {
 			t.Fatalf("request %d: repeat dispatch ran %d point queries for %d leg paths — a cost was searched twice", r.ID, got, paths)
 		}
 		if s2.Hits == s1.Hits {

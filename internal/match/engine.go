@@ -71,21 +71,14 @@ type Config struct {
 	// candidates before exact schedule evaluation. The zero value keeps
 	// the oracle on. Screening is lossless (the bound is admissible, so a
 	// pruned candidate could never have produced a feasible schedule);
-	// the knob exists for baselines and the ablate-landmark A/B run.
+	// the knob is the ablate-landmark A/B run's hook and no public surface
+	// sets it.
 	DisableLandmarkLB bool
 
-	// DisableCH turns off the contraction-hierarchy routing backend: no
-	// hierarchy is built at engine construction and the router's cold
-	// queries fall back to bidirectional Dijkstra. The zero value keeps
-	// the CH on. Both backends return bit-identical costs (the CH unpacks
-	// paths and re-folds original edge costs), so the knob changes
-	// latency, never dispatch outcomes; it exists for baselines and the
-	// ablate-ch A/B run.
-	DisableCH bool
-
-	// CH, when set (and DisableCH is not), attaches a prebuilt hierarchy
-	// over the partitioning's graph instead of contracting it again —
-	// shared-world experiments and benchmarks build one CH per graph.
+	// CH, when set, attaches a prebuilt hierarchy over the partitioning's
+	// graph instead of contracting it again — shared-world experiments and
+	// benchmarks build one CH per graph. The hierarchy is the router's only
+	// point-query back end, so NewEngine builds one when this is nil.
 	// NewEngine stores the hierarchy it attached back into this field,
 	// so Engine.Config() round-trips reuse it instead of rebuilding.
 	CH *roadnet.CH
@@ -225,13 +218,10 @@ type Engine struct {
 	taxis  map[int64]*fleet.Taxi
 	closed bool
 
-	// legCache memoises partition-filtered leg costs; they are a pure
-	// function of the endpoint pair on a static graph. meanEdge is the
-	// lazily computed mean edge cost used to scale probabilistic vertex
-	// weights.
-	legMu    sync.RWMutex
-	legCache map[uint64]float64
-	meanEdge float64
+	// meanEdge is the graph's mean edge cost, the scale of probabilistic
+	// vertex weights, computed once on first use.
+	meanEdgeOnce sync.Once
+	meanEdge     float64
 
 	// filterCache memoises the partition filter per (source partition,
 	// target partition) pair — Alg. 2 depends only on the two landmarks.
@@ -257,14 +247,10 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		reg = obs.NewRegistry()
 	}
 	g := pt.Graph()
-	raw := roadnet.NewRouter(g, cfg.RouterCacheTrees)
-	if !cfg.DisableCH {
-		if cfg.CH == nil {
-			cfg.CH = roadnet.BuildCH(g, cfg.parallelism())
-		}
-		raw.AttachCH(cfg.CH)
+	if cfg.CH == nil {
+		cfg.CH = roadnet.BuildCH(g, cfg.parallelism())
 	}
-	raw.InstrumentWith(reg)
+	raw := roadnet.NewRouter(g, cfg.RouterCacheTrees).AttachCH(cfg.CH).InstrumentWith(reg)
 	var router roadnet.PathRouter = raw
 	if cfg.RouterWrap != nil {
 		router = cfg.RouterWrap(raw)
@@ -284,7 +270,6 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		clusters:    mobcluster.New(cfg.Lambda),
 		pindex:      index.NewPartitionIndex(pt, cfg.HorizonSeconds).InstrumentWith(reg),
 		taxis:       make(map[int64]*fleet.Taxi),
-		legCache:    make(map[uint64]float64),
 		filterCache: make(map[uint64][]partition.ID),
 		cruise:      newCruiseSampler(1),
 		reg:         reg,

@@ -193,32 +193,35 @@ func TestBasicLegIsOptimal(t *testing.T) {
 	}
 }
 
+// filteredLeg is Alg. 3's search confined to the partitions Alg. 2 keeps
+// for the pair, the restriction probabilistic legs also route within.
+func filteredLeg(e *Engine, u, v roadnet.VertexID) (float64, []roadnet.VertexID, bool) {
+	allowed := e.allowedSet(e.PartitionFilter(u, v))
+	return e.g.WeightedShortestPath(u, v, func(x roadnet.VertexID) bool {
+		return allowed[e.pt.PartitionOf(x)]
+	}, nil)
+}
+
+// TestFilteredLegConsistent pins that the Alg. 2 partitions keep a route
+// between a cross-town pair, that its cost is its path's cost, and that it
+// never beats the true shortest path.
 func TestFilteredLegConsistent(t *testing.T) {
 	env := newTestEnv(t, nil)
 	u := env.vertexNear(t, 0.3, 0.3)
 	v := env.vertexNear(t, 0.7, 0.6)
-	cost, ok := env.e.FilteredLegCost(u, v)
+	cost, path, ok := filteredLeg(env.e, u, v)
 	if !ok {
-		t.Fatal("no filtered leg")
-	}
-	path, pcost, ok := env.e.FilteredLegPath(u, v)
-	if !ok {
-		t.Fatal("no filtered leg path")
-	}
-	if math.Abs(cost-pcost) > 1e-9 {
-		t.Fatalf("cached cost %v != path cost %v", cost, pcost)
+		t.Fatal("the filtered partitions disconnect the pair")
 	}
 	actual, err := env.g.PathCost(path)
-	if err != nil || math.Abs(actual-cost) > 1e-9 {
+	if err != nil || actual != cost {
 		t.Fatalf("path inconsistent: %v, %v", actual, err)
 	}
-	// The filtered route can't beat the true shortest path.
-	if best := env.e.Router().Cost(u, v); cost < best-1e-6 {
+	if best := env.e.Router().Cost(u, v); cost < best {
 		t.Fatalf("filtered cost %v below optimal %v", cost, best)
 	}
-	// Self-leg.
-	if c, ok := env.e.FilteredLegCost(u, u); !ok || c != 0 {
-		t.Fatalf("self leg = %v, %v", c, ok)
+	if c, p, ok := filteredLeg(env.e, u, u); !ok || c != 0 || len(p) != 1 {
+		t.Fatalf("self leg = %v, %v, %v", c, p, ok)
 	}
 }
 
@@ -233,7 +236,7 @@ func TestFilteredLegNearOptimal(t *testing.T) {
 		if u == v {
 			continue
 		}
-		cost, ok := env.e.FilteredLegCost(u, v)
+		cost, _, ok := filteredLeg(env.e, u, v)
 		if !ok {
 			continue
 		}

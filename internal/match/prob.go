@@ -163,26 +163,19 @@ func (e *Engine) ProbabilisticLeg(u, v roadnet.VertexID, taxiVec geo.MobilityVec
 	return nil, 0, false
 }
 
-// meanEdgeCost lazily computes the graph's mean edge cost, the scale for
-// probabilistic vertex weights.
+// meanEdgeCost returns the graph's mean edge cost, the scale for
+// probabilistic vertex weights, computing it on first use.
 func (e *Engine) meanEdgeCost() float64 {
-	e.legMu.RLock()
-	m := e.meanEdge
-	e.legMu.RUnlock()
-	if m > 0 {
-		return m
-	}
-	var total float64
-	for v := 0; v < e.g.NumVertices(); v++ {
-		for _, a := range e.g.Out(roadnet.VertexID(v)) {
-			total += a.Cost
+	e.meanEdgeOnce.Do(func() {
+		var total float64
+		for v := 0; v < e.g.NumVertices(); v++ {
+			for _, a := range e.g.Out(roadnet.VertexID(v)) {
+				total += a.Cost
+			}
 		}
-	}
-	m = total / math.Max(1, float64(e.g.NumEdges()))
-	e.legMu.Lock()
-	e.meanEdge = m
-	e.legMu.Unlock()
-	return m
+		e.meanEdge = total / math.Max(1, float64(e.g.NumEdges()))
+	})
+	return e.meanEdge
 }
 
 // ProbabilisticPlan routes a full candidate schedule with probabilistic

@@ -35,9 +35,6 @@ func (e *Engine) Repartition(pt *partition.Partitioning, nowSeconds float64) err
 	e.pt = pt
 	e.filterCache = make(map[uint64][]partition.ID)
 	e.filterMu.Unlock()
-	e.legMu.Lock()
-	e.legCache = make(map[uint64]float64)
-	e.legMu.Unlock()
 
 	e.pindex = index.NewPartitionIndex(pt, e.cfg.HorizonSeconds)
 

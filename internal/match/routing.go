@@ -66,7 +66,7 @@ func (e *Engine) PartitionFilter(sz, sz1 roadnet.VertexID) []partition.ID {
 	return out
 }
 
-// allowedSet builds a vertex predicate for the given partitions.
+// allowedSet builds the partition set a restricted search may enter.
 func (e *Engine) allowedSet(parts []partition.ID) map[partition.ID]bool {
 	m := make(map[partition.ID]bool, len(parts))
 	for _, p := range parts {
@@ -78,11 +78,11 @@ func (e *Engine) allowedSet(parts []partition.ID) map[partition.ID]bool {
 // BasicLegCost returns the travel cost of a basic-routing leg (Alg. 3).
 // The paper's evaluation assumes O(1) shortest-path queries backed by a
 // precomputed cache (§V-A4), which makes basic-routing legs exactly the
-// cached shortest paths; the partition-filtered Dijkstra (the production
-// fast path the paper describes, FilteredLegCost below) exists for the
-// routing-speed ablation, because at the harness's coarse partition
-// granularity its detours would otherwise leak into matching quality in a
-// way the paper's cached evaluation never exhibits.
+// cached shortest paths. A search confined to the Alg. 2 partitions (the
+// production fast path the paper describes) is measured only by the
+// ablate-filter experiment: at the harness's coarse partition granularity
+// its detours would otherwise leak into matching quality in a way the
+// paper's cached evaluation never exhibits.
 func (e *Engine) BasicLegCost(u, v roadnet.VertexID) (float64, bool) {
 	if u == v {
 		return 0, true
@@ -101,62 +101,6 @@ func (e *Engine) BasicLegPath(u, v roadnet.VertexID) ([]roadnet.VertexID, float6
 		return nil, 0, false
 	}
 	return p, e.router.Cost(u, v), true
-}
-
-// FilteredLegCost returns the travel cost of the partition-filtered leg:
-// a shortest path restricted to the Alg. 2 subgraph, falling back to the
-// unrestricted shortest path when the filtered subgraph disconnects the
-// pair (possible with one-way streets). Costs are memoised: on a static
-// graph they are a pure function of the endpoints.
-func (e *Engine) FilteredLegCost(u, v roadnet.VertexID) (float64, bool) {
-	if u == v {
-		return 0, true
-	}
-	key := pairKey(int32(u), int32(v))
-	e.legMu.RLock()
-	if c, ok := e.legCache[key]; ok {
-		e.legMu.RUnlock()
-		return c, !math.IsInf(c, 1)
-	}
-	e.legMu.RUnlock()
-	cost, _, ok := e.filteredLeg(u, v)
-	if !ok {
-		cost = math.Inf(1)
-	}
-	e.legMu.Lock()
-	if len(e.legCache) > 1<<20 {
-		e.legCache = make(map[uint64]float64)
-	}
-	e.legCache[key] = cost
-	e.legMu.Unlock()
-	return cost, ok
-}
-
-// FilteredLegPath materialises the partition-filtered leg path.
-func (e *Engine) FilteredLegPath(u, v roadnet.VertexID) ([]roadnet.VertexID, float64, bool) {
-	cost, path, ok := e.filteredLeg(u, v)
-	return path, cost, ok
-}
-
-func (e *Engine) filteredLeg(u, v roadnet.VertexID) (float64, []roadnet.VertexID, bool) {
-	if u == v {
-		return 0, []roadnet.VertexID{u}, true
-	}
-	allowed := e.allowedSet(e.PartitionFilter(u, v))
-	cost, path, ok := e.g.RestrictedShortestPath(u, v, func(x roadnet.VertexID) bool {
-		return allowed[e.pt.PartitionOf(x)]
-	})
-	if ok {
-		return cost, path, true
-	}
-	// The filtered subgraph can disconnect u from v on one-way grids; the
-	// paper would discard the instance, we fall back to the full graph so
-	// a feasible match is not lost to an indexing artefact.
-	path = e.router.Path(u, v)
-	if path == nil {
-		return 0, nil, false
-	}
-	return e.router.Cost(u, v), path, true
 }
 
 // BuildBasicLegs materialises the leg paths for a whole schedule starting

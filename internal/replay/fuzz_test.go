@@ -28,10 +28,10 @@ func FuzzReplayDecode(f *testing.F) {
 	enc.Encode(Event{I: 2, Tick: &TickEvent{DNanos: 30e9, Rides: []Ride{{Request: 1, Taxi: 1, Pickup: true, AtNanos: 4e9}}}})
 	enc.Encode(Event{I: 3, Metrics: &MetricsRecord{Counters: map[string]int64{"mtshare_match_dispatches_total": 1}}})
 	f.Add(seed.Bytes())
-	f.Add([]byte(`{"version":2,"kind":"sim","seed":1}` + "\n"))
+	f.Add([]byte(`{"version":3,"kind":"sim","seed":1}` + "\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("{}\n{}\n"))
-	f.Add([]byte(`{"version":2,"kind":"system"}` + "\n" + `{"i":0,"hail":{"taxi":2,"out":{"err":"no_taxi"}}}` + "\n"))
+	f.Add([]byte(`{"version":3,"kind":"system"}` + "\n" + `{"i":0,"hail":{"taxi":2,"out":{"err":"no_taxi"}}}` + "\n"))
 	f.Add([]byte(strings.Repeat("x", 4096)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

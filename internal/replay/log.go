@@ -21,8 +21,8 @@ import (
 	"fmt"
 )
 
-// Version is the current log format version. Decoder rejects logs whose
-// header declares a different major version.
+// Version is the current log format version, and the only one the
+// decoder reads.
 //
 // Version history:
 //   - 1: initial format.
@@ -32,14 +32,10 @@ import (
 //   - 3: sharded dispatcher — Header gains shards / border_policy and the
 //     sealed counters include a per-shard counter family. The sharded
 //     dispatcher has since been removed: a version-3 log of an unsharded
-//     run replays unchanged (as do version-2 logs), and Validate refuses
-//     a log recorded sharded.
+//     run replays unchanged, and Validate refuses a log recorded sharded.
+//     Version-2 logs are refused too; every log this build records, both
+//     goldens included, is version 3.
 const Version = 3
-
-// minVersion is the oldest header version the decoder still replays.
-// Versions 2 and 3 share event semantics; the recorder re-emits a log's
-// own header version so golden logs stay byte-stable.
-const minVersion = 2
 
 // Log kinds: a full facade run versus a scripted simulation's dispatch
 // stream (internal/sim records the latter for run-to-run diffing).
@@ -62,16 +58,6 @@ type Header struct {
 	SearchRangeMeters       float64 `json:"search_range_m,omitempty"`
 	MaxDirectionDiffDegrees float64 `json:"max_direction_deg,omitempty"`
 	Probabilistic           bool    `json:"probabilistic,omitempty"`
-	// DisableLandmarkLB records whether the landmark lower-bound oracle
-	// was off for the run. Screening is lossless, so this cannot change
-	// outcomes — but the lb counters land in the sealed metrics snapshot,
-	// and a replay must reproduce them bit for bit.
-	DisableLandmarkLB bool `json:"disable_landmark_lb,omitempty"`
-	// DisableCH records whether the contraction-hierarchy routing backend
-	// was off for the run. The CH is exact (bit-identical costs), so this
-	// cannot change outcomes either; omitempty keeps existing golden logs
-	// (recorded before the knob existed, CH on by default) readable.
-	DisableCH bool `json:"disable_ch,omitempty"`
 	// Pending-request queue configuration (0 = queue disabled).
 	QueueDepth      int `json:"queue_depth,omitempty"`
 	RetryEveryTicks int `json:"retry_every_ticks,omitempty"`
@@ -97,8 +83,8 @@ type Header struct {
 
 // Validate reports whether the header can drive a replay.
 func (h *Header) Validate() error {
-	if h.Version < minVersion || h.Version > Version {
-		return fmt.Errorf("replay: log version %d, this build reads %d through %d", h.Version, minVersion, Version)
+	if h.Version != Version {
+		return fmt.Errorf("replay: log version %d, this build reads version %d", h.Version, Version)
 	}
 	switch h.Kind {
 	case KindSystem, KindSim:

@@ -157,10 +157,10 @@ func TestDecoderErrors(t *testing.T) {
 		"empty":       "",
 		"bad header":  "not json\n",
 		"bad version": `{"version":9,"kind":"system"}` + "\n",
-		"bad kind":    `{"version":2,"kind":"wat"}` + "\n",
-		"bad event":   `{"version":2,"kind":"system"}` + "\n" + "garbage\n",
-		"no payload":  `{"version":2,"kind":"system"}` + "\n" + `{"i":0}` + "\n",
-		"bad faults":  `{"version":2,"kind":"system","faults":{"seed":1,"cancel_every":-2}}` + "\n",
+		"bad kind":    `{"version":3,"kind":"wat"}` + "\n",
+		"bad event":   `{"version":3,"kind":"system"}` + "\n" + "garbage\n",
+		"no payload":  `{"version":3,"kind":"system"}` + "\n" + `{"i":0}` + "\n",
+		"bad faults":  `{"version":3,"kind":"system","faults":{"seed":1,"cancel_every":-2}}` + "\n",
 	} {
 		_, _, err := ReadAll(strings.NewReader(log))
 		if err == nil {
@@ -169,7 +169,7 @@ func TestDecoderErrors(t *testing.T) {
 	}
 	// Blank lines are tolerated.
 	h, evs, err := ReadAll(strings.NewReader(
-		"\n" + `{"version":2,"kind":"system","seed":1}` + "\n\n" + `{"i":0,"tick":{"d_ns":5}}` + "\n\n"))
+		"\n" + `{"version":3,"kind":"system","seed":1}` + "\n\n" + `{"i":0,"tick":{"d_ns":5}}` + "\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func lineGraph(n int) *roadnet.Graph {
 
 func TestFaultRouterConsistency(t *testing.T) {
 	g := lineGraph(64)
-	inner := roadnet.NewRouter(g, 8)
+	inner := roadnet.NewRouter(g, 8).AttachCH(roadnet.BuildCH(g, 1))
 	fr := NewFaultRouter(FaultPlan{Seed: 9, UnreachableEvery: 3})
 	r := fr.Wrap(inner)
 

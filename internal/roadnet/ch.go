@@ -841,9 +841,8 @@ func (ch *CH) query(ws *chQueryWS, src, dst VertexID) (cost float64, settled int
 
 // pathFoldCost recomputes a path's cost as the left-to-right fold of
 // original edge costs — the float association Dijkstra's relaxation
-// produces, so exact backends (CH, bidirectional search) return costs
-// bit-identical to Graph.ShortestPath. Panics on a broken path: callers
-// pass paths they just computed over g.
+// produces, so the CH returns costs bit-identical to Graph.ShortestPath.
+// Panics on a broken path: callers pass paths they just computed over g.
 func pathFoldCost(g *Graph, path []VertexID) float64 {
 	cost := 0.0
 	for i := 1; i < len(path); i++ {

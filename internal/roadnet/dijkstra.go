@@ -3,11 +3,9 @@ package roadnet
 import (
 	"math"
 	"sync"
-
-	"repro/internal/geo"
 )
 
-// heapItem is a priority-queue entry for Dijkstra/A*.
+// heapItem is a priority-queue entry for Dijkstra.
 type heapItem struct {
 	v    VertexID
 	prio float64
@@ -159,20 +157,17 @@ func (g *Graph) ShortestPath(src, dst VertexID) (cost float64, path []VertexID, 
 	return g.shortestPath(src, dst, nil, nil)
 }
 
-// RestrictedShortestPath is ShortestPath confined to vertices for which
-// allowed returns true. src and dst are always considered allowed, matching
-// the paper's partition-filtered routing where the event endpoints' own
-// partitions are always retained.
-func (g *Graph) RestrictedShortestPath(src, dst VertexID, allowed func(VertexID) bool) (cost float64, path []VertexID, ok bool) {
-	return g.shortestPath(src, dst, allowed, nil)
-}
-
 // WeightedShortestPath runs Dijkstra where relaxing an edge (u,v) costs
 // edgeCost + vertexWeight(v). Probabilistic routing (Alg. 4, step 3) uses
 // vertex weights 1/ψ_c to steer the path through partitions with high
 // probability of meeting suitable offline requests. The returned cost is
 // the combined cost; callers needing the pure travel cost should use
 // Graph.PathCost on the returned path.
+//
+// A non-nil allowed confines the search to the vertices it accepts; src
+// and dst are always allowed, matching the paper's partition-filtered
+// routing, where the event endpoints' own partitions are always retained.
+// A nil vertexWeight adds nothing, so the cost is the travel cost.
 func (g *Graph) WeightedShortestPath(src, dst VertexID, allowed func(VertexID) bool, vertexWeight func(VertexID) float64) (cost float64, path []VertexID, ok bool) {
 	return g.shortestPath(src, dst, allowed, vertexWeight)
 }
@@ -229,41 +224,4 @@ func reconstruct(parent map[VertexID]VertexID, src, dst VertexID) []VertexID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// AStar returns the min-cost path from src to dst using A* with the
-// straight-line distance as an admissible heuristic (edge costs are at
-// least the straight-line distance in the synthetic generator, and real
-// road distances always are).
-func (g *Graph) AStar(src, dst VertexID) (cost float64, path []VertexID, ok bool) {
-	if src == dst {
-		return 0, []VertexID{src}, true
-	}
-	target := g.pts[dst]
-	h := func(v VertexID) float64 { return geo.Equirect(g.pts[v], target) }
-	dist := make(map[VertexID]float64, 256)
-	parent := make(map[VertexID]VertexID, 256)
-	dist[src] = 0
-	q := getHeap()
-	defer heapPool.Put(q)
-	q.push(src, h(src))
-	for len(*q) > 0 {
-		it := q.pop()
-		d := dist[it.v]
-		if it.prio > d+h(it.v)+1e-9 {
-			continue
-		}
-		if it.v == dst {
-			return d, reconstruct(parent, src, dst), true
-		}
-		for _, a := range g.out[it.v] {
-			nd := d + a.Cost
-			if old, seen := dist[a.To]; !seen || nd < old {
-				dist[a.To] = nd
-				parent[a.To] = it.v
-				q.push(a.To, nd+h(a.To))
-			}
-		}
-	}
-	return 0, nil, false
 }

@@ -119,10 +119,12 @@ func TestShortestPathMatchesSSSP(t *testing.T) {
 	}
 }
 
+// The TestRestrictedShortestPath* tests pin WeightedShortestPath's allowed
+// set, the restriction Alg. 4 (and ablate-filter) route through.
 func TestRestrictedShortestPath(t *testing.T) {
 	g := gridGraph(3)
 	// Block the centre vertex (4): 0 -> 8 must route around it.
-	cost, path, ok := g.RestrictedShortestPath(0, 8, func(v VertexID) bool { return v != 4 })
+	cost, path, ok := g.WeightedShortestPath(0, 8, func(v VertexID) bool { return v != 4 }, nil)
 	if !ok {
 		t.Fatal("no restricted path")
 	}
@@ -140,11 +142,11 @@ func TestRestrictedShortestPathEndpointsAlwaysAllowed(t *testing.T) {
 	g := gridGraph(3)
 	// allowed rejects everything; src and dst must still be usable, and a
 	// path exists only if they are adjacent.
-	_, _, ok := g.RestrictedShortestPath(0, 1, func(VertexID) bool { return false })
+	_, _, ok := g.WeightedShortestPath(0, 1, func(VertexID) bool { return false }, nil)
 	if !ok {
 		t.Fatal("adjacent src->dst should be reachable when everything else is blocked")
 	}
-	if _, _, ok := g.RestrictedShortestPath(0, 8, func(VertexID) bool { return false }); ok {
+	if _, _, ok := g.WeightedShortestPath(0, 8, func(VertexID) bool { return false }, nil); ok {
 		t.Fatal("found path through fully blocked interior")
 	}
 }
@@ -165,7 +167,7 @@ func TestRestrictedShortestPathExcludedDestination(t *testing.T) {
 	if !wok {
 		t.Fatalf("%d->%d unreachable in connected city", src, dst)
 	}
-	got, path, ok := g.RestrictedShortestPath(src, dst, func(v VertexID) bool { return v != dst })
+	got, path, ok := g.WeightedShortestPath(src, dst, func(v VertexID) bool { return v != dst }, nil)
 	if !ok {
 		t.Fatal("excluding the destination from the allowed set made it unreachable")
 	}
@@ -236,32 +238,6 @@ func TestWeightedShortestPathSteersAroundWeights(t *testing.T) {
 	for _, v := range path {
 		if v == 1 {
 			t.Fatal("weighted path went through penalised vertex")
-		}
-	}
-}
-
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g, err := GenerateCity(DefaultCityParams(15, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 25; i++ {
-		src := VertexID(rng.Intn(g.NumVertices()))
-		dst := VertexID(rng.Intn(g.NumVertices()))
-		dc, _, dok := g.ShortestPath(src, dst)
-		ac, apath, aok := g.AStar(src, dst)
-		if dok != aok {
-			t.Fatalf("reachability disagreement src=%d dst=%d", src, dst)
-		}
-		if !dok {
-			continue
-		}
-		if math.Abs(dc-ac) > 1e-6 {
-			t.Fatalf("A* cost %v != Dijkstra cost %v (src=%d dst=%d)", ac, dc, src, dst)
-		}
-		if c, err := g.PathCost(apath); err != nil || math.Abs(c-ac) > 1e-6 {
-			t.Fatalf("A* path inconsistent: %v %v", c, err)
 		}
 	}
 }
@@ -439,17 +415,5 @@ func BenchmarkPointToPointDijkstra(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _, _ = g.ShortestPath(VertexID(i%n), VertexID((i*7919)%n))
-	}
-}
-
-func BenchmarkAStar(b *testing.B) {
-	g, err := GenerateCity(DefaultCityParams(40, 40))
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := g.NumVertices()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = g.AStar(VertexID(i%n), VertexID((i*7919)%n))
 	}
 }

@@ -11,9 +11,9 @@ import (
 // Router answers exact shortest-path cost and path queries over a fixed
 // graph. The paper assumes O(1) lookups in a precomputed all-pairs table
 // (§V-A4); that table is quadratic, so the Router stands in for it with one
-// thing: a bounded memo (u,v) -> cost in front of an exact point query (the
-// attached CH when present, bidirectional Dijkstra otherwise). Path always
-// runs the point query and returns its unpacked path.
+// thing: a bounded memo (u,v) -> cost in front of an exact point query on
+// the attached contraction hierarchy. Path always runs the point query and
+// returns its unpacked path. A Router answers nothing until AttachCH.
 //
 // It routes by pair, not by source tree, because a dispatch asks for few
 // distinct targets per source and asks for them repeatedly: a counting probe
@@ -28,16 +28,15 @@ import (
 // 4th 1.62-1.70, 8th 1.47, never 1.27-1.31), so no tree is ever built on
 // the serving path; EXPERIMENTS.md "Route by pair" has the tables.
 //
-// Every backend returns the left fold of the found path's original edge
-// costs (see CH's exactness contract), so which backend answered, whether
-// the memo held the pair, and when an entry was evicted are all invisible
-// to dispatch outcomes.
+// The CH returns the left fold of the found path's original edge costs
+// (see its exactness contract), so whether the memo held the pair and when
+// an entry was evicted are invisible to dispatch outcomes.
 //
 // Router is safe for concurrent use. Concurrent misses on one pair each run
 // the point query and store the same value.
 type Router struct {
 	g   *Graph
-	ch  *CH            // nil until AttachCH; set before concurrent use
+	ch  *CH            // set by AttachCH before any query or concurrent use
 	met *routerMetrics // nil until InstrumentWith
 
 	mu sync.Mutex
@@ -50,8 +49,7 @@ type Router struct {
 	genCap   int
 	hits     int64
 
-	chQueries    atomic.Int64
-	bidirQueries atomic.Int64
+	chQueries atomic.Int64
 }
 
 // memoEntryBytes is what one memo entry is charged against the budget: an
@@ -68,7 +66,6 @@ type routerMetrics struct {
 	hits        *obs.Counter
 	cold        *obs.Counter
 	chQueries   *obs.Counter
-	bidirQuery  *obs.Counter
 	chSettled   *obs.Histogram
 	memoryBytes *obs.Gauge
 	chBuildSecs *obs.Gauge
@@ -78,8 +75,8 @@ type routerMetrics struct {
 
 // InstrumentWith registers the router's instruments in reg —
 // mtshare_roadnet_cache_hits_total (memo hits), ..._cold_queries_total
-// (point queries run), split by backend into ..._ch_queries_total and
-// ..._bidir_queries_total, ..._ch_settled_vertices,
+// (point queries run), ..._ch_queries_total (the same count, by its
+// backend's name), ..._ch_settled_vertices,
 // ..._cache_memory_bytes (memo footprint), and the
 // mtshare_roadnet_ch_{build_seconds,shortcuts,memory_bytes} gauges — and
 // returns the router. Call it once, before the router is used concurrently.
@@ -88,10 +85,9 @@ func (r *Router) InstrumentWith(reg *obs.Registry) *Router {
 		return r
 	}
 	r.met = &routerMetrics{
-		hits:       reg.Counter("mtshare_roadnet_cache_hits_total"),
-		cold:       reg.Counter("mtshare_roadnet_cold_queries_total"),
-		chQueries:  reg.Counter("mtshare_roadnet_ch_queries_total"),
-		bidirQuery: reg.Counter("mtshare_roadnet_bidir_queries_total"),
+		hits:      reg.Counter("mtshare_roadnet_cache_hits_total"),
+		cold:      reg.Counter("mtshare_roadnet_cold_queries_total"),
+		chQueries: reg.Counter("mtshare_roadnet_ch_queries_total"),
 		// Vertex counts, not latencies: the default bucket ladder tops
 		// out at 10 and would funnel every observation into +Inf.
 		chSettled: reg.HistogramWith("mtshare_roadnet_ch_settled_vertices",
@@ -107,10 +103,13 @@ func (r *Router) InstrumentWith(reg *obs.Registry) *Router {
 
 // AttachCH points the router's point queries at a prebuilt contraction
 // hierarchy (which must be over the router's graph) and publishes the
-// mtshare_roadnet_ch_* gauges. Call it once, before the router is used
-// concurrently; a nil ch detaches.
+// mtshare_roadnet_ch_* gauges. Call it once, before the router is queried
+// or used concurrently.
 func (r *Router) AttachCH(ch *CH) *Router {
-	if ch != nil && ch.Graph() != r.g {
+	if ch == nil {
+		panic("roadnet: AttachCH: nil hierarchy")
+	}
+	if ch.Graph() != r.g {
 		panic("roadnet: AttachCH: hierarchy built over a different graph")
 	}
 	r.ch = ch
@@ -118,17 +117,11 @@ func (r *Router) AttachCH(ch *CH) *Router {
 	return r
 }
 
-// CH returns the attached hierarchy, or nil.
+// CH returns the attached hierarchy, or nil before AttachCH.
 func (r *Router) CH() *CH { return r.ch }
 
 func (r *Router) publishCHGauges() {
-	if r.met == nil {
-		return
-	}
-	if r.ch == nil {
-		r.met.chBuildSecs.Set(0)
-		r.met.chShortcuts.Set(0)
-		r.met.chMemory.Set(0)
+	if r.met == nil || r.ch == nil {
 		return
 	}
 	st := r.ch.Stats()
@@ -214,39 +207,29 @@ func (r *Router) memoBytesLocked() int64 {
 	return int64(len(r.cur)+len(r.old)) * memoEntryBytes
 }
 
-// pointQuery runs one exact point-to-point search: the attached CH when
-// present, bidirectional Dijkstra otherwise. Both fold the found path's
-// original edge costs left to right, so the cost is bit-identical to
-// Graph.SSSP's Dist. Returns +Inf cost and a nil path when dst is
-// unreachable. wantPath=false lets the CH backend fold over its pooled path
+// pointQuery runs one exact point-to-point search on the attached CH, which
+// folds the found path's original edge costs left to right, so the cost is
+// bit-identical to Graph.SSSP's Dist. Returns +Inf cost and a nil path when
+// dst is unreachable. wantPath=false lets the CH fold over its pooled path
 // buffer and return nil instead of allocating.
 func (r *Router) pointQuery(src, dst VertexID, wantPath bool) (cost float64, path []VertexID) {
+	ch := r.ch
+	if ch == nil {
+		panic("roadnet: Router queried before AttachCH")
+	}
+	r.chQueries.Add(1)
+	var settled int
+	if wantPath {
+		cost, path, settled, _ = ch.ShortestPath(src, dst)
+	} else {
+		cost, settled = ch.costSettled(src, dst)
+	}
 	if r.met != nil {
 		r.met.cold.Inc()
+		r.met.chQueries.Inc()
+		r.met.chSettled.Observe(float64(settled))
 	}
-	if ch := r.ch; ch != nil {
-		r.chQueries.Add(1)
-		var settled int
-		if wantPath {
-			cost, path, settled, _ = ch.ShortestPath(src, dst)
-		} else {
-			cost, settled = ch.costSettled(src, dst)
-		}
-		if r.met != nil {
-			r.met.chQueries.Inc()
-			r.met.chSettled.Observe(float64(settled))
-		}
-		return cost, path
-	}
-	r.bidirQueries.Add(1)
-	if r.met != nil {
-		r.met.bidirQuery.Inc()
-	}
-	_, path, ok := r.g.BidirectionalShortestPath(src, dst)
-	if !ok {
-		return math.Inf(1), nil
-	}
-	return pathFoldCost(r.g, path), path
+	return cost, path
 }
 
 // Cost returns the shortest-path cost in meters from u to v, or +Inf when v
@@ -285,10 +268,8 @@ func (r *Router) Reachable(u, v VertexID) bool {
 type RouterStats struct {
 	// Hits counts Cost calls answered from the memo.
 	Hits int64
-	// CHQueries/BidirQueries count the point queries run (Cost misses and
-	// every Path), by backend.
-	CHQueries    int64
-	BidirQueries int64
+	// CHQueries counts the point queries run (Cost misses and every Path).
+	CHQueries int64
 	// MemoEntries is the number of memoised pairs held (both generations);
 	// MemoBytes charges each at memoEntryBytes and never exceeds the
 	// budget NewRouter was given.
@@ -300,9 +281,6 @@ type RouterStats struct {
 	CHMemoryBytes int64
 }
 
-// PointQueries is the number of point queries run on either backend.
-func (st RouterStats) PointQueries() int64 { return st.CHQueries + st.BidirQueries }
-
 // Stats returns a snapshot of the router's statistics.
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
@@ -313,7 +291,6 @@ func (r *Router) Stats() RouterStats {
 	}
 	r.mu.Unlock()
 	st.CHQueries = r.chQueries.Load()
-	st.BidirQueries = r.bidirQueries.Load()
 	if r.ch != nil {
 		st.CHMemoryBytes = r.ch.MemoryBytes()
 	}

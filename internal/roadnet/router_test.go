@@ -1,8 +1,10 @@
 package roadnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +16,7 @@ func TestRouterCostMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 64)
+	r := NewRouter(g, 64).AttachCH(BuildCH(g, 1))
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
 		u := VertexID(rng.Intn(g.NumVertices()))
@@ -38,7 +40,7 @@ func TestRouterPathValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 16)
+	r := NewRouter(g, 16).AttachCH(BuildCH(g, 1))
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 30; i++ {
 		u := VertexID(rng.Intn(g.NumVertices()))
@@ -62,14 +64,14 @@ func TestRouterPathValid(t *testing.T) {
 
 func TestRouterSelfQueries(t *testing.T) {
 	g := gridGraph(3)
-	r := NewRouter(g, 4)
+	r := NewRouter(g, 4).AttachCH(BuildCH(g, 1))
 	if c := r.Cost(5, 5); c != 0 {
 		t.Fatalf("self cost = %v", c)
 	}
 	if p := r.Path(5, 5); len(p) != 1 || p[0] != 5 {
 		t.Fatalf("self path = %v", p)
 	}
-	if st := r.Stats(); st.PointQueries() != 0 || st.MemoEntries != 0 {
+	if st := r.Stats(); st.CHQueries != 0 || st.MemoEntries != 0 {
 		t.Fatalf("self queries should neither search nor memoise: %+v", st)
 	}
 }
@@ -84,7 +86,7 @@ func TestRouterMemoBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	r := NewRouter(g, 1)
+	r := NewRouter(g, 1).AttachCH(BuildCH(g, 1))
 	budget := int64(12 * n)
 	hot := r.Cost(0, VertexID(n-1))
 	pairs := 0
@@ -107,16 +109,16 @@ func TestRouterMemoBound(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if st.PointQueries() != int64(pairs)+1 {
-		t.Fatalf("%d point queries for %d distinct pairs plus the hot one: the hot pair was evicted while in use", st.PointQueries(), pairs)
+	if st.CHQueries != int64(pairs)+1 {
+		t.Fatalf("%d point queries for %d distinct pairs plus the hot one: the hot pair was evicted while in use", st.CHQueries, pairs)
 	}
 	if int64(pairs)*memoEntryBytes < 2*budget {
 		t.Fatalf("only %d pairs: the budget of %d bytes was never overrun", pairs, budget)
 	}
 	// The first pairs are long gone: asking again is a point query, not a hit.
 	r.Cost(0, 7)
-	if got := r.Stats().PointQueries(); got != st.PointQueries()+1 {
-		t.Fatalf("evicted pair answered without a point query (%d -> %d)", st.PointQueries(), got)
+	if got := r.Stats().CHQueries; got != st.CHQueries+1 {
+		t.Fatalf("evicted pair answered without a point query (%d -> %d)", st.CHQueries, got)
 	}
 }
 
@@ -126,7 +128,7 @@ func TestRouterMemoBound(t *testing.T) {
 func TestRouterHitAccounting(t *testing.T) {
 	g := gridGraph(4)
 	reg := obs.NewRegistry()
-	r := NewRouter(g, 8).InstrumentWith(reg)
+	r := NewRouter(g, 8).AttachCH(BuildCH(g, 1)).InstrumentWith(reg)
 	for round := 0; round < 3; round++ {
 		for v := 1; v <= 5; v++ {
 			r.Cost(0, VertexID(v))
@@ -135,17 +137,16 @@ func TestRouterHitAccounting(t *testing.T) {
 	r.Path(0, 1)
 	r.Cost(3, 3) // self query: counted nowhere
 	st := r.Stats()
-	if st.Hits != 10 || st.BidirQueries != 6 || st.CHQueries != 0 {
-		t.Fatalf("hits=%d bidir=%d ch=%d, want 10/6/0 without a CH", st.Hits, st.BidirQueries, st.CHQueries)
+	if st.Hits != 10 || st.CHQueries != 6 {
+		t.Fatalf("hits=%d ch=%d, want 10/6", st.Hits, st.CHQueries)
 	}
 	if st.MemoEntries != 5 || st.MemoBytes != 5*memoEntryBytes {
 		t.Fatalf("memo holds %d entries / %d bytes, want 5 / %d", st.MemoEntries, st.MemoBytes, 5*memoEntryBytes)
 	}
 	for name, want := range map[string]int64{
-		"mtshare_roadnet_cache_hits_total":    10,
-		"mtshare_roadnet_cold_queries_total":  6,
-		"mtshare_roadnet_bidir_queries_total": 6,
-		"mtshare_roadnet_ch_queries_total":    0,
+		"mtshare_roadnet_cache_hits_total":   10,
+		"mtshare_roadnet_cold_queries_total": 6,
+		"mtshare_roadnet_ch_queries_total":   6,
 	} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
@@ -161,7 +162,7 @@ func TestRouterConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 8)
+	r := NewRouter(g, 8).AttachCH(BuildCH(g, 1))
 	n := g.NumVertices()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -185,7 +186,7 @@ func TestRouterConcurrentUse(t *testing.T) {
 
 func TestRouterReachable(t *testing.T) {
 	g := lineGraph(3)
-	r := NewRouter(g, 4)
+	r := NewRouter(g, 4).AttachCH(BuildCH(g, 1))
 	if !r.Reachable(0, 2) {
 		t.Fatal("0->2 should be reachable")
 	}
@@ -194,48 +195,33 @@ func TestRouterReachable(t *testing.T) {
 	}
 }
 
-// TestRouterColdPathBidirExact pins the CH-disabled cold path: a source's
-// first query runs BidirectionalShortestPath, and the returned cost must
-// be bit-identical to the Dijkstra tree answer (the bidirectional search's
-// internal two-sided sum is discarded; the cost is re-folded from the
-// path's original edge costs).
-func TestRouterColdPathBidirExact(t *testing.T) {
-	p := DefaultCityParams(14, 14)
-	p.Seed = 21
-	g, err := GenerateCity(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRouter(g, 64)
-	rng := rand.New(rand.NewSource(21))
-	n := g.NumVertices()
-	for i := 0; i < 60; i++ {
-		u := VertexID(rng.Intn(n))
-		v := VertexID(rng.Intn(n))
-		if u == v {
-			continue
-		}
-		got := r.Cost(u, v) // may be cold (bidir) or cached, both must agree
-		want, _, ok := g.ShortestPath(u, v)
-		if !ok {
-			if !math.IsInf(got, 1) {
-				t.Fatalf("Cost(%d,%d) = %v for unreachable pair", u, v, got)
+// TestRouterWithoutCHPanics pins the Router's one back end: a query that
+// would need a search fails loudly until a hierarchy is attached (a self
+// query needs none), and attaching nil is refused rather than detaching.
+func TestRouterWithoutCHPanics(t *testing.T) {
+	g := gridGraph(3)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "AttachCH") {
+				t.Fatalf("%s: panic %v, want one naming AttachCH", name, v)
 			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("cold Cost(%d,%d) = %v (bits %x), Dijkstra %v (bits %x)",
-				u, v, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
+		}()
+		f()
 	}
-	if st := r.Stats(); st.BidirQueries == 0 {
-		t.Fatal("no bidirectional cold queries ran — the cold path is not exercised")
+	r := NewRouter(g, 4)
+	if c := r.Cost(4, 4); c != 0 {
+		t.Fatalf("self cost = %v", c)
 	}
+	mustPanic("Cost", func() { r.Cost(0, 8) })
+	mustPanic("Path", func() { r.Path(0, 8) })
+	mustPanic("Reachable", func() { r.Reachable(0, 8) })
+	mustPanic("AttachCH(nil)", func() { r.AttachCH(nil) })
 }
 
-// TestRouterColdPathCHExact is the CH-enabled twin: cold queries answered
-// by the hierarchy must also be bit-identical to Dijkstra, and the cold
-// paths must be valid edge walks.
+// TestRouterColdPathCHExact pins the cold path: queries answered by the
+// hierarchy must be bit-identical to Dijkstra, and the cold paths must be
+// valid edge walks.
 func TestRouterColdPathCHExact(t *testing.T) {
 	p := DefaultCityParams(14, 14)
 	p.Seed = 22
@@ -268,12 +254,8 @@ func TestRouterColdPathCHExact(t *testing.T) {
 			t.Fatalf("cold Path cost (%d,%d) = %v, Dijkstra %v", u, v, pc, want)
 		}
 	}
-	st := r.Stats()
-	if st.CHQueries == 0 {
+	if r.Stats().CHQueries == 0 {
 		t.Fatal("no CH cold queries ran — the hierarchy backend is not exercised")
-	}
-	if st.BidirQueries != 0 {
-		t.Fatalf("bidir ran %d times with a CH attached", st.BidirQueries)
 	}
 }
 

@@ -68,19 +68,17 @@ type serverSnapshot struct {
 // not silently replayed into a diverging state.
 func (s *Server) buildWALHeader() replay.Header {
 	return replay.Header{
-		Version:           replay.Version,
-		Kind:              replay.KindSystem,
-		Seed:              s.cfg.Seed,
-		Rows:              s.cfg.CityRows,
-		Cols:              s.cfg.CityCols,
-		Partitions:        s.kappa,
-		SpeedKmh:          s.engine.Config().SpeedMps * 3.6,
-		Probabilistic:     s.cfg.Probabilistic,
-		DisableLandmarkLB: s.cfg.DisableLandmarkLB,
-		DisableCH:         s.cfg.DisableCH,
-		QueueDepth:        s.cfg.QueueDepth,
-		RetryEveryTicks:   s.cfg.RetryEveryTicks,
-		GraphFingerprint:  fmt.Sprintf("%016x", s.g.Fingerprint()),
+		Version:          replay.Version,
+		Kind:             replay.KindSystem,
+		Seed:             s.cfg.Seed,
+		Rows:             s.cfg.CityRows,
+		Cols:             s.cfg.CityCols,
+		Partitions:       s.kappa,
+		SpeedKmh:         s.engine.Config().SpeedMps * 3.6,
+		Probabilistic:    s.cfg.Probabilistic,
+		QueueDepth:       s.cfg.QueueDepth,
+		RetryEveryTicks:  s.cfg.RetryEveryTicks,
+		GraphFingerprint: fmt.Sprintf("%016x", s.g.Fingerprint()),
 	}
 }
 

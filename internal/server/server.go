@@ -47,16 +47,7 @@ type Config struct {
 	// Probabilistic enables mT-Share_pro behaviour: probabilistic routing
 	// for taxis with spare seats and demand-seeking cruising when idle.
 	Probabilistic bool
-	// DisableLandmarkLB turns off the landmark lower-bound candidate
-	// screen (lossless; see match.Config.DisableLandmarkLB). The
-	// mtshare_match_lb_* instruments on /v1/metrics stay at zero.
-	DisableLandmarkLB bool
-	// DisableCH turns off the contraction-hierarchy routing backend
-	// (exact, so outcomes are unchanged; see match.Config.DisableCH).
-	// The mtshare_roadnet_ch_* instruments on /v1/metrics stay at zero
-	// and cold routing queries fall back to bidirectional Dijkstra.
-	DisableCH bool
-	Seed      int64
+	Seed          int64
 
 	// QueueDepth bounds the pending-request queue. When positive, a ride
 	// request that finds no feasible taxi parks for batched re-dispatch
@@ -247,8 +238,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	mcfg := match.DefaultConfig()
-	mcfg.DisableLandmarkLB = cfg.DisableLandmarkLB
-	mcfg.DisableCH = cfg.DisableCH
 	mcfg.BatchAssign = cfg.BatchAssign
 	mcfg.Metrics = cfg.Metrics
 	mcfg.Parallelism = cfg.Parallelism

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -69,10 +70,12 @@ func (o PrepareOptions) drawParty(r *rand.Rand) int {
 }
 
 // PrepareRequests converts trace trips to simulation requests: endpoints
-// snapped to road vertices, direct costs computed on the graph, deadlines
-// set per Eq. 9. Trips whose endpoints snap to the same vertex or that
-// are unroutable are dropped, matching the paper's pre-mapping step.
-func PrepareRequests(g *roadnet.Graph, spx *roadnet.SpatialIndex, trips []trace.Trip, opts PrepareOptions) []*fleet.Request {
+// snapped to road vertices, exact direct costs from rt (the world's
+// router, with its CH attached), deadlines set per Eq. 9. Trips whose
+// endpoints snap to the same vertex or that are unroutable are dropped,
+// matching the paper's pre-mapping step.
+func PrepareRequests(rt *roadnet.Router, spx *roadnet.SpatialIndex, trips []trace.Trip, opts PrepareOptions) []*fleet.Request {
+	g := rt.Graph()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	out := make([]*fleet.Request, 0, len(trips))
 	for _, tr := range trips {
@@ -81,13 +84,13 @@ func PrepareRequests(g *roadnet.Graph, spx *roadnet.SpatialIndex, trips []trace.
 		if !ok1 || !ok2 || o == d {
 			continue
 		}
-		direct, _, ok := g.AStar(o, d)
-		if !ok {
+		direct := rt.Cost(o, d)
+		if math.IsInf(direct, 1) {
 			continue
 		}
 		release, span := tr.ReleaseAt, time.Duration(direct/opts.SpeedMps*opts.Rho*float64(time.Second))
 		if opts.MeetingPointRadiusMeters > 0 {
-			if mp, mpDirect, found := chooseMeetingPoint(g, spx, tr.Origin, o, d, direct, opts.MeetingPointRadiusMeters); found {
+			if mp, mpDirect, found := chooseMeetingPoint(rt, spx, tr.Origin, o, d, direct, opts.MeetingPointRadiusMeters); found {
 				walk := geo.Equirect(tr.Origin, g.Point(mp))
 				speed := opts.WalkSpeedMps
 				if speed <= 0 {
@@ -123,7 +126,8 @@ func PrepareRequests(g *roadnet.Graph, spx *roadnet.SpatialIndex, trips []trace.
 // found=false when no in-radius candidate beats the nearest-vertex
 // snap o (whose cost is nearestDirect), keeping the request identical
 // to the radius-0 baseline.
-func chooseMeetingPoint(g *roadnet.Graph, spx *roadnet.SpatialIndex, door geo.Point, o, d roadnet.VertexID, nearestDirect, radius float64) (roadnet.VertexID, float64, bool) {
+func chooseMeetingPoint(rt *roadnet.Router, spx *roadnet.SpatialIndex, door geo.Point, o, d roadnet.VertexID, nearestDirect, radius float64) (roadnet.VertexID, float64, bool) {
+	g := rt.Graph()
 	cands := spx.VerticesWithin(door, radius)
 	if len(cands) == 0 {
 		return o, 0, false
@@ -153,11 +157,7 @@ func chooseMeetingPoint(g *roadnet.Graph, spx *roadnet.SpatialIndex, door geo.Po
 		if c.v == o {
 			continue
 		}
-		direct, _, ok := g.AStar(c.v, d)
-		if !ok {
-			continue
-		}
-		if direct < bestDirect {
+		if direct := rt.Cost(c.v, d); direct < bestDirect {
 			best, bestDirect, found = c.v, direct, true
 		}
 	}

@@ -106,8 +106,8 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 		// A comfortably routable cross-town pair, re-snapped per request.
 		o, _ := w.spx.NearestVertex(w.ds.Trips[10].Origin)
 		d, _ := w.spx.NearestVertex(w.ds.Trips[10].Dest)
-		direct, _, ok := w.g.AStar(o, d)
-		if !ok || o == d {
+		direct := w.rt.Cost(o, d)
+		if math.IsInf(direct, 1) || o == d {
 			t.Fatal("test trip unroutable")
 		}
 		release := time.Duration((start + releaseOffset) * float64(time.Second))

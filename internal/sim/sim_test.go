@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 // world bundles a small deterministic test world.
 type world struct {
 	g   *roadnet.Graph
+	rt  *roadnet.Router // the world's router, CH attached
 	spx *roadnet.SpatialIndex
 	pt  *partition.Partitioning
 	ds  *trace.Dataset
@@ -49,13 +51,18 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{g: g, spx: spx, pt: pt, ds: ds}
+	rt := roadnet.NewRouter(g, 64).AttachCH(roadnet.BuildCH(g, 1))
+	return &world{g: g, rt: rt, spx: spx, pt: pt, ds: ds}
 }
+
+// router is a fresh router over the world's hierarchy.
+func (w *world) router() *roadnet.Router { return roadnet.NewRouter(w.g, 64).AttachCH(w.rt.CH()) }
 
 func (w *world) mtShare(t testing.TB, probabilistic bool) dispatch.Scheme {
 	t.Helper()
 	cfg := match.DefaultConfig()
 	cfg.SearchRangeMeters = 2500
+	cfg.CH = w.rt.CH()
 	e, err := match.NewEngine(w.pt, w.spx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +74,7 @@ func (w *world) mtShare(t testing.TB, probabilistic bool) dispatch.Scheme {
 func (w *world) peakRequests(t testing.TB, offlineFrac float64) []*fleet.Request {
 	t.Helper()
 	trips := w.ds.Between(8*time.Hour, 9*time.Hour)
-	reqs := PrepareRequests(w.g, w.spx, trips, PrepareOptions{
+	reqs := PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.3, OfflineFrac: offlineFrac, Seed: 7,
 	})
 	if len(reqs) < 50 {
@@ -111,6 +118,35 @@ func TestPrepareRequests(t *testing.T) {
 	frac := float64(offline) / float64(len(reqs))
 	if frac < 0.2 || frac > 0.4 {
 		t.Fatalf("offline fraction %v, want ~0.3", frac)
+	}
+}
+
+// TestPreparedDirectCostsAreShortestPaths pins request preparation to the
+// exact metric: every prepared request's DirectMeters, meeting points
+// included, is bit-equal to Dijkstra's cost. The city has arterials, whose
+// 0.7x edges are cheaper than the straight line between their endpoints,
+// so a straight-line A* heuristic is inadmissible here and overstates a
+// few pairs; those costs feed the Eq. 9 deadlines.
+func TestPreparedDirectCostsAreShortestPaths(t *testing.T) {
+	w := newWorld(t)
+	if roadnet.DefaultCityParams(14, 14).ArterialEvery == 0 {
+		t.Fatal("test city has no arterials; the check is vacuous")
+	}
+	for _, radius := range []float64{0, 300} {
+		reqs := PrepareRequests(w.rt, w.spx, w.ds.Trips, PrepareOptions{
+			SpeedMps: 15.0 * 1000 / 3600, Rho: 1.3, Seed: 7,
+			MeetingPointRadiusMeters: radius,
+		})
+		if len(reqs) < 1000 {
+			t.Fatalf("radius %v: only %d requests prepared", radius, len(reqs))
+		}
+		for _, r := range reqs {
+			want, _, ok := w.g.ShortestPath(r.Origin, r.Dest)
+			if !ok || math.Float64bits(r.DirectMeters) != math.Float64bits(want) {
+				t.Fatalf("radius %v request %d: DirectMeters %v, shortest path %v (reachable %v)",
+					radius, r.ID, r.DirectMeters, want, ok)
+			}
+		}
 	}
 }
 
@@ -180,11 +216,11 @@ func TestSimRidesharingBeatsNoSharing(t *testing.T) {
 	// city, which hides mT-Share's arrival-time index advantage; the
 	// experiment harness exercises that at proper scale).
 	trips := w.ds.Between(8*time.Hour, 9*time.Hour)
-	reqs := PrepareRequests(w.g, w.spx, trips, PrepareOptions{
+	reqs := PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.5, Seed: 7,
 	})
 	taxis := 25
-	mNo := runScheme(t, w, baseline.NewNoSharing(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
+	mNo := runScheme(t, w, baseline.NewNoSharing(w.router(), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
 	mMt := runScheme(t, w, w.mtShare(t, false), cloneReqs(reqs), taxis)
 	if mMt.Served <= mNo.Served {
 		t.Fatalf("mT-Share served %d <= No-Sharing %d", mMt.Served, mNo.Served)
@@ -209,8 +245,8 @@ func TestSimBaselinesServe(t *testing.T) {
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)
 	for _, s := range []dispatch.Scheme{
-		baseline.NewTShare(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()),
-		baseline.NewPGreedyDP(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()),
+		baseline.NewTShare(w.router(), baseline.DefaultConfig()),
+		baseline.NewPGreedyDP(w.router(), baseline.DefaultConfig()),
 	} {
 		m := runScheme(t, w, s, cloneReqs(reqs), 40)
 		if m.Served == 0 {
@@ -317,8 +353,8 @@ func TestSimCandidateAccountingTable3Order(t *testing.T) {
 	// same workload (Table III's ordering).
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)
-	mT := runScheme(t, w, baseline.NewTShare(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), 40)
-	mP := runScheme(t, w, baseline.NewPGreedyDP(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), 40)
+	mT := runScheme(t, w, baseline.NewTShare(w.router(), baseline.DefaultConfig()), cloneReqs(reqs), 40)
+	mP := runScheme(t, w, baseline.NewPGreedyDP(w.router(), baseline.DefaultConfig()), cloneReqs(reqs), 40)
 	if mP.MeanCandidates < mT.MeanCandidates {
 		t.Fatalf("candidates: pGreedyDP %v < T-Share %v", mP.MeanCandidates, mT.MeanCandidates)
 	}
@@ -367,11 +403,11 @@ func TestSimFleetEfficiencyMetrics(t *testing.T) {
 func TestSimSharingRaisesOccupancy(t *testing.T) {
 	w := newWorld(t)
 	trips := w.ds.Between(8*time.Hour, 9*time.Hour)
-	reqs := PrepareRequests(w.g, w.spx, trips, PrepareOptions{
+	reqs := PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.5, Seed: 7,
 	})
 	taxis := 20
-	mNo := runScheme(t, w, baseline.NewNoSharing(roadnet.NewRouter(w.g, 64), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
+	mNo := runScheme(t, w, baseline.NewNoSharing(w.router(), baseline.DefaultConfig()), cloneReqs(reqs), taxis)
 	mMt := runScheme(t, w, w.mtShare(t, false), cloneReqs(reqs), taxis)
 	if mMt.MeanOccupancy <= mNo.MeanOccupancy {
 		t.Fatalf("sharing occupancy %v not above solo %v", mMt.MeanOccupancy, mNo.MeanOccupancy)
@@ -381,7 +417,7 @@ func TestSimSharingRaisesOccupancy(t *testing.T) {
 func TestPrepareRequestsPartySizes(t *testing.T) {
 	w := newWorld(t)
 	trips := w.ds.Between(8*time.Hour, 9*time.Hour)
-	reqs := PrepareRequests(w.g, w.spx, trips, PrepareOptions{
+	reqs := PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
 		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.3, Seed: 7,
 		PartySizes: []float64{0.6, 0.3, 0.1},
 	})

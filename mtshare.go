@@ -78,20 +78,6 @@ type Options struct {
 	// sequential. Every level produces identical assignments.
 	Parallelism int
 
-	// DisableLandmarkLB turns off the landmark distance oracle that
-	// screens candidate taxis with an admissible lower bound before exact
-	// schedule evaluation. The oracle is lossless — assignments are
-	// identical with it on or off — so the knob exists for baselines and
-	// the ablate-landmark A/B comparison, not for correctness.
-	DisableLandmarkLB bool
-
-	// DisableCH turns off the contraction-hierarchy routing backend built
-	// at world construction; cold shortest-path queries fall back to
-	// bidirectional Dijkstra. The hierarchy is exact — costs are
-	// bit-identical either way — so the knob exists for baselines and the
-	// ablate-ch A/B comparison, not for correctness.
-	DisableCH bool
-
 	// QueueDepth bounds the pending-request queue. When positive, a
 	// request that finds no feasible taxi is parked (SubmitRequest returns
 	// ErrQueued) and re-dispatched in deterministic batches on Advance
@@ -158,12 +144,6 @@ type Options struct {
 	// and the event index. The plan travels in the recorded log header,
 	// so fault-injected runs replay bit-identically.
 	Faults *FaultPlan
-
-	// headerVersion, when non-zero, overrides the version stamped into a
-	// recorded log's header. Replay sets it to the recorded log's own
-	// version so re-recording an older log reproduces its header byte for
-	// byte; everyone else leaves it zero and records replay.Version.
-	headerVersion int
 }
 
 // FaultPlan configures deterministic fault injection; see
@@ -379,8 +359,6 @@ func New(opts Options) (*System, error) {
 	cfg := match.DefaultConfig()
 	cfg.SpeedMps = opts.SpeedKmh * 1000 / 3600
 	cfg.Lambda = geo.CosOfDegrees(opts.MaxDirectionDiffDegrees)
-	cfg.DisableLandmarkLB = opts.DisableLandmarkLB
-	cfg.DisableCH = opts.DisableCH
 	cfg.Metrics = opts.Metrics
 	if opts.TraceSampleEvery > 0 {
 		cfg.Tracer = obs.NewTracer(opts.TraceSampleEvery, opts.TraceHandler)
@@ -421,11 +399,7 @@ func New(opts Options) (*System, error) {
 		s.retryEvery = opts.RetryEveryTicks
 	}
 	if opts.RecordTo != nil {
-		ver := opts.headerVersion
-		if ver == 0 {
-			ver = replay.Version
-		}
-		rec, err := replay.NewEncoder(opts.RecordTo, buildHeader(opts, g, ver))
+		rec, err := replay.NewEncoder(opts.RecordTo, buildHeader(opts, g))
 		if err != nil {
 			return nil, err
 		}
@@ -446,9 +420,9 @@ func New(opts Options) (*System, error) {
 // the WAL open under. The same options must always serialize to the same
 // bytes: snapshot fingerprinting and recovery's header check depend on
 // it.
-func buildHeader(opts Options, g *roadnet.Graph, version int) replay.Header {
+func buildHeader(opts Options, g *roadnet.Graph) replay.Header {
 	return replay.Header{
-		Version:                 version,
+		Version:                 replay.Version,
 		Kind:                    replay.KindSystem,
 		Seed:                    opts.Seed,
 		Rows:                    opts.SyntheticCityRows,
@@ -458,8 +432,6 @@ func buildHeader(opts Options, g *roadnet.Graph, version int) replay.Header {
 		SearchRangeMeters:       opts.SearchRangeMeters,
 		MaxDirectionDiffDegrees: opts.MaxDirectionDiffDegrees,
 		Probabilistic:           opts.Probabilistic,
-		DisableLandmarkLB:       opts.DisableLandmarkLB,
-		DisableCH:               opts.DisableCH,
 		QueueDepth:              opts.QueueDepth,
 		RetryEveryTicks:         opts.RetryEveryTicks,
 		BatchAssign:             opts.BatchAssign,

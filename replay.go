@@ -78,17 +78,12 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		SearchRangeMeters:       h.SearchRangeMeters,
 		MaxDirectionDiffDegrees: h.MaxDirectionDiffDegrees,
 		Probabilistic:           h.Probabilistic,
-		DisableLandmarkLB:       h.DisableLandmarkLB,
-		DisableCH:               h.DisableCH,
 		QueueDepth:              h.QueueDepth,
 		RetryEveryTicks:         h.RetryEveryTicks,
 		BatchAssign:             h.BatchAssign,
 		Seed:                    h.Seed,
 		Faults:                  h.Faults,
 		RecordTo:                &buf,
-		// Re-emit the recorded log's own header version so the fresh
-		// log's header diffs byte for byte against older-version goldens.
-		headerVersion: h.Version,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mtshare: replay: rebuild world: %w", err)

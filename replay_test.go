@@ -122,63 +122,6 @@ func TestRecordReplayWithFaults(t *testing.T) {
 	}
 }
 
-// TestReplayDisableCHRoundTrip pins the contraction-hierarchy knob
-// through the record/replay stack: the header persists disable_ch, a
-// CH-off recording replays cleanly against a CH-off rebuild, and —
-// because the CH is exact — a CH-off run's event stream is byte-
-// identical to a CH-on run of the same scenario apart from the header
-// line itself.
-func TestReplayDisableCHRoundTrip(t *testing.T) {
-	record := func(disable bool) []byte {
-		var buf bytes.Buffer
-		sys, err := New(Options{
-			SyntheticCityRows: 8,
-			SyntheticCityCols: 8,
-			Seed:              5,
-			DisableCH:         disable,
-			RecordTo:          &buf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		min, max := sys.Bounds()
-		mid := Point{Lat: (min.Lat + max.Lat) / 2, Lng: (min.Lng + max.Lng) / 2}
-		sys.AddTaxi(mid, 3)
-		sys.AddTaxi(Point{Lat: min.Lat, Lng: min.Lng}, 3)
-		ctx := t.Context()
-		sys.SubmitRequest(ctx, Point{Lat: min.Lat, Lng: mid.Lng}, Point{Lat: max.Lat, Lng: mid.Lng}, 1.4)
-		sys.SubmitRequest(ctx, mid, Point{Lat: max.Lat, Lng: max.Lng}, 1.4)
-		sys.Advance(5 * 60 * 1e9)
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	off := record(true)
-	if !strings.Contains(strings.SplitN(string(off), "\n", 2)[0], `"disable_ch":true`) {
-		t.Fatal("header does not persist disable_ch")
-	}
-	rep, err := Replay(bytes.NewReader(off))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diverged() {
-		t.Fatalf("CH-off replay diverged: first %s", rep.First())
-	}
-
-	on := record(false)
-	onEvents := strings.SplitN(string(on), "\n", 2)[1]
-	offEvents := strings.SplitN(string(off), "\n", 2)[1]
-	if onEvents != offEvents {
-		divs, err := replay.CompareLogs(bytes.NewReader(on), bytes.NewReader(off))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("CH on/off event streams differ (%d divergences) — the hierarchy is not exact; first: %v", len(divs), divs)
-	}
-}
-
 // TestReplayDetectsTampering flips one recorded outcome and expects the
 // replayer to pinpoint exactly that event.
 func TestReplayDetectsTampering(t *testing.T) {
@@ -242,7 +185,7 @@ func TestReplayUnsealedPrefix(t *testing.T) {
 
 func TestReplayRejects(t *testing.T) {
 	// A sim-kind log cannot drive a System replay.
-	simLog := `{"version":2,"kind":"sim","seed":1}` + "\n"
+	simLog := `{"version":3,"kind":"sim","seed":1}` + "\n"
 	if _, err := Replay(strings.NewReader(simLog)); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("sim log accepted: %v", err)
 	}
@@ -300,11 +243,10 @@ func TestRecordRejectsCustomHistory(t *testing.T) {
 	}
 }
 
-// TestReplayV2HeaderBackCompat rewrites a fresh recording's header to the
-// previous log version: Replay must accept it and re-emit the recorded
-// version, so version-2 goldens keep diffing byte for byte against a
-// version-3 build.
-func TestReplayV2HeaderBackCompat(t *testing.T) {
+// TestReplayRefusesV2Header pins the format window: a fresh recording is
+// version 3, and a log whose header claims any other version — the
+// version-2 format included — is refused rather than replayed.
+func TestReplayRefusesV2Header(t *testing.T) {
 	var buf bytes.Buffer
 	if err := RecordScenario("uniform", &buf, nil); err != nil {
 		t.Fatal(err)
@@ -313,23 +255,10 @@ func TestReplayV2HeaderBackCompat(t *testing.T) {
 	if !strings.HasPrefix(log, `{"version":3,`) {
 		t.Fatalf("fresh recording is not version 3: %s", strings.SplitN(log, "\n", 2)[0])
 	}
-	v2 := strings.Replace(log, `{"version":3,`, `{"version":2,`, 1)
-	rep, err := Replay(strings.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diverged() {
-		t.Fatalf("version-2 log diverged on a version-3 build: first %s", rep.First())
-	}
-	if rep.Events == 0 {
-		t.Fatal("version-2 replay saw no events")
-	}
-
-	// Versions outside [2, 3] must be refused.
-	for _, bad := range []string{`{"version":1,`, `{"version":4,`} {
+	for _, bad := range []string{`{"version":1,`, `{"version":2,`, `{"version":4,`} {
 		mangled := strings.Replace(log, `{"version":3,`, bad, 1)
-		if _, err := Replay(strings.NewReader(mangled)); err == nil {
-			t.Fatalf("header %s... accepted", bad)
+		if _, err := Replay(strings.NewReader(mangled)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("header %s... not refused: %v", bad, err)
 		}
 	}
 }

@@ -9,12 +9,12 @@
 #
 #   - Dispatch benchmarks (./internal/match, -bench=Dispatch) against
 #     testdata/bench/dispatch_baseline.txt — the end-to-end dispatch hot
-#     path, including BenchmarkDispatchCH's ch=on/ch=off split.
+#     path.
 #   - Routing-kernel benchmarks (./internal/roadnet, -bench='CH|SSSP$')
 #     against testdata/bench/roadnet_ch_baseline.txt — CH preprocessing
 #     (BenchmarkCHBuild), Chengdu-scale (~214k vertex) routing queries
-#     per backend (BenchmarkChengduCHRouting), and the two kernels the
-#     repo benchmark's ledger names, at its 56x56 size (BenchmarkSSSP,
+#     against plain Dijkstra (BenchmarkChengduCHRouting), and the two
+#     kernels the repo benchmark's ledger names, at its 56x56 size (BenchmarkSSSP,
 #     BenchmarkCHCost). The first roadnet run pays the one-time
 #     ~2.5-minute hierarchy build; -count reuses it.
 #   - WAL benchmarks (./internal/wal, -bench=WAL) against
