@@ -227,18 +227,29 @@ func BenchmarkClusterTransitionVectors(b *testing.B) {
 // TestSqDistBelowDecidesLikeSqDist: the bounded distance may stop early,
 // but "is it below the bound?" must answer exactly as the full sum does, and
 // a sum that does come in below the bound must be the full sum bit for bit —
-// Lloyd's assignment keeps it as the next bound.
+// Lloyd's assignment keeps it as the next bound. The fold may start past a
+// run of leading zero coordinates from the prefix table's partial sum.
 func TestSqDistBelowDecidesLikeSqDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dim := range []int{1, 2, 7, 8, 9, 16, 17, 40, 132} {
 		for i := 0; i < 2000; i++ {
 			a, b := make([]float64, dim), make([]float64, dim)
+			f := rng.Intn(dim + 1)
 			for d := range a {
 				a[d], b[d] = rng.Float64(), rng.Float64()
+				if d < f {
+					a[d] = 0
+				}
+			}
+			ds := group([][]float64{a})
+			prefix := ds.prefixFolds(nil, b, 1, dim)
+			lead, start := int(ds.lead[0]), 0.0
+			if lead > 0 {
+				start = prefix[lead]
 			}
 			full := sqDist(a, b)
 			for _, bound := range []float64{0, full * rng.Float64(), full, math.Nextafter(full, 2*full+1), 2 * full, math.Inf(1)} {
-				got := sqDistBelow(a, b, bound)
+				got := sqDistBelow(start, a[lead:], b[lead:], bound)
 				if (got < bound) != (full < bound) {
 					t.Fatalf("dim %d bound %v: bounded %v, full %v disagree on < bound", dim, bound, got, full)
 				}

@@ -2,9 +2,6 @@ package partition
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/roadnet"
 )
@@ -50,14 +47,7 @@ func NewOracle(pt *Partitioning, parallelism int) *Oracle {
 		fromLM: make([]float64, n),
 		toLM:   make([]float64, n),
 	}
-	k := len(pt.parts)
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > k {
-		parallelism = k
-	}
-	fill := func(p int) {
+	forEachPartition(len(pt.parts), parallelism, func(p int) {
 		lm := pt.landmark[p]
 		fwd := pt.g.SSSP(lm)
 		rev := pt.g.ReverseSSSP(lm)
@@ -65,29 +55,7 @@ func NewOracle(pt *Partitioning, parallelism int) *Oracle {
 			o.fromLM[v] = fwd.Dist[v]
 			o.toLM[v] = rev.Dist[v]
 		}
-	}
-	if parallelism <= 1 {
-		for p := 0; p < k; p++ {
-			fill(p)
-		}
-		return o
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= k {
-					return
-				}
-				fill(p)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return o
 }
 

@@ -11,6 +11,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -333,42 +334,78 @@ func finalize(g *roadnet.Graph, assign []ID, numParts int, trips []OD) (*Partiti
 // nearest the partition centroid, the one minimising total network distance
 // to a deterministic sample of partition members. This approximates the
 // paper's exact medoid (min total distance to all members) at a fraction of
-// the cost; for small partitions it is exact.
+// the cost; for small partitions it is exact. Each candidate's search stops
+// once it has settled the sample (Graph.DistancesTo: SSSP's distances bit
+// for bit), and partitions are spread over every CPU, each writing only its
+// own landmark.
 func (pt *Partitioning) computeLandmarks() {
+	pt.landmark = make([]roadnet.VertexID, len(pt.parts))
+	forEachPartition(len(pt.parts), 0, func(p int) { pt.landmark[p] = pt.pickLandmark(p) })
+}
+
+func (pt *Partitioning) pickLandmark(p int) roadnet.VertexID {
 	const candidates = 5
 	const sampleCap = 24
-	pt.landmark = make([]roadnet.VertexID, len(pt.parts))
-	for p, vs := range pt.parts {
-		c := pt.center[p]
-		// Candidate vertices closest to the centroid.
-		cand := nearestK(pt.g, vs, c, candidates)
-		if len(cand) == 1 {
-			pt.landmark[p] = cand[0]
-			continue
-		}
-		// Deterministic sample of members (every k-th).
-		step := len(vs)/sampleCap + 1
-		var sample []roadnet.VertexID
-		for i := 0; i < len(vs); i += step {
-			sample = append(sample, vs[i])
-		}
-		best, bestSum := cand[0], math.Inf(1)
-		for _, u := range cand {
-			res := pt.g.SSSP(u)
-			var sum float64
-			for _, w := range sample {
-				d := res.Dist[w]
-				if math.IsInf(d, 1) {
-					d = 10 * geo.Equirect(pt.g.Point(u), pt.g.Point(w)) // heavy penalty
-				}
-				sum += d
-			}
-			if sum < bestSum {
-				best, bestSum = u, sum
-			}
-		}
-		pt.landmark[p] = best
+	vs := pt.parts[p]
+	// Candidate vertices closest to the centroid.
+	cand := nearestK(pt.g, vs, pt.center[p], candidates)
+	if len(cand) == 1 {
+		return cand[0]
 	}
+	// Deterministic sample of members (every k-th).
+	step := len(vs)/sampleCap + 1
+	var sample []roadnet.VertexID
+	for i := 0; i < len(vs); i += step {
+		sample = append(sample, vs[i])
+	}
+	best, bestSum := cand[0], math.Inf(1)
+	for _, u := range cand {
+		var sum float64
+		for i, d := range pt.g.DistancesTo(u, sample) {
+			if math.IsInf(d, 1) {
+				d = 10 * geo.Equirect(pt.g.Point(u), pt.g.Point(sample[i])) // heavy penalty
+			}
+			sum += d
+		}
+		if sum < bestSum {
+			best, bestSum = u, sum
+		}
+	}
+	return best
+}
+
+// forEachPartition calls fn(p) for every p in [0, k) over min(parallelism, k)
+// workers (parallelism <= 0: every CPU) and returns when all calls are done.
+// Calls run in no fixed order, so fn must write only partition p's slots.
+func forEachPartition(k, parallelism int, fn func(p int)) {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
+	}
+	if parallelism > k {
+		parallelism = k
+	}
+	if parallelism <= 1 {
+		for p := 0; p < k; p++ {
+			fn(p)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(parallelism)
+	for w := 0; w < parallelism; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				p := int(next.Add(1)) - 1
+				if p >= k {
+					return
+				}
+				fn(p)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // nearestK returns up to k vertices from vs closest to c (straight line).
@@ -404,7 +441,7 @@ func nearestK(g *roadnet.Graph, vs []roadnet.VertexID, c geo.Point, k int) []roa
 
 // computeLandmarkGraph derives partition adjacency from road edges crossing
 // partition borders and fills the landmark-to-landmark cost table with one
-// Dijkstra tree per landmark.
+// Dijkstra tree per landmark, spread over every CPU.
 func (pt *Partitioning) computeLandmarkGraph() {
 	k := len(pt.parts)
 	adjSet := make([]map[ID]struct{}, k)
@@ -429,14 +466,14 @@ func (pt *Partitioning) computeLandmarkGraph() {
 		sortIDs(pt.adj[p])
 	}
 	pt.lmCost = make([][]float64, k)
-	for p := 0; p < k; p++ {
+	forEachPartition(k, 0, func(p int) {
 		res := pt.g.SSSP(pt.landmark[p])
 		row := make([]float64, k)
 		for q := 0; q < k; q++ {
 			row[q] = res.Dist[pt.landmark[q]]
 		}
 		pt.lmCost[p] = row
-	}
+	})
 }
 
 func sortIDs(ids []ID) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/roadnet"
@@ -378,17 +377,28 @@ func TestBipartiteRespectsMaxRounds(t *testing.T) {
 	p := DefaultParams(6)
 	p.KTrans = 3
 	p.MaxRounds = 1
-	start := time.Now()
 	if _, err := BuildBipartite(g, ods, p); err != nil {
 		t.Fatal(err)
 	}
-	_ = start // single round should finish quickly; failure mode is a hang
 }
 
+// BenchmarkBuildBipartite times the whole partitioner: a 20x20 city with a
+// light history, and the steady workload's 56x56 world (κ = 125) built as
+// server.New builds it, whose transition vectors are mostly zero or repeated.
 func BenchmarkBuildBipartite(b *testing.B) {
-	g, _, ods := testCity(b, 20, 20, 200)
-	p := DefaultParams(20)
-	p.KTrans = 8
+	b.Run("city=20x20", func(b *testing.B) {
+		g, _, ods := testCity(b, 20, 20, 200)
+		p := DefaultParams(20)
+		p.KTrans = 8
+		benchBuild(b, g, ods, p)
+	})
+	b.Run("city=56x56", func(b *testing.B) {
+		g, ods, p := serverWorld(b, 56)
+		benchBuild(b, g, ods, p)
+	})
+}
+
+func benchBuild(b *testing.B, g *roadnet.Graph, ods []OD, p Params) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildBipartite(g, ods, p); err != nil {

@@ -151,6 +151,96 @@ func sssp(adj [][]Arc, src VertexID) *SSSPResult {
 	return &SSSPResult{Source: src, Dist: dist, Parent: parent}
 }
 
+// DistancesTo returns the shortest-path cost from src to each of targets, in
+// order: SSSP(src).Dist[t] bit for bit, +Inf when t is unreachable. It runs
+// sssp's heap and relaxations and stops once every target is settled. A
+// settled label is final, and the search computed it with the same
+// operations in the same order as the full tree, so stopping early changes
+// no bit; an unreachable target runs the search to exhaustion.
+func (g *Graph) DistancesTo(src VertexID, targets []VertexID) []float64 {
+	ws := settlePool.Get().(*settleWS)
+	defer settlePool.Put(ws)
+	return g.distancesTo(ws, src, targets)
+}
+
+func (g *Graph) distancesTo(ws *settleWS, src VertexID, targets []VertexID) []float64 {
+	ws.begin(len(g.out))
+	gen := ws.gen
+	left := 0
+	for _, t := range targets {
+		if ws.want[t] != gen {
+			ws.want[t] = gen
+			left++
+		}
+	}
+	if left > 0 {
+		ws.label(src, 0)
+	}
+	for len(ws.heap) > 0 {
+		it := ws.heap.pop()
+		if it.prio > ws.dist[it.v] {
+			continue // stale entry
+		}
+		if ws.want[it.v] == gen {
+			ws.want[it.v] = 0
+			if left--; left == 0 {
+				break
+			}
+		}
+		for _, a := range g.out[it.v] {
+			if nd := it.prio + a.Cost; nd < ws.distOf(a.To) {
+				ws.label(a.To, nd)
+			}
+		}
+	}
+	out := make([]float64, len(targets))
+	for i, t := range targets {
+		out[i] = ws.distOf(t)
+	}
+	return out
+}
+
+// settleWS is the pooled scratch of one DistancesTo search: dist[v] is live
+// only while stamp[v] equals gen, and want[v] == gen marks an unsettled
+// target, so starting a search is one increment, not an O(V) clear.
+type settleWS struct {
+	gen   uint32
+	stamp []uint32
+	want  []uint32
+	dist  []float64
+	heap  minHeap
+}
+
+// settlePool is shared by every graph in the process, so begin sizes each
+// workspace to the vertex count of the graph about to use it.
+var settlePool = sync.Pool{New: func() any { return new(settleWS) }}
+
+func (ws *settleWS) begin(n int) {
+	if len(ws.stamp) < n { // new, or last used by a smaller graph
+		ws.stamp, ws.want, ws.dist = make([]uint32, n), make([]uint32, n), make([]float64, n)
+		ws.gen = 0
+	}
+	ws.gen++
+	if ws.gen == 0 { // wrapped: stamps from 2^32 searches ago would read as live
+		clear(ws.stamp)
+		clear(ws.want)
+		ws.gen = 1
+	}
+	ws.heap = ws.heap[:0]
+}
+
+func (ws *settleWS) distOf(v VertexID) float64 {
+	if ws.stamp[v] != ws.gen {
+		return math.Inf(1)
+	}
+	return ws.dist[v]
+}
+
+func (ws *settleWS) label(v VertexID, d float64) {
+	ws.dist[v], ws.stamp[v] = d, ws.gen
+	ws.heap.push(v, d)
+}
+
 // ShortestPath returns the min-cost path from src to dst and its cost using
 // Dijkstra with early termination. ok is false when dst is unreachable.
 func (g *Graph) ShortestPath(src, dst VertexID) (cost float64, path []VertexID, ok bool) {

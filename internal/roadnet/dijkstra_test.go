@@ -372,6 +372,65 @@ func TestSSSPMatchesContainerHeapOracle(t *testing.T) {
 	}
 }
 
+// TestDistancesToMatchesSSSP holds the target-bounded search to the full
+// tree bit for bit: on the benchmark city and a one-way ring, from sampled
+// sources, with the source among the targets, duplicate targets and — on
+// the split graph and the ring's detached vertex — unreachable ones that run
+// the search to exhaustion. Workspaces move between graphs of different
+// sizes through the pool.
+func TestDistancesToMatchesSSSP(t *testing.T) {
+	split := gridGraph(12)
+	island := split.AddVertex(geo.Point{Lat: 31, Lng: 105})
+	split.AddEdge(island, split.AddVertex(geo.Point{Lat: 31, Lng: 105.001}), 50)
+	split.AddEdge(island, 0, 70) // the island reaches the grid, never the reverse
+	ring := ringGraph(40)
+	ring.AddVertex(geo.Point{Lat: 31, Lng: 105}) // no road in or out
+	rng := rand.New(rand.NewSource(9))
+	for name, g := range map[string]*Graph{"city56": benchCity(t), "split": split, "ring": ring} {
+		n := g.NumVertices()
+		for src := 0; src < n; src += 1 + n/60 {
+			targets := []VertexID{VertexID(src)}
+			for i := rng.Intn(30); i >= 0; i-- {
+				targets = append(targets, VertexID(rng.Intn(n)))
+			}
+			targets = append(targets, targets[len(targets)/2], VertexID(n-1), VertexID(n-1))
+			want := g.SSSP(VertexID(src)).Dist
+			for i, d := range g.DistancesTo(VertexID(src), targets) {
+				if math.Float64bits(d) != math.Float64bits(want[targets[i]]) {
+					t.Fatalf("%s src=%d target %d: %v, SSSP %v", name, src, targets[i], d, want[targets[i]])
+				}
+			}
+		}
+		if got := g.DistancesTo(0, nil); len(got) != 0 {
+			t.Fatalf("%s: no targets gave %v", name, got)
+		}
+	}
+}
+
+// TestDistancesToGenerationWrap: after the workspace generation wraps, labels
+// and target marks of 2^32 searches ago must not read as live.
+func TestDistancesToGenerationWrap(t *testing.T) {
+	g := gridGraph(10)
+	n := g.NumVertices()
+	ws := new(settleWS)
+	ws.begin(n)
+	for v := range ws.stamp { // every vertex labelled at 0 and wanted in generation 1
+		ws.stamp[v], ws.want[v] = 1, 1
+	}
+	ws.gen = math.MaxUint32
+	targets := []VertexID{VertexID(n - 1), 5}
+	got := g.distancesTo(ws, 0, targets)
+	if ws.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", ws.gen)
+	}
+	want := g.SSSP(0).Dist
+	for i, v := range targets {
+		if got[i] != want[v] {
+			t.Fatalf("after wrap: target %d = %v, SSSP %v", v, got[i], want[v])
+		}
+	}
+}
+
 func BenchmarkSSSPCity(b *testing.B) {
 	g, err := GenerateCity(DefaultCityParams(40, 40))
 	if err != nil {
