@@ -135,7 +135,14 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 				if g, w := asJSON(t, got), asJSON(t, want); g != w {
 					t.Fatalf("recovered state differs from crashed state:\n got %s\nwant %s", g, w)
 				}
-				if g, w := asJSON(t, recovered.Stats()), asJSON(t, crashed.Stats()); g != w {
+				// The candidate search's disc memo is a cache of the searches
+				// a process ran, not recovered state.
+				stats := func(s *System) Stats {
+					st := s.Stats()
+					st.IndexMemoryBytes -= s.engine.DiscMemoBytes()
+					return st
+				}
+				if g, w := asJSON(t, stats(recovered)), asJSON(t, stats(crashed)); g != w {
 					t.Fatalf("Stats differ: got %s want %s", g, w)
 				}
 				if g, w := asJSON(t, recovered.QueueStats()), asJSON(t, crashed.QueueStats()); g != w {

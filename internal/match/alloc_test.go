@@ -10,9 +10,11 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestCandidateTaxisAllocs pins a candidate search at the slice it returns:
-// the disc's partitions, the listed and reachable taxi IDs, the compatible
-// clusters and the resolved taxis all live in pooled workspaces. The fleet
+// TestCandidateTaxisAllocs pins a warm candidate search at the slice it
+// returns: the disc's partitions come from the per-origin memo (filled by
+// the warm-up searches), and the listed and reachable taxi IDs, their
+// generation-stamped dedupe set, the compatible clusters and the resolved
+// taxis all live in the pooled candWS. The fleet
 // mixes idle and occupied taxis so that every rule runs. Not built under
 // -race, where sync.Pool drops a quarter of all Puts on purpose.
 func TestCandidateTaxisAllocs(t *testing.T) {

@@ -3,9 +3,12 @@ package match
 import (
 	"compress/gzip"
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -414,5 +417,284 @@ func TestDispatchSecondsCountsEveryDispatch(t *testing.T) {
 			t.Fatalf("BatchAssign=%v: dispatch_seconds_count %d, dispatches_total %d over %d requests",
 				batchAssign, observed, dispatches, len(reqs))
 		}
+	}
+}
+
+// TestCandidateSearchMemoMatchesReferenceOverTicks drives the memoised disc
+// step the way a backlog drives it: the same parked requests re-searched at
+// every tick of a moving fleet, each also from a point off its origin vertex
+// (which must walk the disc, not read the vertex's memo), held to the
+// reference on the set and the three pruning counters.
+func TestCandidateSearchMemoMatchesReferenceOverTicks(t *testing.T) {
+	w := worldOf(newTestEnv(t, nil))
+	rt := roadnet.NewRouter(w.g, 64).AttachCH(w.ch)
+	n := w.g.NumVertices()
+	for _, radius := range []float64{2500, 900, 150} {
+		cfg := DefaultConfig()
+		cfg.SearchRangeMeters = radius
+		s := w.subject(t, cfg)
+		rng := rand.New(rand.NewSource(int64(radius)))
+		for id := int64(1); id <= 16; id++ {
+			s.addTaxi(w.g, id, 1+rng.Intn(3), roadnet.VertexID(rng.Intn(n)), 0)
+		}
+		var parked []*fleet.Request
+		for id := int64(1); len(parked) < 12; id++ {
+			if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
+				parked = append(parked, w.request(rt, id, o, d, 0, 4, cfg.SpeedMps))
+			}
+		}
+		now := 0.0
+		for tick := int64(0); tick < 40; tick++ {
+			for _, req := range parked {
+				s.check(t, req, now, "parked")
+				off := *req
+				off.OriginPt.Lat += 0.004
+				s.check(t, &off, now, "off-vertex origin")
+			}
+			if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
+				s.serve(w.request(rt, 1000+tick, o, d, now, 1.6, cfg.SpeedMps), now)
+			}
+			s.advance(now, 15)
+			now += 15
+		}
+		d := s.e.disc.Load()
+		for _, req := range parked {
+			got := d.near[req.Origin].Load()
+			if got == nil {
+				t.Fatalf("radius %v: origin %d of a searched request is not memoised", radius, req.Origin)
+			}
+			if want := d.pt.PartitionsNear(w.spx, w.g.Point(req.Origin), radius); !slices.Equal(*got, want) {
+				t.Fatalf("radius %v: memo of origin %d is %v, the disc walk gives %v", radius, req.Origin, *got, want)
+			}
+		}
+	}
+}
+
+// TestCandidateSearchMemoFollowsRepartition memoises an origin, swaps the
+// partitioning, and requires the next search to match the reference under
+// the new partitioning: the memo belongs to the partitioning it was filled
+// under and leaves with it.
+func TestCandidateSearchMemoFollowsRepartition(t *testing.T) {
+	env := newTestEnv(t, func(c *Config) { c.SearchRangeMeters = 900 })
+	s, w := engineSubject(env.e), worldOf(env)
+	rng := rand.New(rand.NewSource(5))
+	n := env.g.NumVertices()
+	for id := int64(1); id <= 20; id++ {
+		s.addTaxi(env.g, id, 3, roadnet.VertexID(rng.Intn(n)), 0)
+	}
+	var reqs []*fleet.Request
+	for id := int64(1); len(reqs) < 16; id++ {
+		if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
+			reqs = append(reqs, w.request(env.e.Router(), id, o, d, 0, 2, env.e.Config().SpeedMps))
+		}
+	}
+	for _, req := range reqs[:8] {
+		s.serve(req, 0)
+	}
+	parked := reqs[8:]
+	for _, req := range parked {
+		s.check(t, req, 0, "before the swap")
+	}
+	old := env.e.disc.Load()
+	newPt, err := partition.BuildGrid(env.g, nil, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.e.Repartition(newPt, 0); err != nil {
+		t.Fatal(err)
+	}
+	d := env.e.disc.Load()
+	if d == old || d.pt != newPt {
+		t.Fatal("Repartition kept the old partitioning's disc memo")
+	}
+	found := 0
+	for _, req := range parked {
+		if d.near[req.Origin].Load() != nil {
+			t.Fatalf("origin %d memoised under the new partitioning before any search", req.Origin)
+		}
+		found += s.check(t, req, 0, "after the swap")
+		if got, want := *d.near[req.Origin].Load(), newPt.PartitionsNear(env.spx, env.g.Point(req.Origin), 900); !slices.Equal(got, want) {
+			t.Fatalf("memo of origin %d is %v, the new partitioning's disc walk gives %v", req.Origin, got, want)
+		}
+	}
+	if found == 0 {
+		t.Fatal("no search after the swap found a candidate")
+	}
+}
+
+// TestCandidateSearchMemoConcurrentFill starts several searches from the
+// same unfilled origins at once (run it under -race): whichever fill wins,
+// every search must return the reference's set and the disc walk's list.
+func TestCandidateSearchMemoConcurrentFill(t *testing.T) {
+	env := newTestEnv(t, func(c *Config) { c.SearchRangeMeters = 900 })
+	s, w := engineSubject(env.e), worldOf(env)
+	rng := rand.New(rand.NewSource(8))
+	n := env.g.NumVertices()
+	for id := int64(1); id <= 20; id++ {
+		s.addTaxi(env.g, id, 3, roadnet.VertexID(rng.Intn(n)), 0)
+	}
+	var reqs []*fleet.Request
+	for id := int64(1); len(reqs) < 6; id++ {
+		if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
+			reqs = append(reqs, w.request(env.e.Router(), id, o, d, 0, 2, env.e.Config().SpeedMps))
+		}
+	}
+	ids := func(ts []*fleet.Taxi) []int64 {
+		out := make([]int64, len(ts))
+		for i, tx := range ts {
+			out[i] = tx.ID
+		}
+		return out
+	}
+	wantIDs := make([][]int64, len(reqs))
+	wantParts := make([][]partition.ID, len(reqs))
+	for i, req := range reqs {
+		wantIDs[i] = ids(env.e.candidateTaxisReference(req, 0))
+		slices.Sort(wantIDs[i])
+		wantParts[i] = env.pt.PartitionsNear(env.spx, req.OriginPt, 900)
+	}
+	const workers = 6
+	for round := 0; round < 20; round++ {
+		env.e.disc.Store(newDiscMemo(env.pt)) // every origin unfilled again
+		d := env.e.disc.Load()
+		errs := make(chan string, workers*len(reqs))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i, req := range reqs {
+					if got := env.e.discPartitions(d, new(candWS), req, 900); !slices.Equal(got, wantParts[i]) {
+						errs <- fmt.Sprintf("origin %d: disc %v, want %v", req.Origin, got, wantParts[i])
+					}
+					if got := ids(env.e.CandidateTaxis(req, 0)); !slices.Equal(got, wantIDs[i]) {
+						errs <- fmt.Sprintf("request %d: candidates %v, reference %v", req.ID, got, wantIDs[i])
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Fatalf("round %d: %s", round, msg)
+		}
+		for i, req := range reqs {
+			if p := d.near[req.Origin].Load(); p == nil || !slices.Equal(*p, wantParts[i]) {
+				t.Fatalf("round %d: slot of origin %d holds %v, want %v", round, req.Origin, p, wantParts[i])
+			}
+		}
+	}
+}
+
+// TestIndexMemoryBytesCountsDiscMemo: the Table IV figure carries one
+// pointer per vertex from construction, grows by each list a search fills,
+// and drops back when Repartition discards the memo.
+func TestIndexMemoryBytesCountsDiscMemo(t *testing.T) {
+	env := newTestEnv(t, func(c *Config) { c.SearchRangeMeters = 900 })
+	w := worldOf(env)
+	n := env.g.NumVertices()
+	if got, want := env.e.disc.Load().memoryBytes(), int64(n)*8; got != want {
+		t.Fatalf("empty memo counts %d bytes, want %d (8 per vertex)", got, want)
+	}
+	base := env.e.IndexMemoryBytes()
+	var filled int64
+	for o := 0; o < n; o += 7 {
+		req := w.request(env.e.Router(), int64(o+1), roadnet.VertexID(o), roadnet.VertexID((o+1)%n), 0, 2, env.e.Config().SpeedMps)
+		env.e.CandidateTaxis(req, 0)
+		filled += 24 + 4*int64(len(*env.e.disc.Load().near[o].Load()))
+	}
+	if got := env.e.IndexMemoryBytes() - base; got != filled {
+		t.Fatalf("searches grew IndexMemoryBytes by %d, the filled lists hold %d", got, filled)
+	}
+	if err := env.e.Repartition(env.pt, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := env.e.IndexMemoryBytes(); got != base {
+		t.Fatalf("IndexMemoryBytes after Repartition = %d, want %d", got, base)
+	}
+}
+
+// TestIDSetDistinctMatchesSortCompact holds the search's dedupe to sort +
+// Compact on heavily duplicated lists: small, negative and extreme IDs, and
+// keys forced onto one probe chain that wraps past the table's end.
+func TestIDSetDistinctMatchesSortCompact(t *testing.T) {
+	var s idSet
+	check := func(what string, ids []int64) {
+		t.Helper()
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		got := s.distinct(slices.Clone(ids))
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: distinct gives %v, sort+Compact %v", what, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		keys := make([]int64, 1+rng.Intn(120))
+		for i := range keys {
+			switch rng.Intn(4) {
+			case 0:
+				keys[i] = int64(rng.Intn(50))
+			case 1:
+				keys[i] = -int64(rng.Intn(50))
+			case 2:
+				keys[i] = []int64{math.MinInt64, math.MaxInt64, 1 << 62, -(1 << 62)}[rng.Intn(4)]
+			default:
+				keys[i] = int64(rng.Uint64())
+			}
+		}
+		ids := make([]int64, rng.Intn(4*len(keys)+1))
+		for i := range ids {
+			ids[i] = keys[rng.Intn(len(keys))]
+		}
+		check("random", ids)
+	}
+
+	const reps = 4
+	var chain []int64
+	s = idSet{} // sized for this list alone, so the home slots below are the ones distinct probes
+	s.begin(24 * reps)
+	last := len(s.keys) - 1
+	for _, base := range []int64{math.MinInt64, -1 << 40, -1 << 20, 0, 1 << 50, math.MaxInt64 - 1<<24} {
+		for k, found := int64(0), 0; found < 4; k++ {
+			if s.home(base+k) == last {
+				chain = append(chain, base+k)
+				found++
+			}
+		}
+	}
+	var ids []int64
+	for r := 0; r < reps; r++ {
+		ids = append(ids, chain...)
+	}
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	check("one probe chain", ids)
+	if got := len(s.distinct(slices.Clone(ids))); got != len(chain) {
+		t.Fatalf("one probe chain: %d distinct, want %d", got, len(chain))
+	}
+}
+
+// TestIDSetGenerationWrap: a set about to wrap its generation must not read
+// slots stamped 2^32 searches ago as live.
+func TestIDSetGenerationWrap(t *testing.T) {
+	ids := []int64{5, -3, 1 << 60, 5}
+	var s idSet
+	s.begin(len(ids))
+	for i := range s.keys { // every slot holds a key of the coming list, stamped 0
+		s.keys[i] = ids[i%3]
+	}
+	s.gen = math.MaxUint32
+	got := s.distinct(slices.Clone(ids))
+	if s.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", s.gen)
+	}
+	slices.Sort(got)
+	if want := []int64{-3, 5, 1 << 60}; !slices.Equal(got, want) {
+		t.Fatalf("after wrap: distinct gives %v, want %v", got, want)
 	}
 }

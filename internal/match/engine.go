@@ -9,10 +9,13 @@ package match
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fleet"
 	"repro/internal/geo"
@@ -194,6 +197,9 @@ type Engine struct {
 	g   *roadnet.Graph
 	pt  *partition.Partitioning
 	spx *roadnet.SpatialIndex
+	// disc memoises the candidate search's disc → partitions step under pt;
+	// Repartition swaps it together with pt.
+	disc atomic.Pointer[discMemo]
 	// rawRouter is the shortest-path cache; router is the query surface
 	// the dispatch pipeline uses — the raw cache, or Config.RouterWrap's
 	// interposition around it (fault injection under replay).
@@ -277,6 +283,7 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		ins:         newInstruments(reg),
 	}
 	e.oracle = cfg.Oracle
+	e.disc.Store(newDiscMemo(pt))
 	pt.IndexCells(spx)
 	return e, nil
 }
@@ -446,11 +453,100 @@ func (e *Engine) searchRadius(req *fleet.Request, nowSeconds float64) float64 {
 	return e.cfg.SearchRangeMeters
 }
 
+// discMemo holds, per origin vertex, the partitions intersecting the search
+// disc around it under one partitioning. The disc walk is a pure function of
+// the partitioning, the spatial index, the vertex's point and γ, and all four
+// are fixed for the memo's lifetime, so a parked request re-searched every
+// round walks its disc once. Slots fill lazily: only vertices that originate
+// a request ever hold a list.
+type discMemo struct {
+	pt    *partition.Partitioning
+	near  []atomic.Pointer[[]partition.ID] // by origin vertex; nil until first searched
+	bytes atomic.Int64                     // heap held by the filled lists
+}
+
+func newDiscMemo(pt *partition.Partitioning) *discMemo {
+	return &discMemo{pt: pt, near: make([]atomic.Pointer[[]partition.ID], pt.Graph().NumVertices())}
+}
+
+// memoryBytes is the memo's footprint: one pointer per vertex plus every
+// filled list with its slice header.
+func (d *discMemo) memoryBytes() int64 { return int64(len(d.near))*8 + d.bytes.Load() }
+
+// discPartitions returns the partitions intersecting the search disc of req
+// under d's partitioning, in PartitionsNear's order. The result is shared
+// and must not be modified. A request whose origin point is not its origin
+// vertex's point, or a radius other than γ, walks the disc afresh.
+func (e *Engine) discPartitions(d *discMemo, ws *candWS, req *fleet.Request, radius float64) []partition.ID {
+	if req.OriginPt != e.g.Point(req.Origin) || radius != e.cfg.SearchRangeMeters {
+		ws.parts = d.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
+		return ws.parts
+	}
+	slot := &d.near[req.Origin]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	ws.parts = d.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
+	parts := slices.Clone(ws.parts)
+	// A racing first search from the same vertex may store first; its list
+	// equals this one, so either may be returned.
+	if slot.CompareAndSwap(nil, &parts) {
+		d.bytes.Add(24 + 4*int64(len(parts)))
+	}
+	return parts
+}
+
+// idSet is a generation-stamped open-addressing set of taxi IDs: a slot is
+// live when its stamp equals gen, so emptying the set is one increment.
+type idSet struct {
+	gen   uint32
+	stamp []uint32
+	keys  []int64
+	shift uint // 64 - log2(len(keys))
+}
+
+// begin empties the set and sizes it to hold n keys at most half full.
+func (s *idSet) begin(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if len(s.keys) < size || s.gen == math.MaxUint32 { // about to wrap: stamps from 2^32 searches ago would read as live
+		s.stamp, s.keys, s.gen = make([]uint32, size), make([]int64, size), 0
+		s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	}
+	s.gen++
+}
+
+// home is id's first probe slot (Fibonacci hashing).
+func (s *idSet) home(id int64) int { return int((uint64(id) * 0x9e3779b97f4a7c15) >> s.shift) }
+
+// distinct compacts ids in place to the first occurrence of each ID.
+func (s *idSet) distinct(ids []int64) []int64 {
+	s.begin(len(ids))
+	mask := len(s.keys) - 1
+	out := ids[:0]
+	for _, id := range ids {
+		for i := s.home(id); ; i = (i + 1) & mask {
+			if s.stamp[i] != s.gen {
+				s.stamp[i], s.keys[i] = s.gen, id
+				out = append(out, id)
+				break
+			}
+			if s.keys[i] == id {
+				break
+			}
+		}
+	}
+	return out
+}
+
 // candWS is the scratch state of one candidate search. Workspaces are
 // pooled, so a search allocates only the slice it returns.
 type candWS struct {
-	parts  []partition.ID // partitions intersecting the search disc
-	ids    []int64        // taxis listed in parts
+	parts  []partition.ID // partitions intersecting an unmemoised search disc
+	ids    []int64        // taxis listed in the disc's partitions
+	seen   idSet          // dedupes ids
 	reach  []int64        // taxis recorded to arrive in the request's partition by the deadline
 	compat []mobcluster.ClusterID
 	keep   []*fleet.Taxi // the survivors, ascending by ID
@@ -474,13 +570,14 @@ func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet
 		clear(ws.keep) // a pooled workspace must not keep a fleet alive
 		candPool.Put(ws)
 	}()
-	ws.parts = e.pt.AppendPartitionsNear(ws.parts[:0], e.spx, req.OriginPt, radius)
+	d := e.disc.Load()
+	parts := e.discPartitions(d, ws, req, radius)
 	deadline := req.PickupDeadline(e.cfg.SpeedMps).Seconds()
-	ws.ids, ws.reach = e.pindex.Search(ws.parts, e.pt.PartitionOf(req.Origin), deadline, ws.ids[:0], ws.reach[:0])
+	ws.ids, ws.reach = e.pindex.Search(parts, d.pt.PartitionOf(req.Origin), deadline, ws.ids[:0], ws.reach[:0])
 	// A taxi whose route crosses several of the disc's partitions is listed
-	// once per list.
+	// once per list: drop the repeats, then sort only the distinct IDs.
+	ws.ids = ws.seen.distinct(ws.ids)
 	slices.Sort(ws.ids)
-	ws.ids = slices.Compact(ws.ids)
 	slices.Sort(ws.reach)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -524,10 +621,15 @@ func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet
 }
 
 // IndexMemoryBytes reports the memory footprint of the engine's index
-// structures (Table IV).
+// structures (Table IV), the disc memo of the candidate search included.
 func (e *Engine) IndexMemoryBytes() int64 {
-	return e.pindex.Stats().MemoryBytes + e.clusters.Stats().MemoryBytes + e.pt.MemoryBytes()
+	return e.pindex.Stats().MemoryBytes + e.clusters.Stats().MemoryBytes + e.pt.MemoryBytes() + e.DiscMemoBytes()
 }
+
+// DiscMemoBytes is the disc memo's share of IndexMemoryBytes. It depends on
+// which origins this process has searched from, so a process recovered from
+// its log holds the same state with a different memo.
+func (e *Engine) DiscMemoBytes() int64 { return e.disc.Load().memoryBytes() }
 
 // ClusterStats exposes mobility-clustering statistics.
 func (e *Engine) ClusterStats() mobcluster.Stats { return e.clusters.Stats() }

@@ -1020,20 +1020,63 @@ func BenchmarkDispatchQueueBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkCandidateSearch times one candidate search (§IV-C1) on the
+// 14×14 test city. idle: 100 idle taxis, one partition each, so the taxi
+// lists carry no repeats. parked: the same request re-searched over a routed
+// fleet, whose en-route taxis are listed once per partition they cross — a
+// parked request's retry. fresh: the same fleet searched from a new origin
+// every iteration, so every search walks its disc.
 func BenchmarkCandidateSearch(b *testing.B) {
-	env := newTestEnv(b, nil)
-	now := 0.0
-	for i := int64(0); i < 100; i++ {
-		f := float64(i%10)/10 + 0.05
-		g := float64(i/10)/10 + 0.05
-		taxi := fleet.NewTaxi(env.g, i, 3, env.vertexNear(b, f, g))
-		env.e.AddTaxi(taxi, now)
+	b.Run("idle", func(b *testing.B) {
+		env := newTestEnv(b, nil)
+		now := 0.0
+		for i := int64(0); i < 100; i++ {
+			f := float64(i%10)/10 + 0.05
+			g := float64(i/10)/10 + 0.05
+			taxi := fleet.NewTaxi(env.g, i, 3, env.vertexNear(b, f, g))
+			env.e.AddTaxi(taxi, now)
+		}
+		req := env.request(1, env.vertexNear(b, 0.5, 0.5), env.vertexNear(b, 0.9, 0.9), now, 1.5)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = env.e.CandidateTaxis(req, now)
+		}
+	})
+	routed := func(b *testing.B) *testEnv {
+		env := newTestEnv(b, nil)
+		placeFleet(env, 100, 42)
+		for _, r := range seededWorkload(env, 120, 7) {
+			if a, ok := env.e.Dispatch(r, 0, false); ok {
+				_ = env.e.Commit(a, 0)
+			}
+		}
+		return env
 	}
-	req := env.request(1, env.vertexNear(b, 0.5, 0.5), env.vertexNear(b, 0.9, 0.9), now, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = env.e.CandidateTaxis(req, now)
-	}
+	b.Run("parked", func(b *testing.B) {
+		env := routed(b)
+		req := env.request(1000, env.vertexNear(b, 0.5, 0.5), env.vertexNear(b, 0.9, 0.9), 0, 1.5)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = env.e.CandidateTaxis(req, 0)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		env := routed(b)
+		n := env.g.NumVertices()
+		reqs := make([]*fleet.Request, n)
+		for o := range reqs {
+			reqs[o] = env.request(int64(1000+o), roadnet.VertexID(o), roadnet.VertexID((o+n/2)%n), 0, 1.5)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%n == 0 {
+				b.StopTimer()
+				env.e.disc.Store(newDiscMemo(env.pt)) // every origin unwalked again
+				b.StartTimer()
+			}
+			_ = env.e.CandidateTaxis(reqs[i%n], 0)
+		}
+	})
 }
 
 func TestEngineStatsCounters(t *testing.T) {

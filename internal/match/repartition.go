@@ -15,9 +15,10 @@ import (
 // the landmark graph should also be accordingly updated").
 //
 // The partition taxi index is rebuilt from every registered taxi's
-// current plan, the routing caches tied to the old partition geometry are
-// dropped, and the mobility clusters (which are partition-independent)
-// are kept. The new partitioning must cover the same road graph.
+// current plan, the routing caches and the candidate search's disc memo
+// tied to the old partition geometry are dropped, and the mobility
+// clusters (which are partition-independent) are kept. The new
+// partitioning must cover the same road graph.
 func (e *Engine) Repartition(pt *partition.Partitioning, nowSeconds float64) error {
 	if pt.Graph() != e.g {
 		return fmt.Errorf("match: new partitioning covers a different graph")
@@ -33,6 +34,7 @@ func (e *Engine) Repartition(pt *partition.Partitioning, nowSeconds float64) err
 	pt.IndexCells(e.spx)
 	e.filterMu.Lock()
 	e.pt = pt
+	e.disc.Store(newDiscMemo(pt))
 	e.filterCache = make(map[uint64][]partition.ID)
 	e.filterMu.Unlock()
 
