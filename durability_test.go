@@ -65,6 +65,34 @@ func driveOp(s *System, k int) opResult {
 	}
 }
 
+// errCode maps a facade error onto its replay outcome code.
+func errCode(err error) string {
+	switch {
+	case err == nil:
+		return ""
+	case errors.Is(err, ErrQueued):
+		return "queued"
+	case errors.Is(err, ErrQueueFull):
+		return "queue_full"
+	case errors.Is(err, ErrRequestExpired):
+		return "expired"
+	case errors.Is(err, ErrNoTaxiAvailable):
+		return "no_taxi"
+	case errors.Is(err, ErrInvalidRequest):
+		return "invalid_request"
+	case errors.Is(err, ErrUnknownTaxi):
+		return "unknown_taxi"
+	case errors.Is(err, ErrShutdown):
+		return "shutdown"
+	case errors.Is(err, context.Canceled):
+		return "canceled"
+	case errors.Is(err, context.DeadlineExceeded):
+		return "deadline"
+	default:
+		return "error"
+	}
+}
+
 func drive(s *System, from, to int) []opResult {
 	out := make([]opResult, 0, to-from)
 	for k := from; k < to; k++ {
@@ -124,14 +152,14 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 
 				// State of the "dead" process, captured for the diff
 				// before the recovering process touches the files.
-				want := crashed.captureSnapshot()
+				want := crashed.rt.Capture()
 
 				recovered, err := New(opts)
 				if err != nil {
 					t.Fatalf("recovery: %v", err)
 				}
 				defer recovered.Close()
-				got := recovered.captureSnapshot()
+				got := recovered.rt.Capture()
 				if g, w := asJSON(t, got), asJSON(t, want); g != w {
 					t.Fatalf("recovered state differs from crashed state:\n got %s\nwant %s", g, w)
 				}
@@ -139,7 +167,7 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 				// a process ran, not recovered state.
 				stats := func(s *System) Stats {
 					st := s.Stats()
-					st.IndexMemoryBytes -= s.engine.DiscMemoBytes()
+					st.IndexMemoryBytes -= s.rt.Engine.DiscMemoBytes()
 					return st
 				}
 				if g, w := asJSON(t, stats(recovered)), asJSON(t, stats(crashed)); g != w {
@@ -156,8 +184,8 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 				if g, w := asJSON(t, outRec), asJSON(t, outCtl); g != w {
 					t.Fatalf("post-recovery event stream diverged:\n got %s\nwant %s", g, w)
 				}
-				finalRec := recovered.captureSnapshot()
-				finalCtl := ctl.captureSnapshot()
+				finalRec := recovered.rt.Capture()
+				finalCtl := ctl.rt.Capture()
 				finalRec.Header = nil // the control has no WAL header
 				if g, w := asJSON(t, finalRec), asJSON(t, finalCtl); g != w {
 					t.Fatalf("final state diverged:\n got %s\nwant %s", g, w)
@@ -192,7 +220,7 @@ func TestDurableFreshAndSealedReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after clean close: %v", err)
 	}
-	if got := reopened.eventIndex; got != 12 {
+	if got := reopened.rt.Events(); got != 12 {
 		t.Fatalf("reopened at event %d, want 12", got)
 	}
 	// The reopened system resumes the log.
@@ -252,8 +280,8 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 			s.Advance(2 * time.Second)
 		}
 	}
-	s.wlog.Sync() // the abandoned process happened to have group-committed everything
-	wantEvents := s.eventIndex
+	s.rt.WAL().Sync() // the abandoned process happened to have group-committed everything
+	wantEvents := s.rt.Events()
 
 	start := time.Now()
 	recovered, err := New(opts)
@@ -262,8 +290,8 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	defer recovered.Close()
-	if recovered.eventIndex != wantEvents {
-		t.Fatalf("recovered %d events, want %d", recovered.eventIndex, wantEvents)
+	if recovered.rt.Events() != wantEvents {
+		t.Fatalf("recovered %d events, want %d", recovered.rt.Events(), wantEvents)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("10k-event recovery took %v, budget 5s", elapsed)
@@ -281,7 +309,7 @@ func TestDurableSnapshotPrunesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	drive(s, 0, 30)
-	s.snapWG.Wait() // background snapshot writes
+	s.rt.WaitSnapshots() // background snapshot writes
 	st, _ := s.DurabilityStats()
 	if st.Snapshots == 0 {
 		t.Fatal("no snapshot written despite cadence")
@@ -289,14 +317,14 @@ func TestDurableSnapshotPrunesReplay(t *testing.T) {
 	if st.LastSnapshotEvents == 0 {
 		t.Fatal("snapshot watermark not recorded")
 	}
-	want := s.captureSnapshot()
+	want := s.rt.Capture()
 
 	recovered, err := New(opts)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer recovered.Close()
-	got := recovered.captureSnapshot()
+	got := recovered.rt.Capture()
 	if g, w := asJSON(t, got), asJSON(t, want); g != w {
 		t.Fatalf("snapshot-based recovery differs:\n got %s\nwant %s", g, w)
 	}
@@ -375,8 +403,8 @@ func TestDurableRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 		t.Fatalf("recovery must skip the snapshot ahead of the WAL: %v", err)
 	}
 	defer recovered.Close()
-	if recovered.eventIndex != 12 {
-		t.Fatalf("recovered at event %d, want 12", recovered.eventIndex)
+	if recovered.rt.Events() != 12 {
+		t.Fatalf("recovered at event %d, want 12", recovered.rt.Events())
 	}
 }
 
@@ -399,7 +427,7 @@ func TestDurableWALFailureStopsAcks(t *testing.T) {
 
 	// Kill the log out from under the system: the next append fails and
 	// the error sticks in the encoder.
-	s.wlog.Close()
+	s.rt.WAL().Close()
 
 	if _, err := s.AddTaxi(mid, 3); err == nil {
 		t.Fatal("AddTaxi acknowledged an event the WAL never persisted")

@@ -113,7 +113,7 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 // when the instrumented handler wraps an admitted route, which is the
 // latency a client actually observes.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.reg.Labeled("route="+strconv.Quote(name)).HistogramWith(
+	hist := s.rt.Engine.Metrics().Labeled("route="+strconv.Quote(name)).HistogramWith(
 		"mtshare_server_http_seconds", obs.DefLatencyBuckets())
 	s.httpHists[name] = hist
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -276,7 +276,7 @@ func TestServerRejectEnvelopes(t *testing.T) {
 				// Kill the WAL out from under the server; the next append
 				// latches the sticky error and answers with it.
 				s.mu.Lock()
-				_ = s.wlog.Close()
+				_ = s.rt.WAL().Close()
 				s.mu.Unlock()
 			},
 			method: http.MethodPost, path: "/v1/requests", reqBody: body,

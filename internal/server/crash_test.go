@@ -103,8 +103,8 @@ func durableRecoveryInProcess(t *testing.T) {
 		}
 	}
 	crashed.mu.Lock()
-	crashed.snapWG.Wait()
-	want, err := json.Marshal(crashed.captureSnapshotLocked())
+	crashed.rt.WaitSnapshots()
+	want, err := json.Marshal(crashed.rt.Capture())
 	crashed.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func durableRecoveryInProcess(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	recovered.mu.Lock()
-	got, err := json.Marshal(recovered.captureSnapshotLocked())
+	got, err := json.Marshal(recovered.rt.Capture())
 	recovered.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +157,35 @@ func TestServerDurableCleanRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart after clean Stop: %v", err)
 	}
-	if restarted.eventIdx != 6+9 {
-		t.Fatalf("restarted at event %d, want %d", restarted.eventIdx, 6+9)
+	if restarted.rt.Events() != 6+9 {
+		t.Fatalf("restarted at event %d, want %d", restarted.rt.Events(), 6+9)
 	}
 	restarted.Stop()
+}
+
+// TestServerDurableHeaderPinsBatchAssign proves the WAL header
+// fingerprints the queue's retry policy: a log recorded under
+// BatchAssign must not reopen under greedy rounds, where a snapshot-only
+// recovery would keep serving under the other policy without complaint.
+func TestServerDurableHeaderPinsBatchAssign(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableTestConfig(dir, 1)
+	cfg.BatchAssign = true
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for k := 0; k < 9; k++ {
+		method, path, body := crashOp(k)
+		do(t, h, method, path, body)
+	}
+	s.Stop()
+
+	cfg.BatchAssign = false
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "header mismatch") {
+		t.Fatalf("reopening a batch-assign WAL under greedy rounds: err = %v, want a header mismatch", err)
+	}
 }
 
 // ---- kill -9 harness -------------------------------------------------
@@ -417,7 +442,7 @@ func TestServerWALFailureFailsRequests(t *testing.T) {
 	// Kill the log out from under the server: the next append fails and
 	// the error sticks in the encoder.
 	s.mu.Lock()
-	s.wlog.Close()
+	s.rt.WAL().Close()
 	s.mu.Unlock()
 
 	rec, out := do(t, h, method, path, body)
@@ -454,8 +479,8 @@ func TestServerRecoveryTopsUpSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
-	if len(r.taxis) != 6 {
-		t.Fatalf("recovered fleet has %d taxis, want topped up to 6", len(r.taxis))
+	if len(r.rt.Taxis()) != 6 {
+		t.Fatalf("recovered fleet has %d taxis, want topped up to 6", len(r.rt.Taxis()))
 	}
 	r.Stop()
 
@@ -465,8 +490,8 @@ func TestServerRecoveryTopsUpSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second recovery: %v", err)
 	}
-	if len(again.taxis) != 6 {
-		t.Fatalf("re-recovered fleet has %d taxis, want 6", len(again.taxis))
+	if len(again.rt.Taxis()) != 6 {
+		t.Fatalf("re-recovered fleet has %d taxis, want 6", len(again.rt.Taxis()))
 	}
 	again.Stop()
 }
@@ -502,8 +527,8 @@ func TestServerRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery must skip the snapshot ahead of the WAL: %v", err)
 	}
-	if r.eventIdx != 6+9 {
-		t.Fatalf("recovered at event %d, want %d", r.eventIdx, 6+9)
+	if r.rt.Events() != 6+9 {
+		t.Fatalf("recovered at event %d, want %d", r.rt.Events(), 6+9)
 	}
 	r.Stop()
 }

@@ -16,21 +16,16 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/payment"
-	"repro/internal/replay"
 	"repro/internal/roadnet"
-	"repro/internal/trace"
+	"repro/internal/service"
 	"repro/internal/wal"
 )
 
@@ -117,17 +112,12 @@ type Config struct {
 // hints on backpressured requests derive from it.
 const tickInterval = 200 * time.Millisecond
 
-// Server is the dispatch service.
+// Server is the dispatch service: HTTP and admission over the dispatch
+// runtime, every runtime call serialised under mu.
 type Server struct {
-	cfg    Config
-	g      *roadnet.Graph
-	spx    *roadnet.SpatialIndex
-	engine *match.Engine
-	scheme *match.Scheme
-	pay    payment.Model
-	reg    *obs.Registry
-	rng    *rand.Rand // guarded by mu; seeded from Config.Seed
-	kappa  int        // effective partition count (derived when Config.Kappa is 0)
+	cfg Config
+	rt  *service.Runtime
+	rng *rand.Rand // guarded by mu; seeded from Config.Seed
 
 	// adm is the admission gate (nil when Config.MaxInFlight is 0);
 	// httpHists holds the per-route latency histograms, populated once in
@@ -140,56 +130,14 @@ type Server struct {
 	// what a client sees as queueing behind other handlers and ticks.
 	lockWait struct{ requests, advance, status *obs.Histogram }
 
-	mu         sync.Mutex
-	nowSeconds float64
-	taxis      map[int64]*fleet.Taxi
-	nextTaxi   int64
-	nextReq    int64
-	requests   map[fleet.RequestID]*reqStatus
-	// Pending-request queue (nil when Config.QueueDepth is 0), serviced
-	// at the top of every movement tick; tickCount counts those ticks.
-	queue      *match.PendingQueue
-	retryEvery int
-	tickCount  int64
-	// stopped is guarded by mu. Handlers decide the 503 and run their
-	// engine mutation inside one mu critical section, so once Stop (which
-	// sets stopped under mu) returns, no new mutation can start — an
-	// atomic flag checked outside the lock would leave a window where a
-	// handler passes the check and mutates the engine after shutdown.
-	stopped bool
+	// mu guards rt. Handlers decide the 503 (rt.Closed) and run their
+	// mutation inside one mu critical section, so once Stop (which shuts
+	// rt down under mu) returns, no new mutation can start.
+	mu sync.Mutex
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	// Durability state, all guarded by mu (the WAL itself is internally
-	// synchronized; the encoder and event counter are not). onEvent, when
-	// set, intercepts assembled events instead of appending them —
-	// recovery re-execution verifies outcomes without re-recording.
-	wlog      *wal.Log
-	walEnc    *replay.Encoder
-	walHeader []byte
-	eventIdx  int64
-	snapEvery int
-	snapWG    sync.WaitGroup
-	onEvent   func(replay.Event)
-	// walErr latches the WAL's sticky append/fsync error the moment
-	// recordLocked observes it (setting stopped alongside): the request
-	// whose record failed is answered with it instead of an ack, and
-	// every later mutation is rejected — a server that cannot persist
-	// must not keep acknowledging work.
-	walErr error
-}
-
-type reqStatus struct {
-	Req       *fleet.Request
-	TaxiID    int64
-	Served    bool
-	Queued    bool
-	Expired   bool
-	PickedUp  bool
-	Delivered bool
-	Fare      float64
 }
 
 // New builds the world and engine.
@@ -200,43 +148,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 3
 	}
-	cp := roadnet.DefaultCityParams(cfg.CityRows, cfg.CityCols)
-	cp.Seed = cfg.Seed
-	g, err := roadnet.GenerateCity(cp)
-	if err != nil {
-		return nil, err
-	}
-	spx := roadnet.NewSpatialIndex(g, 250)
-	min, max := g.Bounds()
-	hist, err := trace.Generate(trace.Workday, trace.GenParams{
-		Center:           geo.Midpoint(min, max),
-		ExtentMeters:     geo.Equirect(geo.Point{Lat: min.Lat, Lng: min.Lng}, geo.Point{Lat: min.Lat, Lng: max.Lng}),
-		TripsPerHourPeak: 400,
-		UniformFrac:      0.15,
-		Seed:             cfg.Seed + 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pairs := make([]struct{ Origin, Dest geo.Point }, len(hist.Trips))
-	for i, tr := range hist.Trips {
-		pairs[i] = struct{ Origin, Dest geo.Point }{tr.Origin, tr.Dest}
-	}
-	kappa := cfg.Kappa
-	if kappa == 0 {
-		kappa = g.NumVertices() / 25
-		if kappa < 8 {
-			kappa = 8
-		}
-	}
-	pp := partition.DefaultParams(kappa)
-	if pp.KTrans >= kappa {
-		pp.KTrans = kappa / 2
-	}
-	pt, err := partition.BuildBipartite(g, partition.SnapTrips(spx, pairs), pp)
-	if err != nil {
-		return nil, err
-	}
 	mcfg := match.DefaultConfig()
 	mcfg.BatchAssign = cfg.BatchAssign
 	mcfg.Metrics = cfg.Metrics
@@ -244,27 +155,31 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceSampleEvery > 0 {
 		mcfg.Tracer = obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceHandler)
 	}
-	eng, err := match.NewEngine(pt, spx, mcfg)
+	rt, err := service.New(service.Config{
+		Rows:                cfg.CityRows,
+		Cols:                cfg.CityCols,
+		Seed:                cfg.Seed,
+		HistoryTripsPerHour: 400,
+		Partitions:          cfg.Kappa,
+		Match:               mcfg,
+		Probabilistic:       cfg.Probabilistic,
+		QueueDepth:          cfg.QueueDepth,
+		RetryEveryTicks:     cfg.RetryEveryTicks,
+		CrashAtEvent:        cfg.CrashAtEvent,
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:      cfg,
-		g:        g,
-		spx:      spx,
-		engine:   eng,
-		scheme:   match.NewScheme(eng, cfg.Probabilistic),
-		pay:      payment.DefaultModel(),
-		reg:      eng.Metrics(),
-		rng:      rand.New(rand.NewSource(cfg.Seed + 2)),
-		kappa:    kappa,
-		taxis:    make(map[int64]*fleet.Taxi),
-		requests: make(map[fleet.RequestID]*reqStatus),
-		stop:     make(chan struct{}),
+		cfg:  cfg,
+		rt:   rt,
+		rng:  rand.New(rand.NewSource(cfg.Seed + 2)),
+		stop: make(chan struct{}),
 	}
 	s.httpHists = make(map[string]*obs.Histogram)
+	reg := rt.Engine.Metrics()
 	lockWait := func(route string) *obs.Histogram {
-		return s.reg.Labeled("route="+strconv.Quote(route)).HistogramWith(
+		return reg.Labeled("route="+strconv.Quote(route)).HistogramWith(
 			"mtshare_server_lock_wait_seconds", obs.DefLatencyBuckets())
 	}
 	s.lockWait.requests, s.lockWait.advance, s.lockWait.status = lockWait("requests"), lockWait("advance"), lockWait("status")
@@ -273,21 +188,11 @@ func New(cfg Config) (*Server, error) {
 		if maxWait <= 0 {
 			maxWait = cfg.MaxInFlight
 		}
-		s.adm = newAdmission(s.reg, cfg.MaxInFlight, maxWait)
-	}
-	if cfg.QueueDepth > 0 {
-		// The queue's depth gauge and lifecycle counters
-		// (mtshare_match_queue_*) land in the engine's registry, served at
-		// /v1/metrics.
-		s.queue = match.NewPendingQueue(cfg.QueueDepth, mcfg.SpeedMps).InstrumentWith(s.reg)
-		s.retryEvery = cfg.RetryEveryTicks
-		if s.retryEvery <= 0 {
-			s.retryEvery = 1
-		}
+		s.adm = newAdmission(reg, cfg.MaxInFlight, maxWait)
 	}
 	if cfg.Durability.Enabled() {
-		if err := s.openDurability(); err != nil {
-			return nil, err
+		if err := rt.OpenWAL(cfg.Durability, s.buildWALHeader()); err != nil {
+			return nil, fmt.Errorf("server: durability: %w", err)
 		}
 	}
 	// Initial placement uses the seeded rng, and — with durability on —
@@ -296,11 +201,11 @@ func New(cfg Config) (*Server, error) {
 	// than InitialTaxis when the crash tore the tail of the seeding
 	// burst itself, so the fleet is topped up (appending fresh AddTaxi
 	// events) rather than silently running undersized forever.
-	for len(s.taxis) < cfg.InitialTaxis {
-		s.addTaxiLocked(g.Point(roadnet.VertexID(s.rng.Intn(g.NumVertices()))), cfg.Capacity)
+	for len(rt.Taxis()) < cfg.InitialTaxis && rt.WALErr() == nil {
+		rt.AddTaxi(rt.Graph.Point(roadnet.VertexID(s.rng.Intn(rt.Graph.NumVertices()))), cfg.Capacity)
 	}
-	if s.walErr != nil {
-		return nil, fmt.Errorf("server: durability: seeding: %w", s.walErr)
+	if err := rt.WALErr(); err != nil {
+		return nil, fmt.Errorf("server: durability: seeding: %w", err)
 	}
 	return s, nil
 }
@@ -336,13 +241,13 @@ func (s *Server) Start() {
 // plan after Stop returns. Stop is idempotent.
 func (s *Server) Stop() {
 	s.mu.Lock()
-	s.stopped = true
-	s.engine.Drain()
+	s.rt.Shutdown()
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.wg.Wait()
 	s.mu.Lock()
-	s.sealWALLocked()
+	// A failed seal leaves an unsealed log, which recovers like a crash.
+	_ = s.rt.Seal()
 	s.mu.Unlock()
 }
 
@@ -354,142 +259,15 @@ func (s *Server) lockTimed(wait *obs.Histogram) {
 }
 
 // advance moves the world forward by dt simulated seconds. A stopped
-// server (Stop, or a WAL failure latched by recordLocked) no longer
-// moves: ticking on would keep mutating state that can never be
-// persisted or recovered.
+// server (Stop, or a latched WAL failure) no longer moves: ticking on
+// would keep mutating state that can never be persisted or recovered.
 func (s *Server) advance(dt float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
+	if s.rt.Closed() {
 		return
 	}
-	// dt round-trips through nanoseconds so the live tick and its WAL
-	// replay advance by bit-identical durations.
-	s.advanceTickLocked(int64(time.Duration(dt * float64(time.Second))))
-}
-
-// advanceTickLocked is one movement tick: queue maintenance, then every
-// taxi drives in ID order (the ride-event sequence must be a pure
-// function of the call history for the WAL to replay it). The tick is
-// recorded as a replay TickEvent carrying the rides it fired and the
-// queue outcomes, and triggers a background snapshot when the cadence
-// is due.
-func (s *Server) advanceTickLocked(dNanos int64) {
-	dt := time.Duration(dNanos).Seconds()
-	startNow := s.nowSeconds
-	s.nowSeconds += dt
-	s.tickCount++
-	var tick *replay.TickEvent
-	if s.recordingLocked() {
-		tick = &replay.TickEvent{DNanos: dNanos}
-	}
-	s.serviceQueueLocked(tick)
-	speed := s.engine.Config().SpeedMps
-	ids := make([]int64, 0, len(s.taxis))
-	for id := range s.taxis {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		t := s.taxis[id]
-		visits := t.Advance(speed * dt)
-		for _, v := range visits {
-			if tick != nil {
-				tick.Rides = append(tick.Rides, replay.Ride{
-					Request: int64(v.Event.Req.ID),
-					Taxi:    id,
-					Pickup:  v.Event.Kind == fleet.Pickup,
-					AtNanos: int64(time.Duration((startNow + v.MetersIntoTick/speed) * float64(time.Second))),
-				})
-			}
-			st := s.requests[v.Event.Req.ID]
-			if st == nil {
-				continue
-			}
-			switch v.Event.Kind {
-			case fleet.Pickup:
-				st.PickedUp = true
-			case fleet.Dropoff:
-				st.Delivered = true
-				st.Fare = s.pay.Tariff.Fare(v.Event.Req.DirectMeters)
-				s.engine.OnRequestDone(v.Event.Req)
-			}
-		}
-		s.scheme.OnTaxiAdvanced(t, s.nowSeconds)
-		if s.cfg.Probabilistic {
-			s.scheme.PlanIdle(t, s.nowSeconds)
-		}
-	}
-	if tick != nil {
-		s.recordLocked(replay.Event{Tick: tick})
-	}
-	s.maybeSnapshotLocked()
-}
-
-// serviceQueueLocked runs one movement tick of pending-queue
-// maintenance under mu: evict requests whose pickup deadline strictly
-// passed, then — when the retry interval is due — re-dispatch the
-// parked batch in deterministic (pickup deadline, request ID) order.
-// Outcomes are appended to tick when the tick is being recorded.
-func (s *Server) serviceQueueLocked(tick *replay.TickEvent) {
-	if s.queue == nil {
-		return
-	}
-	for _, it := range s.queue.ExpireBefore(s.nowSeconds) {
-		if st := s.requests[it.Req.ID]; st != nil {
-			st.Expired = true
-		}
-		s.engine.OnRequestDone(it.Req)
-		if tick != nil {
-			tick.QueueExpired = append(tick.QueueExpired, int64(it.Req.ID))
-		}
-	}
-	if s.tickCount%int64(s.retryEvery) != 0 {
-		return
-	}
-	batch := s.queue.NextBatch()
-	if len(batch) == 0 {
-		return
-	}
-	reqs := make([]*fleet.Request, len(batch))
-	enqueuedAt := make(map[fleet.RequestID]float64, len(batch))
-	for i, it := range batch {
-		reqs[i] = it.Req
-		enqueuedAt[it.Req.ID] = it.EnqueuedAt
-	}
-	for _, o := range s.engine.DispatchBatch(context.Background(), reqs, s.nowSeconds, s.cfg.Probabilistic) {
-		if !o.Served || !s.queue.MarkServed(o.Req.ID, s.nowSeconds) {
-			continue
-		}
-		if st := s.requests[o.Req.ID]; st != nil {
-			st.Served = true
-			st.TaxiID = o.Assignment.Taxi.ID
-		}
-		if tick != nil {
-			tick.QueueMatched = append(tick.QueueMatched, replay.QueueMatch{
-				Request:   int64(o.Req.ID),
-				Taxi:      o.Assignment.Taxi.ID,
-				WaitNanos: int64(time.Duration((s.nowSeconds - enqueuedAt[o.Req.ID]) * float64(time.Second))),
-				Conflict:  o.Conflict,
-			})
-		}
-	}
-}
-
-func (s *Server) addTaxiLocked(p geo.Point, capacity int) int64 {
-	s.nextTaxi++
-	v, _ := s.spx.NearestVertex(p)
-	t := fleet.NewTaxi(s.g, s.nextTaxi, capacity, v)
-	s.taxis[t.ID] = t
-	s.engine.AddTaxi(t, s.nowSeconds)
-	if s.recordingLocked() {
-		s.recordLocked(replay.Event{AddTaxi: &replay.AddTaxiEvent{
-			At:       replay.Point{Lat: p.Lat, Lng: p.Lng},
-			Capacity: capacity,
-			Taxi:     t.ID,
-		}})
-	}
-	return t.ID
+	s.rt.Tick(time.Duration(dt*float64(time.Second)), false)
 }
 
 // Handler returns the HTTP API. Routes live under /v1/; any other path
@@ -574,11 +352,11 @@ func methodNotAllowed(w http.ResponseWriter, r *http.Request, allow ...string) {
 // The caller must hold mu: the shutdown decision is only race-free when
 // it shares the critical section with the mutation it guards.
 func (s *Server) rejectIfStoppedLocked(w http.ResponseWriter) bool {
-	if !s.stopped {
+	if !s.rt.Closed() {
 		return false
 	}
-	if s.walErr != nil {
-		writeWALFailed(w, s.walErr)
+	if err := s.rt.WALErr(); err != nil {
+		writeWALFailed(w, err)
 		return true
 	}
 	writeError(w, http.StatusServiceUnavailable, codeShutdown, "server is shut down")
@@ -601,15 +379,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	_ = s.rt.Engine.Metrics().WritePrometheus(w)
 }
 
 func (s *Server) handleTaxis(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		s.mu.Lock()
-		out := make([]taxiJSON, 0, len(s.taxis))
-		for _, t := range s.taxis {
+		taxis := s.rt.Taxis()
+		out := make([]taxiJSON, 0, len(taxis))
+		for _, t := range taxis {
 			p := t.Point()
 			out = append(out, taxiJSON{
 				ID: t.ID, Position: pointJSON{p.Lat, p.Lng},
@@ -617,7 +396,6 @@ func (s *Server) handleTaxis(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		s.mu.Unlock()
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var body struct {
@@ -637,8 +415,8 @@ func (s *Server) handleTaxis(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			return
 		}
-		id := s.addTaxiLocked(geo.Point{Lat: body.Lat, Lng: body.Lng}, body.Capacity)
-		walErr := s.walErr
+		id, _ := s.rt.AddTaxi(geo.Point{Lat: body.Lat, Lng: body.Lng}, body.Capacity)
+		walErr := s.rt.WALErr()
 		s.mu.Unlock()
 		if walErr != nil {
 			writeWALFailed(w, walErr)
@@ -673,17 +451,21 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.lockTimed(s.lockWait.status)
-		st, ok := s.requests[fleet.RequestID(id)]
+		var out requestJSON
+		st, ok := s.rt.Request(id)
+		if ok {
+			out = requestJSON{
+				ID: id, Served: st.Served, TaxiID: st.Taxi,
+				Queued: st.Queued && !st.Served && !st.Expired, Expired: st.Expired,
+				PickedUp: st.PickedUp, Delivered: st.Delivered, FareEstimate: st.Fare,
+			}
+		}
 		s.mu.Unlock()
 		if !ok {
 			writeError(w, http.StatusNotFound, codeNotFound, "unknown request")
 			return
 		}
-		writeJSON(w, http.StatusOK, requestJSON{
-			ID: id, Served: st.Served, TaxiID: st.TaxiID,
-			Queued: st.Queued && !st.Served && !st.Expired, Expired: st.Expired,
-			PickedUp: st.PickedUp, Delivered: st.Delivered, FareEstimate: st.Fare,
-		})
+		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var body struct {
 			Pickup  pointJSON `json:"pickup"`
@@ -694,59 +476,63 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 			return
 		}
-		rho, ok := normalizeRho(body.Rho)
-		if !ok {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("rho %g below minimum 1.05", body.Rho))
-			return
-		}
-		s.dispatch(w, r, body.Pickup, body.Dropoff, rho)
+		s.dispatch(w, r, body.Pickup, body.Dropoff, body.Rho)
 	default:
 		methodNotAllowed(w, r, http.MethodGet, http.MethodPost)
 	}
 }
 
-// normalizeRho applies the 1.3 default to an absent flexibility factor
-// and rejects explicit values below the 1.05 floor.
-func normalizeRho(rho float64) (float64, bool) {
-	if rho == 0 {
-		return 1.3, true
+func (p pointJSON) point() geo.Point { return geo.Point{Lat: p.Lat, Lng: p.Lng} }
+
+// rideJSON renders a ride outcome as the response body.
+func rideJSON(o service.RideOutcome) requestJSON {
+	return requestJSON{
+		ID: o.Request, Served: o.Code == service.OK, Queued: o.Code == service.Queued,
+		Expired: o.Code == service.Expired, TaxiID: o.Taxi,
+		PickupETASec: o.PickupETA, DropoffETASec: o.DropoffETA,
+		FareEstimate: o.Fare, Candidates: o.Candidates,
 	}
-	if rho < 1.05 {
-		return 0, false
-	}
-	return rho, true
 }
 
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, pickup, dropoff pointJSON, rho float64) {
+	ride := s.rt.NewRide(pickup.point(), dropoff.point(), rho)
+	if ride.Err != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest, ride.Err.Error())
+		return
+	}
 	s.lockTimed(s.lockWait.requests)
 	if s.rejectIfStoppedLocked(w) {
 		s.mu.Unlock()
 		return
 	}
-	out, ok := s.dispatchLocked(s.eventCtx(r), pickup, dropoff, rho)
-	walErr := s.walErr
-	// True backpressure — the queue is on but had no room — maps to 429
-	// with a Retry-After hint; queued parks, expiries, and queue-less
-	// no-taxi misses stay 200 (the body reports the outcome).
-	queueFull := ok && s.queue != nil && !out.Served && !out.Queued && !out.Expired
+	out := s.rt.Submit(s.eventCtx(r), ride)
+	walErr := s.rt.WALErr()
 	retryAfter := s.retryAfterSecondsLocked()
 	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "bad endpoints")
-		return
-	}
 	if walErr != nil {
 		writeWALFailed(w, walErr)
 		return
 	}
-	if queueFull {
+	// True backpressure — the queue is on but had no room — maps to 429
+	// with a Retry-After hint; queued parks, expiries, and queue-less
+	// no-taxi misses stay 200 (the body reports the outcome).
+	if out.Code == service.QueueFull {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		writeError(w, http.StatusTooManyRequests, codeQueueFull,
-			fmt.Sprintf("pending queue is full; retry request %d after the next re-dispatch round", out.ID))
+			fmt.Sprintf("pending queue is full; retry request %d after the next re-dispatch round", out.Request))
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, rideJSON(out))
+}
+
+// eventCtx picks the dispatch context: with durability on, a recorded
+// outcome must not depend on the client hanging up mid-dispatch, so the
+// request context is dropped.
+func (s *Server) eventCtx(r *http.Request) context.Context {
+	if s.rt.WAL() != nil {
+		return context.Background()
+	}
+	return r.Context()
 }
 
 // retryAfterSecondsLocked derives the Retry-After hint for a
@@ -754,117 +540,11 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, pickup, dropof
 // re-dispatch round (RetryEveryTicks movement ticks at tickInterval),
 // rounded up to the 1-second floor of HTTP's delta-seconds form.
 func (s *Server) retryAfterSecondsLocked() int {
-	secs := int(math.Ceil(float64(s.retryEvery) * tickInterval.Seconds()))
+	secs := int(math.Ceil(float64(s.rt.RetryEvery()) * tickInterval.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
 	return secs
-}
-
-// dispatchLocked creates and dispatches one online ride request; false
-// means the endpoints did not snap to distinct vertices (no state was
-// touched). The mutation — including terminal misses and queue parks —
-// is recorded as a RequestEvent when durability is on.
-func (s *Server) dispatchLocked(ctx context.Context, pickup, dropoff pointJSON, rho float64) (requestJSON, bool) {
-	o, ok1 := s.spx.NearestVertex(geo.Point{Lat: pickup.Lat, Lng: pickup.Lng})
-	d, ok2 := s.spx.NearestVertex(geo.Point{Lat: dropoff.Lat, Lng: dropoff.Lng})
-	if !ok1 || !ok2 || o == d {
-		return requestJSON{}, false
-	}
-	speed := s.engine.Config().SpeedMps
-	direct := s.engine.Router().Cost(o, d)
-	s.nextReq++
-	req := &fleet.Request{
-		ID:           fleet.RequestID(s.nextReq),
-		ReleaseAt:    time.Duration(s.nowSeconds * float64(time.Second)),
-		Origin:       o,
-		Dest:         d,
-		Deadline:     time.Duration((s.nowSeconds + direct/speed*rho) * float64(time.Second)),
-		DirectMeters: direct,
-		Passengers:   1,
-		OriginPt:     s.g.Point(o),
-		DestPt:       s.g.Point(d),
-	}
-	st := &reqStatus{Req: req}
-	s.requests[req.ID] = st
-	a, ok := s.engine.DispatchContext(ctx, req, s.nowSeconds, s.cfg.Probabilistic)
-	out := requestJSON{ID: int64(req.ID), Candidates: a.Candidates}
-	if !ok || s.engine.Commit(a, s.nowSeconds) != nil {
-		s.parkUnservedLocked(st, &out)
-	} else {
-		st.Served = true
-		st.TaxiID = a.Taxi.ID
-		out.Served = true
-		out.TaxiID = a.Taxi.ID
-		for i, ev := range a.Events {
-			if ev.Req.ID != req.ID {
-				continue
-			}
-			eta := a.Eval.ArrivalSeconds[i] - s.nowSeconds
-			if ev.Kind == fleet.Pickup {
-				out.PickupETASec = eta
-			} else {
-				out.DropoffETASec = eta
-			}
-		}
-		out.FareEstimate = s.pay.Tariff.Fare(direct)
-	}
-	if s.recordingLocked() {
-		s.recordLocked(replay.Event{Request: &replay.RequestEvent{
-			Pickup:      replay.Point{Lat: pickup.Lat, Lng: pickup.Lng},
-			Dropoff:     replay.Point{Lat: dropoff.Lat, Lng: dropoff.Lng},
-			Flexibility: rho,
-			Out: replay.RequestOutcome{
-				Err:             dispatchErrCode(&out, s.queue != nil),
-				Request:         out.ID,
-				Taxi:            out.TaxiID,
-				Candidates:      out.Candidates,
-				PickupETANanos:  int64(time.Duration(out.PickupETASec * float64(time.Second))),
-				DropoffETANanos: int64(time.Duration(out.DropoffETASec * float64(time.Second))),
-				FareEstimate:    out.FareEstimate,
-			},
-		}})
-	}
-	return out, true
-}
-
-// dispatchErrCode maps a dispatch response to the replay outcome code.
-// With the queue enabled an unserved, unparked request is either a
-// terminal expiry (its pickup deadline had already passed at push time)
-// or true backpressure (queue_full) — the queue's refusal reason, carried
-// on the response flags, keeps the two distinct.
-func dispatchErrCode(out *requestJSON, queueEnabled bool) string {
-	switch {
-	case out.Served:
-		return ""
-	case out.Queued:
-		return "queued"
-	case out.Expired:
-		return "expired"
-	case queueEnabled:
-		return "queue_full"
-	default:
-		return "no_taxi"
-	}
-}
-
-// parkUnservedLocked pushes an unserved online request into the pending
-// queue (when enabled) and flags the response accordingly. A refused
-// push leaves the request terminally unserved, flagged Expired when the
-// refusal was an already-passed pickup deadline rather than a full
-// queue.
-func (s *Server) parkUnservedLocked(st *reqStatus, out *requestJSON) {
-	if s.queue == nil {
-		return
-	}
-	switch s.queue.Push(st.Req, s.nowSeconds) {
-	case match.PushAccepted:
-		st.Queued = true
-		out.Queued = true
-	case match.PushRejectedExpired:
-		st.Expired = true
-		out.Expired = true
-	}
 }
 
 // handleQueue reports the pending queue's live state. With the queue
@@ -875,12 +555,12 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	enabled := s.queue != nil
+	enabled := s.rt.Queue != nil
 	var qs match.QueueStats
 	if enabled {
-		qs = s.queue.Stats()
+		qs = s.rt.Queue.Stats()
 	}
-	retry := s.retryEvery
+	retry := s.rt.RetryEvery()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"enabled":           enabled,
@@ -902,7 +582,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	served, delivered := 0, 0
-	for _, st := range s.requests {
+	for _, st := range s.rt.Requests() {
 		if st.Served {
 			served++
 		}
@@ -910,20 +590,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			delivered++
 		}
 	}
-	es := s.engine.Stats()
-	min, max := s.g.Bounds()
+	es := s.rt.Engine.Stats()
+	min, max := s.rt.Graph.Bounds()
 	stats := map[string]interface{}{
 		"bounds": map[string]pointJSON{
 			"min": {Lat: min.Lat, Lng: min.Lng},
 			"max": {Lat: max.Lat, Lng: max.Lng},
 		},
-		"sim_seconds":         s.nowSeconds,
-		"taxis":               len(s.taxis),
-		"requests":            len(s.requests),
+		"sim_seconds":         s.rt.Now(),
+		"taxis":               len(s.rt.Taxis()),
+		"requests":            len(s.rt.Requests()),
 		"served":              served,
 		"delivered":           delivered,
-		"index_memory_bytes":  s.engine.IndexMemoryBytes(),
-		"graph_vertices":      s.g.NumVertices(),
+		"index_memory_bytes":  s.rt.Engine.IndexMemoryBytes(),
+		"graph_vertices":      s.rt.Graph.NumVertices(),
 		"dispatches":          es.Dispatches,
 		"assignments":         es.Assignments,
 		"offline_insertions":  es.OfflineInsertions,
@@ -938,12 +618,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Now() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.nowSeconds
+	return s.rt.Now()
 }
 
 // String describes the server world.
 func (s *Server) String() string {
-	return fmt.Sprintf("mtshare server: %d vertices, %d taxis", s.g.NumVertices(), len(s.taxis))
+	return fmt.Sprintf("mtshare server: %d vertices, %d taxis", s.rt.Graph.NumVertices(), len(s.rt.Taxis()))
 }
 
 // handleHails lets a driver report a roadside (offline) passenger hailing
@@ -964,10 +644,9 @@ func (s *Server) handleHails(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 		return
 	}
-	rho, okRho := normalizeRho(body.Rho)
-	if !okRho {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Sprintf("rho %g below minimum 1.05", body.Rho))
+	ride := s.rt.NewRide(body.Pickup.point(), body.Dropoff.point(), body.Rho)
+	if ride.Err != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest, ride.Err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -975,79 +654,19 @@ func (s *Server) handleHails(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	out, code := s.hailLocked(s.eventCtx(r), body.TaxiID, body.Pickup, body.Dropoff, rho)
-	walErr := s.walErr
-	s.mu.Unlock()
-	switch {
-	case code == codeNotFound:
+	// An unknown taxi is refused before the runtime sees the call, so it
+	// consumes no event and leaves no WAL record.
+	if _, ok := s.rt.Taxi(body.TaxiID); !ok {
+		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, codeNotFound, "unknown taxi")
-	case code == codeInvalidRequest:
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, "bad endpoints")
-	case walErr != nil:
+		return
+	}
+	out := s.rt.Hail(s.eventCtx(r), body.TaxiID, ride)
+	walErr := s.rt.WALErr()
+	s.mu.Unlock()
+	if walErr != nil {
 		writeWALFailed(w, walErr)
-	default:
-		writeJSON(w, http.StatusOK, out)
+		return
 	}
-}
-
-// hailLocked serves one roadside hail against the named taxi, falling
-// back to a full dispatch when it cannot fit the party. A non-empty
-// error code means nothing mutated; otherwise the event is recorded
-// when durability is on.
-func (s *Server) hailLocked(ctx context.Context, taxiID int64, pickup, dropoff pointJSON, rho float64) (requestJSON, string) {
-	t, ok := s.taxis[taxiID]
-	if !ok {
-		return requestJSON{}, codeNotFound
-	}
-	o, ok1 := s.spx.NearestVertex(geo.Point{Lat: pickup.Lat, Lng: pickup.Lng})
-	d, ok2 := s.spx.NearestVertex(geo.Point{Lat: dropoff.Lat, Lng: dropoff.Lng})
-	if !ok1 || !ok2 || o == d {
-		return requestJSON{}, codeInvalidRequest
-	}
-	speed := s.engine.Config().SpeedMps
-	direct := s.engine.Router().Cost(o, d)
-	s.nextReq++
-	req := &fleet.Request{
-		ID:           fleet.RequestID(s.nextReq),
-		ReleaseAt:    time.Duration(s.nowSeconds * float64(time.Second)),
-		Origin:       o,
-		Dest:         d,
-		Deadline:     time.Duration((s.nowSeconds + direct/speed*rho) * float64(time.Second)),
-		DirectMeters: direct,
-		Passengers:   1,
-		Offline:      true,
-		OriginPt:     s.g.Point(o),
-		DestPt:       s.g.Point(d),
-	}
-	st := &reqStatus{Req: req}
-	s.requests[req.ID] = st
-	out := requestJSON{ID: int64(req.ID)}
-	if s.engine.TryServeOffline(t, req, s.nowSeconds) {
-		st.Served = true
-		st.TaxiID = t.ID
-		out.Served = true
-		out.TaxiID = t.ID
-	} else {
-		// The hailing taxi could not fit them: dispatch another.
-		if a, ok := s.engine.DispatchContext(ctx, req, s.nowSeconds, s.cfg.Probabilistic); ok && s.engine.Commit(a, s.nowSeconds) == nil {
-			st.Served = true
-			st.TaxiID = a.Taxi.ID
-			out.Served = true
-			out.TaxiID = a.Taxi.ID
-		}
-	}
-	if s.recordingLocked() {
-		hailErr := "no_taxi"
-		if out.Served {
-			hailErr = ""
-		}
-		s.recordLocked(replay.Event{Hail: &replay.HailEvent{
-			Taxi:        taxiID,
-			Pickup:      replay.Point{Lat: pickup.Lat, Lng: pickup.Lng},
-			Dropoff:     replay.Point{Lat: dropoff.Lat, Lng: dropoff.Lng},
-			Flexibility: rho,
-			Out:         replay.HailOutcome{Err: hailErr, ServedBy: out.TaxiID},
-		}})
-	}
-	return out, ""
+	writeJSON(w, http.StatusOK, rideJSON(out))
 }

@@ -37,7 +37,7 @@ func do(t *testing.T, h http.Handler, method, path string, body interface{}) (*h
 }
 
 func cityPoint(s *Server, fLat, fLng float64) map[string]float64 {
-	min, max := s.g.Bounds()
+	min, max := s.rt.Graph.Bounds()
 	return map[string]float64{
 		"lat": min.Lat + fLat*(max.Lat-min.Lat),
 		"lng": min.Lng + fLng*(max.Lng-min.Lng),
@@ -755,8 +755,11 @@ func TestServerQueueExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One movement tick far past the pickup deadline evicts it.
+	// The first tick moves the clock past every deadline; the second
+	// tick's queue maintenance (which runs at the tick's starting clock,
+	// before taxis advance) evicts.
 	s.advance(3600)
+	s.advance(1)
 	rec, out = do(t, h, http.MethodGet, fmt.Sprintf("/v1/requests?id=%d", reqID), nil)
 	if rec.Code != http.StatusOK || string(out["expired"]) != "true" ||
 		string(out["served"]) == "true" || string(out["queued"]) == "true" {
@@ -812,5 +815,45 @@ func TestServerBatchAssignDispatch(t *testing.T) {
 	rec, _ := do(t, h, http.MethodGet, "/v1/metrics", nil)
 	if !strings.Contains(rec.Body.String(), "mtshare_match_batch_assign_rounds_total 1") {
 		t.Fatalf("metrics exposition missing batch-assign round:\n%s", rec.Body)
+	}
+}
+
+// TestServerQueueWaitAtTickStart pins the tick order: the queue's retry
+// round runs at the tick's starting clock, before taxis move, so a
+// request parked at clock t and matched by the next tick has waited 0 —
+// not the tick's length, which is what a round run at the tick's end
+// clock reports.
+func TestServerQueueWaitAtTickStart(t *testing.T) {
+	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
+		Seed: 1, QueueDepth: 4, RetryEveryTicks: 1, ManualClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	rec, out := do(t, h, http.MethodPost, "/v1/requests", map[string]interface{}{
+		"pickup":  cityPoint(s, 0.3, 0.3),
+		"dropoff": cityPoint(s, 0.7, 0.7),
+		"rho":     1.8,
+	})
+	if rec.Code != http.StatusOK || string(out["queued"]) != "true" {
+		t.Fatalf("request not parked: %d %s", rec.Code, rec.Body)
+	}
+	if rec, _ := do(t, h, http.MethodPost, "/v1/taxis", cityPoint(s, 0.3, 0.3)); rec.Code != http.StatusCreated {
+		t.Fatalf("POST /v1/taxis = %d", rec.Code)
+	}
+	if rec, _ := do(t, h, http.MethodPost, "/v1/advance", map[string]float64{"d_seconds": 20}); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/advance = %d: %s", rec.Code, rec.Body)
+	}
+	if rec, out := do(t, h, http.MethodGet, "/v1/requests?id=1", nil); string(out["served"]) != "true" {
+		t.Fatalf("parked request not served by the tick: %s", rec.Body)
+	}
+	rec, _ = do(t, h, http.MethodGet, "/v1/metrics", nil)
+	for _, want := range []string{
+		"mtshare_match_queue_wait_seconds_count 1\n",
+		"mtshare_match_queue_wait_seconds_sum 0\n",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("metrics exposition missing %q", want)
+		}
 	}
 }

@@ -15,22 +15,18 @@ package mtshare
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/payment"
 	"repro/internal/replay"
 	"repro/internal/roadnet"
-	"repro/internal/trace"
+	"repro/internal/service"
 	"repro/internal/wal"
 )
 
@@ -249,57 +245,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// System is a running ridesharing dispatcher. It is not safe for
-// concurrent use; internal/server provides the concurrent HTTP front.
+// System is a running ridesharing dispatcher: the library face of the
+// dispatch runtime (internal/service) that internal/server also runs. It
+// is not safe for concurrent use; internal/server provides the
+// concurrent HTTP front.
 type System struct {
-	g      *roadnet.Graph
-	spx    *roadnet.SpatialIndex
-	engine *match.Engine
-	scheme *match.Scheme
-	pay    payment.Model
-
-	now      float64
-	taxis    map[TaxiID]*fleet.Taxi
-	nextTaxi TaxiID
-	nextReq  RequestID
-	requests map[RequestID]*fleet.Request
-	closed   bool
-
-	// Pending-request queue (nil when Options.QueueDepth is 0): requests
-	// that found no taxi wait here for batched re-dispatch every
-	// retryEvery Advance ticks. ticks counts Advance calls.
-	queue      *match.PendingQueue
-	retryEvery int
-	ticks      int64
-
-	// Record/replay state: the log encoder (nil when not recording),
-	// the fault plan and its router layer (nil without faults), and the
-	// monotonically increasing event index every facade call consumes.
-	rec         *replay.Encoder
-	recDone     bool
-	faults      *replay.FaultPlan
-	faultRouter *replay.FaultRouter
-	eventIndex  int64
-
-	// Durability state (nil/zero without Options.Durability): the WAL,
-	// the encoder appending events to it, the serialized header line the
-	// WAL opened under (snapshot fingerprint), the snapshot cadence, and
-	// the in-flight background snapshot writes Close waits for. onEvent,
-	// when set, intercepts recorded events instead of appending them —
-	// recovery re-executes the WAL tail under it to verify outcomes.
-	wlog      *wal.Log
-	walEnc    *replay.Encoder
-	walDone   bool
-	walHeader []byte
-	snapEvery int
-	snapWG    sync.WaitGroup
-	onEvent   func(replay.Event)
-	// walErr latches the WAL's sticky append/fsync error the moment
-	// record observes it (setting closed alongside): the call whose
-	// event failed to persist returns it instead of a clean ack, and
-	// every later submission fails — a system that can no longer
-	// persist must not keep acknowledging work.
-	walErr error
+	rt *service.Runtime
 }
 
 // New builds a System. Zero-valued Options fields take the
@@ -311,50 +262,12 @@ func New(opts Options) (*System, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	cp := roadnet.DefaultCityParams(opts.SyntheticCityRows, opts.SyntheticCityCols)
-	cp.Seed = opts.Seed
-	g, err := roadnet.GenerateCity(cp)
-	if err != nil {
-		return nil, err
-	}
-	spx := roadnet.NewSpatialIndex(g, 250)
-
-	history := opts.History
-	if history == nil {
-		min, max := g.Bounds()
-		ds, err := trace.Generate(trace.Workday, trace.GenParams{
-			Center:           geo.Midpoint(min, max),
-			ExtentMeters:     geo.Equirect(geo.Point{Lat: min.Lat, Lng: min.Lng}, geo.Point{Lat: min.Lat, Lng: max.Lng}),
-			TripsPerHourPeak: 300,
-			UniformFrac:      0.15,
-			Seed:             opts.Seed + 1,
-		})
-		if err != nil {
-			return nil, err
+	var history []struct{ Origin, Dest geo.Point }
+	if opts.History != nil {
+		history = make([]struct{ Origin, Dest geo.Point }, len(opts.History))
+		for i, t := range opts.History {
+			history[i] = struct{ Origin, Dest geo.Point }{t.Origin, t.Dest}
 		}
-		for _, t := range ds.Trips {
-			history = append(history, Trip{Origin: t.Origin, Dest: t.Dest})
-		}
-	}
-	pairs := make([]struct{ Origin, Dest geo.Point }, len(history))
-	for i, t := range history {
-		pairs[i] = struct{ Origin, Dest geo.Point }{t.Origin, t.Dest}
-	}
-	kappa := opts.Partitions
-	if kappa == 0 {
-		kappa = g.NumVertices() / 25
-		if kappa < 8 {
-			kappa = 8
-		}
-	}
-	pp := partition.DefaultParams(kappa)
-	if pp.KTrans >= kappa {
-		pp.KTrans = kappa / 2
-	}
-	pp.Seed = opts.Seed
-	pt, err := partition.BuildBipartite(g, partition.SnapTrips(spx, pairs), pp)
-	if err != nil {
-		return nil, err
 	}
 	cfg := match.DefaultConfig()
 	cfg.SpeedMps = opts.SpeedKmh * 1000 / 3600
@@ -363,57 +276,38 @@ func New(opts Options) (*System, error) {
 	if opts.TraceSampleEvery > 0 {
 		cfg.Tracer = obs.NewTracer(opts.TraceSampleEvery, opts.TraceHandler)
 	}
-	var faultRouter *replay.FaultRouter
-	if opts.Faults.Active() {
-		faultRouter = replay.NewFaultRouter(*opts.Faults)
-		cfg.RouterWrap = faultRouter.Wrap
-	}
-	if opts.SearchRangeMeters > 0 {
-		cfg.SearchRangeMeters = opts.SearchRangeMeters
-	} else {
-		min, max := g.Bounds()
-		diag := geo.Equirect(min, max)
-		if cfg.SearchRangeMeters > diag/2 {
-			cfg.SearchRangeMeters = diag / 2
-		}
-	}
+	cfg.SearchRangeMeters = opts.SearchRangeMeters
 	cfg.Parallelism = opts.Parallelism
 	cfg.BatchAssign = opts.BatchAssign
-	engine, err := match.NewEngine(pt, spx, cfg)
+	rt, err := service.New(service.Config{
+		Rows:                opts.SyntheticCityRows,
+		Cols:                opts.SyntheticCityCols,
+		Seed:                opts.Seed,
+		History:             history,
+		HistoryTripsPerHour: 300,
+		Partitions:          opts.Partitions,
+		PartitionSeed:       opts.Seed,
+		Match:               cfg,
+		Probabilistic:       opts.Probabilistic,
+		QueueDepth:          opts.QueueDepth,
+		RetryEveryTicks:     opts.RetryEveryTicks,
+		Faults:              opts.Faults,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		g:           g,
-		spx:         spx,
-		engine:      engine,
-		scheme:      match.NewScheme(engine, opts.Probabilistic),
-		pay:         payment.DefaultModel(),
-		taxis:       make(map[TaxiID]*fleet.Taxi),
-		requests:    make(map[RequestID]*fleet.Request),
-		faults:      opts.Faults,
-		faultRouter: faultRouter,
-	}
-	if opts.QueueDepth > 0 {
-		s.queue = match.NewPendingQueue(opts.QueueDepth, cfg.SpeedMps).InstrumentWith(engine.Metrics())
-		s.retryEvery = opts.RetryEveryTicks
-	}
+	hdr := buildHeader(opts, rt.Graph)
 	if opts.RecordTo != nil {
-		rec, err := replay.NewEncoder(opts.RecordTo, buildHeader(opts, g))
-		if err != nil {
+		if err := rt.RecordTo(opts.RecordTo, hdr); err != nil {
 			return nil, err
 		}
-		s.rec = rec
 	}
 	if opts.Durability.Enabled() {
-		if err := s.openDurability(opts); err != nil {
-			if s.rec != nil {
-				s.rec.Close()
-			}
-			return nil, err
+		if err := rt.OpenWAL(opts.Durability, hdr); err != nil {
+			return nil, fmt.Errorf("mtshare: durability: %w", err)
 		}
 	}
-	return s, nil
+	return &System{rt: rt}, nil
 }
 
 // buildHeader assembles the replay log header both the RecordTo log and
@@ -440,102 +334,43 @@ func buildHeader(opts Options, g *roadnet.Graph) replay.Header {
 	}
 }
 
-// beginEvent consumes the next event index and applies the fault plan's
-// per-event effects: the router fault epoch and the forced shutdown.
-func (s *System) beginEvent() int64 {
-	i := s.eventIndex
-	s.eventIndex++
-	if s.faultRouter != nil {
-		s.faultRouter.SetEpoch(i)
-	}
-	if s.faults.ShutsDownAt(i) {
-		s.closed = true
-	}
-	return i
+// codeErrors maps the runtime's failure codes onto the sentinel errors.
+var codeErrors = map[string]error{
+	service.Queued:         ErrQueued,
+	service.QueueFull:      ErrQueueFull,
+	service.Expired:        ErrRequestExpired,
+	service.NoTaxi:         ErrNoTaxiAvailable,
+	service.InvalidRequest: ErrInvalidRequest,
+	service.UnknownTaxi:    ErrUnknownTaxi,
+	service.Shutdown:       ErrShutdown,
+	service.Canceled:       context.Canceled,
+	service.Deadline:       context.DeadlineExceeded,
 }
 
-// recording reports whether events must be assembled at all: a log
-// encoder is active, the WAL is open, or recovery is intercepting.
-func (s *System) recording() bool {
-	return s.onEvent != nil || (s.rec != nil && !s.recDone) || (s.walEnc != nil && !s.walDone)
-}
-
-// record routes one event line: to the recovery interceptor during tail
-// re-execution (and nowhere else — re-executed events are already in the
-// WAL), otherwise to the record log and the WAL. A sticky WAL append or
-// fsync error is latched in walErr and closes the system: the caller
-// whose event failed to persist gets the error back (see durabilityErr),
-// and everything after fails with ErrShutdown.
-func (s *System) record(ev replay.Event) {
-	if s.onEvent != nil {
-		s.onEvent(ev)
-		return
-	}
-	if s.rec != nil && !s.recDone {
-		s.rec.Encode(ev)
-	}
-	if s.walEnc != nil && !s.walDone {
-		s.walEnc.Encode(ev)
-		if s.walErr == nil {
-			err := s.walEnc.Err()
-			if err == nil {
-				err = s.wlog.Err() // interval-loop fsync failures surface here first
-			}
-			if err != nil {
-				s.walErr = err
-				s.closed = true
-			}
+// outcomeErr maps a runtime outcome code onto the sentinel errors. A
+// call that succeeded in memory but whose event the WAL failed to persist
+// returns the durability error instead of a clean ack: its outcome would
+// not survive a restart. A call that already failed keeps its own error.
+func (s *System) outcomeErr(code string) error {
+	if code != service.OK {
+		if err, ok := codeErrors[code]; ok {
+			return err
 		}
+		return fmt.Errorf("mtshare: dispatch failed (%s)", code)
 	}
-}
-
-// durabilityErr converts a just-latched WAL failure into the error the
-// triggering call must return: its outcome is in memory but was never
-// persisted, so acknowledging it cleanly would lie about what survives
-// a restart. A call that already failed keeps its own error.
-func (s *System) durabilityErr(err error) error {
-	if err == nil && s.walErr != nil {
-		return fmt.Errorf("mtshare: durability: %w", s.walErr)
+	if err := s.rt.WALErr(); err != nil {
+		return fmt.Errorf("mtshare: durability: %w", err)
 	}
-	return err
-}
-
-// errCode maps an API error onto the stable code the log stores; replay
-// compares codes, so wrapped detail text may vary without diverging.
-func errCode(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrQueued):
-		return "queued"
-	case errors.Is(err, ErrQueueFull):
-		return "queue_full"
-	case errors.Is(err, ErrRequestExpired):
-		return "expired"
-	case errors.Is(err, ErrNoTaxiAvailable):
-		return "no_taxi"
-	case errors.Is(err, ErrInvalidRequest):
-		return "invalid_request"
-	case errors.Is(err, ErrUnknownTaxi):
-		return "unknown_taxi"
-	case errors.Is(err, ErrShutdown):
-		return "shutdown"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	default:
-		return "error"
-	}
+	return nil
 }
 
 // Bounds returns the road network's bounding box, useful for placing
 // taxis and requests.
-func (s *System) Bounds() (min, max Point) { return s.g.Bounds() }
+func (s *System) Bounds() (min, max Point) { return s.rt.Graph.Bounds() }
 
 // Now returns the current simulation time.
 func (s *System) Now() time.Duration {
-	return time.Duration(s.now * float64(time.Second))
+	return time.Duration(s.rt.Now() * float64(time.Second))
 }
 
 // Close shuts the system down: subsequent submissions fail with
@@ -545,87 +380,35 @@ func (s *System) Now() time.Duration {
 // deterministic counters and reports any deferred write error. Close is
 // idempotent.
 func (s *System) Close() error {
-	s.closed = true
-	s.engine.Drain()
-	if (s.rec != nil && !s.recDone) || (s.walEnc != nil && !s.walDone) {
-		s.record(replay.Event{I: s.eventIndex, Metrics: &replay.MetricsRecord{
-			Counters: s.deterministicCounters(),
-		}})
-	}
-	var firstErr error
-	if s.rec != nil && !s.recDone {
-		s.recDone = true
-		firstErr = s.rec.Close()
-	}
-	if s.walEnc != nil && !s.walDone {
-		s.walDone = true
-		if err := s.walEnc.Err(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.wlog != nil {
-		s.snapWG.Wait()
-		if err := s.wlog.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		s.wlog = nil
-	}
-	return firstErr
+	s.rt.Shutdown()
+	return s.rt.Seal()
 }
 
 // DurabilityStats reports the WAL's segment, snapshot, and fsync
 // accounting; ok is false when Options.Durability was not enabled.
 func (s *System) DurabilityStats() (stats wal.Stats, ok bool) {
-	if s.wlog == nil {
+	if s.rt.WAL() == nil {
 		return wal.Stats{}, false
 	}
-	return s.wlog.Stats(), true
-}
-
-// deterministicCounters snapshots the counters whose values are a pure
-// function of the event stream (see replay.DeterministicCounters).
-func (s *System) deterministicCounters() map[string]int64 {
-	return replay.DeterministicCounters(s.MetricsSnapshot().Counters)
+	return s.rt.WAL().Stats(), true
 }
 
 // Metrics returns the system's instrument registry — the one passed via
 // Options.Metrics, or the private registry New allocated. Serve it with
 // WriteMetrics or walk it with Registry.Snapshot.
-func (s *System) Metrics() *obs.Registry { return s.engine.Metrics() }
+func (s *System) Metrics() *obs.Registry { return s.rt.Engine.Metrics() }
 
 // MetricsSnapshot returns a point-in-time copy of every counter, gauge,
 // and histogram.
-func (s *System) MetricsSnapshot() obs.Snapshot { return s.engine.Metrics().Snapshot() }
+func (s *System) MetricsSnapshot() obs.Snapshot { return s.Metrics().Snapshot() }
 
 // WriteMetrics writes the registry in Prometheus text exposition format.
-func (s *System) WriteMetrics(w io.Writer) error { return s.engine.Metrics().WritePrometheus(w) }
+func (s *System) WriteMetrics(w io.Writer) error { return s.Metrics().WritePrometheus(w) }
 
 // AddTaxi registers an empty taxi near the given position.
 func (s *System) AddTaxi(at Point, capacity int) (TaxiID, error) {
-	i := s.beginEvent()
-	id, err := s.addTaxi(at, capacity)
-	s.record(replay.Event{I: i, AddTaxi: &replay.AddTaxiEvent{
-		At:       replay.Point{Lat: at.Lat, Lng: at.Lng},
-		Capacity: capacity,
-		Taxi:     int64(id),
-		Err:      errCode(err),
-	}})
-	return id, s.durabilityErr(err)
-}
-
-func (s *System) addTaxi(at Point, capacity int) (TaxiID, error) {
-	if s.closed {
-		return 0, ErrShutdown
-	}
-	v, ok := s.spx.NearestVertex(at)
-	if !ok {
-		return 0, fmt.Errorf("%w: no road vertex near %v", ErrInvalidRequest, at)
-	}
-	s.nextTaxi++
-	t := fleet.NewTaxi(s.g, int64(s.nextTaxi), capacity, v)
-	s.taxis[s.nextTaxi] = t
-	s.scheme.AddTaxi(t, s.now)
-	return s.nextTaxi, nil
+	id, code := s.rt.AddTaxi(at, capacity)
+	return TaxiID(id), s.outcomeErr(code)
 }
 
 // Assignment reports a successful match.
@@ -650,84 +433,21 @@ type Assignment struct {
 // honoured between dispatch stages, and a tracer carried by ctx samples
 // the dispatch span tree.
 func (s *System) SubmitRequest(ctx context.Context, pickup, dropoff Point, flexibility float64) (Assignment, error) {
-	i := s.beginEvent()
-	ctx = s.faults.MaybeCancel(ctx, i)
-	a, err := s.submitRequest(ctx, pickup, dropoff, flexibility)
-	s.record(replay.Event{I: i, Request: &replay.RequestEvent{
-		Pickup:      replay.Point{Lat: pickup.Lat, Lng: pickup.Lng},
-		Dropoff:     replay.Point{Lat: dropoff.Lat, Lng: dropoff.Lng},
-		Flexibility: flexibility,
-		Out:         requestOutcome(a, err),
-	}})
-	return a, s.durabilityErr(err)
-}
-
-// requestOutcome renders an Assignment and error as the log outcome.
-func requestOutcome(a Assignment, err error) replay.RequestOutcome {
-	return replay.RequestOutcome{
-		Err:             errCode(err),
-		Request:         int64(a.Request),
-		Taxi:            int64(a.Taxi),
-		Candidates:      a.CandidateTaxis,
-		DetourMeters:    a.DetourMeters,
-		PickupETANanos:  int64(a.PickupETA),
-		DropoffETANanos: int64(a.DropoffETA),
-		FareEstimate:    a.FareEstimate,
+	ride := s.rt.NewRide(pickup, dropoff, flexibility)
+	out := s.rt.Submit(ctx, ride)
+	a := Assignment{
+		Request:        RequestID(out.Request),
+		Taxi:           TaxiID(out.Taxi),
+		PickupETA:      time.Duration(out.PickupETA * float64(time.Second)),
+		DropoffETA:     time.Duration(out.DropoffETA * float64(time.Second)),
+		DetourMeters:   out.DetourMeters,
+		CandidateTaxis: out.Candidates,
+		FareEstimate:   out.Fare,
 	}
-}
-
-func (s *System) submitRequest(ctx context.Context, pickup, dropoff Point, flexibility float64) (Assignment, error) {
-	if s.closed {
-		return Assignment{}, ErrShutdown
+	if out.Code == service.InvalidRequest {
+		return a, fmt.Errorf("%w: %v", ErrInvalidRequest, ride.Err)
 	}
-	req, err := s.makeRequest(pickup, dropoff, flexibility, false)
-	if err != nil {
-		return Assignment{}, err
-	}
-	a, ok := s.engine.DispatchContext(ctx, req, s.now, s.scheme.Probabilistic)
-	if !ok {
-		out := Assignment{Request: RequestID(req.ID), CandidateTaxis: a.Candidates}
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		// With the pending queue enabled the request parks for batched
-		// re-dispatch instead of failing; a full queue is an explicit,
-		// terminal backpressure signal, while an already-passed pickup
-		// deadline is a terminal miss that no queueing could save.
-		if s.queue != nil {
-			switch s.queue.Push(req, s.now) {
-			case match.PushAccepted:
-				return out, ErrQueued
-			case match.PushRejectedExpired:
-				return out, ErrRequestExpired
-			default:
-				return out, ErrQueueFull
-			}
-		}
-		return out, ErrNoTaxiAvailable
-	}
-	if err := s.engine.Commit(a, s.now); err != nil {
-		return Assignment{}, err
-	}
-	out := Assignment{
-		Request:        RequestID(req.ID),
-		Taxi:           TaxiID(a.Taxi.ID),
-		DetourMeters:   a.DetourMeters,
-		CandidateTaxis: a.Candidates,
-		FareEstimate:   s.pay.Tariff.Fare(req.DirectMeters),
-	}
-	for i, ev := range a.Events {
-		if ev.Req.ID != req.ID {
-			continue
-		}
-		eta := time.Duration((a.Eval.ArrivalSeconds[i] - s.now) * float64(time.Second))
-		if ev.Kind == fleet.Pickup {
-			out.PickupETA = eta
-		} else {
-			out.DropoffETA = eta
-		}
-	}
-	return out, nil
+	return a, s.outcomeErr(out.Code)
 }
 
 // ReportStreetHail handles an offline passenger hailing the given taxi at
@@ -737,79 +457,15 @@ func (s *System) submitRequest(ctx context.Context, pickup, dropoff Point, flexi
 // hailed taxi nor any dispatched taxi can serve, the error is
 // ErrNoTaxiAvailable.
 func (s *System) ReportStreetHail(ctx context.Context, taxi TaxiID, pickup, dropoff Point, flexibility float64) (TaxiID, error) {
-	i := s.beginEvent()
-	ctx = s.faults.MaybeCancel(ctx, i)
-	served, err := s.reportStreetHail(ctx, taxi, pickup, dropoff, flexibility)
-	s.record(replay.Event{I: i, Hail: &replay.HailEvent{
-		Taxi:        int64(taxi),
-		Pickup:      replay.Point{Lat: pickup.Lat, Lng: pickup.Lng},
-		Dropoff:     replay.Point{Lat: dropoff.Lat, Lng: dropoff.Lng},
-		Flexibility: flexibility,
-		Out:         replay.HailOutcome{Err: errCode(err), ServedBy: int64(served)},
-	}})
-	return served, s.durabilityErr(err)
-}
-
-func (s *System) reportStreetHail(ctx context.Context, taxi TaxiID, pickup, dropoff Point, flexibility float64) (TaxiID, error) {
-	if s.closed {
-		return 0, ErrShutdown
-	}
-	t, ok := s.taxis[taxi]
-	if !ok {
+	ride := s.rt.NewRide(pickup, dropoff, flexibility)
+	out := s.rt.Hail(ctx, int64(taxi), ride)
+	switch out.Code {
+	case service.UnknownTaxi:
 		return 0, fmt.Errorf("%w: taxi %d", ErrUnknownTaxi, taxi)
+	case service.InvalidRequest:
+		return 0, fmt.Errorf("%w: %v", ErrInvalidRequest, ride.Err)
 	}
-	req, err := s.makeRequest(pickup, dropoff, flexibility, true)
-	if err != nil {
-		return 0, err
-	}
-	if s.engine.TryServeOffline(t, req, s.now) {
-		return taxi, nil
-	}
-	a, ok := s.engine.DispatchContext(ctx, req, s.now, s.scheme.Probabilistic)
-	if !ok {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return 0, ErrNoTaxiAvailable
-	}
-	if err := s.engine.Commit(a, s.now); err != nil {
-		return 0, err
-	}
-	return TaxiID(a.Taxi.ID), nil
-}
-
-func (s *System) makeRequest(pickup, dropoff Point, flexibility float64, offline bool) (*fleet.Request, error) {
-	if flexibility == 0 {
-		flexibility = 1.3
-	}
-	if flexibility < 1.05 {
-		return nil, fmt.Errorf("%w: flexibility %g below minimum 1.05", ErrInvalidRequest, flexibility)
-	}
-	o, ok1 := s.spx.NearestVertex(pickup)
-	d, ok2 := s.spx.NearestVertex(dropoff)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("%w: endpoints off the road network", ErrInvalidRequest)
-	}
-	if o == d {
-		return nil, fmt.Errorf("%w: pickup and dropoff snap to the same intersection", ErrInvalidRequest)
-	}
-	direct := s.engine.Router().Cost(o, d)
-	speed := s.engine.Config().SpeedMps
-	s.nextReq++
-	req := &fleet.Request{
-		ID:           fleet.RequestID(s.nextReq),
-		ReleaseAt:    s.Now(),
-		Origin:       o,
-		Dest:         d,
-		Deadline:     s.Now() + time.Duration(direct/speed*flexibility*float64(time.Second)),
-		DirectMeters: direct,
-		Passengers:   1,
-		Offline:      offline,
-		OriginPt:     s.g.Point(o),
-		DestPt:       s.g.Point(d),
-	}
-	s.requests[RequestID(req.ID)] = req
-	return req, nil
+	return TaxiID(out.Taxi), s.outcomeErr(out.Code)
 }
 
 // RideEvent reports a pickup or dropoff that occurred during Advance.
@@ -859,76 +515,29 @@ func (s *System) Advance(d time.Duration) []RideEvent {
 // queue maintenance did. With the queue disabled the QueueOutcome is
 // always empty.
 func (s *System) AdvanceWithQueue(d time.Duration) ([]RideEvent, QueueOutcome) {
-	i := s.beginEvent()
-	s.ticks++
-	qo := s.serviceQueue()
-	events := s.advance(d)
-	if s.recording() {
-		rides := make([]replay.Ride, len(events))
-		for k, ev := range events {
-			rides[k] = replay.Ride{
-				Request: int64(ev.Request),
-				Taxi:    int64(ev.Taxi),
-				Pickup:  ev.Pickup,
-				AtNanos: int64(ev.At),
-			}
-		}
-		tick := &replay.TickEvent{DNanos: int64(d), Rides: rides}
-		for _, m := range qo.Matched {
-			tick.QueueMatched = append(tick.QueueMatched, replay.QueueMatch{
-				Request:   int64(m.Request),
-				Taxi:      int64(m.Taxi),
-				WaitNanos: int64(m.Wait),
-				Conflict:  m.Conflict,
-			})
-		}
-		for _, id := range qo.Expired {
-			tick.QueueExpired = append(tick.QueueExpired, int64(id))
-		}
-		s.record(replay.Event{I: i, Tick: tick})
-	}
-	s.maybeSnapshot()
-	return events, qo
-}
-
-// serviceQueue runs one tick of pending-queue maintenance: evict every
-// request whose pickup deadline strictly passed, then — when the retry
-// interval is due — re-dispatch the remaining batch through the engine.
-func (s *System) serviceQueue() QueueOutcome {
-	var out QueueOutcome
-	if s.queue == nil {
-		return out
-	}
-	for _, it := range s.queue.ExpireBefore(s.now) {
-		out.Expired = append(out.Expired, RequestID(it.Req.ID))
-		s.engine.OnRequestDone(it.Req)
-	}
-	if s.ticks%int64(s.retryEvery) != 0 {
-		return out
-	}
-	batch := s.queue.NextBatch()
-	if len(batch) == 0 {
-		return out
-	}
-	enqueuedAt := make(map[fleet.RequestID]float64, len(batch))
-	reqs := make([]*fleet.Request, len(batch))
-	for i, it := range batch {
-		reqs[i] = it.Req
-		enqueuedAt[it.Req.ID] = it.EnqueuedAt
-	}
-	for _, o := range s.engine.DispatchBatch(context.Background(), reqs, s.now, s.scheme.Probabilistic) {
-		if !o.Served {
-			continue
-		}
-		s.queue.MarkServed(o.Req.ID, s.now)
-		out.Matched = append(out.Matched, QueueMatchEvent{
-			Request:  RequestID(o.Req.ID),
-			Taxi:     TaxiID(o.Assignment.Taxi.ID),
-			Wait:     time.Duration((s.now - enqueuedAt[o.Req.ID]) * float64(time.Second)),
-			Conflict: o.Conflict,
+	tick := s.rt.Tick(d, true)
+	var events []RideEvent
+	for _, r := range tick.Rides {
+		events = append(events, RideEvent{
+			Request: RequestID(r.Request),
+			Taxi:    TaxiID(r.Taxi),
+			Pickup:  r.Pickup,
+			At:      time.Duration(r.AtNanos),
 		})
 	}
-	return out
+	var qo QueueOutcome
+	for _, m := range tick.QueueMatched {
+		qo.Matched = append(qo.Matched, QueueMatchEvent{
+			Request:  RequestID(m.Request),
+			Taxi:     TaxiID(m.Taxi),
+			Wait:     time.Duration(m.WaitNanos),
+			Conflict: m.Conflict,
+		})
+	}
+	for _, id := range tick.QueueExpired {
+		qo.Expired = append(qo.Expired, RequestID(id))
+	}
+	return events, qo
 }
 
 // QueueStats summarises the pending queue's lifecycle counters. Enabled
@@ -946,10 +555,10 @@ type QueueStats struct {
 
 // QueueStats returns a snapshot of the pending queue.
 func (s *System) QueueStats() QueueStats {
-	if s.queue == nil {
+	if s.rt.Queue == nil {
 		return QueueStats{}
 	}
-	qs := s.queue.Stats()
+	qs := s.rt.Queue.Stats()
 	return QueueStats{
 		Enabled:  true,
 		Depth:    qs.Depth,
@@ -960,39 +569,6 @@ func (s *System) QueueStats() QueueStats {
 		Served:   qs.Served,
 		Expired:  qs.Expired,
 	}
-}
-
-func (s *System) advance(d time.Duration) []RideEvent {
-	dt := d.Seconds()
-	speed := s.engine.Config().SpeedMps
-	ids := make([]TaxiID, 0, len(s.taxis))
-	for id := range s.taxis {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	var events []RideEvent
-	for _, id := range ids {
-		t := s.taxis[id]
-		startNow := s.now
-		for _, v := range t.Advance(speed * dt) {
-			when := time.Duration((startNow + v.MetersIntoTick/speed) * float64(time.Second))
-			events = append(events, RideEvent{
-				Request: RequestID(v.Event.Req.ID),
-				Taxi:    id,
-				Pickup:  v.Event.Kind == fleet.Pickup,
-				At:      when,
-			})
-			if v.Event.Kind == fleet.Dropoff {
-				s.engine.OnRequestDone(v.Event.Req)
-			}
-		}
-		s.scheme.OnTaxiAdvanced(t, s.now+dt)
-		if s.scheme.Probabilistic {
-			s.scheme.PlanIdle(t, s.now+dt)
-		}
-	}
-	s.now += dt
-	return events
 }
 
 // TaxiStatus describes a taxi's current state.
@@ -1006,7 +582,7 @@ type TaxiStatus struct {
 
 // Taxi returns the status of a taxi.
 func (s *System) Taxi(id TaxiID) (TaxiStatus, error) {
-	t, ok := s.taxis[id]
+	t, ok := s.rt.Taxi(int64(id))
 	if !ok {
 		return TaxiStatus{}, fmt.Errorf("%w: taxi %d", ErrUnknownTaxi, id)
 	}
@@ -1033,7 +609,7 @@ func (s *System) FareQuote(routeMeters float64, rides []SharedRide) FareSettleme
 			Completed:    true,
 		}
 	}
-	st := s.pay.Settle(routeMeters, recs)
+	st := s.rt.Pay.Settle(routeMeters, recs)
 	out := FareSettlement{
 		RouteFare:    st.RouteFare,
 		Benefit:      st.Benefit,
@@ -1076,11 +652,11 @@ type Stats struct {
 // Stats returns a system snapshot.
 func (s *System) Stats() Stats {
 	return Stats{
-		RoadVertices:     s.g.NumVertices(),
-		RoadEdges:        s.g.NumEdges(),
-		Partitions:       s.engine.Partitioning().NumPartitions(),
-		Taxis:            len(s.taxis),
-		Requests:         len(s.requests),
-		IndexMemoryBytes: s.engine.IndexMemoryBytes(),
+		RoadVertices:     s.rt.Graph.NumVertices(),
+		RoadEdges:        s.rt.Graph.NumEdges(),
+		Partitions:       s.rt.Engine.Partitioning().NumPartitions(),
+		Taxis:            len(s.rt.Taxis()),
+		Requests:         len(s.rt.Requests()),
+		IndexMemoryBytes: s.rt.Engine.IndexMemoryBytes(),
 	}
 }

@@ -89,34 +89,15 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		return nil, fmt.Errorf("mtshare: replay: rebuild world: %w", err)
 	}
 	defer sys.Close()
-	if fp := fmt.Sprintf("%016x", sys.g.Fingerprint()); h.GraphFingerprint != "" && fp != h.GraphFingerprint {
+	if fp := fmt.Sprintf("%016x", sys.rt.Graph.Fingerprint()); h.GraphFingerprint != "" && fp != h.GraphFingerprint {
 		return nil, fmt.Errorf("mtshare: replay: log graph fingerprint %s, rebuilt world is %s — the road generator changed, the log cannot be diffed", h.GraphFingerprint, fp)
 	}
 
-	// Feed the recorded inputs back through the (recording) facade. The
-	// facade ignores returned errors here on purpose: errors are outcomes
-	// and land in the fresh log, where the diff below judges them.
-	ctx := context.Background()
-	for _, ev := range events {
-		switch {
-		case ev.AddTaxi != nil:
-			sys.AddTaxi(Point{Lat: ev.AddTaxi.At.Lat, Lng: ev.AddTaxi.At.Lng}, ev.AddTaxi.Capacity)
-		case ev.Request != nil:
-			sys.SubmitRequest(ctx,
-				Point{Lat: ev.Request.Pickup.Lat, Lng: ev.Request.Pickup.Lng},
-				Point{Lat: ev.Request.Dropoff.Lat, Lng: ev.Request.Dropoff.Lng},
-				ev.Request.Flexibility)
-		case ev.Hail != nil:
-			sys.ReportStreetHail(ctx, TaxiID(ev.Hail.Taxi),
-				Point{Lat: ev.Hail.Pickup.Lat, Lng: ev.Hail.Pickup.Lng},
-				Point{Lat: ev.Hail.Dropoff.Lat, Lng: ev.Hail.Dropoff.Lng},
-				ev.Hail.Flexibility)
-		case ev.Tick != nil:
-			sys.Advance(time.Duration(ev.Tick.DNanos))
-		case ev.Metrics != nil:
-			// The closing counters snapshot; Close below records the
-			// replay's own.
-		}
+	// Feed the recorded calls back through the (recording) runtime.
+	// Errors are outcomes and land in the fresh log, where the diff below
+	// judges them; the closing counters record is Close's to write.
+	for k := range events {
+		sys.rt.Apply(&events[k])
 	}
 	if err := sys.Close(); err != nil {
 		return nil, fmt.Errorf("mtshare: replay: seal fresh log: %w", err)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # covergate.sh — merged statement coverage over the dispatch core
 # (internal/match + internal/fleet + internal/roadnet +
-# internal/partition) plus the durability layer (internal/replay +
-# internal/wal) with a hard floor.
+# internal/partition), the durability layer (internal/replay +
+# internal/wal) and the dispatch runtime (internal/service) with a hard
+# floor.
 #
 # Usage: scripts/covergate.sh [floor-percent]
 #
@@ -13,7 +14,8 @@
 #
 # The floor held when the sharding PR folded internal/partition into
 # the gated set (measured 93.7%), and again when the durability PR
-# folded in internal/replay and internal/wal. Raise it when coverage
+# folded in internal/replay and internal/wal, and again when the
+# dispatch runtime (internal/service) joined. Raise it when coverage
 # rises; never lower it to make a PR pass — write the missing tests
 # instead.
 set -euo pipefail
@@ -22,11 +24,11 @@ floor="${1:-90.0}"
 profile="$(mktemp)"
 trap 'rm -f "$profile"' EXIT
 
-echo "covergate: running match+fleet+roadnet+partition+replay+wal tests with merged coverage..." >&2
+echo "covergate: running match+fleet+roadnet+partition+replay+wal+service tests with merged coverage..." >&2
 go test -count=1 \
-    -coverpkg=./internal/match/...,./internal/fleet/...,./internal/roadnet/...,./internal/partition/...,./internal/replay/...,./internal/wal/... \
+    -coverpkg=./internal/match/...,./internal/fleet/...,./internal/roadnet/...,./internal/partition/...,./internal/replay/...,./internal/wal/...,./internal/service/... \
     -coverprofile="$profile" \
-    ./internal/match/... ./internal/fleet/... ./internal/roadnet/... ./internal/partition/... ./internal/replay/... ./internal/wal/...
+    ./internal/match/... ./internal/fleet/... ./internal/roadnet/... ./internal/partition/... ./internal/replay/... ./internal/wal/... ./internal/service/...
 
 total="$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $NF); print $NF}')"
 if [[ -z "$total" ]]; then
@@ -34,7 +36,7 @@ if [[ -z "$total" ]]; then
     exit 2
 fi
 
-echo "covergate: combined match+fleet+roadnet+partition+replay+wal coverage ${total}% (floor ${floor}%)"
+echo "covergate: combined match+fleet+roadnet+partition+replay+wal+service coverage ${total}% (floor ${floor}%)"
 awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t+0 < f+0) }' && {
     echo "covergate: FAIL — coverage ${total}% is below the ${floor}% floor" >&2
     exit 1
