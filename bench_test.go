@@ -79,7 +79,6 @@ func BenchmarkFig19Payment(b *testing.B)            { benchExperiment(b, "fig19"
 func BenchmarkFig20Lambda(b *testing.B)             { benchExperiment(b, "fig20") }
 func BenchmarkFig21Scalability(b *testing.B)        { benchExperiment(b, "fig21") }
 func BenchmarkAblationPartitionFilter(b *testing.B) { benchExperiment(b, "ablate-filter") }
-func BenchmarkAblationReorder(b *testing.B)         { benchExperiment(b, "ablate-reorder") }
 func BenchmarkAblationProbTradeoff(b *testing.B)    { benchExperiment(b, "ablate-probtradeoff") }
 func BenchmarkVerifyClaims(b *testing.B)            { benchExperiment(b, "verify") }
 

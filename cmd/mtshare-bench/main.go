@@ -36,7 +36,7 @@ func main() {
 	expID := flag.String("experiment", "all", "experiment id (fig5..fig21, tab3..tab5, ablate-*) or a comma list or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	replicas := flag.Int("replicas", 0, "override placement-seed replicas per setting (0 = scale default)")
-	parallelism := flag.Int("parallelism", 0, "dispatch/simulation worker parallelism (0 = all CPUs, 1 = sequential; results are identical at every level)")
+	parallelism := flag.Int("parallelism", 0, "dispatch worker parallelism (0 = all CPUs, 1 = sequential; results are identical at every level)")
 	seed := flag.Int64("seed", 0, "override world seed (0 = scale default)")
 	outPath := flag.String("o", "", "also write the report to this file")
 	geoPath := flag.String("geojson", "", "write the bipartite partitioning as GeoJSON (the paper's Fig. 3b) to this file")

@@ -335,38 +335,3 @@ func BenchmarkPGreedyDPOnRequest(b *testing.B) {
 		s.OnRequest(&r, 0)
 	}
 }
-
-func TestTShareTemporalVariant(t *testing.T) {
-	env := newBenv(t)
-	cfg := DefaultConfig()
-	cfg.SearchRangeMeters = 2500
-	s := NewTShareTemporal(env.router(), cfg)
-	if s.Name() != "T-Share-temporal" {
-		t.Fatalf("name %q", s.Name())
-	}
-	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.2, 0.2))
-	s.AddTaxi(taxi, 0)
-	r1 := env.request(t, 1, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 1.6, cfg.SpeedMps)
-	res := s.OnRequest(r1, 0)
-	if !res.Served {
-		t.Fatal("temporal T-Share served nothing")
-	}
-	// Dual-side via arrival lists: a second request along the corridor
-	// shares; one in the opposite direction does not use this taxi.
-	r2 := env.request(t, 2, env.vertexNear(t, 0.3, 0.3), env.vertexNear(t, 0.7, 0.7), 5, 1.8, cfg.SpeedMps)
-	if res := s.OnRequest(r2, 5); !res.Served || res.TaxiID != 1 {
-		t.Fatalf("corridor request not shared: %+v", res)
-	}
-	if s.IndexMemoryBytes() <= 0 {
-		t.Fatal("temporal index memory not reported")
-	}
-	// Offline encounter keeps the temporal index fresh.
-	off := env.request(t, 3, env.vertexNear(t, 0.4, 0.4), env.vertexNear(t, 0.6, 0.6), 5, 1.9, cfg.SpeedMps)
-	off.Offline = true
-	_ = s.TryServeOffline(taxi, off, 5)
-	// Movement across cells triggers reindexing without panics.
-	for i := 0; i < 50; i++ {
-		taxi.Advance(100)
-		s.OnTaxiAdvanced(taxi, float64(i))
-	}
-}

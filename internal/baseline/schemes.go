@@ -62,10 +62,9 @@ func (s *NoSharing) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSecond
 // (§V-A2): a grid index over taxi locations, a dual-side candidate check
 // (near the origin now, and — for occupied taxis — heading toward the
 // destination), and the *first* valid insertion rather than the best one.
-// TShareTemporal (tshare.go) is the structurally closer variant with
-// arrival-time cell lists; this lighter one reproduces the paper's
-// measured behaviour (smallest response time, small candidate sets) and
-// is the default in the experiment harness. See DESIGN.md.
+// It reproduces the paper's measured behaviour (smallest response time,
+// small candidate sets) without Ma et al.'s arrival-time cell lists. See
+// DESIGN.md.
 type TShare struct{ *base }
 
 // NewTShare creates the T-Share baseline.

@@ -34,7 +34,6 @@ func All() []Experiment {
 		{"fig20", (*Lab).Fig20},
 		{"fig21", (*Lab).Fig21},
 		{"ablate-filter", (*Lab).AblationPartitionFilter},
-		{"ablate-reorder", (*Lab).AblationReorder},
 		{"ablate-probtradeoff", (*Lab).AblationProbTradeoff},
 		{"ablate-queue", (*Lab).AblationQueue},
 		{"ablate-landmark", (*Lab).AblationLandmark},

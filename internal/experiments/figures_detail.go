@@ -310,7 +310,7 @@ func (l *Lab) runHours(scheme SchemeName, window string, offline bool, hours int
 	}
 	win := Window{Day: dayOf(window), From: 7 * time.Hour, To: time.Duration(7+hours) * time.Hour}
 	reqs := l.World.Requests(win, sc.Rho, sc.OfflineFrac)
-	eng, err := sim.NewEngine(l.World.G, sch, l.simParams())
+	eng, err := sim.NewEngine(l.World.G, sch, sim.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
@@ -318,34 +318,6 @@ func (l *Lab) runHours(scheme SchemeName, window string, offline bool, hours int
 	m := eng.Run(reqs, win.From.Seconds())
 	l.collectPipelineStats(sch)
 	return m, nil
-}
-
-// AblationReorder quantifies the scheduling choice §IV-C2 makes: how much
-// the insertion-only heuristic loses against exhaustive schedule
-// rearrangement (the theoretical optimum the paper rules out as
-// computationally prohibitive).
-func (l *Lab) AblationReorder() (*Result, error) {
-	r := &Result{
-		ID: "ablate-reorder", Title: "Insertion-only scheduling vs exhaustive rearrangement (peak, mT-Share)",
-		Header: []string{"scheduler", "served", "detour (min)", "response (ms)"},
-		Notes: []string{
-			"the paper adopts insertion-only scheduling; rearrangement is the theoretical upper bound at factorial cost",
-		},
-	}
-	for _, row := range []struct {
-		label   string
-		reorder bool
-	}{
-		{"insertion-only", false},
-		{"exhaustive-reorder", true},
-	} {
-		m, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Reorder: row.reorder})
-		if err != nil {
-			return nil, err
-		}
-		r.Rows = append(r.Rows, []string{row.label, fi(m.Served), f2(m.MeanDetourMin), f2(m.MeanResponseMs)})
-	}
-	return r, nil
 }
 
 // AblationProbTradeoff explores the probability-versus-detour trade-off
@@ -413,14 +385,7 @@ func (l *Lab) AblationPartitionFilter() (*Result, error) {
 			"the filter prunes the search space at a bounded route-quality cost; the paper's evaluation bypasses it via the all-pairs cache",
 		},
 	}
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, err
-	}
-	cfg := match.DefaultConfig()
-	cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-	cfg.CH = l.World.CH(0)
-	eng, err := match.NewEngine(pt, l.World.Spx, cfg)
+	eng, err := l.engine(l.defaults(Scenario{}), 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -498,10 +463,6 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 			"the oracle screens candidates with an admissible lower bound before exact schedule evaluation; pruning is lossless, so every row of one parallelism level must agree on served/rejected",
 		},
 	}
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, err
-	}
 	win := PeakWindow()
 	start := win.From.Seconds()
 	type cell struct {
@@ -511,19 +472,14 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 	prunedTotal := int64(0)
 	for _, par := range []int{1, 2, 4} {
 		for _, disable := range []bool{false, true} {
-			cfg := match.DefaultConfig()
-			cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-			cfg.Parallelism = par
-			cfg.DisableLandmarkLB = disable
-			cfg.CH = l.World.CH(par)
-			eng, err := match.NewEngine(pt, l.World.Spx, cfg)
+			eng, err := l.engine(l.defaults(Scenario{}), par, func(cfg *match.Config) {
+				cfg.DisableLandmarkLB = disable
+			})
 			if err != nil {
 				return nil, err
 			}
 			scheme := match.NewScheme(eng, false)
-			params := sim.DefaultParams()
-			params.Parallelism = par
-			se, err := sim.NewEngine(l.World.G, scheme, params)
+			se, err := sim.NewEngine(l.World.G, scheme, sim.DefaultParams())
 			if err != nil {
 				return nil, err
 			}
@@ -592,28 +548,17 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 			"rho 1.8 widens the pickup window past the retry cadence so parked requests survive into contested rounds — the saturation regime the solver exists for",
 		},
 	}
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, err
-	}
 	win := PeakWindow()
 	start := win.From.Seconds()
 	run := func(global bool, retry, par int) (*sim.Metrics, match.EngineStats, error) {
-		cfg := match.DefaultConfig()
-		cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-		cfg.Parallelism = par
-		cfg.BatchAssign = global
-		cfg.CH = l.World.CH(par)
-		eng, err := match.NewEngine(pt, l.World.Spx, cfg)
+		eng, err := l.engine(l.defaults(Scenario{BatchAssign: global}), par, nil)
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}
 		scheme := match.NewScheme(eng, false)
 		params := sim.DefaultParams()
-		params.Parallelism = par
 		params.QueueDepth = 64
 		params.RetryEveryTicks = retry
-		params.BatchAssign = global
 		se, err := sim.NewEngine(l.World.G, scheme, params)
 		if err != nil {
 			return nil, match.EngineStats{}, err

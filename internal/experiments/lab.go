@@ -47,9 +47,6 @@ type Scenario struct {
 	// BaselineCruise grafts probabilistic cruising onto a baseline
 	// (Fig. 16's combinatorial schemes).
 	BaselineCruise bool
-	// Reorder enables exhaustive schedule rearrangement for mT-Share
-	// (the ablate-reorder experiment).
-	Reorder bool
 	// ProbInflation caps probabilistic leg detours at this multiple of
 	// the shortest path (the ablate-probtradeoff experiment); 0 = off.
 	ProbInflation float64
@@ -76,10 +73,9 @@ func (sc Scenario) window() Window {
 type Lab struct {
 	World *World
 
-	// Parallelism is forwarded to the dispatch pipeline (match.Config) and
-	// the per-tick movement loop (sim.Params) of every scenario. 0 uses all
-	// CPUs, 1 forces sequential execution; results are identical at every
-	// level, only wall time changes.
+	// Parallelism is forwarded to the dispatch pipeline (match.Config) of
+	// every scenario. 0 uses all CPUs, 1 forces sequential execution;
+	// results are identical at every level, only wall time changes.
 	Parallelism int
 
 	// TraceEvery samples one in N dispatches of every mT-Share engine the
@@ -160,38 +156,17 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 		if !sc.BaselineCruise {
 			return inner, nil
 		}
-		pt, err := l.World.Partitioning(sc.Partitioning, sc.Kappa)
-		if err != nil {
-			return nil, err
-		}
-		mcfg := match.DefaultConfig()
-		mcfg.SearchRangeMeters = sc.Gamma
-		mcfg.Lambda = sc.Lambda
-		mcfg.CH = l.World.CH(l.Parallelism)
-		eng, err := match.NewEngine(pt, l.World.Spx, mcfg)
+		eng, err := l.engine(sc, l.Parallelism, nil)
 		if err != nil {
 			return nil, err
 		}
 		return &cruisingBaseline{Scheme: inner, engine: eng}, nil
 	case MTShare, MTSharePro:
-		pt, err := l.World.Partitioning(sc.Partitioning, sc.Kappa)
-		if err != nil {
-			return nil, err
-		}
-		cfg := match.DefaultConfig()
-		cfg.SearchRangeMeters = sc.Gamma
-		cfg.Lambda = sc.Lambda
-		cfg.ExhaustiveReorder = sc.Reorder
-		cfg.ProbMaxLegInflation = sc.ProbInflation
-		cfg.BatchAssign = sc.BatchAssign
-		// Share the lab-wide CH: preprocessing is the expensive part and
-		// the hierarchy is immutable, so scenarios reuse one copy.
-		cfg.CH = l.World.CH(l.Parallelism)
-		cfg.Parallelism = l.Parallelism
-		if l.TraceEvery > 0 {
-			cfg.Tracer = obs.NewTracer(l.TraceEvery, l.TraceHandler)
-		}
-		eng, err := match.NewEngine(pt, l.World.Spx, cfg)
+		eng, err := l.engine(sc, l.Parallelism, func(cfg *match.Config) {
+			if l.TraceEvery > 0 {
+				cfg.Tracer = obs.NewTracer(l.TraceEvery, l.TraceHandler)
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -199,6 +174,31 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", sc.Scheme)
 	}
+}
+
+// engine builds an mT-Share engine for a defaulted scenario (partitioning,
+// γ, λ, probabilistic-leg cap and batch assignment) at dispatch
+// parallelism par. Every engine of a lab shares the world's CH and the
+// partitioning's landmark oracle: both are immutable and bit-identical at
+// every parallelism, and preprocessing is the expensive part. tune, when
+// set, adjusts the rest of the configuration.
+func (l *Lab) engine(sc Scenario, par int, tune func(*match.Config)) (*match.Engine, error) {
+	pt, err := l.World.Partitioning(sc.Partitioning, sc.Kappa)
+	if err != nil {
+		return nil, err
+	}
+	cfg := match.DefaultConfig()
+	cfg.SearchRangeMeters = sc.Gamma
+	cfg.Lambda = sc.Lambda
+	cfg.ProbMaxLegInflation = sc.ProbInflation
+	cfg.BatchAssign = sc.BatchAssign
+	cfg.Parallelism = par
+	cfg.CH = l.World.CH(par)
+	cfg.Oracle = l.World.oracle(pt, par)
+	if tune != nil {
+		tune(&cfg)
+	}
+	return match.NewEngine(pt, l.World.Spx, cfg)
 }
 
 // Run executes (or recalls) a scenario and returns its metrics.
@@ -216,12 +216,11 @@ func (l *Lab) Run(sc Scenario) (*sim.Metrics, error) {
 		return nil, err
 	}
 	reqs := l.World.Requests(sc.window(), sc.Rho, sc.OfflineFrac)
-	params := l.simParams()
+	params := sim.DefaultParams()
 	params.QueueDepth = sc.QueueDepth
 	if sc.QueueDepth > 0 {
 		params.RetryEveryTicks = sc.RetryEveryTicks
 	}
-	params.BatchAssign = sc.BatchAssign
 	eng, err := sim.NewEngine(l.World.G, scheme, params)
 	if err != nil {
 		return nil, err
@@ -235,13 +234,6 @@ func (l *Lab) Run(sc Scenario) (*sim.Metrics, error) {
 	l.runs[sc] = m
 	l.mu.Unlock()
 	return m, nil
-}
-
-// simParams builds the simulation parameters for a lab run.
-func (l *Lab) simParams() sim.Params {
-	p := sim.DefaultParams()
-	p.Parallelism = l.Parallelism
-	return p
 }
 
 // collectPipelineStats folds a finished scheme's dispatch-pipeline and

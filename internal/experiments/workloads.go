@@ -50,21 +50,12 @@ func (l *Lab) prepareWorkload(trips []trace.Trip, meetingRadius float64) []*flee
 // runWorkloadCell builds a fresh match engine + sim engine and runs the
 // requests through the peak window; shift enables the changeover.
 func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftChangeConfig) (*sim.Engine, *sim.Metrics, error) {
-	pt, err := l.World.Partitioning("bipartite", l.World.Scale.Kappa)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := match.DefaultConfig()
-	cfg.SearchRangeMeters = l.World.Scale.GammaMeters
-	cfg.Parallelism = par
-	cfg.CH = l.World.CH(par)
-	eng, err := match.NewEngine(pt, l.World.Spx, cfg)
+	eng, err := l.engine(l.defaults(Scenario{}), par, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	scheme := match.NewScheme(eng, false)
 	params := sim.DefaultParams()
-	params.Parallelism = par
 	params.QueueDepth = 64
 	params.ShiftChange = shift
 	se, err := sim.NewEngine(l.World.G, scheme, params)

@@ -32,8 +32,9 @@ type World struct {
 
 	snapped []partition.OD
 
-	mu    sync.Mutex
-	parts map[string]*partition.Partitioning
+	mu      sync.Mutex
+	parts   map[string]*partition.Partitioning
+	oracles map[*partition.Partitioning]*partition.Oracle
 
 	chOnce sync.Once
 	ch     *roadnet.CH
@@ -88,6 +89,7 @@ func BuildWorld(s Scale) (*World, error) {
 		Workday: workday,
 		Weekend: weekend,
 		parts:   make(map[string]*partition.Partitioning),
+		oracles: make(map[*partition.Partitioning]*partition.Oracle),
 	}
 	pairs := make([]struct{ Origin, Dest geo.Point }, len(history.Trips))
 	for i, tr := range history.Trips {
@@ -144,6 +146,21 @@ func (w *World) CH(parallelism int) *roadnet.CH {
 		w.ch = roadnet.BuildCH(w.G, parallelism)
 	})
 	return w.ch
+}
+
+// oracle returns (building on first use) the landmark distance oracle
+// over one of the world's partitionings. Like the CH it is immutable and
+// bit-identical at every parallelism level, which only affects the wall
+// time of the first call.
+func (w *World) oracle(pt *partition.Partitioning, parallelism int) *partition.Oracle {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	o, ok := w.oracles[pt]
+	if !ok {
+		o = partition.NewOracle(pt, parallelism)
+		w.oracles[pt] = o
+	}
+	return o
 }
 
 // router returns (building on first use) the world's shared router over

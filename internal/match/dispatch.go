@@ -129,16 +129,7 @@ func (e *Engine) evalCandidate(t *fleet.Taxi, req *fleet.Request, nowSeconds flo
 		}
 		return res
 	}
-	var (
-		sched []fleet.Event
-		eval  fleet.EvalResult
-		ok    bool
-	)
-	if e.cfg.ExhaustiveReorder {
-		sched, eval, ok = fleet.BestReorder(t.Schedule(), req, e.BasicLegCost, params, e.cfg.reorderBudget())
-	} else {
-		sched, eval, ok = fleet.BestInsertion(t.Schedule(), req, e.BasicLegCost, params, false)
-	}
+	sched, eval, ok := fleet.BestInsertion(t.Schedule(), req, e.BasicLegCost, params, false)
 	if !ok {
 		return res
 	}

@@ -61,14 +61,6 @@ type Config struct {
 	// parallelism level returns bit-identical assignments.
 	Parallelism int
 
-	// ExhaustiveReorder enables full schedule rearrangement instead of
-	// insertion-only scheduling — the theoretically better variant §IV-C2
-	// rules out as prohibitive; exposed for the ablation that quantifies
-	// the gap. ReorderBudget caps the orderings enumerated per candidate
-	// (0 means 720).
-	ExhaustiveReorder bool
-	ReorderBudget     int
-
 	// DisableLandmarkLB turns off the landmark distance oracle: no offset
 	// precompute at engine construction and no lower-bound screening of
 	// candidates before exact schedule evaluation. The zero value keeps
@@ -140,13 +132,6 @@ func (c Config) parallelism() int {
 	return c.Parallelism
 }
 
-func (c Config) reorderBudget() int {
-	if c.ReorderBudget <= 0 {
-		return 720
-	}
-	return c.ReorderBudget
-}
-
 // DefaultConfig returns the paper's default parameters.
 func DefaultConfig() Config {
 	return Config{
@@ -178,8 +163,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("match: MaxProbAttempts must be >= 1, got %d", c.MaxProbAttempts)
 	case c.ProbSeatThreshold < 0 || c.ProbSeatThreshold > 1:
 		return fmt.Errorf("match: ProbSeatThreshold %v outside [0,1]", c.ProbSeatThreshold)
-	case c.ReorderBudget < 0:
-		return fmt.Errorf("match: ReorderBudget %d negative", c.ReorderBudget)
 	case c.ProbMaxLegInflation != 0 && c.ProbMaxLegInflation < 1:
 		return fmt.Errorf("match: ProbMaxLegInflation %v below 1", c.ProbMaxLegInflation)
 	case c.Parallelism < 0:

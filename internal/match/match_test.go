@@ -1107,27 +1107,6 @@ func TestEngineStatsCounters(t *testing.T) {
 	}
 }
 
-func TestExhaustiveReorderDispatch(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.ExhaustiveReorder = true; c.ReorderBudget = 500 })
-	now := 0.0
-	taxi := fleet.NewTaxi(env.g, 1, 4, env.vertexNear(t, 0.2, 0.2))
-	env.e.AddTaxi(taxi, now)
-	for i := int64(1); i <= 3; i++ {
-		f := 0.2 + 0.1*float64(i)
-		req := env.request(i, env.vertexNear(t, f, f), env.vertexNear(t, 0.9, 0.9), now, 2.5)
-		a, ok := env.e.Dispatch(req, now, false)
-		if !ok {
-			t.Fatalf("reorder dispatch %d failed", i)
-		}
-		if !fleet.ValidSequence(a.Events) {
-			t.Fatal("reorder produced invalid sequence")
-		}
-		if err := env.e.Commit(a, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestProbMaxLegInflationBoundsDetours(t *testing.T) {
 	env := newTestEnv(t, func(c *Config) { c.ProbMaxLegInflation = 1.1 })
 	now := 0.0

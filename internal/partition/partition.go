@@ -158,8 +158,8 @@ type cellIndex struct {
 }
 
 // IndexCells builds the per-cell summary PartitionsNear walks idx with, one
-// pass over the vertices. match.NewEngine and the T-Share baseline call it at
-// construction; a query through an unprepared index builds it on first use.
+// pass over the vertices. match.NewEngine calls it at construction; a query
+// through an unprepared index builds it on first use.
 func (pt *Partitioning) IndexCells(idx *roadnet.SpatialIndex) { pt.cellsFor(idx) }
 
 func (pt *Partitioning) cellsFor(idx *roadnet.SpatialIndex) *cellIndex {

@@ -37,12 +37,9 @@ import (
 //     goldens included, is version 3.
 const Version = 3
 
-// Log kinds: a full facade run versus a scripted simulation's dispatch
-// stream (internal/sim records the latter for run-to-run diffing).
-const (
-	KindSystem = "system"
-	KindSim    = "sim"
-)
+// KindSystem is the log kind of a facade run, the only kind this build
+// records or replays.
+const KindSystem = "system"
 
 // Header is the first line of a log: everything needed to rebuild the
 // world the events ran against.
@@ -86,9 +83,7 @@ func (h *Header) Validate() error {
 	if h.Version != Version {
 		return fmt.Errorf("replay: log version %d, this build reads version %d", h.Version, Version)
 	}
-	switch h.Kind {
-	case KindSystem, KindSim:
-	default:
+	if h.Kind != KindSystem {
 		return fmt.Errorf("replay: unknown log kind %q", h.Kind)
 	}
 	if h.Shards > 1 || h.BorderPolicy != "" {
@@ -215,7 +210,7 @@ type Ride struct {
 }
 
 // MetricsRecord closes a log with the run's deterministic counters
-// (typically the mtshare_match_* / mtshare_sim_* families; timing
+// (the mtshare_match_* / mtshare_index_* families; timing
 // histograms and scheduling-order-dependent cache counters are excluded
 // by the recorder). JSON marshalling sorts map keys, so the record is
 // byte-stable.
@@ -224,13 +219,12 @@ type MetricsRecord struct {
 }
 
 // DeterministicCounterPrefixes lists the instrument families whose
-// values are a pure function of the event stream: dispatch pipeline
-// counters and simulation lifecycle counters. Router cache counters
+// values are a pure function of the event stream: dispatch pipeline and
+// partition-index counters. Router cache counters
 // (hit/miss/dedup split depends on worker interleaving) and every
 // histogram (wall-clock) are intentionally absent.
 var DeterministicCounterPrefixes = []string{
 	"mtshare_match_",
-	"mtshare_sim_",
 	"mtshare_index_",
 }
 

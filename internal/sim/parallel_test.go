@@ -15,6 +15,7 @@ func (w *world) mtShareParallel(t testing.TB, probabilistic bool, parallelism in
 	cfg := match.DefaultConfig()
 	cfg.SearchRangeMeters = 2500
 	cfg.Parallelism = parallelism
+	cfg.CH = w.rt.CH()
 	e, err := match.NewEngine(w.pt, w.spx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -23,60 +24,77 @@ func (w *world) mtShareParallel(t testing.TB, probabilistic bool, parallelism in
 }
 
 // TestSimParallelMatchesSequential runs the same seeded peak hour with
-// sequential and parallel tick movement plus sequential and parallel
-// dispatch, and requires identical simulation outcomes: per-request served
-// and delivery flags, pickup/dropoff times, and fleet odometer totals
-// (ResponseNanos is wall-clock and excluded).
+// sequential and parallel dispatch and requires identical simulation
+// outcomes: per-request served, delivery and pending-queue outcomes,
+// pickup/dropoff times, and fleet odometer totals (ResponseNanos is
+// wall-clock and excluded). The queue case parks dispatch failures on a
+// small fleet and retries them every other tick, so batch re-dispatch
+// and expiry are covered too.
 func TestSimParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-hour simulation")
 	}
 	w := newWorld(t)
-	run := func(simPar, dispatchPar int) *Metrics {
-		reqs := w.peakRequests(t, 0.2)
-		params := DefaultParams()
-		params.Parallelism = simPar
-		eng, err := NewEngine(w.g, w.mtShareParallel(t, true, dispatchPar), params)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name          string
+		probabilistic bool
+		offlineFrac   float64
+		taxis         int
+		queueDepth    int
+		retryEvery    int
+	}{
+		{name: "plain", probabilistic: true, offlineFrac: 0.2, taxis: 40},
+		{name: "queue", taxis: 8, queueDepth: 24, retryEvery: 2},
+	} {
+		run := func(dispatchPar int) *Metrics {
+			params := DefaultParams()
+			params.QueueDepth = c.queueDepth
+			params.RetryEveryTicks = c.retryEvery
+			eng, err := NewEngine(w.g, w.mtShareParallel(t, c.probabilistic, dispatchPar), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := 8 * 3600.0
+			eng.PlaceTaxis(c.taxis, 3, 1, start)
+			return eng.Run(w.peakRequests(t, c.offlineFrac), start)
 		}
-		start := 8 * 3600.0
-		eng.PlaceTaxis(40, 3, 1, start)
-		return eng.Run(reqs, start)
-	}
-	base := run(1, 1)
-	if base.Served == 0 || base.Delivered == 0 {
-		t.Fatal("baseline run served nothing; test is vacuous")
-	}
-	for _, c := range [][2]int{{4, 1}, {1, 8}, {4, 8}} {
-		got := run(c[0], c[1])
+		base := run(1)
+		if base.Served == 0 || base.Delivered == 0 {
+			t.Fatalf("%s: baseline run served nothing; test is vacuous", c.name)
+		}
+		if c.queueDepth > 0 && (base.ServedFromQueue == 0 || base.ExpiredInQueue == 0) {
+			t.Fatalf("%s: workload did not exercise the queue: %d served from it, %d expired in it",
+				c.name, base.ServedFromQueue, base.ExpiredInQueue)
+		}
+		got := run(8)
 		if got.Served != base.Served || got.Delivered != base.Delivered ||
 			got.ServedOffline != base.ServedOffline {
-			t.Fatalf("simPar=%d dispatchPar=%d: served/delivered (%d,%d) vs baseline (%d,%d)",
-				c[0], c[1], got.Served, got.Delivered, base.Served, base.Delivered)
+			t.Fatalf("%s: served/delivered (%d,%d) vs baseline (%d,%d)",
+				c.name, got.Served, got.Delivered, base.Served, base.Delivered)
 		}
 		if math.Float64bits(got.TaxiMeters) != math.Float64bits(base.TaxiMeters) {
-			t.Fatalf("simPar=%d dispatchPar=%d: TaxiMeters %v vs %v",
-				c[0], c[1], got.TaxiMeters, base.TaxiMeters)
+			t.Fatalf("%s: TaxiMeters %v vs %v", c.name, got.TaxiMeters, base.TaxiMeters)
 		}
 		if math.Float64bits(got.PassengerMeters) != math.Float64bits(base.PassengerMeters) {
-			t.Fatalf("simPar=%d dispatchPar=%d: PassengerMeters %v vs %v",
-				c[0], c[1], got.PassengerMeters, base.PassengerMeters)
+			t.Fatalf("%s: PassengerMeters %v vs %v", c.name, got.PassengerMeters, base.PassengerMeters)
 		}
 		if len(got.Records) != len(base.Records) {
-			t.Fatalf("simPar=%d dispatchPar=%d: %d records vs %d",
-				c[0], c[1], len(got.Records), len(base.Records))
+			t.Fatalf("%s: %d records vs %d", c.name, len(got.Records), len(base.Records))
 		}
 		for i, br := range base.Records {
 			gr := got.Records[i]
 			if gr.Req.ID != br.Req.ID || gr.Served != br.Served || gr.Delivered != br.Delivered {
-				t.Fatalf("simPar=%d dispatchPar=%d: record %d flags differ", c[0], c[1], i)
+				t.Fatalf("%s: record %d flags differ", c.name, i)
+			}
+			if gr.Queued != br.Queued || gr.ServedFromQueue != br.ServedFromQueue ||
+				gr.Expired != br.Expired || gr.QueueRetries != br.QueueRetries ||
+				math.Float64bits(gr.QueueWaitSeconds) != math.Float64bits(br.QueueWaitSeconds) {
+				t.Fatalf("%s: record %d (req %d) queue outcome differs", c.name, i, gr.Req.ID)
 			}
 			if math.Float64bits(gr.PickupSeconds) != math.Float64bits(br.PickupSeconds) ||
 				math.Float64bits(gr.DropoffSeconds) != math.Float64bits(br.DropoffSeconds) ||
 				math.Float64bits(gr.AssignSeconds) != math.Float64bits(br.AssignSeconds) {
-				t.Fatalf("simPar=%d dispatchPar=%d: record %d (req %d) times differ",
-					c[0], c[1], i, gr.Req.ID)
+				t.Fatalf("%s: record %d (req %d) times differ", c.name, i, gr.Req.ID)
 			}
 		}
 	}

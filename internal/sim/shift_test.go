@@ -31,12 +31,13 @@ func shiftSigsOf(m *Metrics) []shiftSig {
 	return out
 }
 
+// runShift runs one peak hour with the changeover at dispatch parallelism
+// par.
 func runShift(t *testing.T, w *world, reqs []*fleet.Request, taxis, par int, sc ShiftChangeConfig) (*Engine, *Metrics) {
 	t.Helper()
 	params := DefaultParams()
-	params.Parallelism = par
 	params.ShiftChange = sc
-	eng, err := NewEngine(w.g, w.mtShare(t, false), params)
+	eng, err := NewEngine(w.g, w.mtShareParallel(t, false, par), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +155,8 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 	}
 }
 
-// A shift run must be bit-identical across fleet-advance parallelism —
-// the changeover is tick-aligned and seeded, never wall-clock driven.
+// A shift run must be bit-identical across dispatch parallelism — the
+// changeover is tick-aligned and seeded, never wall-clock driven.
 func TestShiftCrossParallelismDeterminism(t *testing.T) {
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)

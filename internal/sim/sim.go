@@ -10,24 +10,17 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/index"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/payment"
-	"repro/internal/replay"
 	"repro/internal/roadnet"
-	"repro/internal/wal"
 )
 
 // Params configures a simulation run.
@@ -49,12 +42,6 @@ type Params struct {
 	Payment payment.Model
 	// SettlePayments enables fare settlement.
 	SettlePayments bool
-	// Parallelism bounds the workers that advance the fleet each tick.
-	// 0 uses runtime.GOMAXPROCS(0); 1 is strictly sequential. Taxi
-	// movement is taxi-local, and the fired events are applied in taxi-ID
-	// order afterwards, so every parallelism level produces an identical
-	// simulation.
-	Parallelism int
 
 	// QueueDepth bounds the pending-request queue. When positive, an
 	// online request that finds no feasible taxi parks for batched
@@ -66,13 +53,6 @@ type Params struct {
 	// (default 1 — every tick). Expired requests are evicted on every
 	// tick regardless.
 	RetryEveryTicks int
-	// BatchAssign records that the scheme's dispatcher runs the queue's
-	// retry rounds as a global min-cost assignment (match.Config.
-	// BatchAssign). The simulation does not build the dispatcher — the
-	// knob lives in the scheme's engine config — but it changes which
-	// requests are served, so it lands in the recorded log header for
-	// provenance and replay.
-	BatchAssign bool
 
 	// ShiftChange models a driver-shift changeover mid-run: at AtSeconds
 	// a seeded Fraction of the then-current fleet goes off shift — each
@@ -81,38 +61,11 @@ type Params struct {
 	// same number of fresh taxis come on shift at seeded vertices. The
 	// zero value disables the changeover.
 	ShiftChange ShiftChangeConfig
-
-	// Metrics receives the simulation's instruments under mtshare_sim_*
-	// (ticks, tick latency, request lifecycle, roadside encounters). nil
-	// gives the engine a private registry; pass the dispatcher's registry
-	// to see simulation and matching on one surface.
-	Metrics *obs.Registry
-
-	// RecordTo, when set, records the run as a replay.KindSim JSONL log:
-	// every dispatch outcome, roadside-encounter service, and tick's ride
-	// events, sealed with the deterministic counters. Two runs of the
-	// same scripted workload must produce byte-identical logs
-	// (replay.CompareLogs diffs them); wall-clock quantities are never
-	// written.
-	RecordTo io.Writer
-	// RecordSeed stamps the log header with the workload seed for
-	// provenance; it does not affect the simulation.
-	RecordSeed int64
-
-	// Durability, when enabled, appends the run's event stream to a
-	// crash-safe WAL in wal.Options.Dir — the same replay-v3 records
-	// RecordTo would see, framed and fsynced per the group-commit
-	// settings. The simulation is batch-oriented, so this is event
-	// durability only: a crashed run's WAL is complete, replayable
-	// evidence of everything committed before the crash, but there is no
-	// snapshot/resume path (use the facade's Options.Durability for
-	// stateful recovery). SnapshotEveryTicks must be 0.
-	Durability wal.Options
 }
 
 // ShiftChangeConfig parameterizes the mid-run driver-shift changeover.
 // Everything is seeded and applied at tick boundaries in taxi-ID order,
-// so a shift run is as deterministic as a plain one at any parallelism.
+// so a shift run is as deterministic as a plain one.
 type ShiftChangeConfig struct {
 	// AtSeconds is the simulated time the off-going cohort stops taking
 	// new work; 0 disables the changeover entirely.
@@ -168,26 +121,14 @@ func (p Params) Validate() error {
 		return fmt.Errorf("sim: EncounterRadiusMeters negative")
 	case p.MaxDrainSeconds < 0:
 		return fmt.Errorf("sim: MaxDrainSeconds negative")
-	case p.Parallelism < 0:
-		return fmt.Errorf("sim: Parallelism negative")
 	case p.QueueDepth < 0:
 		return fmt.Errorf("sim: QueueDepth negative")
 	case p.RetryEveryTicks < 0:
 		return fmt.Errorf("sim: RetryEveryTicks negative")
 	case p.RetryEveryTicks > 0 && p.QueueDepth == 0:
 		return fmt.Errorf("sim: RetryEveryTicks requires QueueDepth > 0")
-	case p.Durability.Enabled() && p.Durability.SnapshotEveryTicks != 0:
-		return fmt.Errorf("sim: Durability.SnapshotEveryTicks is not supported (event durability only)")
 	}
 	return p.ShiftChange.Validate()
-}
-
-// parallelism returns the effective per-tick worker count.
-func (p Params) parallelism() int {
-	if p.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p.Parallelism
 }
 
 // RequestRecord tracks one request through the simulation.
@@ -287,68 +228,6 @@ type Engine struct {
 	shiftCaps     []int
 	shiftPicked   bool
 	shiftReplaced bool
-	shiftIns      *shiftInstruments
-
-	reg *obs.Registry
-	ins simInstruments
-
-	rec      *replay.Encoder
-	wal      *wal.Log
-	eventIdx int64
-}
-
-// simInstruments are the simulation's registry-backed instruments.
-type simInstruments struct {
-	ticks            *obs.Counter
-	requestsReleased *obs.Counter
-	requestsServed   *obs.Counter
-	encounters       *obs.Counter
-	tickSeconds      *obs.Histogram
-	dispatchSeconds  *obs.Histogram
-	// Pending-queue lifecycle. All counters are a pure function of the
-	// event stream, so they land in the recorded deterministic counters;
-	// the depth gauge is excluded (gauges never record).
-	queueDepth    *obs.Gauge
-	queueEnqueued *obs.Counter
-	queueRejected *obs.Counter
-	queueRetries  *obs.Counter
-	queueServed   *obs.Counter
-	queueExpired  *obs.Counter
-}
-
-// shiftInstruments are registered only when the changeover is enabled:
-// the counters live under the deterministic mtshare_sim_ prefix, and an
-// unconditional registration would grow zero-valued entries in every
-// sealed golden log.
-type shiftInstruments struct {
-	offShift     *obs.Counter
-	retired      *obs.Counter
-	replacements *obs.Counter
-}
-
-func newShiftInstruments(reg *obs.Registry) *shiftInstruments {
-	return &shiftInstruments{
-		offShift:     reg.Counter("mtshare_sim_shift_offshift_total"),
-		retired:      reg.Counter("mtshare_sim_shift_retired_total"),
-		replacements: reg.Counter("mtshare_sim_shift_replacements_total"),
-	}
-}
-
-func newSimInstruments(reg *obs.Registry) simInstruments {
-	return simInstruments{
-		ticks:            reg.Counter("mtshare_sim_ticks_total"),
-		requestsReleased: reg.Counter("mtshare_sim_requests_released_total"),
-		requestsServed:   reg.Counter("mtshare_sim_requests_served_total"),
-		encounters:       reg.Counter("mtshare_sim_encounters_total"),
-		tickSeconds:      reg.Histogram("mtshare_sim_tick_seconds"),
-		dispatchSeconds:  reg.Histogram("mtshare_sim_dispatch_seconds"),
-		queueDepth:       reg.Gauge("mtshare_sim_queue_depth"),
-		queueEnqueued:    reg.Counter("mtshare_sim_queue_enqueued_total"),
-		queueRejected:    reg.Counter("mtshare_sim_queue_rejected_total"),
-		queueRetries:     reg.Counter("mtshare_sim_queue_retries_total"),
-		queueServed:      reg.Counter("mtshare_sim_queue_served_total"),
-		queueExpired:     reg.Counter("mtshare_sim_queue_expired_total"),
-	}
 }
 
 // NewEngine creates a simulation over the graph with the given scheme.
@@ -357,10 +236,6 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 		return nil, err
 	}
 	min, max := g.Bounds()
-	reg := params.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	e := &Engine{
 		params:   params,
 		g:        g,
@@ -369,11 +244,6 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 		lastIdle: make(map[int64]float64),
 		taxiGrid: index.NewLocationGrid(min, max, 300),
 		records:  make(map[fleet.RequestID]*RequestRecord),
-		reg:      reg,
-		ins:      newSimInstruments(reg),
-	}
-	if params.ShiftChange.Enabled() {
-		e.shiftIns = newShiftInstruments(reg)
 	}
 	if params.QueueDepth > 0 {
 		e.queue = match.NewPendingQueue(params.QueueDepth, params.SpeedMps)
@@ -382,81 +252,8 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 			e.retryEvery = 1
 		}
 	}
-	target := params.RecordTo
-	if params.Durability.Enabled() {
-		wlog, err := wal.Open(params.Durability, reg)
-		if err != nil {
-			return nil, err
-		}
-		if wlog.Records() > 0 {
-			wlog.Close()
-			return nil, fmt.Errorf("sim: durability dir %q already holds %d records; the simulation starts fresh logs only", params.Durability.Dir, wlog.Records())
-		}
-		e.wal = wlog
-		if target != nil {
-			target = io.MultiWriter(target, wlog.AppendWriter())
-		} else {
-			target = wlog.AppendWriter()
-		}
-	}
-	if target != nil {
-		rec, err := replay.NewEncoder(target, replay.Header{
-			Version:          replay.Version,
-			Kind:             replay.KindSim,
-			Seed:             params.RecordSeed,
-			SpeedKmh:         params.SpeedMps * 3.6,
-			QueueDepth:       params.QueueDepth,
-			RetryEveryTicks:  params.RetryEveryTicks,
-			BatchAssign:      params.BatchAssign,
-			GraphFingerprint: fmt.Sprintf("%016x", g.Fingerprint()),
-		})
-		if err != nil {
-			if e.wal != nil {
-				e.wal.Close()
-			}
-			return nil, err
-		}
-		e.rec = rec
-	}
 	return e, nil
 }
-
-// record appends one event line when recording is active, consuming the
-// next event index.
-func (e *Engine) record(build func(i int64) replay.Event) {
-	if e.rec == nil {
-		return
-	}
-	ev := build(e.eventIdx)
-	e.eventIdx++
-	e.rec.Encode(ev)
-}
-
-// RecordErr returns the log encoder's sticky write error, if recording
-// was enabled and a write failed; with durability on, the WAL's sticky
-// append/fsync error surfaces here too.
-func (e *Engine) RecordErr() error {
-	if e.rec != nil {
-		if err := e.rec.Err(); err != nil {
-			return err
-		}
-	}
-	if e.wal != nil {
-		return e.wal.Err()
-	}
-	return nil
-}
-
-// WALStats returns the durability log's statistics, when enabled.
-func (e *Engine) WALStats() (wal.Stats, bool) {
-	if e.wal == nil {
-		return wal.Stats{}, false
-	}
-	return e.wal.Stats(), true
-}
-
-// Metrics returns the registry holding the simulation's instruments.
-func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // PlaceTaxis creates n taxis with the given capacity at deterministic
 // pseudo-random vertices and registers them with the scheme.
@@ -495,19 +292,17 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 	next := 0
 	dt := e.params.TickSeconds
 	for {
-		tickStart := time.Now()
 		// 0a. Shift changeover: retire emptied off-shift taxis, bring the
 		// replacement cohort on before this tick's dispatches see them.
 		e.serviceShift(now)
 		// 0b. Pending-queue maintenance: evict requests whose pickup
 		// deadline passed, then — when the retry interval is due —
 		// re-dispatch the parked batch before this tick's releases.
-		qMatched, qExpired := e.serviceQueue(now)
+		e.serviceQueue(now)
 		// 1. Release requests due by now.
 		for next < len(reqs) && reqs[next].ReleaseAt.Seconds() <= now {
 			r := reqs[next]
 			next++
-			e.ins.requestsReleased.Inc()
 			if r.Offline {
 				e.pending = append(e.pending, r)
 				continue
@@ -515,15 +310,13 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 			e.dispatchOnline(r, now, false)
 		}
 		// 2. Move taxis, firing events.
-		e.advanceTaxis(now, dt, qMatched, qExpired)
+		e.advanceTaxis(now, dt)
 		// 3. Roadside encounters with offline requests.
 		e.handleEncounters(now + dt)
 		// 4. Expire hopeless offline requests.
 		e.expirePending(now + dt)
 		// 5. Idle cruising (probabilistic variants).
 		e.planIdle(now + dt)
-		e.ins.ticks.Inc()
-		e.ins.tickSeconds.ObserveSince(tickStart)
 
 		now += dt
 		if next >= len(reqs) && now > lastRelease {
@@ -534,14 +327,6 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 	}
 	e.ExecutionSecs = time.Since(e.wallStart).Seconds()
 	e.FinalSimSeconds = now
-	e.record(func(i int64) replay.Event {
-		return replay.Event{I: i, Metrics: &replay.MetricsRecord{
-			Counters: replay.DeterministicCounters(e.reg.Snapshot().Counters),
-		}}
-	})
-	if e.wal != nil {
-		e.wal.Close() // final flush+fsync; errors stay sticky for RecordErr
-	}
 	return e.collectMetrics()
 }
 
@@ -554,7 +339,7 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 // AtSeconds + LagSeconds): one fresh replacement per cohort member, with
 // the retiree's original capacity, comes on shift at a seeded vertex
 // through the ordinary AddTaxi path. Everything is driven by simulated
-// time and one seeded rng, so runs are bit-identical at any parallelism.
+// time and one seeded rng, so runs are bit-identical.
 func (e *Engine) serviceShift(now float64) {
 	sc := e.params.ShiftChange
 	if !sc.Enabled() {
@@ -573,13 +358,11 @@ func (e *Engine) serviceShift(now float64) {
 			e.shiftCaps = append(e.shiftCaps, e.taxis[i].Capacity)
 		}
 		e.shiftPicked = true
-		e.shiftIns.offShift.Add(int64(k))
 	}
 	if e.shiftPicked {
 		for _, t := range e.shiftCohort {
 			if t.Capacity > 0 && t.Empty() {
 				t.Capacity = 0
-				e.shiftIns.retired.Inc()
 			}
 		}
 	}
@@ -598,7 +381,6 @@ func (e *Engine) serviceShift(now float64) {
 			e.taxis = append(e.taxis, t)
 			e.scheme.AddTaxi(t, now)
 			e.taxiGrid.Update(t.ID, t.Point())
-			e.shiftIns.replacements.Inc()
 		}
 		e.shiftReplaced = true
 	}
@@ -620,10 +402,10 @@ type requestDropper interface{ OnRequestDone(req *fleet.Request) }
 // serviceQueue runs one tick of pending-queue maintenance: evict every
 // parked request whose pickup deadline strictly passed, then — when the
 // retry interval is due — re-dispatch the remaining batch through the
-// scheme. Returns the tick's matches and evictions for the replay log.
-func (e *Engine) serviceQueue(now float64) (matched []replay.QueueMatch, expired []int64) {
+// scheme.
+func (e *Engine) serviceQueue(now float64) {
 	if e.queue == nil {
-		return nil, nil
+		return
 	}
 	e.tickCount++
 	for _, it := range e.queue.ExpireBefore(now) {
@@ -634,18 +416,14 @@ func (e *Engine) serviceQueue(now float64) (matched []replay.QueueMatch, expired
 		if d, ok := e.scheme.(requestDropper); ok {
 			d.OnRequestDone(it.Req)
 		}
-		e.ins.queueExpired.Inc()
-		expired = append(expired, int64(it.Req.ID))
 	}
-	defer func() { e.ins.queueDepth.Set(float64(e.queueLen())) }()
 	if e.tickCount%int64(e.retryEvery) != 0 {
-		return matched, expired
+		return
 	}
 	batch := e.queue.NextBatch()
 	if len(batch) == 0 {
-		return matched, expired
+		return
 	}
-	e.ins.queueRetries.Add(int64(len(batch)))
 	reqs := make([]*fleet.Request, len(batch))
 	items := make(map[fleet.RequestID]*match.PendingItem, len(batch))
 	for i, it := range batch {
@@ -657,26 +435,16 @@ func (e *Engine) serviceQueue(now float64) (matched []replay.QueueMatch, expired
 			continue
 		}
 		it := items[r.Req.ID]
-		wait := now - it.EnqueuedAt
 		if rec := e.records[r.Req.ID]; rec != nil {
 			rec.Served = true
 			rec.ServedFromQueue = true
 			rec.TaxiID = r.Out.TaxiID
 			rec.AssignSeconds = now
 			rec.QueueRetries = it.Retries
-			rec.QueueWaitSeconds = wait
+			rec.QueueWaitSeconds = now - it.EnqueuedAt
 			rec.Candidates = r.Out.Candidates
 		}
-		e.ins.requestsServed.Inc()
-		e.ins.queueServed.Inc()
-		matched = append(matched, replay.QueueMatch{
-			Request:   int64(r.Req.ID),
-			Taxi:      r.Out.TaxiID,
-			WaitNanos: int64(wait * float64(time.Second)),
-			Conflict:  r.Conflict,
-		})
 	}
-	return matched, expired
 }
 
 // batchDispatch routes a retry batch through the scheme: natively when
@@ -710,11 +478,8 @@ func (e *Engine) dispatchOnline(r *fleet.Request, now float64, offline bool) boo
 	t0 := time.Now()
 	out := e.scheme.OnRequest(r, now)
 	rec.ResponseNanos = time.Since(t0).Nanoseconds()
-	e.ins.dispatchSeconds.Observe(float64(rec.ResponseNanos) / 1e9)
 	rec.Candidates = out.Candidates
-	errCode := ""
 	if !out.Served {
-		errCode = "no_taxi"
 		// Online requests park in the pending queue for batched
 		// re-dispatch instead of failing terminally; a full queue is an
 		// explicit backpressure rejection, and a request whose pickup
@@ -722,36 +487,13 @@ func (e *Engine) dispatchOnline(r *fleet.Request, now float64, offline bool) boo
 		if !r.Offline && e.queue != nil {
 			switch e.queue.Push(r, now) {
 			case match.PushAccepted:
-				errCode = "queued"
 				rec.Queued = true
-				e.ins.queueEnqueued.Inc()
-				e.ins.queueDepth.Set(float64(e.queueLen()))
 			case match.PushRejectedExpired:
-				errCode = "expired"
 				rec.Expired = true
-				e.ins.queueRejected.Inc()
-			default:
-				errCode = "queue_full"
-				e.ins.queueRejected.Inc()
 			}
 		}
-	}
-	e.record(func(i int64) replay.Event {
-		return replay.Event{I: i, Request: &replay.RequestEvent{
-			Pickup:  replay.Point{Lat: r.OriginPt.Lat, Lng: r.OriginPt.Lng},
-			Dropoff: replay.Point{Lat: r.DestPt.Lat, Lng: r.DestPt.Lng},
-			Out: replay.RequestOutcome{
-				Err:        errCode,
-				Request:    int64(r.ID),
-				Taxi:       out.TaxiID,
-				Candidates: out.Candidates,
-			},
-		}}
-	})
-	if !out.Served {
 		return false
 	}
-	e.ins.requestsServed.Inc()
 	rec.Served = true
 	rec.ServedOffline = offline
 	rec.TaxiID = out.TaxiID
@@ -759,88 +501,28 @@ func (e *Engine) dispatchOnline(r *fleet.Request, now float64, offline bool) boo
 	return true
 }
 
-// tickOutcome is one taxi's movement result for a tick, collected during
-// the parallel advance phase and applied sequentially.
-type tickOutcome struct {
-	startOdo   float64
-	wasOnboard int
-	visits     []fleet.EventVisit
-}
-
-// advanceTaxis moves every taxi by speed·dt, processing fired events in
-// order and keeping odometers, episodes, and the taxi grid current. The
-// movement itself (polyline walking plus event firing inside the taxi) is
-// taxi-local, so it fans out across Params.Parallelism workers; the
-// engine-level consequences — request records, settlement episodes, grid
-// updates, scheme callbacks — are applied afterwards in fleet order, so
-// the simulation is deterministic at every parallelism level.
-func (e *Engine) advanceTaxis(now, dt float64, qMatched []replay.QueueMatch, qExpired []int64) {
+// advanceTaxis moves every taxi by speed·dt in fleet order, processing
+// fired events in order and keeping odometers, episodes, and the taxi grid
+// current.
+func (e *Engine) advanceTaxis(now, dt float64) {
 	distance := e.params.SpeedMps * dt
-	outs := make([]tickOutcome, len(e.taxis))
-	advance := func(i int) {
-		t := e.taxis[i]
-		outs[i] = tickOutcome{startOdo: t.Odometer(), wasOnboard: t.OccupiedSeats()}
-		outs[i].visits = t.Advance(distance)
-	}
-	workers := e.params.parallelism()
-	if workers > len(e.taxis) {
-		workers = len(e.taxis)
-	}
-	if workers <= 1 {
-		for i := range e.taxis {
-			advance(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(e.taxis) {
-						return
-					}
-					advance(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	var rides []replay.Ride
-	for i, t := range e.taxis {
-		o := outs[i]
-		wasOnboard := o.wasOnboard
-		for _, v := range o.visits {
-			eventOdo := o.startOdo + v.MetersIntoTick
+	for _, t := range e.taxis {
+		startOdo := t.Odometer()
+		onboard := t.OccupiedSeats()
+		visits := t.Advance(distance)
+		for _, v := range visits {
+			eventOdo := startOdo + v.MetersIntoTick
 			eventTime := now + v.MetersIntoTick/e.params.SpeedMps
-			e.processEvent(t, v.Event, eventOdo, eventTime, &wasOnboard)
-			if e.rec != nil {
-				rides = append(rides, replay.Ride{
-					Request: int64(v.Event.Req.ID),
-					Taxi:    t.ID,
-					Pickup:  v.Event.Kind == fleet.Pickup,
-					AtNanos: int64(eventTime * float64(time.Second)),
-				})
-			}
+			e.processEvent(t, v.Event, eventOdo, eventTime, &onboard)
 		}
 		if t.OccupiedSeats() > 0 {
 			e.occupiedSecs += dt
 		}
-		if t.Odometer() != o.startOdo || len(o.visits) > 0 {
+		if t.Odometer() != startOdo || len(visits) > 0 {
 			e.taxiGrid.Update(t.ID, t.Point())
 		}
 		e.scheme.OnTaxiAdvanced(t, now+dt)
 	}
-	e.record(func(i int64) replay.Event {
-		return replay.Event{I: i, Tick: &replay.TickEvent{
-			DNanos:       int64(dt * float64(time.Second)),
-			Rides:        rides,
-			QueueMatched: qMatched,
-			QueueExpired: qExpired,
-		}}
-	})
 }
 
 // processEvent updates per-request records and per-taxi episodes for one
@@ -927,16 +609,6 @@ func (e *Engine) handleEncounters(now float64) {
 				rec.TaxiID = t.ID
 				rec.AssignSeconds = now
 				served = true
-				e.ins.encounters.Inc()
-				e.ins.requestsServed.Inc()
-				e.record(func(i int64) replay.Event {
-					return replay.Event{I: i, Hail: &replay.HailEvent{
-						Taxi:    t.ID,
-						Pickup:  replay.Point{Lat: r.OriginPt.Lat, Lng: r.OriginPt.Lng},
-						Dropoff: replay.Point{Lat: r.DestPt.Lat, Lng: r.DestPt.Lng},
-						Out:     replay.HailOutcome{ServedBy: t.ID},
-					}}
-				})
 				break
 			}
 			// The driver reported the hailing passenger but could not fit

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/geo"
-	"repro/internal/match"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
 	"repro/internal/trace"
@@ -60,14 +59,7 @@ func (w *world) router() *roadnet.Router { return roadnet.NewRouter(w.g, 64).Att
 
 func (w *world) mtShare(t testing.TB, probabilistic bool) dispatch.Scheme {
 	t.Helper()
-	cfg := match.DefaultConfig()
-	cfg.SearchRangeMeters = 2500
-	cfg.CH = w.rt.CH()
-	e, err := match.NewEngine(w.pt, w.spx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return match.NewScheme(e, probabilistic)
+	return w.mtShareParallel(t, probabilistic, 0)
 }
 
 // peakRequests prepares one peak hour of requests at the given scale.

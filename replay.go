@@ -65,9 +65,6 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.Kind != replay.KindSystem {
-		return nil, fmt.Errorf("mtshare: replay: log kind %q cannot drive a System replay", h.Kind)
-	}
 
 	var buf bytes.Buffer
 	sys, err := New(Options{

@@ -184,7 +184,8 @@ func TestReplayUnsealedPrefix(t *testing.T) {
 }
 
 func TestReplayRejects(t *testing.T) {
-	// A sim-kind log cannot drive a System replay.
+	// Only a system-kind log drives a System replay; the simulator's
+	// retired log kind is refused.
 	simLog := `{"version":3,"kind":"sim","seed":1}` + "\n"
 	if _, err := Replay(strings.NewReader(simLog)); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("sim log accepted: %v", err)
