@@ -457,7 +457,7 @@ func TestCandidateSearchMemoMatchesReferenceOverTicks(t *testing.T) {
 			s.advance(now, 15)
 			now += 15
 		}
-		d := s.e.disc.Load()
+		d := s.e.disc
 		for _, req := range parked {
 			got := d.near[req.Origin].Load()
 			if got == nil {
@@ -467,58 +467,6 @@ func TestCandidateSearchMemoMatchesReferenceOverTicks(t *testing.T) {
 				t.Fatalf("radius %v: memo of origin %d is %v, the disc walk gives %v", radius, req.Origin, *got, want)
 			}
 		}
-	}
-}
-
-// TestCandidateSearchMemoFollowsRepartition memoises an origin, swaps the
-// partitioning, and requires the next search to match the reference under
-// the new partitioning: the memo belongs to the partitioning it was filled
-// under and leaves with it.
-func TestCandidateSearchMemoFollowsRepartition(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.SearchRangeMeters = 900 })
-	s, w := engineSubject(env.e), worldOf(env)
-	rng := rand.New(rand.NewSource(5))
-	n := env.g.NumVertices()
-	for id := int64(1); id <= 20; id++ {
-		s.addTaxi(env.g, id, 3, roadnet.VertexID(rng.Intn(n)), 0)
-	}
-	var reqs []*fleet.Request
-	for id := int64(1); len(reqs) < 16; id++ {
-		if o, d := roadnet.VertexID(rng.Intn(n)), roadnet.VertexID(rng.Intn(n)); o != d {
-			reqs = append(reqs, w.request(env.e.Router(), id, o, d, 0, 2, env.e.Config().SpeedMps))
-		}
-	}
-	for _, req := range reqs[:8] {
-		s.serve(req, 0)
-	}
-	parked := reqs[8:]
-	for _, req := range parked {
-		s.check(t, req, 0, "before the swap")
-	}
-	old := env.e.disc.Load()
-	newPt, err := partition.BuildGrid(env.g, nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.e.Repartition(newPt, 0); err != nil {
-		t.Fatal(err)
-	}
-	d := env.e.disc.Load()
-	if d == old || d.pt != newPt {
-		t.Fatal("Repartition kept the old partitioning's disc memo")
-	}
-	found := 0
-	for _, req := range parked {
-		if d.near[req.Origin].Load() != nil {
-			t.Fatalf("origin %d memoised under the new partitioning before any search", req.Origin)
-		}
-		found += s.check(t, req, 0, "after the swap")
-		if got, want := *d.near[req.Origin].Load(), newPt.PartitionsNear(env.spx, env.g.Point(req.Origin), 900); !slices.Equal(got, want) {
-			t.Fatalf("memo of origin %d is %v, the new partitioning's disc walk gives %v", req.Origin, got, want)
-		}
-	}
-	if found == 0 {
-		t.Fatal("no search after the swap found a candidate")
 	}
 }
 
@@ -555,8 +503,8 @@ func TestCandidateSearchMemoConcurrentFill(t *testing.T) {
 	}
 	const workers = 6
 	for round := 0; round < 20; round++ {
-		env.e.disc.Store(newDiscMemo(env.pt)) // every origin unfilled again
-		d := env.e.disc.Load()
+		env.e.disc = newDiscMemo(env.pt) // every origin unfilled again
+		d := env.e.disc
 		errs := make(chan string, workers*len(reqs))
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -590,13 +538,13 @@ func TestCandidateSearchMemoConcurrentFill(t *testing.T) {
 }
 
 // TestIndexMemoryBytesCountsDiscMemo: the Table IV figure carries one
-// pointer per vertex from construction, grows by each list a search fills,
-// and drops back when Repartition discards the memo.
+// pointer per vertex from construction and grows by each list a search
+// fills.
 func TestIndexMemoryBytesCountsDiscMemo(t *testing.T) {
 	env := newTestEnv(t, func(c *Config) { c.SearchRangeMeters = 900 })
 	w := worldOf(env)
 	n := env.g.NumVertices()
-	if got, want := env.e.disc.Load().memoryBytes(), int64(n)*8; got != want {
+	if got, want := env.e.disc.memoryBytes(), int64(n)*8; got != want {
 		t.Fatalf("empty memo counts %d bytes, want %d (8 per vertex)", got, want)
 	}
 	base := env.e.IndexMemoryBytes()
@@ -604,16 +552,10 @@ func TestIndexMemoryBytesCountsDiscMemo(t *testing.T) {
 	for o := 0; o < n; o += 7 {
 		req := w.request(env.e.Router(), int64(o+1), roadnet.VertexID(o), roadnet.VertexID((o+1)%n), 0, 2, env.e.Config().SpeedMps)
 		env.e.CandidateTaxis(req, 0)
-		filled += 24 + 4*int64(len(*env.e.disc.Load().near[o].Load()))
+		filled += 24 + 4*int64(len(*env.e.disc.near[o].Load()))
 	}
 	if got := env.e.IndexMemoryBytes() - base; got != filled {
 		t.Fatalf("searches grew IndexMemoryBytes by %d, the filled lists hold %d", got, filled)
-	}
-	if err := env.e.Repartition(env.pt, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := env.e.IndexMemoryBytes(); got != base {
-		t.Fatalf("IndexMemoryBytes after Repartition = %d, want %d", got, base)
 	}
 }
 

@@ -358,90 +358,3 @@ func BenchmarkGenerateDay(b *testing.B) {
 		}
 	}
 }
-
-func TestODMatrixBasics(t *testing.T) {
-	ds, err := Generate(Workday, testParams(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewODMatrix(ds, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Total != len(ds.Trips) {
-		t.Fatalf("total = %d, want %d", m.Total, len(ds.Trips))
-	}
-	var o, d int
-	for _, c := range m.OriginCounts() {
-		o += c
-	}
-	for _, c := range m.DestCounts() {
-		d += c
-	}
-	if o != m.Total || d != m.Total {
-		t.Fatalf("marginals o=%d d=%d total=%d", o, d, m.Total)
-	}
-	// Hotspot demand must be clearly non-uniform.
-	g := m.Gini()
-	if g < 0.2 || g > 1 {
-		t.Fatalf("Gini = %v, expected concentrated demand", g)
-	}
-}
-
-func TestODMatrixErrors(t *testing.T) {
-	if _, err := NewODMatrix(&Dataset{}, 4, 4); err == nil {
-		t.Fatal("empty dataset accepted")
-	}
-	ds, _ := Generate(Workday, testParams(21))
-	if _, err := NewODMatrix(ds, 0, 4); err == nil {
-		t.Fatal("zero rows accepted")
-	}
-}
-
-func TestSplitByTimeAndMerge(t *testing.T) {
-	ds, err := Generate(Workday, testParams(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, after := ds.SplitByTime(12 * time.Hour)
-	if len(before.Trips)+len(after.Trips) != len(ds.Trips) {
-		t.Fatal("split lost trips")
-	}
-	for _, tr := range before.Trips {
-		if tr.ReleaseAt >= 12*time.Hour {
-			t.Fatal("late trip in before")
-		}
-	}
-	for _, tr := range after.Trips {
-		if tr.ReleaseAt < 12*time.Hour {
-			t.Fatal("early trip in after")
-		}
-	}
-	merged := Merge(Workday, before, after)
-	if len(merged.Trips) != len(ds.Trips) {
-		t.Fatal("merge lost trips")
-	}
-	for i := 1; i < len(merged.Trips); i++ {
-		if merged.Trips[i].ReleaseAt < merged.Trips[i-1].ReleaseAt {
-			t.Fatal("merge not sorted")
-		}
-		if merged.Trips[i].ID != int64(i) {
-			t.Fatal("merge did not renumber")
-		}
-	}
-}
-
-func TestSample(t *testing.T) {
-	ds, err := Generate(Workday, testParams(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3 := ds.Sample(3)
-	want := (len(ds.Trips) + 2) / 3
-	if len(s3.Trips) != want {
-		t.Fatalf("sample size %d, want %d", len(s3.Trips), want)
-	}
-	if s0 := ds.Sample(0); len(s0.Trips) != len(ds.Trips) {
-		t.Fatal("k<1 should keep everything")
-	}
-}
