@@ -10,8 +10,8 @@
 //   - PGreedyDP — Tong et al.'s pGreedyDP: a grid index, origin-side
 //     candidate search, and the minimum-detour insertion per candidate.
 //
-// All three share the simulation-facing surface of the mT-Share engine so
-// the harness can swap schemes freely. Offline requests are served
+// All three implement the dispatch.Scheme contract the mT-Share engine
+// does, so the runtime can swap schemes freely. Offline requests are served
 // opportunistically per the paper's adjusted setting: when a taxi with
 // spare seats encounters one and a valid insertion exists, it serves it.
 package baseline

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func TestNoSharingServesNearestVacant(t *testing.T) {
 	s.AddTaxi(near, 0)
 	s.AddTaxi(far, 0)
 	req := env.request(t, 1, env.vertexNear(t, 0.5, 0.5), env.vertexNear(t, 0.8, 0.8), 0, 1.5, cfg.SpeedMps)
-	res := s.OnRequest(req, 0)
+	res := s.OnRequest(context.Background(), req, 0)
 	if !res.Served || res.TaxiID != 1 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -78,7 +79,7 @@ func TestNoSharingServesNearestVacant(t *testing.T) {
 	}
 	// Occupied taxi must not be reused while serving.
 	req2 := env.request(t, 2, env.vertexNear(t, 0.5, 0.5), env.vertexNear(t, 0.8, 0.8), 1, 1.5, cfg.SpeedMps)
-	res2 := s.OnRequest(req2, 1)
+	res2 := s.OnRequest(context.Background(), req2, 1)
 	if !res2.Served || res2.TaxiID != 2 {
 		t.Fatalf("second result = %+v", res2)
 	}
@@ -91,11 +92,11 @@ func TestNoSharingNoVacantTaxi(t *testing.T) {
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.5, 0.5))
 	s.AddTaxi(taxi, 0)
 	req := env.request(t, 1, env.vertexNear(t, 0.5, 0.52), env.vertexNear(t, 0.8, 0.8), 0, 1.5, cfg.SpeedMps)
-	if res := s.OnRequest(req, 0); !res.Served {
+	if res := s.OnRequest(context.Background(), req, 0); !res.Served {
 		t.Fatal("setup dispatch failed")
 	}
 	req2 := env.request(t, 2, env.vertexNear(t, 0.5, 0.5), env.vertexNear(t, 0.8, 0.8), 1, 1.5, cfg.SpeedMps)
-	if res := s.OnRequest(req2, 1); res.Served {
+	if res := s.OnRequest(context.Background(), req2, 1); res.Served {
 		t.Fatal("occupied taxi served under NoSharing")
 	}
 }
@@ -107,7 +108,7 @@ func TestNoSharingOutOfRange(t *testing.T) {
 	s := NewNoSharing(env.router(), cfg)
 	s.AddTaxi(fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.05, 0.05)), 0)
 	req := env.request(t, 1, env.vertexNear(t, 0.9, 0.9), env.vertexNear(t, 0.5, 0.5), 0, 1.5, cfg.SpeedMps)
-	if res := s.OnRequest(req, 0); res.Served {
+	if res := s.OnRequest(context.Background(), req, 0); res.Served {
 		t.Fatal("taxi outside gamma served request")
 	}
 }
@@ -120,11 +121,11 @@ func TestTShareSharesARide(t *testing.T) {
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.2, 0.2))
 	s.AddTaxi(taxi, 0)
 	r1 := env.request(t, 1, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 1.6, cfg.SpeedMps)
-	if res := s.OnRequest(r1, 0); !res.Served {
+	if res := s.OnRequest(context.Background(), r1, 0); !res.Served {
 		t.Fatal("first request unserved")
 	}
 	r2 := env.request(t, 2, env.vertexNear(t, 0.3, 0.3), env.vertexNear(t, 0.7, 0.7), 5, 1.8, cfg.SpeedMps)
-	res := s.OnRequest(r2, 5)
+	res := s.OnRequest(context.Background(), r2, 5)
 	if !res.Served || res.TaxiID != 1 {
 		t.Fatalf("sharing failed: %+v", res)
 	}
@@ -145,13 +146,13 @@ func TestTShareDualSideFiltersOppositeTaxis(t *testing.T) {
 	taxi := fleet.NewTaxi(env.g, 1, 3, env.vertexNear(t, 0.5, 0.5))
 	s.AddTaxi(taxi, 0)
 	away := env.request(t, 10, env.vertexNear(t, 0.5, 0.5), env.vertexNear(t, 0.5, 0.05), 0, 1.6, cfg.SpeedMps)
-	if res := s.OnRequest(away, 0); !res.Served {
+	if res := s.OnRequest(context.Background(), away, 0); !res.Served {
 		t.Fatal("setup failed")
 	}
 	// Request going the other way: the taxi is near the origin but heads
 	// away from the destination, so the dual-side search rejects it.
 	req := env.request(t, 1, env.vertexNear(t, 0.5, 0.55), env.vertexNear(t, 0.5, 0.95), 1, 1.5, cfg.SpeedMps)
-	res := s.OnRequest(req, 1)
+	res := s.OnRequest(context.Background(), req, 1)
 	if res.Served {
 		t.Fatalf("opposite-direction taxi accepted: %+v", res)
 	}
@@ -173,7 +174,7 @@ func TestPGreedyDPPicksMinimumDetour(t *testing.T) {
 	s.AddTaxi(tA, 0)
 	s.AddTaxi(tB, 0)
 	req := env.request(t, 1, o, d, 0, 1.5, cfg.SpeedMps)
-	res := s.OnRequest(req, 0)
+	res := s.OnRequest(context.Background(), req, 0)
 	if !res.Served || res.TaxiID != 1 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -203,15 +204,15 @@ func TestPGreedyDPHasMoreCandidatesThanTShare(t *testing.T) {
 		} else {
 			r = env.request(t, 100+i, env.vertexNear(t, f, f), env.vertexNear(t, 0.05, 0.05), 0, 1.8, cfg.SpeedMps)
 		}
-		sp.OnRequest(r, 0)
+		sp.OnRequest(context.Background(), r, 0)
 		rCopy := *r
-		st.OnRequest(&rCopy, 0)
+		st.OnRequest(context.Background(), &rCopy, 0)
 	}
 	req := env.request(t, 1, env.vertexNear(t, 0.45, 0.45), env.vertexNear(t, 0.9, 0.9), 10, 1.5, cfg.SpeedMps)
-	rp := sp.OnRequest(req, 10)
+	rp := sp.OnRequest(context.Background(), req, 10)
 	reqCopy := *req
 	reqCopy.ID = 2
-	rt := st.OnRequest(&reqCopy, 10)
+	rt := st.OnRequest(context.Background(), &reqCopy, 10)
 	if rp.Candidates < rt.Candidates {
 		t.Fatalf("pGreedyDP candidates %d < T-Share %d", rp.Candidates, rt.Candidates)
 	}
@@ -225,7 +226,7 @@ func TestBaselineTryServeOffline(t *testing.T) {
 	taxi := fleet.NewTaxi(env.g, 1, 3, o)
 	s.AddTaxi(taxi, 0)
 	r1 := env.request(t, 1, o, env.vertexNear(t, 0.8, 0.8), 0, 1.8, cfg.SpeedMps)
-	if res := s.OnRequest(r1, 0); !res.Served {
+	if res := s.OnRequest(context.Background(), r1, 0); !res.Served {
 		t.Fatal("setup failed")
 	}
 	off := env.request(t, 2, env.vertexNear(t, 0.4, 0.4), env.vertexNear(t, 0.7, 0.7), 0, 1.8, cfg.SpeedMps)
@@ -238,7 +239,7 @@ func TestBaselineTryServeOffline(t *testing.T) {
 	taxi2 := fleet.NewTaxi(env.g, 5, 3, o)
 	ns.AddTaxi(taxi2, 0)
 	r3 := env.request(t, 3, o, env.vertexNear(t, 0.8, 0.8), 0, 1.8, cfg.SpeedMps)
-	if res := ns.OnRequest(r3, 0); !res.Served {
+	if res := ns.OnRequest(context.Background(), r3, 0); !res.Served {
 		t.Fatal("setup failed")
 	}
 	off2 := env.request(t, 4, env.vertexNear(t, 0.4, 0.4), env.vertexNear(t, 0.7, 0.7), 0, 1.8, cfg.SpeedMps)
@@ -266,12 +267,12 @@ func TestOnTaxiAdvancedUpdatesGrid(t *testing.T) {
 		taxi.Advance(1e6)
 	}
 	req := env.request(t, 1, dest, env.vertexNear(t, 0.5, 0.5), 0, 1.5, cfg.SpeedMps)
-	if res := s.OnRequest(req, 0); res.Served {
+	if res := s.OnRequest(context.Background(), req, 0); res.Served {
 		t.Fatal("stale grid served request")
 	}
 	s.OnTaxiAdvanced(taxi, 0)
 	req2 := env.request(t, 2, dest, env.vertexNear(t, 0.5, 0.5), 0, 1.5, cfg.SpeedMps)
-	if res := s.OnRequest(req2, 0); !res.Served {
+	if res := s.OnRequest(context.Background(), req2, 0); !res.Served {
 		t.Fatal("fresh grid failed to serve")
 	}
 }
@@ -315,7 +316,7 @@ func BenchmarkTShareOnRequest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := *req
 		r.ID = fleet.RequestID(i + 10)
-		s.OnRequest(&r, 0)
+		s.OnRequest(context.Background(), &r, 0)
 	}
 }
 
@@ -332,6 +333,6 @@ func BenchmarkPGreedyDPOnRequest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := *req
 		r.ID = fleet.RequestID(i + 10)
-		s.OnRequest(&r, 0)
+		s.OnRequest(context.Background(), &r, 0)
 	}
 }

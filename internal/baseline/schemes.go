@@ -1,13 +1,15 @@
 package baseline
 
 import (
+	"context"
+
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/roadnet"
 )
 
-// Result is the dispatch outcome type shared with the simulation.
+// Result is the dispatch outcome type shared with the runtime.
 type Result = dispatch.Outcome
 
 // NoSharing is the regular taxi service: the nearest vacant taxi within γ
@@ -23,7 +25,7 @@ func NewNoSharing(router *roadnet.Router, cfg Config) *NoSharing {
 func (s *NoSharing) Name() string { return "No-Sharing" }
 
 // OnRequest assigns the nearest vacant feasible taxi.
-func (s *NoSharing) OnRequest(req *fleet.Request, nowSeconds float64) Result {
+func (s *NoSharing) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
 	near := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
 	res := Result{}
 	for _, id := range near {
@@ -77,7 +79,7 @@ func (s *TShare) Name() string { return "T-Share" }
 
 // OnRequest performs the dual-side search and takes the first feasible
 // insertion.
-func (s *TShare) OnRequest(req *fleet.Request, nowSeconds float64) Result {
+func (s *TShare) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
 	origSide := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
 	res := Result{}
 	for _, id := range origSide {
@@ -136,7 +138,7 @@ func (s *PGreedyDP) Name() string { return "pGreedyDP" }
 
 // OnRequest searches all taxis around the origin and picks the
 // minimum-detour feasible insertion across all of them.
-func (s *PGreedyDP) OnRequest(req *fleet.Request, nowSeconds float64) Result {
+func (s *PGreedyDP) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
 	near := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
 	res := Result{}
 	var (

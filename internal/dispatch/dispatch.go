@@ -1,9 +1,14 @@
 // Package dispatch defines the scheme-facing contract between the
-// simulation engine and the ridesharing dispatchers (mT-Share and the
-// baselines), so the evaluation harness can swap schemes freely.
+// dispatch runtime (internal/service) and the ridesharing dispatchers it
+// drives (mT-Share and the baselines), so every driver can swap schemes
+// freely.
 package dispatch
 
-import "repro/internal/fleet"
+import (
+	"context"
+
+	"repro/internal/fleet"
+)
 
 // Outcome reports a dispatch attempt.
 type Outcome struct {
@@ -13,6 +18,13 @@ type Outcome struct {
 	TaxiID int64
 	// Candidates is the number of candidate taxis examined (Table III).
 	Candidates int
+	// Failed marks a winning plan that could not be committed.
+	Failed bool
+	// DetourMeters is the taxi's added travel distance, and PickupAt and
+	// DropoffAt the request's planned arrival times (absolute seconds),
+	// when Served. A scheme may leave them zero.
+	DetourMeters        float64
+	PickupAt, DropoffAt float64
 }
 
 // BatchResult pairs one request of a batch re-dispatch with its outcome.
@@ -25,26 +37,28 @@ type BatchResult struct {
 }
 
 // BatchDispatcher is an optional Scheme extension used by the pending
-// queue's retry loop: evaluate a batch of parked requests against the
+// queue's retry round: evaluate a batch of parked requests against the
 // current fleet and commit winners in deterministic (pickup deadline,
-// request ID) order. The simulator falls back to per-request OnRequest
+// request ID) order. The runtime falls back to per-request OnRequest
 // calls in the same order for schemes that do not implement it.
 type BatchDispatcher interface {
 	OnBatch(reqs []*fleet.Request, nowSeconds float64) []BatchResult
 }
 
-// Scheme is a ridesharing dispatcher under simulation.
+// Scheme is a ridesharing dispatcher.
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
 	// AddTaxi registers a taxi with the scheme's indexes.
 	AddTaxi(t *fleet.Taxi, nowSeconds float64)
-	// OnRequest attempts to serve an online request released now.
-	OnRequest(req *fleet.Request, nowSeconds float64) Outcome
+	// OnRequest attempts to serve an online request released now. ctx
+	// carries the caller's cancellation and tracer; a scheme may ignore it.
+	OnRequest(ctx context.Context, req *fleet.Request, nowSeconds float64) Outcome
 	// OnTaxiAdvanced lets the scheme refresh its indexes after the taxi
-	// moved during a simulation tick.
+	// moved during a tick.
 	OnTaxiAdvanced(t *fleet.Taxi, nowSeconds float64)
-	// OnRequestCompleted tells the scheme a request was delivered.
+	// OnRequestCompleted tells the scheme a request left the system:
+	// delivered, or expired while parked.
 	OnRequestCompleted(req *fleet.Request, nowSeconds float64)
 	// TryServeOffline handles a roadside encounter between taxi t and an
 	// offline request; it returns true when the taxi now serves it.

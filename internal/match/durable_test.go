@@ -167,7 +167,7 @@ func TestQueueDurableRoundTrip(t *testing.T) {
 		reqs[req.ID] = req
 	}
 	q.NextBatch() // bump retries
-	if !q.MarkServed(reqs[3].ID, 5) {
+	if q.MarkServed(reqs[3].ID, 5) == nil {
 		t.Fatal("MarkServed failed")
 	}
 	delete(reqs, 3)

@@ -190,7 +190,7 @@ func FuzzPendingQueue(f *testing.F) {
 					return
 				}
 				id := fleet.RequestID(idb % 16)
-				got := q.MarkServed(id, now)
+				got := q.MarkServed(id, now) != nil
 				want := m.markServed(id)
 				if got != want {
 					t.Fatalf("MarkServed(%d) = %v, model %v", id, got, want)

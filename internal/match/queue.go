@@ -239,13 +239,14 @@ func (q *PendingQueue) sortedLocked() []*PendingItem {
 }
 
 // MarkServed removes a matched request from the pool, recording its
-// queued-to-matched wait. It reports false when the request is not parked.
-func (q *PendingQueue) MarkServed(id fleet.RequestID, nowSeconds float64) bool {
+// queued-to-matched wait, and returns its item. It returns nil when the
+// request is not parked.
+func (q *PendingQueue) MarkServed(id fleet.RequestID, nowSeconds float64) *PendingItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	it, ok := q.byID[id]
 	if !ok {
-		return false
+		return nil
 	}
 	heap.Remove(&q.items, it.index)
 	delete(q.byID, id)
@@ -257,7 +258,7 @@ func (q *PendingQueue) MarkServed(id fleet.RequestID, nowSeconds float64) bool {
 		q.waitSecs.Observe(nowSeconds - it.EnqueuedAt)
 	}
 	q.setDepthLocked()
-	return true
+	return it
 }
 
 // Stats returns a snapshot of the queue's lifecycle counters.

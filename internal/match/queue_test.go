@@ -94,10 +94,10 @@ func TestPendingQueueMarkServed(t *testing.T) {
 	reg := obs.NewRegistry()
 	q := NewPendingQueue(8, speed).InstrumentWith(reg)
 	q.Push(queueRequest(1, 500, speed), 10)
-	if !q.MarkServed(1, 40) {
+	if q.MarkServed(1, 40) == nil {
 		t.Fatal("MarkServed missed a parked request")
 	}
-	if q.MarkServed(1, 40) {
+	if q.MarkServed(1, 40) != nil {
 		t.Fatal("MarkServed on an absent request reported true")
 	}
 	st := q.Stats()
@@ -244,7 +244,7 @@ func TestPendingQueueStatsConservation(t *testing.T) {
 	}
 	// Serve three of them.
 	for _, r := range reqs[:3] {
-		if !q.MarkServed(r.ID, 1) {
+		if q.MarkServed(r.ID, 1) == nil {
 			t.Fatalf("MarkServed(%d) missed a parked request", r.ID)
 		}
 		check("serve")

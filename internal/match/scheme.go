@@ -10,7 +10,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Scheme adapts an Engine to the simulation's dispatcher contract.
+// Scheme adapts an Engine to the dispatcher contract.
 // Probabilistic selects the mT-Share_pro variant: probabilistic routing in
 // Alg. 1 for eligible taxis plus probabilistic cruising of idle taxis
 // toward likely offline demand.
@@ -26,7 +26,7 @@ type Scheme struct {
 	lastIndexed map[int64]partition.ID
 }
 
-// NewScheme wraps an engine as a simulation dispatcher.
+// NewScheme wraps an engine as a dispatcher.
 func NewScheme(e *Engine, probabilistic bool) *Scheme {
 	return &Scheme{
 		Engine:        e,
@@ -56,19 +56,28 @@ func (s *Scheme) noteIndexed(t *fleet.Taxi) {
 	s.mu.Unlock()
 }
 
-// OnRequest runs Alg. 1 and commits the winning assignment.
-func (s *Scheme) OnRequest(req *fleet.Request, nowSeconds float64) dispatch.Outcome {
-	a, ok := s.Dispatch(req, nowSeconds, s.Probabilistic)
+// OnRequest runs Alg. 1 under ctx and commits the winning assignment.
+func (s *Scheme) OnRequest(ctx context.Context, req *fleet.Request, nowSeconds float64) dispatch.Outcome {
+	a, ok := s.DispatchContext(ctx, req, nowSeconds, s.Probabilistic)
 	out := dispatch.Outcome{Candidates: a.Candidates}
 	if !ok {
 		return out
 	}
 	if err := s.Commit(a, nowSeconds); err != nil {
+		out.Failed = true
 		return out
 	}
 	s.noteIndexed(a.Taxi)
-	out.Served = true
-	out.TaxiID = a.Taxi.ID
+	out.Served, out.TaxiID, out.DetourMeters = true, a.Taxi.ID, a.DetourMeters
+	for k, ev := range a.Events {
+		switch {
+		case ev.Req.ID != req.ID:
+		case ev.Kind == fleet.Pickup:
+			out.PickupAt = a.Eval.ArrivalSeconds[k]
+		default:
+			out.DropoffAt = a.Eval.ArrivalSeconds[k]
+		}
+	}
 	return out
 }
 

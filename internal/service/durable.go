@@ -286,7 +286,7 @@ func (r *Runtime) restore(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	r.Scheme.RestoreIndexed(restored)
+	r.Scheme.(*match.Scheme).RestoreIndexed(restored)
 	r.taxis = restored
 	switch {
 	case snap.Queue != nil && r.Queue == nil:

@@ -66,19 +66,20 @@ type Metrics struct {
 
 func (e *Engine) collectMetrics() *Metrics {
 	m := &Metrics{
-		SchemeName:       e.scheme.Name(),
+		SchemeName:       e.rt.Scheme.Name(),
 		DriverIncome:     e.driverIncome,
 		TotalPaid:        e.totalPaid,
 		TotalRegularFare: e.totalRegular,
-		IndexMemoryBytes: e.scheme.IndexMemoryBytes(),
+		IndexMemoryBytes: e.rt.Scheme.IndexMemoryBytes(),
 		ExecutionSecs:    e.ExecutionSecs,
 		PassengerMeters:  e.passengerMeters,
 	}
-	for _, t := range e.taxis {
+	taxis := e.rt.Taxis()
+	for _, t := range taxis {
 		m.TaxiMeters += t.Odometer()
 	}
-	if span := e.FinalSimSeconds - e.startSeconds; span > 0 && len(e.taxis) > 0 {
-		m.OccupiedFraction = e.occupiedSecs / (span * float64(len(e.taxis)))
+	if span := e.FinalSimSeconds - e.startSeconds; span > 0 && len(taxis) > 0 {
+		m.OccupiedFraction = e.occupiedSecs / (span * float64(len(taxis)))
 	}
 	if m.TaxiMeters > 0 {
 		m.MeanOccupancy = m.PassengerMeters / m.TaxiMeters
@@ -93,8 +94,8 @@ func (e *Engine) collectMetrics() *Metrics {
 		delivered    int
 		speTotal     = e.params.SpeedMps
 	)
+	m.Records = e.records
 	for _, rec := range e.records {
-		m.Records = append(m.Records, rec)
 		m.Requests++
 		if rec.Req.Offline {
 			m.OfflineRequests++
@@ -128,7 +129,6 @@ func (e *Engine) collectMetrics() *Metrics {
 		}
 	}
 	m.Delivered = delivered
-	sort.Slice(m.Records, func(i, j int) bool { return m.Records[i].Req.ID < m.Records[j].Req.ID })
 	if len(respNs) > 0 {
 		sort.Float64s(respNs)
 		var sum float64

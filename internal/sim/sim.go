@@ -1,14 +1,15 @@
 // Package sim is the discrete-event evaluation substrate of the
-// reproduction: it replays a day's ride requests against a fleet of taxis
-// driven by a pluggable dispatch scheme, moving taxis exactly along their
-// planned routes at the constant evaluation speed, detecting roadside
-// encounters with offline requests, settling fares with the payment
-// model, and collecting the metrics reported in the paper's §V (served
-// requests, response time, detour time, waiting time, candidate-set size,
-// fares and driver income).
+// reproduction: it feeds a day's ride requests, at their release times,
+// to the dispatch runtime (internal/service) driving a pluggable scheme,
+// and keeps what is its own — placing the fleet, shift changes, roadside
+// encounters with offline requests, their expiry, throttled idle
+// cruising, fare settlement with the payment model, and the metrics
+// reported in the paper's §V (served requests, response time, detour
+// time, waiting time, candidate-set size, fares and driver income).
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,9 +19,9 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/index"
-	"repro/internal/match"
 	"repro/internal/payment"
 	"repro/internal/roadnet"
+	"repro/internal/service"
 )
 
 // Params configures a simulation run.
@@ -35,9 +36,6 @@ type Params struct {
 	// MaxDrainSeconds bounds the post-workload drain phase that lets
 	// assigned passengers finish their rides (default 2 h).
 	MaxDrainSeconds float64
-	// IdlePlanEverySeconds throttles idle-cruise planning per taxi
-	// (default 60 s).
-	IdlePlanEverySeconds float64
 	// Payment is the settlement model; zero value disables settlement.
 	Payment payment.Model
 	// SettlePayments enables fare settlement.
@@ -104,7 +102,6 @@ func DefaultParams() Params {
 		TickSeconds:           5,
 		EncounterRadiusMeters: 80,
 		MaxDrainSeconds:       7200,
-		IdlePlanEverySeconds:  60,
 		Payment:               payment.DefaultModel(),
 		SettlePayments:        true,
 	}
@@ -180,6 +177,9 @@ func (r *RequestRecord) DetourSeconds(speedMps float64) float64 {
 	return inVehicle - r.Req.DirectSeconds(speedMps)
 }
 
+// idlePlanEverySeconds throttles idle-cruise planning per taxi.
+const idlePlanEverySeconds = 60
+
 // episode tracks one continuous shared ride of a taxi (first pickup from
 // empty to the dropoff that empties it) for settlement.
 type episode struct {
@@ -190,24 +190,16 @@ type episode struct {
 // Engine drives one simulation run. It is single-goroutine.
 type Engine struct {
 	params Params
-	g      *roadnet.Graph
-	scheme dispatch.Scheme
+	rt     *service.Runtime
 
-	taxis    []*fleet.Taxi
 	episodes map[int64]*episode
 	lastIdle map[int64]float64
 
 	taxiGrid *index.LocationGrid
 
-	records map[fleet.RequestID]*RequestRecord
-	pending []*fleet.Request // offline, released, not yet served/expired
-
-	// Pending-request queue (nil when Params.QueueDepth is 0): online
-	// requests whose dispatch failed wait here for batched re-dispatch
-	// every retryEvery ticks. tickCount counts completed ticks.
-	queue      *match.PendingQueue
-	retryEvery int
-	tickCount  int64
+	// records[i] tracks the runtime's request i+1.
+	records []*RequestRecord
+	pending []*service.Request // offline, released, not yet served/expired
 
 	// Aggregates.
 	driverIncome    float64
@@ -236,97 +228,95 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 		return nil, err
 	}
 	min, max := g.Bounds()
-	e := &Engine{
+	return &Engine{
 		params:   params,
-		g:        g,
-		scheme:   scheme,
+		rt:       service.Over(g, scheme, params.SpeedMps, params.QueueDepth, params.RetryEveryTicks),
 		episodes: make(map[int64]*episode),
 		lastIdle: make(map[int64]float64),
 		taxiGrid: index.NewLocationGrid(min, max, 300),
-		records:  make(map[fleet.RequestID]*RequestRecord),
-	}
-	if params.QueueDepth > 0 {
-		e.queue = match.NewPendingQueue(params.QueueDepth, params.SpeedMps)
-		e.retryEvery = params.RetryEveryTicks
-		if e.retryEvery == 0 {
-			e.retryEvery = 1
-		}
-	}
-	return e, nil
+	}, nil
 }
 
 // PlaceTaxis creates n taxis with the given capacity at deterministic
 // pseudo-random vertices and registers them with the scheme.
 func (e *Engine) PlaceTaxis(n, capacity int, seed int64, startSeconds float64) {
+	e.rt.SetClock(startSeconds)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		at := roadnet.VertexID(rng.Intn(e.g.NumVertices()))
-		t := fleet.NewTaxi(e.g, int64(i+1), capacity, at)
-		e.taxis = append(e.taxis, t)
-		e.scheme.AddTaxi(t, startSeconds)
-		e.taxiGrid.Update(t.ID, t.Point())
+		e.place(roadnet.VertexID(rng.Intn(e.rt.Graph.NumVertices())), capacity)
 	}
 }
 
+func (e *Engine) place(v roadnet.VertexID, capacity int) {
+	t := e.rt.PlaceTaxi(v, capacity)
+	e.taxiGrid.Update(t.ID, t.Point())
+}
+
 // Taxis returns the simulated fleet.
-func (e *Engine) Taxis() []*fleet.Taxi { return e.taxis }
+func (e *Engine) Taxis() []*fleet.Taxi { return e.rt.Taxis() }
 
 // Run replays the given requests (online and offline mixed; they carry
 // the Offline flag) from startSeconds until all released requests are
 // resolved and all taxis are empty, bounded by MaxDrainSeconds past the
-// last release.
+// last release. The runtime dispatches a copy of each request, relabelled
+// in ascending ID order; the records point at the caller's requests.
 func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
-	reqs := make([]*fleet.Request, len(requests))
-	copy(reqs, requests)
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ReleaseAt < reqs[j].ReleaseAt })
-	for _, r := range reqs {
-		e.records[r.ID] = &RequestRecord{Req: r}
+	byID := make([]int, len(requests))
+	for i := range byID {
+		byID[i] = i
 	}
+	sort.SliceStable(byID, func(a, b int) bool { return requests[byID[a]].ID < requests[byID[b]].ID })
+	reqs := make([]*service.Request, len(requests))
+	for _, i := range byID {
+		reqs[i] = e.rt.Register(*requests[i])
+		e.records = append(e.records, &RequestRecord{Req: requests[i]})
+	}
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Req.ReleaseAt < reqs[j].Req.ReleaseAt })
 	var lastRelease float64 = startSeconds
 	if len(reqs) > 0 {
-		lastRelease = reqs[len(reqs)-1].ReleaseAt.Seconds()
+		lastRelease = reqs[len(reqs)-1].Req.ReleaseAt.Seconds()
 	}
 	e.wallStart = time.Now()
 	e.startSeconds = startSeconds
-	now := startSeconds
+	e.rt.SetClock(startSeconds)
 	next := 0
-	dt := e.params.TickSeconds
 	for {
+		now := e.rt.Now()
 		// 0a. Shift changeover: retire emptied off-shift taxis, bring the
 		// replacement cohort on before this tick's dispatches see them.
 		e.serviceShift(now)
-		// 0b. Pending-queue maintenance: evict requests whose pickup
-		// deadline passed, then — when the retry interval is due —
-		// re-dispatch the parked batch before this tick's releases.
-		e.serviceQueue(now)
+		// 0b. The runtime's retry round: evict parked requests whose pickup
+		// deadline passed, then — when due — re-dispatch the rest before
+		// this tick's releases.
+		e.retryRound(now)
 		// 1. Release requests due by now.
-		for next < len(reqs) && reqs[next].ReleaseAt.Seconds() <= now {
-			r := reqs[next]
+		for next < len(reqs) && reqs[next].Req.ReleaseAt.Seconds() <= now {
+			st := reqs[next]
 			next++
-			if r.Offline {
-				e.pending = append(e.pending, r)
+			if st.Req.Offline {
+				e.pending = append(e.pending, st)
 				continue
 			}
-			e.dispatchOnline(r, now, false)
+			e.dispatch(st, false)
 		}
 		// 2. Move taxis, firing events.
-		e.advanceTaxis(now, dt)
+		e.rt.Move(e.params.TickSeconds, e.moved)
+		now = e.rt.Now()
 		// 3. Roadside encounters with offline requests.
-		e.handleEncounters(now + dt)
+		e.handleEncounters(now)
 		// 4. Expire hopeless offline requests.
-		e.expirePending(now + dt)
+		e.expirePending(now)
 		// 5. Idle cruising (probabilistic variants).
-		e.planIdle(now + dt)
+		e.planIdle(now)
 
-		now += dt
 		if next >= len(reqs) && now > lastRelease {
-			if (e.allTaxisIdle() && e.queueLen() == 0) || now > lastRelease+e.params.MaxDrainSeconds {
+			if (e.allTaxisIdle() && (e.rt.Queue == nil || e.rt.Queue.Len() == 0)) || now > lastRelease+e.params.MaxDrainSeconds {
 				break
 			}
 		}
 	}
 	e.ExecutionSecs = time.Since(e.wallStart).Seconds()
-	e.FinalSimSeconds = now
+	e.FinalSimSeconds = e.rt.Now()
 	return e.collectMetrics()
 }
 
@@ -338,24 +328,25 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 // while keeping the taxi's movement deterministic. Phase 2 (now >=
 // AtSeconds + LagSeconds): one fresh replacement per cohort member, with
 // the retiree's original capacity, comes on shift at a seeded vertex
-// through the ordinary AddTaxi path. Everything is driven by simulated
-// time and one seeded rng, so runs are bit-identical.
+// under the next taxi ID. Everything is driven by simulated time and one
+// seeded rng, so runs are bit-identical.
 func (e *Engine) serviceShift(now float64) {
 	sc := e.params.ShiftChange
 	if !sc.Enabled() {
 		return
 	}
+	taxis := e.rt.Taxis()
 	if !e.shiftPicked && now >= sc.AtSeconds {
 		rng := rand.New(rand.NewSource(sc.Seed))
-		k := int(math.Round(sc.Fraction * float64(len(e.taxis))))
+		k := int(math.Round(sc.Fraction * float64(len(taxis))))
 		if k < 1 {
 			k = 1
 		}
-		picked := rng.Perm(len(e.taxis))[:k]
+		picked := rng.Perm(len(taxis))[:k]
 		sort.Ints(picked)
 		for _, i := range picked {
-			e.shiftCohort = append(e.shiftCohort, e.taxis[i])
-			e.shiftCaps = append(e.shiftCaps, e.taxis[i].Capacity)
+			e.shiftCohort = append(e.shiftCohort, taxis[i])
+			e.shiftCaps = append(e.shiftCaps, taxis[i].Capacity)
 		}
 		e.shiftPicked = true
 	}
@@ -368,101 +359,35 @@ func (e *Engine) serviceShift(now float64) {
 	}
 	if e.shiftPicked && !e.shiftReplaced && now >= sc.AtSeconds+sc.LagSeconds {
 		rng := rand.New(rand.NewSource(sc.Seed + 1))
-		var nextID int64
-		for _, t := range e.taxis {
-			if t.ID > nextID {
-				nextID = t.ID
-			}
-		}
 		for _, capacity := range e.shiftCaps {
-			nextID++
-			at := roadnet.VertexID(rng.Intn(e.g.NumVertices()))
-			t := fleet.NewTaxi(e.g, nextID, capacity, at)
-			e.taxis = append(e.taxis, t)
-			e.scheme.AddTaxi(t, now)
-			e.taxiGrid.Update(t.ID, t.Point())
+			e.place(roadnet.VertexID(rng.Intn(e.rt.Graph.NumVertices())), capacity)
 		}
 		e.shiftReplaced = true
 	}
 }
 
-// queueLen returns the pending queue's depth (0 when disabled).
-func (e *Engine) queueLen() int {
-	if e.queue == nil {
-		return 0
+// retryRound runs the runtime's retry round and records its outcomes.
+func (e *Engine) retryRound(now float64) {
+	expired, served := e.rt.RetryRound()
+	for _, it := range expired {
+		rec := e.records[it.Req.ID-1]
+		rec.Expired = true
+		rec.QueueRetries = it.Retries
 	}
-	return e.queue.Stats().Depth
-}
-
-// requestDropper lets a scheme clean per-request index state when a
-// queued request expires without ever being committed (the match
-// engine's mobility clusters hold the request from dispatch time).
-type requestDropper interface{ OnRequestDone(req *fleet.Request) }
-
-// serviceQueue runs one tick of pending-queue maintenance: evict every
-// parked request whose pickup deadline strictly passed, then — when the
-// retry interval is due — re-dispatch the remaining batch through the
-// scheme.
-func (e *Engine) serviceQueue(now float64) {
-	if e.queue == nil {
-		return
+	for _, s := range served {
+		rec := e.records[s.Item.Req.ID-1]
+		rec.Served = true
+		rec.ServedFromQueue = true
+		rec.TaxiID = s.Out.TaxiID
+		rec.AssignSeconds = now
+		rec.QueueRetries = s.Item.Retries
+		rec.QueueWaitSeconds = now - s.Item.EnqueuedAt
+		rec.Candidates = s.Out.Candidates
 	}
-	e.tickCount++
-	for _, it := range e.queue.ExpireBefore(now) {
-		if rec := e.records[it.Req.ID]; rec != nil {
-			rec.Expired = true
-			rec.QueueRetries = it.Retries
-		}
-		if d, ok := e.scheme.(requestDropper); ok {
-			d.OnRequestDone(it.Req)
-		}
-	}
-	if e.tickCount%int64(e.retryEvery) != 0 {
-		return
-	}
-	batch := e.queue.NextBatch()
-	if len(batch) == 0 {
-		return
-	}
-	reqs := make([]*fleet.Request, len(batch))
-	items := make(map[fleet.RequestID]*match.PendingItem, len(batch))
-	for i, it := range batch {
-		reqs[i] = it.Req
-		items[it.Req.ID] = it
-	}
-	for _, r := range e.batchDispatch(reqs, now) {
-		if !r.Out.Served || !e.queue.MarkServed(r.Req.ID, now) {
-			continue
-		}
-		it := items[r.Req.ID]
-		if rec := e.records[r.Req.ID]; rec != nil {
-			rec.Served = true
-			rec.ServedFromQueue = true
-			rec.TaxiID = r.Out.TaxiID
-			rec.AssignSeconds = now
-			rec.QueueRetries = it.Retries
-			rec.QueueWaitSeconds = now - it.EnqueuedAt
-			rec.Candidates = r.Out.Candidates
-		}
-	}
-}
-
-// batchDispatch routes a retry batch through the scheme: natively when
-// it implements dispatch.BatchDispatcher, otherwise per-request in the
-// batch's deterministic (pickup deadline, request ID) order.
-func (e *Engine) batchDispatch(reqs []*fleet.Request, now float64) []dispatch.BatchResult {
-	if bd, ok := e.scheme.(dispatch.BatchDispatcher); ok {
-		return bd.OnBatch(reqs, now)
-	}
-	res := make([]dispatch.BatchResult, len(reqs))
-	for i, r := range reqs {
-		res[i] = dispatch.BatchResult{Req: r, Out: e.scheme.OnRequest(r, now)}
-	}
-	return res
 }
 
 func (e *Engine) allTaxisIdle() bool {
-	for _, t := range e.taxis {
+	for _, t := range e.rt.Taxis() {
 		if !t.Empty() {
 			return false
 		}
@@ -470,94 +395,75 @@ func (e *Engine) allTaxisIdle() bool {
 	return true
 }
 
-// dispatchOnline runs the scheme's dispatcher for a request and records
-// the outcome. offline marks requests that reached the dispatcher through
-// the roadside-encounter fallback.
-func (e *Engine) dispatchOnline(r *fleet.Request, now float64, offline bool) bool {
-	rec := e.records[r.ID]
+// dispatch offers a released request to the runtime and records the
+// outcome. offline marks requests that reached the dispatcher through the
+// roadside-encounter fallback.
+func (e *Engine) dispatch(st *service.Request, offline bool) bool {
+	rec := e.records[st.Req.ID-1]
 	t0 := time.Now()
-	out := e.scheme.OnRequest(r, now)
+	out, code := e.rt.Dispatch(context.Background(), st)
 	rec.ResponseNanos = time.Since(t0).Nanoseconds()
 	rec.Candidates = out.Candidates
-	if !out.Served {
-		// Online requests park in the pending queue for batched
-		// re-dispatch instead of failing terminally; a full queue is an
-		// explicit backpressure rejection, and a request whose pickup
-		// deadline already passed is a terminal expiry, not backpressure.
-		if !r.Offline && e.queue != nil {
-			switch e.queue.Push(r, now) {
-			case match.PushAccepted:
-				rec.Queued = true
-			case match.PushRejectedExpired:
-				rec.Expired = true
-			}
-		}
-		return false
+	switch code {
+	case service.OK:
+		rec.Served = true
+		rec.ServedOffline = offline
+		rec.TaxiID = out.TaxiID
+		rec.AssignSeconds = e.rt.Now()
+		return true
+	case service.Queued:
+		rec.Queued = true
+	case service.Expired:
+		rec.Expired = true
 	}
-	rec.Served = true
-	rec.ServedOffline = offline
-	rec.TaxiID = out.TaxiID
-	rec.AssignSeconds = now
-	return true
+	return false
 }
 
-// advanceTaxis moves every taxi by speed·dt in fleet order, processing
-// fired events in order and keeping odometers, episodes, and the taxi grid
-// current.
-func (e *Engine) advanceTaxis(now, dt float64) {
-	distance := e.params.SpeedMps * dt
-	for _, t := range e.taxis {
-		startOdo := t.Odometer()
-		onboard := t.OccupiedSeats()
-		visits := t.Advance(distance)
-		for _, v := range visits {
-			eventOdo := startOdo + v.MetersIntoTick
-			eventTime := now + v.MetersIntoTick/e.params.SpeedMps
-			e.processEvent(t, v.Event, eventOdo, eventTime, &onboard)
-		}
-		if t.OccupiedSeats() > 0 {
-			e.occupiedSecs += dt
-		}
-		if t.Odometer() != startOdo || len(visits) > 0 {
-			e.taxiGrid.Update(t.ID, t.Point())
-		}
-		e.scheme.OnTaxiAdvanced(t, now+dt)
+// moved folds one taxi's movement step into the records, odometers,
+// episodes, occupancy and the encounter grid.
+func (e *Engine) moved(t *fleet.Taxi, startOdo float64, onboard int, visits []fleet.EventVisit) {
+	for _, v := range visits {
+		eventOdo := startOdo + v.MetersIntoTick
+		eventTime := e.rt.Now() + v.MetersIntoTick/e.params.SpeedMps
+		e.processEvent(t, v.Event, eventOdo, eventTime, &onboard)
+	}
+	if t.OccupiedSeats() > 0 {
+		e.occupiedSecs += e.params.TickSeconds
+	}
+	if t.Odometer() != startOdo || len(visits) > 0 {
+		e.taxiGrid.Update(t.ID, t.Point())
 	}
 }
 
 // processEvent updates per-request records and per-taxi episodes for one
 // pickup or dropoff.
 func (e *Engine) processEvent(t *fleet.Taxi, ev fleet.Event, odo, when float64, onboard *int) {
-	rec := e.records[ev.Req.ID]
+	rec := e.records[ev.Req.ID-1]
 	switch ev.Kind {
 	case fleet.Pickup:
-		if rec != nil {
-			rec.PickupSeconds = when
-			rec.pickupOdo = odo
-		}
+		rec.PickupSeconds = when
+		rec.pickupOdo = odo
 		if *onboard == 0 {
 			e.episodes[t.ID] = &episode{startOdo: odo}
 		}
 		*onboard += ev.Req.Passengers
 	case fleet.Dropoff:
 		*onboard -= ev.Req.Passengers
-		if rec != nil {
-			rec.DropoffSeconds = when
-			rec.dropoffOdo = odo
-			rec.Delivered = true
-			e.passengerMeters += rec.SharedMeters()
-		}
-		e.scheme.OnRequestCompleted(ev.Req, when)
+		rec.DropoffSeconds = when
+		rec.dropoffOdo = odo
+		rec.Delivered = true
+		e.passengerMeters += rec.SharedMeters()
 		ep := e.episodes[t.ID]
-		if ep != nil && rec != nil {
-			ep.rides = append(ep.rides, payment.RideRecord{
-				ID:           ev.Req.ID,
-				DirectMeters: ev.Req.DirectMeters,
-				SharedMeters: rec.SharedMeters(),
-				Completed:    true,
-			})
+		if ep == nil {
+			return
 		}
-		if *onboard == 0 && ep != nil {
+		ep.rides = append(ep.rides, payment.RideRecord{
+			ID:           ev.Req.ID,
+			DirectMeters: ev.Req.DirectMeters,
+			SharedMeters: rec.SharedMeters(),
+			Completed:    true,
+		})
+		if *onboard == 0 {
 			e.settleEpisode(ep, odo)
 			delete(e.episodes, t.ID)
 		}
@@ -572,10 +478,7 @@ func (e *Engine) settleEpisode(ep *episode, endOdo float64) {
 	s := e.params.Payment.Settle(endOdo-ep.startOdo, ep.rides)
 	e.driverIncome += s.DriverIncome
 	for _, ride := range ep.rides {
-		rec := e.records[ride.ID]
-		if rec == nil {
-			continue
-		}
+		rec := e.records[ride.ID-1]
 		rec.RegularFare = e.params.Payment.Tariff.Fare(ride.DirectMeters)
 		rec.PaidFare = s.Fares[ride.ID]
 		e.totalPaid += rec.PaidFare
@@ -592,79 +495,64 @@ func (e *Engine) handleEncounters(now float64) {
 		return
 	}
 	remaining := e.pending[:0]
-	for _, r := range e.pending {
-		rec := e.records[r.ID]
-		served := false
-		for _, id := range e.taxiGrid.Near(r.OriginPt, e.params.EncounterRadiusMeters) {
-			t := e.taxiByID(id)
-			if t == nil || t.IdleSeats() < r.Passengers {
-				continue
-			}
-			t0 := time.Now()
-			ok := e.scheme.TryServeOffline(t, r, now)
-			if ok {
-				rec.ResponseNanos = time.Since(t0).Nanoseconds()
-				rec.Served = true
-				rec.ServedOffline = true
-				rec.TaxiID = t.ID
-				rec.AssignSeconds = now
-				served = true
-				break
-			}
-			// The driver reported the hailing passenger but could not fit
-			// them; mT-Share's server dispatches another taxi.
-			if e.scheme.SupportsOfflineDispatch() {
-				if e.dispatchOnline(r, now, true) {
-					served = true
-					break
-				}
-			}
-		}
-		if !served {
-			remaining = append(remaining, r)
+	for _, st := range e.pending {
+		if !e.encounter(st, now) {
+			remaining = append(remaining, st)
 		}
 	}
 	e.pending = remaining
 }
 
-func (e *Engine) taxiByID(id int64) *fleet.Taxi {
-	// The fleet is dense and small; linear scan is fine for the tick
-	// loop's purposes but a map would also do. IDs start at 1.
-	i := int(id) - 1
-	if i >= 0 && i < len(e.taxis) && e.taxis[i].ID == id {
-		return e.taxis[i]
-	}
-	for _, t := range e.taxis {
-		if t.ID == id {
-			return t
+// encounter offers a hailing passenger to every taxi passing by with
+// enough free seats, and reports whether one of them got them served.
+func (e *Engine) encounter(st *service.Request, now float64) bool {
+	rec := e.records[st.Req.ID-1]
+	for _, id := range e.taxiGrid.Near(st.Req.OriginPt, e.params.EncounterRadiusMeters) {
+		t, ok := e.rt.Taxi(id)
+		if !ok || t.IdleSeats() < st.Req.Passengers {
+			continue
+		}
+		t0 := time.Now()
+		if e.rt.Roadside(t, st) {
+			rec.ResponseNanos = time.Since(t0).Nanoseconds()
+			rec.Served = true
+			rec.ServedOffline = true
+			rec.TaxiID = t.ID
+			rec.AssignSeconds = now
+			return true
+		}
+		// The driver reported the hailing passenger but could not fit
+		// them; mT-Share's server dispatches another taxi.
+		if e.rt.Scheme.SupportsOfflineDispatch() && e.dispatch(st, true) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // expirePending drops offline requests whose pickup deadline passed.
 func (e *Engine) expirePending(now float64) {
 	remaining := e.pending[:0]
-	for _, r := range e.pending {
-		if r.PickupDeadline(e.params.SpeedMps).Seconds() < now {
-			e.records[r.ID].Expired = true
+	for _, st := range e.pending {
+		if st.Req.PickupDeadline(e.params.SpeedMps).Seconds() < now {
+			e.records[st.Req.ID-1].Expired = true
 			continue
 		}
-		remaining = append(remaining, r)
+		remaining = append(remaining, st)
 	}
 	e.pending = remaining
 }
 
 // planIdle offers parked, empty taxis to the scheme's idle planner.
 func (e *Engine) planIdle(now float64) {
-	for _, t := range e.taxis {
+	for _, t := range e.rt.Taxis() {
 		if !t.Empty() || len(t.Route()) > 1 {
 			continue
 		}
-		if now-e.lastIdle[t.ID] < e.params.IdlePlanEverySeconds {
+		if now-e.lastIdle[t.ID] < idlePlanEverySeconds {
 			continue
 		}
 		e.lastIdle[t.ID] = now
-		e.scheme.PlanIdle(t, now)
+		e.rt.Scheme.PlanIdle(t, now)
 	}
 }
