@@ -47,6 +47,7 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/server"
 	"repro/internal/wal"
 )
@@ -60,7 +61,7 @@ func main() {
 	speedup := flag.Float64("speedup", 20, "simulation clock speedup over wall clock")
 	seed := flag.Int64("seed", 1, "world seed")
 	queueDepth := flag.Int("queue", 0, "pending-queue capacity: park unserved requests and retry until their deadline (0 = reject immediately)")
-	queueRetry := flag.Int("queue-retry", 1, "retry the pending queue every N simulation ticks")
+	queueRetry := flag.Int("queue-retry", 1, "retry the pending queue every N simulation ticks (ignored without -queue)")
 	batchAssign := flag.Bool("batch-assign", false, "run queue retry rounds as a global min-cost assignment instead of greedy deadline-order commits")
 	parallelism := flag.Int("parallelism", 0, "engine worker count per dispatch (0 = default)")
 	traceSample := flag.Int("trace-sample", 0, "log the span tree of one in N dispatches (0 disables)")
@@ -78,8 +79,7 @@ func main() {
 		CityRows: *rows, CityCols: *cols,
 		InitialTaxis: *taxis, Capacity: *capacity,
 		Speedup: *speedup, Seed: *seed,
-		QueueDepth: *queueDepth, RetryEveryTicks: *queueRetry,
-		BatchAssign: *batchAssign,
+		Policy:      replay.Policy{QueueDepth: *queueDepth, BatchAssign: *batchAssign},
 		Parallelism: *parallelism,
 		ManualClock: *manualClock,
 		MaxInFlight: *maxInFlight, AdmissionQueue: *admissionQueue,
@@ -89,6 +89,11 @@ func main() {
 			SyncInterval:       *walSyncInterval,
 			SnapshotEveryTicks: *snapshotEvery,
 		},
+	}
+	if *queueDepth > 0 {
+		// A retry interval without a queue is an incoherent policy the
+		// server refuses, and -queue-retry has a default.
+		cfg.RetryEveryTicks = *queueRetry
 	}
 	if v := os.Getenv("MTSHARE_CRASH_AT_EVENT"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)

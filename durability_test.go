@@ -18,8 +18,7 @@ func durableBaseOptions(parallelism int) Options {
 		SyntheticCityRows: 8,
 		SyntheticCityCols: 8,
 		Seed:              5,
-		QueueDepth:        8,
-		RetryEveryTicks:   1,
+		Policy:            Policy{QueueDepth: 8, RetryEveryTicks: 1},
 		Parallelism:       parallelism,
 	}
 }

@@ -118,9 +118,9 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"negative direction tolerance", Options{MaxDirectionDiffDegrees: -10}, "direction"},
 		{"direction tolerance over 180", Options{MaxDirectionDiffDegrees: 181}, "direction"},
 		{"negative trace sampling", Options{TraceSampleEvery: -1}, "trace sample"},
-		{"negative queue depth", Options{QueueDepth: -4}, "queue depth"},
-		{"negative retry interval", Options{QueueDepth: 8, RetryEveryTicks: -1}, "retry interval"},
-		{"retry without queue", Options{RetryEveryTicks: 2}, "QueueDepth"},
+		{"negative queue depth", Options{Policy: Policy{QueueDepth: -4}}, "queue depth"},
+		{"negative retry interval", Options{Policy: Policy{QueueDepth: 8, RetryEveryTicks: -1}}, "retry interval"},
+		{"retry without queue", Options{Policy: Policy{RetryEveryTicks: 2}}, "QueueDepth"},
 		{"recording with custom history", Options{
 			RecordTo: &bytes.Buffer{},
 			History:  []Trip{{Origin: Point{Lat: 1}, Dest: Point{Lng: 1}}},

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"repro/internal/replay"
 	"repro/internal/server"
 )
 
@@ -20,9 +21,9 @@ func main() {
 	srv, err := server.New(server.Config{
 		CityRows: 20, CityCols: 20,
 		InitialTaxis: 15, Capacity: 3,
-		Speedup:       600, // 10 simulated minutes per wall second
-		Probabilistic: true,
-		Seed:          1,
+		Speedup: 600, // 10 simulated minutes per wall second
+		Policy:  replay.Policy{Probabilistic: true},
+		Seed:    1,
 	})
 	if err != nil {
 		log.Fatal(err)

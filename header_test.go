@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -76,7 +75,7 @@ func TestHeaderBytes(t *testing.T) {
 					CityRows: 10, CityCols: 10,
 					InitialTaxis: 6, Capacity: 3,
 					Speedup: 20, Seed: 4,
-					QueueDepth: 8, RetryEveryTicks: 1,
+					Policy:      replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
 					Parallelism: 1,
 					ManualClock: true,
 					Durability:  wal.Options{Dir: t.TempDir(), SyncEvery: 1, SnapshotEveryTicks: 3},
@@ -99,28 +98,19 @@ func TestHeaderBytes(t *testing.T) {
 		{
 			name: "runtime fault-plan tests",
 			got: func(t *testing.T) string {
-				cfg := service.Config{
+				rt, err := service.New(service.Config{
 					Rows: 8, Cols: 8, Seed: 5,
 					HistoryTripsPerHour: 300,
 					PartitionSeed:       5,
 					Match:               match.DefaultConfig(),
-					QueueDepth:          8,
-					RetryEveryTicks:     1,
+					Policy:              replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
 					Faults:              &replay.FaultPlan{Seed: 3, UnreachableEvery: 9, CancelEvery: 7},
-				}
-				rt, err := service.New(cfg)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				dir := t.TempDir()
-				h := replay.Header{
-					Version: replay.Version, Kind: replay.KindSystem,
-					Seed: cfg.Seed, Rows: cfg.Rows, Cols: cfg.Cols,
-					QueueDepth: cfg.QueueDepth, RetryEveryTicks: cfg.RetryEveryTicks,
-					GraphFingerprint: fmt.Sprintf("%016x", rt.Graph.Fingerprint()),
-					Faults:           cfg.Faults,
-				}
-				if err := rt.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1}, h); err != nil {
+				if err := rt.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1}, replay.World{Seed: 5, Rows: 8, Cols: 8}); err != nil {
 					t.Fatal(err)
 				}
 				if err := rt.Seal(); err != nil {

@@ -551,7 +551,7 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	win := PeakWindow()
 	start := win.From.Seconds()
 	run := func(global bool, retry, par int) (*sim.Metrics, match.EngineStats, error) {
-		eng, err := l.engine(l.defaults(Scenario{BatchAssign: global}), par, nil)
+		eng, err := l.engine(l.defaults(Scenario{}), par, func(cfg *match.Config) { cfg.BatchAssign = global })
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}

@@ -51,15 +51,9 @@ type Scenario struct {
 	// the shortest path (the ablate-probtradeoff experiment); 0 = off.
 	ProbInflation float64
 	// QueueDepth enables the pending-request queue (batched re-dispatch
-	// of unserved requests) at the given capacity; 0 = immediate reject.
-	// RetryEveryTicks sets the retry cadence (0 = every tick).
-	QueueDepth      int
-	RetryEveryTicks int
-	// BatchAssign runs queue retry rounds as a global min-cost assignment
-	// over the full (request, taxi) cost graph instead of greedy
-	// deadline-order commits (the ablate-batch-assign experiment); see
-	// match.Config.BatchAssign.
-	BatchAssign bool
+	// of unserved requests, retried every tick) at the given capacity;
+	// 0 = immediate reject.
+	QueueDepth int
 }
 
 func (sc Scenario) window() Window {
@@ -177,7 +171,7 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 }
 
 // engine builds an mT-Share engine for a defaulted scenario (partitioning,
-// γ, λ, probabilistic-leg cap and batch assignment) at dispatch
+// γ, λ and probabilistic-leg cap) at dispatch
 // parallelism par. Every engine of a lab shares the world's CH and the
 // partitioning's landmark oracle: both are immutable and bit-identical at
 // every parallelism, and preprocessing is the expensive part. tune, when
@@ -191,7 +185,6 @@ func (l *Lab) engine(sc Scenario, par int, tune func(*match.Config)) (*match.Eng
 	cfg.SearchRangeMeters = sc.Gamma
 	cfg.Lambda = sc.Lambda
 	cfg.ProbMaxLegInflation = sc.ProbInflation
-	cfg.BatchAssign = sc.BatchAssign
 	cfg.Parallelism = par
 	cfg.CH = l.World.CH(par)
 	cfg.Oracle = l.World.oracle(pt, par)
@@ -218,9 +211,6 @@ func (l *Lab) Run(sc Scenario) (*sim.Metrics, error) {
 	reqs := l.World.Requests(sc.window(), sc.Rho, sc.OfflineFrac)
 	params := sim.DefaultParams()
 	params.QueueDepth = sc.QueueDepth
-	if sc.QueueDepth > 0 {
-		params.RetryEveryTicks = sc.RetryEveryTicks
-	}
 	eng, err := sim.NewEngine(l.World.G, scheme, params)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 func FuzzReplayDecode(f *testing.F) {
 	var seed bytes.Buffer
 	enc, err := NewEncoder(&seed, Header{
-		Version: Version, Kind: KindSystem, Seed: 7, Rows: 12, Cols: 12,
+		Version: Version, Kind: KindSystem, World: World{Seed: 7, Rows: 12, Cols: 12},
 		GraphFingerprint: "00deadbeef00cafe",
 		Faults:           &FaultPlan{Seed: 3, UnreachableEvery: 9},
 	})

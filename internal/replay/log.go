@@ -42,27 +42,14 @@ const Version = 3
 const KindSystem = "system"
 
 // Header is the first line of a log: everything needed to rebuild the
-// world the events ran against.
+// world the events ran against. The service runtime assembles it from the
+// recording shell's World and its own Policy; encoding/json promotes the
+// embedded fields in place, so the line reads as one flat object.
 type Header struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
-	// World generation parameters (the facade's Options snapshot).
-	Seed                    int64   `json:"seed"`
-	Rows                    int     `json:"rows,omitempty"`
-	Cols                    int     `json:"cols,omitempty"`
-	Partitions              int     `json:"partitions,omitempty"`
-	SpeedKmh                float64 `json:"speed_kmh,omitempty"`
-	SearchRangeMeters       float64 `json:"search_range_m,omitempty"`
-	MaxDirectionDiffDegrees float64 `json:"max_direction_deg,omitempty"`
-	Probabilistic           bool    `json:"probabilistic,omitempty"`
-	// Pending-request queue configuration (0 = queue disabled).
-	QueueDepth      int `json:"queue_depth,omitempty"`
-	RetryEveryTicks int `json:"retry_every_ticks,omitempty"`
-	// BatchAssign records whether the queue's retry rounds ran the global
-	// min-cost assignment instead of greedy deadline-order commits. The
-	// knob changes which requests are served, so a replay must rebuild
-	// the same round scheme; omitempty keeps pre-knob logs byte-stable.
-	BatchAssign bool `json:"batch_assign,omitempty"`
+	World
+	Policy
 	// Shards and BorderPolicy are read only so that Validate can refuse a
 	// log recorded by a sharded dispatcher: its sealed counters carry
 	// shard-labelled series one engine cannot reproduce. Nothing writes
@@ -76,6 +63,58 @@ type Header struct {
 	// run. A replay applies the same plan, so fault-injected runs are
 	// reproducible bit for bit.
 	Faults *FaultPlan `json:"faults,omitempty"`
+}
+
+// World is the half of a header that regenerates the city and the
+// engine's geometry. Each shell fills it from its own configuration; a
+// zero field is one the shell leaves to the runtime's defaults.
+type World struct {
+	Seed                    int64   `json:"seed"`
+	Rows                    int     `json:"rows,omitempty"`
+	Cols                    int     `json:"cols,omitempty"`
+	Partitions              int     `json:"partitions,omitempty"`
+	SpeedKmh                float64 `json:"speed_kmh,omitempty"`
+	SearchRangeMeters       float64 `json:"search_range_m,omitempty"`
+	MaxDirectionDiffDegrees float64 `json:"max_direction_deg,omitempty"`
+}
+
+// Policy is the dispatch policy: the knobs that change which requests a
+// run serves. A replay must rebuild the same policy, so it travels in the
+// header; omitempty keeps logs recorded without a knob byte-stable.
+type Policy struct {
+	// Probabilistic enables the mT-Share_pro behaviour: probabilistic
+	// routing for taxis with spare seats and demand-seeking cruising of
+	// idle taxis.
+	Probabilistic bool `json:"probabilistic,omitempty"`
+	// QueueDepth bounds the pending-request queue. When positive, a
+	// request that finds no feasible taxi is parked and re-dispatched in
+	// deterministic batches on later ticks until it is served or its
+	// pickup deadline passes; a full queue rejects. Zero disables
+	// queueing: a dispatch failure is terminal.
+	QueueDepth int `json:"queue_depth,omitempty"`
+	// RetryEveryTicks runs the queue's batch re-dispatch on every Nth
+	// tick (0 and 1 both mean every tick). Expired requests are evicted
+	// on every tick regardless.
+	RetryEveryTicks int `json:"retry_every_ticks,omitempty"`
+	// BatchAssign runs the queue's retry rounds as a global min-cost
+	// assignment over the full (request, taxi) cost graph instead of
+	// greedy deadline-order commits, so a parked request can yield its
+	// first-choice taxi to a tighter competitor (see
+	// match.Config.BatchAssign). Deterministic at every parallelism.
+	BatchAssign bool `json:"batch_assign,omitempty"`
+}
+
+// Validate reports whether the queue knobs are coherent.
+func (p Policy) Validate() error {
+	switch {
+	case p.QueueDepth < 0:
+		return fmt.Errorf("queue depth %d must not be negative", p.QueueDepth)
+	case p.RetryEveryTicks < 0:
+		return fmt.Errorf("retry interval %d ticks must not be negative", p.RetryEveryTicks)
+	case p.RetryEveryTicks > 0 && p.QueueDepth == 0:
+		return fmt.Errorf("RetryEveryTicks %d requires QueueDepth > 0", p.RetryEveryTicks)
+	}
+	return nil
 }
 
 // Validate reports whether the header can drive a replay.

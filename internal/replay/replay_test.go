@@ -12,7 +12,7 @@ import (
 )
 
 func validHeader() Header {
-	return Header{Version: Version, Kind: KindSystem, Seed: 7, Rows: 12, Cols: 12}
+	return Header{Version: Version, Kind: KindSystem, World: World{Seed: 7, Rows: 12, Cols: 12}}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -102,6 +102,31 @@ func TestEncoderRejectsBadHeader(t *testing.T) {
 	}
 	if _, err := NewEncoder(io.Discard, Header{Version: Version, Kind: "bogus"}); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestPolicyValidate pins the three queue rules every shell enforces
+// through Policy.Validate.
+func TestPolicyValidate(t *testing.T) {
+	for _, c := range []struct {
+		p    Policy
+		want string // "" = valid
+	}{
+		{Policy{}, ""},
+		{Policy{Probabilistic: true, BatchAssign: true}, ""},
+		{Policy{QueueDepth: 8}, ""},
+		{Policy{QueueDepth: 8, RetryEveryTicks: 3}, ""},
+		{Policy{QueueDepth: -1}, "queue depth"},
+		{Policy{QueueDepth: 8, RetryEveryTicks: -1}, "retry interval"},
+		{Policy{RetryEveryTicks: 1}, "requires QueueDepth"},
+	} {
+		err := c.p.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: %v", c.p, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: Validate = %v, want an error containing %q", c.p, err, c.want)
+		}
 	}
 }
 

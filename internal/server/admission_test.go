@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/wal"
 )
 
@@ -244,7 +245,7 @@ func TestServerRejectEnvelopes(t *testing.T) {
 			name: "queue full",
 			build: func(t *testing.T) *Server {
 				s, err := New(Config{CityRows: 10, CityCols: 10, InitialTaxis: 0, Capacity: 3,
-					Speedup: 50, Seed: 1, QueueDepth: 1, RetryEveryTicks: 10})
+					Speedup: 50, Seed: 1, Policy: replay.Policy{QueueDepth: 1, RetryEveryTicks: 10}})
 				if err != nil {
 					t.Fatal(err)
 				}

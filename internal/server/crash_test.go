@@ -25,7 +25,7 @@ func durableTestConfig(dir string, parallelism int) Config {
 		CityRows: 10, CityCols: 10,
 		InitialTaxis: 6, Capacity: 3,
 		Speedup: 20, Seed: 4,
-		QueueDepth: 8, RetryEveryTicks: 1,
+		Policy:      replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
 		Parallelism: parallelism,
 		ManualClock: true,
 		Durability:  wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: 3},

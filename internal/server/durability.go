@@ -1,36 +1,13 @@
-// Durable server state: the WAL header the server's configuration maps
-// to, and the two routes the crash-recovery harness drives. Recording,
-// snapshots and verified recovery live in the runtime (internal/service).
+// Durable server state: the two routes the crash-recovery harness
+// drives. Recording, snapshots, verified recovery and the WAL header live
+// in the runtime (internal/service).
 package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
-
-	"repro/internal/replay"
 )
-
-// buildWALHeader pins the WAL to the world it records: reopening with a
-// different configuration (or a different road graph) must be refused,
-// not silently replayed into a diverging state.
-func (s *Server) buildWALHeader() replay.Header {
-	return replay.Header{
-		Version:          replay.Version,
-		Kind:             replay.KindSystem,
-		Seed:             s.cfg.Seed,
-		Rows:             s.cfg.CityRows,
-		Cols:             s.cfg.CityCols,
-		Partitions:       s.rt.Kappa,
-		SpeedKmh:         s.rt.Engine.Config().SpeedMps * 3.6,
-		Probabilistic:    s.cfg.Probabilistic,
-		QueueDepth:       s.cfg.QueueDepth,
-		RetryEveryTicks:  s.cfg.RetryEveryTicks,
-		BatchAssign:      s.cfg.BatchAssign,
-		GraphFingerprint: fmt.Sprintf("%016x", s.rt.Graph.Fingerprint()),
-	}
-}
 
 // handleDurability reports the WAL's live statistics; with ?state=1 it
 // additionally serializes the full runtime snapshot — the byte-

@@ -24,6 +24,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/match"
 	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/roadnet"
 	"repro/internal/service"
 	"repro/internal/wal"
@@ -37,22 +38,15 @@ type Config struct {
 	// Speedup is how much faster than wall clock the simulated taxis
 	// drive. 0 defaults to 20x.
 	Speedup float64
-	// Kappa is the partition count; 0 derives it from the city size.
-	Kappa int
-	// Probabilistic enables mT-Share_pro behaviour: probabilistic routing
-	// for taxis with spare seats and demand-seeking cruising when idle.
-	Probabilistic bool
-	Seed          int64
+	Seed    int64
 
-	// QueueDepth bounds the pending-request queue. When positive, a ride
-	// request that finds no feasible taxi parks for batched re-dispatch
-	// on later movement ticks (the response reports "queued": true)
-	// instead of failing terminally; a full queue rejects. Zero disables
-	// queueing. /v1/queue reports the queue's live state.
-	QueueDepth int
-	// RetryEveryTicks runs the batch re-dispatch every Nth movement tick
-	// (default 1). Expired requests are evicted on every tick regardless.
-	RetryEveryTicks int
+	// Policy is the dispatch policy, handed to the runtime unchanged. With
+	// a queue, a ride request that finds no feasible taxi parks for
+	// batched re-dispatch on later movement ticks (the response reports
+	// "queued": true) and /v1/queue reports the queue's live state; the
+	// mtshare_match_batch_assign_* instruments on /v1/metrics report
+	// BatchAssign's rounds. An incoherent policy fails New.
+	replay.Policy
 	// MaxInFlight bounds how many mutating requests (taxi registration,
 	// ride requests, street hails) may be executing concurrently; up to
 	// AdmissionQueue more may wait for a slot, and beyond that the server
@@ -64,13 +58,6 @@ type Config struct {
 	// AdmissionQueue bounds the accept queue in front of MaxInFlight;
 	// 0 defaults to MaxInFlight.
 	AdmissionQueue int
-
-	// BatchAssign runs the retry rounds as a global min-cost assignment
-	// over the full (request, taxi) cost graph instead of greedy deadline-
-	// order commits (see match.Config.BatchAssign). The
-	// mtshare_match_batch_assign_* instruments on /v1/metrics report the
-	// rounds, option counts, and fallbacks.
-	BatchAssign bool
 
 	// Metrics receives the engine's instruments; nil allocates a private
 	// registry served at /v1/metrics either way.
@@ -149,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Capacity = 3
 	}
 	mcfg := match.DefaultConfig()
-	mcfg.BatchAssign = cfg.BatchAssign
 	mcfg.Metrics = cfg.Metrics
 	mcfg.Parallelism = cfg.Parallelism
 	if cfg.TraceSampleEvery > 0 {
@@ -160,11 +146,8 @@ func New(cfg Config) (*Server, error) {
 		Cols:                cfg.CityCols,
 		Seed:                cfg.Seed,
 		HistoryTripsPerHour: 400,
-		Partitions:          cfg.Kappa,
 		Match:               mcfg,
-		Probabilistic:       cfg.Probabilistic,
-		QueueDepth:          cfg.QueueDepth,
-		RetryEveryTicks:     cfg.RetryEveryTicks,
+		Policy:              cfg.Policy,
 		CrashAtEvent:        cfg.CrashAtEvent,
 	})
 	if err != nil {
@@ -191,7 +174,17 @@ func New(cfg Config) (*Server, error) {
 		s.adm = newAdmission(reg, cfg.MaxInFlight, maxWait)
 	}
 	if cfg.Durability.Enabled() {
-		if err := rt.OpenWAL(cfg.Durability, s.buildWALHeader()); err != nil {
+		// The WAL pins the world it records — the effective κ and the
+		// engine's speed — so reopening with a different configuration or
+		// road graph is refused, not replayed into a diverging state.
+		world := replay.World{
+			Seed:       cfg.Seed,
+			Rows:       cfg.CityRows,
+			Cols:       cfg.CityCols,
+			Partitions: rt.Kappa,
+			SpeedKmh:   rt.Engine.Config().SpeedMps * 3.6,
+		}
+		if err := rt.OpenWAL(cfg.Durability, world); err != nil {
 			return nil, fmt.Errorf("server: durability: %w", err)
 		}
 	}

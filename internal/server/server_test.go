@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/replay"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -189,7 +191,7 @@ func TestServerStartStop(t *testing.T) {
 }
 
 func TestServerStreetHail(t *testing.T) {
-	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 8, Capacity: 3, Probabilistic: true, Seed: 2})
+	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 8, Capacity: 3, Policy: replay.Policy{Probabilistic: true}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,13 +612,32 @@ func stopMidFlightHammer(t *testing.T, s *Server) {
 	s.Stop()
 }
 
+// TestServerRefusesIncoherentPolicy: a policy the facade would reject
+// must not start a server either, or its WAL header would record a queue
+// knob that no queue ever runs.
+func TestServerRefusesIncoherentPolicy(t *testing.T) {
+	for name, pol := range map[string]replay.Policy{
+		"negative queue depth":    {QueueDepth: -1},
+		"negative retry interval": {QueueDepth: 4, RetryEveryTicks: -1},
+		"retry without queue":     {RetryEveryTicks: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(Config{CityRows: 6, CityCols: 6, Seed: 1, ManualClock: true, Policy: pol})
+			if err == nil {
+				s.Stop()
+				t.Fatalf("New accepted %+v", pol)
+			}
+		})
+	}
+}
+
 // TestServerQueueLifecycle drives a request through the HTTP pending
 // queue: parked with "queued": true when no taxi can serve it, visible
 // in /v1/queue and the metrics gauges, then served by a movement tick's
 // batch re-dispatch after a taxi registers.
 func TestServerQueueLifecycle(t *testing.T) {
 	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
-		Speedup: 50, Seed: 1, QueueDepth: 4, RetryEveryTicks: 1})
+		Speedup: 50, Seed: 1, Policy: replay.Policy{QueueDepth: 4, RetryEveryTicks: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +713,7 @@ func TestServerQueueLifecycle(t *testing.T) {
 // filled the queue keeps its 200 "queued" response.
 func TestServerQueueBackpressure(t *testing.T) {
 	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
-		Speedup: 50, Seed: 1, QueueDepth: 1, RetryEveryTicks: 10})
+		Speedup: 50, Seed: 1, Policy: replay.Policy{QueueDepth: 1, RetryEveryTicks: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +757,7 @@ func TestServerQueueBackpressure(t *testing.T) {
 // as backpressure.
 func TestServerQueueExpiry(t *testing.T) {
 	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
-		Speedup: 50, Seed: 1, QueueDepth: 4, RetryEveryTicks: 1})
+		Speedup: 50, Seed: 1, Policy: replay.Policy{QueueDepth: 4, RetryEveryTicks: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,7 +798,7 @@ func TestServerQueueExpiry(t *testing.T) {
 // mtshare_match_batch_assign_* instruments land on the metrics surface.
 func TestServerBatchAssignDispatch(t *testing.T) {
 	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
-		Speedup: 50, Seed: 1, QueueDepth: 8, RetryEveryTicks: 1, BatchAssign: true})
+		Speedup: 50, Seed: 1, Policy: replay.Policy{QueueDepth: 8, RetryEveryTicks: 1, BatchAssign: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,7 +846,7 @@ func TestServerBatchAssignDispatch(t *testing.T) {
 // clock reports.
 func TestServerQueueWaitAtTickStart(t *testing.T) {
 	s, err := New(Config{CityRows: 14, CityCols: 14, InitialTaxis: 0, Capacity: 3,
-		Seed: 1, QueueDepth: 4, RetryEveryTicks: 1, ManualClock: true})
+		Seed: 1, Policy: replay.Policy{QueueDepth: 4, RetryEveryTicks: 1}, ManualClock: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,9 +81,24 @@ func (r *Runtime) counters() map[string]int64 {
 	return replay.DeterministicCounters(r.Engine.Metrics().Snapshot().Counters)
 }
 
-// RecordTo starts a replay log on w under header h.
-func (r *Runtime) RecordTo(w io.Writer, h replay.Header) error {
-	enc, err := replay.NewEncoder(w, h)
+// header is the line that pins a recording to its world: the shell's
+// world half, then the runtime's own policy, graph fingerprint and fault
+// plan. The same configuration always serialises to the same bytes:
+// recovery's header check and snapshot fingerprinting depend on it.
+func (r *Runtime) header(w replay.World) replay.Header {
+	return replay.Header{
+		Version:          replay.Version,
+		Kind:             replay.KindSystem,
+		World:            w,
+		Policy:           r.policy,
+		GraphFingerprint: fmt.Sprintf("%016x", r.Graph.Fingerprint()),
+		Faults:           r.faults,
+	}
+}
+
+// RecordTo starts a replay log on w under the header of world.
+func (r *Runtime) RecordTo(w io.Writer, world replay.World) error {
+	enc, err := replay.NewEncoder(w, r.header(world))
 	if err != nil {
 		return err
 	}
@@ -92,10 +107,11 @@ func (r *Runtime) RecordTo(w io.Writer, h replay.Header) error {
 }
 
 // OpenWAL attaches the write-ahead log to a freshly built runtime: an
-// empty directory starts a log with h as record 0, a non-empty one is
-// recovered. h must be the same header every time the same configuration
-// opens the log.
-func (r *Runtime) OpenWAL(opts wal.Options, h replay.Header) error {
+// empty directory starts a log with the header of world as record 0, a
+// non-empty one is recovered. world must be the same every time the same
+// configuration opens the log.
+func (r *Runtime) OpenWAL(opts wal.Options, world replay.World) error {
+	h := r.header(world)
 	line, err := json.Marshal(h)
 	if err != nil {
 		return fmt.Errorf("marshal header: %w", err)

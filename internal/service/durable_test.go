@@ -28,21 +28,15 @@ func testConfig() Config {
 		HistoryTripsPerHour: 300,
 		PartitionSeed:       5,
 		Match:               match.DefaultConfig(),
-		QueueDepth:          8,
-		RetryEveryTicks:     1,
+		Policy:              replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
 		Faults:              &replay.FaultPlan{Seed: 3, UnreachableEvery: 9, CancelEvery: 7},
 	}
 }
 
-func testHeader(r *Runtime) replay.Header {
+// testWorld is the world half of the test world's header.
+func testWorld() replay.World {
 	cfg := testConfig()
-	return replay.Header{
-		Version: replay.Version, Kind: replay.KindSystem,
-		Seed: cfg.Seed, Rows: cfg.Rows, Cols: cfg.Cols,
-		QueueDepth: cfg.QueueDepth, RetryEveryTicks: cfg.RetryEveryTicks,
-		GraphFingerprint: fmt.Sprintf("%016x", r.Graph.Fingerprint()),
-		Faults:           cfg.Faults,
-	}
+	return replay.World{Seed: cfg.Seed, Rows: cfg.Rows, Cols: cfg.Cols}
 }
 
 // open builds the test world over the WAL in dir, recovering whatever the
@@ -53,7 +47,7 @@ func open(t *testing.T, dir string, snapEvery int) (*Runtime, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, r.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: snapEvery}, testHeader(r))
+	return r, r.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: snapEvery}, testWorld())
 }
 
 func mustOpen(t *testing.T, dir string, snapEvery int) *Runtime {
@@ -263,10 +257,10 @@ func TestDurableRecordAndWALAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rec bytes.Buffer
-	if err := r.RecordTo(&rec, testHeader(r)); err != nil {
+	if err := r.RecordTo(&rec, testWorld()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: 2}, testHeader(r)); err != nil {
+	if err := r.OpenWAL(wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: 2}, testWorld()); err != nil {
 		t.Fatal(err)
 	}
 	drive(r, 0, 30)

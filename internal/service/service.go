@@ -52,7 +52,8 @@ const (
 )
 
 // Config is what the runtime builds and how it runs it. Each shell maps
-// its own options onto it; neither shell's header is assembled here.
+// its own options onto it and hands its Policy over unchanged; the
+// runtime records that policy in every header it writes (durable.go).
 type Config struct {
 	// Rows, Cols and Seed generate the synthetic city.
 	Rows, Cols int
@@ -67,13 +68,10 @@ type Config struct {
 	Partitions    int
 	PartitionSeed int64
 	// Match configures the engine. A zero SearchRangeMeters takes the
-	// default γ, clamped to half the city diagonal.
-	Match         match.Config
-	Probabilistic bool
-	// QueueDepth > 0 parks unserved requests for re-dispatch every
-	// RetryEveryTicks ticks (at least 1).
-	QueueDepth      int
-	RetryEveryTicks int
+	// default γ, clamped to half the city diagonal; Policy.BatchAssign
+	// overrides Match.BatchAssign.
+	Match match.Config
+	replay.Policy
 	// Faults is the deterministic fault plan; nil injects none.
 	Faults *replay.FaultPlan
 	// CrashAtEvent, when positive, fsyncs the WAL and SIGKILLs the process
@@ -96,6 +94,7 @@ type Runtime struct {
 	// Kappa is the effective partition count.
 	Kappa int
 
+	policy     replay.Policy
 	speed      float64
 	retryEvery int
 	now        float64
@@ -146,6 +145,9 @@ type Lifecycle struct {
 // New builds the world: city, spatial index, history, partitioning,
 // engine, in that order.
 func New(cfg Config) (*Runtime, error) {
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
+	}
 	cp := roadnet.DefaultCityParams(cfg.Rows, cfg.Cols)
 	cp.Seed = cfg.Seed
 	g, err := roadnet.GenerateCity(cp)
@@ -190,6 +192,7 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	mcfg := cfg.Match
+	mcfg.BatchAssign = cfg.BatchAssign
 	if mcfg.SearchRangeMeters == 0 {
 		mcfg.SearchRangeMeters = min(match.DefaultConfig().SearchRangeMeters, geo.Equirect(lo, hi)/2)
 	}
@@ -203,7 +206,7 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	r := Over(g, match.NewScheme(eng, cfg.Probabilistic), eng.Config().SpeedMps, cfg.QueueDepth, cfg.RetryEveryTicks)
-	r.Spatial, r.Engine, r.Kappa = spx, eng, kappa
+	r.Spatial, r.Engine, r.Kappa, r.policy = spx, eng, kappa, cfg.Policy
 	r.faults, r.faultRouter, r.crashAt = cfg.Faults, faultRouter, cfg.CrashAtEvent
 	if r.Queue != nil {
 		r.Queue.InstrumentWith(eng.Metrics())

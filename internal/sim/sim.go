@@ -20,6 +20,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/index"
 	"repro/internal/payment"
+	"repro/internal/replay"
 	"repro/internal/roadnet"
 	"repro/internal/service"
 )
@@ -41,15 +42,10 @@ type Params struct {
 	// SettlePayments enables fare settlement.
 	SettlePayments bool
 
-	// QueueDepth bounds the pending-request queue. When positive, an
-	// online request that finds no feasible taxi parks for batched
-	// re-dispatch on later ticks instead of failing terminally; when the
-	// queue is full the request is rejected (backpressure). Zero (the
-	// default) disables queueing.
-	QueueDepth int
-	// RetryEveryTicks runs the queue's batch re-dispatch every Nth tick
-	// (default 1 — every tick). Expired requests are evicted on every
-	// tick regardless.
+	// QueueDepth and RetryEveryTicks are the queue half of
+	// replay.Policy (see there); offline requests never park. The rest of
+	// the policy belongs to the scheme the caller builds.
+	QueueDepth      int
 	RetryEveryTicks int
 
 	// ShiftChange models a driver-shift changeover mid-run: at AtSeconds
@@ -118,12 +114,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("sim: EncounterRadiusMeters negative")
 	case p.MaxDrainSeconds < 0:
 		return fmt.Errorf("sim: MaxDrainSeconds negative")
-	case p.QueueDepth < 0:
-		return fmt.Errorf("sim: QueueDepth negative")
-	case p.RetryEveryTicks < 0:
-		return fmt.Errorf("sim: RetryEveryTicks negative")
-	case p.RetryEveryTicks > 0 && p.QueueDepth == 0:
-		return fmt.Errorf("sim: RetryEveryTicks requires QueueDepth > 0")
+	}
+	if err := (replay.Policy{QueueDepth: p.QueueDepth, RetryEveryTicks: p.RetryEveryTicks}).Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return p.ShiftChange.Validate()
 }

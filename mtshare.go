@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/payment"
 	"repro/internal/replay"
-	"repro/internal/roadnet"
 	"repro/internal/service"
 	"repro/internal/wal"
 )
@@ -64,35 +63,20 @@ type Options struct {
 	// MaxDirectionDiffDegrees is θ, the mobility-clustering direction
 	// tolerance (default 45°; λ = cos θ).
 	MaxDirectionDiffDegrees float64
-	// Probabilistic enables the mT-Share_pro behaviour: probabilistic
-	// routing for taxis with spare seats and demand-seeking cruising of
-	// idle taxis.
-	Probabilistic bool
+
+	// Policy is the dispatch policy: Probabilistic (mT-Share_pro),
+	// QueueDepth, RetryEveryTicks (default 1 with a queue) and
+	// BatchAssign. With a queue, a request that finds no feasible taxi
+	// returns ErrQueued and is re-dispatched on Advance ticks until it is
+	// served or its pickup deadline passes; a full queue returns
+	// ErrQueueFull. Without one, dispatch failures return
+	// ErrNoTaxiAvailable immediately.
+	Policy
 
 	// Parallelism bounds the dispatch worker pool that evaluates
 	// candidate taxis concurrently. 0 uses GOMAXPROCS; 1 is strictly
 	// sequential. Every level produces identical assignments.
 	Parallelism int
-
-	// QueueDepth bounds the pending-request queue. When positive, a
-	// request that finds no feasible taxi is parked (SubmitRequest returns
-	// ErrQueued) and re-dispatched in deterministic batches on Advance
-	// ticks until it is served or its pickup deadline passes; when the
-	// queue is full the request is rejected with ErrQueueFull. Zero (the
-	// default) disables queueing: dispatch failures return
-	// ErrNoTaxiAvailable immediately.
-	QueueDepth int
-	// RetryEveryTicks runs the queue's batch re-dispatch on every Nth
-	// Advance call (default 1 — every tick). Expired requests are evicted
-	// on every tick regardless.
-	RetryEveryTicks int
-	// BatchAssign switches the queue's retry rounds from greedy deadline-
-	// order commits to a global min-cost assignment over the full
-	// (request, taxi) cost graph, so a pending request can yield its
-	// first-choice taxi to a tighter competitor instead of starving it
-	// (see match.Config.BatchAssign). Deterministic at every Parallelism
-	// level; the default keeps the greedy rounds.
-	BatchAssign bool
 
 	// History supplies the trips mined for transition patterns. When nil
 	// a synthetic workday is generated.
@@ -141,6 +125,10 @@ type Options struct {
 	// so fault-injected runs replay bit-identically.
 	Faults *FaultPlan
 }
+
+// Policy is the dispatch policy; see Options.Policy and replay.Policy
+// for field semantics.
+type Policy = replay.Policy
 
 // FaultPlan configures deterministic fault injection; see
 // Options.Faults. The zero Every/At fields disable each fault class.
@@ -192,14 +180,8 @@ func (o Options) Validate() error {
 	if o.TraceSampleEvery < 0 {
 		return fail("trace sample rate %d must not be negative", o.TraceSampleEvery)
 	}
-	if o.QueueDepth < 0 {
-		return fail("queue depth %d must not be negative", o.QueueDepth)
-	}
-	if o.RetryEveryTicks < 0 {
-		return fail("retry interval %d ticks must not be negative", o.RetryEveryTicks)
-	}
-	if o.RetryEveryTicks > 0 && o.QueueDepth == 0 {
-		return fail("RetryEveryTicks requires QueueDepth > 0")
+	if err := o.Policy.Validate(); err != nil {
+		return fail("%v", err)
 	}
 	if o.RecordTo != nil && o.History != nil {
 		return fail("recording requires the synthetic history; custom History is not serialised into the log")
@@ -278,7 +260,6 @@ func New(opts Options) (*System, error) {
 	}
 	cfg.SearchRangeMeters = opts.SearchRangeMeters
 	cfg.Parallelism = opts.Parallelism
-	cfg.BatchAssign = opts.BatchAssign
 	rt, err := service.New(service.Config{
 		Rows:                opts.SyntheticCityRows,
 		Cols:                opts.SyntheticCityCols,
@@ -288,36 +269,15 @@ func New(opts Options) (*System, error) {
 		Partitions:          opts.Partitions,
 		PartitionSeed:       opts.Seed,
 		Match:               cfg,
-		Probabilistic:       opts.Probabilistic,
-		QueueDepth:          opts.QueueDepth,
-		RetryEveryTicks:     opts.RetryEveryTicks,
+		Policy:              opts.Policy,
 		Faults:              opts.Faults,
 	})
 	if err != nil {
 		return nil, err
 	}
-	hdr := buildHeader(opts, rt.Graph)
-	if opts.RecordTo != nil {
-		if err := rt.RecordTo(opts.RecordTo, hdr); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Durability.Enabled() {
-		if err := rt.OpenWAL(opts.Durability, hdr); err != nil {
-			return nil, fmt.Errorf("mtshare: durability: %w", err)
-		}
-	}
-	return &System{rt: rt}, nil
-}
-
-// buildHeader assembles the replay log header both the RecordTo log and
-// the WAL open under. The same options must always serialize to the same
-// bytes: snapshot fingerprinting and recovery's header check depend on
-// it.
-func buildHeader(opts Options, g *roadnet.Graph) replay.Header {
-	return replay.Header{
-		Version:                 replay.Version,
-		Kind:                    replay.KindSystem,
+	// The header records the options as given (raw κ and γ), so the same
+	// options always serialise to the same bytes.
+	world := replay.World{
 		Seed:                    opts.Seed,
 		Rows:                    opts.SyntheticCityRows,
 		Cols:                    opts.SyntheticCityCols,
@@ -325,13 +285,18 @@ func buildHeader(opts Options, g *roadnet.Graph) replay.Header {
 		SpeedKmh:                opts.SpeedKmh,
 		SearchRangeMeters:       opts.SearchRangeMeters,
 		MaxDirectionDiffDegrees: opts.MaxDirectionDiffDegrees,
-		Probabilistic:           opts.Probabilistic,
-		QueueDepth:              opts.QueueDepth,
-		RetryEveryTicks:         opts.RetryEveryTicks,
-		BatchAssign:             opts.BatchAssign,
-		GraphFingerprint:        fmt.Sprintf("%016x", g.Fingerprint()),
-		Faults:                  opts.Faults,
 	}
+	if opts.RecordTo != nil {
+		if err := rt.RecordTo(opts.RecordTo, world); err != nil {
+			return nil, err
+		}
+	}
+	if opts.Durability.Enabled() {
+		if err := rt.OpenWAL(opts.Durability, world); err != nil {
+			return nil, fmt.Errorf("mtshare: durability: %w", err)
+		}
+	}
+	return &System{rt: rt}, nil
 }
 
 // codeErrors maps the runtime's failure codes onto the sentinel errors.

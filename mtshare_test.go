@@ -10,7 +10,7 @@ import (
 
 func newSystem(t testing.TB, probabilistic bool) *System {
 	t.Helper()
-	s, err := New(Options{Probabilistic: probabilistic, Seed: 1})
+	s, err := New(Options{Policy: Policy{Probabilistic: probabilistic}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestAdvanceClock(t *testing.T) {
 // the queue fills (ErrQueueFull), then served by a later tick's batch
 // re-dispatch once a taxi appears.
 func TestQueueLifecycle(t *testing.T) {
-	s, err := New(Options{Seed: 1, QueueDepth: 2})
+	s, err := New(Options{Seed: 1, Policy: Policy{QueueDepth: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestQueueLifecycle(t *testing.T) {
 // deadline passes without a taxi is evicted with a distinct terminal
 // outcome, not retried forever.
 func TestQueueExpiry(t *testing.T) {
-	s, err := New(Options{Seed: 1, QueueDepth: 4})
+	s, err := New(Options{Seed: 1, Policy: Policy{QueueDepth: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,7 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		SpeedKmh:                h.SpeedKmh,
 		SearchRangeMeters:       h.SearchRangeMeters,
 		MaxDirectionDiffDegrees: h.MaxDirectionDiffDegrees,
-		Probabilistic:           h.Probabilistic,
-		QueueDepth:              h.QueueDepth,
-		RetryEveryTicks:         h.RetryEveryTicks,
-		BatchAssign:             h.BatchAssign,
+		Policy:                  h.Policy,
 		Seed:                    h.Seed,
 		Faults:                  h.Faults,
 		RecordTo:                &buf,
@@ -202,8 +199,7 @@ func recordPeakHour(w io.Writer, faults *FaultPlan) error {
 		SyntheticCityRows: 12,
 		SyntheticCityCols: 12,
 		Seed:              8,
-		QueueDepth:        16,
-		RetryEveryTicks:   2,
+		Policy:            Policy{QueueDepth: 16, RetryEveryTicks: 2},
 		RecordTo:          w,
 		Faults:            faults,
 	})
