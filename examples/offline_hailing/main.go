@@ -11,18 +11,15 @@ import (
 	"log"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
-	"repro/internal/match"
-	"repro/internal/sim"
 )
 
 func main() {
 	scale := experiments.QuickScale()
-	world, err := experiments.BuildWorld(scale)
+	lab, err := experiments.NewLab(scale)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reqs := world.Requests(experiments.NonPeakWindow(), scale.Rho, scale.OfflineFrac)
+	reqs := lab.World.Requests(experiments.NonPeakWindow(), scale.Rho, scale.OfflineFrac)
 	offline := 0
 	for _, r := range reqs {
 		if r.Offline {
@@ -32,37 +29,14 @@ func main() {
 	fmt.Printf("non-peak hour: %d requests, %d of them street hails invisible to the server\n\n",
 		len(reqs), offline)
 
-	pt, err := world.Partitioning("bipartite", scale.Kappa)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, probabilistic := range []bool{false, true} {
-		cfg := match.DefaultConfig()
-		cfg.SearchRangeMeters = scale.GammaMeters
-		eng, err := match.NewEngine(pt, world.Spx, cfg)
+	for _, name := range []experiments.SchemeName{experiments.MTShare, experiments.MTSharePro} {
+		m, err := lab.Run(experiments.Scenario{Scheme: name, Window: "nonpeak", HasOffline: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		scheme := match.NewScheme(eng, probabilistic)
-		simEng, err := sim.NewEngine(world.G, scheme, sim.DefaultParams())
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := experiments.NonPeakWindow().From.Seconds()
-		simEng.PlaceTaxis(scale.DefaultTaxis, scale.Capacity, scale.Seed, start)
-		m := simEng.Run(clone(reqs), start)
 		fmt.Printf("%-14s served %3d total | %3d online | %3d offline street hails | response %.2f ms\n",
-			scheme.Name()+":", m.Served, m.ServedOnline, m.ServedOffline, m.MeanResponseMs)
+			name+":", m.Served, m.ServedOnline, m.ServedOffline, m.MeanResponseMs)
 	}
 	fmt.Println("\npaper reference: probabilistic routing serves 34-89% more offline requests")
 	fmt.Println("at 2.5-4.5x the response time (Figs. 11 and 16).")
-}
-
-func clone(reqs []*fleet.Request) []*fleet.Request {
-	out := make([]*fleet.Request, len(reqs))
-	for i, r := range reqs {
-		c := *r
-		out[i] = &c
-	}
-	return out
 }
