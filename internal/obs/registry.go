@@ -9,8 +9,7 @@
 // Instruments are cheap enough for per-dispatch use: a counter update is
 // one atomic add, a histogram observation is a bounds scan plus two
 // atomic updates. Registries are independent — a System, Server, or test
-// builds its own so counters never bleed across instances — with a
-// process-wide Default() for tools that want a single surface.
+// builds its own so counters never bleed across instances.
 package obs
 
 import (
@@ -79,13 +78,6 @@ func (r *Registry) Labeled(labels string) *Registry {
 	}
 	return &Registry{labels: combined, root: r.base()}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry. Libraries default to their
-// own per-instance registries; Default is for tools that want one surface
-// across everything they build.
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the counter registered under name, creating it on first
 // use.

@@ -107,12 +107,6 @@ func (pt *Partitioning) Adjacent(p ID) []ID { return pt.adj[p] }
 // all partitions. The slice must not be modified.
 func (pt *Partitioning) TransitionVector(v roadnet.VertexID) []float32 { return pt.trans[v] }
 
-// TransitionProb returns the probability that a historical ride starting
-// at vertex v ended in partition p.
-func (pt *Partitioning) TransitionProb(v roadnet.VertexID, p ID) float64 {
-	return float64(pt.trans[v][p])
-}
-
 // PartitionTransitionVector returns the mean transition vector of partition
 // p's vertices. The slice must not be modified.
 func (pt *Partitioning) PartitionTransitionVector(p ID) []float32 { return pt.partTrans[p] }

@@ -78,16 +78,3 @@ func Percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	return sorted[rank]
 }
-
-// MeanTripMeters returns the average straight-line trip length, a quick
-// sanity statistic for generated datasets.
-func (d *Dataset) MeanTripMeters() float64 {
-	if len(d.Trips) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, t := range d.Trips {
-		sum += geo.Equirect(t.Origin, t.Dest)
-	}
-	return sum / float64(len(d.Trips))
-}

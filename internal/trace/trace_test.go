@@ -297,20 +297,6 @@ func TestTravelTimeDistributionAndPercentiles(t *testing.T) {
 	}
 }
 
-func TestMeanTripMeters(t *testing.T) {
-	if (&Dataset{}).MeanTripMeters() != 0 {
-		t.Fatal("empty dataset mean != 0")
-	}
-	ds, err := Generate(Workday, testParams(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ds.MeanTripMeters()
-	if m < 500 || m > 8000 {
-		t.Fatalf("mean trip length %v m implausible", m)
-	}
-}
-
 func TestProfileBounds(t *testing.T) {
 	for h := -2; h < 26; h++ {
 		for _, day := range []DayKind{Workday, Weekend} {
