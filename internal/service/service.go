@@ -146,7 +146,7 @@ type Lifecycle struct {
 // engine, in that order.
 func New(cfg Config) (*Runtime, error) {
 	if err := cfg.Policy.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dispatch policy: %w", err)
 	}
 	cp := roadnet.DefaultCityParams(cfg.Rows, cfg.Cols)
 	cp.Seed = cfg.Seed
