@@ -13,7 +13,6 @@
 package main
 
 import (
-	"compress/gzip"
 	"flag"
 	"fmt"
 	"io"
@@ -24,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	mtshare "repro"
 	"repro/internal/experiments"
 	"repro/internal/match"
 	"repro/internal/obs"
@@ -43,25 +41,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "print the span tree of one in N dispatches to stderr (0 disables)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	recordPath := flag.String("record", "", "record a deterministic facade scenario to this replay log and exit (.gz compresses; see -scenario)")
-	scenario := flag.String("scenario", "peakhour", "scenario for -record: "+strings.Join(mtshare.ScenarioNames, " or "))
-	replayPath := flag.String("replay", "", "replay a recorded log against the current engine and exit (nonzero on divergence)")
 	flag.Parse()
-
-	if *recordPath != "" {
-		if err := recordScenario(*scenario, *recordPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replayPath != "" {
-		if err := replayLog(*replayPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -191,55 +171,6 @@ func main() {
 		printPipelineDelta(out, lab, pipe0, rt0)
 		fmt.Fprintln(out)
 	}
-}
-
-// recordScenario records one of the facade's built-in deterministic
-// scenarios as a replay log (the same machinery cmd/mtshare-replay -gen
-// uses, surfaced here so one binary covers bench-and-record workflows).
-func recordScenario(scenario, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var w io.Writer = f
-	var zw *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		zw = gzip.NewWriter(f)
-		w = zw
-	}
-	if err := mtshare.RecordScenario(scenario, w, nil); err != nil {
-		return err
-	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded scenario %q to %s\n", scenario, path)
-	return nil
-}
-
-// replayLog re-executes a recorded log and reports the first divergence.
-func replayLog(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := mtshare.Replay(f)
-	if err != nil {
-		return err
-	}
-	if rep.Diverged() {
-		return fmt.Errorf("%s: %d divergences over %d events; first: %s",
-			path, len(rep.Divergences), rep.Events, rep.First())
-	}
-	fmt.Printf("%s: %d events replayed, no divergence\n", path, rep.Events)
-	return nil
 }
 
 // printPipelineDelta reports what the dispatch pipeline and router memo

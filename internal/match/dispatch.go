@@ -232,11 +232,6 @@ func (e *Engine) DispatchContext(ctx context.Context, req *fleet.Request, nowSec
 	}
 	e.ins.schedulingSeconds.ObserveSince(t1)
 	sps.End()
-	if e.oracle != nil {
-		if ev := e.ins.lbEvaluated.Value(); ev > 0 {
-			e.ins.lbPruneRatio.Set(float64(e.ins.lbPruned.Value()) / float64(ev))
-		}
-	}
 	if win < 0 {
 		return best, false
 	}

@@ -110,8 +110,6 @@ type instruments struct {
 	lbEvaluated           *obs.Counter
 	lbPruned              *obs.Counter
 
-	lbPruneRatio *obs.Gauge
-
 	dispatchSeconds        *obs.Histogram
 	candidateSearchSeconds *obs.Histogram
 	schedulingSeconds      *obs.Histogram
@@ -140,8 +138,6 @@ func newInstruments(reg *obs.Registry) instruments {
 		batchAssignRemainder:  reg.Counter("mtshare_match_batch_assign_remainder_total"),
 		lbEvaluated:           reg.Counter("mtshare_match_lb_evaluated_total"),
 		lbPruned:              reg.Counter("mtshare_match_lb_pruned_total"),
-
-		lbPruneRatio: reg.Gauge("mtshare_match_lb_prune_ratio"),
 
 		dispatchSeconds:        reg.Histogram("mtshare_match_dispatch_seconds"),
 		candidateSearchSeconds: reg.Histogram("mtshare_match_candidate_search_seconds"),

@@ -16,7 +16,7 @@ const maxLineBytes = 1 << 20
 // Encoder writes a replay log: the header, then one Event per line.
 // Errors are sticky — the first write failure is remembered and every
 // later call is a no-op, so hot paths can record without checking each
-// write; read the sticky error via Err or Close.
+// write; read the sticky error via Err.
 type Encoder struct {
 	w   io.Writer
 	err error
@@ -61,100 +61,45 @@ func (e *Encoder) Encode(ev Event) { e.writeLine(ev) }
 // Err returns the sticky error, if any write failed.
 func (e *Encoder) Err() error { return e.err }
 
-// Close reports the sticky error (the underlying writer is the caller's
-// to close; gzip wrapping happens outside the encoder).
-func (e *Encoder) Close() error { return e.err }
-
-// Decoder reads a replay log.
-type Decoder struct {
-	sc     *bufio.Scanner
-	header *Header
-	line   int
-}
-
-// NewDecoder wraps r. The header is read lazily on the first Header or
-// Next call.
-func NewDecoder(r io.Reader) *Decoder {
+// ReadAll decodes a whole log into its header and event list. Blank
+// lines are skipped.
+func ReadAll(r io.Reader) (Header, []Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &Decoder{sc: sc}
-}
-
-// Header returns the log header, reading it on first use.
-func (d *Decoder) Header() (Header, error) {
-	if d.header != nil {
-		return *d.header, nil
-	}
-	raw, err := d.nextLine()
-	if err != nil {
-		if err == io.EOF {
-			return Header{}, fmt.Errorf("replay: empty log")
-		}
-		return Header{}, err
-	}
-	var h Header
-	if err := json.Unmarshal(raw, &h); err != nil {
-		return Header{}, fmt.Errorf("replay: bad header line: %w", err)
-	}
-	if err := h.Validate(); err != nil {
-		return Header{}, err
-	}
-	d.header = &h
-	return h, nil
-}
-
-// Next returns the next event, or io.EOF at the end of the log.
-func (d *Decoder) Next() (Event, error) {
-	if d.header == nil {
-		if _, err := d.Header(); err != nil {
-			return Event{}, err
+	var (
+		h      *Header
+		events []Event
+		line   int
+	)
+	for sc.Scan() {
+		line++
+		b := bytes.TrimSpace(sc.Bytes())
+		switch {
+		case len(b) == 0:
+		case h == nil:
+			h = new(Header)
+			if err := json.Unmarshal(b, h); err != nil {
+				return Header{}, nil, fmt.Errorf("replay: bad header line: %w", err)
+			}
+			if err := h.Validate(); err != nil {
+				return Header{}, nil, err
+			}
+		default:
+			var ev Event
+			if err := json.Unmarshal(b, &ev); err != nil {
+				return Header{}, nil, fmt.Errorf("replay: bad event at line %d: %w", line, err)
+			}
+			if ev.Kind() == "" {
+				return Header{}, nil, fmt.Errorf("replay: event at line %d has no payload", line)
+			}
+			events = append(events, ev)
 		}
 	}
-	raw, err := d.nextLine()
-	if err != nil {
-		return Event{}, err
+	if err := sc.Err(); err != nil {
+		return Header{}, nil, fmt.Errorf("replay: read line %d: %w", line+1, err)
 	}
-	var ev Event
-	if err := json.Unmarshal(raw, &ev); err != nil {
-		return Event{}, fmt.Errorf("replay: bad event at line %d: %w", d.line, err)
+	if h == nil {
+		return Header{}, nil, fmt.Errorf("replay: empty log")
 	}
-	if ev.Kind() == "" {
-		return Event{}, fmt.Errorf("replay: event at line %d has no payload", d.line)
-	}
-	return ev, nil
-}
-
-// nextLine returns the next non-blank line, or io.EOF.
-func (d *Decoder) nextLine() ([]byte, error) {
-	for d.sc.Scan() {
-		d.line++
-		b := bytes.TrimSpace(d.sc.Bytes())
-		if len(b) > 0 {
-			return b, nil
-		}
-	}
-	if err := d.sc.Err(); err != nil {
-		return nil, fmt.Errorf("replay: read line %d: %w", d.line+1, err)
-	}
-	return nil, io.EOF
-}
-
-// ReadAll decodes a whole log into its header and event list.
-func ReadAll(r io.Reader) (Header, []Event, error) {
-	d := NewDecoder(r)
-	h, err := d.Header()
-	if err != nil {
-		return Header{}, nil, err
-	}
-	var events []Event
-	for {
-		ev, err := d.Next()
-		if err == io.EOF {
-			return h, events, nil
-		}
-		if err != nil {
-			return h, events, err
-		}
-		events = append(events, ev)
-	}
+	return *h, events, nil
 }

@@ -3,7 +3,6 @@ package replay
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -73,63 +72,34 @@ func DiffEvents(rec, act *Event) []Divergence {
 		divs = fieldDiff(divs, i, "hail.err", rec.Hail.Out.Err, act.Hail.Out.Err)
 		divs = fieldDiff(divs, i, "hail.served_by", rec.Hail.Out.ServedBy, act.Hail.Out.ServedBy)
 	case rec.Tick != nil:
-		divs = append(divs, diffRides(i, rec.Tick.Rides, act.Tick.Rides)...)
-		divs = append(divs, diffQueueMatches(i, rec.Tick.QueueMatched, act.Tick.QueueMatched)...)
-		divs = append(divs, diffSlice(i, "tick.queue_expired", rec.Tick.QueueExpired, act.Tick.QueueExpired)...)
+		divs = append(divs, diffSeq(i, "tick.rides", rec.Tick.Rides, act.Tick.Rides, renderRide)...)
+		divs = append(divs, diffSeq(i, "tick.queue_matched", rec.Tick.QueueMatched, act.Tick.QueueMatched, renderQueueMatch)...)
+		divs = append(divs, diffSeq(i, "tick.queue_expired", rec.Tick.QueueExpired, act.Tick.QueueExpired, renderID)...)
 	case rec.Metrics != nil:
 		divs = append(divs, DiffCounters(i, rec.Metrics.Counters, act.Metrics.Counters)...)
 	}
 	return divs
 }
 
-func diffRides(i int64, rec, act []Ride) []Divergence {
+// diffSeq diffs two sequences element by element over their common
+// prefix, naming element k field[k] and rendering it with show, then
+// their lengths as field.len.
+func diffSeq[T comparable](i int64, field string, rec, act []T, show func(T) string) []Divergence {
 	var divs []Divergence
-	n := len(rec)
-	if len(act) < n {
-		n = len(act)
-	}
-	for k := 0; k < n; k++ {
-		r, a := rec[k], act[k]
-		if r != a {
-			divs = append(divs, Divergence{
-				Event:    i,
-				Field:    fmt.Sprintf("tick.rides[%d]", k),
-				Recorded: renderRide(r),
-				Replayed: renderRide(a),
-			})
-		}
-	}
-	if len(rec) != len(act) {
-		divs = append(divs, Divergence{
-			Event:    i,
-			Field:    "tick.rides.len",
-			Recorded: fmt.Sprint(len(rec)),
-			Replayed: fmt.Sprint(len(act)),
-		})
-	}
-	return divs
-}
-
-func diffQueueMatches(i int64, rec, act []QueueMatch) []Divergence {
-	var divs []Divergence
-	n := len(rec)
-	if len(act) < n {
-		n = len(act)
-	}
-	for k := 0; k < n; k++ {
+	for k := range min(len(rec), len(act)) {
 		if rec[k] != act[k] {
 			divs = append(divs, Divergence{
 				Event:    i,
-				Field:    fmt.Sprintf("tick.queue_matched[%d]", k),
-				Recorded: renderQueueMatch(rec[k]),
-				Replayed: renderQueueMatch(act[k]),
+				Field:    fmt.Sprintf("%s[%d]", field, k),
+				Recorded: show(rec[k]),
+				Replayed: show(act[k]),
 			})
 		}
 	}
 	if len(rec) != len(act) {
 		divs = append(divs, Divergence{
 			Event:    i,
-			Field:    "tick.queue_matched.len",
+			Field:    field + ".len",
 			Recorded: fmt.Sprint(len(rec)),
 			Replayed: fmt.Sprint(len(act)),
 		})
@@ -145,32 +115,7 @@ func renderQueueMatch(m QueueMatch) string {
 	return s
 }
 
-func diffSlice(i int64, field string, rec, act []int64) []Divergence {
-	var divs []Divergence
-	n := len(rec)
-	if len(act) < n {
-		n = len(act)
-	}
-	for k := 0; k < n; k++ {
-		if rec[k] != act[k] {
-			divs = append(divs, Divergence{
-				Event:    i,
-				Field:    fmt.Sprintf("%s[%d]", field, k),
-				Recorded: fmt.Sprint(rec[k]),
-				Replayed: fmt.Sprint(act[k]),
-			})
-		}
-	}
-	if len(rec) != len(act) {
-		divs = append(divs, Divergence{
-			Event:    i,
-			Field:    field + ".len",
-			Recorded: fmt.Sprint(len(rec)),
-			Replayed: fmt.Sprint(len(act)),
-		})
-	}
-	return divs
-}
+func renderID(id int64) string { return fmt.Sprint(id) }
 
 func renderRide(r Ride) string {
 	kind := "dropoff"
@@ -206,50 +151,4 @@ func DiffCounters(i int64, rec, act map[string]int64) []Divergence {
 		}
 	}
 	return divs
-}
-
-// CompareLogs structurally compares two logs (e.g. two recordings of
-// the same scripted run) and returns every divergence: header mismatch,
-// event-by-event outcome differences, and a length mismatch. It is the
-// offline analogue of a replay — no engine is executed.
-func CompareLogs(a, b io.Reader) ([]Divergence, error) {
-	ha, evsA, err := ReadAll(a)
-	if err != nil {
-		return nil, err
-	}
-	hb, evsB, err := ReadAll(b)
-	if err != nil {
-		return nil, err
-	}
-	var divs []Divergence
-	ja, _ := json.Marshal(ha)
-	jb, _ := json.Marshal(hb)
-	if string(ja) != string(jb) {
-		divs = append(divs, Divergence{Event: -1, Field: "header", Recorded: string(ja), Replayed: string(jb)})
-	}
-	n := len(evsA)
-	if len(evsB) < n {
-		n = len(evsB)
-	}
-	for k := 0; k < n; k++ {
-		// CompareLogs diffs inputs too: two recordings of the same script
-		// must agree on everything, so fall back to raw JSON equality
-		// before the outcome-level diff.
-		ra, _ := json.Marshal(evsA[k])
-		rb, _ := json.Marshal(evsB[k])
-		if string(ra) != string(rb) {
-			ds := DiffEvents(&evsA[k], &evsB[k])
-			if len(ds) == 0 {
-				ds = []Divergence{{Event: evsA[k].I, Field: "inputs", Recorded: string(ra), Replayed: string(rb)}}
-			}
-			divs = append(divs, ds...)
-		}
-	}
-	if len(evsA) != len(evsB) {
-		divs = append(divs, Divergence{
-			Event: -1, Field: "events.len",
-			Recorded: fmt.Sprint(len(evsA)), Replayed: fmt.Sprint(len(evsB)),
-		})
-	}
-	return divs, nil
 }

@@ -47,7 +47,7 @@ func FuzzReplayDecode(f *testing.F) {
 		for _, ev := range evs {
 			enc.Encode(ev)
 		}
-		if err := enc.Close(); err != nil {
+		if err := enc.Err(); err != nil {
 			t.Fatal(err)
 		}
 		h2, evs2, err := ReadAll(bytes.NewReader(out.Bytes()))

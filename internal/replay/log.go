@@ -2,8 +2,9 @@
 // the reproduction: a versioned JSONL log format capturing a full run —
 // seed, world options, road-graph fingerprint, and the ordered stream of
 // facade events (AddTaxi / SubmitRequest / ReportStreetHail / Advance)
-// with their outcomes — plus the machinery to re-execute such a log
-// against the current engine and report the first divergence, and a
+// with their outcomes — its encoder and reader, the event and counter
+// diffs the runtime's verifier (service.Runtime.Verify, run by both WAL
+// recovery and mtshare.Replay) reports divergences with, and a
 // deterministic fault-injection layer (router faults, latency spikes,
 // context cancellations, forced shutdown) configurable from the log
 // header.

@@ -45,7 +45,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for _, ev := range events {
 		enc.Encode(ev)
 	}
-	if err := enc.Close(); err != nil {
+	if err := enc.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,8 +172,8 @@ func TestEncoderStickyError(t *testing.T) {
 		t.Fatal("write failure not captured")
 	}
 	enc.Encode(Event{I: 1, Tick: &TickEvent{DNanos: 1}}) // must be a no-op
-	if enc.Close() == nil {
-		t.Fatal("Close lost the sticky error")
+	if enc.Err() == nil {
+		t.Fatal("the sticky error did not stick")
 	}
 }
 
@@ -370,6 +370,32 @@ func TestDiffEvents(t *testing.T) {
 	if ds := DiffEvents(&same, &same); len(ds) != 0 {
 		t.Fatalf("self-diff nonzero: %v", ds)
 	}
+
+	// Every tick sequence: field names and rendered values, byte for byte.
+	recTick := Event{I: 4, Tick: &TickEvent{DNanos: 5,
+		Rides:        []Ride{{Request: 1, Taxi: 1, Pickup: true, AtNanos: 3}, {Request: 2, Taxi: 1, AtNanos: 4}},
+		QueueMatched: []QueueMatch{{Request: 3, Taxi: 2, WaitNanos: 7}},
+		QueueExpired: []int64{5, 6},
+	}}
+	actTick := Event{I: 4, Tick: &TickEvent{DNanos: 5,
+		Rides:        []Ride{{Request: 1, Taxi: 2, Pickup: true, AtNanos: 3}},
+		QueueMatched: []QueueMatch{{Request: 3, Taxi: 4, WaitNanos: 7, Conflict: true}, {Request: 8, Taxi: 1}},
+		QueueExpired: []int64{5, 9},
+	}}
+	var got []string
+	for _, d := range DiffEvents(&recTick, &actTick) {
+		got = append(got, d.String())
+	}
+	want := []string{
+		"event #4 tick.rides[0]: recorded pickup req=1 taxi=1 at=3ns, replayed pickup req=1 taxi=2 at=3ns",
+		"event #4 tick.rides.len: recorded 2, replayed 1",
+		"event #4 tick.queue_matched[0]: recorded req=3 taxi=2 wait=7ns, replayed req=3 taxi=4 wait=7ns conflict",
+		"event #4 tick.queue_matched.len: recorded 1, replayed 2",
+		"event #4 tick.queue_expired[1]: recorded 6, replayed 9",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("tick divergences:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 func TestDiffRidesAndCounters(t *testing.T) {
@@ -392,56 +418,6 @@ func TestDiffRidesAndCounters(t *testing.T) {
 	// Sorted by name: only_act, only_rec, x.
 	if cs[0].Field != "metrics.only_act" || cs[2].Field != "metrics.x" {
 		t.Fatalf("counter diffs unsorted: %v", cs)
-	}
-}
-
-func TestCompareLogs(t *testing.T) {
-	mk := func(taxi int64) []byte {
-		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, validHeader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc.Encode(Event{I: 0, Request: &RequestEvent{Out: RequestOutcome{Request: 1, Taxi: taxi}}})
-		enc.Encode(Event{I: 1, Tick: &TickEvent{DNanos: 5}})
-		return buf.Bytes()
-	}
-	same, err := CompareLogs(bytes.NewReader(mk(1)), bytes.NewReader(mk(1)))
-	if err != nil || len(same) != 0 {
-		t.Fatalf("identical logs diverge: %v %v", same, err)
-	}
-	diff, err := CompareLogs(bytes.NewReader(mk(1)), bytes.NewReader(mk(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diff) != 1 || diff[0].Field != "request.taxi" || diff[0].Event != 0 {
-		t.Fatalf("want one request.taxi divergence at event 0, got %v", diff)
-	}
-
-	// Header mismatch.
-	var other bytes.Buffer
-	h := validHeader()
-	h.Seed = 99
-	enc, _ := NewEncoder(&other, h)
-	enc.Encode(Event{I: 0, Request: &RequestEvent{Out: RequestOutcome{Request: 1, Taxi: 1}}})
-	enc.Encode(Event{I: 1, Tick: &TickEvent{DNanos: 5}})
-	hd, err := CompareLogs(bytes.NewReader(mk(1)), bytes.NewReader(other.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hd) != 1 || hd[0].Field != "header" || hd[0].Event != -1 {
-		t.Fatalf("want header divergence, got %v", hd)
-	}
-
-	// Length mismatch.
-	short := mk(1)
-	short = short[:bytes.LastIndexByte(short[:len(short)-1], '\n')+1]
-	ld, err := CompareLogs(bytes.NewReader(mk(1)), bytes.NewReader(short))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ld) != 1 || ld[0].Field != "events.len" {
-		t.Fatalf("want events.len divergence, got %v", ld)
 	}
 }
 

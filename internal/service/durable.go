@@ -2,14 +2,15 @@
 // snapshots, and verified recovery.
 //
 // Every event goes to the RecordTo log and the WAL in the replay-v3
-// encoding — record 0 is the header, record i+1 is event i — or, during
-// recovery, to the verifier instead. With a snapshot cadence a full state
-// snapshot is written in the background every N ticks. Opening a WAL
-// over a non-empty directory recovers: the header must match byte for
-// byte, the latest usable snapshot is restored, and the tail is
-// re-executed through the same operations that produced it, every
-// outcome diffed against the recorded one. The runtime is deterministic,
-// so the recovered state is the state the crashed process had committed.
+// encoding — record 0 is the header, record i+1 is event i — or, while
+// Verify re-executes a log, to the verifier instead. With a snapshot
+// cadence a full state snapshot is written in the background every N
+// ticks. Opening a WAL over a non-empty directory recovers: the header
+// must match byte for byte, the latest usable snapshot is restored, and
+// Verify re-executes the tail through the same operations that produced
+// it, every outcome diffed against the recorded one. The runtime is
+// deterministic, so the recovered state is the state the crashed process
+// had committed. mtshare.Replay runs the same verifier from event 0.
 package service
 
 import (
@@ -35,8 +36,8 @@ func (r *Runtime) recording() bool {
 	return r.verify != nil || r.rec != nil || r.walEnc != nil
 }
 
-// record routes one event: to the verifier during recovery (re-executed
-// events are already in the WAL), otherwise to the RecordTo log and the
+// record routes one event: to the verifier during Verify (re-executed
+// events are already in the log), otherwise to the RecordTo log and the
 // WAL. A sticky WAL append or fsync error is latched in walErr and closes
 // the runtime: the caller whose event failed to persist learns it from
 // WALErr, and everything after is refused.
@@ -81,11 +82,12 @@ func (r *Runtime) counters() map[string]int64 {
 	return replay.DeterministicCounters(r.Engine.Metrics().Snapshot().Counters)
 }
 
-// header is the line that pins a recording to its world: the shell's
+// Header is the line that pins a recording to its world: the shell's
 // world half, then the runtime's own policy, graph fingerprint and fault
 // plan. The same configuration always serialises to the same bytes:
-// recovery's header check and snapshot fingerprinting depend on it.
-func (r *Runtime) header(w replay.World) replay.Header {
+// recovery's header check, replay's and snapshot fingerprinting depend
+// on it.
+func (r *Runtime) Header(w replay.World) replay.Header {
 	return replay.Header{
 		Version:          replay.Version,
 		Kind:             replay.KindSystem,
@@ -98,7 +100,7 @@ func (r *Runtime) header(w replay.World) replay.Header {
 
 // RecordTo starts a replay log on w under the header of world.
 func (r *Runtime) RecordTo(w io.Writer, world replay.World) error {
-	enc, err := replay.NewEncoder(w, r.header(world))
+	enc, err := replay.NewEncoder(w, r.Header(world))
 	if err != nil {
 		return err
 	}
@@ -111,7 +113,7 @@ func (r *Runtime) RecordTo(w io.Writer, world replay.World) error {
 // non-empty one is recovered. world must be the same every time the same
 // configuration opens the log.
 func (r *Runtime) OpenWAL(opts wal.Options, world replay.World) error {
-	h := r.header(world)
+	h := r.Header(world)
 	line, err := json.Marshal(h)
 	if err != nil {
 		return fmt.Errorf("marshal header: %w", err)
@@ -145,7 +147,7 @@ func (r *Runtime) Seal() error {
 	}
 	var err error
 	if r.rec != nil {
-		err = r.rec.Close()
+		err = r.rec.Err()
 		r.rec = nil
 	}
 	if r.walEnc != nil {
@@ -251,8 +253,16 @@ func (r *Runtime) recover(wlog *wal.Log, line []byte) error {
 	if err != nil {
 		return err
 	}
+	// A snapshot may not be ahead of the log. A seal record takes no event
+	// index, so the bound counts events, not records.
+	var logged int64
+	for k := range events {
+		if events[k].Metrics == nil {
+			logged++
+		}
+	}
 	var watermark int64
-	for bound := int64(len(events)); ; {
+	for bound := logged; ; {
 		w, payload, ok, err := wlog.LatestSnapshotAtOrBefore(bound)
 		if err != nil {
 			return err
@@ -280,7 +290,12 @@ func (r *Runtime) recover(wlog *wal.Log, line []byte) error {
 		break
 	}
 	r.events = watermark
-	return r.reexecute(events, watermark)
+	// A divergence means the log and the runtime disagree: recovery fails
+	// rather than resurrect a subtly different world.
+	if divs := r.Verify(events, watermark); len(divs) > 0 {
+		return fmt.Errorf("recovered state diverges from the log: %s", divs[0])
+	}
+	return nil
 }
 
 // restore lays a snapshot onto the freshly built runtime.
@@ -318,44 +333,36 @@ func (r *Runtime) restore(snap *Snapshot) error {
 	return nil
 }
 
-// reexecute applies the WAL events from the watermark on. The verifier
-// intercepts each fresh event — nothing is re-appended — and diffs it
-// against the recorded one; a divergence means the log and the runtime
-// disagree, and recovery fails rather than resurrect a subtly different
-// world.
-func (r *Runtime) reexecute(events []replay.Event, watermark int64) error {
-	var actual *replay.Event
-	r.verify = func(ev replay.Event) { actual = &ev }
+// Verify re-executes the recorded events from index from on, with the
+// verifier intercepting what each records — nothing is appended to any
+// log. It diffs every fresh outcome against the recorded one and every
+// seal's counters against the runtime's, and returns every divergence in
+// log order. A seal mid-log (a clean close) is checked and passed: the
+// runtime resumes the log, it does not end with it.
+func (r *Runtime) Verify(events []replay.Event, from int64) []replay.Divergence {
+	var actual replay.Event
+	r.verify = func(ev replay.Event) { actual = ev }
 	defer func() { r.verify = nil }()
 
+	var divs []replay.Divergence
 	for k := range events {
 		rec := &events[k]
-		if rec.I < watermark {
-			continue
-		}
-		if rec.Metrics != nil {
-			// A clean-close seal mid-log: verify it and keep going — the
-			// recovered runtime resumes the log, it does not end with it.
-			if divs := replay.DiffCounters(rec.I, rec.Metrics.Counters, r.counters()); len(divs) > 0 {
-				return fmt.Errorf("recovered counters diverge from the log: %s", divs[0].String())
-			}
-			continue
-		}
-		actual = nil
-		r.Apply(rec)
-		if actual == nil {
-			return fmt.Errorf("event %d produced no outcome during re-execution", rec.I)
-		}
-		if divs := replay.DiffEvents(rec, actual); len(divs) > 0 {
-			return fmt.Errorf("recovered state diverges from the log: %s", divs[0].String())
+		switch {
+		case rec.I < from:
+		case rec.Metrics != nil:
+			divs = append(divs, replay.DiffCounters(rec.I, rec.Metrics.Counters, r.counters())...)
+		default:
+			actual = replay.Event{} // an event that records nothing diffs as a kind mismatch
+			r.apply(rec)
+			divs = append(divs, replay.DiffEvents(rec, &actual)...)
 		}
 	}
-	return nil
+	return divs
 }
 
-// Apply re-executes the call a recorded event carries, under the context
-// it ran under. A seal carries no call.
-func (r *Runtime) Apply(ev *replay.Event) {
+// apply re-executes the call a recorded event carries, under the context
+// it ran under.
+func (r *Runtime) apply(ev *replay.Event) {
 	pt := func(p replay.Point) geo.Point { return geo.Point{Lat: p.Lat, Lng: p.Lng} }
 	switch {
 	case ev.AddTaxi != nil:

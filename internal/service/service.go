@@ -7,8 +7,8 @@
 // placing a taxi and movement — are unrecorded and shared by every
 // driver. The shells call four recorded compositions of them: AddTaxi,
 // Submit, Hail and Tick. Each consumes one event index, and when a replay
-// log, the write-ahead log or the recovery verifier is listening it is
-// recorded through one path (durable.go). The simulator composes the
+// log, the write-ahead log or the verifier is listening it is recorded
+// through one path (durable.go). The simulator composes the
 // phases in its own tick order.
 //
 // The runtime is not safe for concurrent use: the facade is single-
@@ -111,7 +111,7 @@ type Runtime struct {
 
 	// Recording state (durable.go). rec is the RecordTo log, walEnc the
 	// WAL's encoder; verify, when set, intercepts every event instead —
-	// recovery re-executes the WAL tail under it. walErr latches the WAL's
+	// Verify re-executes a log under it. walErr latches the WAL's
 	// sticky failure, closing the runtime.
 	rec       *replay.Encoder
 	wlog      *wal.Log

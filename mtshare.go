@@ -227,6 +227,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// world is the header's world half. It records the options as given
+// (raw κ and γ), so the same options always serialise to the same bytes.
+func (o Options) world() replay.World {
+	return replay.World{
+		Seed:                    o.Seed,
+		Rows:                    o.SyntheticCityRows,
+		Cols:                    o.SyntheticCityCols,
+		Partitions:              o.Partitions,
+		SpeedKmh:                o.SpeedKmh,
+		SearchRangeMeters:       o.SearchRangeMeters,
+		MaxDirectionDiffDegrees: o.MaxDirectionDiffDegrees,
+	}
+}
+
 // System is a running ridesharing dispatcher: the library face of the
 // dispatch runtime (internal/service) that internal/server also runs. It
 // is not safe for concurrent use; internal/server provides the
@@ -275,17 +289,7 @@ func New(opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The header records the options as given (raw κ and γ), so the same
-	// options always serialise to the same bytes.
-	world := replay.World{
-		Seed:                    opts.Seed,
-		Rows:                    opts.SyntheticCityRows,
-		Cols:                    opts.SyntheticCityCols,
-		Partitions:              opts.Partitions,
-		SpeedKmh:                opts.SpeedKmh,
-		SearchRangeMeters:       opts.SearchRangeMeters,
-		MaxDirectionDiffDegrees: opts.MaxDirectionDiffDegrees,
-	}
+	world := opts.world()
 	if opts.RecordTo != nil {
 		if err := rt.RecordTo(opts.RecordTo, world); err != nil {
 			return nil, err

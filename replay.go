@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -43,10 +44,12 @@ func (r *ReplayReport) First() *Divergence {
 }
 
 // Replay rebuilds the world described by a recorded log's header (same
-// seed, options, and fault plan), re-executes every recorded event
-// against the current engine, and diffs the fresh outcomes against the
-// recorded ones — assignments, detours, ETAs, ride events, and the
-// end-of-run deterministic counters. The reader may be raw JSONL or
+// seed, options, and fault plan) and verifies the log from event 0
+// through the runtime's verifier, the one WAL recovery runs: every
+// recorded call is re-executed against the current engine and its fresh
+// outcome diffed against the recorded one — assignments, detours, ETAs,
+// ride events — and every seal's deterministic counters against the
+// runtime's. Nothing is recorded. The reader may be raw JSONL or
 // gzip-compressed (detected by magic bytes).
 //
 // A clean report means the current engine reproduces the recorded run
@@ -57,17 +60,11 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(rr)
-	if err != nil {
-		return nil, fmt.Errorf("mtshare: replay: read log: %w", err)
-	}
-	h, events, err := replay.ReadAll(bytes.NewReader(data))
+	h, events, err := replay.ReadAll(rr)
 	if err != nil {
 		return nil, err
 	}
-
-	var buf bytes.Buffer
-	sys, err := New(Options{
+	opts := Options{
 		SyntheticCityRows:       h.Rows,
 		SyntheticCityCols:       h.Cols,
 		Partitions:              h.Partitions,
@@ -77,8 +74,8 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		Policy:                  h.Policy,
 		Seed:                    h.Seed,
 		Faults:                  h.Faults,
-		RecordTo:                &buf,
-	})
+	}
+	sys, err := New(opts)
 	if err != nil {
 		return nil, fmt.Errorf("mtshare: replay: rebuild world: %w", err)
 	}
@@ -87,29 +84,13 @@ func Replay(r io.Reader) (*ReplayReport, error) {
 		return nil, fmt.Errorf("mtshare: replay: log graph fingerprint %s, rebuilt world is %s — the road generator changed, the log cannot be diffed", h.GraphFingerprint, fp)
 	}
 
-	// Feed the recorded calls back through the (recording) runtime.
-	// Errors are outcomes and land in the fresh log, where the diff below
-	// judges them; the closing counters record is Close's to write.
-	for k := range events {
-		sys.rt.Apply(&events[k])
+	var divs []Divergence
+	recorded, _ := json.Marshal(h)
+	rebuilt, _ := json.Marshal(sys.rt.Header(opts.withDefaults().world()))
+	if !bytes.Equal(recorded, rebuilt) {
+		divs = append(divs, Divergence{Event: -1, Field: "header", Recorded: string(recorded), Replayed: string(rebuilt)})
 	}
-	if err := sys.Close(); err != nil {
-		return nil, fmt.Errorf("mtshare: replay: seal fresh log: %w", err)
-	}
-
-	replayed := buf.Bytes()
-	if sealed := len(events) > 0 && events[len(events)-1].Metrics != nil; !sealed {
-		// The recorded log was never sealed (the recorder died mid-run).
-		// Drop the counters line our Close just appended so the prefix
-		// still diffs cleanly.
-		if idx := bytes.LastIndexByte(replayed[:len(replayed)-1], '\n'); idx >= 0 {
-			replayed = replayed[:idx+1]
-		}
-	}
-	divs, err := replay.CompareLogs(bytes.NewReader(data), bytes.NewReader(replayed))
-	if err != nil {
-		return nil, fmt.Errorf("mtshare: replay: diff logs: %w", err)
-	}
+	divs = append(divs, sys.rt.Verify(events, 0)...)
 	return &ReplayReport{Events: len(events), Divergences: divs}, nil
 }
 

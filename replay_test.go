@@ -3,12 +3,13 @@ package mtshare
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/replay"
+	"time"
 )
 
 // TestGoldenReplays replays the checked-in golden logs: the current
@@ -64,14 +65,21 @@ func TestGoldenMatchesScenario(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				divs, err := replay.CompareLogs(bytes.NewReader(want.Bytes()), bytes.NewReader(got.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Fatalf("golden %s is stale (%d divergences); first: %v", name, len(divs), divs[0])
+				t.Fatalf("golden %s is stale; %s", name, firstDiffLine(want.Bytes(), got.Bytes()))
 			}
 		})
 	}
+}
+
+// firstDiffLine names the first line at which two logs differ.
+func firstDiffLine(a, b []byte) string {
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for k := range min(len(la), len(lb)) {
+		if la[k] != lb[k] {
+			return fmt.Sprintf("first difference at line %d:\n %s\n %s", k+1, la[k], lb[k])
+		}
+	}
+	return fmt.Sprintf("one log is a prefix of the other (%d vs %d lines)", len(la), len(lb))
 }
 
 // TestRecordReplayWithFaults exercises the fault-injection layer:
@@ -97,11 +105,7 @@ func TestRecordReplayWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		divs, err := replay.CompareLogs(bytes.NewReader(a.Bytes()), bytes.NewReader(b.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("two same-seed fault-injected recordings differ (%d divergences); first: %v", len(divs), divs[0])
+		t.Fatalf("two same-seed fault-injected recordings differ; %s", firstDiffLine(a.Bytes(), b.Bytes()))
 	}
 
 	// The plan must actually have injected something.
@@ -180,6 +184,45 @@ func TestReplayUnsealedPrefix(t *testing.T) {
 	}
 	if rep.Events == 0 {
 		t.Fatal("prefix replay saw no events")
+	}
+}
+
+// TestReplayReportsHeaderMismatch replays a queued log whose header lost
+// its retry interval: the rebuilt world defaults it back to 1, so the
+// header the runtime builds differs from the recorded one. That is the
+// only divergence — every event still replays.
+func TestReplayReportsHeaderMismatch(t *testing.T) {
+	var buf bytes.Buffer
+	sys, err := New(Options{
+		SyntheticCityRows: 10, SyntheticCityCols: 10, Seed: 4,
+		Policy:   Policy{QueueDepth: 8, RetryEveryTicks: 1},
+		RecordTo: &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	min, max := sys.Bounds()
+	mid := Point{Lat: (min.Lat + max.Lat) / 2, Lng: (min.Lng + max.Lng) / 2}
+	sys.AddTaxi(min, 3)
+	sys.SubmitRequest(context.Background(), mid, max, 1.3)
+	sys.Advance(30 * time.Second)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log := buf.String()
+	mangled := strings.Replace(log, `,"retry_every_ticks":1`, "", 1)
+	if mangled == log {
+		t.Fatalf("header carries no retry interval: %s", strings.SplitN(log, "\n", 2)[0])
+	}
+	rep, err := Replay(strings.NewReader(mangled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Divergences) != 1 {
+		t.Fatalf("want exactly the header divergence, got %v", rep.Divergences)
+	}
+	if d := rep.First(); d.Event != -1 || d.Field != "header" {
+		t.Fatalf("divergence %v, want event -1 field header", d)
 	}
 }
 
