@@ -24,31 +24,17 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Config holds the parameters shared by all baseline schemes.
-type Config struct {
-	// SpeedMps is the constant taxi speed.
-	SpeedMps float64
-	// SearchRangeMeters is the candidate search radius γ.
-	SearchRangeMeters float64
-	// GridCellMeters sizes the location-grid index cells.
-	GridCellMeters float64
-}
+// gridCellMeters sizes the location-grid index cells.
+const gridCellMeters = 500
 
-// DefaultConfig mirrors the paper's defaults (15 km/h, γ = 2.5 km).
-func DefaultConfig() Config {
-	return Config{
-		SpeedMps:          15.0 * 1000 / 3600,
-		SearchRangeMeters: 2500,
-		GridCellMeters:    500,
-	}
-}
-
-// base carries the state common to every baseline dispatcher.
+// base carries the state common to every baseline dispatcher. The
+// baselines plan at the paper's fleet speed and search for candidates
+// within gammaMeters (γ) of a request's origin.
 type base struct {
-	cfg    Config
-	g      *roadnet.Graph
-	router *roadnet.Router
-	grid   *index.LocationGrid
+	gammaMeters float64
+	g           *roadnet.Graph
+	router      *roadnet.Router
+	grid        *index.LocationGrid
 
 	mu    sync.RWMutex
 	taxis map[int64]*fleet.Taxi
@@ -57,17 +43,20 @@ type base struct {
 // newBase builds the common state over the router's graph. Every baseline
 // constructor takes the router it routes with, so the caller decides its
 // memo budget and attaches the world's CH.
-func newBase(router *roadnet.Router, cfg Config) *base {
+func newBase(router *roadnet.Router, gammaMeters float64) *base {
 	g := router.Graph()
 	min, max := g.Bounds()
 	return &base{
-		cfg:    cfg,
-		g:      g,
-		router: router,
-		grid:   index.NewLocationGrid(min, max, cfg.GridCellMeters),
-		taxis:  make(map[int64]*fleet.Taxi),
+		gammaMeters: gammaMeters,
+		g:           g,
+		router:      router,
+		grid:        index.NewLocationGrid(min, max, gridCellMeters),
+		taxis:       make(map[int64]*fleet.Taxi),
 	}
 }
+
+// SpeedMps is the fleet speed the baselines plan with.
+func (b *base) SpeedMps() float64 { return fleet.PaperSpeedMps }
 
 // AddTaxi registers a taxi with the scheme.
 func (b *base) AddTaxi(t *fleet.Taxi, nowSeconds float64) {
@@ -151,7 +140,7 @@ func (b *base) insertable(t *fleet.Taxi, req *fleet.Request, nowSeconds float64,
 	if t.IdleSeats() < req.Passengers {
 		return nil, fleet.EvalResult{}, false
 	}
-	params := t.EvalParamsAt(nowSeconds, b.cfg.SpeedMps)
+	params := t.EvalParamsAt(nowSeconds, fleet.PaperSpeedMps)
 	return fleet.BestInsertion(t.Schedule(), req, b.legCost, params, firstValid)
 }
 

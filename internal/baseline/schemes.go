@@ -17,8 +17,8 @@ type Result = dispatch.Outcome
 type NoSharing struct{ *base }
 
 // NewNoSharing creates the no-ridesharing scheme.
-func NewNoSharing(router *roadnet.Router, cfg Config) *NoSharing {
-	return &NoSharing{base: newBase(router, cfg)}
+func NewNoSharing(router *roadnet.Router, gammaMeters float64) *NoSharing {
+	return &NoSharing{base: newBase(router, gammaMeters)}
 }
 
 // Name identifies the scheme in reports.
@@ -26,7 +26,7 @@ func (s *NoSharing) Name() string { return "No-Sharing" }
 
 // OnRequest assigns the nearest vacant feasible taxi.
 func (s *NoSharing) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
-	near := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
+	near := s.grid.Near(req.OriginPt, s.gammaMeters)
 	res := Result{}
 	for _, id := range near {
 		t, ok := s.taxiByID(id)
@@ -70,8 +70,8 @@ func (s *NoSharing) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSecond
 type TShare struct{ *base }
 
 // NewTShare creates the T-Share baseline.
-func NewTShare(router *roadnet.Router, cfg Config) *TShare {
-	return &TShare{base: newBase(router, cfg)}
+func NewTShare(router *roadnet.Router, gammaMeters float64) *TShare {
+	return &TShare{base: newBase(router, gammaMeters)}
 }
 
 // Name identifies the scheme in reports.
@@ -80,7 +80,7 @@ func (s *TShare) Name() string { return "T-Share" }
 // OnRequest performs the dual-side search and takes the first feasible
 // insertion.
 func (s *TShare) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
-	origSide := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
+	origSide := s.grid.Near(req.OriginPt, s.gammaMeters)
 	res := Result{}
 	for _, id := range origSide {
 		t, ok := s.taxiByID(id)
@@ -129,8 +129,8 @@ func headsTowards(t *fleet.Taxi, target geo.Point) bool {
 type PGreedyDP struct{ *base }
 
 // NewPGreedyDP creates the pGreedyDP baseline.
-func NewPGreedyDP(router *roadnet.Router, cfg Config) *PGreedyDP {
-	return &PGreedyDP{base: newBase(router, cfg)}
+func NewPGreedyDP(router *roadnet.Router, gammaMeters float64) *PGreedyDP {
+	return &PGreedyDP{base: newBase(router, gammaMeters)}
 }
 
 // Name identifies the scheme in reports.
@@ -139,7 +139,7 @@ func (s *PGreedyDP) Name() string { return "pGreedyDP" }
 // OnRequest searches all taxis around the origin and picks the
 // minimum-detour feasible insertion across all of them.
 func (s *PGreedyDP) OnRequest(_ context.Context, req *fleet.Request, nowSeconds float64) Result {
-	near := s.grid.Near(req.OriginPt, s.cfg.SearchRangeMeters)
+	near := s.grid.Near(req.OriginPt, s.gammaMeters)
 	res := Result{}
 	var (
 		bestTaxi   *fleet.Taxi

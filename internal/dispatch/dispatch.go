@@ -49,6 +49,9 @@ type BatchDispatcher interface {
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
+	// SpeedMps is the constant fleet speed the scheme plans with; the
+	// runtime drives taxis at it.
+	SpeedMps() float64
 	// AddTaxi registers a taxi with the scheme's indexes.
 	AddTaxi(t *fleet.Taxi, nowSeconds float64)
 	// OnRequest attempts to serve an online request released now. ctx

@@ -310,7 +310,7 @@ func (l *Lab) runHours(scheme SchemeName, window string, offline bool, hours int
 	}
 	win := Window{Day: dayOf(window), From: 7 * time.Hour, To: time.Duration(7+hours) * time.Hour}
 	reqs := l.World.Requests(win, sc.Rho, sc.OfflineFrac)
-	eng, err := sim.NewEngine(l.World.G, sch, sim.DefaultParams())
+	eng, err := sim.NewEngine(l.World.G, sch, sim.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +479,7 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 				return nil, err
 			}
 			scheme := match.NewScheme(eng, false)
-			se, err := sim.NewEngine(l.World.G, scheme, sim.DefaultParams())
+			se, err := sim.NewEngine(l.World.G, scheme, sim.Params{})
 			if err != nil {
 				return nil, err
 			}
@@ -556,10 +556,7 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 			return nil, match.EngineStats{}, err
 		}
 		scheme := match.NewScheme(eng, false)
-		params := sim.DefaultParams()
-		params.QueueDepth = 64
-		params.RetryEveryTicks = retry
-		se, err := sim.NewEngine(l.World.G, scheme, params)
+		se, err := sim.NewEngine(l.World.G, scheme, sim.Params{QueueDepth: 64, RetryEveryTicks: retry})
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}

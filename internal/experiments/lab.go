@@ -134,18 +134,16 @@ func (l *Lab) defaults(sc Scenario) Scenario {
 func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 	switch sc.Scheme {
 	case NoSharing, TShare, PGreedyDP:
-		cfg := baseline.DefaultConfig()
-		cfg.SearchRangeMeters = sc.Gamma
 		router := roadnet.NewRouter(l.World.G, match.DefaultConfig().RouterCacheTrees).
 			AttachCH(l.World.CH(l.Parallelism))
 		var inner dispatch.Scheme
 		switch sc.Scheme {
 		case NoSharing:
-			inner = baseline.NewNoSharing(router, cfg)
+			inner = baseline.NewNoSharing(router, sc.Gamma)
 		case TShare:
-			inner = baseline.NewTShare(router, cfg)
+			inner = baseline.NewTShare(router, sc.Gamma)
 		default:
-			inner = baseline.NewPGreedyDP(router, cfg)
+			inner = baseline.NewPGreedyDP(router, sc.Gamma)
 		}
 		if !sc.BaselineCruise {
 			return inner, nil
@@ -209,9 +207,7 @@ func (l *Lab) Run(sc Scenario) (*sim.Metrics, error) {
 		return nil, err
 	}
 	reqs := l.World.Requests(sc.window(), sc.Rho, sc.OfflineFrac)
-	params := sim.DefaultParams()
-	params.QueueDepth = sc.QueueDepth
-	eng, err := sim.NewEngine(l.World.G, scheme, params)
+	eng, err := sim.NewEngine(l.World.G, scheme, sim.Params{QueueDepth: sc.QueueDepth})
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +346,7 @@ func (c *cruisingBaseline) PlanIdle(t *fleet.Taxi, nowSeconds float64) bool {
 	if !t.Empty() || len(t.Route()) > 1 {
 		return false
 	}
-	path, ok := c.engine.CruisePlan(t, 3000)
+	path, ok := c.engine.CruisePlan(t)
 	if !ok {
 		return false
 	}

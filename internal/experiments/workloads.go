@@ -40,7 +40,6 @@ func (l *Lab) workloadGenParams() trace.GenParams {
 // in the trips themselves.
 func (l *Lab) prepareWorkload(trips []trace.Trip, meetingRadius float64) []*fleet.Request {
 	return sim.PrepareRequests(l.World.router(), l.World.Spx, trips, sim.PrepareOptions{
-		SpeedMps:                 15.0 * 1000 / 3600,
 		Rho:                      l.World.Scale.Rho,
 		Seed:                     l.World.Scale.Seed + 7,
 		MeetingPointRadiusMeters: meetingRadius,
@@ -55,10 +54,7 @@ func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftCha
 		return nil, nil, err
 	}
 	scheme := match.NewScheme(eng, false)
-	params := sim.DefaultParams()
-	params.QueueDepth = 64
-	params.ShiftChange = shift
-	se, err := sim.NewEngine(l.World.G, scheme, params)
+	se, err := sim.NewEngine(l.World.G, scheme, sim.Params{QueueDepth: 64, ShiftChange: shift})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -198,7 +198,6 @@ func (w *World) Requests(win Window, rho, offlineFrac float64) []*fleet.Request 
 	}
 	trips := ds.Between(win.From, win.To)
 	return sim.PrepareRequests(w.router(), w.Spx, trips, sim.PrepareOptions{
-		SpeedMps:    15.0 * 1000 / 3600,
 		Rho:         rho,
 		OfflineFrac: offlineFrac,
 		Seed:        w.Scale.Seed + 7,

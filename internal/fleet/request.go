@@ -13,6 +13,10 @@ import (
 	"repro/internal/roadnet"
 )
 
+// PaperSpeedMps is the fleet speed of the paper's evaluation (Table II:
+// 15 km/h).
+const PaperSpeedMps = 15.0 * 1000 / 3600
+
 // RequestID identifies a ride request.
 type RequestID int64
 

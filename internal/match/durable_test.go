@@ -47,7 +47,7 @@ func driveDurableWorld(t *testing.T, env *testEnv, d *Engine) map[fleet.RequestI
 	for id := int64(1); id <= 12; id++ {
 		taxi, _ := d.Taxi(id)
 		if taxi.Empty() && len(taxi.Route()) <= 1 {
-			d.CruisePlan(taxi, 1500)
+			d.CruisePlan(taxi)
 			break
 		}
 	}

@@ -38,18 +38,8 @@ type Config struct {
 	// Lambda is the direction-similarity threshold λ (cos θ); paper
 	// default cos 45° ≈ 0.707.
 	Lambda float64
-	// Epsilon is the travel-cost detour tolerance ε of the partition
-	// filter; paper default 1.0.
-	Epsilon float64
 	// HorizonSeconds is the partition-index horizon T_mp (paper: 1 h).
 	HorizonSeconds float64
-	// MaxProbAttempts bounds the probabilistic-routing retry loop
-	// (paper: 5).
-	MaxProbAttempts int
-	// ProbSeatThreshold enables probabilistic routing for a taxi when its
-	// idle seats are at least this fraction of capacity (the evaluation
-	// uses 1/2).
-	ProbSeatThreshold float64
 	// RouterCacheTrees budgets the router's pair memo: the footprint of
 	// this many single-source trees, 12 bytes per graph vertex each (the
 	// unit the knob has always been in; no tree is built).
@@ -135,13 +125,10 @@ func (c Config) parallelism() int {
 // DefaultConfig returns the paper's default parameters.
 func DefaultConfig() Config {
 	return Config{
-		SpeedMps:          15.0 * 1000 / 3600,
+		SpeedMps:          fleet.PaperSpeedMps,
 		SearchRangeMeters: 2500,
 		Lambda:            0.707,
-		Epsilon:           1.0,
 		HorizonSeconds:    3600,
-		MaxProbAttempts:   5,
-		ProbSeatThreshold: 0.5,
 		RouterCacheTrees:  512,
 	}
 }
@@ -155,14 +142,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("match: SearchRangeMeters must be positive, got %v", c.SearchRangeMeters)
 	case c.Lambda < -1 || c.Lambda > 1:
 		return fmt.Errorf("match: Lambda %v outside [-1,1]", c.Lambda)
-	case c.Epsilon < 0:
-		return fmt.Errorf("match: Epsilon %v negative", c.Epsilon)
 	case c.HorizonSeconds <= 0:
 		return fmt.Errorf("match: HorizonSeconds must be positive, got %v", c.HorizonSeconds)
-	case c.MaxProbAttempts < 1:
-		return fmt.Errorf("match: MaxProbAttempts must be >= 1, got %d", c.MaxProbAttempts)
-	case c.ProbSeatThreshold < 0 || c.ProbSeatThreshold > 1:
-		return fmt.Errorf("match: ProbSeatThreshold %v outside [0,1]", c.ProbSeatThreshold)
 	case c.ProbMaxLegInflation != 0 && c.ProbMaxLegInflation < 1:
 		return fmt.Errorf("match: ProbMaxLegInflation %v below 1", c.ProbMaxLegInflation)
 	case c.Parallelism < 0:
@@ -338,6 +319,10 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// SpeedMps is the fleet speed the engine plans with; the runtime drives
+// taxis at it.
+func (e *Engine) SpeedMps() float64 { return e.cfg.SpeedMps }
 
 // Partitioning returns the map partitioning the engine routes over.
 func (e *Engine) Partitioning() *partition.Partitioning { return e.pt }

@@ -105,10 +105,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SpeedMps = 0 },
 		func(c *Config) { c.SearchRangeMeters = 0 },
 		func(c *Config) { c.Lambda = 2 },
-		func(c *Config) { c.Epsilon = -1 },
 		func(c *Config) { c.HorizonSeconds = 0 },
-		func(c *Config) { c.MaxProbAttempts = 0 },
-		func(c *Config) { c.ProbSeatThreshold = 1.5 },
 	}
 	for i, m := range mut {
 		c := DefaultConfig()
@@ -146,7 +143,7 @@ func TestPartitionFilterRespectsCostRule(t *testing.T) {
 	pa := env.pt.PartitionOf(u)
 	pb := env.pt.PartitionOf(v)
 	direct := env.pt.LandmarkCost(pa, pb)
-	budget := (1 + env.e.Config().Epsilon) * direct
+	budget := (1 + filterEpsilon) * direct
 	for _, p := range env.e.PartitionFilter(u, v) {
 		if p == pa || p == pb {
 			continue
@@ -764,7 +761,7 @@ func TestDispatchProbabilisticMode(t *testing.T) {
 func TestCruisePlan(t *testing.T) {
 	env := newTestEnv(t, nil)
 	taxi := fleet.NewTaxi(env.g, 1, 4, env.vertexNear(t, 0.1, 0.1))
-	path, ok := env.e.CruisePlan(taxi, 5000)
+	path, ok := env.e.CruisePlan(taxi)
 	if !ok {
 		t.Skip("no cruise target on this layout")
 	}
@@ -778,8 +775,8 @@ func TestCruisePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost > 5000*2.1 {
-		t.Fatalf("cruise wildly over budget: %v m", cost)
+	if cost > cruiseMeters {
+		t.Fatalf("cruise of %v m over its %v m bound", cost, float64(cruiseMeters))
 	}
 }
 

@@ -110,6 +110,10 @@ func (e *Engine) partitionPaths(pa, pb partition.ID, filtered []partition.ID, pi
 	return out
 }
 
+// maxProbAttempts bounds the partition paths probabilistic routing tries
+// per leg (Table II: 5).
+const maxProbAttempts = 5
+
 // ProbabilisticLeg computes one route leg under probabilistic routing
 // (Alg. 4): among the best-scoring partition paths, the first whose
 // fine-grained route (vertex-weighted shortest path favouring high-ψ
@@ -131,7 +135,7 @@ func (e *Engine) ProbabilisticLeg(u, v roadnet.VertexID, taxiVec geo.MobilityVec
 	pa := e.pt.PartitionOf(u)
 	pb := e.pt.PartitionOf(v)
 	// Step 2: candidate partition paths by accumulated probability.
-	cands := e.partitionPaths(pa, pb, filtered, pi, e.cfg.MaxProbAttempts)
+	cands := e.partitionPaths(pa, pb, filtered, pi, maxProbAttempts)
 	meanEdge := e.meanEdgeCost()
 	for _, hp := range cands {
 		allowed := e.allowedSet(hp)
@@ -259,6 +263,9 @@ func (e *Engine) ProbabilisticPlan(events []fleet.Event, t *fleet.Taxi, nowSecon
 	return legs, eval, true
 }
 
+// cruiseMeters bounds the length of an idle cruise.
+const cruiseMeters = 3000
+
 // CruisePlan plans an eventless probabilistic cruise for an idle taxi with
 // spare seats (mT-Share_pro between assignments): it heads toward a nearby
 // partition sampled in proportion to its historical origin demand (damped
@@ -266,7 +273,7 @@ func (e *Engine) ProbabilisticPlan(events []fleet.Event, t *fleet.Taxi, nowSecon
 // than picking the argmax spreads the idle fleet over the demand
 // distribution — an all-taxis-to-the-hottest-spot policy would empty the
 // rest of the city. ok is false when no target qualifies.
-func (e *Engine) CruisePlan(t *fleet.Taxi, maxMeters float64) ([]roadnet.VertexID, bool) {
+func (e *Engine) CruisePlan(t *fleet.Taxi) ([]roadnet.VertexID, bool) {
 	cur := t.At()
 	curPart := e.pt.PartitionOf(cur)
 	type target struct {
@@ -283,7 +290,7 @@ func (e *Engine) CruisePlan(t *fleet.Taxi, maxMeters float64) ([]roadnet.VertexI
 			continue
 		}
 		d := e.pt.LandmarkCost(curPart, pa)
-		if math.IsInf(d, 1) || d > maxMeters {
+		if math.IsInf(d, 1) || d > cruiseMeters {
 			continue
 		}
 		score := e.pt.OriginWeight(pa) / (1 + d/1000)
@@ -310,15 +317,19 @@ func (e *Engine) CruisePlan(t *fleet.Taxi, maxMeters float64) ([]roadnet.VertexI
 		return nil, false
 	}
 	vec := geo.NewMobilityVector(e.g.Point(cur), e.g.Point(dest))
-	path, _, ok := e.ProbabilisticLeg(cur, dest, vec, maxMeters)
+	path, _, ok := e.ProbabilisticLeg(cur, dest, vec, cruiseMeters)
 	if !ok || len(path) < 2 {
 		return nil, false
 	}
 	return path, true
 }
 
+// probSeatShare is the share of a taxi's seats that must be idle for
+// probabilistic routing to apply (the evaluation's half-empty taxi).
+const probSeatShare = 0.5
+
 // ProbEnabled reports whether probabilistic routing applies to the taxi:
-// it must have at least the configured fraction of seats idle.
+// at least half its seats must be idle.
 func (e *Engine) ProbEnabled(t *fleet.Taxi) bool {
-	return float64(t.IdleSeats()) >= e.cfg.ProbSeatThreshold*float64(t.Capacity)
+	return float64(t.IdleSeats()) >= probSeatShare*float64(t.Capacity)
 }

@@ -11,6 +11,10 @@ import (
 // pairKey packs two int32-sized IDs into one cache key.
 func pairKey(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
 
+// filterEpsilon is the partition filter's travel-cost detour tolerance ε
+// (Table II: 1).
+const filterEpsilon = 1.0
+
 // PartitionFilter implements Alg. 2: given two consecutive event vertices,
 // retain the partitions that satisfy both the travel-direction rule
 // (cos θ ≥ λ between the landmark vector ℓ_z→ℓ_i and ℓ_z→ℓ_{z+1}) and the
@@ -30,7 +34,7 @@ func (e *Engine) PartitionFilter(sz, sz1 roadnet.VertexID) []partition.ID {
 
 	direct := e.pt.LandmarkCost(pa, pb)
 	vz := e.pt.LandmarkVector(pa, pb)
-	budget := (1 + e.cfg.Epsilon) * direct
+	budget := (1 + filterEpsilon) * direct
 	out := []partition.ID{pa}
 	if pb != pa {
 		out = append(out, pb)

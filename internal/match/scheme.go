@@ -19,8 +19,6 @@ type Scheme struct {
 	// Probabilistic enables probabilistic routing and cruising
 	// (mT-Share_pro).
 	Probabilistic bool
-	// CruiseMeters bounds the length of an idle cruise (default 3 km).
-	CruiseMeters float64
 
 	mu          sync.Mutex
 	lastIndexed map[int64]partition.ID
@@ -31,7 +29,6 @@ func NewScheme(e *Engine, probabilistic bool) *Scheme {
 	return &Scheme{
 		Engine:        e,
 		Probabilistic: probabilistic,
-		CruiseMeters:  3000,
 		lastIndexed:   make(map[int64]partition.ID),
 	}
 }
@@ -138,7 +135,7 @@ func (s *Scheme) PlanIdle(t *fleet.Taxi, nowSeconds float64) bool {
 	if !s.Probabilistic || !t.Empty() || len(t.Route()) > 1 {
 		return false
 	}
-	path, ok := s.CruisePlan(t, s.CruiseMeters)
+	path, ok := s.CruisePlan(t)
 	if !ok {
 		return false
 	}

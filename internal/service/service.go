@@ -205,7 +205,7 @@ func New(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := Over(g, match.NewScheme(eng, cfg.Probabilistic), eng.Config().SpeedMps, cfg.QueueDepth, cfg.RetryEveryTicks)
+	r := Over(g, match.NewScheme(eng, cfg.Probabilistic), cfg.QueueDepth, cfg.RetryEveryTicks)
 	r.Spatial, r.Engine, r.Kappa, r.policy = spx, eng, kappa, cfg.Policy
 	r.faults, r.faultRouter, r.crashAt = cfg.Faults, faultRouter, cfg.CrashAtEvent
 	if r.Queue != nil {
@@ -215,16 +215,19 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 // Over builds a runtime that drives scheme over g with taxis moving at
-// speedMps. queueDepth > 0 parks unserved requests for re-dispatch every
-// retryEvery ticks (at least 1).
-func Over(g *roadnet.Graph, scheme dispatch.Scheme, speedMps float64, queueDepth, retryEvery int) *Runtime {
-	r := &Runtime{Graph: g, Scheme: scheme, Pay: payment.DefaultModel(), speed: speedMps}
+// the scheme's speed. queueDepth > 0 parks unserved requests for
+// re-dispatch every retryEvery ticks (at least 1).
+func Over(g *roadnet.Graph, scheme dispatch.Scheme, queueDepth, retryEvery int) *Runtime {
+	r := &Runtime{Graph: g, Scheme: scheme, Pay: payment.DefaultModel(), speed: scheme.SpeedMps()}
 	if queueDepth > 0 {
-		r.Queue = match.NewPendingQueue(queueDepth, speedMps)
+		r.Queue = match.NewPendingQueue(queueDepth, r.speed)
 		r.retryEvery = max(retryEvery, 1)
 	}
 	return r
 }
+
+// SpeedMps is the fleet speed: the scheme's, which taxis move at.
+func (r *Runtime) SpeedMps() float64 { return r.speed }
 
 // Now is the simulation clock in seconds.
 func (r *Runtime) Now() float64 { return r.now }

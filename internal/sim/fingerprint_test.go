@@ -69,7 +69,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 	prep := func(hour time.Duration, rho, offlineFrac float64) []*fleet.Request {
 		trips := w.ds.Between(hour, hour+time.Hour)
 		return PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
-			SpeedMps: 15.0 * 1000 / 3600, Rho: rho, OfflineFrac: offlineFrac, Seed: 7,
+			Rho: rho, OfflineFrac: offlineFrac, Seed: 7,
 		})
 	}
 	for _, c := range []struct {
@@ -97,7 +97,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 		},
 		{
 			name:   "pgreedydp-queue",
-			scheme: func() dispatch.Scheme { return baseline.NewPGreedyDP(w.router(), baseline.DefaultConfig()) },
+			scheme: func() dispatch.Scheme { return baseline.NewPGreedyDP(w.router(), 2500) },
 			reqs:   prep(8*time.Hour, 3, 0),
 			taxis:  6,
 			params: func(p *Params) { p.QueueDepth, p.RetryEveryTicks = 24, 1 },
@@ -105,7 +105,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 		},
 		{
 			name:   "nosharing-offline",
-			scheme: func() dispatch.Scheme { return baseline.NewNoSharing(w.router(), baseline.DefaultConfig()) },
+			scheme: func() dispatch.Scheme { return baseline.NewNoSharing(w.router(), 2500) },
 			reqs:   w.peakRequests(t, 0.35),
 			taxis:  20,
 			want:   0xbe885e897f26d1cd,
@@ -121,7 +121,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 			want: 0x9a0403ef3d6033b2,
 		},
 	} {
-		params := DefaultParams()
+		var params Params
 		if c.params != nil {
 			c.params(&params)
 		}

@@ -12,7 +12,7 @@ import (
 func prepareMeeting(t *testing.T, w *world, trips []trace.Trip, radius float64) []*fleet.Request {
 	t.Helper()
 	return PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
-		SpeedMps: 15.0 * 1000 / 3600, Rho: 1.3, Seed: 7,
+		Rho: 1.3, Seed: 7,
 		MeetingPointRadiusMeters: radius,
 	})
 }

@@ -92,7 +92,7 @@ func (e *Engine) collectMetrics() *Metrics {
 		waitSum      float64
 		queueWaitSum float64
 		delivered    int
-		speTotal     = e.params.SpeedMps
+		speTotal     = e.rt.SpeedMps()
 	)
 	m.Records = e.records
 	for _, rec := range e.records {

@@ -47,9 +47,7 @@ func TestSimParallelMatchesSequential(t *testing.T) {
 		{name: "queue", taxis: 8, queueDepth: 24, retryEvery: 2},
 	} {
 		run := func(dispatchPar int) *Metrics {
-			params := DefaultParams()
-			params.QueueDepth = c.queueDepth
-			params.RetryEveryTicks = c.retryEvery
+			params := Params{QueueDepth: c.queueDepth, RetryEveryTicks: c.retryEvery}
 			eng, err := NewEngine(w.g, w.mtShareParallel(t, c.probabilistic, dispatchPar), params)
 			if err != nil {
 				t.Fatal(err)

@@ -12,22 +12,17 @@ import (
 	"repro/internal/trace"
 )
 
-// PrepareOptions configures trip-to-request conversion.
+// PrepareOptions configures trip-to-request conversion. Every request
+// carries one passenger, as in the paper, and its deadline term converts
+// the direct distance at the paper's fleet speed.
 type PrepareOptions struct {
-	// SpeedMps converts direct distances into the deadline term.
-	SpeedMps float64
 	// Rho is the flexible factor ρ of Eq. 9: e = t + cost(o,d)·ρ.
 	Rho float64
 	// OfflineFrac marks this fraction of requests as offline street
 	// hails, chosen pseudo-randomly with Seed (the non-peak scenario
 	// hides ~1/3 of requests).
 	OfflineFrac float64
-	// PartySizes optionally draws each request's passenger count from
-	// this distribution: PartySizes[i] is the relative weight of a party
-	// of i+1. Nil means every request is a single passenger (the paper's
-	// setting).
-	PartySizes []float64
-	Seed       int64
+	Seed        int64
 
 	// MeetingPointRadiusMeters, when positive, enables the meeting-points
 	// variant (Laupichler & Sanders): instead of boarding at the vertex
@@ -37,37 +32,16 @@ type PrepareOptions struct {
 	// while the deadline keeps Eq. 9's span, so a shorter drive converts
 	// into insertion slack. Zero keeps the paper's nearest-vertex
 	// snapping — and, deliberately, an identical random stream, so a
-	// radius sweep shares the same party/offline draws per trip.
+	// radius sweep shares the same offline draws per trip.
 	MeetingPointRadiusMeters float64
-	// WalkSpeedMps prices the walk (default 1.4 m/s).
-	WalkSpeedMps float64
 }
+
+// walkSpeedMps prices a rider's walk to a meeting point.
+const walkSpeedMps = 1.4
 
 // maxMeetingCandidates bounds the exact-cost evaluations per trip; the
 // nearest candidates by walk distance are kept (deterministic order).
 const maxMeetingCandidates = 16
-
-// drawParty samples a party size from the configured distribution.
-func (o PrepareOptions) drawParty(r *rand.Rand) int {
-	if len(o.PartySizes) == 0 {
-		return 1
-	}
-	var total float64
-	for _, w := range o.PartySizes {
-		total += w
-	}
-	if total <= 0 {
-		return 1
-	}
-	x := r.Float64() * total
-	for i, w := range o.PartySizes {
-		x -= w
-		if x <= 0 {
-			return i + 1
-		}
-	}
-	return len(o.PartySizes)
-}
 
 // PrepareRequests converts trace trips to simulation requests: endpoints
 // snapped to road vertices, exact direct costs from rt (the world's
@@ -88,16 +62,12 @@ func PrepareRequests(rt *roadnet.Router, spx *roadnet.SpatialIndex, trips []trac
 		if math.IsInf(direct, 1) {
 			continue
 		}
-		release, span := tr.ReleaseAt, time.Duration(direct/opts.SpeedMps*opts.Rho*float64(time.Second))
+		release, span := tr.ReleaseAt, time.Duration(direct/fleet.PaperSpeedMps*opts.Rho*float64(time.Second))
 		if opts.MeetingPointRadiusMeters > 0 {
 			if mp, mpDirect, found := chooseMeetingPoint(rt, spx, tr.Origin, o, d, direct, opts.MeetingPointRadiusMeters); found {
 				walk := geo.Equirect(tr.Origin, g.Point(mp))
-				speed := opts.WalkSpeedMps
-				if speed <= 0 {
-					speed = 1.4
-				}
 				o, direct = mp, mpDirect
-				release = tr.ReleaseAt + time.Duration(walk/speed*float64(time.Second))
+				release = tr.ReleaseAt + time.Duration(walk/walkSpeedMps*float64(time.Second))
 			}
 		}
 		req := &fleet.Request{
@@ -107,7 +77,7 @@ func PrepareRequests(rt *roadnet.Router, spx *roadnet.SpatialIndex, trips []trac
 			Dest:         d,
 			Deadline:     release + span,
 			DirectMeters: direct,
-			Passengers:   opts.drawParty(rng),
+			Passengers:   1,
 			Offline:      rng.Float64() < opts.OfflineFrac,
 			OriginPt:     g.Point(o),
 			DestPt:       g.Point(d),

@@ -35,9 +35,7 @@ func shiftSigsOf(m *Metrics) []shiftSig {
 // par.
 func runShift(t *testing.T, w *world, reqs []*fleet.Request, taxis, par int, sc ShiftChangeConfig) (*Engine, *Metrics) {
 	t.Helper()
-	params := DefaultParams()
-	params.ShiftChange = sc
-	eng, err := NewEngine(w.g, w.mtShareParallel(t, false, par), params)
+	eng, err := NewEngine(w.g, w.mtShareParallel(t, false, par), Params{ShiftChange: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +182,7 @@ func TestShiftChangeValidation(t *testing.T) {
 		{AtSeconds: 10, Fraction: 1.5},
 		{AtSeconds: 10, Fraction: 0.5, LagSeconds: -1},
 	} {
-		p := DefaultParams()
-		p.ShiftChange = sc
-		if err := p.Validate(); err == nil {
+		if err := (Params{ShiftChange: sc}).Validate(); err == nil {
 			t.Fatalf("config %+v accepted", sc)
 		}
 	}
