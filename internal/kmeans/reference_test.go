@@ -203,15 +203,53 @@ func sameResult(t *testing.T, got, want *Result) {
 	}
 }
 
+// tieSet is five points whose 2-means at seed 9 starts from centroids
+// (-2, ±1) and (0, 0): the first pass puts (0, 0) on the second centroid,
+// the update moves the two to (-2, 0) and (2, 0), exactly as far from
+// (0, 0), and the second pass must move it to the first. dim pads the
+// points with zero coordinates.
+func tieSet(dim int) [][]float64 {
+	var pts [][]float64
+	for _, p := range [][2]float64{{-2, 1}, {-2, -1}, {0, 0}, {3, 1}, {3, -1}} {
+		x := make([]float64, dim)
+		x[0], x[1] = p[0], p[1]
+		pts = append(pts, x)
+	}
+	return pts
+}
+
+// tied reports whether some point is at the same least squared distance
+// from two of res's centroids.
+func tied(points [][]float64, res *Result) bool {
+	for _, p := range points {
+		best, n := math.Inf(1), 0
+		for _, c := range res.Centroids {
+			if d := sqDist(p, c); d < best {
+				best, n = d, 1
+			} else if d == best {
+				n++
+			}
+		}
+		if n > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestClusterMatchesReference runs Cluster against the dense Lloyd loop on
 // the inputs its shortcuts depend on — repeated and zero rows, sparse rows,
-// dense rows, k at and past the point and distinct counts, the empty-cluster
-// repair and the iteration cap — serially and split over workers, and
-// demands identical assignments, centroid bits, iteration counts and
-// convergence flags.
+// dense rows, signed zeros, k at and past the point and distinct counts, the
+// empty-cluster repair, the iteration cap and an exact tie met after the
+// first pass — serially and split over workers, and demands identical
+// assignments, centroid bits, iteration counts and convergence flags. On the
+// large inputs the bounds must also have settled points without a scan, so
+// a case cannot pass by scanning everything.
 func TestClusterMatchesReference(t *testing.T) {
 	tvec := cityTransitionVectors(t, 28)
+	tvec56 := cityTransitionVectors(t, 56)
 	dense2, _ := blobs(3000, 40, 2, 11)
+	many2, _ := blobs(2400, 24, 2, 13)
 	dense9, _ := blobs(600, 6, 9, 12)
 	same := make([][]float64, 50)
 	zero := make([][]float64, 50)
@@ -225,23 +263,37 @@ func TestClusterMatchesReference(t *testing.T) {
 	for i := range few {
 		few[i] = []float64{0, 0, float64(i % 5), float64(i%5) * 2}
 	}
+	// -0 and +0 differ in bits but not in value: the rows are distinct
+	// points whose folds and sums must still match the dense loop's.
+	signed := make([][]float64, 40)
+	for i := range signed {
+		z := math.Copysign(0, float64(i%2)-0.5)
+		signed[i] = []float64{z, float64(i % 4), z, 0, float64(i%3) * z}
+	}
 	cases := []struct {
 		name       string
 		points     [][]float64
 		k          int
 		opts       Options
 		wantRepair bool
+		wantTie    bool
+		wantPruned bool
 	}{
-		{"transition-vectors", tvec, 20, Options{Seed: 2}, false},
-		{"transition-vectors-seed9", tvec, 12, Options{Seed: 9}, false},
-		{"transition-vectors-cap3", tvec, 20, Options{Seed: 2, MaxIterations: 3}, false},
-		{"dense-2d", dense2, 40, Options{Seed: 3}, false},
-		{"dense-2d-cap1", dense2, 40, Options{Seed: 3, MaxIterations: 1}, false},
-		{"dense-9d", dense9, 7, Options{Seed: 4}, false},
-		{"all-identical", same, 4, Options{Seed: 5}, true},
-		{"all-zero", zero, 3, Options{Seed: 6}, true},
-		{"k-above-n", dense9[:5], 9, Options{Seed: 7}, false},
-		{"k-above-distinct", few, 8, Options{Seed: 8}, true},
+		{"transition-vectors", tvec, 20, Options{Seed: 2}, false, false, true},
+		{"transition-vectors-seed9", tvec, 12, Options{Seed: 9}, false, false, true},
+		{"transition-vectors-cap3", tvec, 20, Options{Seed: 2, MaxIterations: 3}, false, false, false},
+		{"transition-vectors-56", tvec56, 20, Options{Seed: 2}, false, false, true},
+		{"dense-2d", dense2, 40, Options{Seed: 3}, false, false, true},
+		{"dense-2d-cap1", dense2, 40, Options{Seed: 3, MaxIterations: 1}, false, false, false},
+		{"dense-2d-k64", many2, 64, Options{Seed: 4}, false, false, true},
+		{"dense-9d", dense9, 7, Options{Seed: 4}, false, false, true},
+		{"tie-2d", tieSet(2), 2, Options{Seed: 9}, false, true, false},
+		{"tie-3d", tieSet(3), 2, Options{Seed: 9}, false, true, false},
+		{"signed-zeros", signed, 3, Options{Seed: 5}, false, false, false},
+		{"all-identical", same, 4, Options{Seed: 5}, true, false, false},
+		{"all-zero", zero, 3, Options{Seed: 6}, true, false, false},
+		{"k-above-n", dense9[:5], 9, Options{Seed: 7}, false, false, false},
+		{"k-above-distinct", few, 8, Options{Seed: 8}, true, false, false},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
@@ -250,6 +302,9 @@ func TestClusterMatchesReference(t *testing.T) {
 			if tc.wantRepair && repairs == 0 {
 				t.Fatal("the reference never repaired an empty cluster; the case no longer covers that path")
 			}
+			if first, _ := clusterReference(tc.points, tc.k, Options{Seed: tc.opts.Seed, MaxIterations: 1}); tc.wantTie && !tied(tc.points, first) {
+				t.Fatal("the reference's second pass meets no exact tie; the case no longer covers ties")
+			}
 			for _, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
 				got, err := Cluster(tc.points, tc.k, tc.opts)
@@ -257,6 +312,9 @@ func TestClusterMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameResult(t, got, want)
+				if nd := len(group(tc.points).rep); tc.wantPruned && got.scans >= nd*got.Iterations {
+					t.Fatalf("%d scans in %d iterations of %d distinct points: the bounds settled nothing", got.scans, got.Iterations, nd)
+				}
 			}
 		})
 	}

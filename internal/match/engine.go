@@ -216,18 +216,28 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		reg = obs.NewRegistry()
 	}
 	g := pt.Graph()
-	if cfg.CH == nil {
-		cfg.CH = roadnet.BuildCH(g, cfg.parallelism())
+	// The oracle's reverse trees grow beside the CH contraction, whose
+	// loop is nearly serial and leaves a core idle; the two share no state.
+	oracle, par := cfg.Oracle, cfg.parallelism()
+	var oracleDone sync.WaitGroup
+	if cfg.DisableLandmarkLB {
+		oracle = nil
+	} else if oracle == nil {
+		oracleDone.Add(1)
+		go func() {
+			defer oracleDone.Done()
+			oracle = partition.NewOracle(pt, par)
+		}()
 	}
+	if cfg.CH == nil {
+		cfg.CH = roadnet.BuildCH(g, par)
+	}
+	oracleDone.Wait()
+	cfg.Oracle = oracle
 	raw := roadnet.NewRouter(g, cfg.RouterCacheTrees).AttachCH(cfg.CH).InstrumentWith(reg)
 	var router roadnet.PathRouter = raw
 	if cfg.RouterWrap != nil {
 		router = cfg.RouterWrap(raw)
-	}
-	if cfg.DisableLandmarkLB {
-		cfg.Oracle = nil
-	} else if cfg.Oracle == nil {
-		cfg.Oracle = partition.NewOracle(pt, cfg.parallelism())
 	}
 	e := &Engine{
 		cfg:         cfg,

@@ -25,34 +25,31 @@ import (
 // construction on any graph, independent of edge-cost geometry.
 //
 // The offsets live in two flat float64 arrays indexed by vertex — 16 bytes
-// per vertex — and the landmark-to-landmark cost table is the one the
-// Partitioning already computed, so the oracle adds no per-query
-// allocation and its precompute is two Dijkstra trees per partition,
-// parallel over partitions.
+// per vertex. The landmark-to-landmark cost table and the forward offsets
+// come from the Partitioning's landmark-graph trees, so the oracle adds no
+// per-query allocation and its precompute is one reverse Dijkstra tree per
+// partition, parallel over partitions.
 type Oracle struct {
 	pt     *Partitioning
 	fromLM []float64 // fromLM[v] = d(landmark(P(v)) → v)
 	toLM   []float64 // toLM[v]   = d(v → landmark(P(v)))
 }
 
-// NewOracle precomputes the per-vertex landmark offsets of pt. The work is
-// one forward and one reverse shortest-path tree per partition, fanned over
-// min(parallelism, partitions) workers; parallelism <= 0 uses all CPUs.
-// The result is deterministic — each vertex's offsets come from its own
-// partition's trees regardless of worker schedule.
+// NewOracle precomputes the per-vertex landmark offsets of pt. The forward
+// offsets are the partitioning's; the work is one reverse shortest-path
+// tree per partition, fanned over min(parallelism, partitions) workers;
+// parallelism <= 0 uses all CPUs. The result is deterministic — each
+// vertex's offsets come from its own partition's trees regardless of
+// worker schedule.
 func NewOracle(pt *Partitioning, parallelism int) *Oracle {
-	n := pt.g.NumVertices()
 	o := &Oracle{
 		pt:     pt,
-		fromLM: make([]float64, n),
-		toLM:   make([]float64, n),
+		fromLM: pt.fromLM,
+		toLM:   make([]float64, pt.g.NumVertices()),
 	}
 	forEachPartition(len(pt.parts), parallelism, func(p int) {
-		lm := pt.landmark[p]
-		fwd := pt.g.SSSP(lm)
-		rev := pt.g.ReverseSSSP(lm)
+		rev := pt.g.ReverseSSSP(pt.landmark[p])
 		for _, v := range pt.parts[p] {
-			o.fromLM[v] = fwd.Dist[v]
 			o.toLM[v] = rev.Dist[v]
 		}
 	})

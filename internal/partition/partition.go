@@ -56,6 +56,10 @@ type Partitioning struct {
 	landmark []roadnet.VertexID // partition -> landmark vertex
 	lmCost   [][]float64        // landmark-to-landmark network cost table
 	adj      [][]ID             // landmark graph adjacency
+	// fromLM[v] = d(landmark(P(v)) → v), read off the landmark graph's
+	// forward trees; the Oracle shares it rather than growing the trees
+	// again, and reports its bytes, so MemoryBytes leaves it out.
+	fromLM []float64
 
 	// trans[v] is vertex v's transition-probability vector over the final
 	// partitions; rows sum to 1 (or are all zero if the vertex never
@@ -434,8 +438,10 @@ func nearestK(g *roadnet.Graph, vs []roadnet.VertexID, c geo.Point, k int) []roa
 }
 
 // computeLandmarkGraph derives partition adjacency from road edges crossing
-// partition borders and fills the landmark-to-landmark cost table with one
-// Dijkstra tree per landmark, spread over every CPU.
+// partition borders and fills the landmark-to-landmark cost table and each
+// vertex's forward landmark offset with one Dijkstra tree per landmark,
+// spread over every CPU; a partition's tree writes only its own row and its
+// own members' offsets.
 func (pt *Partitioning) computeLandmarkGraph() {
 	k := len(pt.parts)
 	adjSet := make([]map[ID]struct{}, k)
@@ -460,6 +466,7 @@ func (pt *Partitioning) computeLandmarkGraph() {
 		sortIDs(pt.adj[p])
 	}
 	pt.lmCost = make([][]float64, k)
+	pt.fromLM = make([]float64, pt.g.NumVertices())
 	forEachPartition(k, 0, func(p int) {
 		res := pt.g.SSSP(pt.landmark[p])
 		row := make([]float64, k)
@@ -467,6 +474,9 @@ func (pt *Partitioning) computeLandmarkGraph() {
 			row[q] = res.Dist[pt.landmark[q]]
 		}
 		pt.lmCost[p] = row
+		for _, v := range pt.parts[p] {
+			pt.fromLM[v] = res.Dist[v]
+		}
 	})
 }
 

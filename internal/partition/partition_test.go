@@ -384,7 +384,10 @@ func TestBipartiteRespectsMaxRounds(t *testing.T) {
 
 // BenchmarkBuildBipartite times the whole partitioner: a 20x20 city with a
 // light history, and the steady workload's 56x56 world (κ = 125) built as
-// server.New builds it, whose transition vectors are mostly zero or repeated.
+// server.New builds it, whose transition vectors are mostly zero or repeated
+// — the step the benchmark ledger reports as partition.build_s:
+//
+//	go test -run '^$' -bench 'BuildBipartite/city=56x56' ./internal/partition
 func BenchmarkBuildBipartite(b *testing.B) {
 	b.Run("city=20x20", func(b *testing.B) {
 		g, _, ods := testCity(b, 20, 20, 200)
