@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -29,12 +28,16 @@ import (
 	"repro/internal/roadnet"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status so that every
+// deferred writer (the report file, the CPU and heap profiles) runs on
+// every path, failures included.
+func run() int {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	expID := flag.String("experiment", "all", "experiment id (fig5..fig21, tab3..tab5, ablate-*) or a comma list or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	replicas := flag.Int("replicas", 0, "override placement-seed replicas per setting (0 = scale default)")
-	parallelism := flag.Int("parallelism", 0, "dispatch worker parallelism (0 = all CPUs, 1 = sequential; results are identical at every level)")
 	seed := flag.Int64("seed", 0, "override world seed (0 = scale default)")
 	outPath := flag.String("o", "", "also write the report to this file")
 	geoPath := flag.String("geojson", "", "write the bipartite partitioning as GeoJSON (the paper's Fig. 3b) to this file")
@@ -47,7 +50,7 @@ func main() {
 		for _, e := range experiments.All() {
 			fmt.Println(e.ID)
 		}
-		return
+		return 0
 	}
 
 	var scale experiments.Scale
@@ -58,12 +61,7 @@ func main() {
 		scale = experiments.FullScale()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or full)\n", *scaleName)
-		os.Exit(2)
-	}
-
-	if *parallelism < 0 {
-		fmt.Fprintln(os.Stderr, "-parallelism must be >= 0")
-		os.Exit(2)
+		return 2
 	}
 	if *replicas > 0 {
 		scale.Replicas = *replicas
@@ -76,7 +74,7 @@ func main() {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		out = io.MultiWriter(os.Stdout, f)
@@ -86,9 +84,8 @@ func main() {
 	lab, err := experiments.NewLab(scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
-	lab.Parallelism = *parallelism
 	if *traceSample > 0 {
 		lab.TraceEvery = *traceSample
 		lab.TraceHandler = func(sp *obs.Span) {
@@ -98,11 +95,13 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -110,12 +109,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(os.Stderr, err)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
 	}
@@ -128,16 +128,16 @@ func main() {
 		pt, err := lab.World.Partitioning("bipartite", scale.Kappa)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		data, err := pt.GeoJSON()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := os.WriteFile(*geoPath, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(out, "wrote Fig. 3(b) partitioning GeoJSON (%d partitions) to %s\n\n",
 			pt.NumPartitions(), *geoPath)
@@ -151,7 +151,7 @@ func main() {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				return 2
 			}
 			todo = append(todo, e)
 		}
@@ -165,12 +165,13 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(out, "(%s regenerated in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
 		printPipelineDelta(out, lab, pipe0, rt0)
 		fmt.Fprintln(out)
 	}
+	return 0
 }
 
 // printPipelineDelta reports what the dispatch pipeline and router memo

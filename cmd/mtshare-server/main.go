@@ -8,7 +8,7 @@
 //
 //	mtshare-server [-addr :8080] [-rows 28] [-cols 28] [-taxis 50] [-speedup 20]
 //	               [-queue N] [-queue-retry N] [-batch-assign]
-//	               [-parallelism N] [-trace-sample N] [-pprof]
+//	               [-trace-sample N] [-pprof]
 //	               [-wal-dir DIR] [-wal-sync-every N] [-wal-sync-interval D]
 //	               [-snapshot-every N] [-manual-clock]
 //
@@ -63,7 +63,6 @@ func main() {
 	queueDepth := flag.Int("queue", 0, "pending-queue capacity: park unserved requests and retry until their deadline (0 = reject immediately)")
 	queueRetry := flag.Int("queue-retry", 1, "retry the pending queue every N simulation ticks (ignored without -queue)")
 	batchAssign := flag.Bool("batch-assign", false, "run queue retry rounds as a global min-cost assignment instead of greedy deadline-order commits")
-	parallelism := flag.Int("parallelism", 0, "engine worker count per dispatch (0 = default)")
 	traceSample := flag.Int("trace-sample", 0, "log the span tree of one in N dispatches (0 disables)")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory: record every event durably and recover state on restart (empty disables)")
@@ -80,7 +79,6 @@ func main() {
 		InitialTaxis: *taxis, Capacity: *capacity,
 		Speedup: *speedup, Seed: *seed,
 		Policy:      replay.Policy{QueueDepth: *queueDepth, BatchAssign: *batchAssign},
-		Parallelism: *parallelism,
 		ManualClock: *manualClock,
 		MaxInFlight: *maxInFlight, AdmissionQueue: *admissionQueue,
 		Durability: wal.Options{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,13 +14,12 @@ import (
 )
 
 // durableBaseOptions is the small world every durability test runs in.
-func durableBaseOptions(parallelism int) Options {
+func durableBaseOptions() Options {
 	return Options{
 		SyntheticCityRows: 8,
 		SyntheticCityCols: 8,
 		Seed:              5,
 		Policy:            Policy{QueueDepth: 8, RetryEveryTicks: 1},
-		Parallelism:       parallelism,
 	}
 }
 
@@ -110,7 +110,7 @@ func asJSON(t *testing.T, v any) string {
 }
 
 // TestDurableCrashRecoveryMatrix is the in-process crash matrix: for
-// dispatch parallelism 1 and 2, and three seeded crash points each, a WAL-enabled system is abandoned mid-run
+// GOMAXPROCS 1 and 2, and three seeded crash points each, a WAL-enabled system is abandoned mid-run
 // (never Closed — the in-process equivalent of kill -9, with SyncEvery=1
 // so every committed record reached disk), reopened, and the recovered
 // state compared byte for byte against the state the abandoned system
@@ -120,15 +120,16 @@ func asJSON(t *testing.T, v any) string {
 func TestDurableCrashRecoveryMatrix(t *testing.T) {
 	const totalOps = 36
 	for _, parallelism := range []int{1, 2} {
-		// Seed parallelism keeps the crash points of the cells CI has
-		// always run.
+		// Seeding with the GOMAXPROCS value keeps the crash points of the
+		// cells CI has always run.
 		crashPoints := replay.CrashPoints(int64(parallelism), 3, totalOps-4)
 		if len(crashPoints) != 3 {
 			t.Fatalf("want 3 crash points, got %v", crashPoints)
 		}
 		for _, cp := range crashPoints {
 			t.Run(asJSON(t, map[string]any{"par": parallelism, "crash": cp}), func(t *testing.T) {
-				opts := durableBaseOptions(parallelism)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
+				opts := durableBaseOptions()
 				opts.Durability = DurabilityOptions{
 					Dir:                t.TempDir(),
 					SyncEvery:          1,
@@ -141,7 +142,7 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 				prefix := drive(crashed, 0, int(cp))
 
 				// The control never crashes and never records.
-				ctl, err := New(durableBaseOptions(parallelism))
+				ctl, err := New(durableBaseOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +199,7 @@ func TestDurableCrashRecoveryMatrix(t *testing.T) {
 // closed WAL reopens with the counters seal verified, and an empty
 // directory starts a fresh log.
 func TestDurableFreshAndSealedReopen(t *testing.T) {
-	opts := durableBaseOptions(1)
+	opts := durableBaseOptions()
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -233,7 +234,7 @@ func TestDurableFreshAndSealedReopen(t *testing.T) {
 // different options.
 func TestDurableHeaderMismatch(t *testing.T) {
 	dir := t.TempDir()
-	opts := durableBaseOptions(1)
+	opts := durableBaseOptions()
 	opts.Durability = DurabilityOptions{Dir: dir, SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -256,7 +257,7 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-event recovery timing")
 	}
-	opts := durableBaseOptions(0)
+	opts := durableBaseOptions()
 	opts.QueueDepth = 0
 	opts.RetryEveryTicks = 0
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 64}
@@ -301,7 +302,7 @@ func TestDurableRecoveryTailSpeed(t *testing.T) {
 // TestDurableSnapshotPrunesReplay proves snapshots actually shorten
 // recovery: with a snapshot cadence, reopening replays only the tail.
 func TestDurableSnapshotPrunesReplay(t *testing.T) {
-	opts := durableBaseOptions(1)
+	opts := durableBaseOptions()
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1, SnapshotEveryTicks: 2}
 	s, err := New(opts)
 	if err != nil {
@@ -340,7 +341,7 @@ func TestWALDispatchOverhead(t *testing.T) {
 	run := func(withWAL bool) time.Duration {
 		best := time.Duration(1<<62 - 1)
 		for rep := 0; rep < 3; rep++ {
-			opts := durableBaseOptions(0)
+			opts := durableBaseOptions()
 			if withWAL {
 				opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 64, SnapshotEveryTicks: 64}
 			}
@@ -377,7 +378,7 @@ var _ = wal.Options{} // keep the import for the DurabilityOptions alias
 // resurrecting phantom state.
 func TestDurableRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 	dir := t.TempDir()
-	opts := durableBaseOptions(1)
+	opts := durableBaseOptions()
 	opts.Durability = DurabilityOptions{Dir: dir, SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {
@@ -412,7 +413,7 @@ func TestDurableRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 // the durability error instead of a clean ack, and the system refuses
 // everything after with ErrShutdown.
 func TestDurableWALFailureStopsAcks(t *testing.T) {
-	opts := durableBaseOptions(1)
+	opts := durableBaseOptions()
 	opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1}
 	s, err := New(opts)
 	if err != nil {

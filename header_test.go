@@ -55,7 +55,7 @@ func TestHeaderBytes(t *testing.T) {
 		{
 			name: "facade durability tests",
 			got: func(t *testing.T) string {
-				opts := durableBaseOptions(1)
+				opts := durableBaseOptions()
 				opts.Durability = DurabilityOptions{Dir: t.TempDir(), SyncEvery: 1}
 				sys, err := New(opts)
 				if err != nil {
@@ -76,7 +76,6 @@ func TestHeaderBytes(t *testing.T) {
 					InitialTaxis: 6, Capacity: 3,
 					Speedup: 20, Seed: 4,
 					Policy:      replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
-					Parallelism: 1,
 					ManualClock: true,
 					Durability:  wal.Options{Dir: t.TempDir(), SyncEvery: 1, SnapshotEveryTicks: 3},
 				})

@@ -25,7 +25,7 @@ func newBenv(t testing.TB) *benv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &benv{g: g, spx: roadnet.NewSpatialIndex(g, 250), ch: roadnet.BuildCH(g, 1)}
+	return &benv{g: g, spx: roadnet.NewSpatialIndex(g, 250), ch: roadnet.BuildCH(g)}
 }
 
 // router is a fresh router over the test city's hierarchy.

@@ -378,43 +378,42 @@ func TestVerifyRendersAllClaims(t *testing.T) {
 
 // TestAblationLandmark pins the oracle's acceptance claim: the experiment
 // itself errors unless served/rejected counts are identical with the
-// screen on and off at every parallelism level, so a passing run IS the
-// parity proof; here we additionally require that the enabled rows pruned
-// work and that both arms of the knob are present.
+// screen on and off, so a passing run IS the parity proof; here we
+// additionally require that the enabled row screened work and that both
+// arms of the knob are present.
 func TestAblationLandmark(t *testing.T) {
 	l := testLab(t)
 	r, err := l.AblationLandmark()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (3 parallelism levels x oracle on/off)", len(r.Rows))
+	if len(r.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (oracle on/off)", len(r.Rows))
 	}
 	on, off := 0, 0
 	for _, row := range r.Rows {
-		switch row[1] {
+		switch row[0] {
 		case "on":
 			on++
-			if row[4] == "0" {
+			if row[3] == "0" {
 				t.Fatalf("oracle-on row evaluated nothing: %v", row)
 			}
 		case "off":
 			off++
-			if row[4] != "0" || row[5] != "0" {
+			if row[3] != "0" || row[4] != "0" {
 				t.Fatalf("oracle-off row screened: %v", row)
 			}
 		}
 	}
-	if on != 3 || off != 3 {
-		t.Fatalf("rows split %d on / %d off, want 3/3", on, off)
+	if on != 1 || off != 1 {
+		t.Fatalf("rows split %d on / %d off, want 1/1", on, off)
 	}
 }
 
 // TestAblationBatchAssign pins the tentpole claim the same way: the
 // experiment hard-errors unless the global solver serves at least as
 // many requests as greedy on both fleets (strictly more on the saturated
-// one) with bit-identical records across every parallelism cell, so a
-// passing run IS the claim. Here we additionally require both
+// one), so a passing run IS the claim. Here we additionally require both
 // schemes present, solver activity confined to the global rows, and at
 // least one contested (non-fallback) round.
 func TestAblationBatchAssign(t *testing.T) {
@@ -423,28 +422,28 @@ func TestAblationBatchAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 greedy rows + (1 + 3 + 1) global cells across the cadence sweep.
-	if len(r.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(r.Rows))
+	// One greedy and one global row per cadence.
+	if len(r.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(r.Rows))
 	}
 	greedy, global := 0, 0
 	for _, row := range r.Rows {
 		switch row[1] {
 		case "greedy":
 			greedy++
-			if row[7] != "0" {
+			if row[6] != "0" {
 				t.Fatalf("greedy row ran solver rounds: %v", row)
 			}
 		case "global":
 			global++
-			if row[7] == "0" {
+			if row[6] == "0" {
 				t.Fatalf("global row never ran a solver round: %v", row)
 			}
 		default:
 			t.Fatalf("unknown scheme %q in row %v", row[1], row)
 		}
 	}
-	if greedy != 3 || global != 5 {
-		t.Fatalf("rows split %d greedy / %d global, want 3/5", greedy, global)
+	if greedy != 3 || global != 3 {
+		t.Fatalf("rows split %d greedy / %d global, want 3/3", greedy, global)
 	}
 }

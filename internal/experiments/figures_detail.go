@@ -385,7 +385,7 @@ func (l *Lab) AblationPartitionFilter() (*Result, error) {
 			"the filter prunes the search space at a bounded route-quality cost; the paper's evaluation bypasses it via the all-pairs cache",
 		},
 	}
-	eng, err := l.engine(l.defaults(Scenario{}), 0, nil)
+	eng, err := l.engine(l.defaults(Scenario{}), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -448,19 +448,17 @@ func filteredLegCost(eng *match.Engine, u, v roadnet.VertexID) (float64, bool) {
 // AblationLandmark A/B-tests the landmark lower-bound candidate screen:
 // the oracle must prune work (lb pruned > 0) without changing a single
 // outcome — identical served and rejected counts with the oracle on and
-// off, at every dispatch parallelism level. The experiment *enforces* that
-// parity and errors on any mismatch, so a regression in the oracle's
-// admissibility cannot hide in a table.
+// off. The experiment *enforces* that parity and errors on any mismatch,
+// so a regression in the oracle's admissibility cannot hide in a table.
 //
-// It drives sim engines directly rather than going through Lab.Run:
-// Lab.Parallelism is not part of the scenario memo key, and the sweep
-// needs one fresh engine per (parallelism, oracle) cell anyway.
+// It drives sim engines directly rather than going through Lab.Run: the
+// oracle switch is not part of the scenario memo key.
 func (l *Lab) AblationLandmark() (*Result, error) {
 	r := &Result{
 		ID: "ablate-landmark", Title: "Landmark lower-bound candidate screen vs exact-only evaluation (peak, mT-Share)",
-		Header: []string{"parallelism", "oracle", "served", "rejected", "lb evaluated", "lb pruned", "prune ratio"},
+		Header: []string{"oracle", "served", "rejected", "lb evaluated", "lb pruned", "prune ratio"},
 		Notes: []string{
-			"the oracle screens candidates with an admissible lower bound before exact schedule evaluation; pruning is lossless, so every row of one parallelism level must agree on served/rejected",
+			"the oracle screens candidates with an admissible lower bound before exact schedule evaluation; pruning is lossless, so both rows must agree on served/rejected",
 		},
 	}
 	win := PeakWindow()
@@ -470,50 +468,48 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 	}
 	var baseline *cell
 	prunedTotal := int64(0)
-	for _, par := range []int{1, 2, 4} {
-		for _, disable := range []bool{false, true} {
-			eng, err := l.engine(l.defaults(Scenario{}), par, func(cfg *match.Config) {
-				cfg.DisableLandmarkLB = disable
-			})
-			if err != nil {
-				return nil, err
-			}
-			scheme := match.NewScheme(eng, false)
-			se, err := sim.NewEngine(l.World.G, scheme, sim.Params{})
-			if err != nil {
-				return nil, err
-			}
-			se.PlaceTaxis(l.World.Scale.DefaultTaxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
-			reqs := l.World.Requests(win, l.World.Scale.Rho, 0)
-			m := se.Run(reqs, start)
-			st := eng.Stats()
-			c := cell{served: m.Served, rejected: m.Requests - m.Served}
-			if baseline == nil {
-				baseline = &c
-			} else if c != *baseline {
-				return nil, fmt.Errorf("experiments: ablate-landmark parity broken: parallelism=%d oracle=%v served/rejected %d/%d, expected %d/%d — the lower bound pruned a feasible candidate",
-					par, !disable, c.served, c.rejected, baseline.served, baseline.rejected)
-			}
-			label := "on"
-			ratio := 0.0
-			if disable {
-				label = "off"
-			} else {
-				prunedTotal += st.LBPruned
-				if st.LBEvaluated > 0 {
-					ratio = float64(st.LBPruned) / float64(st.LBEvaluated)
-				}
-			}
-			r.Rows = append(r.Rows, []string{
-				fi(par), label, fi(c.served), fi(c.rejected),
-				fi(int(st.LBEvaluated)), fi(int(st.LBPruned)), f3(ratio),
-			})
+	for _, disable := range []bool{false, true} {
+		eng, err := l.engine(l.defaults(Scenario{}), func(cfg *match.Config) {
+			cfg.DisableLandmarkLB = disable
+		})
+		if err != nil {
+			return nil, err
 		}
+		scheme := match.NewScheme(eng, false)
+		se, err := sim.NewEngine(l.World.G, scheme, sim.Params{})
+		if err != nil {
+			return nil, err
+		}
+		se.PlaceTaxis(l.World.Scale.DefaultTaxis, l.World.Scale.Capacity, l.World.Scale.Seed, start)
+		reqs := l.World.Requests(win, l.World.Scale.Rho, 0)
+		m := se.Run(reqs, start)
+		st := eng.Stats()
+		c := cell{served: m.Served, rejected: m.Requests - m.Served}
+		if baseline == nil {
+			baseline = &c
+		} else if c != *baseline {
+			return nil, fmt.Errorf("experiments: ablate-landmark parity broken: oracle=%v served/rejected %d/%d, expected %d/%d — the lower bound pruned a feasible candidate",
+				!disable, c.served, c.rejected, baseline.served, baseline.rejected)
+		}
+		label := "on"
+		ratio := 0.0
+		if disable {
+			label = "off"
+		} else {
+			prunedTotal += st.LBPruned
+			if st.LBEvaluated > 0 {
+				ratio = float64(st.LBPruned) / float64(st.LBEvaluated)
+			}
+		}
+		r.Rows = append(r.Rows, []string{
+			label, fi(c.served), fi(c.rejected),
+			fi(int(st.LBEvaluated)), fi(int(st.LBPruned)), f3(ratio),
+		})
 	}
 	if prunedTotal == 0 {
 		return nil, fmt.Errorf("experiments: ablate-landmark pruned nothing — the screen is dead weight on this workload")
 	}
-	r.Notes = append(r.Notes, fmt.Sprintf("parity held: every cell served %d and rejected %d", baseline.served, baseline.rejected))
+	r.Notes = append(r.Notes, fmt.Sprintf("parity held: both cells served %d and rejected %d", baseline.served, baseline.rejected))
 	return r, nil
 }
 
@@ -531,10 +527,7 @@ func (l *Lab) AblationLandmark() (*Result, error) {
 // The experiment *enforces* the tentpole claims rather than tabling
 // them: the global solver must never serve fewer requests than greedy
 // on the same stream (hard error in every cell), must serve strictly
-// more at the most contested cadence, and its outcomes must be
-// bit-identical (per-request records, Float64bits of
-// assign/pickup/dropoff) across parallelism 1/2/4.
-// Vacuousness guards require the solver to have actually run contested
+// more at the most contested cadence. Vacuousness guards require the solver to have actually run contested
 // (non-fallback) assignment rounds and the greedy cells to report zero
 // solver activity.
 func (l *Lab) AblationBatchAssign() (*Result, error) {
@@ -542,7 +535,7 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	const rho = 1.8
 	r := &Result{
 		ID: "ablate-batch-assign", Title: fmt.Sprintf("Global min-cost batch assignment vs greedy re-dispatch order (peak, mT-Share, %d taxis, rho %.1f)", taxis, rho),
-		Header: []string{"retry ticks", "scheme", "parallelism", "served", "from queue", "expired in queue", "mean detour (min)", "assign rounds", "contested", "remainder"},
+		Header: []string{"retry ticks", "scheme", "served", "from queue", "expired in queue", "mean detour (min)", "assign rounds", "contested", "remainder"},
 		Notes: []string{
 			"greedy retries the pending queue in (deadline, ID) order; global solves each retry round as one min-cost request-taxi assignment with deterministic (cost, request, taxi) tie-breaks",
 			"rho 1.8 widens the pickup window past the retry cadence so parked requests survive into contested rounds — the saturation regime the solver exists for",
@@ -550,8 +543,8 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	}
 	win := PeakWindow()
 	start := win.From.Seconds()
-	run := func(global bool, retry, par int) (*sim.Metrics, match.EngineStats, error) {
-		eng, err := l.engine(l.defaults(Scenario{}), par, func(cfg *match.Config) { cfg.BatchAssign = global })
+	run := func(global bool, retry int) (*sim.Metrics, match.EngineStats, error) {
+		eng, err := l.engine(l.defaults(Scenario{}), func(cfg *match.Config) { cfg.BatchAssign = global })
 		if err != nil {
 			return nil, match.EngineStats{}, err
 		}
@@ -564,9 +557,9 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 		m := se.Run(l.World.Requests(win, rho, 0), start)
 		return m, eng.Stats(), nil
 	}
-	row := func(retry int, scheme string, par int, m *sim.Metrics, st match.EngineStats) {
+	row := func(retry int, scheme string, m *sim.Metrics, st match.EngineStats) {
 		r.Rows = append(r.Rows, []string{
-			fi(retry), scheme, fi(par),
+			fi(retry), scheme,
 			fi(m.Served), fi(m.ServedFromQueue), fi(m.ExpiredInQueue), f2(m.MeanDetourMin),
 			fi(int(st.BatchAssignRounds)), fi(int(st.BatchAssignRounds - st.BatchAssignFallbacks)), fi(int(st.BatchAssignRemainder)),
 		})
@@ -575,71 +568,38 @@ func (l *Lab) AblationBatchAssign() (*Result, error) {
 	for _, cell := range []struct {
 		retry  int
 		strict bool // require global strictly ahead of greedy
-		sweep  bool // gate bit-identity across parallelism cells
 	}{
 		{retry: 2},
-		{retry: 4, strict: true, sweep: true},
+		{retry: 4, strict: true},
 		{retry: 8},
 	} {
-		gm, gs, err := run(false, cell.retry, 1)
+		gm, gs, err := run(false, cell.retry)
 		if err != nil {
 			return nil, err
 		}
 		if gs.BatchAssignRounds != 0 || gs.BatchAssignOptions != 0 {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: greedy cell ran %d solver rounds — the BatchAssign knob leaks", gs.BatchAssignRounds)
 		}
-		row(cell.retry, "greedy", 1, gm, gs)
-
-		parCells := []int{1}
-		if cell.sweep {
-			parCells = []int{1, 2, 4}
+		row(cell.retry, "greedy", gm, gs)
+		m, st, err := run(true, cell.retry)
+		if err != nil {
+			return nil, err
 		}
-		var (
-			baseSigs   []recordSig
-			baseM      *sim.Metrics
-			baseStats  match.EngineStats
-			haveGlobal bool
-		)
-		for _, par := range parCells {
-			m, st, err := run(true, cell.retry, par)
-			if err != nil {
-				return nil, err
-			}
-			sigs := workloadSigs(m)
-			if !haveGlobal {
-				baseSigs, baseM, baseStats, haveGlobal = sigs, m, st, true
-			} else {
-				if len(sigs) != len(baseSigs) {
-					return nil, fmt.Errorf("experiments: ablate-batch-assign parity broken: retry=%d parallelism=%d produced %d records, expected %d",
-						cell.retry, par, len(sigs), len(baseSigs))
-				}
-				for i := range sigs {
-					if sigs[i] != baseSigs[i] {
-						return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d parallelism=%d record %d (request %d) differs — the solver is not deterministic across parallelism",
-							cell.retry, par, i, sigs[i].ID)
-					}
-				}
-				if st.BatchAssignRounds != baseStats.BatchAssignRounds || st.BatchAssignFallbacks != baseStats.BatchAssignFallbacks {
-					return nil, fmt.Errorf("experiments: ablate-batch-assign divergence: retry=%d parallelism=%d ran %d rounds (%d fallbacks), expected %d (%d)",
-						cell.retry, par, st.BatchAssignRounds, st.BatchAssignFallbacks, baseStats.BatchAssignRounds, baseStats.BatchAssignFallbacks)
-				}
-			}
-			row(cell.retry, "global", par, m, st)
-		}
-		if baseStats.BatchAssignRounds == 0 {
+		row(cell.retry, "global", m, st)
+		if st.BatchAssignRounds == 0 {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: retry=%d never ran an assignment round — the queue never batched", cell.retry)
 		}
-		solvedRounds += baseStats.BatchAssignRounds - baseStats.BatchAssignFallbacks
-		if baseM.Served < gm.Served {
+		solvedRounds += st.BatchAssignRounds - st.BatchAssignFallbacks
+		if m.Served < gm.Served {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: retry=%d: global served %d < greedy %d — the assignment lost requests greedy keeps",
-				cell.retry, baseM.Served, gm.Served)
+				cell.retry, m.Served, gm.Served)
 		}
-		if cell.strict && baseM.Served <= gm.Served {
+		if cell.strict && m.Served <= gm.Served {
 			return nil, fmt.Errorf("experiments: ablate-batch-assign: retry=%d: global served %d, greedy %d — the solver must win strictly on the saturated cadence",
-				cell.retry, baseM.Served, gm.Served)
+				cell.retry, m.Served, gm.Served)
 		}
 		r.Notes = append(r.Notes, fmt.Sprintf("retry every %d ticks: global served %d vs greedy %d (%+d), mean detour %.2f vs %.2f min",
-			cell.retry, baseM.Served, gm.Served, baseM.Served-gm.Served, baseM.MeanDetourMin, gm.MeanDetourMin))
+			cell.retry, m.Served, gm.Served, m.Served-gm.Served, m.MeanDetourMin, gm.MeanDetourMin))
 	}
 	if solvedRounds == 0 {
 		return nil, fmt.Errorf("experiments: ablate-batch-assign: every assignment round fell back to greedy — the solver never saw a contested graph")

@@ -67,11 +67,6 @@ func (sc Scenario) window() Window {
 type Lab struct {
 	World *World
 
-	// Parallelism is forwarded to the dispatch pipeline (match.Config) of
-	// every scenario. 0 uses all CPUs, 1 forces sequential execution;
-	// results are identical at every level, only wall time changes.
-	Parallelism int
-
 	// TraceEvery samples one in N dispatches of every mT-Share engine the
 	// lab builds with a span tree delivered to TraceHandler; 0 disables
 	// tracing.
@@ -135,7 +130,7 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 	switch sc.Scheme {
 	case NoSharing, TShare, PGreedyDP:
 		router := roadnet.NewRouter(l.World.G, match.DefaultConfig().RouterCacheTrees).
-			AttachCH(l.World.CH(l.Parallelism))
+			AttachCH(l.World.CH())
 		var inner dispatch.Scheme
 		switch sc.Scheme {
 		case NoSharing:
@@ -148,13 +143,13 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 		if !sc.BaselineCruise {
 			return inner, nil
 		}
-		eng, err := l.engine(sc, l.Parallelism, nil)
+		eng, err := l.engine(sc, nil)
 		if err != nil {
 			return nil, err
 		}
 		return &cruisingBaseline{Scheme: inner, engine: eng}, nil
 	case MTShare, MTSharePro:
-		eng, err := l.engine(sc, l.Parallelism, func(cfg *match.Config) {
+		eng, err := l.engine(sc, func(cfg *match.Config) {
 			if l.TraceEvery > 0 {
 				cfg.Tracer = obs.NewTracer(l.TraceEvery, l.TraceHandler)
 			}
@@ -169,12 +164,11 @@ func (l *Lab) buildScheme(sc Scenario) (dispatch.Scheme, error) {
 }
 
 // engine builds an mT-Share engine for a defaulted scenario (partitioning,
-// γ, λ and probabilistic-leg cap) at dispatch
-// parallelism par. Every engine of a lab shares the world's CH and the
-// partitioning's landmark oracle: both are immutable and bit-identical at
-// every parallelism, and preprocessing is the expensive part. tune, when
-// set, adjusts the rest of the configuration.
-func (l *Lab) engine(sc Scenario, par int, tune func(*match.Config)) (*match.Engine, error) {
+// γ, λ and probabilistic-leg cap). Every engine of a lab shares the
+// world's CH and the partitioning's landmark oracle: both are immutable,
+// and preprocessing is the expensive part. tune, when set, adjusts the
+// rest of the configuration.
+func (l *Lab) engine(sc Scenario, tune func(*match.Config)) (*match.Engine, error) {
 	pt, err := l.World.Partitioning(sc.Partitioning, sc.Kappa)
 	if err != nil {
 		return nil, err
@@ -183,9 +177,8 @@ func (l *Lab) engine(sc Scenario, par int, tune func(*match.Config)) (*match.Eng
 	cfg.SearchRangeMeters = sc.Gamma
 	cfg.Lambda = sc.Lambda
 	cfg.ProbMaxLegInflation = sc.ProbInflation
-	cfg.Parallelism = par
-	cfg.CH = l.World.CH(par)
-	cfg.Oracle = l.World.oracle(pt, par)
+	cfg.CH = l.World.CH()
+	cfg.Oracle = l.World.oracle(pt)
 	if tune != nil {
 		tune(&cfg)
 	}

@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/fleet"
@@ -48,8 +49,8 @@ func (l *Lab) prepareWorkload(trips []trace.Trip, meetingRadius float64) []*flee
 
 // runWorkloadCell builds a fresh match engine + sim engine and runs the
 // requests through the peak window; shift enables the changeover.
-func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftChangeConfig) (*sim.Engine, *sim.Metrics, error) {
-	eng, err := l.engine(l.defaults(Scenario{}), par, nil)
+func (l *Lab) runWorkloadCell(reqs []*fleet.Request, shift sim.ShiftChangeConfig) (*sim.Engine, *sim.Metrics, error) {
+	eng, err := l.engine(l.defaults(Scenario{}), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,8 +65,8 @@ func (l *Lab) runWorkloadCell(reqs []*fleet.Request, par int, shift sim.ShiftCha
 	return se, m, nil
 }
 
-// recordSig is the per-request outcome signature the determinism checks
-// compare: who was served, from where, and the bit patterns of the
+// recordSig is the per-request outcome signature ablate-shift compares
+// against the undisturbed run: who was served, from where, and the bit patterns of the
 // decision times. ResponseNanos is deliberately absent — it is wall
 // clock, not simulation outcome.
 type recordSig struct {
@@ -74,8 +75,7 @@ type recordSig struct {
 	Assign, Pickup, Dropoff uint64
 }
 
-// workloadSigs compresses a run into the per-request outcome signatures
-// the determinism checks compare.
+// workloadSigs compresses a run into its per-request outcome signatures.
 func workloadSigs(m *sim.Metrics) []recordSig {
 	sigs := make([]recordSig, len(m.Records))
 	for i, rec := range m.Records {
@@ -89,29 +89,16 @@ func workloadSigs(m *sim.Metrics) []recordSig {
 	return sigs
 }
 
-func sameSigs(a, b []recordSig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AblationSurge A/B-tests the concert-exit surge: the same workday with
 // a 3× demand spike injected into 8:15–8:45, every extra trip pouring
 // out of one venue at the city center. Hard invariants: the surge
 // window must actually carry ≥ 2× the base trips, the same fleet must
 // strand strictly more requests than on the base day (a spike that
-// costs nothing is dead weight), and the surge run must be
-// bit-identical across fleet parallelism 1, 2 and 4.
+// costs nothing is dead weight).
 func (l *Lab) AblationSurge() (*Result, error) {
 	r := &Result{
 		ID: "ablate-surge", Title: "Concert-exit surge vs base workday (peak, mT-Share)",
-		Header: []string{"workload", "parallelism", "requests", "served", "served frac", "unserved"},
+		Header: []string{"workload", "requests", "served", "served frac", "unserved"},
 		Notes: []string{
 			"3x demand multiplier in 8:15-8:45, origins Gaussian (sigma 300 m) around the city-center venue, destinations residential",
 		},
@@ -139,33 +126,22 @@ func (l *Lab) AblationSurge() (*Result, error) {
 	baseReqs := l.prepareWorkload(l.World.Workday.Between(win.From, win.To), 0)
 	surgeReqs := l.prepareWorkload(dsSurge.Between(win.From, win.To), 0)
 
-	_, mBase, err := l.runWorkloadCell(baseReqs, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(baseReqs, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
-	r.Rows = append(r.Rows, []string{"base", fi(1), fi(mBase.Requests), fi(mBase.Served),
-		f3(frac(mBase.Served, mBase.Requests)), fi(mBase.Requests - mBase.Served)})
-
-	var baseSigs []recordSig
-	for _, par := range []int{1, 2, 4} {
-		_, m, err := l.runWorkloadCell(surgeReqs, par, sim.ShiftChangeConfig{})
-		if err != nil {
-			return nil, err
-		}
-		sigs := workloadSigs(m)
-		if baseSigs == nil {
-			baseSigs = sigs
-			if m.Requests-m.Served <= mBase.Requests-mBase.Served {
-				return nil, fmt.Errorf("experiments: ablate-surge: surge stranded %d requests vs base %d — the spike cost the fleet nothing",
-					m.Requests-m.Served, mBase.Requests-mBase.Served)
-			}
-		} else if !sameSigs(sigs, baseSigs) {
-			return nil, fmt.Errorf("experiments: ablate-surge: parallelism=%d diverged from the parallelism-1 surge run — the scenario is not deterministic", par)
-		}
-		r.Rows = append(r.Rows, []string{"surge", fi(par), fi(m.Requests), fi(m.Served),
-			f3(frac(m.Served, m.Requests)), fi(m.Requests - m.Served)})
+	_, m, err := l.runWorkloadCell(surgeReqs, sim.ShiftChangeConfig{})
+	if err != nil {
+		return nil, err
 	}
-	r.Notes = append(r.Notes, fmt.Sprintf("surge window trips %d vs base %d; surge outcomes bit-identical at parallelism 1/2/4", surgeWin, baseWin))
+	if m.Requests-m.Served <= mBase.Requests-mBase.Served {
+		return nil, fmt.Errorf("experiments: ablate-surge: surge stranded %d requests vs base %d — the spike cost the fleet nothing",
+			m.Requests-m.Served, mBase.Requests-mBase.Served)
+	}
+	r.Rows = append(r.Rows,
+		[]string{"base", fi(mBase.Requests), fi(mBase.Served), f3(frac(mBase.Served, mBase.Requests)), fi(mBase.Requests - mBase.Served)},
+		[]string{"surge", fi(m.Requests), fi(m.Served), f3(frac(m.Served, m.Requests)), fi(m.Requests - m.Served)})
+	r.Notes = append(r.Notes, fmt.Sprintf("surge window trips %d vs base %d", surgeWin, baseWin))
 	return r, nil
 }
 
@@ -175,12 +151,11 @@ func (l *Lab) AblationSurge() (*Result, error) {
 // Hard invariants: the hotspot day's maximum per-partition share of the
 // run's request pickups must strictly exceed the base day's (the
 // imbalance must materialize in the partitioning the index is keyed by,
-// not just the trace), and the hotspot run must be bit-identical across
-// parallelism.
+// not just the trace).
 func (l *Lab) AblationHotspot() (*Result, error) {
 	r := &Result{
 		ID: "ablate-hotspot", Title: "Partition-localized hotspot vs base workday (peak, mT-Share)",
-		Header: []string{"workload", "parallelism", "requests", "served", "max partition share"},
+		Header: []string{"workload", "requests", "served", "max partition share"},
 	}
 	gp := l.workloadGenParams()
 	win := PeakWindow()
@@ -215,35 +190,23 @@ func (l *Lab) AblationHotspot() (*Result, error) {
 		return float64(most) / float64(len(m.Records))
 	}
 
-	_, mBase, err := l.runWorkloadCell(baseReqs, 2, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(baseReqs, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
-	baseShare := maxShare(mBase)
-	r.Rows = append(r.Rows, []string{"base", fi(2), fi(mBase.Requests), fi(mBase.Served), f3(baseShare)})
-
-	var refSigs []recordSig
-	var hotShare float64
-	for _, par := range []int{1, 2} {
-		_, m, err := l.runWorkloadCell(hotReqs, par, sim.ShiftChangeConfig{})
-		if err != nil {
-			return nil, err
-		}
-		sigs := workloadSigs(m)
-		if refSigs == nil {
-			refSigs = sigs
-			hotShare = maxShare(m)
-		} else if !sameSigs(sigs, refSigs) {
-			return nil, fmt.Errorf("experiments: ablate-hotspot: parallelism=%d diverged — the scenario is not deterministic", par)
-		}
-		r.Rows = append(r.Rows, []string{"hotspot", fi(par), fi(m.Requests), fi(m.Served), f3(maxShare(m))})
+	_, m, err := l.runWorkloadCell(hotReqs, sim.ShiftChangeConfig{})
+	if err != nil {
+		return nil, err
 	}
+	baseShare, hotShare := maxShare(mBase), maxShare(m)
+	r.Rows = append(r.Rows,
+		[]string{"base", fi(mBase.Requests), fi(mBase.Served), f3(baseShare)},
+		[]string{"hotspot", fi(m.Requests), fi(m.Served), f3(hotShare)})
 	if hotShare <= baseShare {
 		return nil, fmt.Errorf("experiments: ablate-hotspot: max partition share %.3f vs base %.3f — the disc never skewed the pickups", hotShare, baseShare)
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%.0f%% of origins in a %.0f m disc; max per-partition pickup share %.3f vs base %.3f", hs.Frac*100, hs.RadiusMeters, hotShare, baseShare),
-		"hotspot outcomes bit-identical at parallelism 1/2")
+		fmt.Sprintf("%.0f%% of origins in a %.0f m disc; max per-partition pickup share %.3f vs base %.3f", hs.Frac*100, hs.RadiusMeters, hotShare, baseShare))
 	return r, nil
 }
 
@@ -262,12 +225,11 @@ func extentLng(l *Lab) float64 {
 // new work and retires as soon as it stands empty; equally many
 // replacements come on shift five minutes later. Hard invariants: the
 // fleet ends at taxis + cohort, exactly the cohort retired, the supply
-// dip must cost something relative to the undisturbed run, and the
-// changeover must be bit-identical across parallelism 1, 2 and 4.
+// dip must cost something relative to the undisturbed run.
 func (l *Lab) AblationShiftChange() (*Result, error) {
 	r := &Result{
 		ID: "ablate-shift", Title: "Driver-shift changeover mid-run vs undisturbed fleet (peak, mT-Share)",
-		Header: []string{"workload", "parallelism", "served", "unserved", "fleet", "retired"},
+		Header: []string{"workload", "served", "unserved", "fleet", "retired"},
 	}
 	win := PeakWindow()
 	start := win.From.Seconds()
@@ -280,50 +242,40 @@ func (l *Lab) AblationShiftChange() (*Result, error) {
 	}
 	cohort := int(math.Round(sc.Fraction * float64(l.World.Scale.DefaultTaxis)))
 
-	_, mBase, err := l.runWorkloadCell(reqs, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(reqs, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
-	baseSigs := workloadSigs(mBase)
-	r.Rows = append(r.Rows, []string{"no shift", fi(1), fi(mBase.Served), fi(mBase.Requests - mBase.Served),
+	r.Rows = append(r.Rows, []string{"no shift", fi(mBase.Served), fi(mBase.Requests - mBase.Served),
 		fi(l.World.Scale.DefaultTaxis), fi(0)})
 
-	var refSigs []recordSig
-	for _, par := range []int{1, 2, 4} {
-		se, m, err := l.runWorkloadCell(reqs, par, sc)
-		if err != nil {
-			return nil, err
-		}
-		retired := 0
-		for _, tx := range se.Taxis() {
-			if tx.Capacity == 0 {
-				retired++
-				if !tx.Empty() {
-					return nil, fmt.Errorf("experiments: ablate-shift: taxi %d retired while carrying passengers", tx.ID)
-				}
-			}
-		}
-		if n := len(se.Taxis()); n != l.World.Scale.DefaultTaxis+cohort {
-			return nil, fmt.Errorf("experiments: ablate-shift: fleet ended at %d taxis, want %d + %d replacements",
-				n, l.World.Scale.DefaultTaxis, cohort)
-		}
-		if retired != cohort {
-			return nil, fmt.Errorf("experiments: ablate-shift: %d taxis retired, want the whole cohort of %d", retired, cohort)
-		}
-		sigs := workloadSigs(m)
-		if refSigs == nil {
-			refSigs = sigs
-			if m.Served == mBase.Served && sameSigs(sigs, baseSigs) {
-				return nil, fmt.Errorf("experiments: ablate-shift: changeover run is byte-identical to the undisturbed run — the scenario is dead weight")
-			}
-		} else if !sameSigs(sigs, refSigs) {
-			return nil, fmt.Errorf("experiments: ablate-shift: parallelism=%d diverged — the changeover is not deterministic", par)
-		}
-		r.Rows = append(r.Rows, []string{"shift", fi(par), fi(m.Served), fi(m.Requests - m.Served),
-			fi(l.World.Scale.DefaultTaxis + cohort), fi(retired)})
+	se, m, err := l.runWorkloadCell(reqs, sc)
+	if err != nil {
+		return nil, err
 	}
+	retired := 0
+	for _, tx := range se.Taxis() {
+		if tx.Capacity == 0 {
+			retired++
+			if !tx.Empty() {
+				return nil, fmt.Errorf("experiments: ablate-shift: taxi %d retired while carrying passengers", tx.ID)
+			}
+		}
+	}
+	if n := len(se.Taxis()); n != l.World.Scale.DefaultTaxis+cohort {
+		return nil, fmt.Errorf("experiments: ablate-shift: fleet ended at %d taxis, want %d + %d replacements",
+			n, l.World.Scale.DefaultTaxis, cohort)
+	}
+	if retired != cohort {
+		return nil, fmt.Errorf("experiments: ablate-shift: %d taxis retired, want the whole cohort of %d", retired, cohort)
+	}
+	if m.Served == mBase.Served && slices.Equal(workloadSigs(m), workloadSigs(mBase)) {
+		return nil, fmt.Errorf("experiments: ablate-shift: changeover run is byte-identical to the undisturbed run — the scenario is dead weight")
+	}
+	r.Rows = append(r.Rows, []string{"shift", fi(m.Served), fi(m.Requests - m.Served),
+		fi(l.World.Scale.DefaultTaxis + cohort), fi(retired)})
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("%.0f%% of the fleet off-shift at +10 min, replacements at +15 min; outcomes bit-identical at parallelism 1/2/4", sc.Fraction*100))
+		fmt.Sprintf("%.0f%% of the fleet off-shift at +10 min, replacements at +15 min", sc.Fraction*100))
 	return r, nil
 }
 
@@ -333,8 +285,7 @@ func (l *Lab) AblationShiftChange() (*Result, error) {
 // release for insertion slack. Hard invariants: per surviving request
 // the direct drive never lengthens vs r=0; at r=300 some requests must
 // actually move and the total direct distance must measurably shrink
-// (the served-rate and detour columns are the payoff); and the r=300
-// run must be bit-identical across parallelism.
+// (the served-rate and detour columns are the payoff).
 func (l *Lab) AblationMeetingPoints() (*Result, error) {
 	r := &Result{
 		ID: "ablate-meeting-points", Title: "Meeting points: walk radius r vs door-snapped pickups (peak, mT-Share)",
@@ -353,7 +304,7 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 		baseByID[q.ID] = q
 		baseDirect += q.DirectMeters
 	}
-	_, mBase, err := l.runWorkloadCell(base, 1, sim.ShiftChangeConfig{})
+	_, mBase, err := l.runWorkloadCell(base, sim.ShiftChangeConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +329,7 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 				moved++
 			}
 		}
-		_, m, err := l.runWorkloadCell(reqs, 1, sim.ShiftChangeConfig{})
+		_, m, err := l.runWorkloadCell(reqs, sim.ShiftChangeConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -389,13 +340,6 @@ func (l *Lab) AblationMeetingPoints() (*Result, error) {
 			if direct >= baseDirect {
 				return nil, fmt.Errorf("experiments: ablate-meeting-points: total direct %.1f km at r=300 vs %.1f km at r=0 — no measurable detour delta",
 					direct/1000, baseDirect/1000)
-			}
-			_, m2, err := l.runWorkloadCell(reqs, 2, sim.ShiftChangeConfig{})
-			if err != nil {
-				return nil, err
-			}
-			if !sameSigs(workloadSigs(m), workloadSigs(m2)) {
-				return nil, fmt.Errorf("experiments: ablate-meeting-points: r=300 diverged between parallelism 1 and 2")
 			}
 			r.Notes = append(r.Notes, fmt.Sprintf("r=300: %d/%d requests moved, total direct %.1f km vs %.1f km at r=0 (served %d vs %d)",
 				moved, len(reqs), direct/1000, baseDirect/1000, m.Served, mBase.Served))

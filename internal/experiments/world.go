@@ -138,26 +138,23 @@ func (w *World) Partitioning(kind string, kappa int) (*partition.Partitioning, e
 
 // CH returns (building on first use) the world's contraction hierarchy.
 // Preprocessing is the expensive part of the CH backend, and the result
-// is a pure function of the graph — bit-identical at every parallelism
-// level — so every scenario of a lab shares one instance. parallelism
-// only affects the wall time of the first call.
-func (w *World) CH(parallelism int) *roadnet.CH {
+// is a pure function of the graph, so every scenario of a lab shares one
+// instance.
+func (w *World) CH() *roadnet.CH {
 	w.chOnce.Do(func() {
-		w.ch = roadnet.BuildCH(w.G, parallelism)
+		w.ch = roadnet.BuildCH(w.G)
 	})
 	return w.ch
 }
 
 // oracle returns (building on first use) the landmark distance oracle
-// over one of the world's partitionings. Like the CH it is immutable and
-// bit-identical at every parallelism level, which only affects the wall
-// time of the first call.
-func (w *World) oracle(pt *partition.Partitioning, parallelism int) *partition.Oracle {
+// over one of the world's partitionings. Like the CH it is immutable.
+func (w *World) oracle(pt *partition.Partitioning) *partition.Oracle {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	o, ok := w.oracles[pt]
 	if !ok {
-		o = partition.NewOracle(pt, parallelism)
+		o = partition.NewOracle(pt)
 		w.oracles[pt] = o
 	}
 	return o
@@ -168,7 +165,7 @@ func (w *World) oracle(pt *partition.Partitioning, parallelism int) *partition.O
 // deadlines and detour denominators are exact shortest paths.
 func (w *World) router() *roadnet.Router {
 	w.rtOnce.Do(func() {
-		w.rt = roadnet.NewRouter(w.G, match.DefaultConfig().RouterCacheTrees).AttachCH(w.CH(0))
+		w.rt = roadnet.NewRouter(w.G, match.DefaultConfig().RouterCacheTrees).AttachCH(w.CH())
 	})
 	return w.rt
 }

@@ -21,7 +21,7 @@ import (
 // lower-bound screening, insertion scheduling), the solve is pure
 // arithmetic with (cost, request, taxi) tie-breaks, and the commits reuse
 // the two-phase batch protocol — the whole round stays bit-identical at
-// every Config.Parallelism level.
+// every GOMAXPROCS.
 
 // batchAssignMinSize is the smallest batch worth a global solve: a
 // singleton batch has nothing to contend with, so the greedy order is
@@ -177,7 +177,7 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 	// Cost matrix: rows are requests in batch order, columns distinct
 	// candidate taxis in ascending ID order, +Inf where no feasible
 	// insertion exists. Both orders are canonical, so the solve — itself
-	// deterministic — sees the identical matrix at every parallelism level.
+	// deterministic — sees the identical matrix at every GOMAXPROCS.
 	colIDs := make([]int64, 0, len(firstSeen))
 	for id := range firstSeen {
 		colIDs = append(colIDs, id)

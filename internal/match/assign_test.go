@@ -3,6 +3,7 @@ package match
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/fleet"
@@ -184,7 +185,7 @@ func TestDispatchBatchAssignFallbackMatchesGreedy(t *testing.T) {
 }
 
 // TestDispatchBatchAssignDeterministic runs the identical saturated batch
-// through the global round at parallelism 1/2/4: every level must produce
+// through the global round at GOMAXPROCS 1/2/4: every level must produce
 // the bit-identical outcome sequence and the same sealed batch-assign
 // counters.
 func TestDispatchBatchAssignDeterministic(t *testing.T) {
@@ -197,10 +198,10 @@ func TestDispatchBatchAssignDeterministic(t *testing.T) {
 		detour   uint64
 	}
 	run := func(par int) ([]sig, EngineStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		cfg := DefaultConfig()
 		cfg.SearchRangeMeters = 3000
 		cfg.BatchAssign = true
-		cfg.Parallelism = par
 		e, err := NewEngine(env.pt, env.spx, cfg)
 		if err != nil {
 			t.Fatal(err)

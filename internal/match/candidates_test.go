@@ -182,7 +182,7 @@ func worldOf(env *testEnv) *searchWorld {
 // subject builds a fresh engine over the world.
 func (w *searchWorld) subject(t *testing.T, cfg Config) *searchSubject {
 	t.Helper()
-	cfg.CH, cfg.Oracle, cfg.Parallelism = w.ch, w.or, 1
+	cfg.CH, cfg.Oracle = w.ch, w.or
 	e, err := NewEngine(w.pt, w.spx, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -36,13 +37,13 @@ func (d dijkstraRouter) Reachable(u, v roadnet.VertexID) bool {
 // point queries the dispatches ran.
 func runCHWorkload(t *testing.T, oracle bool, parallelism int) ([]dispatchTrace, int64) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
 	env := newTestEnv(t, func(c *Config) {
 		if oracle {
 			c.RouterWrap = func(raw roadnet.PathRouter) roadnet.PathRouter {
 				return dijkstraRouter{raw.(*roadnet.Router).Graph()}
 			}
 		}
-		c.Parallelism = parallelism
 	})
 	placeFleet(env, 10, 42)
 	reqs := lbWorkload(env, 80, 11)
@@ -68,7 +69,7 @@ func runCHWorkload(t *testing.T, oracle bool, parallelism int) ([]dispatchTrace,
 // TestDispatchCHLossless is the headline guarantee of the hierarchy:
 // dispatch through the CH is bit-identical to dispatch routed by plain
 // Dijkstra — same served set, same winning taxis, same detours — at every
-// parallelism level, while actually routing through the hierarchy.
+// GOMAXPROCS, while actually routing through the hierarchy.
 func TestDispatchCHLossless(t *testing.T) {
 	base, baseCH := runCHWorkload(t, true, 1)
 	if baseCH != 0 {
@@ -107,7 +108,7 @@ func TestDispatchCHLossless(t *testing.T) {
 func TestPreBuiltCHIsUsed(t *testing.T) {
 	var shared *roadnet.CH
 	env := newTestEnv(t, nil)
-	shared = roadnet.BuildCH(env.g, 1)
+	shared = roadnet.BuildCH(env.g)
 	cfg := env.e.Config()
 	cfg.CH = shared
 	e2, err := NewEngine(env.pt, env.spx, cfg)
@@ -129,7 +130,7 @@ var benchCH struct {
 func bigWorldCH(b *testing.B) *roadnet.CH {
 	b.Helper()
 	g, _, _ := bigWorld(b)
-	benchCH.once.Do(func() { benchCH.ch = roadnet.BuildCH(g, 0) })
+	benchCH.once.Do(func() { benchCH.ch = roadnet.BuildCH(g) })
 	return benchCH.ch
 }
 

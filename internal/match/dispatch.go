@@ -3,8 +3,7 @@ package match
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"runtime"
 	"time"
 
 	"repro/internal/fleet"
@@ -138,37 +137,14 @@ func (e *Engine) evalCandidate(t *fleet.Taxi, req *fleet.Request, nowSeconds flo
 }
 
 // evalCandidates computes every candidate's best schedule instance,
-// fanning the work across min(Parallelism, len(cands)) workers. Results
-// land in candidate-list order regardless of completion order; the
-// deterministic reduction happens in Dispatch.
+// fanning the work across runtime.GOMAXPROCS(0) workers. Results land in
+// candidate-list order regardless of completion order; the deterministic
+// reduction happens in Dispatch.
 func (e *Engine) evalCandidates(cands []*fleet.Taxi, req *fleet.Request, nowSeconds float64, probabilistic bool) []candResult {
 	results := make([]candResult, len(cands))
-	workers := e.cfg.parallelism()
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for i, t := range cands {
-			results[i] = e.evalCandidate(t, req, nowSeconds, probabilistic)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				results[i] = e.evalCandidate(cands[i], req, nowSeconds, probabilistic)
-			}
-		}()
-	}
-	wg.Wait()
+	roadnet.ParallelDo(len(cands), runtime.GOMAXPROCS(0), func(_, i int) {
+		results[i] = e.evalCandidate(cands[i], req, nowSeconds, probabilistic)
+	})
 	return results
 }
 
@@ -177,7 +153,7 @@ func (e *Engine) evalCandidates(cands []*fleet.Taxi, req *fleet.Request, nowSeco
 // (basic routing, or probabilistic routing for eligible taxis when
 // probabilistic is set), and return the assignment with the minimum
 // detour cost, tie-broken by taxi ID. The per-candidate work runs on a
-// bounded worker pool (Config.Parallelism); the reduction is a total
+// worker pool sized by GOMAXPROCS; the reduction is a total
 // order, so parallel and sequential dispatch return bit-identical
 // assignments. ok is false when no taxi can feasibly serve the request.
 //

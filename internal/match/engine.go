@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,12 +43,6 @@ type Config struct {
 	// this many single-source trees, 12 bytes per graph vertex each (the
 	// unit the knob has always been in; no tree is built).
 	RouterCacheTrees int
-
-	// Parallelism bounds the worker pool that fans the per-candidate
-	// scheduling work of Dispatch. 0 uses runtime.GOMAXPROCS(0); 1 is
-	// strictly sequential. The reduction is deterministic: every
-	// parallelism level returns bit-identical assignments.
-	Parallelism int
 
 	// DisableLandmarkLB turns off the landmark distance oracle: no offset
 	// precompute at engine construction and no lower-bound screening of
@@ -114,14 +107,6 @@ type Config struct {
 	RouterWrap func(roadnet.PathRouter) roadnet.PathRouter
 }
 
-// parallelism returns the effective dispatch worker count.
-func (c Config) parallelism() int {
-	if c.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Parallelism
-}
-
 // DefaultConfig returns the paper's default parameters.
 func DefaultConfig() Config {
 	return Config{
@@ -146,8 +131,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("match: HorizonSeconds must be positive, got %v", c.HorizonSeconds)
 	case c.ProbMaxLegInflation != 0 && c.ProbMaxLegInflation < 1:
 		return fmt.Errorf("match: ProbMaxLegInflation %v below 1", c.ProbMaxLegInflation)
-	case c.Parallelism < 0:
-		return fmt.Errorf("match: Parallelism %d negative", c.Parallelism)
 	}
 	return nil
 }
@@ -218,7 +201,7 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 	g := pt.Graph()
 	// The oracle's reverse trees grow beside the CH contraction, whose
 	// loop is nearly serial and leaves a core idle; the two share no state.
-	oracle, par := cfg.Oracle, cfg.parallelism()
+	oracle := cfg.Oracle
 	var oracleDone sync.WaitGroup
 	if cfg.DisableLandmarkLB {
 		oracle = nil
@@ -226,11 +209,11 @@ func NewEngine(pt *partition.Partitioning, spx *roadnet.SpatialIndex, cfg Config
 		oracleDone.Add(1)
 		go func() {
 			defer oracleDone.Done()
-			oracle = partition.NewOracle(pt, par)
+			oracle = partition.NewOracle(pt)
 		}()
 	}
 	if cfg.CH == nil {
-		cfg.CH = roadnet.BuildCH(g, par)
+		cfg.CH = roadnet.BuildCH(g)
 	}
 	oracleDone.Wait()
 	cfg.Oracle = oracle

@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fleet"
@@ -34,10 +35,8 @@ func lbWorkload(env *testEnv, n int, seed int64) []*fleet.Request {
 // the oracle on or off, returning the outcome trace plus engine stats.
 func runLBWorkload(t *testing.T, disable bool, parallelism int) ([]dispatchTrace, EngineStats) {
 	t.Helper()
-	env := newTestEnv(t, func(c *Config) {
-		c.DisableLandmarkLB = disable
-		c.Parallelism = parallelism
-	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
+	env := newTestEnv(t, func(c *Config) { c.DisableLandmarkLB = disable })
 	placeFleet(env, 10, 42)
 	reqs := lbWorkload(env, 80, 11)
 	out := make([]dispatchTrace, len(reqs))
@@ -61,7 +60,7 @@ func runLBWorkload(t *testing.T, disable bool, parallelism int) ([]dispatchTrace
 // TestDispatchLandmarkLBLossless is the headline guarantee of the oracle:
 // dispatch with the screen enabled is bit-identical to exact-only
 // evaluation — same served set, same winning taxis, same detours — at
-// every parallelism level, while actually pruning work.
+// every GOMAXPROCS, while actually pruning work.
 func TestDispatchLandmarkLBLossless(t *testing.T) {
 	base, baseStats := runLBWorkload(t, true, 1)
 	if baseStats.LBEvaluated != 0 || baseStats.LBPruned != 0 {

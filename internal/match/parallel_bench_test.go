@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -64,7 +65,8 @@ func bigWorld(b *testing.B) (*roadnet.Graph, *roadnet.SpatialIndex, *partition.P
 }
 
 // BenchmarkDispatchParallel measures one Dispatch call on a saturated
-// 10k-vertex city at increasing worker parallelism. The workload is
+// 10k-vertex city at increasing GOMAXPROCS, the dispatch pool's size. The
+// sub-benchmark names keep the "parallelism=N" form. The workload is
 // identical across sub-benchmarks (parallel dispatch is bit-identical to
 // sequential), so ns/op ratios are direct speedups.
 func BenchmarkDispatchParallel(b *testing.B) {
@@ -73,7 +75,6 @@ func BenchmarkDispatchParallel(b *testing.B) {
 			g, spx, pt := bigWorld(b)
 			cfg := DefaultConfig()
 			cfg.SearchRangeMeters = 6000
-			cfg.Parallelism = par
 			// Large enough that steady-state scheduling is not dominated
 			// by LRU thrash recomputing evicted trees.
 			cfg.RouterCacheTrees = 4096
@@ -109,6 +110,7 @@ func BenchmarkDispatchParallel(b *testing.B) {
 				}
 				probes = append(probes, env.request(int64(10000+len(probes)), o, d, now, 1.5))
 			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			s0 := e.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

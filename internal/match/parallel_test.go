@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -55,11 +56,12 @@ type dispatchTrace struct {
 	legLen int
 }
 
-// runWorkload dispatches and commits the workload on a fresh engine with
-// the given parallelism, returning the per-request outcome trace.
+// runWorkload dispatches and commits the workload on a fresh engine at
+// GOMAXPROCS parallelism, returning the per-request outcome trace.
 func runWorkload(t *testing.T, parallelism int, probabilistic bool) []dispatchTrace {
 	t.Helper()
-	env := newTestEnv(t, func(c *Config) { c.Parallelism = parallelism })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
+	env := newTestEnv(t, nil)
 	placeFleet(env, 12, 42)
 	reqs := seededWorkload(env, 80, 7)
 	out := make([]dispatchTrace, len(reqs))
@@ -84,7 +86,7 @@ func runWorkload(t *testing.T, parallelism int, probabilistic bool) []dispatchTr
 }
 
 // TestDispatchParallelMatchesSequential asserts the headline determinism
-// guarantee: sequential dispatch (Parallelism=1) and parallel dispatch
+// guarantee: sequential dispatch (GOMAXPROCS=1) and parallel dispatch
 // produce bit-identical assignments on a seeded workload, including under
 // probabilistic routing.
 func TestDispatchParallelMatchesSequential(t *testing.T) {
@@ -126,11 +128,13 @@ func TestDispatchParallelMatchesSequential(t *testing.T) {
 
 // TestDispatchTieBreaksByTaxiID pins the deterministic tie-break: two
 // identical empty taxis at the same vertex yield equal detours, and the
-// lower taxi ID must win at every parallelism level (before the fix the
-// winner depended on candidate-map iteration order).
+// lower taxi ID must win at every GOMAXPROCS (before the fix the winner
+// depended on candidate-map iteration order).
 func TestDispatchTieBreaksByTaxiID(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
-		env := newTestEnv(t, func(c *Config) { c.Parallelism = par })
+		runtime.GOMAXPROCS(par)
+		env := newTestEnv(t, nil)
 		at := env.vertexNear(t, 0.5, 0.5)
 		// Higher ID registered first so insertion order cannot mask a
 		// broken tie-break.
@@ -144,7 +148,7 @@ func TestDispatchTieBreaksByTaxiID(t *testing.T) {
 			t.Fatal("no assignment for a trivially servable request")
 		}
 		if a.Taxi.ID != 4 {
-			t.Fatalf("parallelism %d: tie resolved to taxi %d, want lowest ID 4", par, a.Taxi.ID)
+			t.Fatalf("GOMAXPROCS %d: tie resolved to taxi %d, want lowest ID 4", par, a.Taxi.ID)
 		}
 	}
 }
@@ -154,7 +158,8 @@ func TestDispatchTieBreaksByTaxiID(t *testing.T) {
 // under the race detector if any fleet or index state is touched without
 // synchronisation; logical assertions are minimal by design.
 func TestEngineConcurrentDispatchCommitReindex(t *testing.T) {
-	env := newTestEnv(t, func(c *Config) { c.Parallelism = 4 })
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	env := newTestEnv(t, nil)
 	taxis := placeFleet(env, 16, 11)
 	reqs := seededWorkload(env, 96, 23)
 

@@ -323,7 +323,7 @@ type BatchOutcome struct {
 // the same taxi, the later one re-dispatches against the updated fleet
 // state — the taxi may still win with a revised schedule, or a different
 // taxi takes over. The sequential evaluate-then-commit structure makes the
-// whole round deterministic at every Config.Parallelism level.
+// whole round deterministic at every GOMAXPROCS.
 //
 // With Config.BatchAssign the round instead builds the full (request,
 // taxi) cost graph and solves a global min-cost assignment before
@@ -352,7 +352,7 @@ type batchDispatcher interface {
 // request against the same fleet state, phase 2 reserves taxis in (pickup
 // deadline, request ID) order — the `taken` set — and commits,
 // re-dispatching the later request of any conflict. Both phases are
-// deterministic at every parallelism level. ins receives the batch
+// deterministic at every GOMAXPROCS. ins receives the batch
 // request and conflict counts.
 func runBatch(ctx context.Context, d batchDispatcher, reqs []*fleet.Request, nowSeconds float64, probabilistic bool, ins *instruments) []BatchOutcome {
 	order := batchOrder(d, reqs)

@@ -2,6 +2,7 @@ package match
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -277,7 +278,8 @@ func TestDispatchBatchDeterministicAcrossParallelism(t *testing.T) {
 		detour float64
 	}
 	run := func(par int) []result {
-		env := newTestEnv(t, func(c *Config) { c.Parallelism = par })
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		env := newTestEnv(t, nil)
 		now := 0.0
 		for i := int64(1); i <= 6; i++ {
 			f := 0.2 + 0.1*float64(i)
@@ -302,7 +304,7 @@ func TestDispatchBatchDeterministicAcrossParallelism(t *testing.T) {
 	seq := run(1)
 	for _, par := range []int{2, 4, 8} {
 		if got := run(par); len(got) != len(seq) || !equalResults(got, seq) {
-			t.Fatalf("parallelism %d diverged:\n got %+v\nwant %+v", par, got, seq)
+			t.Fatalf("GOMAXPROCS %d diverged:\n got %+v\nwant %+v", par, got, seq)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"runtime"
 
 	"repro/internal/roadnet"
 )
@@ -37,17 +38,16 @@ type Oracle struct {
 
 // NewOracle precomputes the per-vertex landmark offsets of pt. The forward
 // offsets are the partitioning's; the work is one reverse shortest-path
-// tree per partition, fanned over min(parallelism, partitions) workers;
-// parallelism <= 0 uses all CPUs. The result is deterministic — each
-// vertex's offsets come from its own partition's trees regardless of
-// worker schedule.
-func NewOracle(pt *Partitioning, parallelism int) *Oracle {
+// tree per partition, fanned over runtime.GOMAXPROCS(0) workers. The
+// result is deterministic — each vertex's offsets come from its own
+// partition's trees regardless of worker schedule.
+func NewOracle(pt *Partitioning) *Oracle {
 	o := &Oracle{
 		pt:     pt,
 		fromLM: pt.fromLM,
 		toLM:   make([]float64, pt.g.NumVertices()),
 	}
-	forEachPartition(len(pt.parts), parallelism, func(p int) {
+	roadnet.ParallelDo(len(pt.parts), runtime.GOMAXPROCS(0), func(_, p int) {
 		rev := pt.g.ReverseSSSP(pt.landmark[p])
 		for _, v := range pt.parts[p] {
 			o.toLM[v] = rev.Dist[v]

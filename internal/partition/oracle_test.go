@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/roadnet"
@@ -77,7 +78,7 @@ func TestOracleLowerBoundAdmissible(t *testing.T) {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
 			t.Parallel()
-			o := NewOracle(w.pt, 4)
+			o := NewOracle(w.pt)
 			rng := rand.New(rand.NewSource(42))
 			n := w.g.NumVertices()
 			// Exact distances via one forward SSSP per sampled source:
@@ -113,7 +114,7 @@ func TestOracleLowerBoundAdmissible(t *testing.T) {
 // TestOracleSelfDistanceZero pins EstimateLB(u,u) == 0 for every vertex.
 func TestOracleSelfDistanceZero(t *testing.T) {
 	for _, w := range oracleWorlds(t) {
-		o := NewOracle(w.pt, 0)
+		o := NewOracle(w.pt)
 		for v := 0; v < w.g.NumVertices(); v++ {
 			if got := o.EstimateLB(roadnet.VertexID(v), roadnet.VertexID(v)); got != 0 {
 				t.Fatalf("%s: EstimateLB(%d,%d) = %v, want 0", w.name, v, v, got)
@@ -123,13 +124,15 @@ func TestOracleSelfDistanceZero(t *testing.T) {
 }
 
 // TestOracleParallelBuildDeterministic pins that the precompute produces
-// bit-identical offset tables at every parallelism level: each partition's
-// fill touches a disjoint vertex set, so scheduling cannot matter.
+// bit-identical offset tables at every GOMAXPROCS: each partition's fill
+// touches a disjoint vertex set, so scheduling cannot matter.
 func TestOracleParallelBuildDeterministic(t *testing.T) {
 	w := oracleWorlds(t)[0]
-	base := NewOracle(w.pt, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := NewOracle(w.pt)
 	for _, par := range []int{2, 4, 8} {
-		o := NewOracle(w.pt, par)
+		runtime.GOMAXPROCS(par)
+		o := NewOracle(w.pt)
 		for v := range base.fromLM {
 			fa, fb := base.fromLM[v], o.fromLM[v]
 			ta, tb := base.toLM[v], o.toLM[v]
@@ -148,7 +151,7 @@ func TestOracleParallelBuildDeterministic(t *testing.T) {
 // distance and toLM the distance back to the landmark.
 func TestOracleLandmarkOffsetsExact(t *testing.T) {
 	w := oracleWorlds(t)[0]
-	o := NewOracle(w.pt, 0)
+	o := NewOracle(w.pt)
 	for p := 0; p < w.pt.NumPartitions(); p++ {
 		lm := w.pt.Landmark(ID(p))
 		fwd := w.g.SSSP(lm)
@@ -174,7 +177,7 @@ func TestOracleLandmarkOffsetsExact(t *testing.T) {
 // per vertex plus the struct header.
 func TestOracleMemoryBytes(t *testing.T) {
 	w := oracleWorlds(t)[0]
-	o := NewOracle(w.pt, 0)
+	o := NewOracle(w.pt)
 	want := int64(16*w.g.NumVertices() + 48)
 	if got := o.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)

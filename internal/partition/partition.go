@@ -338,7 +338,7 @@ func finalize(g *roadnet.Graph, assign []ID, numParts int, trips []OD) (*Partiti
 // own landmark.
 func (pt *Partitioning) computeLandmarks() {
 	pt.landmark = make([]roadnet.VertexID, len(pt.parts))
-	forEachPartition(len(pt.parts), 0, func(p int) { pt.landmark[p] = pt.pickLandmark(p) })
+	roadnet.ParallelDo(len(pt.parts), runtime.GOMAXPROCS(0), func(_, p int) { pt.landmark[p] = pt.pickLandmark(p) })
 }
 
 func (pt *Partitioning) pickLandmark(p int) roadnet.VertexID {
@@ -370,40 +370,6 @@ func (pt *Partitioning) pickLandmark(p int) roadnet.VertexID {
 		}
 	}
 	return best
-}
-
-// forEachPartition calls fn(p) for every p in [0, k) over min(parallelism, k)
-// workers (parallelism <= 0: every CPU) and returns when all calls are done.
-// Calls run in no fixed order, so fn must write only partition p's slots.
-func forEachPartition(k, parallelism int, fn func(p int)) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > k {
-		parallelism = k
-	}
-	if parallelism <= 1 {
-		for p := 0; p < k; p++ {
-			fn(p)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= k {
-					return
-				}
-				fn(p)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // nearestK returns up to k vertices from vs closest to c (straight line).
@@ -467,7 +433,7 @@ func (pt *Partitioning) computeLandmarkGraph() {
 	}
 	pt.lmCost = make([][]float64, k)
 	pt.fromLM = make([]float64, pt.g.NumVertices())
-	forEachPartition(k, 0, func(p int) {
+	roadnet.ParallelDo(k, runtime.GOMAXPROCS(0), func(_, p int) {
 		res := pt.g.SSSP(pt.landmark[p])
 		row := make([]float64, k)
 		for q := 0; q < k; q++ {

@@ -101,7 +101,7 @@ type Policy struct {
 	// assignment over the full (request, taxi) cost graph instead of
 	// greedy deadline-order commits, so a parked request can yield its
 	// first-choice taxi to a tighter competitor (see
-	// match.Config.BatchAssign). Deterministic at every parallelism.
+	// match.Config.BatchAssign). Deterministic at every GOMAXPROCS.
 	BatchAssign bool `json:"batch_assign,omitempty"`
 }
 

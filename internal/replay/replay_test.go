@@ -284,7 +284,7 @@ func lineGraph(n int) *roadnet.Graph {
 
 func TestFaultRouterConsistency(t *testing.T) {
 	g := lineGraph(64)
-	inner := roadnet.NewRouter(g, 8).AttachCH(roadnet.BuildCH(g, 1))
+	inner := roadnet.NewRouter(g, 8).AttachCH(roadnet.BuildCH(g))
 	fr := NewFaultRouter(FaultPlan{Seed: 9, UnreachableEvery: 3})
 	r := fr.Wrap(inner)
 

@@ -21,7 +21,7 @@ func TestSSSPAllocs(t *testing.T) {
 // unpacked path the cost is folded over all live in the pooled workspace.
 func TestCHCostAllocs(t *testing.T) {
 	g := benchCity(t)
-	ch := BuildCH(g, 0)
+	ch := BuildCH(g)
 	n := VertexID(g.NumVertices())
 	ch.Cost(0, n-1) // warm the workspace pool
 	i := VertexID(0)
@@ -37,7 +37,7 @@ func TestCHCostAllocs(t *testing.T) {
 func TestRouterCostAllocs(t *testing.T) {
 	g := benchCity(t)
 	n := VertexID(g.NumVertices())
-	r := NewRouter(g, 1).AttachCH(BuildCH(g, 0))
+	r := NewRouter(g, 1).AttachCH(BuildCH(g))
 	src := VertexID(0)
 	miss := func() { src++; r.Cost(src%n, (src*104729+n/2)%n) }
 	for i := 0; i < 2000; i++ {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +18,7 @@ import (
 // same effect at city scale in linear-ish memory.
 //
 // Determinism contract: construction is a pure function of the graph and
-// is bit-identical at every parallelism level. Node order uses integer
+// is bit-identical at every worker count. Node order uses integer
 // priorities (edge difference + contracted neighbors) with (priority,
 // VertexID) tie-breaks, adjacency is kept in ID-sorted slices (never
 // ranged-over maps), witness searches use ID tie-broken heaps, and
@@ -228,51 +227,16 @@ func (ws *chWS) reset() {
 	ws.heap = ws.heap[:0]
 }
 
-// chParallelDo fans fn(worker, i) for i in [0, n) over min(par, n)
-// workers pulling indexes from an atomic counter — the repo's standard
-// deterministic fan-out: every index is computed exactly once into its own
-// slot, so results are independent of scheduling.
-func chParallelDo(n, par int, fn func(worker, i int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// BuildCH contracts g into a hierarchy. parallelism bounds the witness-
-// search worker pool (<= 0 uses all CPUs); the result is bit-identical at
-// every level. Build time grows faster than graph size: with two workers
+// BuildCH contracts g into a hierarchy. The witness searches fan over
+// runtime.GOMAXPROCS(0) workers; the result is bit-identical at every
+// worker count. Build time grows faster than graph size: with two workers
 // on a 2-vCPU Xeon host a 56x56 city (3 131 vertices) contracts in 0.25 s
 // and a 120x120 one (14 368 vertices) in 2.8 s, about 11x the time for
 // 4.6x the vertices; the ~214k-vertex Chengdu-scale city takes about 2.5
 // minutes (BenchmarkChengduCHRouting reports the measured build-s), a
 // one-time cost amortised over every query the world ever answers.
-func BuildCH(g *Graph, parallelism int) *CH {
+func BuildCH(g *Graph) *CH {
 	t0 := time.Now()
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	n := g.NumVertices()
 	b := &chBuilder{
 		g: g, n: n,
@@ -288,14 +252,14 @@ func BuildCH(g *Graph, parallelism int) *CH {
 
 	// Workspaces are per worker; the contraction loop below is single-
 	// threaded, so they are reused freely there.
-	wss := make([]*chWS, parallelism)
+	wss := make([]*chWS, runtime.GOMAXPROCS(0))
 	for i := range wss {
 		wss[i] = newChWS(n)
 	}
 
 	// Initial priorities: one independent contraction simulation per
 	// vertex, fanned over the pool and merged by index.
-	chParallelDo(n, parallelism, func(w, i int) {
+	ParallelDo(n, len(wss), func(w, i int) {
 		v := VertexID(i)
 		b.prio[v] = b.priority(v, len(b.simulate(v, wss[w])))
 	})
@@ -326,7 +290,7 @@ func BuildCH(g *Graph, parallelism int) *CH {
 		// v-avoiding witness path. Stale queue priorities are harmless
 		// (this recheck reinserts when v no longer wins the (priority, ID)
 		// order), but stale shortcut lists would lose connectivity.
-		scs := b.simulatePar(v, wss, parallelism)
+		scs := b.simulatePar(v, wss)
 		b.prio[v] = b.priority(v, len(scs))
 		upd := chItem[int64]{prio: b.prio[v], v: v}
 		if len(q) > 0 && q[0].less(upd) {
@@ -408,19 +372,16 @@ func (b *chBuilder) simulate(v VertexID, ws *chWS) []chShortcut {
 }
 
 // simulatePar is simulate with the per-in-neighbor witness searches fanned
-// over min(par, in-degree) workers, each owning its workspace; results land
-// in index-addressed slots and merge in order — bit-identical to the
-// sequential variant at every parallelism level.
-func (b *chBuilder) simulatePar(v VertexID, wss []*chWS, par int) []chShortcut {
+// over min(len(wss), in-degree) workers, each owning its workspace; results
+// land in index-addressed slots and merge in order — bit-identical to the
+// sequential variant at every worker count.
+func (b *chBuilder) simulatePar(v VertexID, wss []*chWS) []chShortcut {
 	ins := b.in[v]
-	if par > len(wss) {
-		par = len(wss)
-	}
-	if par <= 1 || len(ins) < 4 {
+	if len(wss) <= 1 || len(ins) < 4 {
 		return b.simulate(v, wss[0])
 	}
 	perIn := make([][]chShortcut, len(ins))
-	chParallelDo(len(ins), par, func(w, i int) {
+	ParallelDo(len(ins), len(wss), func(w, i int) {
 		perIn[i] = b.simulateIn(v, i, wss[w])
 	})
 	return mergeShortcuts(perIn)

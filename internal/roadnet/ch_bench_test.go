@@ -18,7 +18,7 @@ func BenchmarkCHBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildCH(g, 0)
+		BuildCH(g)
 	}
 }
 
@@ -29,7 +29,7 @@ func BenchmarkCHBuild(b *testing.B) {
 // roadnet.ch_cost_us times and the Router's cold path runs.
 func BenchmarkCHCost(b *testing.B) {
 	g := benchCity(b)
-	ch := BuildCH(g, 0)
+	ch := BuildCH(g)
 	lo, hi := g.Bounds()
 	dLat, dLng := hi.Lat-lo.Lat, hi.Lng-lo.Lng
 	rng := rand.New(rand.NewSource(17))
@@ -74,7 +74,7 @@ func chengduScale(b *testing.B) (*Graph, *CH) {
 			return
 		}
 		chengduWorld.g = g
-		chengduWorld.ch = BuildCH(g, 0)
+		chengduWorld.ch = BuildCH(g)
 	})
 	if chengduWorld.err != nil {
 		b.Fatal(chengduWorld.err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func TestCHExactOnCity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch := BuildCH(g, 0)
+		ch := BuildCH(g)
 		rng := rand.New(rand.NewSource(int64(size) * 7))
 		n := g.NumVertices()
 		for i := 0; i < 200; i++ {
@@ -66,7 +67,7 @@ func TestCHExactOnCity(t *testing.T) {
 // (integer sums are exact in float64 regardless of the path chosen).
 func TestCHExactOnUnitGrid(t *testing.T) {
 	g := gridGraph(8)
-	ch := BuildCH(g, 0)
+	ch := BuildCH(g)
 	n := g.NumVertices()
 	for u := 0; u < n; u += 3 {
 		for v := 0; v < n; v += 5 {
@@ -84,7 +85,8 @@ func TestCHExactOnUnitGrid(t *testing.T) {
 
 // TestCHDeterministicAcrossParallelism pins the headline determinism
 // contract: the upward/downward arc sets and the contraction order are
-// bit-identical no matter how many witness-search workers built them.
+// bit-identical no matter how many witness-search workers (GOMAXPROCS)
+// built them.
 func TestCHDeterministicAcrossParallelism(t *testing.T) {
 	p := DefaultCityParams(16, 16)
 	p.Seed = 5
@@ -92,9 +94,11 @@ func TestCHDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := BuildCH(g, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := BuildCH(g)
 	for _, par := range []int{2, 4, 8} {
-		other := BuildCH(g, par)
+		runtime.GOMAXPROCS(par)
+		other := BuildCH(g)
 		if !reflect.DeepEqual(base.rank, other.rank) {
 			t.Fatalf("parallelism %d: contraction order differs from sequential build", par)
 		}
@@ -115,9 +119,11 @@ func TestCHDeterministicAcrossParallelism(t *testing.T) {
 // tie-breaks keep the build deterministic.
 func TestCHDeterministicOnTiedGrid(t *testing.T) {
 	g := gridGraph(7)
-	base := BuildCH(g, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := BuildCH(g)
 	for _, par := range []int{2, 4} {
-		other := BuildCH(g, par)
+		runtime.GOMAXPROCS(par)
+		other := BuildCH(g)
 		if !reflect.DeepEqual(base.up, other.up) || !reflect.DeepEqual(base.down, other.down) {
 			t.Fatalf("parallelism %d: arc sets differ on the tied grid", par)
 		}
@@ -131,7 +137,7 @@ func TestCHDeterministicOnTiedGrid(t *testing.T) {
 // reverse query must report ok=false with an infinite cost.
 func TestCHUnreachable(t *testing.T) {
 	g := lineGraph(4)
-	ch := BuildCH(g, 1)
+	ch := BuildCH(g)
 	if c, _, _, ok := ch.ShortestPath(0, 3); !ok || math.IsInf(c, 1) {
 		t.Fatalf("forward line query failed: cost=%v ok=%v", c, ok)
 	}
@@ -147,7 +153,7 @@ func TestCHUnreachable(t *testing.T) {
 // TestCHSelfQuery pins the trivial case.
 func TestCHSelfQuery(t *testing.T) {
 	g := gridGraph(3)
-	ch := BuildCH(g, 1)
+	ch := BuildCH(g)
 	c, path, settled, ok := ch.ShortestPath(4, 4)
 	if !ok || c != 0 || len(path) != 1 || path[0] != 4 || settled != 0 {
 		t.Fatalf("self query: cost=%v path=%v settled=%d ok=%v", c, path, settled, ok)
@@ -163,7 +169,7 @@ func TestCHStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := BuildCH(g, 2)
+	ch := BuildCH(g)
 	st := ch.Stats()
 	if st.Vertices != g.NumVertices() {
 		t.Fatalf("stats vertices %d != graph %d", st.Vertices, g.NumVertices())
@@ -195,7 +201,7 @@ func TestCHSettledFarBelowDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := BuildCH(g, 0)
+	ch := BuildCH(g)
 	rng := rand.New(rand.NewSource(3))
 	n := g.NumVertices()
 	total := 0
@@ -224,7 +230,7 @@ func chReusePair(t *testing.T) [2]*CH {
 	}
 	grid := gridGraph(9)
 	grid.AddEdge(0, grid.AddVertex(geo.Point{Lat: 31, Lng: 105}), 100)
-	return [2]*CH{BuildCH(city, 0), BuildCH(grid, 0)}
+	return [2]*CH{BuildCH(city), BuildCH(grid)}
 }
 
 // checkPooledQuery answers one random pair on one of the hierarchies through

@@ -114,7 +114,7 @@ func TestRadialCityWorksWithPartitioningStack(t *testing.T) {
 	if _, ok := idx.NearestVertex(g.Point(0)); !ok {
 		t.Fatal("spatial index failed on radial city")
 	}
-	r := NewRouter(g, 16).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 16).AttachCH(BuildCH(g))
 	if r.Cost(0, VertexID(g.NumVertices()-1)) <= 0 {
 		t.Fatal("router failed on radial city")
 	}

@@ -26,7 +26,7 @@ func TestRouterCHMemoryGauge(t *testing.T) {
 		t.Fatalf("CHMemoryBytes = %d before any CH exists", st.CHMemoryBytes)
 	}
 
-	ch := BuildCH(g, 1)
+	ch := BuildCH(g)
 	r.AttachCH(ch)
 	want := float64(ch.MemoryBytes())
 	if want <= 0 {

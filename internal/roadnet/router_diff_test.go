@@ -28,7 +28,7 @@ func TestRouterMatchesSSSP(t *testing.T) {
 
 	// The subtest name keeps the test id stable for suite-level tracking.
 	t.Run("ch", func(t *testing.T) {
-		r := NewRouter(g, 1).AttachCH(BuildCH(g, 0))
+		r := NewRouter(g, 1).AttachCH(BuildCH(g))
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)

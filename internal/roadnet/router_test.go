@@ -16,7 +16,7 @@ func TestRouterCostMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 64).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 64).AttachCH(BuildCH(g))
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
 		u := VertexID(rng.Intn(g.NumVertices()))
@@ -40,7 +40,7 @@ func TestRouterPathValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 16).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 16).AttachCH(BuildCH(g))
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 30; i++ {
 		u := VertexID(rng.Intn(g.NumVertices()))
@@ -64,7 +64,7 @@ func TestRouterPathValid(t *testing.T) {
 
 func TestRouterSelfQueries(t *testing.T) {
 	g := gridGraph(3)
-	r := NewRouter(g, 4).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 4).AttachCH(BuildCH(g))
 	if c := r.Cost(5, 5); c != 0 {
 		t.Fatalf("self cost = %v", c)
 	}
@@ -86,7 +86,7 @@ func TestRouterMemoBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	r := NewRouter(g, 1).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 1).AttachCH(BuildCH(g))
 	budget := int64(12 * n)
 	hot := r.Cost(0, VertexID(n-1))
 	pairs := 0
@@ -128,7 +128,7 @@ func TestRouterMemoBound(t *testing.T) {
 func TestRouterHitAccounting(t *testing.T) {
 	g := gridGraph(4)
 	reg := obs.NewRegistry()
-	r := NewRouter(g, 8).AttachCH(BuildCH(g, 1)).InstrumentWith(reg)
+	r := NewRouter(g, 8).AttachCH(BuildCH(g)).InstrumentWith(reg)
 	for round := 0; round < 3; round++ {
 		for v := 1; v <= 5; v++ {
 			r.Cost(0, VertexID(v))
@@ -162,7 +162,7 @@ func TestRouterConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 8).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 8).AttachCH(BuildCH(g))
 	n := g.NumVertices()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -186,7 +186,7 @@ func TestRouterConcurrentUse(t *testing.T) {
 
 func TestRouterReachable(t *testing.T) {
 	g := lineGraph(3)
-	r := NewRouter(g, 4).AttachCH(BuildCH(g, 1))
+	r := NewRouter(g, 4).AttachCH(BuildCH(g))
 	if !r.Reachable(0, 2) {
 		t.Fatal("0->2 should be reachable")
 	}
@@ -229,7 +229,7 @@ func TestRouterColdPathCHExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(g, 64).AttachCH(BuildCH(g, 2))
+	r := NewRouter(g, 64).AttachCH(BuildCH(g))
 	rng := rand.New(rand.NewSource(22))
 	n := g.NumVertices()
 	for i := 0; i < 60; i++ {
@@ -264,7 +264,7 @@ func TestRouterColdPathCHExact(t *testing.T) {
 // pair never asked before.
 func BenchmarkRouterCost(b *testing.B) {
 	g := benchCity(b)
-	ch := BuildCH(g, 0)
+	ch := BuildCH(g)
 	n := g.NumVertices()
 	b.Run("memo-hit", func(b *testing.B) {
 		r := NewRouter(g, 128).AttachCH(ch)

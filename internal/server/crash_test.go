@@ -20,13 +20,12 @@ import (
 )
 
 // durableTestConfig is the world every server crash test runs in.
-func durableTestConfig(dir string, parallelism int) Config {
+func durableTestConfig(dir string) Config {
 	return Config{
 		CityRows: 10, CityCols: 10,
 		InitialTaxis: 6, Capacity: 3,
 		Speedup: 20, Seed: 4,
 		Policy:      replay.Policy{QueueDepth: 8, RetryEveryTicks: 1},
-		Parallelism: parallelism,
 		ManualClock: true,
 		Durability:  wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: 3},
 	}
@@ -80,13 +79,13 @@ func TestServerDurableRecoveryInProcess(t *testing.T) {
 
 func durableRecoveryInProcess(t *testing.T) {
 	dir := t.TempDir()
-	crashed, err := New(durableTestConfig(dir, 1))
+	crashed, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := crashed.Handler()
 
-	ctl, err := New(durableTestConfig(t.TempDir(), 1))
+	ctl, err := New(durableTestConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func durableRecoveryInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := New(durableTestConfig(dir, 1))
+	recovered, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -142,7 +141,7 @@ func durableRecoveryInProcess(t *testing.T) {
 // seal and resumes the log.
 func TestServerDurableCleanRestart(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(durableTestConfig(dir, 1))
+	s, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestServerDurableCleanRestart(t *testing.T) {
 	}
 	s.Stop()
 
-	restarted, err := New(durableTestConfig(dir, 1))
+	restarted, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatalf("restart after clean Stop: %v", err)
 	}
@@ -169,7 +168,7 @@ func TestServerDurableCleanRestart(t *testing.T) {
 // recovery would keep serving under the other policy without complaint.
 func TestServerDurableHeaderPinsBatchAssign(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableTestConfig(dir, 1)
+	cfg := durableTestConfig(dir)
 	cfg.BatchAssign = true
 	s, err := New(cfg)
 	if err != nil {
@@ -219,8 +218,8 @@ type childServer struct {
 }
 
 // startChild launches the server binary over walDir and waits for the
-// API to come up (recovery happens before listening). crashAt > 0 arms
-// the self-SIGKILL crash point.
+// API to come up (recovery happens before listening). The child runs at
+// GOMAXPROCS=parallelism; crashAt > 0 arms the self-SIGKILL crash point.
 func startChild(t *testing.T, bin, walDir string, parallelism int, crashAt int64) *childServer {
 	t.Helper()
 	addr := freeAddr(t)
@@ -228,14 +227,14 @@ func startChild(t *testing.T, bin, walDir string, parallelism int, crashAt int64
 		"-addr", addr, "-rows", "10", "-cols", "10", "-taxis", "6", "-seed", "4",
 		"-queue", "8", "-queue-retry", "1", "-manual-clock",
 		"-wal-dir", walDir, "-wal-sync-every", "1", "-snapshot-every", "3",
-		"-parallelism", fmt.Sprint(parallelism),
 	}
 	cmd := exec.Command(bin, args...)
 	logs := &bytes.Buffer{}
 	cmd.Stdout = logs
 	cmd.Stderr = logs
+	cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", parallelism))
 	if crashAt > 0 {
-		cmd.Env = append(os.Environ(), fmt.Sprintf("MTSHARE_CRASH_AT_EVENT=%d", crashAt))
+		cmd.Env = append(cmd.Env, fmt.Sprintf("MTSHARE_CRASH_AT_EVENT=%d", crashAt))
 	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -340,7 +339,7 @@ func copyWALSegments(t *testing.T, src string) string {
 // a restart over the surviving directory must serve byte-identical
 // state — proven against a reference server that replays the same WAL
 // from genesis (no snapshots) — and then answer an identical op suffix
-// identically, at dispatch parallelism 1 and 2.
+// identically, at GOMAXPROCS 1 and 2.
 func TestServerCrashRecoveryKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real server processes")
@@ -427,7 +426,7 @@ func TestServerCrashRecoveryKill9(t *testing.T) {
 // is rejected — the server must not keep acknowledging work it is no
 // longer persisting.
 func TestServerWALFailureFailsRequests(t *testing.T) {
-	s, err := New(durableTestConfig(t.TempDir(), 1))
+	s, err := New(durableTestConfig(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func TestServerWALFailureFailsRequests(t *testing.T) {
 // undersized forever.
 func TestServerRecoveryTopsUpSeeding(t *testing.T) {
 	dir := t.TempDir()
-	small := durableTestConfig(dir, 1)
+	small := durableTestConfig(dir)
 	small.InitialTaxis = 3
 	s, err := New(small)
 	if err != nil {
@@ -474,7 +473,7 @@ func TestServerRecoveryTopsUpSeeding(t *testing.T) {
 	}
 	s.Stop()
 
-	full := durableTestConfig(dir, 1) // InitialTaxis = 6
+	full := durableTestConfig(dir) // InitialTaxis = 6
 	r, err := New(full)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -503,7 +502,7 @@ func TestServerRecoveryTopsUpSeeding(t *testing.T) {
 // resurrecting phantom state (or failing on its payload).
 func TestServerRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(durableTestConfig(dir, 1))
+	s, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +522,7 @@ func TestServerRecoveryIgnoresSnapshotAheadOfWAL(t *testing.T) {
 	}
 	l.Close()
 
-	r, err := New(durableTestConfig(dir, 1))
+	r, err := New(durableTestConfig(dir))
 	if err != nil {
 		t.Fatalf("recovery must skip the snapshot ahead of the WAL: %v", err)
 	}

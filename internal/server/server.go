@@ -67,10 +67,6 @@ type Config struct {
 	TraceSampleEvery int
 	TraceHandler     func(*obs.Span)
 
-	// Parallelism bounds the engine's intra-dispatch worker count (see
-	// match.Config.Parallelism). 0 uses the engine default.
-	Parallelism int
-
 	// Durability, when enabled, makes the server crash-safe: every
 	// state-changing API event (taxi registration, dispatch, street hail,
 	// movement tick) is appended to a fsynced WAL in wal.Options.Dir, a
@@ -137,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	mcfg := match.DefaultConfig()
 	mcfg.Metrics = cfg.Metrics
-	mcfg.Parallelism = cfg.Parallelism
 	if cfg.TraceSampleEvery > 0 {
 		mcfg.Tracer = obs.NewTracer(cfg.TraceSampleEvery, cfg.TraceHandler)
 	}

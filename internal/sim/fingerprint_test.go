@@ -82,7 +82,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 	}{
 		{
 			name:   "mtshare-queue",
-			scheme: func() dispatch.Scheme { return w.mtShareParallel(t, false, 1) },
+			scheme: func() dispatch.Scheme { return w.mtShare(t, false) },
 			reqs:   w.peakRequests(t, 0),
 			taxis:  8,
 			params: func(p *Params) { p.QueueDepth, p.RetryEveryTicks = 24, 2 },
@@ -90,7 +90,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 		},
 		{
 			name:   "mtsharepro-nonpeak-offline",
-			scheme: func() dispatch.Scheme { return w.mtShareParallel(t, true, 1) },
+			scheme: func() dispatch.Scheme { return w.mtShare(t, true) },
 			reqs:   prep(13*time.Hour, 1.3, 0.35),
 			taxis:  12,
 			want:   0x3fedca02f2a22211,
@@ -112,7 +112,7 @@ func TestSimOutcomeFingerprint(t *testing.T) {
 		},
 		{
 			name:   "mtshare-shift",
-			scheme: func() dispatch.Scheme { return w.mtShareParallel(t, false, 1) },
+			scheme: func() dispatch.Scheme { return w.mtShare(t, false) },
 			reqs:   w.peakRequests(t, 0),
 			taxis:  16,
 			params: func(p *Params) {

@@ -2,34 +2,21 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
-	"repro/internal/dispatch"
 	"repro/internal/match"
 )
 
-// mtShareParallel builds the mT-Share scheme with an explicit dispatch
-// parallelism.
-func (w *world) mtShareParallel(t testing.TB, probabilistic bool, parallelism int) dispatch.Scheme {
-	t.Helper()
-	cfg := match.DefaultConfig()
-	cfg.SearchRangeMeters = 2500
-	cfg.Parallelism = parallelism
-	cfg.CH = w.rt.CH()
-	e, err := match.NewEngine(w.pt, w.spx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return match.NewScheme(e, probabilistic)
-}
-
-// TestSimParallelMatchesSequential runs the same seeded peak hour with
-// sequential and parallel dispatch and requires identical simulation
-// outcomes: per-request served, delivery and pending-queue outcomes,
-// pickup/dropoff times, and fleet odometer totals (ResponseNanos is
-// wall-clock and excluded). The queue case parks dispatch failures on a
-// small fleet and retries them every other tick, so batch re-dispatch
-// and expiry are covered too.
+// TestSimParallelMatchesSequential runs the same seeded peak hour at
+// GOMAXPROCS 1 and 8 and requires identical simulation outcomes:
+// per-request served, delivery and pending-queue outcomes, pickup/dropoff
+// times, and fleet odometer totals (ResponseNanos is wall-clock and
+// excluded). The queue case parks dispatch failures on a small fleet and
+// retries them every other tick, so batch re-dispatch and expiry are
+// covered too. The batch case solves its retry rounds with the global
+// assignment (Config.BatchAssign); rho 2.2 keeps parked requests alive
+// across retry rounds, so several requests contest one taxi.
 func TestSimParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-hour simulation")
@@ -38,25 +25,30 @@ func TestSimParallelMatchesSequential(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		probabilistic bool
+		rho           float64
 		offlineFrac   float64
 		taxis         int
 		queueDepth    int
 		retryEvery    int
+		batchAssign   bool
 	}{
-		{name: "plain", probabilistic: true, offlineFrac: 0.2, taxis: 40},
-		{name: "queue", taxis: 8, queueDepth: 24, retryEvery: 2},
+		{name: "plain", probabilistic: true, rho: 1.3, offlineFrac: 0.2, taxis: 40},
+		{name: "queue", rho: 1.3, taxis: 8, queueDepth: 24, retryEvery: 2},
+		{name: "batch", rho: 2.2, taxis: 8, queueDepth: 24, retryEvery: 4, batchAssign: true},
 	} {
-		run := func(dispatchPar int) *Metrics {
+		run := func(procs int) (*Metrics, match.EngineStats) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			e := w.mtShareEngine(t, func(cfg *match.Config) { cfg.BatchAssign = c.batchAssign })
 			params := Params{QueueDepth: c.queueDepth, RetryEveryTicks: c.retryEvery}
-			eng, err := NewEngine(w.g, w.mtShareParallel(t, c.probabilistic, dispatchPar), params)
+			eng, err := NewEngine(w.g, match.NewScheme(e, c.probabilistic), params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			start := 8 * 3600.0
 			eng.PlaceTaxis(c.taxis, 3, 1, start)
-			return eng.Run(w.peakRequests(t, c.offlineFrac), start)
+			return eng.Run(w.peakRequestsRho(t, c.rho, c.offlineFrac), start), e.Stats()
 		}
-		base := run(1)
+		base, baseStats := run(1)
 		if base.Served == 0 || base.Delivered == 0 {
 			t.Fatalf("%s: baseline run served nothing; test is vacuous", c.name)
 		}
@@ -64,7 +56,15 @@ func TestSimParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: workload did not exercise the queue: %d served from it, %d expired in it",
 				c.name, base.ServedFromQueue, base.ExpiredInQueue)
 		}
-		got := run(8)
+		if solved := baseStats.BatchAssignRounds - baseStats.BatchAssignFallbacks; c.batchAssign && solved <= 0 {
+			t.Fatalf("%s: no retry round reached the global solver (%d rounds, %d fallbacks); test is vacuous",
+				c.name, baseStats.BatchAssignRounds, baseStats.BatchAssignFallbacks)
+		}
+		got, gotStats := run(8)
+		if gotStats.BatchAssignRounds != baseStats.BatchAssignRounds || gotStats.BatchAssignFallbacks != baseStats.BatchAssignFallbacks {
+			t.Fatalf("%s: %d assign rounds (%d fallbacks) vs baseline %d (%d)", c.name,
+				gotStats.BatchAssignRounds, gotStats.BatchAssignFallbacks, baseStats.BatchAssignRounds, baseStats.BatchAssignFallbacks)
+		}
 		if got.Served != base.Served || got.Delivered != base.Delivered ||
 			got.ServedOffline != base.ServedOffline {
 			t.Fatalf("%s: served/delivered (%d,%d) vs baseline (%d,%d)",

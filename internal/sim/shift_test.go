@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,11 +32,10 @@ func shiftSigsOf(m *Metrics) []shiftSig {
 	return out
 }
 
-// runShift runs one peak hour with the changeover at dispatch parallelism
-// par.
-func runShift(t *testing.T, w *world, reqs []*fleet.Request, taxis, par int, sc ShiftChangeConfig) (*Engine, *Metrics) {
+// runShift runs one peak hour with the changeover.
+func runShift(t *testing.T, w *world, reqs []*fleet.Request, taxis int, sc ShiftChangeConfig) (*Engine, *Metrics) {
 	t.Helper()
-	eng, err := NewEngine(w.g, w.mtShareParallel(t, false, par), Params{ShiftChange: sc})
+	eng, err := NewEngine(w.g, w.mtShare(t, false), Params{ShiftChange: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestShiftChangeoverInvariants(t *testing.T) {
 	sc := ShiftChangeConfig{AtSeconds: 8*3600 + 600, Fraction: 0.25, LagSeconds: 300, Seed: 9}
 	wantCohort := int(math.Round(sc.Fraction * taxis))
 
-	engBase, base := runShift(t, w, reqs, taxis, 1, ShiftChangeConfig{})
+	engBase, base := runShift(t, w, reqs, taxis, ShiftChangeConfig{})
 	if n := len(engBase.Taxis()); n != taxis {
 		t.Fatalf("baseline fleet grew to %d taxis", n)
 	}
-	eng, m := runShift(t, w, reqs, taxis, 1, sc)
+	eng, m := runShift(t, w, reqs, taxis, sc)
 
 	if n := len(eng.Taxis()); n != taxis+wantCohort {
 		t.Fatalf("fleet has %d taxis after changeover, want %d + %d replacements", n, taxis, wantCohort)
@@ -124,7 +124,7 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 	// it spawned.
 	sc := ShiftChangeConfig{AtSeconds: start + 60, Fraction: 1, LagSeconds: 3600, Seed: 3}
 	reqs := []*fleet.Request{mk(1, 900, 1.3), mk(2, 5000, 8)}
-	eng, m := runShift(t, w, reqs, 1, 1, sc)
+	eng, m := runShift(t, w, reqs, 1, sc)
 
 	recGap := m.Records[0]
 	if byID := func(id fleet.RequestID) *RequestRecord {
@@ -153,17 +153,19 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 	}
 }
 
-// A shift run must be bit-identical across dispatch parallelism — the
-// changeover is tick-aligned and seeded, never wall-clock driven.
+// A shift run must be bit-identical across GOMAXPROCS — the changeover is
+// tick-aligned and seeded, never wall-clock driven.
 func TestShiftCrossParallelismDeterminism(t *testing.T) {
 	w := newWorld(t)
 	reqs := w.peakRequests(t, 0)
 	sc := ShiftChangeConfig{AtSeconds: 8*3600 + 600, Fraction: 0.25, LagSeconds: 300, Seed: 9}
-	_, m1 := runShift(t, w, reqs, 16, 1, sc)
-	_, m2 := runShift(t, w, reqs, 16, 2, sc)
-	_, m4 := runShift(t, w, reqs, 16, 4, sc)
-	s1 := shiftSigsOf(m1)
-	for name, other := range map[string][]shiftSig{"parallelism 2": shiftSigsOf(m2), "parallelism 4": shiftSigsOf(m4)} {
+	run := func(procs int) []shiftSig {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, m := runShift(t, w, reqs, 16, sc)
+		return shiftSigsOf(m)
+	}
+	s1 := run(1)
+	for name, other := range map[string][]shiftSig{"GOMAXPROCS 2": run(2), "GOMAXPROCS 4": run(4)} {
 		if len(other) != len(s1) {
 			t.Fatalf("%s produced %d records, want %d", name, len(other), len(s1))
 		}

@@ -52,24 +52,46 @@ func newWorld(t testing.TB) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := roadnet.NewRouter(g, 64).AttachCH(roadnet.BuildCH(g, 1))
+	rt := roadnet.NewRouter(g, 64).AttachCH(roadnet.BuildCH(g))
 	return &world{g: g, rt: rt, spx: spx, pt: pt, ds: ds}
 }
 
 // router is a fresh router over the world's hierarchy.
 func (w *world) router() *roadnet.Router { return roadnet.NewRouter(w.g, 64).AttachCH(w.rt.CH()) }
 
-func (w *world) mtShare(t testing.TB, probabilistic bool) dispatch.Scheme {
+// mtShareEngine builds an mT-Share engine over the world's hierarchy;
+// tune, when set, adjusts the paper-default configuration.
+func (w *world) mtShareEngine(t testing.TB, tune func(*match.Config)) *match.Engine {
 	t.Helper()
-	return w.mtShareParallel(t, probabilistic, 0)
+	cfg := match.DefaultConfig()
+	cfg.CH = w.rt.CH()
+	if tune != nil {
+		tune(&cfg)
+	}
+	e, err := match.NewEngine(w.pt, w.spx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
-// peakRequests prepares one peak hour of requests at the given scale.
+func (w *world) mtShare(t testing.TB, probabilistic bool) dispatch.Scheme {
+	t.Helper()
+	return match.NewScheme(w.mtShareEngine(t, nil), probabilistic)
+}
+
+// peakRequests prepares one peak hour of requests at flexibility rho 1.3.
 func (w *world) peakRequests(t testing.TB, offlineFrac float64) []*fleet.Request {
+	t.Helper()
+	return w.peakRequestsRho(t, 1.3, offlineFrac)
+}
+
+// peakRequestsRho prepares one peak hour of requests at flexibility rho.
+func (w *world) peakRequestsRho(t testing.TB, rho, offlineFrac float64) []*fleet.Request {
 	t.Helper()
 	trips := w.ds.Between(8*time.Hour, 9*time.Hour)
 	reqs := PrepareRequests(w.rt, w.spx, trips, PrepareOptions{
-		Rho: 1.3, OfflineFrac: offlineFrac, Seed: 7,
+		Rho: rho, OfflineFrac: offlineFrac, Seed: 7,
 	})
 	if len(reqs) < 50 {
 		t.Fatalf("only %d requests prepared", len(reqs))
@@ -415,13 +437,7 @@ func TestSimSharingRaisesOccupancy(t *testing.T) {
 // planned with, so every delivered request still meets its deadline.
 func TestSimDrivesAtSchemeSpeed(t *testing.T) {
 	w := newWorld(t)
-	cfg := match.DefaultConfig()
-	cfg.SpeedMps *= 2
-	cfg.CH = w.rt.CH()
-	e, err := match.NewEngine(w.pt, w.spx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := w.mtShareEngine(t, func(cfg *match.Config) { cfg.SpeedMps *= 2 })
 	m := runScheme(t, w, match.NewScheme(e, false), w.peakRequests(t, 0), 40)
 	late := 0
 	for _, rec := range m.Records {

@@ -73,11 +73,6 @@ type Options struct {
 	// ErrNoTaxiAvailable immediately.
 	Policy
 
-	// Parallelism bounds the dispatch worker pool that evaluates
-	// candidate taxis concurrently. 0 uses GOMAXPROCS; 1 is strictly
-	// sequential. Every level produces identical assignments.
-	Parallelism int
-
 	// History supplies the trips mined for transition patterns. When nil
 	// a synthetic workday is generated.
 	History []Trip
@@ -186,9 +181,6 @@ func (o Options) Validate() error {
 	if o.RecordTo != nil && o.History != nil {
 		return fail("recording requires the synthetic history; custom History is not serialised into the log")
 	}
-	if o.Parallelism < 0 {
-		return fail("parallelism %d must not be negative", o.Parallelism)
-	}
 	if o.Durability.Enabled() {
 		if o.History != nil {
 			return fail("durability requires the synthetic history; custom History is not serialised into the WAL")
@@ -273,7 +265,6 @@ func New(opts Options) (*System, error) {
 		cfg.Tracer = obs.NewTracer(opts.TraceSampleEvery, opts.TraceHandler)
 	}
 	cfg.SearchRangeMeters = opts.SearchRangeMeters
-	cfg.Parallelism = opts.Parallelism
 	rt, err := service.New(service.Config{
 		Rows:                opts.SyntheticCityRows,
 		Cols:                opts.SyntheticCityCols,
