@@ -107,12 +107,14 @@ func (ch *CH) MemoryBytes() int64 {
 // Graph returns the graph the hierarchy was built over.
 func (ch *CH) Graph() *Graph { return ch.g }
 
-// chHeap is a value-type binary min-heap keyed by (prio, v): float64
+// chHeap is a value-type 4-ary min-heap keyed by (prio, v): float64
 // distances for the witness and query searches, int64 priorities for the
 // contraction queue. The explicit vertex tie-break keeps pop order — and
 // with it contraction order, witness truncation and query meeting choices
 // — deterministic even on graphs with exactly tied costs (unit-cost
-// grids).
+// grids). Four children per node make the heap half as deep as a binary
+// one, so a pop moves fewer items; the pop order is the (prio, v) order
+// whatever the arity.
 type chHeap[P int64 | float64] []chItem[P]
 
 type chItem[P int64 | float64] struct {
@@ -142,7 +144,7 @@ func (h *chHeap[P]) push(it chItem[P]) {
 	*h = q
 	i := len(q) - 1
 	for i > 0 {
-		p := (i - 1) / 2
+		p := (i - 1) / 4
 		if !it.less(q[p]) {
 			break
 		}
@@ -156,24 +158,29 @@ func (h *chHeap[P]) pop() chItem[P] {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q = q[:n]
 	*h = q
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && q[l].less(q[m]) {
-			m = l
+	// Sift the last item down from the root: move the smallest child up
+	// while it sorts before last.
+	i := 0
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c
+		for k := c + 1; k < min(c+4, n); k++ {
+			if q[k].less(q[m]) {
+				m = k
+			}
 		}
-		if r < n && q[r].less(q[m]) {
-			m = r
+		if !q[m].less(last) {
+			break
 		}
-		if m == i {
-			return top
-		}
-		q[i], q[m] = q[m], q[i]
+		q[i] = q[m]
 		i = m
 	}
+	if n > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // chBuilder holds the mutable remaining graph during contraction. Arcs are
@@ -204,17 +211,20 @@ type chShortcut struct {
 
 // chWS is one worker's witness-search workspace: a dense distance array
 // reset via the touched list, so repeated small searches stay
-// allocation-free.
+// allocation-free. want[w] is the cost of the shortcut a search still has
+// to decide for target w, and -Inf for every other vertex.
 type chWS struct {
 	dist    []float64
+	want    []float64
 	touched []VertexID
 	heap    chHeap[float64]
 }
 
 func newChWS(n int) *chWS {
-	ws := &chWS{dist: make([]float64, n)}
+	ws := &chWS{dist: make([]float64, n), want: make([]float64, n)}
 	for i := range ws.dist {
 		ws.dist[i] = math.Inf(1)
+		ws.want[i] = math.Inf(-1)
 	}
 	return ws
 }
@@ -230,25 +240,15 @@ func (ws *chWS) reset() {
 // BuildCH contracts g into a hierarchy. The witness searches fan over
 // runtime.GOMAXPROCS(0) workers; the result is bit-identical at every
 // worker count. Build time grows faster than graph size: with two workers
-// on a 2-vCPU Xeon host a 56x56 city (3 131 vertices) contracts in 0.25 s
-// and a 120x120 one (14 368 vertices) in 2.8 s, about 11x the time for
-// 4.6x the vertices; the ~214k-vertex Chengdu-scale city takes about 2.5
-// minutes (BenchmarkChengduCHRouting reports the measured build-s), a
+// on a 2-vCPU Xeon host a 56x56 city (3 131 vertices) contracts in 0.16 s
+// and a 120x120 one (14 368 vertices) in 1.6 s, about 10x the time for
+// 4.6x the vertices; the ~214k-vertex Chengdu-scale city takes about a
+// minute (BenchmarkChengduCHRouting reports the measured build-s), a
 // one-time cost amortised over every query the world ever answers.
 func BuildCH(g *Graph) *CH {
 	t0 := time.Now()
 	n := g.NumVertices()
-	b := &chBuilder{
-		g: g, n: n,
-		out: make([][]chArc, n), in: make([][]chArc, n),
-		rank: make([]int32, n), delNbrs: make([]int32, n),
-		prio: make([]int64, n),
-		up:   make([][]chArc, n), down: make([][]chArc, n),
-	}
-	for v := 0; v < n; v++ {
-		b.out[v] = collapseArcs(g.Out(VertexID(v)), VertexID(v))
-		b.in[v] = collapseArcs(g.In(VertexID(v)), VertexID(v))
-	}
+	b := newCHBuilder(g)
 
 	// Workspaces are per worker; the contraction loop below is single-
 	// threaded, so they are reused freely there.
@@ -314,6 +314,24 @@ func BuildCH(g *Graph) *CH {
 		}
 	}
 	return ch
+}
+
+// newCHBuilder starts a contraction of g: nothing contracted yet, the
+// remaining graph is g with self-loops dropped and parallel arcs collapsed.
+func newCHBuilder(g *Graph) *chBuilder {
+	n := g.NumVertices()
+	b := &chBuilder{
+		g: g, n: n,
+		out: make([][]chArc, n), in: make([][]chArc, n),
+		rank: make([]int32, n), delNbrs: make([]int32, n),
+		prio: make([]int64, n),
+		up:   make([][]chArc, n), down: make([][]chArc, n),
+	}
+	for v := 0; v < n; v++ {
+		b.out[v] = collapseArcs(g.Out(VertexID(v)), VertexID(v))
+		b.in[v] = collapseArcs(g.In(VertexID(v)), VertexID(v))
+	}
+	return b
 }
 
 // collapseArcs turns a raw adjacency list into the builder's canonical
@@ -392,24 +410,7 @@ func (b *chBuilder) simulatePar(v VertexID, wss []*chWS) []chShortcut {
 func (b *chBuilder) simulateIn(v VertexID, i int, ws *chWS) []chShortcut {
 	u := b.in[v][i]
 	outs := b.out[v]
-	if len(outs) == 0 {
-		return nil
-	}
-	maxOut := 0.0
-	targets := 0
-	for _, a := range outs {
-		if a.to == u.to {
-			continue
-		}
-		targets++
-		if a.cost > maxOut {
-			maxOut = a.cost
-		}
-	}
-	if targets == 0 {
-		return nil
-	}
-	b.witness(ws, u.to, v, u.cost, maxOut, outs, targets)
+	b.witness(ws, u.to, v, u.cost, outs)
 	var scs []chShortcut
 	for _, w := range outs {
 		if w.to == u.to {
@@ -432,24 +433,55 @@ func mergeShortcuts(perIn [][]chShortcut) []chShortcut {
 	return all
 }
 
-// witness runs the bounded Dijkstra from src (the in-neighbor, reached at
-// uCost) in the remaining graph, skipping excluded, stopping once the
-// frontier exceeds uCost+maxOut, the settle cap trips, or — the common
-// case — every out-neighbor target is already dominated (dist[w] <=
-// uCost+cost(v,w) means the u->v->w shortcut is dispensable, and labels
-// only shrink). Tentative labels left in ws.dist are upper bounds on real
-// remaining-graph paths, so comparing them against a shortcut cost is
-// always safe.
-func (b *chBuilder) witness(ws *chWS, src, excluded VertexID, uCost, maxOut float64, outs []chArc, targets int) {
+// witness runs the Dijkstra from src (the in-neighbor, reached at uCost) in
+// the remaining graph, skipping excluded, that decides the shortcut
+// src->excluded->w for every out-neighbor target w != src, and returns the
+// number of vertices it settled. Tentative labels left in ws.dist are upper
+// bounds on real remaining-graph paths, so comparing them against a
+// shortcut cost is always safe.
+//
+// A target is decided once its shortcut decision is final: when a label
+// reaches dist[w] <= uCost+cost(excluded,w) (the shortcut is dispensable,
+// and labels only shrink) or when w is settled (its distance is exact). The
+// search stops once the popped key exceeds the live bound, the largest
+// shortcut cost over the undecided targets: edge costs are non-negative, so
+// no later label can come in under it. Labels above the live bound are
+// never made. Below the stop point the settle order is that of a search
+// run until every target is settled under the fixed budget of the largest
+// shortcut cost, so the settle cap trips at the same settle it would there
+// and every decision is the one that search makes.
+func (b *chBuilder) witness(ws *chWS, src, excluded VertexID, uCost float64, outs []chArc) (settled int) {
 	ws.reset()
+	bound := math.Inf(-1)
+	for _, a := range outs {
+		if a.to != src {
+			ws.want[a.to] = uCost + a.cost
+			bound = max(bound, ws.want[a.to])
+		}
+	}
+	// decide retires target w and, when it held the bound, lowers the bound
+	// to the largest shortcut cost still undecided.
+	decide := func(w VertexID) {
+		held := ws.want[w] == bound
+		ws.want[w] = math.Inf(-1)
+		if held {
+			bound = math.Inf(-1)
+			for _, a := range outs {
+				bound = max(bound, ws.want[a.to])
+			}
+		}
+	}
+	// excluded gets the label -Inf, which no relaxation can improve on, so
+	// the search never enters it and the arc loop needs no test for it.
 	ws.dist[src] = 0
-	ws.touched = append(ws.touched, src)
+	ws.dist[excluded] = math.Inf(-1)
+	ws.touched = append(ws.touched, src, excluded)
 	ws.heap.push(chItem[float64]{prio: 0, v: src})
-	maxCost := uCost + maxOut
-	pending := targets
-	settled := 0
-	for len(ws.heap) > 0 && pending > 0 {
+	for len(ws.heap) > 0 {
 		it := ws.heap.pop()
+		if it.prio > bound {
+			break
+		}
 		if it.prio > ws.dist[it.v] {
 			continue
 		}
@@ -457,26 +489,27 @@ func (b *chBuilder) witness(ws *chWS, src, excluded VertexID, uCost, maxOut floa
 		if settled > chWitnessSettleCap {
 			break
 		}
-		// A settled target's distance is final — witnessed or not, its
-		// shortcut decision cannot change, so count it off and stop once
-		// every target is decided.
-		if k := findChArc(outs, it.v); k >= 0 && it.v != src {
-			pending--
+		if ws.want[it.v] > math.Inf(-1) {
+			decide(it.v)
 		}
 		for _, a := range b.out[it.v] {
-			if a.to == excluded {
-				continue
-			}
 			nd := it.prio + a.cost
-			if nd < ws.dist[a.to] && nd <= maxCost {
+			if nd <= bound && nd < ws.dist[a.to] {
 				if math.IsInf(ws.dist[a.to], 1) {
 					ws.touched = append(ws.touched, a.to)
 				}
 				ws.dist[a.to] = nd
 				ws.heap.push(chItem[float64]{prio: nd, v: a.to})
+				if nd <= ws.want[a.to] {
+					decide(a.to)
+				}
 			}
 		}
 	}
+	for _, a := range outs {
+		ws.want[a.to] = math.Inf(-1)
+	}
+	return settled
 }
 
 // contract removes v from the remaining graph: snapshot its arcs as the
@@ -647,12 +680,29 @@ func (s *chSide) label(gen uint32, v VertexID, d float64, p chParent) {
 	s.heap.push(chItem[float64]{prio: d, v: v})
 }
 
+// stalled is stall-on-demand: into holds v's arcs from higher-ranked
+// vertices in this side's direction of travel (down[v] for the forward
+// side, up[v] for the backward one). When some labelled w reaches v at
+// dist[w]+cost strictly below d, v's own label d is not the distance
+// from this side's root, so nothing relaxed from v can lie on a shortest
+// path: the side settles v (it may still be the meet) but skips its arcs.
+// The test is strict, so a label tied with the best one is never stalled.
+func (s *chSide) stalled(gen uint32, d float64, into []chArc) bool {
+	for _, a := range into {
+		if s.stamp[a.to] == gen && s.dist[a.to]+a.cost < d {
+			return true
+		}
+	}
+	return false
+}
+
 // ShortestPath answers an exact point-to-point query: a bidirectional
-// Dijkstra over the upward arcs from src and the (reversed) downward arcs
-// from dst, followed by shortcut unpacking. It returns the exact cost
-// (bit-identical to Graph.ShortestPath, see the type comment), the full
-// vertex path, the number of settled search vertices (the instrument the
-// Router observes), and ok=false when dst is unreachable.
+// Dijkstra with stall-on-demand over the upward arcs from src and the
+// (reversed) downward arcs from dst, followed by shortcut unpacking. It
+// returns the exact cost (bit-identical to Graph.ShortestPath, see the type
+// comment), the full vertex path, the number of settled search vertices
+// (the instrument the Router observes), and ok=false when dst is
+// unreachable.
 func (ch *CH) ShortestPath(src, dst VertexID) (cost float64, path []VertexID, settled int, ok bool) {
 	ws := getCHQueryWS(len(ch.rank))
 	defer chQueryPool.Put(ws)
@@ -700,9 +750,9 @@ func (ch *CH) query(ws *chQueryWS, src, dst VertexID) (cost float64, settled int
 		}
 		// Alternate by smaller frontier key; forward wins exact ties so the
 		// settle order is deterministic.
-		s, other, arcs := b, f, ch.down
+		s, other, arcs, into := b, f, ch.down, ch.up
 		if fOpen && (!bOpen || f.heap[0].prio <= b.heap[0].prio) {
-			s, other, arcs = f, b, ch.up
+			s, other, arcs, into = f, b, ch.up, ch.down
 		}
 		it := s.heap.pop()
 		if it.prio > s.dist[it.v] {
@@ -714,6 +764,9 @@ func (ch *CH) query(ws *chQueryWS, src, dst VertexID) (cost float64, settled int
 				best = total
 				meet = it.v
 			}
+		}
+		if s.stalled(gen, it.prio, into[it.v]) {
+			continue
 		}
 		for _, a := range arcs[it.v] {
 			if nd := it.prio + a.cost; s.stamp[a.to] != gen || nd < s.dist[a.to] {

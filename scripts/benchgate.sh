@@ -16,7 +16,7 @@
 #     against plain Dijkstra (BenchmarkChengduCHRouting), and the two
 #     kernels the repo benchmark's ledger names, at its 56x56 size (BenchmarkSSSP,
 #     BenchmarkCHCost). The first roadnet run pays the one-time
-#     ~2.5-minute hierarchy build; -count reuses it.
+#     ~1-minute hierarchy build; -count reuses it.
 #   - WAL benchmarks (./internal/wal, -bench=WAL) against
 #     testdata/bench/wal_baseline.txt — append throughput across the
 #     group-commit spectrum (fsync every record / every 64 / never) and
