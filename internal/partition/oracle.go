@@ -27,9 +27,10 @@ import (
 //
 // The offsets live in two flat float64 arrays indexed by vertex — 16 bytes
 // per vertex. The landmark-to-landmark cost table and the forward offsets
-// come from the Partitioning's landmark-graph trees, so the oracle adds no
-// per-query allocation and its precompute is one reverse Dijkstra tree per
-// partition, parallel over partitions.
+// come from the Partitioning's landmark-graph searches, so the oracle adds
+// no per-query allocation and its precompute is one reverse Dijkstra per
+// partition that stops at the partition's own members, parallel over
+// partitions.
 type Oracle struct {
 	pt     *Partitioning
 	fromLM []float64 // fromLM[v] = d(landmark(P(v)) → v)
@@ -37,10 +38,12 @@ type Oracle struct {
 }
 
 // NewOracle precomputes the per-vertex landmark offsets of pt. The forward
-// offsets are the partitioning's; the work is one reverse shortest-path
-// tree per partition, fanned over runtime.GOMAXPROCS(0) workers. The
-// result is deterministic — each vertex's offsets come from its own
-// partition's trees regardless of worker schedule.
+// offsets are the partitioning's; the work is one reverse Dijkstra per
+// partition, from its landmark until its members are settled
+// (Graph.ReverseDistancesTo: ReverseSSSP's distances bit for bit), fanned
+// over runtime.GOMAXPROCS(0) workers. The result is deterministic — each
+// vertex's offsets come from its own partition's search regardless of
+// worker schedule.
 func NewOracle(pt *Partitioning) *Oracle {
 	o := &Oracle{
 		pt:     pt,
@@ -48,9 +51,9 @@ func NewOracle(pt *Partitioning) *Oracle {
 		toLM:   make([]float64, pt.g.NumVertices()),
 	}
 	roadnet.ParallelDo(len(pt.parts), runtime.GOMAXPROCS(0), func(_, p int) {
-		rev := pt.g.ReverseSSSP(pt.landmark[p])
-		for _, v := range pt.parts[p] {
-			o.toLM[v] = rev.Dist[v]
+		members := pt.parts[p]
+		for i, d := range pt.g.ReverseDistancesTo(pt.landmark[p], members) {
+			o.toLM[members[i]] = d
 		}
 	})
 	return o

@@ -1,6 +1,9 @@
 package partition
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -146,30 +149,73 @@ func TestOracleParallelBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestOracleLandmarkOffsetsExact pins the table contents directly: for the
-// landmark's own partition members, fromLM must equal the forward SSSP
-// distance and toLM the distance back to the landmark.
+// TestOracleLandmarkOffsetsExact pins the tables bit for bit on the repo
+// benchmark's worlds: for every partition member, fromLM must equal the
+// landmark's forward SSSP distance and toLM its ReverseSSSP distance, and
+// an FNV-1a hash of both arrays (exact float bits, vertex order) must match
+// the one the full-tree build produced.
 func TestOracleLandmarkOffsetsExact(t *testing.T) {
-	w := oracleWorlds(t)[0]
-	o := NewOracle(w.pt)
-	for p := 0; p < w.pt.NumPartitions(); p++ {
-		lm := w.pt.Landmark(ID(p))
-		fwd := w.g.SSSP(lm)
-		for _, v := range w.pt.Vertices(ID(p)) {
-			if o.fromLM[v] != fwd.Dist[v] && !(math.IsInf(o.fromLM[v], 1) && math.IsInf(fwd.Dist[v], 1)) {
-				t.Fatalf("fromLM[%d] = %v, SSSP %v", v, o.fromLM[v], fwd.Dist[v])
-			}
-			back, _, ok := w.g.ShortestPath(v, lm)
-			if !ok {
-				if !math.IsInf(o.toLM[v], 1) {
-					t.Fatalf("toLM[%d] = %v for unreachable landmark", v, o.toLM[v])
+	worlds := []struct {
+		rows       int
+		from, toLM string
+	}{
+		{28, "bf88b3400b9244d2", "ad6407c3a3a237c2"},
+		{48, "f18475c8e82acb68", "def1a1f34ac100b5"},
+		{56, "fa5fd42f2c94bf5c", "a5c8e55bb746c9bf"},
+	}
+	for _, w := range worlds {
+		g, ods, pp := serverWorld(t, w.rows)
+		pt, err := BuildBipartite(g, ods, pp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := NewOracle(pt)
+		for p := 0; p < pt.NumPartitions(); p++ {
+			lm := pt.Landmark(ID(p))
+			fwd, rev := g.SSSP(lm), g.ReverseSSSP(lm)
+			for _, v := range pt.Vertices(ID(p)) {
+				if math.Float64bits(o.fromLM[v]) != math.Float64bits(fwd.Dist[v]) {
+					t.Fatalf("%dx%d: fromLM[%d] = %v, SSSP %v", w.rows, w.rows, v, o.fromLM[v], fwd.Dist[v])
 				}
-				continue
-			}
-			if math.Abs(o.toLM[v]-back) > 1e-9 {
-				t.Fatalf("toLM[%d] = %v, ShortestPath back %v", v, o.toLM[v], back)
+				if math.Float64bits(o.toLM[v]) != math.Float64bits(rev.Dist[v]) {
+					t.Fatalf("%dx%d: toLM[%d] = %v, ReverseSSSP %v", w.rows, w.rows, v, o.toLM[v], rev.Dist[v])
+				}
 			}
 		}
+		if got := floatsHash(o.fromLM); got != w.from {
+			t.Errorf("%dx%d: fromLM hash %s, want %s", w.rows, w.rows, got, w.from)
+		}
+		if got := floatsHash(o.toLM); got != w.toLM {
+			t.Errorf("%dx%d: toLM hash %s, want %s", w.rows, w.rows, got, w.toLM)
+		}
+	}
+}
+
+// floatsHash is the FNV-1a hash of xs' exact float64 bits, little-endian.
+func floatsHash(xs []float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// BenchmarkNewOracle times the reverse landmark offsets on the steady
+// workload's 56x56 world, the oracle build server.New runs beside the CH:
+//
+//	go test -run '^$' -bench NewOracle -benchmem ./internal/partition
+func BenchmarkNewOracle(b *testing.B) {
+	g, ods, pp := serverWorld(b, 56)
+	pt, err := BuildBipartite(g, ods, pp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewOracle(pt)
 	}
 }
 

@@ -405,9 +405,11 @@ func nearestK(g *roadnet.Graph, vs []roadnet.VertexID, c geo.Point, k int) []roa
 
 // computeLandmarkGraph derives partition adjacency from road edges crossing
 // partition borders and fills the landmark-to-landmark cost table and each
-// vertex's forward landmark offset with one Dijkstra tree per landmark,
-// spread over every CPU; a partition's tree writes only its own row and its
-// own members' offsets.
+// vertex's forward landmark offset with one Dijkstra per landmark that stops
+// once every landmark and the partition's own members are settled
+// (Graph.DistancesTo: SSSP's distances bit for bit), spread over every CPU;
+// a partition's search writes only its own row and its own members'
+// offsets.
 func (pt *Partitioning) computeLandmarkGraph() {
 	k := len(pt.parts)
 	adjSet := make([]map[ID]struct{}, k)
@@ -434,14 +436,12 @@ func (pt *Partitioning) computeLandmarkGraph() {
 	pt.lmCost = make([][]float64, k)
 	pt.fromLM = make([]float64, pt.g.NumVertices())
 	roadnet.ParallelDo(k, runtime.GOMAXPROCS(0), func(_, p int) {
-		res := pt.g.SSSP(pt.landmark[p])
-		row := make([]float64, k)
-		for q := 0; q < k; q++ {
-			row[q] = res.Dist[pt.landmark[q]]
-		}
-		pt.lmCost[p] = row
-		for _, v := range pt.parts[p] {
-			pt.fromLM[v] = res.Dist[v]
+		members := pt.parts[p]
+		targets := append(slices.Clip(pt.landmark), members...)
+		dist := pt.g.DistancesTo(pt.landmark[p], targets)
+		pt.lmCost[p] = slices.Clone(dist[:k]) // not a view: the members' tail is not kept
+		for i, v := range members {
+			pt.fromLM[v] = dist[k+i]
 		}
 	})
 }

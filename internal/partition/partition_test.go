@@ -2,6 +2,7 @@ package partition
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -385,9 +386,10 @@ func TestBipartiteRespectsMaxRounds(t *testing.T) {
 // BenchmarkBuildBipartite times the whole partitioner: a 20x20 city with a
 // light history, and the steady workload's 56x56 world (κ = 125) built as
 // server.New builds it, whose transition vectors are mostly zero or repeated
-// — the step the benchmark ledger reports as partition.build_s:
+// — the step the benchmark ledger reports as partition.build_s — and the
+// same construction on a 120x120 city (κ = 574):
 //
-//	go test -run '^$' -bench 'BuildBipartite/city=56x56' ./internal/partition
+//	go test -run '^$' -bench 'BuildBipartite/city=56x56' -benchmem ./internal/partition
 func BenchmarkBuildBipartite(b *testing.B) {
 	b.Run("city=20x20", func(b *testing.B) {
 		g, _, ods := testCity(b, 20, 20, 200)
@@ -395,13 +397,16 @@ func BenchmarkBuildBipartite(b *testing.B) {
 		p.KTrans = 8
 		benchBuild(b, g, ods, p)
 	})
-	b.Run("city=56x56", func(b *testing.B) {
-		g, ods, p := serverWorld(b, 56)
-		benchBuild(b, g, ods, p)
-	})
+	for _, rows := range []int{56, 120} {
+		b.Run(fmt.Sprintf("city=%dx%d", rows, rows), func(b *testing.B) {
+			g, ods, p := serverWorld(b, rows)
+			benchBuild(b, g, ods, p)
+		})
+	}
 }
 
 func benchBuild(b *testing.B, g *roadnet.Graph, ods []OD, p Params) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildBipartite(g, ods, p); err != nil {

@@ -372,12 +372,13 @@ func TestSSSPMatchesContainerHeapOracle(t *testing.T) {
 	}
 }
 
-// TestDistancesToMatchesSSSP holds the target-bounded search to the full
-// tree bit for bit: on the benchmark city and a one-way ring, from sampled
-// sources, with the source among the targets, duplicate targets and — on
-// the split graph and the ring's detached vertex — unreachable ones that run
-// the search to exhaustion. Workspaces move between graphs of different
-// sizes through the pool.
+// TestDistancesToMatchesSSSP holds the target-bounded searches to the full
+// trees bit for bit, forward and reverse: on the benchmark city, a tied
+// unit-cost grid and a one-way ring, from sampled sources, with the source
+// among the targets, duplicate targets and — on the split graph and the
+// ring's detached vertex — unreachable ones that run the search to
+// exhaustion. Workspaces move between graphs of different sizes through the
+// pool.
 func TestDistancesToMatchesSSSP(t *testing.T) {
 	split := gridGraph(12)
 	island := split.AddVertex(geo.Point{Lat: 31, Lng: 105})
@@ -400,9 +401,18 @@ func TestDistancesToMatchesSSSP(t *testing.T) {
 					t.Fatalf("%s src=%d target %d: %v, SSSP %v", name, src, targets[i], d, want[targets[i]])
 				}
 			}
+			back := g.ReverseSSSP(VertexID(src)).Dist
+			for i, d := range g.ReverseDistancesTo(VertexID(src), targets) {
+				if math.Float64bits(d) != math.Float64bits(back[targets[i]]) {
+					t.Fatalf("%s src=%d target %d: reverse %v, ReverseSSSP %v", name, src, targets[i], d, back[targets[i]])
+				}
+			}
 		}
 		if got := g.DistancesTo(0, nil); len(got) != 0 {
 			t.Fatalf("%s: no targets gave %v", name, got)
+		}
+		if got := g.ReverseDistancesTo(0, nil); len(got) != 0 {
+			t.Fatalf("%s: no reverse targets gave %v", name, got)
 		}
 	}
 }
@@ -419,7 +429,7 @@ func TestDistancesToGenerationWrap(t *testing.T) {
 	}
 	ws.gen = math.MaxUint32
 	targets := []VertexID{VertexID(n - 1), 5}
-	got := g.distancesTo(ws, 0, targets)
+	got := distancesTo(ws, g.out, 0, targets)
 	if ws.gen != 1 {
 		t.Fatalf("generation after wrap = %d, want 1", ws.gen)
 	}
