@@ -80,10 +80,10 @@ func workloadSigs(m *sim.Metrics) []recordSig {
 	sigs := make([]recordSig, len(m.Records))
 	for i, rec := range m.Records {
 		sigs[i] = recordSig{
-			ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
-			Assign:  math.Float64bits(rec.AssignSeconds),
-			Pickup:  math.Float64bits(rec.PickupSeconds),
-			Dropoff: math.Float64bits(rec.DropoffSeconds),
+			ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.Queued && rec.Served, Exp: rec.Expired,
+			Assign:  math.Float64bits(rec.AssignAt),
+			Pickup:  math.Float64bits(rec.PickupAt),
+			Dropoff: math.Float64bits(rec.DropoffAt),
 		}
 	}
 	return sigs

@@ -10,7 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fleet"
+	"repro/internal/payment"
 	"repro/internal/replay"
+	"repro/internal/service"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -143,16 +146,111 @@ func TestServerDeliversOverSimulatedTime(t *testing.T) {
 		_, out = do(t, h, http.MethodGet, fmt.Sprintf("/v1/requests?id=%d", id), nil)
 		var delivered bool
 		_ = json.Unmarshal(out["delivered"], &delivered)
-		if delivered {
-			var fare float64
-			_ = json.Unmarshal(out["fare_estimate"], &fare)
-			if fare <= 0 {
-				t.Fatal("delivered with no fare")
+		if !delivered {
+			if _, ok := out["fare"]; ok {
+				t.Fatalf("fare reported before delivery: %s", out["fare"])
 			}
-			return
+			continue
 		}
+		var estimate, fare float64
+		_ = json.Unmarshal(out["fare_estimate"], &estimate)
+		if estimate <= 0 {
+			t.Fatal("delivered with no fare")
+		}
+		// A lone rider shares no benefit, so the settled fare is the tariff.
+		if err := json.Unmarshal(out["fare"], &fare); err != nil || fare != estimate {
+			t.Fatalf("delivered lone rider's fare = %s, want the estimate %v", out["fare"], estimate)
+		}
+		return
 	}
 	t.Fatal("request never delivered")
+}
+
+// TestServerSettlesSharedFare puts an online request and a street hail
+// on one taxi, as examples/dispatch_service does. No fare is reported
+// before delivery, and the first one reported is final: each rider's fare
+// is Eqs. 5–8 over the ledger's odometer readings, none above its
+// estimate and at least one below.
+func TestServerSettlesSharedFare(t *testing.T) {
+	s, err := New(Config{CityRows: 20, CityCols: 20, InitialTaxis: 15, Capacity: 3, Policy: replay.Policy{Probabilistic: true}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	anchor := s.rt.Taxis()[0].Point()
+	at := func(d float64) map[string]float64 {
+		return map[string]float64{"lat": anchor.Lat + d, "lng": anchor.Lng + d}
+	}
+	_, ride := do(t, h, http.MethodPost, "/v1/requests", map[string]interface{}{"pickup": at(0), "dropoff": at(0.01), "rho": 1.6})
+	_, hail := do(t, h, http.MethodPost, "/v1/hails", map[string]interface{}{
+		"taxi_id": 1, "pickup": at(0.002), "dropoff": at(0.009), "rho": 1.8,
+	})
+	ids := make([]int64, 2)
+	for i, out := range []map[string]json.RawMessage{ride, hail} {
+		var taxi int64
+		_ = json.Unmarshal(out["id"], &ids[i])
+		if err := json.Unmarshal(out["taxi_id"], &taxi); err != nil || taxi != 1 {
+			t.Fatalf("ride %d: taxi %s, want 1", i, out["taxi_id"])
+		}
+	}
+	outs := make([]map[string]json.RawMessage, 2)
+	first := make([]json.RawMessage, 2) // the first fare each status reported
+	for step := 0; step < 2000; step++ {
+		s.advance(5)
+		delivered := 0
+		for i, id := range ids {
+			_, outs[i] = do(t, h, http.MethodGet, fmt.Sprintf("/v1/requests?id=%d", id), nil)
+			var d bool
+			_ = json.Unmarshal(outs[i]["delivered"], &d)
+			fare, ok := outs[i]["fare"]
+			if ok && !d {
+				t.Fatalf("request %d: fare reported before delivery: %s", id, fare)
+			}
+			if ok && first[i] == nil {
+				first[i] = fare
+			}
+			if d {
+				delivered++
+			}
+		}
+		if delivered == 2 {
+			break
+		}
+	}
+	// The two rides are taxi 1's whole episode, settled in dropoff order.
+	sts := make([]*service.Request, 2)
+	for i, id := range ids {
+		sts[i], _ = s.rt.Request(id)
+		if !sts[i].Delivered {
+			t.Fatalf("request %d never delivered", id)
+		}
+	}
+	if sts[1].DropoffOdo < sts[0].DropoffOdo {
+		sts[0], sts[1] = sts[1], sts[0]
+	}
+	recs := make([]payment.RideRecord, 2)
+	for i, st := range sts {
+		recs[i] = payment.RideRecord{ID: st.Req.ID, DirectMeters: st.Req.DirectMeters, SharedMeters: st.DropoffOdo - st.PickupOdo, Completed: true}
+	}
+	settled := s.rt.Pay.Settle(sts[1].DropoffOdo-min(sts[0].PickupOdo, sts[1].PickupOdo), recs)
+	below := false
+	for i, id := range ids {
+		var fare, estimate float64
+		if err := json.Unmarshal(outs[i]["fare"], &fare); err != nil {
+			t.Fatalf("request %d: delivered with no fare: %v", id, err)
+		}
+		_ = json.Unmarshal(outs[i]["fare_estimate"], &estimate)
+		if want := settled.Fares[fleet.RequestID(id)]; fare != want || !bytes.Equal(first[i], outs[i]["fare"]) {
+			t.Fatalf("request %d: fare %v (first reported %s), want the settled %v", id, fare, first[i], want)
+		}
+		if fare > estimate {
+			t.Fatalf("request %d: fare %v above its estimate %v", id, fare, estimate)
+		}
+		below = below || fare < estimate
+	}
+	if !below {
+		t.Fatal("no shared rider paid less than the estimate")
+	}
 }
 
 func TestServerBadInputs(t *testing.T) {

@@ -169,15 +169,26 @@ func (r *Runtime) Seal() error {
 // WaitSnapshots blocks until every background snapshot write finished.
 func (r *Runtime) WaitSnapshots() { r.snapWG.Wait() }
 
+// snapshotVersion is the snapshot schema Capture writes. Recovery skips a
+// snapshot of any other version, as it skips another world's, and
+// replays the log instead. Version 1 added the ledger's step detail and
+// the open episodes; older snapshots carry no version (0).
+const snapshotVersion = 1
+
 // Snapshot is the runtime at an event boundary. Header pins it to the
 // world it was taken in; Events is the WAL watermark (events executed
 // when it was captured — the number the snapshot file is named after).
+// Episodes holds each open episode's delivered rides by taxi ID, in
+// dropoff order: the settlement that order feeds cannot be rebuilt from
+// the ledger when two dropoffs share an odometer reading.
 type Snapshot struct {
+	Version  int                 `json:"version"`
 	Header   json.RawMessage     `json:"header"`
 	Events   int64               `json:"events"`
 	Now      float64             `json:"now"`
 	Ticks    int64               `json:"ticks"`
 	Requests []RequestState      `json:"requests,omitempty"`
+	Episodes map[int64][]int64   `json:"episodes,omitempty"`
 	Engine   *match.DurableState `json:"engine"`
 	Queue    *match.PoolState    `json:"queue,omitempty"`
 	Counters map[string]int64    `json:"counters,omitempty"`
@@ -193,15 +204,22 @@ type RequestState struct {
 // deep copy: the runtime may keep mutating while it marshals.
 func (r *Runtime) Capture() *Snapshot {
 	snap := &Snapshot{
+		Version:  snapshotVersion,
 		Header:   r.walHeader,
 		Events:   r.events,
 		Now:      r.now,
 		Ticks:    r.ticks,
+		Episodes: map[int64][]int64{},
 		Engine:   r.Engine.CaptureDurable(),
 		Counters: r.counters(),
 	}
 	for _, st := range r.requests {
 		snap.Requests = append(snap.Requests, RequestState{fleet.CaptureRequest(st.Req), st.Lifecycle})
+	}
+	for i, rides := range r.episodes {
+		for _, st := range rides {
+			snap.Episodes[int64(i+1)] = append(snap.Episodes[int64(i+1)], int64(st.Req.ID))
+		}
 	}
 	if r.Queue != nil {
 		ps := r.Queue.CaptureDurable()
@@ -274,9 +292,9 @@ func (r *Runtime) recover(wlog *wal.Log, line []byte) error {
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			return fmt.Errorf("decode snapshot at %d: %w", w, err)
 		}
-		if !bytes.Equal(snap.Header, line) {
-			// Another world's snapshot: the log is the truth, so fall back
-			// to an older snapshot or to genesis.
+		if snap.Version != snapshotVersion || !bytes.Equal(snap.Header, line) {
+			// Another schema's or another world's snapshot: the log is the
+			// truth, so fall back to an older snapshot or to genesis.
 			bound = w - 1
 			continue
 		}
@@ -319,6 +337,19 @@ func (r *Runtime) restore(snap *Snapshot) error {
 	}
 	r.Scheme.(*match.Scheme).RestoreIndexed(restored)
 	r.taxis = restored
+	r.episodes = make([][]*Request, len(restored))
+	for taxi, ids := range snap.Episodes {
+		if _, ok := r.Taxi(taxi); !ok {
+			return fmt.Errorf("episode of unknown taxi %d", taxi)
+		}
+		for _, id := range ids {
+			st, ok := r.Request(id)
+			if !ok {
+				return fmt.Errorf("episode of taxi %d holds unknown request %d", taxi, id)
+			}
+			r.episodes[taxi-1] = append(r.episodes[taxi-1], st)
+		}
+	}
 	switch {
 	case snap.Queue != nil && r.Queue == nil:
 		return fmt.Errorf("snapshot carries a queue but QueueDepth is 0")

@@ -123,15 +123,19 @@ func copyWAL(t *testing.T, src string, snapshots bool) string {
 }
 
 // TestDurableSnapshotRecoveryMatchesGenesis abandons a live runtime at
-// three points, each past a newer snapshot, and requires both recoveries
-// of the directory — latest snapshot plus tail, and genesis replay of the
-// segments alone — to rebuild exactly the state the live runtime holds.
+// several points, each past a newer snapshot, and requires both
+// recoveries of the directory — latest snapshot plus tail, and genesis
+// replay of the segments alone — to rebuild exactly the state the live
+// runtime holds. At least one restored snapshot must hold an open shared
+// episode that settles in the replayed tail, and at least one settled
+// fare must be below its tariff, so the comparison covers the shared
+// fares a restore has to finish.
 func TestDurableSnapshotRecoveryMatchesGenesis(t *testing.T) {
 	dir := t.TempDir()
 	live := mustOpen(t, dir, 2)
 	seen := map[int64]bool{}
-	prev := 0
-	for _, upTo := range []int{15, 28, 41} {
+	prev, settledAcross := 0, false
+	for _, upTo := range []int{15, 28, 41, 192} {
 		drive(live, prev, upTo)
 		prev = upTo
 		live.WaitSnapshots()
@@ -146,11 +150,49 @@ func TestDurableSnapshotRecoveryMatchesGenesis(t *testing.T) {
 			if got := state(t, r); got != want {
 				t.Fatalf("watermark %d, snapshots=%v: recovered state differs:\n got %s\nwant %s", w, snapshots, got, want)
 			}
+			if snapshots && openEpisodeSettles(t, r, w) {
+				settledAcross = true
+			}
 			if err := r.Seal(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	if !settledAcross {
+		t.Fatal("no restored snapshot held an open shared episode that settled after the restore")
+	}
+	below := false
+	for _, st := range live.Requests() {
+		below = below || live.Settled(st) && st.Fare < live.Pay.Tariff.Fare(st.Req.DirectMeters)
+	}
+	if !below {
+		t.Fatal("no settled fare is below its tariff: every ride rode alone")
+	}
+}
+
+// openEpisodeSettles reports whether the snapshot at watermark w of r's
+// WAL holds an open episode that r, recovered from it, has since settled.
+func openEpisodeSettles(t *testing.T, r *Runtime, w int64) bool {
+	t.Helper()
+	_, payload, ok, err := r.WAL().LatestSnapshotAtOrBefore(w)
+	if err != nil || !ok {
+		t.Fatalf("no snapshot at %d: %v", w, err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, ids := range snap.Episodes {
+		settled := true
+		for _, id := range ids {
+			st, _ := r.Request(id)
+			settled = settled && r.Settled(st)
+		}
+		if settled {
+			return true
+		}
+	}
+	return false
 }
 
 // rewriteWAL writes header h and events as a fresh WAL in a new directory.
@@ -290,34 +332,43 @@ func TestDurableTamperedSealFailsRecovery(t *testing.T) {
 }
 
 // TestDurableSkipsForeignSnapshot plants the newest snapshot with another
-// world's header and different state; recovery must skip it and replay
-// the log, which is the truth.
+// world's header, or with the schema version before the current one, and
+// different state; recovery must skip it and replay the log from genesis,
+// the log being the truth.
 func TestDurableSkipsForeignSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	live := mustOpen(t, dir, 0)
-	drive(live, 0, 24)
-	want := state(t, live)
-	foreign := live.Capture()
-	if err := live.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	foreign.Header = json.RawMessage(`{"version":3,"kind":"system","seed":99}`)
-	foreign.Now += 3600
-	l, err := wal.Open(wal.Options{Dir: dir}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WriteSnapshotJSON(foreign.Events, foreign); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
+	for _, c := range []struct {
+		name  string
+		plant func(*Snapshot)
+	}{
+		{"header", func(s *Snapshot) { s.Header = json.RawMessage(`{"version":3,"kind":"system","seed":99}`) }},
+		{"version", func(s *Snapshot) { s.Version = snapshotVersion - 1 }},
+	} {
+		dir := t.TempDir()
+		live := mustOpen(t, dir, 0)
+		drive(live, 0, 24)
+		want := state(t, live)
+		foreign := live.Capture()
+		if err := live.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		c.plant(foreign)
+		foreign.Now += 3600
+		l, err := wal.Open(wal.Options{Dir: dir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteSnapshotJSON(foreign.Events, foreign); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
 
-	r, err := open(t, dir, 0)
-	if err != nil {
-		t.Fatalf("recovery must skip a snapshot with another header: %v", err)
-	}
-	if got := state(t, r); got != want {
-		t.Fatalf("recovered state differs:\n got %s\nwant %s", got, want)
+		r, err := open(t, dir, 0)
+		if err != nil {
+			t.Fatalf("%s: recovery must skip the planted snapshot: %v", c.name, err)
+		}
+		if got := state(t, r); got != want {
+			t.Fatalf("%s: recovered state differs:\n got %s\nwant %s", c.name, got, want)
+		}
 	}
 }
 

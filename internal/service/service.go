@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,6 +104,10 @@ type Runtime struct {
 	// densely and nothing is ever removed.
 	taxis    []*fleet.Taxi
 	requests []*Request
+	// episodes[i] is taxi i+1's open episode — from its first pickup while
+	// empty to the dropoff that empties it — as the rides it delivered so
+	// far, in dropoff order. They settle together when it empties.
+	episodes [][]*Request
 	closed   bool
 
 	faults      *replay.FaultPlan
@@ -130,16 +135,32 @@ type Request struct {
 	Lifecycle
 }
 
-// Lifecycle is what the API reports about a request: the taxi serving it
-// and the terminal or progress flags, with the fare settled on delivery.
+// Lifecycle is a request's one record: the taxi serving it, its progress
+// flags, and what each step measured. Times are sim-seconds; odometer
+// readings are the serving taxi's. Whether it was served offline (Served
+// and Req.Offline) or from the queue (Queued and Served) is derived.
 type Lifecycle struct {
-	Taxi      int64   `json:"taxi_id,omitempty"`
-	Served    bool    `json:"served,omitempty"`
-	Queued    bool    `json:"queued,omitempty"`
-	Expired   bool    `json:"expired,omitempty"`
-	PickedUp  bool    `json:"picked_up,omitempty"`
-	Delivered bool    `json:"delivered,omitempty"`
-	Fare      float64 `json:"fare,omitempty"`
+	Taxi      int64 `json:"taxi_id,omitempty"`
+	Served    bool  `json:"served,omitempty"`
+	Queued    bool  `json:"queued,omitempty"`
+	Expired   bool  `json:"expired,omitempty"`
+	PickedUp  bool  `json:"picked_up,omitempty"`
+	Delivered bool  `json:"delivered,omitempty"`
+	// Fare is the shared fare §IV-D settles (Eqs. 5–8) once the taxi
+	// that delivered the request empties; see Runtime.Settled.
+	Fare float64 `json:"fare,omitempty"`
+	// Candidates is the candidate-set size of the last dispatch that
+	// examined the request.
+	Candidates int `json:"candidates,omitempty"`
+	// QueueRetries counts a parked request's retry rounds, QueueWait its
+	// queued-to-matched delay.
+	QueueRetries int     `json:"queue_retries,omitempty"`
+	QueueWait    float64 `json:"queue_wait,omitempty"`
+	AssignAt     float64 `json:"assign_at,omitempty"`
+	PickupAt     float64 `json:"pickup_at,omitempty"`
+	DropoffAt    float64 `json:"dropoff_at,omitempty"`
+	PickupOdo    float64 `json:"pickup_odo,omitempty"`
+	DropoffOdo   float64 `json:"dropoff_odo,omitempty"`
 }
 
 // New builds the world: city, spatial index, history, partitioning,
@@ -312,6 +333,7 @@ func (r *Runtime) AddTaxi(at geo.Point, capacity int) (int64, string) {
 func (r *Runtime) PlaceTaxi(v roadnet.VertexID, capacity int) *fleet.Taxi {
 	t := fleet.NewTaxi(r.Graph, int64(len(r.taxis))+1, capacity, v)
 	r.taxis = append(r.taxis, t)
+	r.episodes = append(r.episodes, nil)
 	r.Scheme.AddTaxi(t, r.now)
 	return t
 }
@@ -442,9 +464,10 @@ func (r *Runtime) dispatch(ctx context.Context, ride Ride) RideOutcome {
 // request is not served (yet).
 func (r *Runtime) Dispatch(ctx context.Context, st *Request) (dispatch.Outcome, string) {
 	a := r.Scheme.OnRequest(ctx, st.Req, r.now)
+	st.Candidates = a.Candidates
 	switch {
 	case a.Served:
-		st.Served, st.Taxi = true, a.TaxiID
+		st.Served, st.Taxi, st.AssignAt = true, a.TaxiID, r.now
 		return a, OK
 	case a.Failed:
 		return a, Failed
@@ -481,7 +504,7 @@ func (r *Runtime) Roadside(t *fleet.Taxi, st *Request) bool {
 	if !r.Scheme.TryServeOffline(t, st.Req, r.now) {
 		return false
 	}
-	st.Served, st.Taxi = true, t.ID
+	st.Served, st.Taxi, st.AssignAt = true, t.ID, r.now
 	return true
 }
 
@@ -551,7 +574,7 @@ func (r *Runtime) Tick(d time.Duration, report bool) *replay.TickEvent {
 		}
 	}
 	dt := d.Seconds()
-	r.Move(dt, func(t *fleet.Taxi, _ float64, _ int, visits []fleet.EventVisit) {
+	r.Move(dt, func(t *fleet.Taxi, _ float64, visits []fleet.EventVisit) {
 		if tick != nil {
 			for _, v := range visits {
 				tick.Rides = append(tick.Rides, replay.Ride{
@@ -592,7 +615,8 @@ func (r *Runtime) RetryRound() (expired []*match.PendingItem, served []Retry) {
 	}
 	expired = r.Queue.ExpireBefore(r.now)
 	for _, it := range expired {
-		r.requests[it.Req.ID-1].Expired = true
+		st := r.requests[it.Req.ID-1]
+		st.Expired, st.QueueRetries = true, it.Retries
 		r.Scheme.OnRequestCompleted(it.Req, r.now)
 	}
 	if r.ticks%int64(r.retryEvery) != 0 {
@@ -612,7 +636,8 @@ func (r *Runtime) RetryRound() (expired []*match.PendingItem, served []Retry) {
 		}
 		if it := r.Queue.MarkServed(res.Req.ID, r.now); it != nil {
 			st := r.requests[res.Req.ID-1]
-			st.Served, st.Taxi = true, res.Out.TaxiID
+			st.Served, st.Taxi, st.AssignAt, st.Candidates = true, res.Out.TaxiID, r.now, res.Out.Candidates
+			st.QueueRetries, st.QueueWait = it.Retries, r.now-it.EnqueuedAt
 			served = append(served, Retry{Item: it, Out: res.Out, Conflict: res.Conflict})
 		}
 	}
@@ -633,26 +658,60 @@ func (r *Runtime) dispatchBatch(reqs []*fleet.Request) []dispatch.BatchResult {
 }
 
 // Move drives every taxi dt seconds along its plan in ID order, firing
-// pickups and deliveries (a delivered request leaves the scheme), and
-// lets the scheme re-index the taxi. each then sees the taxi's step: its
-// odometer and occupied seats before it moved, and the events it fired.
-// The clock advances after the last taxi.
-func (r *Runtime) Move(dt float64, each func(t *fleet.Taxi, odo float64, seats int, visits []fleet.EventVisit)) {
-	for _, t := range r.taxis {
-		odo, seats := t.Odometer(), t.OccupiedSeats()
+// pickups and deliveries (a delivered request leaves the scheme), settles
+// each episode whose taxi empties, and lets the scheme re-index the taxi.
+// each then sees the taxi's step: its odometer before it moved and the
+// events it fired. The clock advances after the last taxi.
+func (r *Runtime) Move(dt float64, each func(t *fleet.Taxi, odo float64, visits []fleet.EventVisit)) {
+	for i, t := range r.taxis {
+		odo, onboard := t.Odometer(), t.OccupiedSeats()
 		visits := t.Advance(r.speed * dt)
 		for _, v := range visits {
 			st := r.requests[v.Event.Req.ID-1]
+			at, atOdo := r.now+v.MetersIntoTick/r.speed, odo+v.MetersIntoTick
 			if v.Event.Kind == fleet.Pickup {
-				st.PickedUp = true
+				st.PickedUp, st.PickupAt, st.PickupOdo = true, at, atOdo
+				onboard += st.Req.Passengers
 				continue
 			}
-			st.Delivered = true
-			st.Fare = r.Pay.Tariff.Fare(v.Event.Req.DirectMeters)
-			r.Scheme.OnRequestCompleted(v.Event.Req, r.now+v.MetersIntoTick/r.speed)
+			st.Delivered, st.DropoffAt, st.DropoffOdo = true, at, atOdo
+			r.episodes[i] = append(r.episodes[i], st)
+			if onboard -= st.Req.Passengers; onboard == 0 {
+				r.settle(i, atOdo)
+			}
+			r.Scheme.OnRequestCompleted(st.Req, at)
 		}
 		r.Scheme.OnTaxiAdvanced(t, r.now+dt)
-		each(t, odo, seats, visits)
+		each(t, odo, visits)
 	}
 	r.now += dt
+}
+
+// settle prices taxi i's finished episode, which ended at odometer end,
+// with the payment model (§IV-D, Eqs. 5–8). The episode began at its
+// first pickup, the least pickup odometer among its rides.
+func (r *Runtime) settle(i int, end float64) {
+	rides := r.episodes[i]
+	recs := make([]payment.RideRecord, len(rides))
+	start := end
+	for k, st := range rides {
+		start = min(start, st.PickupOdo)
+		recs[k] = payment.RideRecord{
+			ID:           st.Req.ID,
+			DirectMeters: st.Req.DirectMeters,
+			SharedMeters: st.DropoffOdo - st.PickupOdo,
+			Completed:    true,
+		}
+	}
+	s := r.Pay.Settle(end-start, recs)
+	for _, st := range rides {
+		st.Fare = s.Fares[st.Req.ID]
+	}
+	r.episodes[i] = rides[:0]
+}
+
+// Settled reports whether st's fare is settled: it was delivered and the
+// taxi that carried it has emptied since.
+func (r *Runtime) Settled(st *Request) bool {
+	return st.Delivered && !slices.Contains(r.episodes[st.Taxi-1], st)
 }

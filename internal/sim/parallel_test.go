@@ -84,14 +84,14 @@ func TestSimParallelMatchesSequential(t *testing.T) {
 			if gr.Req.ID != br.Req.ID || gr.Served != br.Served || gr.Delivered != br.Delivered {
 				t.Fatalf("%s: record %d flags differ", c.name, i)
 			}
-			if gr.Queued != br.Queued || gr.ServedFromQueue != br.ServedFromQueue ||
+			if gr.Queued != br.Queued ||
 				gr.Expired != br.Expired || gr.QueueRetries != br.QueueRetries ||
-				math.Float64bits(gr.QueueWaitSeconds) != math.Float64bits(br.QueueWaitSeconds) {
+				math.Float64bits(gr.QueueWait) != math.Float64bits(br.QueueWait) {
 				t.Fatalf("%s: record %d (req %d) queue outcome differs", c.name, i, gr.Req.ID)
 			}
-			if math.Float64bits(gr.PickupSeconds) != math.Float64bits(br.PickupSeconds) ||
-				math.Float64bits(gr.DropoffSeconds) != math.Float64bits(br.DropoffSeconds) ||
-				math.Float64bits(gr.AssignSeconds) != math.Float64bits(br.AssignSeconds) {
+			if math.Float64bits(gr.PickupAt) != math.Float64bits(br.PickupAt) ||
+				math.Float64bits(gr.DropoffAt) != math.Float64bits(br.DropoffAt) ||
+				math.Float64bits(gr.AssignAt) != math.Float64bits(br.AssignAt) {
 				t.Fatalf("%s: record %d (req %d) times differ", c.name, i, gr.Req.ID)
 			}
 		}

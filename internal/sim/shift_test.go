@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/service"
 )
 
 // shiftSigs compresses a run's records into comparable outcome
@@ -22,11 +23,11 @@ func shiftSigsOf(m *Metrics) []shiftSig {
 	out := make([]shiftSig, len(m.Records))
 	for i, rec := range m.Records {
 		out[i] = shiftSig{
-			ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.ServedFromQueue, Exp: rec.Expired,
-			Taxi:    rec.TaxiID,
-			Assign:  math.Float64bits(rec.AssignSeconds),
-			Pickup:  math.Float64bits(rec.PickupSeconds),
-			Dropoff: math.Float64bits(rec.DropoffSeconds),
+			ID: rec.Req.ID, Served: rec.Served, FromQueue: rec.Queued && rec.Served, Exp: rec.Expired,
+			Taxi:    rec.Taxi,
+			Assign:  math.Float64bits(rec.AssignAt),
+			Pickup:  math.Float64bits(rec.PickupAt),
+			Dropoff: math.Float64bits(rec.DropoffAt),
 		}
 	}
 	return out
@@ -127,7 +128,7 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 	eng, m := runShift(t, w, reqs, 1, sc)
 
 	recGap := m.Records[0]
-	if byID := func(id fleet.RequestID) *RequestRecord {
+	if byID := func(id fleet.RequestID) *service.Request {
 		for _, r := range m.Records {
 			if r.Req.ID == id {
 				return r
@@ -138,14 +139,14 @@ func TestShiftRetireeTakesNoNewWork(t *testing.T) {
 	}; true {
 		recGap = byID(1)
 		if recGap.Served {
-			t.Fatalf("request in the supply gap was served by taxi %d — the retiree took new work", recGap.TaxiID)
+			t.Fatalf("request in the supply gap was served by taxi %d — the retiree took new work", recGap.Taxi)
 		}
 		recLate := byID(2)
 		if !recLate.Served {
 			t.Fatal("request after the replacement arrived went unserved")
 		}
-		if recLate.TaxiID != 2 {
-			t.Fatalf("late request served by taxi %d, want replacement taxi 2", recLate.TaxiID)
+		if recLate.Taxi != 2 {
+			t.Fatalf("late request served by taxi %d, want replacement taxi 2", recLate.Taxi)
 		}
 	}
 	if n := len(eng.Taxis()); n != 2 {

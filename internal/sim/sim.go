@@ -3,9 +3,9 @@
 // to the dispatch runtime (internal/service) driving a pluggable scheme,
 // and keeps what is its own — placing the fleet, shift changes, roadside
 // encounters with offline requests, their expiry, throttled idle
-// cruising, fare settlement with the payment model, and the metrics
-// reported in the paper's §V (served requests, response time, detour
-// time, waiting time, candidate-set size, fares and driver income).
+// cruising, and the metrics reported in the paper's §V (served requests,
+// response time, detour time, waiting time, candidate-set size, fares and
+// driver income), read from the runtime's per-request ledger.
 package sim
 
 import (
@@ -19,7 +19,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
 	"repro/internal/index"
-	"repro/internal/payment"
 	"repro/internal/replay"
 	"repro/internal/roadnet"
 	"repro/internal/service"
@@ -85,84 +84,25 @@ func (p Params) Validate() error {
 	return p.ShiftChange.Validate()
 }
 
-// RequestRecord tracks one request through the simulation.
-type RequestRecord struct {
-	Req           *fleet.Request
-	Served        bool
-	ServedOffline bool
-	Delivered     bool
-	Expired       bool
-	// TaxiID is the serving taxi (0 while unassigned).
-	TaxiID int64
-	// Queued marks a request that parked in the pending queue after its
-	// initial dispatch failed; QueueRetries counts its batch re-dispatch
-	// rounds and QueueWaitSeconds the queued-to-matched delay (0 until
-	// matched). ServedFromQueue marks a queued request a retry served.
-	Queued           bool
-	ServedFromQueue  bool
-	QueueRetries     int
-	QueueWaitSeconds float64
-	// Times are absolute simulation seconds.
-	AssignSeconds  float64
-	PickupSeconds  float64
-	DropoffSeconds float64
-	// ResponseNanos is the wall-clock processing time of the dispatch
-	// call (the paper's response-time metric).
-	ResponseNanos int64
-	// Candidates is the candidate-set size examined at dispatch.
-	Candidates int
-	// Odometer snapshots support exact shared-distance accounting.
-	pickupOdo  float64
-	dropoffOdo float64
-	// Fares (filled when settlement is enabled and the ride completed).
-	RegularFare float64
-	PaidFare    float64
-}
-
-// SharedMeters returns the distance the passenger rode on the shared
-// route.
-func (r *RequestRecord) SharedMeters() float64 { return r.dropoffOdo - r.pickupOdo }
-
-// WaitingSeconds returns pickup − release for delivered requests.
-func (r *RequestRecord) WaitingSeconds() float64 {
-	return r.PickupSeconds - r.Req.ReleaseAt.Seconds()
-}
-
-// DetourSeconds returns the extra in-vehicle time over the direct trip.
-func (r *RequestRecord) DetourSeconds(speedMps float64) float64 {
-	inVehicle := r.DropoffSeconds - r.PickupSeconds
-	return inVehicle - r.Req.DirectSeconds(speedMps)
-}
-
 // idlePlanEverySeconds throttles idle-cruise planning per taxi.
 const idlePlanEverySeconds = 60
-
-// episode tracks one continuous shared ride of a taxi (first pickup from
-// empty to the dropoff that empties it) for settlement.
-type episode struct {
-	startOdo float64
-	rides    []payment.RideRecord
-}
 
 // Engine drives one simulation run. It is single-goroutine.
 type Engine struct {
 	params Params
 	rt     *service.Runtime
 
-	episodes map[int64]*episode
 	lastIdle map[int64]float64
 
 	taxiGrid *index.LocationGrid
 
-	// records[i] tracks the runtime's request i+1.
-	records []*RequestRecord
-	pending []*service.Request // offline, released, not yet served/expired
+	// respNanos[i] is the wall-clock time of the dispatch call that served
+	// or last refused the runtime's request i+1: the paper's response time,
+	// not an outcome, so it stays out of the ledger.
+	respNanos []int64
+	pending   []*service.Request // offline, released, not yet served/expired
 
 	// Aggregates.
-	driverIncome    float64
-	totalPaid       float64
-	totalRegular    float64
-	settledRides    int
 	occupiedSecs    float64
 	passengerMeters float64
 	startSeconds    float64
@@ -188,7 +128,6 @@ func NewEngine(g *roadnet.Graph, scheme dispatch.Scheme, params Params) (*Engine
 	return &Engine{
 		params:   params,
 		rt:       service.Over(g, scheme, params.QueueDepth, params.RetryEveryTicks),
-		episodes: make(map[int64]*episode),
 		lastIdle: make(map[int64]float64),
 		taxiGrid: index.NewLocationGrid(min, max, 300),
 	}, nil
@@ -222,8 +161,8 @@ const maxDrainSeconds = 7200
 // Run replays the given requests (online and offline mixed; they carry
 // the Offline flag) from startSeconds until all released requests are
 // resolved and all taxis are empty, bounded by maxDrainSeconds past the
-// last release. The runtime dispatches a copy of each request, relabelled
-// in ascending ID order; the records point at the caller's requests.
+// last release. The runtime dispatches and records a copy of each
+// request, relabelled in ascending ID order.
 func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 	byID := make([]int, len(requests))
 	for i := range byID {
@@ -233,8 +172,8 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 	reqs := make([]*service.Request, len(requests))
 	for _, i := range byID {
 		reqs[i] = e.rt.Register(*requests[i])
-		e.records = append(e.records, &RequestRecord{Req: requests[i]})
 	}
+	e.respNanos = make([]int64, len(e.rt.Requests()))
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Req.ReleaseAt < reqs[j].Req.ReleaseAt })
 	var lastRelease float64 = startSeconds
 	if len(reqs) > 0 {
@@ -252,7 +191,7 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 		// 0b. The runtime's retry round: evict parked requests whose pickup
 		// deadline passed, then — when due — re-dispatch the rest before
 		// this tick's releases.
-		e.retryRound(now)
+		e.rt.RetryRound()
 		// 1. Release requests due by now.
 		for next < len(reqs) && reqs[next].Req.ReleaseAt.Seconds() <= now {
 			st := reqs[next]
@@ -261,13 +200,13 @@ func (e *Engine) Run(requests []*fleet.Request, startSeconds float64) *Metrics {
 				e.pending = append(e.pending, st)
 				continue
 			}
-			e.dispatch(st, false)
+			e.dispatch(st)
 		}
 		// 2. Move taxis, firing events.
 		e.rt.Move(tickSeconds, e.moved)
 		now = e.rt.Now()
 		// 3. Roadside encounters with offline requests.
-		e.handleEncounters(now)
+		e.handleEncounters()
 		// 4. Expire hopeless offline requests.
 		e.expirePending(now)
 		// 5. Idle cruising (probabilistic variants).
@@ -330,26 +269,6 @@ func (e *Engine) serviceShift(now float64) {
 	}
 }
 
-// retryRound runs the runtime's retry round and records its outcomes.
-func (e *Engine) retryRound(now float64) {
-	expired, served := e.rt.RetryRound()
-	for _, it := range expired {
-		rec := e.records[it.Req.ID-1]
-		rec.Expired = true
-		rec.QueueRetries = it.Retries
-	}
-	for _, s := range served {
-		rec := e.records[s.Item.Req.ID-1]
-		rec.Served = true
-		rec.ServedFromQueue = true
-		rec.TaxiID = s.Out.TaxiID
-		rec.AssignSeconds = now
-		rec.QueueRetries = s.Item.Retries
-		rec.QueueWaitSeconds = now - s.Item.EnqueuedAt
-		rec.Candidates = s.Out.Candidates
-	}
-}
-
 func (e *Engine) allTaxisIdle() bool {
 	for _, t := range e.rt.Taxis() {
 		if !t.Empty() {
@@ -359,37 +278,23 @@ func (e *Engine) allTaxisIdle() bool {
 	return true
 }
 
-// dispatch offers a released request to the runtime and records the
-// outcome. offline marks requests that reached the dispatcher through the
-// roadside-encounter fallback.
-func (e *Engine) dispatch(st *service.Request, offline bool) bool {
-	rec := e.records[st.Req.ID-1]
+// dispatch offers a request to the runtime, times the call, and reports
+// whether a taxi took it.
+func (e *Engine) dispatch(st *service.Request) bool {
 	t0 := time.Now()
-	out, code := e.rt.Dispatch(context.Background(), st)
-	rec.ResponseNanos = time.Since(t0).Nanoseconds()
-	rec.Candidates = out.Candidates
-	switch code {
-	case service.OK:
-		rec.Served = true
-		rec.ServedOffline = offline
-		rec.TaxiID = out.TaxiID
-		rec.AssignSeconds = e.rt.Now()
-		return true
-	case service.Queued:
-		rec.Queued = true
-	case service.Expired:
-		rec.Expired = true
-	}
-	return false
+	_, code := e.rt.Dispatch(context.Background(), st)
+	e.respNanos[st.Req.ID-1] = time.Since(t0).Nanoseconds()
+	return code == service.OK
 }
 
-// moved folds one taxi's movement step into the records, odometers,
-// episodes, occupancy and the encounter grid.
-func (e *Engine) moved(t *fleet.Taxi, startOdo float64, onboard int, visits []fleet.EventVisit) {
+// moved folds one taxi's movement step into the passenger distance, the
+// occupancy and the encounter grid.
+func (e *Engine) moved(t *fleet.Taxi, startOdo float64, visits []fleet.EventVisit) {
 	for _, v := range visits {
-		eventOdo := startOdo + v.MetersIntoTick
-		eventTime := e.rt.Now() + v.MetersIntoTick/e.rt.SpeedMps()
-		e.processEvent(t, v.Event, eventOdo, eventTime, &onboard)
+		if v.Event.Kind == fleet.Dropoff {
+			st, _ := e.rt.Request(int64(v.Event.Req.ID))
+			e.passengerMeters += st.DropoffOdo - st.PickupOdo
+		}
 	}
 	if t.OccupiedSeats() > 0 {
 		e.occupiedSecs += tickSeconds
@@ -399,66 +304,16 @@ func (e *Engine) moved(t *fleet.Taxi, startOdo float64, onboard int, visits []fl
 	}
 }
 
-// processEvent updates per-request records and per-taxi episodes for one
-// pickup or dropoff.
-func (e *Engine) processEvent(t *fleet.Taxi, ev fleet.Event, odo, when float64, onboard *int) {
-	rec := e.records[ev.Req.ID-1]
-	switch ev.Kind {
-	case fleet.Pickup:
-		rec.PickupSeconds = when
-		rec.pickupOdo = odo
-		if *onboard == 0 {
-			e.episodes[t.ID] = &episode{startOdo: odo}
-		}
-		*onboard += ev.Req.Passengers
-	case fleet.Dropoff:
-		*onboard -= ev.Req.Passengers
-		rec.DropoffSeconds = when
-		rec.dropoffOdo = odo
-		rec.Delivered = true
-		e.passengerMeters += rec.SharedMeters()
-		ep := e.episodes[t.ID]
-		if ep == nil {
-			return
-		}
-		ep.rides = append(ep.rides, payment.RideRecord{
-			ID:           ev.Req.ID,
-			DirectMeters: ev.Req.DirectMeters,
-			SharedMeters: rec.SharedMeters(),
-			Completed:    true,
-		})
-		if *onboard == 0 {
-			e.settleEpisode(ep, odo)
-			delete(e.episodes, t.ID)
-		}
-	}
-}
-
-// settleEpisode applies the runtime's payment model to a finished shared
-// ride.
-func (e *Engine) settleEpisode(ep *episode, endOdo float64) {
-	s := e.rt.Pay.Settle(endOdo-ep.startOdo, ep.rides)
-	e.driverIncome += s.DriverIncome
-	for _, ride := range ep.rides {
-		rec := e.records[ride.ID-1]
-		rec.RegularFare = e.rt.Pay.Tariff.Fare(ride.DirectMeters)
-		rec.PaidFare = s.Fares[ride.ID]
-		e.totalPaid += rec.PaidFare
-		e.totalRegular += rec.RegularFare
-		e.settledRides++
-	}
-}
-
 // handleEncounters lets taxis passing a hailing offline passenger pick
 // them up (§IV-C2's roadside interaction, and the adjusted baseline
 // behaviour of §V-A2).
-func (e *Engine) handleEncounters(now float64) {
+func (e *Engine) handleEncounters() {
 	if len(e.pending) == 0 {
 		return
 	}
 	remaining := e.pending[:0]
 	for _, st := range e.pending {
-		if !e.encounter(st, now) {
+		if !e.encounter(st) {
 			remaining = append(remaining, st)
 		}
 	}
@@ -471,8 +326,7 @@ const encounterRadiusMeters = 80
 
 // encounter offers a hailing passenger to every taxi passing by with
 // enough free seats, and reports whether one of them got them served.
-func (e *Engine) encounter(st *service.Request, now float64) bool {
-	rec := e.records[st.Req.ID-1]
+func (e *Engine) encounter(st *service.Request) bool {
 	// When the hailed taxi cannot fit the passenger, mT-Share's server
 	// dispatches another taxi. A failed dispatch changes nothing, so it
 	// runs at most once per pass.
@@ -484,16 +338,12 @@ func (e *Engine) encounter(st *service.Request, now float64) bool {
 		}
 		t0 := time.Now()
 		if e.rt.Roadside(t, st) {
-			rec.ResponseNanos = time.Since(t0).Nanoseconds()
-			rec.Served = true
-			rec.ServedOffline = true
-			rec.TaxiID = t.ID
-			rec.AssignSeconds = now
+			e.respNanos[st.Req.ID-1] = time.Since(t0).Nanoseconds()
 			return true
 		}
 		if mayDispatch {
 			mayDispatch = false
-			if e.dispatch(st, true) {
+			if e.dispatch(st) {
 				return true
 			}
 		}
@@ -506,7 +356,7 @@ func (e *Engine) expirePending(now float64) {
 	remaining := e.pending[:0]
 	for _, st := range e.pending {
 		if st.Req.PickupDeadline(e.rt.SpeedMps()).Seconds() < now {
-			e.records[st.Req.ID-1].Expired = true
+			st.Expired = true
 			continue
 		}
 		remaining = append(remaining, st)
