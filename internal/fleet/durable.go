@@ -1,5 +1,5 @@
-// Durable state: deterministic, JSON-serializable captures of requests
-// and taxis for the WAL snapshot layer. Capture records exactly the
+// Durable state: a deterministic, JSON-serializable capture of a taxi
+// for the WAL snapshot layer. Capture records exactly the
 // fields whose values cannot be recomputed (positions, progress,
 // schedules, seat/odometer accounting, membership); restore rebuilds the
 // derived ones (edge costs) from the graph, so a restored taxi is
@@ -10,57 +10,9 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/geo"
 	"repro/internal/roadnet"
 )
-
-// RequestState is the serializable form of a Request.
-type RequestState struct {
-	ID             int64     `json:"id"`
-	ReleaseAtNanos int64     `json:"release_at"`
-	Origin         int64     `json:"origin"`
-	Dest           int64     `json:"dest"`
-	DeadlineNanos  int64     `json:"deadline"`
-	DirectMeters   float64   `json:"direct_m"`
-	Passengers     int       `json:"passengers"`
-	Offline        bool      `json:"offline,omitempty"`
-	OriginPt       geo.Point `json:"origin_pt"`
-	DestPt         geo.Point `json:"dest_pt"`
-}
-
-// CaptureRequest serializes a request.
-func CaptureRequest(r *Request) RequestState {
-	return RequestState{
-		ID:             int64(r.ID),
-		ReleaseAtNanos: int64(r.ReleaseAt),
-		Origin:         int64(r.Origin),
-		Dest:           int64(r.Dest),
-		DeadlineNanos:  int64(r.Deadline),
-		DirectMeters:   r.DirectMeters,
-		Passengers:     r.Passengers,
-		Offline:        r.Offline,
-		OriginPt:       r.OriginPt,
-		DestPt:         r.DestPt,
-	}
-}
-
-// RestoreRequest rebuilds a request from its serialized form.
-func RestoreRequest(st RequestState) *Request {
-	return &Request{
-		ID:           RequestID(st.ID),
-		ReleaseAt:    time.Duration(st.ReleaseAtNanos),
-		Origin:       roadnet.VertexID(st.Origin),
-		Dest:         roadnet.VertexID(st.Dest),
-		Deadline:     time.Duration(st.DeadlineNanos),
-		DirectMeters: st.DirectMeters,
-		Passengers:   st.Passengers,
-		Offline:      st.Offline,
-		OriginPt:     st.OriginPt,
-		DestPt:       st.DestPt,
-	}
-}
 
 // ScheduleEntry is one pending schedule event, identified by request and
 // kind; the request body itself lives in the snapshot's request table.

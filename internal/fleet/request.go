@@ -23,25 +23,27 @@ type RequestID int64
 // Request is a ride request r_i = <t_ri, o_ri, d_ri, e_ri>: released at
 // ReleaseAt, from Origin to Dest, to be completed by Deadline. Offline
 // requests additionally carry the Offline flag: they are invisible to the
-// dispatcher until a taxi encounters them at the roadside.
+// dispatcher until a taxi encounters them at the roadside. Snapshots
+// store it verbatim: durations as nanoseconds, floats in encoding/json's
+// exact shortest form.
 type Request struct {
-	ID        RequestID
-	ReleaseAt time.Duration
-	Origin    roadnet.VertexID
-	Dest      roadnet.VertexID
+	ID        RequestID        `json:"id"`
+	ReleaseAt time.Duration    `json:"release_at"`
+	Origin    roadnet.VertexID `json:"origin"`
+	Dest      roadnet.VertexID `json:"dest"`
 	// Deadline is the delivery deadline e_ri.
-	Deadline time.Duration
+	Deadline time.Duration `json:"deadline"`
 	// DirectMeters is the shortest-path travel cost from Origin to Dest,
 	// used for pickup deadlines (e_ri − cost(o,d)), detour accounting
 	// (Eq. 6), and fares.
-	DirectMeters float64
+	DirectMeters float64 `json:"direct_m"`
 	// Passengers is the party size; at least 1.
-	Passengers int
+	Passengers int `json:"passengers"`
 	// Offline marks a street-hailing request (r̄_i in the paper).
-	Offline bool
+	Offline bool `json:"offline,omitempty"`
 	// OriginPt/DestPt cache the geographic endpoints for mobility vectors.
-	OriginPt geo.Point
-	DestPt   geo.Point
+	OriginPt geo.Point `json:"origin_pt"`
+	DestPt   geo.Point `json:"dest_pt"`
 }
 
 // Validate reports whether the request is well-formed.

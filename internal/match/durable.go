@@ -1,24 +1,22 @@
-// Durable state for the dispatch layer: deterministic capture and
-// restore of everything an Engine owns that cannot be recomputed from
-// the replay header — the fleet (positions, schedules, seat accounting),
-// the partition-index rows (arrival times are ULP-sensitive and carried
-// verbatim), the mobility clusters (endpoint sums are
-// accumulation-order-dependent and carried verbatim), the cruise
-// sampler's stream position, and the pending queue. Derived state
-// (route caches, leg costs, Scheme's last-indexed partitions) is rebuilt:
-// each is a pure function of the restored fields at an event boundary.
+// Durable state for the dispatch layer: what only the engine holds and
+// cannot recompute from the replay header — each taxi's partition-index
+// rows (arrival times are ULP-sensitive and carried verbatim), the
+// mobility clusters (endpoint sums are accumulation-order-dependent and
+// carried verbatim) and the cruise sampler's stream position — and the
+// pending queue's capture. The runtime (internal/service) declares the
+// snapshot schema and assembles it from these parts. Derived state (route
+// caches, leg costs, Scheme's last-indexed partitions) is rebuilt: each is
+// a pure function of the restored fields at an event boundary.
 //
-// Restore always targets a freshly constructed, empty engine — the
+// Restore always targets a freshly constructed engine and queue — the
 // WAL records every state-changing event, so recovery builds a virgin
 // world from the header and lays the snapshot on top. Deterministic
-// counters are not part of DurableState; the host restores them into the
-// registry from the snapshot's counter table.
+// counters are restored by the host through the registry.
 package match
 
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"repro/internal/fleet"
 	"repro/internal/index"
@@ -30,19 +28,51 @@ import (
 // the same object.
 type RequestResolver func(fleet.RequestID) (*fleet.Request, bool)
 
-// TaxiIndexRows is one taxi's partition-index rows.
-type TaxiIndexRows struct {
-	Taxi int64       `json:"taxi"`
-	Rows []index.Row `json:"rows,omitempty"`
+// IndexRows returns a copy of taxi id's partition-index rows, ascending
+// by partition, for snapshot capture.
+func (e *Engine) IndexRows(id int64) []index.Row { return e.pindex.RowsOf(id) }
+
+// RestoreTaxi registers a taxi rebuilt from a snapshot with its captured
+// index rows. Unlike AddTaxi it neither re-indexes the taxi nor touches
+// the clusters: both are restored verbatim. A registered ID is refused.
+func (e *Engine) RestoreTaxi(t *fleet.Taxi, rows []index.Row) error {
+	e.mu.Lock()
+	_, dup := e.taxis[t.ID]
+	if !dup {
+		e.taxis[t.ID] = t
+	}
+	e.mu.Unlock()
+	if dup {
+		return fmt.Errorf("match: taxi %d is already registered", t.ID)
+	}
+	e.pindex.RestoreRows(t.ID, rows)
+	return nil
 }
 
-// DurableState is an engine snapshot: taxis sorted by ID, their index
-// rows, the cluster set, and the cruise sampler position.
-type DurableState struct {
-	Taxis       []fleet.TaxiState `json:"taxis,omitempty"`
-	Index       []TaxiIndexRows   `json:"index,omitempty"`
-	Clusters    mobcluster.State  `json:"clusters"`
-	CruiseDraws int64             `json:"cruise_draws,omitempty"`
+// RestoreTaxi registers a restored taxi with the engine and re-seeds its
+// last-indexed partition: at every event boundary that is the taxi's
+// current partition (AddTaxi, commits and border crossings all refresh
+// it), so it is recomputed rather than serialized.
+func (s *Scheme) RestoreTaxi(t *fleet.Taxi, rows []index.Row) error {
+	if err := s.Engine.RestoreTaxi(t, rows); err != nil {
+		return err
+	}
+	s.noteIndexed(t)
+	return nil
+}
+
+// Mobility captures the cluster set and the cruise sampler's position.
+func (e *Engine) Mobility() (clusters mobcluster.State, cruiseDraws int64) {
+	return e.clusters.CaptureState(), e.cruise.drawCount()
+}
+
+// RestoreMobility replaces the cluster set and fast-forwards the cruise
+// sampler to a captured position.
+func (e *Engine) RestoreMobility(clusters mobcluster.State, cruiseDraws int64) error {
+	if err := e.clusters.RestoreState(clusters); err != nil {
+		return err
+	}
+	return e.cruise.fastForward(cruiseDraws)
 }
 
 // QueueItemState is one parked request. The heap key (pickup deadline)
@@ -55,85 +85,10 @@ type QueueItemState struct {
 }
 
 // PoolState is a pending-queue snapshot: the parked items and the
-// queue's lifecycle counters. Stats always holds exactly one entry; the
-// list form is the snapshot schema's, kept so existing snapshots load.
+// queue's lifecycle counters.
 type PoolState struct {
 	Items []QueueItemState `json:"items,omitempty"`
-	Stats []QueueStats     `json:"stats"`
-}
-
-// CaptureDurable snapshots the engine's durable state. The caller must
-// hold the event boundary: no concurrent dispatch, commit, or advance.
-func (e *Engine) CaptureDurable() *DurableState {
-	st := &DurableState{
-		Clusters:    e.clusters.CaptureState(),
-		CruiseDraws: e.cruise.drawCount(),
-	}
-	e.mu.RLock()
-	taxis := make([]*fleet.Taxi, 0, len(e.taxis))
-	for _, t := range e.taxis {
-		taxis = append(taxis, t)
-	}
-	e.mu.RUnlock()
-	sort.Slice(taxis, func(i, j int) bool { return taxis[i].ID < taxis[j].ID })
-	for _, t := range taxis {
-		st.Taxis = append(st.Taxis, t.DurableState())
-		st.Index = append(st.Index, TaxiIndexRows{Taxi: t.ID, Rows: e.pindex.RowsOf(t.ID)})
-	}
-	return st
-}
-
-// RestoreDurable loads a snapshot into a freshly constructed engine and
-// returns the restored taxis sorted by ID. It must not be used on an
-// engine that has already registered taxis: restore does not clear, it
-// lays state onto zero state.
-func (e *Engine) RestoreDurable(st *DurableState, resolve RequestResolver) ([]*fleet.Taxi, error) {
-	if st == nil {
-		return nil, nil
-	}
-	if e.NumTaxis() != 0 {
-		return nil, fmt.Errorf("match: RestoreDurable on a non-empty engine")
-	}
-	rows := indexRowsByTaxi(st.Index)
-	out := make([]*fleet.Taxi, 0, len(st.Taxis))
-	for _, ts := range st.Taxis {
-		t, err := fleet.RestoreTaxi(e.g, ts, resolve)
-		if err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		e.taxis[t.ID] = t
-		e.mu.Unlock()
-		e.pindex.RestoreRows(t.ID, rows[t.ID])
-		out = append(out, t)
-	}
-	if err := e.clusters.RestoreState(st.Clusters); err != nil {
-		return nil, err
-	}
-	if err := e.cruise.fastForward(st.CruiseDraws); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func indexRowsByTaxi(idx []TaxiIndexRows) map[int64][]index.Row {
-	m := make(map[int64][]index.Row, len(idx))
-	for _, r := range idx {
-		m[r.Taxi] = r.Rows
-	}
-	return m
-}
-
-// RestoreIndexed re-seeds the scheme's last-indexed-partition map after
-// a restore. At every event boundary the map holds each taxi's current
-// partition (AddTaxi, commits, and border crossings all refresh it), so
-// it is recomputed rather than serialized.
-func (s *Scheme) RestoreIndexed(taxis []*fleet.Taxi) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range taxis {
-		s.lastIndexed[t.ID] = s.Partitioning().PartitionOf(t.At())
-	}
+	Stats QueueStats       `json:"stats"`
 }
 
 // CaptureDurable snapshots the queue: items in (pickup deadline, request
@@ -141,7 +96,7 @@ func (s *Scheme) RestoreIndexed(taxis []*fleet.Taxi) {
 func (q *PendingQueue) CaptureDurable() PoolState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := PoolState{Stats: []QueueStats{q.stats}}
+	st := PoolState{Stats: q.stats}
 	for _, it := range q.sortedLocked() {
 		st.Items = append(st.Items, QueueItemState{
 			Req:        int64(it.Req.ID),
@@ -156,16 +111,13 @@ func (q *PendingQueue) CaptureDurable() PoolState {
 // mtshare_match_queue_* counters are deterministic series restored by
 // the host through the registry; only the depth gauge is refreshed here.
 func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) error {
-	if len(st.Stats) != 1 {
-		return fmt.Errorf("match: queue snapshot has %d stats entries, want 1", len(st.Stats))
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.items.Len() > 0 || q.stats.Enqueued > 0 {
 		return fmt.Errorf("match: RestoreDurable on a non-empty queue")
 	}
-	if st.Stats[0].Capacity != q.capacity {
-		return fmt.Errorf("match: queue snapshot capacity %d, configured %d", st.Stats[0].Capacity, q.capacity)
+	if st.Stats.Capacity != q.capacity {
+		return fmt.Errorf("match: queue snapshot capacity %d, configured %d", st.Stats.Capacity, q.capacity)
 	}
 	for _, is := range st.Items {
 		req, ok := resolve(fleet.RequestID(is.Req))
@@ -181,9 +133,8 @@ func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) err
 		heap.Push(&q.items, it)
 		q.byID[req.ID] = it
 	}
-	stats := st.Stats[0]
-	stats.Depth = 0 // Stats() derives depth live
-	q.stats = stats
+	q.stats = st.Stats
+	q.stats.Depth = 0 // Stats() derives depth live
 	q.setDepthLocked()
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/index"
+	"repro/internal/mobcluster"
 )
 
 // driveDurableWorld puts an engine through a representative slice of its
@@ -75,24 +77,56 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// engineState is what a snapshot holds of an engine: each taxi's state
+// and index rows in ID order, the clusters and the cruise position.
+type engineState struct {
+	Taxis       []fleet.TaxiState
+	Rows        [][]index.Row
+	Clusters    mobcluster.State
+	CruiseDraws int64
+}
+
+func captureEngine(e *Engine) engineState {
+	var st engineState
+	for id := int64(1); id <= int64(e.NumTaxis()); id++ {
+		t, _ := e.Taxi(id)
+		st.Taxis = append(st.Taxis, t.DurableState())
+		st.Rows = append(st.Rows, e.IndexRows(id))
+	}
+	st.Clusters, st.CruiseDraws = e.Mobility()
+	return st
+}
+
+// restoreEngine lays st onto e through s when it is set, as the runtime
+// does, and through the engine alone otherwise.
+func restoreEngine(e *Engine, s *Scheme, st engineState, resolve RequestResolver) ([]*fleet.Taxi, error) {
+	register := e.RestoreTaxi
+	if s != nil {
+		register = s.RestoreTaxi
+	}
+	var out []*fleet.Taxi
+	for i, ts := range st.Taxis {
+		t, err := fleet.RestoreTaxi(e.g, ts, resolve)
+		if err != nil {
+			return nil, err
+		}
+		if err := register(t, st.Rows[i]); err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, e.RestoreMobility(st.Clusters, st.CruiseDraws)
+}
+
 // roundTrip captures src, restores into dst, and asserts dst's own
 // capture is byte-identical.
 func roundTrip(t *testing.T, src, dst *Engine, reqs map[fleet.RequestID]*fleet.Request) {
 	t.Helper()
-	st := src.CaptureDurable()
-	restored, err := dst.RestoreDurable(st, resolverFor(reqs))
-	if err != nil {
+	st := captureEngine(src)
+	if _, err := restoreEngine(dst, nil, st, resolverFor(reqs)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if len(restored) != len(st.Taxis) {
-		t.Fatalf("restored %d taxis, captured %d", len(restored), len(st.Taxis))
-	}
-	for i := 1; i < len(restored); i++ {
-		if restored[i-1].ID >= restored[i].ID {
-			t.Fatal("restored taxis not sorted by ID")
-		}
-	}
-	got, want := mustJSON(t, dst.CaptureDurable()), mustJSON(t, st)
+	got, want := mustJSON(t, captureEngine(dst)), mustJSON(t, st)
 	if got != want {
 		t.Fatalf("re-capture differs from snapshot:\n got %s\nwant %s", got, want)
 	}
@@ -135,22 +169,21 @@ func TestEngineDurableRoundTrip(t *testing.T) {
 func TestRestoreDurableRejectsNonEmpty(t *testing.T) {
 	env := newTestEnv(t, nil)
 	reqs := driveDurableWorld(t, env, env.e)
-	st := env.e.CaptureDurable()
-	if _, err := env.e.RestoreDurable(st, resolverFor(reqs)); err == nil {
-		t.Fatal("restore into a populated engine must fail")
+	if _, err := restoreEngine(env.e, nil, captureEngine(env.e), resolverFor(reqs)); err == nil {
+		t.Fatal("restoring a registered taxi must fail")
 	}
 }
 
 func TestRestoreDurableUnknownRequest(t *testing.T) {
 	env := newTestEnv(t, nil)
 	_ = driveDurableWorld(t, env, env.e)
-	st := env.e.CaptureDurable()
+	st := captureEngine(env.e)
 	fresh, err := NewEngine(env.pt, env.spx, env.e.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	empty := func(fleet.RequestID) (*fleet.Request, bool) { return nil, false }
-	if _, err := fresh.RestoreDurable(st, empty); err == nil {
+	if _, err := restoreEngine(fresh, nil, st, empty); err == nil {
 		t.Fatal("restore with unresolvable requests must fail")
 	}
 }
@@ -215,12 +248,6 @@ func TestQueueRestoreValidation(t *testing.T) {
 	if err := newQueue(env, 4).RestoreDurable(st, resolverFor(reqs)); err == nil {
 		t.Fatal("capacity mismatch must fail")
 	}
-	// Stats arity.
-	bad := st
-	bad.Stats = append(bad.Stats, bad.Stats[0])
-	if err := newQueue(env, 8).RestoreDurable(bad, resolverFor(reqs)); err == nil {
-		t.Fatal("wrong stats arity must fail")
-	}
 	// Unknown request.
 	empty := func(fleet.RequestID) (*fleet.Request, bool) { return nil, false }
 	if err := newQueue(env, 8).RestoreDurable(st, empty); err == nil {
@@ -232,18 +259,17 @@ func TestSchemeRestoreIndexed(t *testing.T) {
 	env := newTestEnv(t, nil)
 	s := NewScheme(env.e, false)
 	reqs := driveDurableWorld(t, env, env.e)
-	st := env.e.CaptureDurable()
+	st := captureEngine(env.e)
 
 	fresh, err := NewEngine(env.pt, env.spx, env.e.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewScheme(fresh, false)
-	restored, err := fresh.RestoreDurable(st, resolverFor(reqs))
+	restored, err := restoreEngine(fresh, s2, st, resolverFor(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.RestoreIndexed(restored)
 	s2.mu.Lock()
 	defer s2.mu.Unlock()
 	for _, taxi := range restored {

@@ -3,7 +3,6 @@ package roadnet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -17,13 +16,11 @@ import (
 // queries from a precomputed all-pairs table (§V-A4); a CH delivers the
 // same effect at city scale in linear-ish memory.
 //
-// Determinism contract: construction is a pure function of the graph and
-// is bit-identical at every worker count. Node order uses integer
+// Determinism contract: construction is a pure function of the graph,
+// serial, and bit-identical at every GOMAXPROCS. Node order uses integer
 // priorities (edge difference + contracted neighbors) with (priority,
 // VertexID) tie-breaks, adjacency is kept in ID-sorted slices (never
-// ranged-over maps), witness searches use ID tie-broken heaps, and the
-// one parallel section, the initial priorities, writes each vertex's
-// priority into its own slot.
+// ranged-over maps), and witness searches use ID tie-broken heaps.
 //
 // Exactness contract: ShortestPath unpacks the shortcut arcs to the full
 // vertex path and recomputes the cost as a left-to-right fold of original
@@ -209,7 +206,7 @@ type chShortcut struct {
 	cost     float64
 }
 
-// chWS is one worker's witness-search workspace: a dense distance array
+// chWS is the build's witness-search workspace: a dense distance array
 // reset via the touched list, so repeated small searches stay
 // allocation-free. want[w] is the cost of the shortcut a search still has
 // to decide for target w, and -Inf for every other vertex. scs holds the
@@ -239,33 +236,25 @@ func (ws *chWS) reset() {
 	ws.heap = ws.heap[:0]
 }
 
-// BuildCH contracts g into a hierarchy. The initial priorities fan over
-// runtime.GOMAXPROCS(0) workers; the contraction loop is serial and
-// allocates only the arcs it installs. The result is bit-identical at every
-// worker count. Build time grows faster than graph size: on a 2-vCPU Xeon
-// host a 56x56 city (3 131 vertices) contracts in 0.18–0.25 s and a 120x120
-// one (14 368 vertices) in 1.6–2.2 s, about 10x the time for 4.6x the
-// vertices; the ~214k-vertex Chengdu-scale city takes about a minute
-// (BenchmarkChengduCHRouting reports the measured build-s), a one-time cost
-// amortised over every query the world ever answers.
+// BuildCH contracts g into a hierarchy on one goroutine and one witness
+// workspace, allocating only the arcs it installs. Fanning the initial
+// priorities over workers bought nothing: on a 2-vCPU Xeon host the serial
+// build at -cpu 2 measured a 165 ms median against 170 ms for the fan-out
+// on a 56x56 city (3 131 vertices), and 1.67 s against 1.72 s on a 120x120
+// one (14 368 vertices), 10 alternated runs each. Build time grows faster
+// than graph size, about 10x the time for 4.6x the vertices; the
+// ~214k-vertex Chengdu-scale city takes about a minute
+// (BenchmarkChengduCHRouting reports the measured build-s), a one-time
+// cost amortised over every query the world ever answers.
 func BuildCH(g *Graph) *CH {
 	t0 := time.Now()
 	n := g.NumVertices()
 	b := newCHBuilder(g)
 
-	// Workspaces are per worker; the contraction loop below is single-
-	// threaded and uses the first.
-	wss := make([]*chWS, runtime.GOMAXPROCS(0))
-	for i := range wss {
-		wss[i] = newChWS(n)
+	ws := newChWS(n)
+	for v := VertexID(0); int(v) < n; v++ {
+		b.prio[v] = b.priority(v, len(b.simulate(v, ws)))
 	}
-
-	// Initial priorities: one independent contraction simulation per
-	// vertex, fanned over the pool and merged by index.
-	ParallelDo(n, len(wss), func(w, i int) {
-		v := VertexID(i)
-		b.prio[v] = b.priority(v, len(b.simulate(v, wss[w])))
-	})
 
 	q := make(chHeap[int64], 0, n)
 	for v := 0; v < n; v++ {
@@ -293,7 +282,7 @@ func BuildCH(g *Graph) *CH {
 		// v-avoiding witness path. Stale queue priorities are harmless
 		// (this recheck reinserts when v no longer wins the (priority, ID)
 		// order), but stale shortcut lists would lose connectivity.
-		scs := b.simulate(v, wss[0])
+		scs := b.simulate(v, ws)
 		b.prio[v] = b.priority(v, len(scs))
 		upd := chItem[int64]{prio: b.prio[v], v: v}
 		if len(q) > 0 && q[0].less(upd) {

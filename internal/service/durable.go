@@ -26,7 +26,9 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/geo"
+	"repro/internal/index"
 	"repro/internal/match"
+	"repro/internal/mobcluster"
 	"repro/internal/replay"
 	"repro/internal/wal"
 )
@@ -171,33 +173,39 @@ func (r *Runtime) WaitSnapshots() { r.snapWG.Wait() }
 
 // snapshotVersion is the snapshot schema Capture writes. Recovery skips a
 // snapshot of any other version, as it skips another world's, and
-// replays the log instead. Version 1 added the ledger's step detail and
-// the open episodes; older snapshots carry no version (0).
-const snapshotVersion = 1
+// replays the log instead, so no older schema is ever decoded.
+const snapshotVersion = 2
 
-// Snapshot is the runtime at an event boundary. Header pins it to the
-// world it was taken in; Events is the WAL watermark (events executed
-// when it was captured — the number the snapshot file is named after).
-// Episodes holds each open episode's delivered rides by taxi ID, in
-// dropoff order: the settlement that order feeds cannot be rebuilt from
-// the ledger when two dropoffs share an odometer reading.
+// Snapshot is the runtime at an event boundary, and the one declaration
+// of the snapshot schema. Header pins it to the world it was taken in;
+// Events is the WAL watermark (events executed when it was captured — the
+// number the snapshot file is named after). Requests[i] is request i+1
+// and Taxis[i] is taxi i+1; restore refuses a table that breaks this
+// density. Clusters and CruiseDraws are the engine's mobility state,
+// Queue the pending queue (nil without one), Counters the deterministic
+// counters.
 type Snapshot struct {
-	Version  int                 `json:"version"`
-	Header   json.RawMessage     `json:"header"`
-	Events   int64               `json:"events"`
-	Now      float64             `json:"now"`
-	Ticks    int64               `json:"ticks"`
-	Requests []RequestState      `json:"requests,omitempty"`
-	Episodes map[int64][]int64   `json:"episodes,omitempty"`
-	Engine   *match.DurableState `json:"engine"`
-	Queue    *match.PoolState    `json:"queue,omitempty"`
-	Counters map[string]int64    `json:"counters,omitempty"`
+	Version     int              `json:"version"`
+	Header      json.RawMessage  `json:"header"`
+	Events      int64            `json:"events"`
+	Now         float64          `json:"now"`
+	Ticks       int64            `json:"ticks"`
+	Requests    []Request        `json:"requests,omitempty"`
+	Taxis       []SnapshotTaxi   `json:"taxis,omitempty"`
+	Clusters    mobcluster.State `json:"clusters"`
+	CruiseDraws int64            `json:"cruise_draws,omitempty"`
+	Queue       *match.PoolState `json:"queue,omitempty"`
+	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
-// RequestState is one request and its lifecycle in a snapshot.
-type RequestState struct {
-	Req fleet.RequestState `json:"req"`
-	Lifecycle
+// SnapshotTaxi is one taxi in a snapshot: its state, its partition-index
+// rows, and the requests its open episode delivered so far, in dropoff
+// order — the settlement that order feeds cannot be rebuilt from the
+// ledger when two dropoffs share an odometer reading.
+type SnapshotTaxi struct {
+	fleet.TaxiState
+	Rows    []index.Row `json:"rows,omitempty"`
+	Episode []int64     `json:"episode,omitempty"`
 }
 
 // Capture snapshots the runtime at the current event boundary. It is a
@@ -209,18 +217,23 @@ func (r *Runtime) Capture() *Snapshot {
 		Events:   r.events,
 		Now:      r.now,
 		Ticks:    r.ticks,
-		Episodes: map[int64][]int64{},
-		Engine:   r.Engine.CaptureDurable(),
+		Requests: make([]Request, len(r.requests)),
+		Taxis:    make([]SnapshotTaxi, len(r.taxis)),
 		Counters: r.counters(),
 	}
-	for _, st := range r.requests {
-		snap.Requests = append(snap.Requests, RequestState{fleet.CaptureRequest(st.Req), st.Lifecycle})
+	reqs := make([]fleet.Request, len(r.requests))
+	for i, st := range r.requests {
+		reqs[i] = *st.Req
+		snap.Requests[i] = Request{&reqs[i], st.Lifecycle}
 	}
-	for i, rides := range r.episodes {
-		for _, st := range rides {
-			snap.Episodes[int64(i+1)] = append(snap.Episodes[int64(i+1)], int64(st.Req.ID))
+	for i, t := range r.taxis {
+		st := &snap.Taxis[i]
+		st.TaxiState, st.Rows = t.DurableState(), r.Engine.IndexRows(t.ID)
+		for _, ride := range r.episodes[i] {
+			st.Episode = append(st.Episode, int64(ride.Req.ID))
 		}
 	}
+	snap.Clusters, snap.CruiseDraws = r.Engine.Mobility()
 	if r.Queue != nil {
 		ps := r.Queue.CaptureDurable()
 		snap.Queue = &ps
@@ -319,11 +332,12 @@ func (r *Runtime) recover(wlog *wal.Log, line []byte) error {
 // restore lays a snapshot onto the freshly built runtime.
 func (r *Runtime) restore(snap *Snapshot) error {
 	r.now, r.ticks = snap.Now, snap.Ticks
-	for i, rs := range snap.Requests {
-		if rs.Req.ID != int64(i+1) { // the table is indexed by ID
-			return fmt.Errorf("request %d in table slot %d", rs.Req.ID, i+1)
+	for i := range snap.Requests {
+		st := &snap.Requests[i]
+		if st.Req == nil || st.Req.ID != fleet.RequestID(i+1) { // the table is indexed by ID
+			return fmt.Errorf("request table slot %d does not hold request %d", i+1, i+1)
 		}
-		r.requests = append(r.requests, &Request{fleet.RestoreRequest(rs.Req), rs.Lifecycle})
+		r.requests = append(r.requests, st)
 	}
 	resolve := func(id fleet.RequestID) (*fleet.Request, bool) {
 		if st, ok := r.Request(int64(id)); ok {
@@ -331,24 +345,30 @@ func (r *Runtime) restore(snap *Snapshot) error {
 		}
 		return nil, false
 	}
-	restored, err := r.Engine.RestoreDurable(snap.Engine, resolve)
-	if err != nil {
-		return err
-	}
-	r.Scheme.(*match.Scheme).RestoreIndexed(restored)
-	r.taxis = restored
-	r.episodes = make([][]*Request, len(restored))
-	for taxi, ids := range snap.Episodes {
-		if _, ok := r.Taxi(taxi); !ok {
-			return fmt.Errorf("episode of unknown taxi %d", taxi)
+	scheme := r.Scheme.(*match.Scheme)
+	for i, ts := range snap.Taxis {
+		if ts.ID != int64(i+1) { // as is the taxi table
+			return fmt.Errorf("taxi table slot %d holds taxi %d", i+1, ts.ID)
 		}
-		for _, id := range ids {
+		t, err := fleet.RestoreTaxi(r.Graph, ts.TaxiState, resolve)
+		if err != nil {
+			return err
+		}
+		if err := scheme.RestoreTaxi(t, ts.Rows); err != nil {
+			return err
+		}
+		var episode []*Request
+		for _, id := range ts.Episode {
 			st, ok := r.Request(id)
 			if !ok {
-				return fmt.Errorf("episode of taxi %d holds unknown request %d", taxi, id)
+				return fmt.Errorf("episode of taxi %d holds unknown request %d", ts.ID, id)
 			}
-			r.episodes[taxi-1] = append(r.episodes[taxi-1], st)
+			episode = append(episode, st)
 		}
+		r.taxis, r.episodes = append(r.taxis, t), append(r.episodes, episode)
+	}
+	if err := r.Engine.RestoreMobility(snap.Clusters, snap.CruiseDraws); err != nil {
+		return err
 	}
 	switch {
 	case snap.Queue != nil && r.Queue == nil:

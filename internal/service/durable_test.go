@@ -9,13 +9,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/match"
 	"repro/internal/replay"
+	"repro/internal/roadnet"
 	"repro/internal/wal"
 )
 
@@ -182,9 +185,12 @@ func openEpisodeSettles(t *testing.T, r *Runtime, w int64) bool {
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, ids := range snap.Episodes {
+	for _, ts := range snap.Taxis {
+		if len(ts.Episode) == 0 {
+			continue
+		}
 		settled := true
-		for _, id := range ids {
+		for _, id := range ts.Episode {
 			st, _ := r.Request(id)
 			settled = settled && r.Settled(st)
 		}
@@ -406,5 +412,188 @@ func TestDurableRecordAndWALAgree(t *testing.T) {
 	}
 	if !bytes.Equal(logged, rec.Bytes()) {
 		t.Fatalf("replay log and WAL differ:\n log %s\n wal %s", rec.Bytes(), logged)
+	}
+}
+
+// TestDurableRefusesNonDenseTables plants a CRC-valid snapshot whose
+// request or taxi table is out of ID order or has a gap: the runtime
+// indexes both tables by ID, so recovery must refuse the snapshot rather
+// than hand out another taxi's or request's state under an ID.
+func TestDurableRefusesNonDenseTables(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		plant func(*Snapshot)
+		want  string
+	}{
+		{"taxis swapped", func(s *Snapshot) { s.Taxis[0], s.Taxis[1] = s.Taxis[1], s.Taxis[0] }, "taxi table slot 1 holds taxi 2"},
+		{"taxi gap", func(s *Snapshot) { s.Taxis = append(s.Taxis[:2], s.Taxis[3:]...) }, "taxi table slot 3 holds taxi 4"},
+		{"requests swapped", func(s *Snapshot) { s.Requests[0], s.Requests[1] = s.Requests[1], s.Requests[0] }, "request table slot 1"},
+		{"request missing", func(s *Snapshot) { s.Requests[2].Req = nil }, "request table slot 3"},
+	} {
+		dir := t.TempDir()
+		live := mustOpen(t, dir, 0)
+		drive(live, 0, 24)
+		snap := live.Capture()
+		if err := live.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		c.plant(snap)
+		l, err := wal.Open(wal.Options{Dir: dir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteSnapshotJSON(snap.Events, snap); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+
+		if _, err := open(t, dir, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: recovery over the planted snapshot: err = %v, want it to name %q", c.name, err, c.want)
+		}
+	}
+}
+
+// fill sets every exported field of the struct v, nested structs
+// included, to a distinct non-zero value numbered from *k. A field of a
+// kind it cannot fill fails the test, so a new field is never skipped.
+func fill(t *testing.T, v reflect.Value, k *int) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		*k++
+		switch {
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.CanInt():
+			f.SetInt(int64(*k))
+		case f.CanFloat():
+			f.SetFloat(float64(*k) + 0.125)
+		case f.Kind() == reflect.Struct:
+			fill(t, f, k)
+		default:
+			t.Fatalf("fill: %s.%s has kind %s", v.Type(), sf.Name, f.Kind())
+		}
+	}
+}
+
+// TestSnapshotCarriesEveryField sets every exported field of a request's
+// Lifecycle and fleet.Request, and of a taxi's fleet.TaxiState, to a
+// non-zero value, then requires Capture → JSON → restore into a fresh
+// runtime → Capture to reproduce the bytes: a field the schema drops, or
+// restore forgets, fails here.
+func TestSnapshotCarriesEveryField(t *testing.T) {
+	live, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(live, 0, 40)
+	snap := live.Capture()
+	if len(snap.Requests) < 2 || len(snap.Taxis) < 1 {
+		t.Fatalf("driven world has %d requests and %d taxis", len(snap.Requests), len(snap.Taxis))
+	}
+	k := 0
+	st := &snap.Requests[0]
+	fill(t, reflect.ValueOf(&st.Lifecycle).Elem(), &k)
+	fill(t, reflect.ValueOf(st.Req).Elem(), &k)
+	st.Req.ID = 1 // the table is indexed by ID
+
+	// A taxi's fields constrain each other (the path's edges must exist,
+	// the schedule must resolve), so its state is built by hand and every
+	// field is then required to be non-zero.
+	g := live.Graph
+	u := roadnet.VertexID(g.NumVertices() / 2)
+	v := g.Out(u)[0].To
+	w := g.Out(v)[0].To
+	for _, a := range g.Out(v) {
+		if a.To != u {
+			w = a.To
+		}
+	}
+	snap.Taxis[0].TaxiState = fleet.TaxiState{
+		ID:       1,
+		Capacity: 4,
+		Path:     []int64{int64(u), int64(v), int64(w)},
+		Offset:   g.Out(u)[0].Cost / 3,
+		Schedule: []fleet.ScheduleEntry{{Req: 1, Pickup: true}, {Req: 2}},
+		EventPos: []int{1, 2},
+		IdleAt:   int64(w),
+		Seats:    2,
+		Odometer: 1234.5,
+		Waiting:  []int64{1},
+		Onboard:  []int64{2},
+	}
+	ts := reflect.ValueOf(snap.Taxis[0].TaxiState)
+	for i := 0; i < ts.NumField(); i++ {
+		if ts.Field(i).IsZero() {
+			t.Fatalf("TaxiState.%s is zero: set it above", ts.Type().Field(i).Name)
+		}
+	}
+
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(want, &back); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.restore(&back); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	// A field the JSON skips would round-trip as equal bytes, so the
+	// restored values are compared too.
+	if got := fresh.requests[0]; !reflect.DeepEqual(got.Lifecycle, st.Lifecycle) || !reflect.DeepEqual(*got.Req, *st.Req) {
+		t.Fatalf("request 1 restored as %+v %+v, want %+v %+v", *got.Req, got.Lifecycle, *st.Req, st.Lifecycle)
+	}
+	if got := fresh.taxis[0].DurableState(); !reflect.DeepEqual(got, snap.Taxis[0].TaxiState) {
+		t.Fatalf("taxi 1 restored as %+v, want %+v", got, snap.Taxis[0].TaxiState)
+	}
+	fresh.events = back.Events
+	got, err := json.Marshal(fresh.Capture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("round trip differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// BenchmarkCapture measures a snapshot of the test world driven through
+// 200 operations: "capture" is Capture alone, the part a snapshotting
+// tick runs synchronously; "marshal" adds the JSON encoding the
+// background writer runs. Both report the encoded size as snap-bytes.
+func BenchmarkCapture(b *testing.B) {
+	r, err := New(testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	drive(r, 0, 200)
+	buf, err := json.Marshal(r.Capture())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		marshal bool
+	}{{"capture", false}, {"marshal", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				snap := r.Capture()
+				if c.marshal {
+					if _, err := json.Marshal(snap); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(buf)), "snap-bytes")
+		})
 	}
 }

@@ -131,7 +131,7 @@ type Runtime struct {
 
 // Request is one ride request and its lifecycle.
 type Request struct {
-	Req *fleet.Request
+	Req *fleet.Request `json:"req"`
 	Lifecycle
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"math"
 	"testing"
 )
 
@@ -71,9 +72,9 @@ func BenchmarkWALSnapshotRestore(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev, got, ok, err := l.LatestSnapshot()
+		ev, got, ok, err := l.LatestSnapshotAtOrBefore(math.MaxInt64)
 		if err != nil || !ok || ev != 1000 || len(got) != len(payload) {
-			b.Fatalf("LatestSnapshot = (%d, %d bytes, %v, %v)", ev, len(got), ok, err)
+			b.Fatalf("LatestSnapshotAtOrBefore = (%d, %d bytes, %v, %v)", ev, len(got), ok, err)
 		}
 	}
 }

@@ -119,19 +119,14 @@ func writeFrameTo(w *bufio.Writer, payload []byte) error {
 	return err
 }
 
-// LatestSnapshot returns the newest snapshot whose CRC verifies, skipping
-// corrupt or torn ones. ok is false when no usable snapshot exists (the
-// host then replays the log from genesis).
-func (l *Log) LatestSnapshot() (events int64, payload []byte, ok bool, err error) {
-	return l.LatestSnapshotAtOrBefore(int64(^uint64(0) >> 1))
-}
-
-// LatestSnapshotAtOrBefore is LatestSnapshot restricted to snapshots
-// whose watermark does not exceed maxEvents — the number of records the
-// reopened log actually holds. A snapshot ahead of that bound reflects
-// events the log lost (it became durable before the WAL tail it
-// promises), so recovery must skip it and fall back to an older
-// snapshot or a genesis replay rather than resurrect phantom state.
+// LatestSnapshotAtOrBefore returns the newest snapshot whose CRC verifies
+// and whose watermark does not exceed maxEvents, skipping corrupt or torn
+// ones; ok is false when none qualifies (the host then replays the log
+// from genesis). maxEvents is the number of events the reopened log
+// actually holds: a snapshot ahead of that bound reflects events the log
+// lost (it became durable before the WAL tail it promises), so recovery
+// must skip it and fall back to an older snapshot or a genesis replay
+// rather than resurrect phantom state.
 func (l *Log) LatestSnapshotAtOrBefore(maxEvents int64) (events int64, payload []byte, ok bool, err error) {
 	files, err := listSnapshots(l.dir)
 	if err != nil {

@@ -20,13 +20,14 @@
 //
 // Snapshots are separate single-record files snap-<events>.snap written
 // atomically (temp file, fsync, rename, directory fsync) by
-// WriteSnapshot; LatestSnapshot returns the newest one whose CRC checks
-// out, falling back to older snapshots — or to a full genesis replay when
-// none survive — so a torn snapshot can never poison recovery. Hosts
-// Sync the log before writing a snapshot and recover through
-// LatestSnapshotAtOrBefore, so a snapshot whose watermark is ahead of
-// the durable record count (its events died with the unsynced tail) is
-// never written in the first place and is skipped if one exists anyway.
+// WriteSnapshot; LatestSnapshotAtOrBefore returns the newest one whose CRC
+// checks out, falling back to older snapshots — or to a full genesis
+// replay when none survive — so a torn snapshot can never poison
+// recovery. Hosts Sync the log before writing a snapshot and bound that
+// search by the events the log holds, so a snapshot whose watermark is
+// ahead of the durable record count (its events died with the unsynced
+// tail) is never written in the first place and is skipped if one exists
+// anyway.
 package wal
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -310,16 +311,16 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, _, ok, err := l.LatestSnapshot(); err != nil || ok {
-		t.Fatalf("LatestSnapshot on empty dir = ok=%v err=%v", ok, err)
+	if _, _, ok, err := l.LatestSnapshotAtOrBefore(math.MaxInt64); err != nil || ok {
+		t.Fatalf("LatestSnapshotAtOrBefore on empty dir = ok=%v err=%v", ok, err)
 	}
 	want := []byte(`{"state":"everything"}`)
 	if err := l.WriteSnapshot(42, want); err != nil {
 		t.Fatal(err)
 	}
-	ev, got, ok, err := l.LatestSnapshot()
+	ev, got, ok, err := l.LatestSnapshotAtOrBefore(math.MaxInt64)
 	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSnapshotAtOrBefore: ok=%v err=%v", ok, err)
 	}
 	if ev != 42 || !bytes.Equal(got, want) {
 		t.Fatalf("snapshot = (%d, %q), want (42, %q)", ev, got, want)
@@ -351,9 +352,9 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := os.WriteFile(snapshotPath(dir, 20), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ev, got, ok, err := l.LatestSnapshot()
+	ev, got, ok, err := l.LatestSnapshotAtOrBefore(math.MaxInt64)
 	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+		t.Fatalf("LatestSnapshotAtOrBefore: ok=%v err=%v", ok, err)
 	}
 	if ev != 10 || string(got) != "older" {
 		t.Fatalf("fallback = (%d, %q), want (10, \"older\")", ev, got)
@@ -516,8 +517,8 @@ func TestLatestSnapshotAtOrBeforeSkipsFutureWatermark(t *testing.T) {
 		t.Fatalf("LatestSnapshotAtOrBefore(5) = ok=%v err=%v, want no snapshot", ok, err)
 	}
 	// The unbounded lookup still sees the newest one.
-	if ev, _, ok, _ := l.LatestSnapshot(); !ok || ev != 20 {
-		t.Fatalf("LatestSnapshot = (%d, ok=%v), want (20, true)", ev, ok)
+	if ev, _, ok, _ := l.LatestSnapshotAtOrBefore(math.MaxInt64); !ok || ev != 20 {
+		t.Fatalf("LatestSnapshotAtOrBefore = (%d, ok=%v), want (20, true)", ev, ok)
 	}
 }
 
