@@ -4,35 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// SimMetrics aliases the simulator metrics for the extractor callbacks.
-type SimMetrics = sim.Metrics
-
-// compareSchemes are the peak-scenario comparison schemes (Figs. 6–9,
+// peakSchemes are the peak-scenario comparison schemes (Figs. 6–9,
 // Table III).
 var peakSchemes = []SchemeName{NoSharing, TShare, PGreedyDP, MTShare}
 
 // nonpeakSchemes adds mT-Share_pro (Figs. 10–13).
 var nonpeakSchemes = []SchemeName{NoSharing, TShare, PGreedyDP, MTShare, MTSharePro}
-
-// sweep runs a scheme across the taxi sweep for a window and extracts a
-// metric.
-func (l *Lab) sweep(scheme SchemeName, window string, offline bool, metric func(m *SimMetrics) float64) (Series, error) {
-	s := Series{Label: string(scheme)}
-	for _, n := range l.World.Scale.TaxiSweep {
-		sc := Scenario{Scheme: scheme, Window: window, Taxis: n, HasOffline: offline}
-		m, err := l.RunAvg(sc)
-		if err != nil {
-			return s, err
-		}
-		s.X = append(s.X, float64(n))
-		s.Y = append(s.Y, metric(m))
-	}
-	return s, nil
-}
 
 // Fig5 reproduces the dataset statistics: hourly taxi utilisation for
 // workday and weekend (Fig. 5a) and the travel-time distribution
@@ -66,40 +46,6 @@ func (l *Lab) Fig5() (*Result, error) {
 	return r, nil
 }
 
-// Fig6 reproduces served requests versus fleet size in the peak scenario.
-func (l *Lab) Fig6() (*Result, error) {
-	r := &Result{
-		ID: "fig6", Title: "Served requests vs number of taxis (peak)",
-		XLabel: "taxis", YLabel: "served requests",
-		Notes: []string{"paper: mT-Share serves the most; +42% vs T-Share, +36% vs pGreedyDP at the largest fleet"},
-	}
-	for _, s := range peakSchemes {
-		series, err := l.sweep(s, "peak", false, func(m *SimMetrics) float64 { return float64(m.Served) })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig7 reproduces response time versus fleet size in the peak scenario.
-func (l *Lab) Fig7() (*Result, error) {
-	r := &Result{
-		ID: "fig7", Title: "Response time vs number of taxis (peak)",
-		XLabel: "taxis", YLabel: "mean response time (ms)",
-		Notes: []string{"paper: No-Sharing <1ms; mT-Share within 35-140ms, 4-10x faster than pGreedyDP, a bit above T-Share"},
-	}
-	for _, s := range peakSchemes {
-		series, err := l.sweep(s, "peak", false, func(m *SimMetrics) float64 { return m.MeanResponseMs })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
 // Table3 reproduces the average candidate-set sizes in the peak scenario.
 func (l *Lab) Table3() (*Result, error) {
 	r := &Result{
@@ -120,111 +66,6 @@ func (l *Lab) Table3() (*Result, error) {
 			row = append(row, f1(m.MeanCandidates))
 		}
 		r.Rows = append(r.Rows, row)
-	}
-	return r, nil
-}
-
-// Fig8 reproduces detour time versus fleet size in the peak scenario.
-func (l *Lab) Fig8() (*Result, error) {
-	r := &Result{
-		ID: "fig8", Title: "Detour time vs number of taxis (peak)",
-		XLabel: "taxis", YLabel: "mean detour (min)",
-		Notes: []string{"paper: No-Sharing 0; T-Share lowest among sharing; mT-Share close second; pGreedyDP ~2x T-Share"},
-	}
-	for _, s := range peakSchemes {
-		series, err := l.sweep(s, "peak", false, func(m *SimMetrics) float64 { return m.MeanDetourMin })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig9 reproduces waiting time versus fleet size in the peak scenario.
-func (l *Lab) Fig9() (*Result, error) {
-	r := &Result{
-		ID: "fig9", Title: "Waiting time vs number of taxis (peak)",
-		XLabel: "taxis", YLabel: "mean waiting (min)",
-		Notes: []string{"paper: T-Share smallest; mT-Share slightly above pGreedyDP (<0.5 min gap); decreases with fleet size"},
-	}
-	for _, s := range peakSchemes {
-		series, err := l.sweep(s, "peak", false, func(m *SimMetrics) float64 { return m.MeanWaitingMin })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig10 reproduces served requests versus fleet size in the non-peak
-// scenario (offline requests hidden, mT-Share_pro included).
-func (l *Lab) Fig10() (*Result, error) {
-	r := &Result{
-		ID: "fig10", Title: "Served requests vs number of taxis (non-peak, offline subset hidden)",
-		XLabel: "taxis", YLabel: "served requests",
-		Notes: []string{"paper: mT-Share_pro serves the most (+13-24% over mT-Share; +62%/+58% vs T-Share/pGreedyDP)"},
-	}
-	for _, s := range nonpeakSchemes {
-		series, err := l.sweep(s, "nonpeak", true, func(m *SimMetrics) float64 { return float64(m.Served) })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig11 reproduces response time versus fleet size in the non-peak
-// scenario.
-func (l *Lab) Fig11() (*Result, error) {
-	r := &Result{
-		ID: "fig11", Title: "Response time vs number of taxis (non-peak)",
-		XLabel: "taxis", YLabel: "mean response time (ms)",
-		Notes: []string{"paper: mT-Share_pro 2.5-4.5x slower than mT-Share but still faster than pGreedyDP"},
-	}
-	for _, s := range nonpeakSchemes {
-		series, err := l.sweep(s, "nonpeak", true, func(m *SimMetrics) float64 { return m.MeanResponseMs })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig12 reproduces detour time versus fleet size in the non-peak scenario.
-func (l *Lab) Fig12() (*Result, error) {
-	r := &Result{
-		ID: "fig12", Title: "Detour time vs number of taxis (non-peak)",
-		XLabel: "taxis", YLabel: "mean detour (min)",
-		Notes: []string{"paper: mT-Share_pro the largest detour, but within ~0.5 min of pGreedyDP"},
-	}
-	for _, s := range nonpeakSchemes {
-		series, err := l.sweep(s, "nonpeak", true, func(m *SimMetrics) float64 { return m.MeanDetourMin })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
-	}
-	return r, nil
-}
-
-// Fig13 reproduces waiting time versus fleet size in the non-peak
-// scenario.
-func (l *Lab) Fig13() (*Result, error) {
-	r := &Result{
-		ID: "fig13", Title: "Waiting time vs number of taxis (non-peak)",
-		XLabel: "taxis", YLabel: "mean waiting (min)",
-		Notes: []string{"paper: larger than peak overall; mT-Share_pro the largest (~2 min above pGreedyDP)"},
-	}
-	for _, s := range nonpeakSchemes {
-		series, err := l.sweep(s, "nonpeak", true, func(m *SimMetrics) float64 { return m.MeanWaitingMin })
-		if err != nil {
-			return nil, err
-		}
-		r.Series = append(r.Series, series)
 	}
 	return r, nil
 }

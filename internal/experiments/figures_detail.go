@@ -2,56 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/geo"
 	"repro/internal/match"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 )
-
-// Fig14a reproduces the impact of the partition count κ on served
-// requests (peak, mT-Share).
-func (l *Lab) Fig14a() (*Result, error) {
-	r := &Result{
-		ID: "fig14a", Title: "Impact of partition number kappa on served requests (peak, mT-Share)",
-		XLabel: "kappa", YLabel: "served requests",
-		Notes: []string{"paper: served requests rise then fall; the sweet spot sits mid-sweep (kappa=150 of 50-250)"},
-	}
-	s := Series{Label: string(MTShare)}
-	for _, k := range l.World.Scale.KappaSweep {
-		m, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Kappa: k})
-		if err != nil {
-			return nil, err
-		}
-		s.X = append(s.X, float64(k))
-		s.Y = append(s.Y, float64(m.Served))
-	}
-	r.Series = append(r.Series, s)
-	return r, nil
-}
-
-// Fig14b reproduces the impact of taxi capacity on served requests (peak,
-// mT-Share).
-func (l *Lab) Fig14b() (*Result, error) {
-	r := &Result{
-		ID: "fig14b", Title: "Impact of taxi capacity on served requests (peak, mT-Share)",
-		XLabel: "capacity (seats)", YLabel: "served requests",
-		Notes: []string{"paper: capacity 6 serves ~12% more than capacity 2"},
-	}
-	s := Series{Label: string(MTShare)}
-	for _, c := range l.World.Scale.CapSweep {
-		m, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Capacity: c})
-		if err != nil {
-			return nil, err
-		}
-		s.X = append(s.X, float64(c))
-		s.Y = append(s.Y, float64(m.Served))
-	}
-	r.Series = append(r.Series, s)
-	return r, nil
-}
 
 // Table5 reproduces the map-partitioning ablation: bipartite versus grid
 // partitioning for mT-Share in both scenarios.
@@ -74,32 +30,6 @@ func (l *Lab) Table5() (*Result, error) {
 			}
 			r.Rows = append(r.Rows, []string{win, kind, fi(m.Served), f2(m.MeanDetourMin)})
 		}
-	}
-	return r, nil
-}
-
-// Fig15 reproduces the impact of the search range γ on detour and waiting
-// time (peak).
-func (l *Lab) Fig15() (*Result, error) {
-	r := &Result{
-		ID: "fig15", Title: "Impact of search range gamma on detour and waiting time (peak)",
-		XLabel: "gamma (m)", YLabel: "minutes",
-		Notes: []string{"paper: both detour and waiting grow with gamma; T-Share best service quality, mT-Share better than pGreedyDP"},
-	}
-	for _, scheme := range peakSchemes {
-		det := Series{Label: string(scheme) + " detour"}
-		wai := Series{Label: string(scheme) + " waiting"}
-		for _, g := range l.World.Scale.GammaSweep {
-			m, err := l.RunAvg(Scenario{Scheme: scheme, Window: "peak", Gamma: g})
-			if err != nil {
-				return nil, err
-			}
-			det.X = append(det.X, g)
-			det.Y = append(det.Y, m.MeanDetourMin)
-			wai.X = append(wai.X, g)
-			wai.Y = append(wai.Y, m.MeanWaitingMin)
-		}
-		r.Series = append(r.Series, det, wai)
 	}
 	return r, nil
 }
@@ -141,53 +71,6 @@ func (l *Lab) Fig16() (*Result, error) {
 	return r, nil
 }
 
-// Fig17 reproduces the impact of the flexible factor ρ on waiting time
-// (peak, ridesharing schemes).
-func (l *Lab) Fig17() (*Result, error) {
-	r := &Result{
-		ID: "fig17", Title: "Impact of flexible factor rho on waiting time (peak)",
-		XLabel: "rho", YLabel: "mean waiting (min)",
-		Notes: []string{"paper: waiting grows with rho; T-Share shortest; mT-Share within 1.2 min of pGreedyDP"},
-	}
-	for _, scheme := range []SchemeName{TShare, PGreedyDP, MTShare} {
-		s := Series{Label: string(scheme)}
-		for _, rho := range l.World.Scale.RhoSweep {
-			m, err := l.RunAvg(Scenario{Scheme: scheme, Window: "peak", Rho: rho})
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, rho)
-			s.Y = append(s.Y, m.MeanWaitingMin)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
-}
-
-// Fig18 reproduces the impact of ρ on detour time and served requests
-// (peak, mT-Share).
-func (l *Lab) Fig18() (*Result, error) {
-	r := &Result{
-		ID: "fig18", Title: "Impact of rho on detour time and served requests (peak, mT-Share)",
-		XLabel: "rho", YLabel: "detour (min) / served",
-		Notes: []string{"paper: both grow with rho; beyond rho=1.3 serving gains flatten while detour keeps climbing (+4% served costs +48% detour at 1.4)"},
-	}
-	det := Series{Label: "detour (min)"}
-	srv := Series{Label: "served requests"}
-	for _, rho := range l.World.Scale.RhoSweep {
-		m, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Rho: rho})
-		if err != nil {
-			return nil, err
-		}
-		det.X = append(det.X, rho)
-		det.Y = append(det.Y, m.MeanDetourMin)
-		srv.X = append(srv.X, rho)
-		srv.Y = append(srv.Y, float64(m.Served))
-	}
-	r.Series = append(r.Series, det, srv)
-	return r, nil
-}
-
 // Fig19 reproduces the payment-model study: passengers' fare reduction
 // and drivers' profit increase versus ρ (peak). Profit increase compares
 // mT-Share's total driver income to the regular (No-Sharing) service at
@@ -223,30 +106,6 @@ func (l *Lab) Fig19() (*Result, error) {
 	return r, nil
 }
 
-// Fig20 reproduces the impact of the direction threshold θ (λ = cos θ) on
-// served requests and response time (peak, mT-Share).
-func (l *Lab) Fig20() (*Result, error) {
-	r := &Result{
-		ID: "fig20", Title: "Impact of max direction difference theta on served requests and response time (peak, mT-Share)",
-		XLabel: "theta (deg)", YLabel: "served / response (ms)",
-		Notes: []string{"paper: served grows slightly with theta while response time grows steeply; theta=45 balances both"},
-	}
-	srv := Series{Label: "served requests"}
-	rsp := Series{Label: "response (ms)"}
-	for _, th := range l.World.Scale.ThetaSweep {
-		m, err := l.RunAvg(Scenario{Scheme: MTShare, Window: "peak", Lambda: geo.CosOfDegrees(th)})
-		if err != nil {
-			return nil, err
-		}
-		srv.X = append(srv.X, th)
-		srv.Y = append(srv.Y, float64(m.Served))
-		rsp.X = append(rsp.X, th)
-		rsp.Y = append(rsp.Y, m.MeanResponseMs)
-	}
-	r.Series = append(r.Series, srv, rsp)
-	return r, nil
-}
-
 // Fig21 reproduces the scalability study: total execution time and mean
 // response time as the replayed data grows from 1 hour to 13 hours
 // (workday for mT-Share, weekend with offline subset for mT-Share_pro).
@@ -256,22 +115,20 @@ func (l *Lab) Fig21() (*Result, error) {
 		XLabel: "hours of data", YLabel: "execution (s) / response (ms)",
 		Notes: []string{"paper: execution time grows linearly with data volume; response time stays flat (110 ms workday / 420 ms weekend)"},
 	}
-	hoursSweep := []int{1, 3, 5, 7}
 	pipe0, rt0 := l.PipelineStats()
-	type variant struct {
-		scheme  SchemeName
-		window  string
-		offline bool
-		label   string
-	}
-	for _, v := range []variant{
-		{MTShare, "peak", false, "workday mT-Share"},
-		{MTSharePro, "nonpeak", true, "weekend mT-Share-pro"},
+	for _, v := range []struct {
+		sc    Scenario
+		label string
+	}{
+		{Scenario{Scheme: MTShare, Window: "peak"}, "workday mT-Share"},
+		{Scenario{Scheme: MTSharePro, Window: "nonpeak", HasOffline: true}, "weekend mT-Share-pro"},
 	} {
 		exec := Series{Label: v.label + " exec (s)"}
 		resp := Series{Label: v.label + " resp (ms)"}
-		for _, hours := range hoursSweep {
-			m, err := l.runHours(v.scheme, v.window, v.offline, hours)
+		for _, hours := range []int{1, 3, 5, 7} {
+			sc := v.sc
+			sc.hours = hours
+			m, err := l.Run(sc)
 			if err != nil {
 				return nil, err
 			}
@@ -299,26 +156,6 @@ func (l *Lab) Fig21() (*Result, error) {
 			100*float64(hits)/float64(q), q, misses))
 	}
 	return r, nil
-}
-
-// runHours runs a scheme over an extended data window starting at 7:00,
-// outside the scenario memoisation (windows differ per call).
-func (l *Lab) runHours(scheme SchemeName, window string, offline bool, hours int) (*sim.Metrics, error) {
-	sc := l.defaults(Scenario{Scheme: scheme, Window: window, HasOffline: offline})
-	sch, err := l.buildScheme(sc)
-	if err != nil {
-		return nil, err
-	}
-	win := Window{Day: dayOf(window), From: 7 * time.Hour, To: time.Duration(7+hours) * time.Hour}
-	reqs := l.World.Requests(win, sc.Rho, sc.OfflineFrac)
-	eng, err := sim.NewEngine(l.World.G, sch, sim.Params{})
-	if err != nil {
-		return nil, err
-	}
-	eng.PlaceTaxis(sc.Taxis, sc.Capacity, l.World.Scale.Seed, win.From.Seconds())
-	m := eng.Run(reqs, win.From.Seconds())
-	l.collectPipelineStats(sch)
-	return m, nil
 }
 
 // AblationProbTradeoff explores the probability-versus-detour trade-off

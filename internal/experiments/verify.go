@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Verify runs the headline-claim self-check: each row asserts one of the
 // paper's qualitative results against freshly measured (memoised) runs at
@@ -29,7 +33,7 @@ func (l *Lab) Verify() (*Result, error) {
 	}
 
 	// Peak-scenario runs.
-	peak := map[SchemeName]*SimMetrics{}
+	peak := map[SchemeName]*sim.Metrics{}
 	for _, s := range peakSchemes {
 		m, err := l.RunAvg(Scenario{Scheme: s, Window: "peak", Taxis: taxis})
 		if err != nil {
