@@ -21,21 +21,6 @@ import (
 	"repro/internal/trace"
 )
 
-// workloadGenParams reconstructs the GenParams the Lab's Workday trace
-// was generated with, so a shaped day shares the base day's every draw
-// and the (base, shaped) pair differs only where the shape injects.
-func (l *Lab) workloadGenParams() trace.GenParams {
-	min, max := l.World.G.Bounds()
-	return trace.GenParams{
-		Center:           geo.Midpoint(min, max),
-		ExtentMeters:     geo.Equirect(geo.Point{Lat: min.Lat, Lng: min.Lng}, geo.Point{Lat: min.Lat, Lng: max.Lng}),
-		TripsPerHourPeak: l.World.Scale.PeakTripsPerHour,
-		UniformFrac:      0.15,
-		MinTripMeters:    l.World.Scale.BlockMeters * 2,
-		Seed:             l.World.Scale.Seed + 200,
-	}
-}
-
 // prepareWorkload converts shaped trips to requests with the same
 // options World.Requests uses, so shaped and unshaped runs differ only
 // in the trips themselves.
@@ -103,7 +88,7 @@ func (l *Lab) AblationSurge() (*Result, error) {
 			"3x demand multiplier in 8:15-8:45, origins Gaussian (sigma 300 m) around the city-center venue, destinations residential",
 		},
 	}
-	gp := l.workloadGenParams()
+	gp := l.World.traceParams(workdaySeed)
 	win := PeakWindow()
 	surge := trace.SurgeParams{
 		Venue:       gp.Center,
@@ -157,7 +142,7 @@ func (l *Lab) AblationHotspot() (*Result, error) {
 		ID: "ablate-hotspot", Title: "Partition-localized hotspot vs base workday (peak, mT-Share)",
 		Header: []string{"workload", "requests", "served", "max partition share"},
 	}
-	gp := l.workloadGenParams()
+	gp := l.World.traceParams(workdaySeed)
 	win := PeakWindow()
 	hs := trace.HotspotShapeParams{
 		Center:       geo.Point{Lat: gp.Center.Lat - 0.25*extentLat(l), Lng: gp.Center.Lng - 0.25*extentLng(l)},

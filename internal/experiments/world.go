@@ -30,6 +30,9 @@ type World struct {
 	Workday *trace.Dataset
 	Weekend *trace.Dataset
 
+	// gen is the trace generator's parameters, less the seed that
+	// traceParams adds.
+	gen     trace.GenParams
 	snapped []partition.OD
 
 	mu      sync.Mutex
@@ -55,48 +58,53 @@ func BuildWorld(s Scale) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	spx := roadnet.NewSpatialIndex(g, 250)
 	min, max := g.Bounds()
-	gp := trace.GenParams{
-		Center:           geo.Midpoint(min, max),
-		ExtentMeters:     geo.Equirect(geo.Point{Lat: min.Lat, Lng: min.Lng}, geo.Point{Lat: min.Lat, Lng: max.Lng}),
-		TripsPerHourPeak: s.PeakTripsPerHour,
-		UniformFrac:      0.15,
-		MinTripMeters:    s.BlockMeters * 2,
-	}
-	gen := func(day trace.DayKind, seed int64) (*trace.Dataset, error) {
-		p := gp
-		p.Seed = seed
-		return trace.Generate(day, p)
-	}
-	history, err := gen(trace.Workday, s.Seed+100)
-	if err != nil {
-		return nil, err
-	}
-	workday, err := gen(trace.Workday, s.Seed+200)
-	if err != nil {
-		return nil, err
-	}
-	weekend, err := gen(trace.Weekend, s.Seed+300)
-	if err != nil {
-		return nil, err
-	}
 	w := &World{
-		Scale:   s,
-		G:       g,
-		Spx:     spx,
-		History: history,
-		Workday: workday,
-		Weekend: weekend,
+		Scale: s,
+		G:     g,
+		Spx:   roadnet.NewSpatialIndex(g, 250),
+		gen: trace.GenParams{
+			Center:           geo.Midpoint(min, max),
+			ExtentMeters:     geo.Equirect(geo.Point{Lat: min.Lat, Lng: min.Lng}, geo.Point{Lat: min.Lat, Lng: max.Lng}),
+			TripsPerHourPeak: s.PeakTripsPerHour,
+			UniformFrac:      0.15,
+			MinTripMeters:    s.BlockMeters * 2,
+		},
 		parts:   make(map[string]*partition.Partitioning),
 		oracles: make(map[*partition.Partitioning]*partition.Oracle),
 	}
-	pairs := make([]struct{ Origin, Dest geo.Point }, len(history.Trips))
-	for i, tr := range history.Trips {
+	if w.History, err = trace.Generate(trace.Workday, w.traceParams(historySeed)); err != nil {
+		return nil, err
+	}
+	if w.Workday, err = trace.Generate(trace.Workday, w.traceParams(workdaySeed)); err != nil {
+		return nil, err
+	}
+	if w.Weekend, err = trace.Generate(trace.Weekend, w.traceParams(weekendSeed)); err != nil {
+		return nil, err
+	}
+	pairs := make([]struct{ Origin, Dest geo.Point }, len(w.History.Trips))
+	for i, tr := range w.History.Trips {
 		pairs[i] = struct{ Origin, Dest geo.Point }{tr.Origin, tr.Dest}
 	}
-	w.snapped = partition.SnapTrips(spx, pairs)
+	w.snapped = partition.SnapTrips(w.Spx, pairs)
 	return w, nil
+}
+
+// Trace seeds, as offsets from Scale.Seed.
+const (
+	historySeed = 100
+	workdaySeed = 200
+	weekendSeed = 300
+)
+
+// traceParams returns the generator parameters of the world's trace drawn
+// with seed Scale.Seed+offset. A shaped variant of the Workday generated
+// from traceParams(workdaySeed) shares the base day's every draw, so the
+// pair differs only where the shape injects.
+func (w *World) traceParams(offset int64) trace.GenParams {
+	p := w.gen
+	p.Seed = w.Scale.Seed + offset
+	return p
 }
 
 // Partitioning returns (building and caching on first use) a partitioning
