@@ -24,19 +24,13 @@ func (ix *PartitionIndex) RowsOf(taxiID int64) []Row {
 	return append(make([]Row, 0, len(ix.byTaxi[taxiID])), ix.byTaxi[taxiID]...)
 }
 
-// RestoreRows reinstalls a taxi's rows verbatim from a snapshot. Unlike
-// Update it does not touch the updates counter — the counter's value is
-// restored separately with the rest of the deterministic counter set —
-// but it does refresh the size gauges.
-func (ix *PartitionIndex) RestoreRows(taxiID int64, rows []Row) {
+// RestoreRows reinstalls a taxi's rows verbatim from a snapshot, with
+// home as the partition it was indexed in. Unlike Update it does not touch
+// the updates counter — the counter's value is restored separately with
+// the rest of the deterministic counter set — but it does refresh the size
+// gauges.
+func (ix *PartitionIndex) RestoreRows(taxiID int64, home partition.ID, rows []Row) {
 	rows = append([]Row(nil), rows...)
 	slices.SortFunc(rows, func(a, b Row) int { return cmp.Compare(a.Partition, b.Partition) })
-	ix.mu.Lock()
-	ix.installLocked(taxiID, rows)
-	entries, taxis := ix.entries, len(ix.byTaxi)
-	ix.mu.Unlock()
-	if ix.entriesGauge != nil {
-		ix.entriesGauge.Set(float64(entries))
-		ix.taxisGauge.Set(float64(taxis))
-	}
+	ix.install(taxiID, home, rows)
 }

@@ -43,24 +43,21 @@ type PartitionIndex struct {
 	horizon float64 // seconds
 
 	mu      sync.RWMutex
-	byPart  [][]Entry       // partition -> its list P_z.L_t, strictly ascending by compare
-	byTaxi  map[int64][]Row // taxi -> its rows, ascending by partition
+	byPart  [][]Entry              // partition -> its list P_z.L_t, strictly ascending by compare
+	byTaxi  map[int64][]Row        // taxi -> its rows, ascending by partition
+	home    map[int64]partition.ID // taxi -> the partition it was in when indexed
 	entries int
 
-	// Optional registry instruments (see InstrumentWith).
 	updates      *obs.Counter
 	entriesGauge *obs.Gauge
 	taxisGauge   *obs.Gauge
 }
 
-// InstrumentWith registers the index's instruments in reg
+// InstrumentWith moves the index's instruments into reg
 // (mtshare_index_updates_total, mtshare_index_partition_entries,
-// mtshare_index_indexed_taxis) and returns the index. Call it once,
-// before concurrent use.
+// mtshare_index_indexed_taxis) and returns the index. Until then they
+// live in a private registry. Call it once, before the index is used.
 func (ix *PartitionIndex) InstrumentWith(reg *obs.Registry) *PartitionIndex {
-	if reg == nil {
-		return ix
-	}
 	ix.updates = reg.Counter("mtshare_index_updates_total")
 	ix.entriesGauge = reg.Gauge("mtshare_index_partition_entries")
 	ix.taxisGauge = reg.Gauge("mtshare_index_indexed_taxis")
@@ -70,12 +67,14 @@ func (ix *PartitionIndex) InstrumentWith(reg *obs.Registry) *PartitionIndex {
 // NewPartitionIndex creates an index over the given partitioning with the
 // horizon T_mp (the paper uses 1 h).
 func NewPartitionIndex(pt *partition.Partitioning, horizonSeconds float64) *PartitionIndex {
-	return &PartitionIndex{
+	ix := &PartitionIndex{
 		pt:      pt,
 		horizon: horizonSeconds,
 		byPart:  make([][]Entry, pt.NumPartitions()),
 		byTaxi:  make(map[int64][]Row),
+		home:    make(map[int64]partition.ID),
 	}
+	return ix.InstrumentWith(obs.NewRegistry())
 }
 
 // findRow returns where partition p is, or would be inserted, in rows.
@@ -90,8 +89,9 @@ func findRow(rows []Row, p partition.ID) (int, bool) {
 // Arrivals beyond the horizon are not indexed.
 func (ix *PartitionIndex) Update(taxiID int64, at roadnet.VertexID, route []roadnet.VertexID, nowSeconds, speedMps float64) {
 	var buf [16]Row // a route rarely crosses more partitions within the horizon
-	last := ix.pt.PartitionOf(at)
-	rows := append(buf[:0], Row{Partition: last, ArrivalSeconds: nowSeconds})
+	home := ix.pt.PartitionOf(at)
+	last := home
+	rows := append(buf[:0], Row{Partition: home, ArrivalSeconds: nowSeconds})
 	if speedMps > 0 {
 		g := ix.pt.Graph()
 		meters := 0.0
@@ -115,20 +115,16 @@ func (ix *PartitionIndex) Update(taxiID int64, at roadnet.VertexID, route []road
 			}
 		}
 	}
-	ix.mu.Lock()
-	ix.installLocked(taxiID, rows)
-	entries, taxis := ix.entries, len(ix.byTaxi)
-	ix.mu.Unlock()
-	if ix.updates != nil {
-		ix.updates.Inc()
-		ix.entriesGauge.Set(float64(entries))
-		ix.taxisGauge.Set(float64(taxis))
-	}
+	ix.updates.Inc()
+	ix.install(taxiID, home, rows)
 }
 
-// installLocked replaces the taxi's rows (ascending by partition) and its
-// entry in each partition list, reusing the taxi's row storage.
-func (ix *PartitionIndex) installLocked(taxiID int64, rows []Row) {
+// install replaces the taxi's home partition, its rows (ascending by
+// partition) and its entry in each partition list, reusing the taxi's row
+// storage, and refreshes the size gauges.
+func (ix *PartitionIndex) install(taxiID int64, home partition.ID, rows []Row) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	old := ix.unlistLocked(taxiID)
 	for _, r := range rows {
 		l, e := ix.byPart[r.Partition], Entry{TaxiID: taxiID, ArrivalSeconds: r.ArrivalSeconds}
@@ -136,7 +132,10 @@ func (ix *PartitionIndex) installLocked(taxiID int64, rows []Row) {
 		ix.byPart[r.Partition] = slices.Insert(l, at, e)
 	}
 	ix.byTaxi[taxiID] = append(old[:0], rows...)
+	ix.home[taxiID] = home
 	ix.entries += len(rows)
+	ix.entriesGauge.Set(float64(ix.entries))
+	ix.taxisGauge.Set(float64(len(ix.byTaxi)))
 }
 
 // unlistLocked takes the taxi out of every partition list and returns its
@@ -158,6 +157,16 @@ func (ix *PartitionIndex) Remove(taxiID int64) {
 	defer ix.mu.Unlock()
 	ix.unlistLocked(taxiID)
 	delete(ix.byTaxi, taxiID)
+	delete(ix.home, taxiID)
+}
+
+// Home returns the partition the taxi was in when it was last indexed; ok
+// is false for a taxi that is not indexed.
+func (ix *PartitionIndex) Home(taxiID int64) (p partition.ID, ok bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	p, ok = ix.home[taxiID]
+	return p, ok
 }
 
 // Taxis returns a copy of the partition's list P_z.L_t: ascending by

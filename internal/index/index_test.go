@@ -481,6 +481,7 @@ func TestPartitionIndexListsStayOrdered(t *testing.T) {
 		horizon := []float64{3600, 400, 60}[seed%3]
 		ix := NewPartitionIndex(w.pt, horizon)
 		model := map[int64]map[partition.ID]float64{}
+		homes := map[int64]partition.ID{}
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -507,6 +508,7 @@ func TestPartitionIndexListsStayOrdered(t *testing.T) {
 					taxis, reach = ix.Search([]partition.ID{p, 0}, p, float64(rr.Intn(4000)), taxis[:0], reach[:0])
 					ix.ArrivalAt(rr.Int63n(12), p)
 					ix.RowsOf(rr.Int63n(12))
+					ix.Home(rr.Int63n(12))
 					ix.Stats()
 				}
 			}(int64(r))
@@ -518,13 +520,17 @@ func TestPartitionIndexListsStayOrdered(t *testing.T) {
 			case op == 0:
 				ix.Remove(id)
 				delete(model, id)
+				delete(homes, id)
 			case op == 1:
-				// A snapshot round trip, rows handed back in reverse order.
+				// A snapshot round trip, rows handed back in reverse order
+				// with the home partition the index reports.
 				rows := ix.RowsOf(id)
 				for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
 					rows[i], rows[j] = rows[j], rows[i]
 				}
-				ix.RestoreRows(id, rows)
+				home, _ := ix.Home(id)
+				ix.RestoreRows(id, home, rows)
+				homes[id] = home
 				if len(rows) == 0 {
 					model[id] = map[partition.ID]float64{}
 				}
@@ -539,9 +545,16 @@ func TestPartitionIndexListsStayOrdered(t *testing.T) {
 				now, speed := float64(rng.Intn(5)*100), []float64{0, 4.17, 4.17, 12}[rng.Intn(4)]
 				ix.Update(id, src, route, now, speed)
 				model[id] = modelArrivals(w.pt, horizon, src, route, now, speed)
+				homes[id] = w.pt.PartitionOf(src)
 			}
 			if step%8 == 0 {
 				checkIndexInvariants(t, ix, w.pt, model, rng)
+			}
+			for id := int64(0); id < 12; id++ {
+				want, indexed := homes[id]
+				if got, ok := ix.Home(id); ok != indexed || got != want {
+					t.Fatalf("Home(%d) = %v, %v; want %v, %v", id, got, ok, want, indexed)
+				}
 			}
 		}
 		checkIndexInvariants(t, ix, w.pt, model, rng)

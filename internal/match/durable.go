@@ -5,8 +5,8 @@
 // carried verbatim) and the cruise sampler's stream position — and the
 // pending queue's capture. The runtime (internal/service) declares the
 // snapshot schema and assembles it from these parts. Derived state (route
-// caches, leg costs, Scheme's last-indexed partitions) is rebuilt: each is
-// a pure function of the restored fields at an event boundary.
+// caches, leg costs, the partition each taxi was indexed in) is rebuilt:
+// each is a pure function of the restored fields at an event boundary.
 //
 // Restore always targets a freshly constructed engine and queue — the
 // WAL records every state-changing event, so recovery builds a virgin
@@ -34,7 +34,10 @@ func (e *Engine) IndexRows(id int64) []index.Row { return e.pindex.RowsOf(id) }
 
 // RestoreTaxi registers a taxi rebuilt from a snapshot with its captured
 // index rows. Unlike AddTaxi it neither re-indexes the taxi nor touches
-// the clusters: both are restored verbatim. A registered ID is refused.
+// the clusters: both are restored verbatim. The partition the taxi was
+// indexed in is its current one: at every event boundary it is (AddTaxi,
+// commits and border crossings all re-index), so it is recomputed rather
+// than serialized. A registered ID is refused.
 func (e *Engine) RestoreTaxi(t *fleet.Taxi, rows []index.Row) error {
 	e.mu.Lock()
 	_, dup := e.taxis[t.ID]
@@ -45,19 +48,7 @@ func (e *Engine) RestoreTaxi(t *fleet.Taxi, rows []index.Row) error {
 	if dup {
 		return fmt.Errorf("match: taxi %d is already registered", t.ID)
 	}
-	e.pindex.RestoreRows(t.ID, rows)
-	return nil
-}
-
-// RestoreTaxi registers a restored taxi with the engine and re-seeds its
-// last-indexed partition: at every event boundary that is the taxi's
-// current partition (AddTaxi, commits and border crossings all refresh
-// it), so it is recomputed rather than serialized.
-func (s *Scheme) RestoreTaxi(t *fleet.Taxi, rows []index.Row) error {
-	if err := s.Engine.RestoreTaxi(t, rows); err != nil {
-		return err
-	}
-	s.noteIndexed(t)
+	e.pindex.RestoreRows(t.ID, e.pt.PartitionOf(t.At()), rows)
 	return nil
 }
 
@@ -85,18 +76,19 @@ type QueueItemState struct {
 }
 
 // PoolState is a pending-queue snapshot: the parked items and the
-// queue's lifecycle counters.
+// queue's capacity. The lifecycle counters are mtshare_match_queue_*
+// series, captured and restored with the host's other counters.
 type PoolState struct {
-	Items []QueueItemState `json:"items,omitempty"`
-	Stats QueueStats       `json:"stats"`
+	Items    []QueueItemState `json:"items,omitempty"`
+	Capacity int              `json:"capacity"`
 }
 
 // CaptureDurable snapshots the queue: items in (pickup deadline, request
-// ID) order plus the lifecycle counters verbatim.
+// ID) order plus its capacity.
 func (q *PendingQueue) CaptureDurable() PoolState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := PoolState{Stats: q.stats}
+	st := PoolState{Capacity: q.capacity}
 	for _, it := range q.sortedLocked() {
 		st.Items = append(st.Items, QueueItemState{
 			Req:        int64(it.Req.ID),
@@ -109,15 +101,16 @@ func (q *PendingQueue) CaptureDurable() PoolState {
 
 // RestoreDurable loads a snapshot into a freshly constructed queue. The
 // mtshare_match_queue_* counters are deterministic series restored by
-// the host through the registry; only the depth gauge is refreshed here.
+// the host through the registry (RestoreCounters); only the depth gauge
+// is refreshed here.
 func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.items.Len() > 0 || q.stats.Enqueued > 0 {
+	if q.items.Len() > 0 || q.enqueued.Value() > 0 {
 		return fmt.Errorf("match: RestoreDurable on a non-empty queue")
 	}
-	if st.Stats.Capacity != q.capacity {
-		return fmt.Errorf("match: queue snapshot capacity %d, configured %d", st.Stats.Capacity, q.capacity)
+	if st.Capacity != q.capacity {
+		return fmt.Errorf("match: queue snapshot capacity %d, configured %d", st.Capacity, q.capacity)
 	}
 	for _, is := range st.Items {
 		req, ok := resolve(fleet.RequestID(is.Req))
@@ -133,8 +126,6 @@ func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) err
 		heap.Push(&q.items, it)
 		q.byID[req.ID] = it
 	}
-	q.stats = st.Stats
-	q.stats.Depth = 0 // Stats() derives depth live
 	q.setDepthLocked()
 	return nil
 }

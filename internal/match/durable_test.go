@@ -7,6 +7,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/index"
 	"repro/internal/mobcluster"
+	"repro/internal/obs"
 )
 
 // driveDurableWorld puts an engine through a representative slice of its
@@ -99,18 +100,14 @@ func captureEngine(e *Engine) engineState {
 
 // restoreEngine lays st onto e through s when it is set, as the runtime
 // does, and through the engine alone otherwise.
-func restoreEngine(e *Engine, s *Scheme, st engineState, resolve RequestResolver) ([]*fleet.Taxi, error) {
-	register := e.RestoreTaxi
-	if s != nil {
-		register = s.RestoreTaxi
-	}
+func restoreEngine(e *Engine, st engineState, resolve RequestResolver) ([]*fleet.Taxi, error) {
 	var out []*fleet.Taxi
 	for i, ts := range st.Taxis {
 		t, err := fleet.RestoreTaxi(e.g, ts, resolve)
 		if err != nil {
 			return nil, err
 		}
-		if err := register(t, st.Rows[i]); err != nil {
+		if err := e.RestoreTaxi(t, st.Rows[i]); err != nil {
 			return nil, err
 		}
 		out = append(out, t)
@@ -123,7 +120,7 @@ func restoreEngine(e *Engine, s *Scheme, st engineState, resolve RequestResolver
 func roundTrip(t *testing.T, src, dst *Engine, reqs map[fleet.RequestID]*fleet.Request) {
 	t.Helper()
 	st := captureEngine(src)
-	if _, err := restoreEngine(dst, nil, st, resolverFor(reqs)); err != nil {
+	if _, err := restoreEngine(dst, st, resolverFor(reqs)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	got, want := mustJSON(t, captureEngine(dst)), mustJSON(t, st)
@@ -169,7 +166,7 @@ func TestEngineDurableRoundTrip(t *testing.T) {
 func TestRestoreDurableRejectsNonEmpty(t *testing.T) {
 	env := newTestEnv(t, nil)
 	reqs := driveDurableWorld(t, env, env.e)
-	if _, err := restoreEngine(env.e, nil, captureEngine(env.e), resolverFor(reqs)); err == nil {
+	if _, err := restoreEngine(env.e, captureEngine(env.e), resolverFor(reqs)); err == nil {
 		t.Fatal("restoring a registered taxi must fail")
 	}
 }
@@ -183,14 +180,15 @@ func TestRestoreDurableUnknownRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := func(fleet.RequestID) (*fleet.Request, bool) { return nil, false }
-	if _, err := restoreEngine(fresh, nil, st, empty); err == nil {
+	if _, err := restoreEngine(fresh, st, empty); err == nil {
 		t.Fatal("restore with unresolvable requests must fail")
 	}
 }
 
 func TestQueueDurableRoundTrip(t *testing.T) {
 	env := newTestEnv(t, nil)
-	q := newQueue(env, 8)
+	reg, freshReg := obs.NewRegistry(), obs.NewRegistry()
+	q := newQueue(env, 8).InstrumentWith(reg)
 	reqs := make(map[fleet.RequestID]*fleet.Request)
 	for i := int64(1); i <= 5; i++ {
 		req := env.request(i, env.vertexNear(t, 0.2, 0.2), env.vertexNear(t, 0.8, 0.8), 0, 3+float64(i))
@@ -206,10 +204,12 @@ func TestQueueDurableRoundTrip(t *testing.T) {
 	delete(reqs, 3)
 
 	st := q.CaptureDurable()
-	fresh := newQueue(env, 8)
+	fresh := newQueue(env, 8).InstrumentWith(freshReg)
 	if err := fresh.RestoreDurable(st, resolverFor(reqs)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
+	// The lifecycle counts come back once, with the host's counters.
+	freshReg.RestoreCounters(reg.Snapshot().Counters)
 	if got, want := mustJSON(t, fresh.CaptureDurable()), mustJSON(t, st); got != want {
 		t.Fatalf("queue re-capture differs:\n got %s\nwant %s", got, want)
 	}
@@ -257,7 +257,6 @@ func TestQueueRestoreValidation(t *testing.T) {
 
 func TestSchemeRestoreIndexed(t *testing.T) {
 	env := newTestEnv(t, nil)
-	s := NewScheme(env.e, false)
 	reqs := driveDurableWorld(t, env, env.e)
 	st := captureEngine(env.e)
 
@@ -265,20 +264,21 @@ func TestSchemeRestoreIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewScheme(fresh, false)
-	restored, err := restoreEngine(fresh, s2, st, resolverFor(reqs))
+	restored, err := restoreEngine(fresh, st, resolverFor(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.mu.Lock()
-	defer s2.mu.Unlock()
+	// OnTaxiAdvanced compares Home with the taxi's partition: restore must
+	// leave it where the live engine had it, the taxi's current partition.
 	for _, taxi := range restored {
 		want := fresh.Partitioning().PartitionOf(taxi.At())
-		if got, ok := s2.lastIndexed[taxi.ID]; !ok || got != want {
-			t.Fatalf("taxi %d lastIndexed = %v (ok=%v), want %v", taxi.ID, got, ok, want)
+		if got, ok := fresh.pindex.Home(taxi.ID); !ok || got != want {
+			t.Fatalf("taxi %d Home = %v (ok=%v), want %v", taxi.ID, got, ok, want)
+		}
+		if live, _ := env.e.pindex.Home(taxi.ID); live != want {
+			t.Fatalf("taxi %d: live Home %v, restored %v", taxi.ID, live, want)
 		}
 	}
-	_ = s
 }
 
 func TestCruiseSamplerFastForward(t *testing.T) {

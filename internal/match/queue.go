@@ -85,8 +85,8 @@ type QueueStats struct {
 // deadline, request ID). Requests stay in the pool across retry rounds
 // until they are served (MarkServed) or their pickup deadline passes
 // strictly (ExpireBefore — the deadline itself is still dispatchable,
-// matching the engine's inclusive-deadline convention). It is safe for
-// concurrent use.
+// matching the engine's inclusive-deadline convention). Its lifecycle
+// counts live only in its instruments. It is safe for concurrent use.
 type PendingQueue struct {
 	speedMps float64
 	capacity int
@@ -94,9 +94,7 @@ type PendingQueue struct {
 	mu    sync.Mutex
 	items pendingHeap
 	byID  map[fleet.RequestID]*PendingItem
-	stats QueueStats
 
-	// Optional registry instruments (see InstrumentWith).
 	depthGauge *obs.Gauge
 	enqueued   *obs.Counter
 	rejected   *obs.Counter
@@ -110,22 +108,21 @@ type PendingQueue struct {
 // converts delivery deadlines to pickup deadlines (it must match the
 // dispatching engine's speed so queue expiry agrees with dispatch expiry).
 func NewPendingQueue(capacity int, speedMps float64) *PendingQueue {
-	return &PendingQueue{
+	q := &PendingQueue{
 		speedMps: speedMps,
 		capacity: capacity,
 		byID:     make(map[fleet.RequestID]*PendingItem),
-		stats:    QueueStats{Capacity: capacity},
 	}
+	return q.InstrumentWith(obs.NewRegistry())
 }
 
-// InstrumentWith registers the queue's instruments in reg under
+// InstrumentWith moves the queue's instruments into reg under
 // mtshare_match_queue_* (depth gauge, enqueued/rejected/retries/served/
 // expired counters, and the queued-to-matched wait histogram in simulation
-// seconds) and returns the queue. Call it once, before concurrent use.
+// seconds) and returns the queue. Until then they live in a private
+// registry. Call it once, before the queue is used: Stats reads these
+// counters, so a queue sharing reg with another reports their sum.
 func (q *PendingQueue) InstrumentWith(reg *obs.Registry) *PendingQueue {
-	if reg == nil {
-		return q
-	}
 	q.depthGauge = reg.Gauge("mtshare_match_queue_depth")
 	q.enqueued = reg.Counter("mtshare_match_queue_enqueued_total")
 	q.rejected = reg.Counter("mtshare_match_queue_rejected_total")
@@ -157,10 +154,7 @@ func (q *PendingQueue) Push(req *fleet.Request, nowSeconds float64) PushResult {
 		return PushAccepted
 	}
 	if pd < nowSeconds || q.items.Len() >= q.capacity {
-		q.stats.Rejected++
-		if q.rejected != nil {
-			q.rejected.Inc()
-		}
+		q.rejected.Inc()
 		if pd < nowSeconds {
 			return PushRejectedExpired
 		}
@@ -169,10 +163,7 @@ func (q *PendingQueue) Push(req *fleet.Request, nowSeconds float64) PushResult {
 	it := &PendingItem{Req: req, EnqueuedAt: nowSeconds, pickupDeadline: pd}
 	heap.Push(&q.items, it)
 	q.byID[req.ID] = it
-	q.stats.Enqueued++
-	if q.enqueued != nil {
-		q.enqueued.Inc()
-	}
+	q.enqueued.Inc()
 	q.setDepthLocked()
 	return PushAccepted
 }
@@ -191,10 +182,7 @@ func (q *PendingQueue) ExpireBefore(nowSeconds float64) []*PendingItem {
 		out = append(out, it)
 	}
 	if len(out) > 0 {
-		q.stats.Expired += int64(len(out))
-		if q.expired != nil {
-			q.expired.Add(int64(len(out)))
-		}
+		q.expired.Add(int64(len(out)))
 		q.setDepthLocked()
 	}
 	return out
@@ -211,10 +199,7 @@ func (q *PendingQueue) NextBatch() []*PendingItem {
 	for _, it := range out {
 		it.Retries++
 	}
-	q.stats.Retries += int64(len(out))
-	if q.retries != nil && len(out) > 0 {
-		q.retries.Add(int64(len(out)))
-	}
+	q.retries.Add(int64(len(out)))
 	return out
 }
 
@@ -250,13 +235,8 @@ func (q *PendingQueue) MarkServed(id fleet.RequestID, nowSeconds float64) *Pendi
 	}
 	heap.Remove(&q.items, it.index)
 	delete(q.byID, id)
-	q.stats.Served++
-	if q.served != nil {
-		q.served.Inc()
-	}
-	if q.waitSecs != nil {
-		q.waitSecs.Observe(nowSeconds - it.EnqueuedAt)
-	}
+	q.served.Inc()
+	q.waitSecs.Observe(nowSeconds - it.EnqueuedAt)
 	q.setDepthLocked()
 	return it
 }
@@ -265,16 +245,18 @@ func (q *PendingQueue) MarkServed(id fleet.RequestID, nowSeconds float64) *Pendi
 func (q *PendingQueue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := q.stats
-	s.Depth = q.items.Len()
-	return s
-}
-
-func (q *PendingQueue) setDepthLocked() {
-	if q.depthGauge != nil {
-		q.depthGauge.Set(float64(q.items.Len()))
+	return QueueStats{
+		Depth:    q.items.Len(),
+		Capacity: q.capacity,
+		Enqueued: q.enqueued.Value(),
+		Rejected: q.rejected.Value(),
+		Retries:  q.retries.Value(),
+		Served:   q.served.Value(),
+		Expired:  q.expired.Value(),
 	}
 }
+
+func (q *PendingQueue) setDepthLocked() { q.depthGauge.Set(float64(q.items.Len())) }
 
 // pendingHeap is a min-heap over (pickup deadline, request ID).
 type pendingHeap []*PendingItem

@@ -2,35 +2,26 @@ package match
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/dispatch"
 	"repro/internal/fleet"
-	"repro/internal/partition"
 	"repro/internal/roadnet"
 )
 
-// Scheme adapts an Engine to the dispatcher contract.
-// Probabilistic selects the mT-Share_pro variant: probabilistic routing in
-// Alg. 1 for eligible taxis plus probabilistic cruising of idle taxis
-// toward likely offline demand.
+// Scheme adapts an Engine to the dispatcher contract; AddTaxi and
+// TryServeOffline are the engine's own. Probabilistic selects the
+// mT-Share_pro variant: probabilistic routing in Alg. 1 for eligible taxis
+// plus probabilistic cruising of idle taxis toward likely offline demand.
 type Scheme struct {
 	*Engine
 	// Probabilistic enables probabilistic routing and cruising
 	// (mT-Share_pro).
 	Probabilistic bool
-
-	mu          sync.Mutex
-	lastIndexed map[int64]partition.ID
 }
 
 // NewScheme wraps an engine as a dispatcher.
 func NewScheme(e *Engine, probabilistic bool) *Scheme {
-	return &Scheme{
-		Engine:        e,
-		Probabilistic: probabilistic,
-		lastIndexed:   make(map[int64]partition.ID),
-	}
+	return &Scheme{Engine: e, Probabilistic: probabilistic}
 }
 
 // Name identifies the scheme in reports.
@@ -39,18 +30,6 @@ func (s *Scheme) Name() string {
 		return "mT-Share-pro"
 	}
 	return "mT-Share"
-}
-
-// AddTaxi registers a taxi with the engine.
-func (s *Scheme) AddTaxi(t *fleet.Taxi, nowSeconds float64) {
-	s.Engine.AddTaxi(t, nowSeconds)
-	s.noteIndexed(t)
-}
-
-func (s *Scheme) noteIndexed(t *fleet.Taxi) {
-	s.mu.Lock()
-	s.lastIndexed[t.ID] = s.Partitioning().PartitionOf(t.At())
-	s.mu.Unlock()
 }
 
 // OnRequest runs Alg. 1 under ctx and commits the winning assignment.
@@ -64,7 +43,6 @@ func (s *Scheme) OnRequest(ctx context.Context, req *fleet.Request, nowSeconds f
 		out.Failed = true
 		return out
 	}
-	s.noteIndexed(a.Taxi)
 	out.Served, out.TaxiID, out.DetourMeters = true, a.Taxi.ID, a.DetourMeters
 	for k, ev := range a.Events {
 		switch {
@@ -91,7 +69,6 @@ func (s *Scheme) OnBatch(reqs []*fleet.Request, nowSeconds float64) []dispatch.B
 		if o.Served {
 			r.Out.Served = true
 			r.Out.TaxiID = o.Assignment.Taxi.ID
-			s.noteIndexed(o.Assignment.Taxi)
 		}
 		res[i] = r
 	}
@@ -99,34 +76,20 @@ func (s *Scheme) OnBatch(reqs []*fleet.Request, nowSeconds float64) []dispatch.B
 }
 
 // OnTaxiAdvanced refreshes a taxi's indexes when it crossed a partition
-// border. Entries computed at plan time stay valid while the taxi follows
-// the plan (constant speed, fixed route), so a full reindex per tick is
-// unnecessary; only border crossings leave stale rows behind.
+// border since it was last indexed. Entries computed at plan time stay
+// valid while the taxi follows the plan (constant speed, fixed route), so a
+// full reindex per tick is unnecessary; only border crossings leave stale
+// rows behind.
 func (s *Scheme) OnTaxiAdvanced(t *fleet.Taxi, nowSeconds float64) {
-	cur := s.Partitioning().PartitionOf(t.At())
-	s.mu.Lock()
-	last, ok := s.lastIndexed[t.ID]
-	if ok && last == cur {
-		s.mu.Unlock()
+	if home, ok := s.pindex.Home(t.ID); ok && home == s.pt.PartitionOf(t.At()) {
 		return
 	}
-	s.lastIndexed[t.ID] = cur
-	s.mu.Unlock()
 	s.ReindexTaxi(t, nowSeconds)
 }
 
 // OnRequestCompleted removes the request from the mobility clusters.
 func (s *Scheme) OnRequestCompleted(req *fleet.Request, nowSeconds float64) {
 	s.OnRequestDone(req)
-}
-
-// TryServeOffline delegates to the engine's insertion check.
-func (s *Scheme) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSeconds float64) bool {
-	ok := s.Engine.TryServeOffline(t, req, nowSeconds)
-	if ok {
-		s.noteIndexed(t)
-	}
-	return ok
 }
 
 // PlanIdle plans a probabilistic cruise for an idle, parked taxi when the
@@ -144,7 +107,6 @@ func (s *Scheme) PlanIdle(t *fleet.Taxi, nowSeconds float64) bool {
 	}
 	s.noteCruisePlanned(t)
 	s.ReindexTaxi(t, nowSeconds)
-	s.noteIndexed(t)
 	return true
 }
 

@@ -3,7 +3,6 @@ package roadnet
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -33,11 +32,12 @@ import (
 // an entry was evicted are invisible to dispatch outcomes.
 //
 // Router is safe for concurrent use. Concurrent misses on one pair each run
-// the point query and store the same value.
+// the point query and store the same value. Its counts live only in its
+// instruments.
 type Router struct {
 	g   *Graph
-	ch  *CH            // set by AttachCH before any query or concurrent use
-	met *routerMetrics // nil until InstrumentWith
+	ch  *CH // set by AttachCH before any query or concurrent use
+	met routerMetrics
 
 	mu sync.Mutex
 	// The memo is two generations of at most genCap entries each: a lookup
@@ -47,9 +47,6 @@ type Router struct {
 	// after both maps have filled once, rotation allocates nothing.
 	cur, old map[uint64]float64
 	genCap   int
-	hits     int64
-
-	chQueries atomic.Int64
 }
 
 // memoEntryBytes is what one memo entry is charged against the budget: an
@@ -58,10 +55,9 @@ type Router struct {
 // doubling), so the budget bounds real memory, not just payload.
 const memoEntryBytes = 48
 
-// routerMetrics mirrors the router's counters into an obs.Registry under
-// the mtshare_roadnet_* namespace, so routing shows up on the one metrics
-// surface next to the dispatch-stage histograms. The Router's own counters
-// stay the source of truth for Stats().
+// routerMetrics are the router's instruments under the mtshare_roadnet_*
+// namespace, so routing shows up on the one metrics surface next to the
+// dispatch-stage histograms. Stats reads its counts from them.
 type routerMetrics struct {
 	hits        *obs.Counter
 	cold        *obs.Counter
@@ -73,18 +69,16 @@ type routerMetrics struct {
 	chMemory    *obs.Gauge
 }
 
-// InstrumentWith registers the router's instruments in reg —
+// InstrumentWith moves the router's instruments into reg —
 // mtshare_roadnet_cache_hits_total (memo hits), ..._cold_queries_total
 // (point queries run), ..._ch_queries_total (the same count, by its
 // backend's name), ..._ch_settled_vertices,
 // ..._cache_memory_bytes (memo footprint), and the
 // mtshare_roadnet_ch_{build_seconds,shortcuts,memory_bytes} gauges — and
-// returns the router. Call it once, before the router is used concurrently.
+// returns the router. Until then they live in a private registry. Call it
+// once, before the router is queried.
 func (r *Router) InstrumentWith(reg *obs.Registry) *Router {
-	if reg == nil {
-		return r
-	}
-	r.met = &routerMetrics{
+	r.met = routerMetrics{
 		hits:      reg.Counter("mtshare_roadnet_cache_hits_total"),
 		cold:      reg.Counter("mtshare_roadnet_cold_queries_total"),
 		chQueries: reg.Counter("mtshare_roadnet_ch_queries_total"),
@@ -121,7 +115,7 @@ func (r *Router) AttachCH(ch *CH) *Router {
 func (r *Router) CH() *CH { return r.ch }
 
 func (r *Router) publishCHGauges() {
-	if r.met == nil || r.ch == nil {
+	if r.ch == nil {
 		return
 	}
 	st := r.ch.Stats()
@@ -158,12 +152,13 @@ func NewRouter(g *Graph, capacity int) *Router {
 	if genCap < 1 {
 		genCap = 1
 	}
-	return &Router{
+	r := &Router{
 		g:      g,
 		cur:    make(map[uint64]float64),
 		old:    make(map[uint64]float64),
 		genCap: genCap,
 	}
+	return r.InstrumentWith(obs.NewRegistry())
 }
 
 // Graph returns the underlying graph.
@@ -180,11 +175,8 @@ func (r *Router) lookup(key uint64) (float64, bool) {
 			r.storeLocked(key, c)
 		}
 	}
-	if ok {
-		r.hits++
-	}
 	r.mu.Unlock()
-	if ok && r.met != nil {
+	if ok {
 		r.met.hits.Inc()
 	}
 	return c, ok
@@ -198,9 +190,7 @@ func (r *Router) storeLocked(key uint64, cost float64) {
 		clear(r.cur)
 	}
 	r.cur[key] = cost
-	if r.met != nil {
-		r.met.memoryBytes.Set(float64(r.memoBytesLocked()))
-	}
+	r.met.memoryBytes.Set(float64(r.memoBytesLocked()))
 }
 
 func (r *Router) memoBytesLocked() int64 {
@@ -217,18 +207,15 @@ func (r *Router) pointQuery(src, dst VertexID, wantPath bool) (cost float64, pat
 	if ch == nil {
 		panic("roadnet: Router queried before AttachCH")
 	}
-	r.chQueries.Add(1)
 	var settled int
 	if wantPath {
 		cost, path, settled, _ = ch.ShortestPath(src, dst)
 	} else {
 		cost, settled = ch.costSettled(src, dst)
 	}
-	if r.met != nil {
-		r.met.cold.Inc()
-		r.met.chQueries.Inc()
-		r.met.chSettled.Observe(float64(settled))
-	}
+	r.met.cold.Inc()
+	r.met.chQueries.Inc()
+	r.met.chSettled.Observe(float64(settled))
 	return cost, path
 }
 
@@ -285,12 +272,12 @@ type RouterStats struct {
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
 	st := RouterStats{
-		Hits:        r.hits,
+		Hits:        r.met.hits.Value(),
+		CHQueries:   r.met.chQueries.Value(),
 		MemoEntries: len(r.cur) + len(r.old),
 		MemoBytes:   r.memoBytesLocked(),
 	}
 	r.mu.Unlock()
-	st.CHQueries = r.chQueries.Load()
 	if r.ch != nil {
 		st.CHMemoryBytes = r.ch.MemoryBytes()
 	}

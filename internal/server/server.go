@@ -61,7 +61,10 @@ type Config struct {
 	AdmissionQueue int
 
 	// Metrics receives the engine's instruments; nil allocates a private
-	// registry served at /v1/metrics either way.
+	// registry served at /v1/metrics either way. Queue, router and WAL
+	// counts are kept only here (/v1/queue and /v1/durability read them
+	// back), so two servers sharing one registry each report the sum, as
+	// they do for dispatch counters.
 	Metrics *obs.Registry
 	// TraceSampleEvery samples one in N dispatches with a span tree
 	// delivered to TraceHandler; 0 disables tracing.

@@ -174,7 +174,7 @@ func (r *Runtime) WaitSnapshots() { r.snapWG.Wait() }
 // snapshotVersion is the snapshot schema Capture writes. Recovery skips a
 // snapshot of any other version, as it skips another world's, and
 // replays the log instead, so no older schema is ever decoded.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // Snapshot is the runtime at an event boundary, and the one declaration
 // of the snapshot schema. Header pins it to the world it was taken in;
@@ -182,8 +182,9 @@ const snapshotVersion = 2
 // number the snapshot file is named after). Requests[i] is request i+1
 // and Taxis[i] is taxi i+1; restore refuses a table that breaks this
 // density. Clusters and CruiseDraws are the engine's mobility state,
-// Queue the pending queue (nil without one), Counters the deterministic
-// counters.
+// Queue the pending queue's items and capacity (nil without one),
+// Counters the deterministic counters, the queue's lifecycle counts
+// among them: each count is written once.
 type Snapshot struct {
 	Version     int              `json:"version"`
 	Header      json.RawMessage  `json:"header"`
@@ -345,7 +346,6 @@ func (r *Runtime) restore(snap *Snapshot) error {
 		}
 		return nil, false
 	}
-	scheme := r.Scheme.(*match.Scheme)
 	for i, ts := range snap.Taxis {
 		if ts.ID != int64(i+1) { // as is the taxi table
 			return fmt.Errorf("taxi table slot %d holds taxi %d", i+1, ts.ID)
@@ -354,7 +354,7 @@ func (r *Runtime) restore(snap *Snapshot) error {
 		if err != nil {
 			return err
 		}
-		if err := scheme.RestoreTaxi(t, ts.Rows); err != nil {
+		if err := r.Engine.RestoreTaxi(t, ts.Rows); err != nil {
 			return err
 		}
 		var episode []*Request

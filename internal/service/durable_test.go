@@ -597,3 +597,100 @@ func BenchmarkCapture(b *testing.B) {
 		})
 	}
 }
+
+// TestCountsHaveOneOwner requires the queue's, the router's and the WAL's
+// counts to read the same through their Stats methods as through the
+// mtshare_* counters of the runtime's registry, on a live runtime and on
+// one recovered from a snapshot and a torn log tail.
+func TestCountsHaveOneOwner(t *testing.T) {
+	dir := t.TempDir()
+	opts := wal.Options{Dir: dir, SyncEvery: 1, SnapshotEveryTicks: 2, SegmentBytes: 8 << 10}
+	openAt := func(dir string) *Runtime {
+		t.Helper()
+		r, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Dir = dir
+		if err := r.OpenWAL(opts, testWorld()); err != nil {
+			t.Fatalf("open %s: %v", dir, err)
+		}
+		return r
+	}
+	check := func(label string, r *Runtime) match.QueueStats {
+		t.Helper()
+		c := r.Engine.Metrics().Snapshot().Counters
+		qs, rs, ws := r.Queue.Stats(), r.Engine.Router().Stats(), r.WAL().Stats()
+		for _, p := range []struct {
+			name string
+			got  int64
+		}{
+			{"mtshare_match_queue_enqueued_total", qs.Enqueued},
+			{"mtshare_match_queue_rejected_total", qs.Rejected},
+			{"mtshare_match_queue_retries_total", qs.Retries},
+			{"mtshare_match_queue_served_total", qs.Served},
+			{"mtshare_match_queue_expired_total", qs.Expired},
+			{"mtshare_roadnet_cache_hits_total", rs.Hits},
+			{"mtshare_roadnet_ch_queries_total", rs.CHQueries},
+			{"mtshare_wal_syncs_total", ws.Syncs},
+			{"mtshare_wal_rotations_total", ws.Rotations},
+			{"mtshare_wal_truncated_bytes_total", ws.TruncatedBytes},
+		} {
+			if want, ok := c[p.name]; !ok || p.got != want {
+				t.Errorf("%s: Stats reads %d, %s is %d (registered %v)", label, p.got, p.name, want, ok)
+			}
+		}
+		if d := r.Engine.Metrics().Snapshot().Gauges["mtshare_match_queue_depth"]; int(d) != qs.Depth {
+			t.Errorf("%s: queue depth %d, gauge %v", label, qs.Depth, d)
+		}
+		if qs.Enqueued == 0 || qs.Retries == 0 || rs.Hits == 0 || rs.CHQueries == 0 {
+			t.Fatalf("%s: the drive exercised too little: %+v %+v", label, qs, rs)
+		}
+		return qs
+	}
+
+	live := openAt(dir)
+	drive(live, 0, 120)
+	live.WaitSnapshots()
+	if ws := live.WAL().Stats(); ws.Syncs == 0 || ws.Rotations == 0 || ws.LastSnapshotEvents == 0 {
+		t.Fatalf("live WAL never synced, rotated or snapshotted: %+v", ws)
+	}
+	liveQueue := check("live", live)
+
+	// Recover a copy whose last segment ends in a torn frame.
+	cp := copyWAL(t, dir, true)
+	segs, err := filepath.Glob(filepath.Join(cp, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s: %v", cp, err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := openAt(cp)
+	if ws := rec.WAL().Stats(); ws.TruncatedBytes != 6 {
+		t.Fatalf("recovery truncated %d bytes, want the 6 torn ones", ws.TruncatedBytes)
+	}
+	if got := check("recovered", rec); got != liveQueue {
+		t.Fatalf("recovered queue counts %+v, live %+v", got, liveQueue)
+	}
+	drive(rec, 120, 160)
+	drive(live, 120, 160)
+	if got, want := check("recovered, driven on", rec), check("live, driven on", live); got != want {
+		t.Fatalf("queue counts diverged after recovery: %+v, live %+v", got, want)
+	}
+	if ws := rec.WAL().Stats(); ws.Syncs == 0 {
+		t.Fatalf("the recovered WAL never synced: %+v", ws)
+	}
+	for _, r := range []*Runtime{live, rec} {
+		if err := r.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -47,9 +47,7 @@ func (l *Log) WriteSnapshot(events int64, payload []byte) error {
 	if events > l.lastSnapEvents {
 		l.lastSnapEvents = events
 	}
-	if l.snapsC != nil {
-		l.snapsC.Inc()
-	}
+	l.snapsC.Inc()
 	l.pruneSnapshotsLocked()
 	return nil
 }
@@ -104,9 +102,7 @@ func (l *Log) writeSnapshotLocked(events int64, payload []byte) error {
 // mtshare_wal_snapshot_errors_total counter.
 func (l *Log) noteSnapshotErrLocked(err error) {
 	l.snapErr = err
-	if l.snapErrsC != nil {
-		l.snapErrsC.Inc()
-	}
+	l.snapErrsC.Inc()
 }
 
 func writeFrameTo(w *bufio.Writer, payload []byte) error {

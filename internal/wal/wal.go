@@ -135,25 +135,23 @@ type segment struct {
 // Log is an open write-ahead log positioned for appending. Methods are
 // safe for concurrent use; I/O errors are sticky — once a write or sync
 // fails, every later call returns the same error so a host cannot keep
-// acknowledging work it is no longer persisting.
+// acknowledging work it is no longer persisting. Counts of this process's
+// syncs, rotations and truncations live only in its instruments.
 type Log struct {
 	opts Options
 	dir  string
 
-	mu             sync.Mutex
-	f              *os.File
-	w              *bufio.Writer
-	segments       []segment
-	segBytes       int64 // bytes in the active segment
-	records        int64 // valid records across all segments
-	appended       int64 // framed bytes appended (all segments)
-	dirty          int   // appends since the last fsync
-	syncs          int64
-	rotations      int64
-	truncatedBytes int64
-	lastSyncNanos  int64
-	closed         bool
-	err            error
+	mu            sync.Mutex
+	f             *os.File
+	w             *bufio.Writer
+	segments      []segment
+	segBytes      int64 // bytes in the active segment
+	records       int64 // valid records across all segments
+	appended      int64 // framed bytes appended (all segments)
+	dirty         int   // appends since the last fsync
+	lastSyncNanos int64
+	closed        bool
+	err           error
 
 	stopInterval chan struct{}
 	intervalDone chan struct{}
@@ -169,8 +167,8 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log in opts.Dir, scans and repairs
-// the segment chain, and positions it for appending. reg, when non-nil,
-// receives the mtshare_wal_* instruments.
+// the segment chain, and positions it for appending. reg receives the
+// mtshare_wal_* instruments; nil keeps them in a private registry.
 func Open(opts Options, reg *obs.Registry) (*Log, error) {
 	if !opts.Enabled() {
 		return nil, fmt.Errorf("wal: no directory configured")
@@ -178,18 +176,22 @@ func Open(opts Options, reg *obs.Registry) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{opts: opts, dir: opts.Dir}
-	if reg != nil {
-		l.appendsC = reg.Counter("mtshare_wal_appends_total")
-		l.bytesC = reg.Counter("mtshare_wal_appended_bytes_total")
-		l.syncsC = reg.Counter("mtshare_wal_syncs_total")
-		l.rotationsC = reg.Counter("mtshare_wal_rotations_total")
-		l.truncC = reg.Counter("mtshare_wal_truncated_bytes_total")
-		l.snapsC = reg.Counter("mtshare_wal_snapshots_total")
-		l.snapErrsC = reg.Counter("mtshare_wal_snapshot_errors_total")
-		l.segGauge = reg.Gauge("mtshare_wal_segments")
-		l.lastSyncGauge = reg.Gauge("mtshare_wal_last_sync_unix_seconds")
-		l.fsyncH = reg.Histogram("mtshare_wal_fsync_seconds")
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	l := &Log{
+		opts:          opts,
+		dir:           opts.Dir,
+		appendsC:      reg.Counter("mtshare_wal_appends_total"),
+		bytesC:        reg.Counter("mtshare_wal_appended_bytes_total"),
+		syncsC:        reg.Counter("mtshare_wal_syncs_total"),
+		rotationsC:    reg.Counter("mtshare_wal_rotations_total"),
+		truncC:        reg.Counter("mtshare_wal_truncated_bytes_total"),
+		snapsC:        reg.Counter("mtshare_wal_snapshots_total"),
+		snapErrsC:     reg.Counter("mtshare_wal_snapshot_errors_total"),
+		segGauge:      reg.Gauge("mtshare_wal_segments"),
+		lastSyncGauge: reg.Gauge("mtshare_wal_last_sync_unix_seconds"),
+		fsyncH:        reg.Histogram("mtshare_wal_fsync_seconds"),
 	}
 	if err := l.scan(); err != nil {
 		return nil, err
@@ -207,9 +209,7 @@ func Open(opts Options, reg *obs.Registry) (*Log, error) {
 		l.f = f
 		l.w = bufio.NewWriter(f)
 	}
-	if l.segGauge != nil {
-		l.segGauge.Set(float64(len(l.segments)))
-	}
+	l.segGauge.Set(float64(len(l.segments)))
 	if n, ev, err := l.scanSnapshots(); err == nil {
 		l.snapshots, l.lastSnapEvents = n, ev
 	}
@@ -258,10 +258,7 @@ func (l *Log) scan() error {
 			if terr := truncateFile(seg.path, valid); terr != nil {
 				return fmt.Errorf("wal: truncating torn tail: %w", terr)
 			}
-			l.truncatedBytes += torn
-			if l.truncC != nil {
-				l.truncC.Add(torn)
-			}
+			l.truncC.Add(torn)
 		}
 		l.records += n
 		l.appended += valid
@@ -347,9 +344,7 @@ func (l *Log) createSegment(start int64) error {
 	l.w = bufio.NewWriter(f)
 	l.segments = append(l.segments, segment{path: path, start: start})
 	l.segBytes = 0
-	if l.segGauge != nil {
-		l.segGauge.Set(float64(len(l.segments)))
-	}
+	l.segGauge.Set(float64(len(l.segments)))
 	return nil
 }
 
@@ -400,10 +395,8 @@ func (l *Log) Append(payload []byte) error {
 	l.segBytes += frame
 	l.appended += frame
 	l.dirty++
-	if l.appendsC != nil {
-		l.appendsC.Inc()
-		l.bytesC.Add(frame)
-	}
+	l.appendsC.Inc()
+	l.bytesC.Add(frame)
 	if se := l.opts.effSyncEvery(); se > 0 && l.dirty >= se {
 		return l.syncLocked()
 	}
@@ -424,10 +417,7 @@ func (l *Log) rotateLocked() error {
 		l.err = err
 		return err
 	}
-	l.rotations++
-	if l.rotationsC != nil {
-		l.rotationsC.Inc()
-	}
+	l.rotationsC.Inc()
 	return nil
 }
 
@@ -452,16 +442,11 @@ func (l *Log) syncLocked() error {
 		l.err = fmt.Errorf("wal: %w", err)
 		return l.err
 	}
-	if l.fsyncH != nil {
-		l.fsyncH.Observe(time.Since(t0).Seconds())
-	}
+	l.fsyncH.Observe(time.Since(t0).Seconds())
 	l.dirty = 0
-	l.syncs++
 	l.lastSyncNanos = time.Now().UnixNano()
-	if l.syncsC != nil {
-		l.syncsC.Inc()
-		l.lastSyncGauge.Set(float64(l.lastSyncNanos) / 1e9)
-	}
+	l.syncsC.Inc()
+	l.lastSyncGauge.Set(float64(l.lastSyncNanos) / 1e9)
 	return nil
 }
 
@@ -532,9 +517,9 @@ func (l *Log) Stats() Stats {
 		Segments:           len(l.segments),
 		Records:            l.records,
 		AppendedBytes:      l.appended,
-		TruncatedBytes:     l.truncatedBytes,
-		Syncs:              l.syncs,
-		Rotations:          l.rotations,
+		TruncatedBytes:     l.truncC.Value(),
+		Syncs:              l.syncsC.Value(),
+		Rotations:          l.rotationsC.Value(),
 		LastSyncUnixNanos:  l.lastSyncNanos,
 		SyncEvery:          l.opts.effSyncEvery(),
 		SnapshotEveryTicks: l.opts.SnapshotEveryTicks,

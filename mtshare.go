@@ -82,7 +82,10 @@ type Options struct {
 
 	// Metrics receives the system's instruments (dispatch-stage
 	// histograms, router cache counters, index gauges). Nil allocates a
-	// private registry, retrievable via System.Metrics.
+	// private registry, retrievable via System.Metrics. Queue, router and
+	// WAL counts are kept only here (QueueStats and DurabilityStats read
+	// them back), so two systems sharing one registry each see the sum,
+	// as they do for dispatch counters.
 	Metrics *obs.Registry
 
 	// TraceSampleEvery samples one in N dispatches with a span tree when
