@@ -106,7 +106,7 @@ func (q *PendingQueue) CaptureDurable() PoolState {
 func (q *PendingQueue) RestoreDurable(st PoolState, resolve RequestResolver) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.items.Len() > 0 || q.enqueued.Value() > 0 {
+	if q.items.Len() > 0 {
 		return fmt.Errorf("match: RestoreDurable on a non-empty queue")
 	}
 	if st.Capacity != q.capacity {
