@@ -17,6 +17,7 @@
 package baseline
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/fleet"
@@ -88,33 +89,13 @@ func (b *base) IndexMemoryBytes() int64 { return b.grid.MemoryBytes() }
 // with.
 func (b *base) legCost(u, v roadnet.VertexID) (float64, bool) {
 	c := b.router.Cost(u, v)
-	return c, !isInf(c)
+	return c, !math.IsInf(c, 1)
 }
 
-func isInf(f float64) bool { return f > 1e17 }
-
-// buildLegs materialises shortest-path legs from start through vertices.
-func (b *base) buildLegs(start roadnet.VertexID, vertices []roadnet.VertexID) ([][]roadnet.VertexID, bool) {
-	legs := make([][]roadnet.VertexID, len(vertices))
-	at := start
-	for i, v := range vertices {
-		p := b.router.Path(at, v)
-		if p == nil {
-			return nil, false
-		}
-		legs[i] = p
-		at = v
-	}
-	return legs, true
-}
-
-// commit installs events onto a taxi and refreshes its index entry.
+// commit routes events' shortest-path legs, installs them on the taxi and
+// refreshes its index entry.
 func (b *base) commit(t *fleet.Taxi, events []fleet.Event, nowSeconds float64) bool {
-	vertices := make([]roadnet.VertexID, len(events))
-	for i, ev := range events {
-		vertices[i] = ev.Vertex()
-	}
-	legs, ok := b.buildLegs(t.NextVertex(), vertices)
+	legs, ok := fleet.BuildLegs(b.router, t.NextVertex(), events)
 	if !ok {
 		return false
 	}

@@ -50,14 +50,7 @@ func (s *NoSharing) OnRequest(_ context.Context, req *fleet.Request, nowSeconds 
 // TryServeOffline never shares under NoSharing: an occupied taxi passes
 // by, a vacant one behaves as for an online request.
 func (s *NoSharing) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSeconds float64) bool {
-	if !t.Empty() {
-		return false
-	}
-	events, _, ok := s.insertable(t, req, nowSeconds, true)
-	if !ok {
-		return false
-	}
-	return s.commit(t, events, nowSeconds)
+	return t.Empty() && s.base.TryServeOffline(t, req, nowSeconds)
 }
 
 // TShare approximates Ma et al.'s T-Share as the evaluation exercises it

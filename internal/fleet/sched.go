@@ -137,3 +137,21 @@ func BestInsertion(schedule []Event, req *Request, cost LegCoster, p EvalParams,
 	}
 	return best, bestEval, ok
 }
+
+// BuildLegs routes a schedule's legs over r from start: legs[i] ends at
+// events[i].Vertex(). A leg that starts at its event's vertex is that
+// vertex alone, asked of no router. ok is false when a leg is unroutable.
+func BuildLegs(r roadnet.PathRouter, start roadnet.VertexID, events []Event) (legs [][]roadnet.VertexID, ok bool) {
+	legs = make([][]roadnet.VertexID, len(events))
+	at := start
+	for i, ev := range events {
+		v := ev.Vertex()
+		if at == v {
+			legs[i] = []roadnet.VertexID{v}
+		} else if legs[i] = r.Path(at, v); legs[i] == nil {
+			return nil, false
+		}
+		at = v
+	}
+	return legs, true
+}

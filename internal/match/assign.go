@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/roadnet"
 )
 
 // This file implements the global batch-assignment round (ROADMAP item 4):
@@ -35,86 +34,6 @@ const batchAssignMinSize = 2
 // minimises detour among the maximum matchings.
 const unmatchedCost = 1e12
 
-// assignOption is one feasible (request, taxi) pairing of the batch cost
-// graph: the taxi's best schedule instance for the request, carried from
-// enumeration to commit. Legs may be nil — they are materialised only for
-// winners (finishAssignment), never for the whole graph.
-type assignOption struct {
-	taxi   *fleet.Taxi
-	events []fleet.Event
-	legs   [][]roadnet.VertexID
-	eval   fleet.EvalResult
-	detour float64
-}
-
-// fill copies the option into an assignment being committed.
-func (o *assignOption) fill(a *Assignment) {
-	a.Taxi, a.Events, a.Legs, a.Eval, a.DetourMeters = o.taxi, o.events, o.legs, o.eval, o.detour
-}
-
-// feasibleOptions keeps the feasible candidate results in ascending
-// taxi-ID order — the canonical column order of the cost graph. That is the
-// order candidate search emits and evalCandidates preserves, whatever order
-// the workers finish in.
-func feasibleOptions(results []candResult) []assignOption {
-	opts := make([]assignOption, 0, len(results))
-	for i := range results {
-		r := &results[i]
-		if !r.ok {
-			continue
-		}
-		opts = append(opts, assignOption{taxi: r.taxi, events: r.events, legs: r.legs, eval: r.eval, detour: r.detour})
-	}
-	return opts
-}
-
-// bestAssignOption reproduces the greedy winner over an option list:
-// minimum detour, ties to the lowest taxi ID (the list is ID-sorted, so
-// strict less keeps the first). nil when the list is empty.
-func bestAssignOption(opts []assignOption) *assignOption {
-	var best *assignOption
-	for i := range opts {
-		if best == nil || opts[i].detour < best.detour {
-			best = &opts[i]
-		}
-	}
-	return best
-}
-
-// dispatchOptions enumerates every feasible (request, taxi) option through
-// the ordinary pipeline — candidate search, landmark screening, insertion
-// scheduling across the worker pool — and returns them in taxi-ID order,
-// plus the candidate-set size examined. Unlike DispatchContext it keeps
-// every feasible candidate instead of reducing to the single winner.
-func (e *Engine) dispatchOptions(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) ([]assignOption, int) {
-	t0 := time.Now()
-	defer e.ins.dispatchSeconds.ObserveSince(t0)
-	cands := e.CandidateTaxis(req, nowSeconds)
-	e.ins.candidateSearchSeconds.ObserveSince(t0)
-	e.ins.dispatches.Inc()
-	e.ins.candidatesExamined.Add(int64(len(cands)))
-	if len(cands) == 0 || ctx.Err() != nil {
-		return nil, len(cands)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	t1 := time.Now()
-	results := e.evalCandidates(cands, req, nowSeconds, probabilistic)
-	e.ins.schedulingSeconds.ObserveSince(t1)
-	return feasibleOptions(results), len(cands)
-}
-
-// finishAssignment materialises a winning option's route legs (nil for
-// non-probabilistic schedules, which defer leg building to the winner).
-func (e *Engine) finishAssignment(a *Assignment) bool {
-	if a.Legs != nil {
-		return true
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.materializeLegsLocked(a)
-}
-
 // runBatchAssign is the global-assignment batch round. Phase 1 enumerates
 // the full option graph against the frozen fleet state; the solve picks
 // the min-cost maximum-cardinality matching; winners commit through the
@@ -131,15 +50,19 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 	}
 	order := batchOrder(e, reqs)
 	// Phase 1: enumerate every feasible (request, taxi) option against the
-	// same fleet state (no commits interleave).
-	options := make([][]assignOption, len(order))
+	// same fleet state; the read lock keeps commits out.
+	options := make([][]Assignment, len(order))
 	candCounts := make([]int, len(order))
 	total := 0
+	e.mu.RLock()
 	for i, r := range order {
-		options[i], candCounts[i] = e.dispatchOptions(ctx, r, nowSeconds, probabilistic)
+		t0 := time.Now()
+		options[i], candCounts[i] = e.evaluate(ctx, r, nowSeconds, probabilistic)
+		e.ins.dispatchSeconds.ObserveSince(t0)
 		total += len(options[i])
 		e.ins.batchRequests.Inc()
 	}
+	e.mu.RUnlock()
 	// The solve only pays off when at least two requests contest a taxi;
 	// with disjoint option sets the per-request costs are independent, so
 	// the greedy per-request minima already form the min-cost matching.
@@ -147,7 +70,7 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 	firstSeen := make(map[int64]int)
 	for i := range options {
 		for k := range options[i] {
-			id := options[i][k].taxi.ID
+			id := options[i][k].Taxi.ID
 			if j, ok := firstSeen[id]; ok {
 				if j != i {
 					contested = true
@@ -166,12 +89,11 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 	if !contested || total == 0 {
 		e.ins.batchAssignFallbacks.Inc()
 		for i := range out {
-			if best := bestAssignOption(options[i]); best != nil {
-				best.fill(&out[i].Assignment)
-				out[i].Served = true
+			if a, ok := bestOption(options[i]); ok {
+				out[i].Assignment, out[i].Served = a, true
 			}
 		}
-		commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins, e.finishAssignment)
+		commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins)
 		return out
 	}
 	// Cost matrix: rows are requests in batch order, columns distinct
@@ -188,17 +110,17 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 		colOf[id] = j
 	}
 	cost := make([][]float64, len(order))
-	optAt := make([][]*assignOption, len(order))
+	optAt := make([][]*Assignment, len(order))
 	for i := range order {
 		cost[i] = make([]float64, len(colIDs))
-		optAt[i] = make([]*assignOption, len(colIDs))
+		optAt[i] = make([]*Assignment, len(colIDs))
 		for j := range cost[i] {
 			cost[i][j] = math.Inf(1)
 		}
 		for k := range options[i] {
 			o := &options[i][k]
-			j := colOf[o.taxi.ID]
-			cost[i][j] = o.detour
+			j := colOf[o.Taxi.ID]
+			cost[i][j] = o.DetourMeters
 			optAt[i][j] = o
 		}
 	}
@@ -209,11 +131,10 @@ func (e *Engine) runBatchAssign(ctx context.Context, reqs []*fleet.Request, nowS
 	// commit outside the batch).
 	for i := range out {
 		if j := match[i]; j >= 0 {
-			optAt[i][j].fill(&out[i].Assignment)
-			out[i].Served = true
+			out[i].Assignment, out[i].Served = *optAt[i][j], true
 		}
 	}
-	commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins, e.finishAssignment)
+	commitBatch(ctx, e, out, nowSeconds, probabilistic, &e.ins)
 	// Remainder pass: requests the matching left out (or whose commit went
 	// stale) get a greedy re-dispatch against the post-commit fleet state,
 	// in the same deterministic order.

@@ -13,7 +13,8 @@ import (
 
 // Assignment is the outcome of matching one request: the chosen taxi, its
 // updated schedule with materialised route legs, the schedule evaluation,
-// and the detour cost of Eq. 4.
+// and the detour cost of Eq. 4. It is also one feasible option of the
+// evaluation, where basic-routing legs stay nil until the option wins.
 type Assignment struct {
 	Taxi   *fleet.Taxi
 	Req    *fleet.Request
@@ -26,32 +27,6 @@ type Assignment struct {
 	// Candidates is the size of the candidate taxi set examined
 	// (Table III).
 	Candidates int
-}
-
-// candResult is one candidate taxi's best schedule instance, computed
-// independently of every other candidate so the per-candidate work can fan
-// out across workers.
-type candResult struct {
-	taxi   *fleet.Taxi
-	events []fleet.Event
-	legs   [][]roadnet.VertexID // probabilistic plans materialise eagerly
-	eval   fleet.EvalResult
-	detour float64
-	ok     bool
-}
-
-// better orders candidate results deterministically: by detour cost, then
-// by taxi ID. The taxi-ID tie-break makes the winner independent of both
-// candidate-list order and goroutine completion order, so sequential and
-// parallel dispatch provably agree.
-func (a *candResult) better(b *candResult) bool {
-	if !a.ok || !b.ok {
-		return a.ok
-	}
-	if a.detour != b.detour {
-		return a.detour < b.detour
-	}
-	return a.taxi.ID < b.taxi.ID
 }
 
 // lbDeadlineEpsilon pads the lower-bound deadline comparisons against
@@ -108,44 +83,87 @@ func (e *Engine) screenCandidateLB(req *fleet.Request, params fleet.EvalParams) 
 // Ties between instances of the same taxi resolve by enumeration order,
 // which is deterministic. It only reads engine and taxi state; the caller
 // holds the fleet read lock.
-func (e *Engine) evalCandidate(t *fleet.Taxi, req *fleet.Request, nowSeconds float64, probabilistic bool) candResult {
-	res := candResult{taxi: t}
+func (e *Engine) evalCandidate(t *fleet.Taxi, req *fleet.Request, nowSeconds float64, probabilistic bool) (Assignment, bool) {
 	params := t.EvalParamsAt(nowSeconds, e.cfg.SpeedMps)
 	if e.oracle != nil && e.screenCandidateLB(req, params) {
-		return res
+		return Assignment{}, false
 	}
-	if probabilistic && e.ProbEnabled(t) {
-		for _, cand := range fleet.InsertionCandidates(t.Schedule(), req) {
-			legs, eval, ok := e.ProbabilisticPlan(cand, t, nowSeconds)
-			if !ok {
-				continue
-			}
-			detour := eval.TotalMeters - t.RemainingMeters()
-			if !res.ok || detour < res.detour {
-				res.events, res.legs, res.eval, res.detour = cand, legs, eval, detour
-				res.ok = true
-			}
+	if !probabilistic || !e.ProbEnabled(t) {
+		return e.insertBasic(t, req, params)
+	}
+	best, found := Assignment{Taxi: t, Req: req}, false
+	for _, cand := range fleet.InsertionCandidates(t.Schedule(), req) {
+		legs, eval, ok := e.ProbabilisticPlan(cand, t, nowSeconds)
+		if !ok {
+			continue
 		}
-		return res
+		if detour := eval.TotalMeters - t.RemainingMeters(); !found || detour < best.DetourMeters {
+			best.Events, best.Legs, best.Eval, best.DetourMeters = cand, legs, eval, detour
+			found = true
+		}
 	}
-	sched, eval, ok := fleet.BestInsertion(t.Schedule(), req, e.BasicLegCost, params, false)
-	if !ok {
-		return res
-	}
-	res.events, res.eval, res.detour, res.ok = sched, eval, eval.TotalMeters-t.RemainingMeters(), true
-	return res
+	return best, found
 }
 
-// evalCandidates computes every candidate's best schedule instance,
-// fanning the work across runtime.GOMAXPROCS(0) workers. Results land in
-// candidate-list order regardless of completion order; the deterministic
-// reduction happens in Dispatch.
-func (e *Engine) evalCandidates(cands []*fleet.Taxi, req *fleet.Request, nowSeconds float64, probabilistic bool) []candResult {
-	results := make([]candResult, len(cands))
+// insertBasic is evalCandidate's basic-routing half: the cheapest feasible
+// insertion of req into t's schedule, its legs left to the winner.
+// TryServeOffline calls it directly, without the landmark screen.
+func (e *Engine) insertBasic(t *fleet.Taxi, req *fleet.Request, params fleet.EvalParams) (Assignment, bool) {
+	sched, eval, ok := fleet.BestInsertion(t.Schedule(), req, e.BasicLegCost, params, false)
+	return Assignment{Taxi: t, Req: req, Events: sched, Eval: eval, DetourMeters: eval.TotalMeters - t.RemainingMeters()}, ok
+}
+
+// evaluate is Alg. 1 up to the choice of a taxi, shared by every
+// dispatcher: candidate search, then every candidate's landmark screen and
+// cheapest insertion, fanned across runtime.GOMAXPROCS(0) workers. It
+// returns the feasible options in ascending taxi-ID order — the order
+// candidate search emits, whatever order the workers finish in — and the
+// number of candidates examined. It mutates no fleet state; the caller
+// holds the fleet read lock.
+func (e *Engine) evaluate(ctx context.Context, req *fleet.Request, nowSeconds float64, probabilistic bool) ([]Assignment, int) {
+	_, spc := obs.StartSpan(ctx, "dispatch.candidates")
+	t0 := time.Now()
+	cands := e.candidatesLocked(req, nowSeconds)
+	e.ins.candidateSearchSeconds.ObserveSince(t0)
+	spc.End()
+	e.ins.dispatches.Inc()
+	e.ins.candidatesExamined.Add(int64(len(cands)))
+	if len(cands) == 0 || ctx.Err() != nil {
+		return nil, len(cands)
+	}
+	_, sps := obs.StartSpan(ctx, "dispatch.scheduling")
+	defer sps.End()
+	defer e.ins.schedulingSeconds.ObserveSince(time.Now())
+	opts := make([]Assignment, len(cands))
+	feasible := make([]bool, len(cands))
 	roadnet.ParallelDo(len(cands), runtime.GOMAXPROCS(0), func(_, i int) {
-		results[i] = e.evalCandidate(cands[i], req, nowSeconds, probabilistic)
+		opts[i], feasible[i] = e.evalCandidate(cands[i], req, nowSeconds, probabilistic)
 	})
-	return results
+	out := opts[:0]
+	for i := range opts {
+		if feasible[i] {
+			opts[i].Candidates = len(cands)
+			out = append(out, opts[i])
+		}
+	}
+	return out, len(cands)
+}
+
+// bestOption is the greedy winner over options in taxi-ID order: minimum
+// detour, ties to the lowest taxi ID (strict less keeps the first). The
+// order is total, so sequential and parallel evaluation pick the same
+// option.
+func bestOption(opts []Assignment) (Assignment, bool) {
+	best := -1
+	for i := range opts {
+		if best < 0 || opts[i].DetourMeters < opts[best].DetourMeters {
+			best = i
+		}
+	}
+	if best < 0 {
+		return Assignment{}, false
+	}
+	return opts[best], true
 }
 
 // Dispatch implements Alg. 1: search candidate taxis for the request,
@@ -174,93 +192,44 @@ func (e *Engine) DispatchContext(ctx context.Context, req *fleet.Request, nowSec
 	}
 	ctx, sp := obs.StartSpan(ctx, "dispatch")
 	defer sp.End()
-	tDispatch := time.Now()
-	defer e.ins.dispatchSeconds.ObserveSince(tDispatch)
-
-	_, spc := obs.StartSpan(ctx, "dispatch.candidates")
-	t0 := time.Now()
-	cands := e.CandidateTaxis(req, nowSeconds)
-	e.ins.candidateSearchSeconds.ObserveSince(t0)
-	spc.End()
-	e.ins.dispatches.Inc()
-	e.ins.candidatesExamined.Add(int64(len(cands)))
-	best := Assignment{Req: req, Candidates: len(cands)}
-	if len(cands) == 0 || ctx.Err() != nil {
-		return best, false
-	}
-
+	defer e.ins.dispatchSeconds.ObserveSince(time.Now())
 	// The evaluation only reads taxi state, but a concurrent Commit (or
 	// ReindexTaxi) may not mutate it mid-evaluation; hold the fleet read
-	// lock across the fan-out and the winner's leg materialisation.
+	// lock from the candidate search to the winner's legs.
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	_, sps := obs.StartSpan(ctx, "dispatch.scheduling")
-	t1 := time.Now()
-	results := e.evalCandidates(cands, req, nowSeconds, probabilistic)
-	win := -1
-	for i := range results {
-		if !results[i].ok {
-			continue
-		}
-		if win < 0 || results[i].better(&results[win]) {
-			win = i
-		}
+	opts, n := e.evaluate(ctx, req, nowSeconds, probabilistic)
+	a, ok := bestOption(opts)
+	if !ok {
+		return Assignment{Req: req, Candidates: n}, false
 	}
-	e.ins.schedulingSeconds.ObserveSince(t1)
-	sps.End()
-	if win < 0 {
-		return best, false
-	}
-	w := &results[win]
-	best.Taxi, best.Events, best.Legs, best.Eval, best.DetourMeters = w.taxi, w.events, w.legs, w.eval, w.detour
-
-	if best.Legs == nil {
+	if a.Legs == nil {
 		_, spl := obs.StartSpan(ctx, "dispatch.legbuild")
-		ok := e.materializeLegsLocked(&best)
+		a.Legs, ok = e.basicLegs(a.Taxi, a.Events)
 		spl.End()
-		if !ok {
-			return best, false
-		}
 	}
-	return best, true
+	return a, ok
 }
 
-// materializeLegsLocked fills a winning assignment's basic route legs from
-// its schedule events. The caller holds a fleet read lock covering the
-// taxi, so NextVertex cannot shift mid-build.
-func (e *Engine) materializeLegsLocked(a *Assignment) bool {
-	t0 := time.Now()
-	defer e.ins.legBuildSeconds.ObserveSince(t0)
-	vertices := make([]roadnet.VertexID, len(a.Events))
-	for i, ev := range a.Events {
-		vertices[i] = ev.Vertex()
-	}
-	legs, ok := e.BuildBasicLegs(a.Taxi.NextVertex(), vertices)
-	if !ok {
-		return false
-	}
-	a.Legs = legs
-	return true
+// basicLegs routes a schedule's basic legs from t's next vertex. The
+// caller holds the fleet lock, so NextVertex cannot shift mid-build.
+func (e *Engine) basicLegs(t *fleet.Taxi, events []fleet.Event) ([][]roadnet.VertexID, bool) {
+	defer e.ins.legBuildSeconds.ObserveSince(time.Now())
+	return fleet.BuildLegs(e.router, t.NextVertex(), events)
 }
 
 // Commit applies an assignment: installs the plan on the taxi, refreshes
 // its indexes, and registers the request in the mobility clusters. The
 // plan installation takes the fleet write lock, so committing while other
 // goroutines dispatch is safe; SetPlan re-validates the schedule against
-// the taxi's current passengers, so a stale assignment fails cleanly.
+// the taxi's current passengers, so a stale assignment fails cleanly. An
+// assignment without legs gets its basic legs at installation.
 func (e *Engine) Commit(a Assignment, nowSeconds float64) error {
 	if a.Taxi == nil {
 		return fmt.Errorf("match: committing empty assignment")
 	}
 	t0 := time.Now()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrDispatcherClosed
-	}
-	err := a.Taxi.SetPlan(a.Events, a.Legs)
-	e.mu.Unlock()
-	if err != nil {
+	if err := e.installPlan(a.Taxi, a.Events, a.Legs); err != nil {
 		return err
 	}
 	e.ins.assignments.Inc()
@@ -272,30 +241,16 @@ func (e *Engine) Commit(a Assignment, nowSeconds float64) error {
 
 // TryServeOffline handles a roadside encounter (§IV-C2 end): taxi t has
 // met offline request req; the server checks whether req can be validly
-// inserted into t's schedule and commits the insertion when possible.
+// inserted into t's schedule and commits the insertion when possible. One
+// exact evaluation leaves nothing for the landmark screen to save.
 func (e *Engine) TryServeOffline(t *fleet.Taxi, req *fleet.Request, nowSeconds float64) bool {
 	e.mu.RLock()
-	if t.IdleSeats() < req.Passengers {
-		e.mu.RUnlock()
-		return false
+	a, ok := Assignment{}, t.IdleSeats() >= req.Passengers
+	if ok {
+		a, ok = e.insertBasic(t, req, t.EvalParamsAt(nowSeconds, e.cfg.SpeedMps))
 	}
-	params := t.EvalParamsAt(nowSeconds, e.cfg.SpeedMps)
-	sched, eval, ok := fleet.BestInsertion(t.Schedule(), req, e.BasicLegCost, params, false)
-	if !ok {
-		e.mu.RUnlock()
-		return false
-	}
-	vertices := make([]roadnet.VertexID, len(sched))
-	for i, ev := range sched {
-		vertices[i] = ev.Vertex()
-	}
-	legs, ok := e.BuildBasicLegs(t.NextVertex(), vertices)
 	e.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	a := Assignment{Taxi: t, Req: req, Events: sched, Legs: legs, Eval: eval}
-	if e.Commit(a, nowSeconds) != nil {
+	if !ok || e.Commit(a, nowSeconds) != nil {
 		return false
 	}
 	e.ins.offlineInsertions.Inc()

@@ -103,7 +103,7 @@ type Config struct {
 	// router: every leg-cost and path query of the dispatch pipeline
 	// goes through the returned PathRouter. The replay harness injects
 	// deterministic router faults through it. Engine.Router still
-	// returns the raw cache (stats, warming, request preparation).
+	// returns the raw cache (stats, request preparation).
 	RouterWrap func(roadnet.PathRouter) roadnet.PathRouter
 }
 
@@ -301,10 +301,6 @@ func (e *Engine) Drain() {
 	e.mu.Unlock()
 }
 
-// LandmarkOracle returns the engine's landmark lower-bound estimator, or
-// nil when Config.DisableLandmarkLB turned it off.
-func (e *Engine) LandmarkOracle() *partition.Oracle { return e.oracle }
-
 // Metrics returns the registry holding the engine's instruments (and
 // those of its router and partition index). Serve it via
 // obs.Registry.WritePrometheus or read it via Snapshot.
@@ -342,13 +338,6 @@ func (e *Engine) Taxi(id int64) (*fleet.Taxi, bool) {
 	return t, ok
 }
 
-// NumTaxis returns the number of registered taxis.
-func (e *Engine) NumTaxis() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.taxis)
-}
-
 // ReindexTaxi refreshes the partition index and mobility cluster of a taxi
 // after its plan or position changed (the paper updates indexes when
 // requests are received or finished). The taxi is read under the fleet
@@ -367,14 +356,21 @@ func (e *Engine) ReindexTaxi(t *fleet.Taxi, nowSeconds float64) {
 	}
 }
 
-// installPlan installs a plan on a taxi under the fleet write lock; the
-// scheme uses it for idle cruises so plan mutation stays serialised
-// against concurrent dispatch evaluation.
+// installPlan installs a plan on a taxi under the fleet write lock, so
+// plan mutation stays serialised against concurrent dispatch evaluation.
+// Events without legs get their basic legs here, from the next vertex
+// SetPlan stitches the plan onto.
 func (e *Engine) installPlan(t *fleet.Taxi, events []fleet.Event, legs [][]roadnet.VertexID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrDispatcherClosed
+	}
+	if legs == nil && len(events) > 0 {
+		var ok bool
+		if legs, ok = e.basicLegs(t, events); !ok {
+			return fmt.Errorf("match: taxi %d: schedule unroutable", t.ID)
+		}
 	}
 	return t.SetPlan(events, legs)
 }
@@ -521,6 +517,13 @@ var candPool = sync.Pool{New: func() any { return new(candWS) }}
 // and taxis that cannot reach the request's partition by the pickup
 // deadline. The result is in ascending taxi-ID order.
 func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.candidatesLocked(req, nowSeconds)
+}
+
+// candidatesLocked is CandidateTaxis under the caller's fleet read lock.
+func (e *Engine) candidatesLocked(req *fleet.Request, nowSeconds float64) []*fleet.Taxi {
 	radius := e.searchRadius(req, nowSeconds)
 	if radius <= 0 {
 		return nil
@@ -539,8 +542,6 @@ func (e *Engine) CandidateTaxis(req *fleet.Request, nowSeconds float64) []*fleet
 	ws.ids = ws.seen.distinct(ws.ids)
 	slices.Sort(ws.ids)
 	slices.Sort(ws.reach)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	ws.compat = e.clusters.CompatibleClusters(ws.compat[:0], req.MobilityVector())
 	ws.keep = ws.keep[:0]
 	for _, id := range ws.ids {

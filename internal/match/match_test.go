@@ -329,11 +329,7 @@ func assignRequest(t testing.TB, env *testEnv, tx *fleet.Taxi, req *fleet.Reques
 	if !ok {
 		t.Fatalf("cannot assign request %d to taxi %d", req.ID, tx.ID)
 	}
-	vertices := make([]roadnet.VertexID, len(sched))
-	for i, ev := range sched {
-		vertices[i] = ev.Vertex()
-	}
-	legs, ok := env.e.BuildBasicLegs(tx.NextVertex(), vertices)
+	legs, ok := fleet.BuildLegs(env.e.router, tx.NextVertex(), sched)
 	if !ok {
 		t.Fatal("legs unroutable")
 	}

@@ -346,7 +346,7 @@ func runBatch(ctx context.Context, d batchDispatcher, reqs []*fleet.Request, now
 		out[i] = BatchOutcome{Req: r, Assignment: a, Served: ok}
 		ins.batchRequests.Inc()
 	}
-	commitBatch(ctx, d, out, nowSeconds, probabilistic, ins, nil)
+	commitBatch(ctx, d, out, nowSeconds, probabilistic, ins)
 	return out
 }
 
@@ -367,11 +367,9 @@ func batchOrder(d batchDispatcher, reqs []*fleet.Request) []*fleet.Request {
 }
 
 // commitBatch is phase 2 of the batch protocol: commit served outcomes in
-// order, re-dispatching on conflicts. finish, when non-nil, materialises
-// an assignment's route legs right before its commit (the global-
-// assignment round defers leg building to winners); runBatch passes nil
-// because DispatchContext already returns materialised winners.
-func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, nowSeconds float64, probabilistic bool, ins *instruments, finish func(*Assignment) bool) {
+// order, re-dispatching on conflicts. A global-assignment winner reaches
+// it without basic legs; Commit routes them at installation.
+func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, nowSeconds float64, probabilistic bool, ins *instruments) {
 	taken := make(map[int64]bool)
 	for i := range out {
 		o := &out[i]
@@ -397,10 +395,6 @@ func commitBatch(ctx context.Context, d batchDispatcher, out []BatchOutcome, now
 			if o.Assignment.Taxi.ID != contested && taken[o.Assignment.Taxi.ID] {
 				ins.batchConflicts.Inc()
 			}
-		}
-		if finish != nil && o.Assignment.Legs == nil && !finish(&o.Assignment) {
-			o.Served = false
-			continue
 		}
 		if d.Commit(o.Assignment, nowSeconds) != nil {
 			// The evaluation went stale under a concurrent commit outside

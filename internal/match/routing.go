@@ -95,7 +95,8 @@ func (e *Engine) BasicLegCost(u, v roadnet.VertexID) (float64, bool) {
 	return c, !math.IsInf(c, 1)
 }
 
-// BasicLegPath materialises the basic-routing leg path between u and v.
+// BasicLegPath materialises the basic-routing leg path between u and v
+// with its cost: probabilistic routing's fallback leg.
 func (e *Engine) BasicLegPath(u, v roadnet.VertexID) ([]roadnet.VertexID, float64, bool) {
 	if u == v {
 		return []roadnet.VertexID{u}, 0, true
@@ -105,21 +106,4 @@ func (e *Engine) BasicLegPath(u, v roadnet.VertexID) ([]roadnet.VertexID, float6
 		return nil, 0, false
 	}
 	return p, e.router.Cost(u, v), true
-}
-
-// BuildBasicLegs materialises the leg paths for a whole schedule starting
-// at start; legs[i] ends at events[i].Vertex(). It returns ok=false when
-// any leg is unroutable.
-func (e *Engine) BuildBasicLegs(start roadnet.VertexID, vertices []roadnet.VertexID) ([][]roadnet.VertexID, bool) {
-	legs := make([][]roadnet.VertexID, len(vertices))
-	at := start
-	for i, v := range vertices {
-		path, _, ok := e.BasicLegPath(at, v)
-		if !ok {
-			return nil, false
-		}
-		legs[i] = path
-		at = v
-	}
-	return legs, true
 }
